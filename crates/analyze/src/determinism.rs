@@ -1,9 +1,8 @@
 //! Rule family 1 — scope-aware nondeterminism hazards.
 //!
-//! The successor of the old line-oriented `verify::source_scan` pass:
-//! the same hazard classes (wall clocks / OS entropy calls, iteration
-//! over `HashMap`/`HashSet` bindings) matched against the lexer's
-//! per-line code views, but with real scope information from the item
+//! Hazard classes (wall clocks / OS entropy calls, iteration over
+//! `HashMap`/`HashSet` bindings) are matched against the lexer's
+//! per-line code views, with real scope information from the item
 //! parser:
 //!
 //! * `#[cfg(test)]` is skipped at **item** granularity — a test module
@@ -13,7 +12,7 @@
 //!   is only a hazard source inside its enclosing function, while
 //!   struct fields and statics stay file-wide.
 //!
-//! Acknowledgement syntax is unchanged: a `det-ok:` line comment on the
+//! Acknowledgement syntax: a `det-ok:` line comment on the
 //! hazard line or the line above suppresses it; a marker covering no
 //! hazard is flagged as stale. Doc comments are never acknowledgements.
 
@@ -217,74 +216,20 @@ pub fn scan(pf: &ParsedFile) -> Vec<Finding> {
     out
 }
 
-// ---------------------------------------------------------------------
-// Compatibility surface for the historical `verify::source_scan` API.
-// ---------------------------------------------------------------------
-
-/// One hazardous line (the historical pass-4b report shape).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hazard {
-    /// File the hazard is in (as given to the scanner).
-    pub file: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// What was matched.
-    pub what: String,
-    /// The offending line, trimmed.
-    pub snippet: String,
-}
-
-impl std::fmt::Display for Hazard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}: {} — {}", self.file, self.line, self.what, self.snippet)
-    }
-}
-
-/// Scan one file's text, reporting unacknowledged hazards and stale
-/// acknowledgements (the historical `source_scan::scan_source_text`).
-pub fn scan_source_text(label: &str, text: &str) -> Vec<Hazard> {
-    let pf = ParsedFile::parse(&crate::SourceFile::new(label, text));
-    let (found, acks) = raw_hazards(&pf);
-    let stale: Vec<usize> = acks
-        .iter()
-        .copied()
-        .filter(|&a| !found.iter().any(|h| h.line == a || h.line == a + 1))
-        .collect();
-    let mut out: Vec<Hazard> = found
-        .into_iter()
-        .filter(|h| !acks.iter().any(|&a| a == h.line || a + 1 == h.line))
-        .map(|h| Hazard { file: label.to_string(), line: h.line, what: h.what, snippet: h.snippet })
-        .collect();
-    for a in stale {
-        out.push(Hazard {
-            file: label.to_string(),
-            line: a,
-            what: format!("stale {ACK_MARKER} acknowledgement (no hazard in scope)"),
-            snippet: pf.lex.lines.get(a - 1).map(|v| v.raw.clone()).unwrap_or_default(),
-        });
-    }
-    out.sort_by_key(|h| h.line);
-    out
-}
-
-/// Recursively scan every production `.rs` file under `root` (the
-/// historical `source_scan::scan_dir`).
-pub fn scan_dir(root: &std::path::Path) -> std::io::Result<Vec<Hazard>> {
-    let mut out = Vec::new();
-    for sf in crate::collect_sources(root)? {
-        out.extend(scan_source_text(&sf.path, &sf.text));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Unacknowledged findings (hazards and stale acks) in `src`.
+    fn open_findings(src: &str) -> Vec<Finding> {
+        let pf = ParsedFile::parse(&crate::SourceFile::new("x.rs", src));
+        scan(&pf).into_iter().filter(|f| !f.acknowledged).collect()
+    }
+
     #[test]
     fn flags_wall_clock_and_entropy() {
         let src = "fn f() {\n    let t = Instant::now();\n    let r = rng.thread_rng();\n}\n";
-        let h = scan_source_text("x.rs", src);
+        let h = open_findings(src);
         assert_eq!(h.len(), 2, "{h:?}");
         assert_eq!(h[0].line, 2);
     }
@@ -299,9 +244,9 @@ fn f(s: &S) {
     }
 }
 ";
-        let h = scan_source_text("x.rs", src);
+        let h = open_findings(src);
         assert_eq!(h.len(), 1, "{h:?}");
-        assert!(h[0].what.contains("pending"));
+        assert!(h[0].message.contains("pending"));
     }
 
     #[test]
@@ -319,7 +264,7 @@ fn b(seen: &[u32]) {
     }
 }
 ";
-        let h = scan_source_text("x.rs", src);
+        let h = open_findings(src);
         assert!(h.is_empty(), "{h:?}");
     }
 
@@ -338,7 +283,7 @@ fn late() {
     sink(t);
 }
 ";
-        let h = scan_source_text("x.rs", src);
+        let h = open_findings(src);
         assert_eq!(h.len(), 1, "{h:?}");
         assert_eq!(h[0].line, 7);
     }
@@ -350,17 +295,17 @@ fn late() {
 fn helper() { Instant::now(); }
 fn real() {}
 ";
-        assert!(scan_source_text("x.rs", src).is_empty());
+        assert!(open_findings(src).is_empty());
     }
 
     #[test]
     fn det_ok_ack_and_stale_detection() {
         let acked = "let t = Instant::now(); // det-ok: canary\n";
-        assert!(scan_source_text("x.rs", acked).is_empty());
+        assert!(open_findings(acked).is_empty());
         let stale = "fn f() {\n    // det-ok: nothing here\n    let x = compute();\n}\n";
-        let h = scan_source_text("x.rs", stale);
+        let h = open_findings(stale);
         assert_eq!(h.len(), 1, "{h:?}");
-        assert!(h[0].what.contains("stale"));
+        assert!(h[0].message.contains("stale"));
     }
 
     #[test]
@@ -373,7 +318,7 @@ fn f() {
     emit(msg, raw);
 }
 ";
-        assert!(scan_source_text("x.rs", src).is_empty());
+        assert!(open_findings(src).is_empty());
     }
 
     #[test]

@@ -200,8 +200,8 @@ pub fn analyze_files(files: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
-/// Should this directory be descended into? Mirrors the historical
-/// source_scan walk: production `src/` trees only.
+/// Should this directory be skipped? The walk covers production `src/`
+/// trees only.
 fn skip_dir(name: &str) -> bool {
     matches!(name, "target" | "tests" | "benches" | ".git" | "results")
 }

@@ -4,174 +4,24 @@
 //! cargo run -p bench --bin verify_all [-- --pass <name>]... [-- --budget <n>] [-- --smoke] [-- --list-passes] [-- --json <path>]
 //! ```
 //!
-//! Passes: plan linting of every architecture's real I/O plans, lock-order
-//! analysis of a recorded lock trace, the layout conformance sweep, the
-//! determinism audit (double-run fingerprints plus the source-level
-//! hazard scan), the `raidx-model` interleaving checker, Wing–Gong
-//! linearizability over explored SIOS histories, the OSM/checkpoint
-//! crash-consistency audit, the trace-determinism audit (the full
-//! observability event stream must replay byte-identically), the
-//! fault-injection sweep (every enumerated single-fault point recovers
-//! byte-for-byte and replays fingerprint-identically), the happens-before
-//! race detector over merged engine + protocol traces, the
-//! parser-based whole-workspace static analyzer (`raidx-analyze`: five
-//! rule families with planted-defect canaries), the perf-smoke gate
-//! (deterministic engine work counters vs the committed
-//! `BENCH_engine.json` baseline, plus profiler transparency), and the
-//! cache-coherence gate (model check + linearizability of the caching
-//! scenario with a skip-invalidation canary, cached-vs-uncached
-//! transparency on every architecture, the Zipf hit-rate/speedup gate).
+//! The thirteen passes, their registry ([`PASSES`]) and the dispatcher
+//! ([`run_pass`]) live in `raidx_verify` (see its crate docs); this
+//! binary is argument parsing, per-pass timing and printing.
 //!
-//! `--pass <name>` (repeatable, hyphens and underscores interchangeable;
-//! `source-scan` is kept as an alias for `static-analysis`, which
-//! subsumed the old pass-4b line scanner) runs only the named passes;
-//! `--budget <n>` bounds the schedules explored per model-checking
-//! scenario (default 100000); `--smoke` shrinks the fault sweep and race
-//! detector to their CI subsets; `--list-passes` prints the registry
-//! (stable order) and exits; `--json <path>` additionally writes every
-//! pass's checks as machine-readable JSON (stable schema: pass, rule,
-//! file, line, message, acknowledged, ok). Each pass reports its
-//! wall-clock time.
+//! `--pass <name>` (repeatable, hyphens and underscores interchangeable)
+//! runs only the named passes; `--budget <n>` bounds the schedules
+//! explored per model-checking scenario (default 100000); `--smoke`
+//! shrinks the fault sweep and race detector to their CI subsets;
+//! `--list-passes` prints the registry (stable order) and exits;
+//! `--json <path>` additionally writes every pass's checks as
+//! machine-readable JSON (stable schema: pass, rule, file, line,
+//! message, acknowledged, ok). Each pass reports its wall-clock time.
 
-use cdd::{CddConfig, IoSystem};
-use cluster::ClusterConfig;
-use raidx_core::Arch;
-use raidx_verify::{analyze_lock_trace, audit_workload, conformance_sweep, lint_io_paths};
-use raidx_verify::{
-    cache_coherence, crash_consistency, fault_sweep, linearizability, model_check, perf_smoke,
-    race_detect, static_analysis, trace_determinism,
-};
-use raidx_verify::{report, report::PassReport, source_scan};
-use sim_core::Engine;
-use std::path::Path;
-
-fn lock_order_pass() -> PassReport {
-    let mut report = PassReport::new("lock-order");
-    for arch in Arch::ALL {
-        let mut engine = Engine::new();
-        let mut cc = ClusterConfig::shape(4, 2);
-        cc.disk.capacity = 8 << 20;
-        let bs = cc.block_size as usize;
-        let mut sys = IoSystem::new(&mut engine, cc, arch, CddConfig::default());
-        sys.enable_lock_trace();
-        let name = sys.layout().name();
-        let stripe = sys.layout().stripe_width() as u64;
-        let buf = vec![0x77; bs];
-        let wide = vec![0x11; bs * stripe as usize];
-        for client in 0..4u64 {
-            for b in 0..6u64 {
-                sys.write(client as usize, client * 16 + b, &buf).expect("write");
-            }
-            sys.write(client as usize, client * 16 + 8, &wide).expect("stripe write");
-        }
-        let trace = sys.take_lock_trace();
-        let audit = analyze_lock_trace(&trace);
-        let detail = if audit.clean() {
-            format!("{} grants, {} order edges, no defects", audit.grants, audit.order_edges)
-        } else {
-            audit.defects.iter().map(ToString::to_string).collect::<Vec<_>>().join("; ")
-        };
-        report.push(format!("{name} lock trace"), audit.clean(), detail);
-    }
-    report
-}
-
-fn layout_pass() -> PassReport {
-    let mut report = PassReport::new("layout-conformance");
-    for row in conformance_sweep() {
-        let name = format!("{} {}x{}", row.arch, row.shape.0, row.shape.1);
-        let detail = if row.ok() {
-            format!("{} blocks conform", row.checked)
-        } else {
-            format!(
-                "{} violations, first: {}",
-                row.violations.len(),
-                row.violations.first().map(String::as_str).unwrap_or("")
-            )
-        };
-        report.push(name, row.ok(), detail);
-    }
-    report
-}
-
-fn determinism_pass() -> PassReport {
-    let mut report = PassReport::new("determinism");
-    for arch in Arch::ALL {
-        let audit = audit_workload(arch);
-        let name = format!("{arch:?} double run");
-        let detail = match &audit.divergence {
-            None => {
-                format!("fingerprint {:016x}, {} trace lines", audit.fingerprint_a, audit.lines)
-            }
-            Some((i, a, b)) => format!("diverged at line {i}: `{a}` vs `{b}`"),
-        };
-        report.push(name, audit.deterministic(), detail);
-    }
-    // Source-level hazard scan over every crate.
-    let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates dir");
-    match source_scan::scan_dir(crates_dir) {
-        Ok(hazards) => {
-            let detail = if hazards.is_empty() {
-                "no wall clocks, OS entropy, unordered iteration or stale acks in sim paths"
-                    .to_string()
-            } else {
-                hazards.iter().map(ToString::to_string).collect::<Vec<_>>().join("; ")
-            };
-            report.push("source hazard scan", hazards.is_empty(), detail);
-        }
-        Err(e) => report.fail("source hazard scan", format!("scan failed: {e}")),
-    }
-    report
-}
-
-/// Registry of every pass with a one-line description, in execution
-/// order (the order `--list-passes` prints and a full run executes).
-const PASSES: [(&str, &str); 13] = [
-    ("plan-lint", "reject Plan DAG shapes that would panic or deadlock the event loop"),
-    ("lock-order", "replay recorded lock-group traces for double grants, leaks and order cycles"),
-    ("layout-conformance", "exhaustive OSM/parity/mirror placement rules across array shapes"),
-    ("determinism", "double-run aggregate fingerprints plus the source-level hazard scan"),
-    ("model-check", "exhaustive interleaving of small multi-client CDD scenarios"),
-    ("linearizability", "Wing-Gong check of explored SIOS histories against a sequential spec"),
-    ("crash-consistency", "crash-point enumeration inside OSM flushes and checkpoint commits"),
-    ("trace-determinism", "full observability event stream must replay byte-identically"),
-    ("fault-sweep", "every enumerated single-fault point recovers byte-for-byte"),
-    ("race-detect", "vector-clock happens-before races and same-tick commutativity violations"),
-    ("static-analysis", "parser-based workspace rules: determinism scopes, trigger conformance, wildcard arms, lock discipline, hygiene"),
-    ("perf-smoke", "deterministic engine work counters vs the BENCH_engine.json baseline, plus profiler transparency"),
-    ("cache-coherence", "client block-cache gate: model check + linearizability with a skip-invalidation canary, cached-vs-uncached transparency, Zipf hit-rate/speedup"),
-];
+use raidx_verify::report::{self, PassReport};
+use raidx_verify::{model_check, run_pass, PASSES};
 
 fn pass_names() -> Vec<&'static str> {
     PASSES.iter().map(|&(n, _)| n).collect()
-}
-
-fn run_pass(name: &str, budget: u64, smoke: bool) -> PassReport {
-    match name {
-        "plan-lint" => lint_io_paths(),
-        "lock-order" => lock_order_pass(),
-        "layout-conformance" => layout_pass(),
-        "determinism" => determinism_pass(),
-        "model-check" => model_check::run_pass(budget),
-        "linearizability" => linearizability::run_pass(budget),
-        "crash-consistency" => crash_consistency::run_pass(),
-        "trace-determinism" => trace_determinism::run_pass(),
-        "fault-sweep" => fault_sweep::run_pass(smoke),
-        "race-detect" => race_detect::run_pass(smoke),
-        "static-analysis" => {
-            let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates dir");
-            static_analysis::run_pass(crates_dir)
-        }
-        "perf-smoke" => {
-            let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
-                .parent()
-                .and_then(Path::parent)
-                .expect("repo root");
-            perf_smoke::run_pass(repo_root)
-        }
-        "cache-coherence" => cache_coherence::run_pass(budget),
-        other => unreachable!("unregistered pass {other}"),
-    }
 }
 
 struct Cli {
@@ -198,11 +48,7 @@ fn parse_args() -> Result<Cli, String> {
             "--pass" => {
                 // Accept underscores as separators too (`--pass
                 // trace_determinism` names the same pass).
-                let mut name = args.next().ok_or("--pass requires a name")?.replace('_', "-");
-                // The old pass-4b line scanner lives on inside pass 11.
-                if name == "source-scan" {
-                    name = "static-analysis".to_string();
-                }
+                let name = args.next().ok_or("--pass requires a name")?.replace('_', "-");
                 if !pass_names().contains(&name.as_str()) {
                     return Err(format!(
                         "unknown pass `{name}`; available: {}",

@@ -22,7 +22,5 @@ pub mod exp_table3;
 pub mod exp_trace;
 pub mod exp_utilization;
 pub mod harness;
-pub mod microbench;
-pub mod perfbench;
 
 pub use harness::{build_store, par_map, SystemKind};

@@ -69,7 +69,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Export every counter into `reg` under the `cdd.cache_*` names —
     /// the bridge from the cache to the [`sim_core::metrics`] plane the
-    /// exporters and the perfbench harness read.
+    /// exporters read.
     pub fn export_into(&self, reg: &mut MetricsRegistry) {
         reg.set_counter("cdd.cache_hits", self.hits);
         reg.set_counter("cdd.cache_misses", self.misses);

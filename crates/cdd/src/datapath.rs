@@ -366,7 +366,11 @@ impl IoSystem {
             // against the replica — failover is bounded, never a hang.
             chain.push(delay(self.cfg.request_timeout));
         }
-        chain.push(par(branches));
+        if !branches.is_empty() {
+            // A zero-block read has no branches; an empty `Par` is not a
+            // Strict-valid plan.
+            chain.push(par(branches));
+        }
         if self.tracer.is_some() {
             // Reads are lock-free by design; the trace point lets the
             // analyzer's (off-by-default) read/write auditor see them.

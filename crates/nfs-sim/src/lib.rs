@@ -150,7 +150,10 @@ impl NfsSystem {
                 self.rpc(self.server, client, bs as u64),
             ]));
         }
-        Ok((out, par(rpcs)))
+        // A zero-block read is legal (empty bytes); an empty `Par` is not
+        // a Strict-valid plan.
+        let plan = if rpcs.is_empty() { Plan::Noop } else { par(rpcs) };
+        Ok((out, plan))
     }
 }
 

@@ -10,7 +10,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::demand::Demand;
 use crate::plan::{BarrierId, Plan};
-use crate::prof::{EngineStats, HostProfiler, Phase};
+use crate::prof::EngineStats;
 use crate::resource::{Pending, ResourceId, ResourceSlot, ResourceStats, ServiceModel};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TracePoint, Tracer};
@@ -158,10 +158,6 @@ pub struct Engine {
     /// Deterministic lifetime work counters (always on — plain integer
     /// bumps on paths that already touch the counted structures).
     stats: EngineStats,
-    /// Optional host wall-clock profiler; same zero-cost-when-disabled
-    /// `Option<Box<...>>` pattern as the tracer. Host time observed here
-    /// never feeds back into simulated time.
-    prof: Option<Box<HostProfiler>>,
 }
 
 impl Default for Engine {
@@ -187,7 +183,6 @@ impl Engine {
             foreground_end: SimTime::ZERO,
             tracer: None,
             stats: EngineStats::default(),
-            prof: None,
         }
     }
 
@@ -205,24 +200,10 @@ impl Engine {
 
     /// Deterministic lifetime work counters: events dispatched, heap
     /// pushes and peak population, task spawns and slot allocations,
-    /// queue-scan iterations, tracer dispatches. Always collected (no
-    /// profiler needed), identical across hosts for the same workload.
+    /// queue-scan iterations, tracer dispatches. Always collected,
+    /// identical across hosts for the same workload.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    /// Install a [`HostProfiler`] that attributes host wall time to
-    /// engine phases from now on (replacing any previous one). Wall time
-    /// observed by the profiler is advisory and can never influence
-    /// simulated time or results.
-    pub fn set_profiler(&mut self, prof: HostProfiler) {
-        self.prof = Some(Box::new(prof));
-    }
-
-    /// Remove and return the installed profiler (its report snapshots
-    /// the attribution accumulated so far).
-    pub fn take_profiler(&mut self) -> Option<Box<HostProfiler>> {
-        self.prof.take()
     }
 
     /// Current simulated time.
@@ -322,19 +303,7 @@ impl Engine {
     /// background tasks) has completed.
     pub fn run(&mut self) -> Result<RunReport, DeadlockError> {
         while let Some(Reverse(ev)) = self.events.pop() {
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            self.stats.on_event();
-            if let Some(p) = self.prof.as_mut() {
-                p.event_begin();
-            }
-            match ev.kind {
-                EventKind::Resume(t) | EventKind::StartJob(t) => self.advance(t),
-                EventKind::ResourceDone(r) => self.resource_done(r),
-            }
-            if let Some(p) = self.prof.as_mut() {
-                p.event_end();
-            }
+            self.step(ev);
         }
         if self.live_total > 0 {
             return Err(DeadlockError { at: self.now, detail: self.diagnose_stall() });
@@ -354,19 +323,7 @@ impl Engine {
         assert!(t >= self.now, "cannot run into the past");
         while self.events.peek().is_some_and(|Reverse(ev)| ev.time <= t) {
             let Reverse(ev) = self.events.pop().expect("peeked event vanished"); // lint-ok(no-unwrap): peek on the same non-empty heap one line up
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            self.stats.on_event();
-            if let Some(p) = self.prof.as_mut() {
-                p.event_begin();
-            }
-            match ev.kind {
-                EventKind::Resume(task) | EventKind::StartJob(task) => self.advance(task),
-                EventKind::ResourceDone(r) => self.resource_done(r),
-            }
-            if let Some(p) = self.prof.as_mut() {
-                p.event_end();
-            }
+            self.step(ev);
         }
         self.now = t;
         self.now
@@ -414,6 +371,18 @@ impl Engine {
         self.barriers.get(&id).map_or(0, |b| b.cycles)
     }
 
+    /// Dispatch one popped event: advance the clock to it and drive its
+    /// consequences to quiescence.
+    fn step(&mut self, ev: Event) {
+        debug_assert!(ev.time >= self.now, "time went backwards");
+        self.now = ev.time;
+        self.stats.on_event();
+        match ev.kind {
+            EventKind::Resume(t) | EventKind::StartJob(t) => self.advance(t),
+            EventKind::ResourceDone(r) => self.resource_done(r),
+        }
+    }
+
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -428,9 +397,6 @@ impl Engine {
         job: Option<JobId>,
         detached: bool,
     ) -> TaskId {
-        if let Some(p) = self.prof.as_mut() {
-            p.enter(Phase::TaskMgmt);
-        }
         self.live_total += 1;
         let task = Task {
             frames: vec![Frame::Seq(vec![plan].into_iter())],
@@ -450,17 +416,8 @@ impl Engine {
             TaskId(idx)
         };
         if let Some(tr) = self.tracer.as_mut() {
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::Tracer);
-            }
             tr.record(self.now, TracePoint::TaskSpawned { task: tid, parent, detached });
             self.stats.on_tracer_records(1);
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
-        }
-        if let Some(p) = self.prof.as_mut() {
-            p.exit();
         }
         tid
     }
@@ -560,23 +517,11 @@ impl Engine {
     }
 
     fn finish_task(&mut self, tid: TaskId, task: Task) {
-        // The TaskMgmt span covers completion bookkeeping only; the
-        // parent-join advance below recurses and is attributed to the
-        // spans its own work opens.
-        if let Some(p) = self.prof.as_mut() {
-            p.enter(Phase::TaskMgmt);
-        }
         self.live_total -= 1;
         self.free_tasks.push(tid.0);
         if let Some(tr) = self.tracer.as_mut() {
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::Tracer);
-            }
             tr.record(self.now, TracePoint::TaskFinished { task: tid, detached: task.detached });
             self.stats.on_tracer_records(1);
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
         }
         if let Some(job) = task.job {
             self.jobs[job.0 as usize].end = Some(self.now);
@@ -588,9 +533,6 @@ impl Engine {
             if self.now > self.foreground_end {
                 self.foreground_end = self.now;
             }
-        }
-        if let Some(p) = self.prof.as_mut() {
-            p.exit();
         }
         if let Some(parent) = task.parent {
             let p = self.tasks[parent.0 as usize].as_mut().expect("parent died before child"); // lint-ok(no-unwrap): parent slot outlives children by Par construction
@@ -619,9 +561,6 @@ impl Engine {
             slot.stats.max_queue = depth;
         }
         if let Some(tr) = self.tracer.as_mut() {
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::Tracer);
-            }
             let demand = &pending.demand;
             tr.record(now, TracePoint::Enqueued { res: rid, task: tid, demand, depth, detached });
             self.stats.on_tracer_records(1);
@@ -638,9 +577,6 @@ impl Engine {
                     },
                 );
                 self.stats.on_tracer_records(1);
-            }
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
             }
         }
         if start_at.is_some() {
@@ -665,18 +601,11 @@ impl Engine {
         } else {
             // Let the service model pick (FIFO by default; disks may
             // reorder by offset — SSTF/elevator).
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::QueueScan);
-            }
             self.stats.on_queue_scan(slot.queue.len());
             let demands: Vec<&Demand> = slot.queue.iter().map(|p| &p.demand).collect();
             let idx = slot.model.select_next(&demands);
             debug_assert!(idx < slot.queue.len(), "select_next out of range");
-            let picked = slot.queue.remove(idx.min(slot.queue.len() - 1));
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
-            picked
+            slot.queue.remove(idx.min(slot.queue.len() - 1))
         };
         if let Some(next) = next {
             let waited = now.since(next.enqueued);
@@ -687,9 +616,6 @@ impl Engine {
             slot.stats.bytes += next.demand.bytes();
             let done_at = now + st;
             if let Some(tr) = self.tracer.as_mut() {
-                if let Some(p) = self.prof.as_mut() {
-                    p.enter(Phase::Tracer);
-                }
                 let d_det = self.tasks[done.task.0 as usize].as_ref().is_some_and(|t| t.detached);
                 let n_det = self.tasks[next.task.0 as usize].as_ref().is_some_and(|t| t.detached);
                 tr.record(
@@ -713,16 +639,10 @@ impl Engine {
                     },
                 );
                 self.stats.on_tracer_records(2);
-                if let Some(p) = self.prof.as_mut() {
-                    p.exit();
-                }
             }
             slot.current = Some(next);
             next_done = Some(done_at);
         } else if let Some(tr) = self.tracer.as_mut() {
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(Phase::Tracer);
-            }
             let d_det = self.tasks[done.task.0 as usize].as_ref().is_some_and(|t| t.detached);
             tr.record(
                 now,
@@ -734,9 +654,6 @@ impl Engine {
                 },
             );
             self.stats.on_tracer_records(1);
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
         }
         if let Some(t) = next_done {
             self.schedule(t, EventKind::ResourceDone(rid));

@@ -4,8 +4,8 @@
 //! Every timestamp written here is **simulated** time (the Chrome format
 //! wants microseconds, so nanosecond stamps are divided by 1000 with
 //! three decimals kept — exact for the integer clock). Wall clocks are
-//! banned from this module: the `source-scan` determinism pass greps for
-//! them, and the `trace-determinism` pass double-runs workloads to prove
+//! banned from this module: the `static-analysis` determinism rule scans
+//! for them, and the `trace-determinism` pass double-runs workloads to prove
 //! exports are byte-identical.
 //!
 //! Track layout of the Chrome trace:

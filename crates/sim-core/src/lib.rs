@@ -61,7 +61,7 @@ pub use fault::{FaultPlan, FaultTrigger, ScheduledFault};
 pub use hb::{HbAnalysis, HbOptions, HbViolation, ViolationKind};
 pub use metrics::{Histogram, MetricsRegistry, TimeSeries};
 pub use plan::{BarrierId, Plan};
-pub use prof::{EngineStats, HostProfiler, Phase, PhaseStat, ProfReport};
+pub use prof::EngineStats;
 pub use resource::{FixedRate, ResourceId, ResourceStats, ServiceModel};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

@@ -1,10 +1,8 @@
-//! Tests for the host profiler and the deterministic engine stats plane:
-//! span nesting, counter saturation, sampling accounting, and the
-//! profiler-transparency guarantee (a profiled run is result-identical
-//! to an unprofiled one).
+//! Tests for the deterministic engine stats plane: what the counters
+//! count, and that they saturate instead of wrapping.
 
 use sim_core::plan::{par, seq, use_res};
-use sim_core::{Demand, Engine, EngineStats, FixedRate, HostProfiler, Phase, SimDuration, SimTime};
+use sim_core::{Demand, Engine, EngineStats, FixedRate, SimDuration};
 
 fn busy(us: u64) -> Demand {
     Demand::Busy(SimDuration::from_micros(us))
@@ -70,111 +68,4 @@ fn stats_saturate_instead_of_wrapping() {
         EngineStats { tasks_spawned: u64::MAX, task_slot_allocs: u64::MAX, ..Default::default() };
     s.on_task_spawn(true);
     assert_eq!((s.tasks_spawned, s.task_slot_allocs), (u64::MAX, u64::MAX));
-}
-
-#[test]
-fn spans_nest_and_attribute_self_time() {
-    let mut p = HostProfiler::new(); // sample every event
-    p.event_begin();
-    assert!(p.sampling());
-    p.enter(Phase::TaskMgmt);
-    p.enter(Phase::Tracer);
-    p.exit();
-    p.exit();
-    p.enter(Phase::QueueScan);
-    p.exit();
-    p.event_end();
-    let r = p.report();
-    assert_eq!(r.events_total, 1);
-    assert_eq!(r.events_sampled, 1);
-    assert_eq!(r.span_overflows, 0);
-    let get = |name: &str| r.phases.iter().find(|p| p.phase == name).unwrap().clone();
-    let (dispatch, taskmgmt, tracer, scan) =
-        (get("dispatch"), get("task-mgmt"), get("tracer"), get("queue-scan"));
-    assert_eq!(dispatch.entries, 1);
-    assert_eq!(taskmgmt.entries, 1);
-    assert_eq!(tracer.entries, 1);
-    assert_eq!(scan.entries, 1);
-    // Parents contain their children: wall(dispatch) >= wall(task-mgmt)
-    // + wall(queue-scan) >= wall(tracer); self excludes child time.
-    assert!(dispatch.wall_ns >= taskmgmt.wall_ns + scan.wall_ns, "{r:?}");
-    assert!(taskmgmt.wall_ns >= tracer.wall_ns, "{r:?}");
-    assert!(dispatch.self_ns <= dispatch.wall_ns, "{r:?}");
-    assert!(taskmgmt.self_ns <= taskmgmt.wall_ns, "{r:?}");
-    // The report renders and exports without panicking, and the chrome
-    // trace is valid JSON.
-    assert!(r.render_table().contains("task-mgmt"));
-    assert!(sim_core::json_is_valid(&r.chrome_trace_json()), "{}", r.chrome_trace_json());
-}
-
-#[test]
-fn span_overflow_is_counted_and_balanced() {
-    let mut p = HostProfiler::new();
-    p.event_begin();
-    for _ in 0..20 {
-        p.enter(Phase::TaskMgmt); // far beyond the fixed stack depth
-    }
-    for _ in 0..20 {
-        p.exit();
-    }
-    p.event_end();
-    let r = p.report();
-    assert!(r.span_overflows > 0, "{r:?}");
-    // The next event starts with a clean stack.
-    p.event_begin();
-    p.enter(Phase::Tracer);
-    p.event_end(); // event_end closes what's still open
-    let r = p.report();
-    assert_eq!(r.events_total, 2);
-}
-
-#[test]
-fn unsampled_events_record_nothing() {
-    let mut p = HostProfiler::sampled(4);
-    for _ in 0..13 {
-        p.event_begin();
-        p.enter(Phase::QueueScan);
-        p.exit();
-        p.event_end();
-    }
-    let r = p.report();
-    assert_eq!(r.events_total, 13);
-    // Countdown starts at 1: events 1, 5, 9, 13 are sampled.
-    assert_eq!(r.events_sampled, 4);
-    let scan = r.phases.iter().find(|p| p.phase == "queue-scan").unwrap();
-    assert_eq!(scan.entries, 4, "only sampled events may record spans");
-}
-
-#[test]
-fn profiler_is_transparent_to_results_and_stats() {
-    let run = |prof: bool| {
-        let mut e = Engine::new();
-        if prof {
-            e.set_profiler(HostProfiler::new());
-        }
-        workload(&mut e);
-        let rep = e.run().unwrap();
-        let jobs: Vec<_> = e.jobs().iter().map(|j| (j.start, j.end)).collect();
-        (rep.end, rep.foreground_end, jobs, *e.stats())
-    };
-    let plain = run(false);
-    let profiled = run(true);
-    assert_eq!(plain, profiled, "profiler must not perturb results");
-}
-
-#[test]
-fn profiled_engine_run_produces_attribution() {
-    let mut e = Engine::new();
-    e.set_profiler(HostProfiler::new());
-    workload(&mut e);
-    e.run().unwrap();
-    let events = e.stats().events;
-    let p = e.take_profiler().expect("profiler installed");
-    let r = p.report();
-    assert_eq!(r.events_total, events, "profiler saw every dispatched event");
-    assert_eq!(r.events_sampled, events, "sample_every=1 times every event");
-    assert!(r.sampled_wall_ns() > 0, "dispatch wall time must accumulate");
-    assert_eq!(r.phases.len(), 4);
-    // End of run: RunReport end is unaffected by how long the host took.
-    assert_eq!(e.now(), SimTime(e.now().0));
 }

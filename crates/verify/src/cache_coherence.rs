@@ -20,10 +20,6 @@
 //! 5. **Payoff** — the shared Zipfian read workload must clear a ≥50%
 //!    hit rate at skew s = 1.0 and actually shorten the measured phase
 //!    in simulated time, with zero stale reads.
-//!
-//! The Zipf scenario definition lives here (not in `bench`) so the pass
-//! and the `BENCH_engine.json` baseline writer can never drift apart:
-//! `bench::perfbench` calls [`zipf_cache_work`] for the `zipf_cache` row.
 
 use raidx_core::Arch;
 use sim_core::check::Gen;
@@ -37,8 +33,6 @@ use cdd::{CacheConfig, CacheStats, CddConfig, Defect};
 use crate::linearizability::check_history;
 use crate::report::PassReport;
 
-/// Scenario name of the Zipf cache row in `BENCH_engine.json`.
-pub const ZIPF_NAME: &str = "zipf_cache";
 /// Minimum acceptable hit rate (percent) of the gated Zipf scenario.
 pub const MIN_HIT_RATE_PCT: u64 = 50;
 /// Cache capacity of the gated Zipf scenario, in blocks (a quarter of
@@ -66,7 +60,7 @@ pub fn zipf_cache_run(cached: bool) -> (ZipfOutcome, Option<CacheStats>) {
     (out, stats)
 }
 
-/// Deterministic work counters of the `zipf_cache` bench row: cached and
+/// Deterministic work counters of the gated Zipf scenario: cached and
 /// uncached runs of the same access stream, the hit rate, and the
 /// simulated-time speedup the cache bought (×100, so 250 = 2.5×).
 pub fn zipf_cache_work() -> Vec<(String, u64)> {
@@ -233,7 +227,7 @@ mod tests {
     #[test]
     fn zipf_work_counters_are_deterministic_and_clear_the_gates() {
         let work = zipf_cache_work();
-        assert_eq!(work, zipf_cache_work(), "bench row counters must be reproducible");
+        assert_eq!(work, zipf_cache_work(), "zipf counters must be reproducible");
         let counter = |key: &str| work.iter().find(|(k, _)| k == key).map_or(0, |&(_, v)| v);
         assert_eq!(counter("stale_reads"), 0, "{work:?}");
         assert!(counter("hit_rate_pct") >= MIN_HIT_RATE_PCT, "{work:?}");

@@ -3,17 +3,25 @@
 //! The unit tests in `sim_core::validate` cover the linter against
 //! hand-built plans; this pass closes the other half of the loop by
 //! running it over the *actual* plan DAGs produced by [`cdd::IoSystem`]
-//! for every architecture: healthy reads and writes (small and
-//! full-stripe), degraded reads, and rebuild plans. Any defect here means
-//! an I/O engine emits a plan the simulator could choke on.
+//! for every architecture and by [`nfs_sim::NfsSystem`]: healthy reads
+//! (zero-block to stripe-straddling) and writes (small and full-stripe),
+//! flushes, degraded reads, and rebuild plans. Any defect here means an
+//! I/O engine emits a plan the simulator could choke on.
 
+use cdd::{BlockStore, IoError};
+use cluster::ClusterConfig;
+use nfs_sim::{NfsConfig, NfsSystem};
 use raidx_core::Arch;
-use sim_core::Engine;
+use sim_core::{Engine, Plan};
 
 use crate::report::PassReport;
 
-fn check_plan(report: &mut PassReport, engine: &Engine, name: String, plan: &sim_core::Plan) {
-    match engine.validate(plan) {
+fn check_plan(report: &mut PassReport, engine: &Engine, name: String, plan: Result<Plan, IoError>) {
+    let plan = match plan {
+        Ok(plan) => plan,
+        Err(e) => return report.fail(name, e.to_string()),
+    };
+    match engine.validate(&plan) {
         Ok(()) => report.ok(name, format!("{} leaves", plan.leaf_count())),
         Err(errs) => {
             let detail = errs.iter().map(ToString::to_string).collect::<Vec<_>>().join("; ");
@@ -22,54 +30,60 @@ fn check_plan(report: &mut PassReport, engine: &Engine, name: String, plan: &sim
     }
 }
 
-/// Lint the plans emitted by every architecture's read, write and rebuild
-/// paths on a small cluster. Returns one check per (arch, operation).
+/// Lint what a store emits through the [`BlockStore`] surface: a small
+/// and a full-stripe write, reads of 0, 1, `stripe` and `stripe + 1`
+/// blocks over them, and the write-behind flush.
+fn lint_store(
+    report: &mut PassReport,
+    engine: &Engine,
+    store: &mut dyn BlockStore,
+    name: &str,
+    stripe: usize,
+) {
+    let bs = store.block_size() as usize;
+    let one = vec![0xAB; bs];
+    let full = vec![0xCD; bs * stripe];
+    check_plan(report, engine, format!("{name} small write"), store.write(1, 0, &one));
+    check_plan(
+        report,
+        engine,
+        format!("{name} stripe write"),
+        store.write(2, stripe as u64, &full),
+    );
+    for n in [0, 1, stripe as u64, stripe as u64 + 1] {
+        let plan = store.read(3, 0, n).map(|(_, p)| p);
+        check_plan(report, engine, format!("{name} read {n} blocks"), plan);
+    }
+    check_plan(report, engine, format!("{name} flush"), Ok(store.flush()));
+}
+
+/// Lint the plans emitted by every architecture's (and the NFS
+/// baseline's) read, write, flush and rebuild paths on a small cluster.
+/// Returns one check per (store, operation).
 pub fn lint_io_paths() -> PassReport {
     let mut report = PassReport::new("plan-lint");
     for arch in Arch::ALL {
         let (engine, mut sys) = cdd::testkit::shape(4, 2, 4 << 20, arch);
-        let bs = sys.block_size() as usize;
         let name = sys.layout().name();
         let stripe = sys.layout().stripe_width();
-
-        // Small write (one block) and full-stripe write.
-        let one = vec![0xAB; bs];
-        let full = vec![0xCD; bs * stripe];
-        match sys.write(1, 0, &one) {
-            Ok(p) => check_plan(&mut report, &engine, format!("{name} small write"), &p),
-            Err(e) => report.fail(format!("{name} small write"), e.to_string()),
-        }
-        match sys.write(2, stripe as u64, &full) {
-            Ok(p) => check_plan(&mut report, &engine, format!("{name} stripe write"), &p),
-            Err(e) => report.fail(format!("{name} stripe write"), e.to_string()),
-        }
-
-        // Healthy read over everything written so far.
-        let hw = sys.high_water();
-        match sys.read(3, 0, hw) {
-            Ok((_, p)) => check_plan(&mut report, &engine, format!("{name} read"), &p),
-            Err(e) => report.fail(format!("{name} read"), e.to_string()),
-        }
-
-        // Deferred image flush (RAID-x only produces one).
-        let flush = sys.flush_images();
-        if !matches!(flush, sim_core::Plan::Noop) {
-            check_plan(&mut report, &engine, format!("{name} image flush"), &flush);
-        }
+        lint_store(&mut report, &engine, &mut sys, name, stripe);
 
         // Degraded read + rebuild (skip RAID-0, which has no redundancy).
         if sys.layout().guaranteed_fault_tolerance() > 0 {
+            let hw = sys.high_water();
             sys.fail_disk(0);
-            match sys.read(1, 0, hw) {
-                Ok((_, p)) => check_plan(&mut report, &engine, format!("{name} degraded read"), &p),
-                Err(e) => report.fail(format!("{name} degraded read"), e.to_string()),
-            }
-            match sys.rebuild_disk(1, 0) {
-                Ok((p, _)) => check_plan(&mut report, &engine, format!("{name} rebuild"), &p),
-                Err(e) => report.fail(format!("{name} rebuild"), e.to_string()),
-            }
+            let read = sys.read(1, 0, hw).map(|(_, p)| p);
+            check_plan(&mut report, &engine, format!("{name} degraded read"), read);
+            let rebuild = sys.rebuild_disk(1, 0).map(|(p, _)| p);
+            check_plan(&mut report, &engine, format!("{name} rebuild"), rebuild);
         }
     }
+    let mut engine = Engine::new();
+    let mut cc = ClusterConfig::shape(4, 2);
+    cc.disk.capacity = 4 << 20;
+    let stripe = cc.disks_per_node;
+    let mut nfs = NfsSystem::new(&mut engine, cc, NfsConfig::default());
+    lint_store(&mut report, &engine, &mut nfs, "NFS", stripe);
     report
 }
 

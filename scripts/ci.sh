@@ -39,15 +39,17 @@ echo "==> cache (client block-cache edge cases + coherence gate)"
 cargo test -q -p cdd --test cache
 cargo run --release -p bench --bin verify_all -- --pass cache-coherence --budget 20000
 
-echo "==> perf-smoke (engine work counters vs BENCH_engine.json + profiler transparency)"
-# Gates the deterministic work counters only — wall-clock figures in the
-# baseline are advisory. An intentional engine change regenerates the
-# baseline with `cargo run --release -p bench --bin perf`.
+echo "==> perf-smoke (engine work counters vs the in-code baseline tables)"
+# Gates deterministic work counters only; host time is benchmark/'s job.
+# An intentional engine change pastes the fresh table the failure
+# message prints into crates/verify/src/perf_smoke.rs.
 cargo run --release -p bench --bin verify_all -- --pass perf-smoke
 
-echo "==> perf --smoke (harness self-check, outputs under target/)"
-# --out keeps the quick run away from the committed baseline.
-cargo run --release -p bench --bin perf -- --smoke --out target/perf-smoke
+echo "==> benchmark (own workspace: build, smoke run, parity + manifest tests)"
+# benchmark/ is invisible to `cargo test --workspace`; without this stage
+# a public-API change under crates/ can break it unnoticed.
+bash benchmark/run.sh --smoke
+cargo test --release -q --manifest-path benchmark/Cargo.toml
 
 echo "==> verify_all (plan lint, lock order, layout, determinism, model check, linearizability, crash consistency, trace determinism, fault sweep, race detect, static analysis, perf smoke, cache coherence)"
 # --budget bounds schedules explored per model-checking scenario and
