@@ -29,9 +29,8 @@ pub const MODULE_LINE_CAP: usize = 450;
 
 /// Files that predate the cap. Exact workspace-relative paths; nothing
 /// may be added here without shrinking something else.
-pub const GRANDFATHERED: [&str; 7] = [
+pub const GRANDFATHERED: [&str; 6] = [
     "sim-core/src/hb.rs",
-    "sim-core/src/engine.rs",
     "sim-core/src/explore.rs",
     "sim-core/src/trace.rs",
     "sim-core/src/export.rs",

@@ -1,0 +1,145 @@
+//! Resource queueing: arrival, service start and completion.
+//!
+//! A queue entry is 16 bytes — who waits and since when. The queued
+//! [`Demand`] itself waits in its task and moves into the slot only when
+//! service starts, so a deep queue stays a short run of cache lines.
+
+use std::collections::VecDeque;
+
+use super::{Engine, EventKind, TaskId};
+use crate::demand::Demand;
+use crate::resource::{ResourceId, ResourceStats, ServiceModel};
+use crate::time::SimTime;
+use crate::trace::TracePoint;
+
+/// A task waiting for a resource; its demand is `Task::waiting`.
+struct Waiter {
+    task: TaskId,
+    enqueued: SimTime,
+}
+
+/// The demand a resource is serving, and for whom.
+struct InService {
+    task: TaskId,
+    demand: Demand,
+}
+
+/// Internal resource record owned by the engine.
+pub(super) struct ResourceSlot {
+    pub(super) name: String,
+    model: Box<dyn ServiceModel>,
+    /// [`ServiceModel::is_fifo`], asked once at registration.
+    fifo: bool,
+    queue: VecDeque<Waiter>,
+    current: Option<InService>,
+    pub(super) stats: ResourceStats,
+    /// Service-time multiplier applied on top of the model (1 = nominal).
+    /// Fault injection uses this for "slow but alive" components, so any
+    /// [`ServiceModel`] degrades uniformly without knowing about faults.
+    pub(super) slowdown: u64,
+}
+
+impl ResourceSlot {
+    pub(super) fn new(name: String, model: Box<dyn ServiceModel>) -> Self {
+        ResourceSlot {
+            name,
+            fifo: model.is_fifo(),
+            model,
+            queue: VecDeque::new(),
+            current: None,
+            stats: ResourceStats::default(),
+            slowdown: 1,
+        }
+    }
+}
+
+impl Engine {
+    /// `tid` presents `demand` at `rid`: service starts at once on an idle
+    /// resource, otherwise the task joins the queue.
+    pub(super) fn enqueue(&mut self, rid: ResourceId, tid: TaskId, demand: Demand) {
+        let now = self.now;
+        let task = &mut self.tasks[tid.index()];
+        let slot = &mut self.resources[rid.index()];
+        let depth = slot.queue.len() + usize::from(slot.current.is_some()) + 1;
+        slot.stats.max_queue = slot.stats.max_queue.max(depth);
+        if let Some(tr) = self.tracer.as_mut() {
+            let (demand, detached) = (&demand, task.detached);
+            tr.record(now, TracePoint::Enqueued { res: rid, task: tid, demand, depth, detached });
+            self.stats.on_tracer_records(1);
+        }
+        if slot.current.is_some() {
+            slot.queue.push_back(Waiter { task: tid, enqueued: now });
+            task.waiting = Some(demand);
+        } else {
+            self.start_service(rid, tid, demand, now);
+        }
+    }
+
+    /// Put `demand`, which arrived at `enqueued`, into service on the idle
+    /// resource `rid` and schedule its completion.
+    fn start_service(&mut self, rid: ResourceId, tid: TaskId, demand: Demand, enqueued: SimTime) {
+        let now = self.now;
+        let slot = &mut self.resources[rid.index()];
+        let waited = now.since(enqueued);
+        let st = slot.model.service_time(&demand, now) * slot.slowdown;
+        slot.stats.queue_wait += waited;
+        slot.stats.busy += st;
+        slot.stats.ops += 1;
+        slot.stats.bytes += demand.bytes();
+        let done_at = now + st;
+        if let Some(tr) = self.tracer.as_mut() {
+            let (demand, detached) = (&demand, self.tasks[tid.index()].detached);
+            tr.record(
+                now,
+                TracePoint::ServiceStarted {
+                    res: rid,
+                    task: tid,
+                    demand,
+                    waited,
+                    done_at,
+                    detached,
+                },
+            );
+            self.stats.on_tracer_records(1);
+        }
+        slot.current = Some(InService { task: tid, demand });
+        self.schedule(done_at, EventKind::ResourceDone(rid));
+    }
+
+    /// The demand in service at `rid` completed: start the next waiter (the
+    /// head of the queue, or the model's pick on a non-FIFO resource) and
+    /// resume the served task.
+    pub(super) fn resource_done(&mut self, rid: ResourceId) {
+        let slot = &mut self.resources[rid.index()];
+        let done = slot.current.take().expect("resource-done with idle resource"); // lint-ok(no-unwrap): resource-done events are only queued for busy slots
+        if let Some(tr) = self.tracer.as_mut() {
+            let (demand, detached) = (&done.demand, self.tasks[done.task.index()].detached);
+            tr.record(
+                self.now,
+                TracePoint::ServiceFinished { res: rid, task: done.task, demand, detached },
+            );
+            self.stats.on_tracer_records(1);
+        }
+        let next = match slot.queue.len() {
+            n if n >= 2 && !slot.fifo => {
+                self.stats.on_queue_scan(n);
+                let tasks = &self.tasks;
+                let mut pending = slot.queue.iter().map(|w| tasks[w.task.index()].queued_demand());
+                let idx = slot.model.select_next(&mut pending);
+                assert!(
+                    idx < n,
+                    "service model of `{}` picked pending demand {idx} of {n}",
+                    slot.name
+                );
+                slot.queue.remove(idx)
+            }
+            _ => slot.queue.pop_front(),
+        };
+        if let Some(Waiter { task: tid, enqueued }) = next {
+            let demand =
+                self.tasks[tid.index()].waiting.take().expect("queued task holds no demand"); // lint-ok(no-unwrap): enqueue stores the demand with every queue entry
+            self.start_service(rid, tid, demand, enqueued);
+        }
+        self.advance(done.task);
+    }
+}

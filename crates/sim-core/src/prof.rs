@@ -26,7 +26,8 @@ pub struct EngineStats {
     /// Spawns that had to allocate a fresh task slot (the remainder
     /// reused a free-list slot).
     pub task_slot_allocs: u64,
-    /// Pending demands inspected by service-model `select_next` scans.
+    /// Pending demands inspected by a non-FIFO pick
+    /// ([`crate::ServiceModel::select_next`]); FIFO resources add nothing.
     pub queue_scan_iters: u64,
     /// Individual `Tracer::record` calls dispatched.
     pub tracer_records: u64,
@@ -53,7 +54,7 @@ impl EngineStats {
         }
     }
 
-    /// Count one queue scan over `scanned` pending demands.
+    /// Count one non-FIFO pick over `scanned` pending demands.
     pub fn on_queue_scan(&mut self, scanned: usize) {
         self.queue_scan_iters = self.queue_scan_iters.saturating_add(scanned as u64);
     }

@@ -1,9 +1,10 @@
-//! Simulated resources: FIFO servers with pluggable service-time models.
+//! Simulated resources: single servers with pluggable service-time models.
 //!
 //! A resource serves one demand at a time; further demands queue in arrival
-//! order. Service times come from a [`ServiceModel`], which may keep state
-//! (a disk model remembers its head position, so service time depends on
-//! history).
+//! order and are served in that order unless the model declares a
+//! discipline of its own ([`ServiceModel::is_fifo`]). Service times come
+//! from a [`ServiceModel`], which may keep state (a disk model remembers
+//! its head position, so service time depends on history).
 
 use crate::demand::Demand;
 use crate::time::{SimDuration, SimTime};
@@ -28,13 +29,23 @@ pub trait ServiceModel: Send {
     /// Time the resource is busy serving `demand`, starting at `now`.
     fn service_time(&mut self, demand: &Demand, now: SimTime) -> SimDuration;
 
-    /// Queue discipline: index of the pending demand to serve next.
+    /// Whether the resource serves strictly in arrival order. The engine
+    /// asks once, when the resource is registered: a FIFO resource pops
+    /// the head of its queue on every completion and never calls
+    /// [`ServiceModel::select_next`]. The default is `true`.
+    fn is_fifo(&self) -> bool {
+        true
+    }
+
+    /// Queue discipline of a non-FIFO model: index of the pending demand
+    /// to serve next.
     ///
-    /// Called whenever the resource finishes a demand and others wait;
-    /// `pending` is in arrival order and never empty. The default is FIFO.
-    /// A disk model can override this to implement SSTF or elevator
-    /// scheduling over the queued offsets.
-    fn select_next(&mut self, pending: &[&Demand]) -> usize {
+    /// Called whenever the resource finishes a demand and at least two
+    /// others wait; `pending` yields them in arrival order, once. The
+    /// engine panics on an index outside the yielded range. A disk model
+    /// implements SSTF or elevator scheduling over the queued offsets
+    /// here.
+    fn select_next(&mut self, pending: &mut dyn Iterator<Item = &Demand>) -> usize {
         let _ = pending;
         0
     }
@@ -113,46 +124,6 @@ impl ResourceStats {
         } else {
             self.bytes as f64 / span.as_secs_f64()
         }
-    }
-}
-
-/// A queued demand waiting for (or holding) a resource.
-#[derive(Debug)]
-pub(crate) struct Pending {
-    pub task: crate::engine::TaskId,
-    pub demand: Demand,
-    pub enqueued: SimTime,
-}
-
-/// Internal resource record owned by the engine.
-pub(crate) struct ResourceSlot {
-    pub name: String,
-    pub model: Box<dyn ServiceModel>,
-    pub queue: std::collections::VecDeque<Pending>,
-    /// Task currently in service, if any.
-    pub current: Option<Pending>,
-    pub stats: ResourceStats,
-    /// Service-time multiplier applied on top of the model (1 = nominal).
-    /// Fault injection uses this for "slow but alive" components, so any
-    /// [`ServiceModel`] degrades uniformly without knowing about faults.
-    pub slowdown: u64,
-}
-
-impl ResourceSlot {
-    pub fn new(name: String, model: Box<dyn ServiceModel>) -> Self {
-        ResourceSlot {
-            name,
-            model,
-            queue: std::collections::VecDeque::new(),
-            current: None,
-            stats: ResourceStats::default(),
-            slowdown: 1,
-        }
-    }
-
-    /// Queue length including the in-service demand.
-    pub fn depth(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
     }
 }
 

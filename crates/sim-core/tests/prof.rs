@@ -2,14 +2,14 @@
 //! count, and that they saturate instead of wrapping.
 
 use sim_core::plan::{par, seq, use_res};
-use sim_core::{Demand, Engine, EngineStats, FixedRate, SimDuration};
+use sim_core::{Demand, Engine, EngineStats, FixedRate, ServiceModel, SimDuration, SimTime};
 
 fn busy(us: u64) -> Demand {
     Demand::Busy(SimDuration::from_micros(us))
 }
 
 /// A small contended workload: several jobs racing on one disk (deep
-/// queues force `select_next` scans) plus a second resource for overlap.
+/// queues) plus a second resource for overlap.
 fn workload(e: &mut Engine) {
     let d = e.add_resource("disk", Box::new(FixedRate::per_op(SimDuration::from_micros(2))));
     let c = e.add_resource("cpu", Box::new(FixedRate::per_op(SimDuration::ZERO)));
@@ -36,7 +36,7 @@ fn stats_count_engine_work() {
     // 20 jobs, each with a 2-way Par: >= 60 tasks.
     assert!(s.tasks_spawned >= 60, "{s:?}");
     assert!(s.task_slot_allocs <= s.tasks_spawned, "{s:?}");
-    assert!(s.queue_scan_iters > 0, "contended disk must trigger scans: {s:?}");
+    assert_eq!(s.queue_scan_iters, 0, "a FIFO resource pops its head unscanned: {s:?}");
     assert_eq!(s.tracer_records, 0, "no tracer installed");
 
     // A second batch reuses freed slots: spawns grow, allocations don't.
@@ -46,6 +46,34 @@ fn stats_count_engine_work() {
     let s2 = *e.stats();
     assert!(s2.tasks_spawned >= 2 * s.tasks_spawned - 1, "{s2:?}");
     assert_eq!(s2.task_slot_allocs, allocs_before, "free-list reuse must not allocate: {s2:?}");
+}
+
+/// Serves the newest arrival first, so every pick inspects the queue.
+struct Lifo;
+
+impl ServiceModel for Lifo {
+    fn service_time(&mut self, _demand: &Demand, _now: SimTime) -> SimDuration {
+        SimDuration::from_micros(1)
+    }
+    fn is_fifo(&self) -> bool {
+        false
+    }
+    fn select_next(&mut self, pending: &mut dyn Iterator<Item = &Demand>) -> usize {
+        pending.count() - 1
+    }
+}
+
+#[test]
+fn queue_scan_iters_counts_what_a_non_fifo_pick_inspects() {
+    let mut e = Engine::new();
+    let d = e.add_resource("disk", Box::new(Lifo));
+    // Six demands arrive at once: one enters service, five wait. The
+    // model is shown 5, 4, 3 and 2 pending demands; the last waiter is
+    // served without asking.
+    e.spawn_job("batch", par((0..6).map(|_| use_res(d, busy(1))).collect()));
+    e.run().unwrap();
+    assert_eq!(e.stats().queue_scan_iters, 5 + 4 + 3 + 2);
+    assert_eq!(e.resource_stats(d).ops, 6);
 }
 
 #[test]

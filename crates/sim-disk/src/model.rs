@@ -97,34 +97,36 @@ impl ServiceModel for DiskModel {
         }
     }
 
-    fn select_next(&mut self, pending: &[&Demand]) -> usize {
+    fn is_fifo(&self) -> bool {
+        self.spec.scheduler == SchedPolicy::Fcfs
+    }
+
+    fn select_next(&mut self, pending: &mut dyn Iterator<Item = &Demand>) -> usize {
         match self.spec.scheduler {
             SchedPolicy::Fcfs => 0,
             SchedPolicy::Sstf => pending
-                .iter()
                 .enumerate()
                 .min_by_key(|(_, d)| Self::offset_of(d).map_or(0, |off| off.abs_diff(self.head)))
                 .map_or(0, |(i, _)| i),
             SchedPolicy::Elevator => {
                 // Nearest request in the sweep direction; if none, reverse.
-                let pick = |up: bool| {
-                    pending
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, d)| {
-                            let off = Self::offset_of(d)?;
-                            let ahead = if up { off >= self.head } else { off <= self.head };
-                            ahead.then(|| (off.abs_diff(self.head), i))
-                        })
-                        .min()
-                        .map(|(_, i)| i)
-                };
-                if let Some(i) = pick(self.sweep_up) {
-                    i
-                } else {
-                    self.sweep_up = !self.sweep_up;
-                    pick(self.sweep_up).unwrap_or(0)
+                // One pass finds the nearest on each side of the head.
+                let (mut above, mut below) = (None, None);
+                for (i, d) in pending.enumerate() {
+                    let Some(off) = Self::offset_of(d) else { continue };
+                    let cand = (off.abs_diff(self.head), i);
+                    if off >= self.head && above.is_none_or(|best| cand < best) {
+                        above = Some(cand);
+                    }
+                    if off <= self.head && below.is_none_or(|best| cand < best) {
+                        below = Some(cand);
+                    }
                 }
+                let (ahead, behind) = if self.sweep_up { (above, below) } else { (below, above) };
+                if ahead.is_none() {
+                    self.sweep_up = !self.sweep_up;
+                }
+                ahead.or(behind).map_or(0, |(_, i)| i)
             }
         }
     }
@@ -223,8 +225,7 @@ mod tests {
     fn fcfs_always_picks_head_of_queue() {
         let mut m = with_policy(SchedPolicy::Fcfs);
         let q = [rd(5 << 30), rd(0), rd(1 << 20)];
-        let refs: Vec<&Demand> = q.iter().collect();
-        assert_eq!(m.select_next(&refs), 0);
+        assert_eq!(m.select_next(&mut q.iter()), 0);
     }
 
     #[test]
@@ -232,8 +233,7 @@ mod tests {
         let mut m = with_policy(SchedPolicy::Sstf);
         read(&mut m, 1 << 30, 4096); // park the head around 1 GB
         let q = [rd(3 << 30), rd((1 << 30) + 8192), rd(0)];
-        let refs: Vec<&Demand> = q.iter().collect();
-        assert_eq!(m.select_next(&refs), 1);
+        assert_eq!(m.select_next(&mut q.iter()), 1);
     }
 
     #[test]
@@ -243,12 +243,10 @@ mod tests {
                                      // Requests above and below the head: the sweep picks the nearest
                                      // *above* first.
         let q = [rd(0), rd(2 << 30), rd(3 << 30)];
-        let refs: Vec<&Demand> = q.iter().collect();
-        assert_eq!(m.select_next(&refs), 1);
+        assert_eq!(m.select_next(&mut q.iter()), 1);
         // With only lower offsets pending, the elevator reverses.
         let q = [rd(512 << 20), rd(0)];
-        let refs: Vec<&Demand> = q.iter().collect();
-        assert_eq!(m.select_next(&refs), 0);
+        assert_eq!(m.select_next(&mut q.iter()), 0);
         assert!(!m.sweep_up);
     }
 

@@ -45,6 +45,13 @@ echo "==> perf-smoke (engine work counters vs the in-code baseline tables)"
 # message prints into crates/verify/src/perf_smoke.rs.
 cargo run --release -p bench --bin verify_all -- --pass perf-smoke
 
+echo "==> golden (simulated results byte-identical to the committed files)"
+# all_experiments prints every table and rewrites results/fig5.csv and
+# fig6.csv; an intentional change of a simulated number regenerates all
+# three (EXPERIMENTS.md) in the same PR.
+cargo run --release -p bench --bin all_experiments | cmp - results/all_experiments.md
+git diff --exit-code -- results/fig5.csv results/fig6.csv
+
 echo "==> benchmark (own workspace: build, smoke run, parity + manifest tests)"
 # benchmark/ is invisible to `cargo test --workspace`; without this stage
 # a public-API change under crates/ can break it unnoticed.
