@@ -3,9 +3,9 @@
 //! One pass over a source file produces two synchronized views:
 //!
 //! * a [`Token`] stream with 1-based line numbers — identifiers, puncts,
-//!   string-literal *contents*, char literals, lifetimes, numbers and doc
-//!   comments, with ordinary comments dropped and nothing else blanked —
-//!   what the item-level parser and the call/match extractors consume;
+//!   string-literal *contents*, char literals, lifetimes and numbers,
+//!   with comments dropped and nothing else blanked — what the
+//!   item-level parser and the call/match extractors consume;
 //! * per-line [`LineView`]s — the line's code with string/char literal
 //!   contents removed and comments stripped, plus the body of a trailing
 //!   `//` comment — what the pattern-matching determinism rules and the
@@ -31,8 +31,6 @@ pub enum TokKind {
     Num,
     /// A single punctuation character.
     Punct,
-    /// A doc comment (`///` or `//!`), body preserved.
-    DocComment,
 }
 
 /// One lexed token with its source position.
@@ -40,8 +38,8 @@ pub enum TokKind {
 pub struct Token {
     /// Token class.
     pub kind: TokKind,
-    /// Identifier text, string content, lifetime name, number text,
-    /// single punct character, or doc-comment body.
+    /// Identifier text, string content, lifetime name, number text or
+    /// single punct character.
     pub text: String,
     /// 1-based line the token *starts* on.
     pub line: usize,
@@ -177,13 +175,8 @@ impl Lexer {
         let prev_ident = i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_');
         match b[i] {
             b'/' if b.get(i + 1) == Some(&b'/') => {
-                let doc = matches!(b.get(i + 2), Some(&b'/') | Some(&b'!'));
-                let body = &line[i + 2..];
-                view.comment = Some(body.to_string());
-                view.doc = doc;
-                if doc {
-                    self.push_tok(TokKind::DocComment, body, lineno);
-                }
+                view.comment = Some(line[i + 2..].to_string());
+                view.doc = matches!(b.get(i + 2), Some(&b'/') | Some(&b'!'));
                 line.len()
             }
             b'/' if b.get(i + 1) == Some(&b'*') => {
@@ -357,12 +350,11 @@ mod tests {
     }
 
     #[test]
-    fn doc_comments_are_tokens_line_comments_are_not() {
+    fn doc_comments_are_flagged_on_their_line_view() {
         let fx = lex("/// docs here\n// plain note\nfn f() {}");
-        let docs: Vec<_> = fx.tokens.iter().filter(|t| t.kind == TokKind::DocComment).collect();
-        assert_eq!(docs.len(), 1);
-        assert!(fx.lines[1].comment.is_some());
-        assert!(!fx.lines[1].doc);
+        assert!(fx.lines[0].doc && fx.lines[0].comment.is_some());
+        assert!(!fx.lines[1].doc && fx.lines[1].comment.is_some());
+        assert_eq!(fx.tokens[0].text, "fn", "comments of either kind are not tokens");
     }
 
     #[test]

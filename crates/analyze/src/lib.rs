@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! raidx-analyze — parser-based whole-workspace static analysis.
 //!
 //! Dependency-free lexer + item-level parser over the workspace's Rust
@@ -19,7 +20,8 @@
 //!    return the handle.
 //! 5. Hygiene gates — `module-size` (≤450-line cap with grandfathered
 //!    files), `no-unwrap` (`unwrap`/`expect` outside tests in
-//!    sim-core/cdd), `missing-docs` (undocumented `pub` items).
+//!    sim-core/cdd). Undocumented `pub` items are left to rustc's
+//!    `missing_docs` lint, which every crate enables.
 //!
 //! Findings are acknowledged in source with a trailing
 //! `lint-ok(<rule>): reason` comment on the finding line or the line

@@ -2,9 +2,8 @@
 //!
 //! Not a full Rust grammar — just enough structure for whole-workspace
 //! lint rules: the item tree (modules, functions, impls, structs, enums,
-//! traits, consts) with attributes, visibility, doc-comment presence and
-//! line spans; `#[cfg(test)]` scoping at item granularity; and match
-//! expressions with their arm patterns. Everything operates on token
+//! traits, consts) with line spans; `#[cfg(test)]` scoping at item
+//! granularity; and match expressions with their arm patterns. Everything operates on token
 //! indices into the file's stream, so rules can re-scan any region.
 
 use crate::lexer::{FileLex, TokKind, Token};
@@ -42,12 +41,8 @@ pub struct Item {
     /// Declared name (impl blocks: the headline type path; empty when
     /// anonymous).
     pub name: String,
-    /// Exactly `pub` (not `pub(crate)`/`pub(super)`).
-    pub vis_pub: bool,
     /// Item (or an ancestor) carries `#[cfg(test)]`.
     pub cfg_test: bool,
-    /// A `///` doc comment or `#[doc…]` immediately precedes the item.
-    pub has_doc: bool,
     /// 1-based line of the item keyword.
     pub line: usize,
     /// 1-based line of the item's last token.
@@ -56,8 +51,6 @@ pub struct Item {
     pub sig: (usize, usize),
     /// Token index range of the `{ … }` body interior, if any.
     pub body: Option<(usize, usize)>,
-    /// `impl Trait for Type` (vs an inherent impl).
-    pub impl_for_trait: bool,
     /// Child items (modules, impl and trait bodies).
     pub children: Vec<Item>,
 }
@@ -150,16 +143,9 @@ fn parse_range(toks: &[Token], start: usize, end: usize, inherited_test: bool) -
     let mut items = Vec::new();
     let mut i = start;
     let mut pending_test = false;
-    let mut pending_doc = false;
     while i < end {
         let t = &toks[i];
         match t.kind {
-            TokKind::DocComment => {
-                if !t.text.starts_with('!') {
-                    pending_doc = true; // `///`, not the inner `//!`
-                }
-                i += 1;
-            }
             TokKind::Punct if t.is_punct('#') => {
                 // Attribute: `#[ … ]` (outer) or `#![ … ]` (inner).
                 let inner = toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
@@ -168,7 +154,6 @@ fn parse_range(toks: &[Token], start: usize, end: usize, inherited_test: bool) -
                     let close = skip_group(toks, open);
                     if !inner {
                         pending_test |= attr_is_cfg_test(toks, open, close);
-                        pending_doc |= (open..close).any(|k| toks[k].is_ident("doc"));
                     }
                     i = close;
                 } else {
@@ -177,13 +162,10 @@ fn parse_range(toks: &[Token], start: usize, end: usize, inherited_test: bool) -
             }
             TokKind::Ident => {
                 let mut j = i;
-                let mut vis_pub = false;
                 if toks[j].is_ident("pub") {
-                    if toks.get(j + 1).is_some_and(|n| n.is_punct('(')) {
-                        j = skip_group(toks, j + 1); // pub(crate) etc: not public
-                    } else {
-                        vis_pub = true;
-                        j += 1;
+                    j += 1;
+                    if toks.get(j).is_some_and(|n| n.is_punct('(')) {
+                        j = skip_group(toks, j); // pub(crate) etc
                     }
                 }
                 // Leading qualifiers before the item keyword.
@@ -204,18 +186,10 @@ fn parse_range(toks: &[Token], start: usize, end: usize, inherited_test: bool) -
                 };
                 match kind {
                     Some(kind) if j < end => {
-                        let (item, next) = parse_item(
-                            toks,
-                            j,
-                            end,
-                            kind,
-                            vis_pub,
-                            inherited_test || pending_test,
-                            pending_doc,
-                        );
+                        let (item, next) =
+                            parse_item(toks, j, end, kind, inherited_test || pending_test);
                         items.push(item);
                         pending_test = false;
-                        pending_doc = false;
                         i = next.max(j + 1);
                     }
                     _ => i += 1,
@@ -234,9 +208,7 @@ fn parse_item(
     kw: usize,
     end: usize,
     kind: ItemKind,
-    vis_pub: bool,
     cfg_test: bool,
-    has_doc: bool,
 ) -> (Item, usize) {
     let line = toks[kw].line;
     // Name: first ident after the keyword (macro_rules: after the `!`).
@@ -248,7 +220,6 @@ fn parse_item(
         .unwrap_or_default();
     // Scan to the body `{` or the terminating `;` at group depth 0.
     let mut depth = 0i32;
-    let mut impl_for_trait = false;
     let mut j = kw + 1;
     let mut body: Option<(usize, usize)> = None;
     let mut past = end;
@@ -257,9 +228,6 @@ fn parse_item(
         if t.is_punct('(') || t.is_punct('[') {
             j = skip_group(toks, j);
             continue;
-        }
-        if depth == 0 && kind == ItemKind::Impl && t.is_ident("for") {
-            impl_for_trait = true;
         }
         if t.is_punct('<') {
             depth += 1; // generics; `<` in expressions can't start an item sig
@@ -296,22 +264,7 @@ fn parse_item(
         _ => Vec::new(),
     };
     let end_line = toks.get(past.saturating_sub(1)).map(|t| t.line).unwrap_or(line);
-    (
-        Item {
-            kind,
-            name,
-            vis_pub,
-            cfg_test,
-            has_doc,
-            line,
-            end_line,
-            sig: (kw, sig_end),
-            body,
-            impl_for_trait,
-            children,
-        },
-        past,
-    )
+    (Item { kind, name, cfg_test, line, end_line, sig: (kw, sig_end), body, children }, past)
 }
 
 #[cfg(test)]
@@ -342,30 +295,23 @@ pub struct After;
     }
 
     #[test]
-    fn impl_kinds_and_doc_detection() {
+    fn impl_blocks_nest_their_members() {
         let src = "\
 /// Docs.
 pub struct S;
 impl S {
-    /// Docs.
-    pub fn a(&self) {}
-    pub fn undocumented(&self) {}
+    pub(crate) fn a(&self) {}
 }
 impl std::fmt::Display for S {
     fn fmt(&self) {}
 }
 ";
         let fx = lex(src);
-        let flat_owned = parse_items(&fx);
-        let flat = flatten(&flat_owned);
-        let s = flat.iter().find(|i| i.name == "S" && i.kind == ItemKind::Struct).unwrap();
-        assert!(s.has_doc && s.vis_pub);
-        let undoc = flat.iter().find(|i| i.name == "undocumented").unwrap();
-        assert!(!undoc.has_doc && undoc.vis_pub);
-        let imps: Vec<_> = flat.iter().filter(|i| i.kind == ItemKind::Impl).collect();
-        assert_eq!(imps.len(), 2);
-        assert!(!imps[0].impl_for_trait);
-        assert!(imps[1].impl_for_trait);
+        let items = parse_items(&fx);
+        let kinds: Vec<_> = items.iter().map(|i| i.kind).collect();
+        assert_eq!(kinds, vec![ItemKind::Struct, ItemKind::Impl, ItemKind::Impl]);
+        assert_eq!(items[1].children[0].name, "a");
+        assert_eq!(items[2].children[0].name, "fmt");
     }
 
     #[test]

@@ -221,7 +221,7 @@ pub fn rebalance_under_load(arch: Arch) -> RebalanceLoadPoint {
         fg_healthy_secs,
         fg_rebalance_secs: report.foreground_end.since(t0).as_secs_f64(),
         rebalance_drain_secs: report.end.since(t0).as_secs_f64(),
-        moved_blocks: out.moved,
+        moved_blocks: out.restored,
     }
 }
 

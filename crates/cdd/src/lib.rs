@@ -29,9 +29,10 @@
 //! | [`system`] | the [`IoSystem`] state — configuration, planes, placer, ledgers |
 //! | [`datapath`] | the request pipeline: admission stamping, locked writes, translated reads |
 //! | [`membership`] | fault injection hooks and epoch transitions (add/remove/replace disks) |
-//! | [`rebalance`] | incremental migration draining an epoch transition's pending set |
-//! | [`maintenance`] | scrub and resumable rebuild (outside the request pipeline) |
+//! | [`restore`] | the one restore path: `RestoreStep` (XOR of inputs → destination) and its compare-then-write executor, shared by the three rows below |
+//! | [`maintenance`] | scrub and the rebuild entry point (outside the request pipeline) |
 //! | [`resync`] | transient recovery: restoring the blocks parked by degraded writes |
+//! | [`rebalance`] | incremental migration draining an epoch transition's pending set |
 //! | [`fault`] | deterministic mid-workload fault injection ([`FaultInjector`]) |
 //!
 //! Supporting modules: [`config`] (tunables, including the
@@ -58,6 +59,7 @@ pub mod parity;
 pub mod placer;
 pub mod proto;
 pub mod rebalance;
+pub mod restore;
 pub mod resync;
 pub mod runs;
 pub mod scenarios;
@@ -76,7 +78,7 @@ pub use locks::{LockConflict, LockEvent, LockGroupTable, LockHandle, LockRecord,
 pub use ops::OpBuilder;
 pub use placer::{Migration, Placer};
 pub use proto::{CddModel, Defect, HistOp, OpRecord, ProtoOp, ProtoState, Scenario};
-pub use rebalance::RebalanceOutcome;
+pub use restore::RestoreOutcome;
 pub use runs::{merge_runs, Run};
 pub use scheme::{driver_for, SchemeDriver, WriteCtx};
 pub use store::BlockStore;

@@ -1,44 +1,19 @@
-//! Array maintenance: redundancy scrub and resumable disk rebuild.
+//! Array maintenance: redundancy scrub and the rebuild entry point.
 //!
 //! Both walk the written region of the array from outside the request
 //! pipeline — scrub audits the functional plane's redundancy relations,
-//! rebuild restores a replaced disk from surviving copies. The cheap
-//! transient path lives in [`crate::resync`]: the paper's Section 6
-//! distinction, where a transient failure recovers from local state in
-//! seconds while a permanent one pays a full rebuild.
+//! rebuild restores every copy a replaced disk held through the shared
+//! executor in [`crate::restore`]. The cheap transient path lives in
+//! [`crate::resync`]: the paper's Section 6 distinction, where a
+//! transient failure recovers from local state in seconds while a
+//! permanent one pays a full rebuild.
 
 use cluster::xor_into;
-use raidx_core::fault::{plan_rebuild, RebuildSource};
-use raidx_core::{BlockAddr, FaultSet, ReadSource};
-use sim_core::plan::{par, seq};
 use sim_core::Plan;
 
 use crate::error::IoError;
+use crate::restore::RestoreOutcome;
 use crate::system::IoSystem;
-
-/// Outcome of one (possibly partial) rebuild attempt.
-#[derive(Debug)]
-pub struct RebuildOutcome {
-    /// Timing plan of the attempt's actual I/O.
-    pub plan: Plan,
-    /// Blocks written by this attempt.
-    pub restored: usize,
-    /// Blocks found already correct on the target (a resumed rebuild
-    /// re-verifies instead of rewriting — the idempotence guarantee).
-    pub skipped: usize,
-    /// Whether every planned step has now run; only then does the disk
-    /// leave the fault set.
-    pub finished: bool,
-}
-
-impl RebuildOutcome {
-    /// Blocks this attempt accounted for (written + verified-present).
-    /// Summing `restored` across a crash/restart sequence never exceeds
-    /// the plan size: a block is restored once, then only skipped.
-    pub fn rebuilt(&self) -> usize {
-        self.restored + self.skipped
-    }
-}
 
 impl IoSystem {
     /// Scrub: audit that every written block's redundancy is consistent
@@ -120,12 +95,12 @@ impl IoSystem {
 
     /// Replace `disk` with a blank spare and restore every block it held
     /// (primaries, images and parity), driven from node `client`.
-    /// Returns the timing plan and the number of blocks accounted for.
+    /// Returns the timing plan and the number of blocks accounted for
+    /// (written + verified-present).
     pub fn rebuild_disk(&mut self, client: usize, disk: usize) -> Result<(Plan, usize), IoError> {
         let outcome = self.rebuild_disk_resumable(client, disk, None)?;
         debug_assert!(outcome.finished);
-        let rebuilt = outcome.rebuilt();
-        Ok((outcome.plan, rebuilt))
+        Ok((outcome.plan, outcome.restored + outcome.skipped))
     }
 
     /// Rebuild with an optional step budget, safe to re-run after a
@@ -133,196 +108,31 @@ impl IoSystem {
     ///
     /// The target plane is wiped only when the media is actually failed;
     /// on a restart (target already replaced, partially restored) the
-    /// surviving restored blocks are detected and *skipped*, so the
-    /// rebuild is idempotent and `restored` summed across attempts never
-    /// double-counts a block. The disk rejoins the array — and its
+    /// surviving restored blocks are detected and *skipped* by
+    /// `IoSystem::restore`. The disk rejoins the array — and its
     /// parked-block ledger clears — only when the final step completes.
     pub fn rebuild_disk_resumable(
         &mut self,
         client: usize,
         disk: usize,
         step_limit: Option<usize>,
-    ) -> Result<RebuildOutcome, IoError> {
+    ) -> Result<RestoreOutcome, IoError> {
         assert!(self.faults.contains(disk), "rebuilding a healthy disk");
         // Rebuild planning runs in slot space; `disk` is the physical
         // target, which must be serving a slot (Active) to be rebuilt.
         let slot = self.placer.map().slot_of(disk).expect("rebuilding a disk that serves no slot"); // lint-ok(no-unwrap): operator-error invariant — callers rebuild active disks only
-        let mut remaining = self.placer.slot_read_faults(&self.storage_faults());
-        remaining.remove(slot);
-        let steps = plan_rebuild(self.layout.as_ref(), slot, &remaining, self.high_water)
-            .map_err(|lost| IoError::DataLoss { lb: lost[0] })?;
+        let (steps, lost) = self.plan_slot(slot, |_| true);
+        if let Some(l) = lost.first() {
+            return Err(IoError::DataLoss { lb: l.lbs(self.layout.as_ref())[0] });
+        }
         if self.plane.is_failed(disk) {
             self.plane.replace(disk);
         }
-        let limit = step_limit.unwrap_or(usize::MAX).min(steps.len());
-        // Still contains `slot`: sources never read the rebuild target.
-        let sources = self.placer.slot_read_faults(&self.storage_faults());
-
-        let bs = self.block_size() as usize;
-        let mut restored = 0usize;
-        let mut skipped = 0usize;
-        let mut wrote = Vec::with_capacity(limit);
-        // Split borrows: functional restoration first, then the plans.
-        for step in steps.iter().take(limit) {
-            let bytes = match &step.source {
-                RebuildSource::Copy(lb) => {
-                    // Reconstruct/Lost: fault set changed under a planned Copy.
-                    let src = match self.layout.read_source(*lb, &sources) {
-                        ReadSource::Primary(a) | ReadSource::Image(a) => a,
-                        ReadSource::Reconstruct { .. } | ReadSource::Lost => {
-                            return Err(IoError::DataLoss { lb: *lb })
-                        }
-                    };
-                    let h = self.placer.read_home(src);
-                    self.plane.read_owned(h.disk, h.block)?
-                }
-                RebuildSource::Xor { siblings, parity } => {
-                    let mut acc = vec![0u8; bs];
-                    for (_, a) in siblings {
-                        let h = self.placer.read_home(*a);
-                        let b = self.plane.read_owned(h.disk, h.block)?;
-                        xor_into(&mut acc, &b);
-                    }
-                    if let Some(p) = parity {
-                        let h = self.placer.read_home(*p);
-                        let b = self.plane.read_owned(h.disk, h.block)?;
-                        xor_into(&mut acc, &b);
-                    }
-                    acc
-                }
-            };
-            let existing = self.plane.read_owned(disk, step.target.block)?;
-            if existing == bytes {
-                skipped += 1;
-                wrote.push(false);
-            } else {
-                self.plane.write(disk, step.target.block, &bytes)?;
-                restored += 1;
-                wrote.push(true);
-            }
-        }
-        let ops = self.ops();
-        let placer = &self.placer;
-        let mut step_plans = Vec::with_capacity(restored);
-        for (step, wrote) in steps.iter().take(limit).zip(&wrote) {
-            if !wrote {
-                continue; // verified in place: no rebuild I/O to charge
-            }
-            let write = ops.write_run(client, disk, step.target.block, 1, false);
-            let plan = match &step.source {
-                RebuildSource::Copy(lb) => {
-                    let src = match self.layout.read_source(*lb, &sources) {
-                        ReadSource::Primary(a) | ReadSource::Image(a) => a,
-                        ReadSource::Reconstruct { .. } | ReadSource::Lost => {
-                            unreachable!("restoration pass above already resolved this source")
-                        }
-                    };
-                    let h = placer.read_home(src);
-                    seq(vec![ops.read_run(client, h.disk, h.block, 1), write])
-                }
-                RebuildSource::Xor { siblings, parity } => {
-                    let mut reads: Vec<Plan> = siblings
-                        .iter()
-                        .map(|(_, a)| {
-                            let h = placer.read_home(*a);
-                            ops.read_run(client, h.disk, h.block, 1)
-                        })
-                        .collect();
-                    if let Some(p) = parity {
-                        let h = placer.read_home(*p);
-                        reads.push(ops.read_run(client, h.disk, h.block, 1));
-                    }
-                    let n = reads.len() as u64 + 1;
-                    seq(vec![par(reads), ops.xor(client, n * bs as u64), write])
-                }
-            };
-            step_plans.push(plan);
-        }
-        let finished = limit == steps.len();
-        if finished {
+        let outcome = self.restore(client, &steps, step_limit)?;
+        if outcome.finished {
             self.faults.remove(disk);
             self.parked.remove(&disk);
         }
-
-        // Pace the rebuild in batches (a real rebuilder bounds outstanding
-        // I/O rather than flooding every queue at once).
-        let batched: Vec<Plan> = step_plans.chunks(32).map(|c| par(c.to_vec())).collect();
-        let plan = if batched.is_empty() { Plan::Noop } else { seq(batched) };
-        Ok(RebuildOutcome { plan, restored, skipped, finished })
-    }
-
-    /// Materialize logical block `lb` from the best source outside
-    /// `avoid` (slot space), returning the bytes and the *physical*
-    /// blocks read — layout chooses sources among slots, the placer
-    /// translates each to its current serving disk.
-    pub(crate) fn fetch_block(
-        &mut self,
-        lb: u64,
-        avoid: &FaultSet,
-    ) -> Result<(Vec<u8>, Vec<BlockAddr>), IoError> {
-        match self.layout.read_source(lb, avoid) {
-            ReadSource::Primary(a) | ReadSource::Image(a) => {
-                let h = self.placer.read_home(a);
-                Ok((self.plane.read_owned(h.disk, h.block)?, vec![h]))
-            }
-            ReadSource::Reconstruct { siblings, parity } => {
-                let ph = self.placer.read_home(parity);
-                let mut acc = self.plane.read_owned(ph.disk, ph.block)?;
-                let mut inputs = vec![ph];
-                for (_, a) in siblings {
-                    let h = self.placer.read_home(a);
-                    let b = self.plane.read_owned(h.disk, h.block)?;
-                    xor_into(&mut acc, &b);
-                    inputs.push(h);
-                }
-                Ok((acc, inputs))
-            }
-            ReadSource::Lost => Err(IoError::DataLoss { lb }),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::testkit::shape;
-    use raidx_core::Arch;
-
-    /// Satellite: a power failure mid-rebuild must be recoverable by
-    /// simply re-planning — already-restored blocks are detected and
-    /// skipped, nothing is double-counted, and the array ends clean.
-    #[test]
-    fn crash_mid_rebuild_resumes_idempotently() {
-        let (mut engine, mut sys) = shape(4, 1, 8 << 20, Arch::RaidX);
-        let bs = sys.block_size() as usize;
-        let nblocks = 32u64;
-        let data: Vec<u8> =
-            (0..nblocks as usize * bs).map(|i| ((i * 7 + 3) % 253) as u8 + 1).collect();
-        sys.write(0, 0, &data).expect("seed");
-        sys.fail_disk(2);
-
-        // First attempt dies after five steps ("power failure").
-        let a = sys.rebuild_disk_resumable(0, 2, Some(5)).expect("partial rebuild");
-        assert!(!a.finished, "five steps must not finish the rebuild");
-        assert_eq!(a.restored, 5);
-        assert_eq!(a.skipped, 0, "nothing was restored before the crash");
-        assert!(sys.faults().contains(2), "unfinished rebuild must keep the fault");
-
-        // Restart: re-plan from scratch. The five restored blocks are
-        // recognised as already correct and skipped, the rest restored.
-        let b = sys.rebuild_disk_resumable(0, 2, None).expect("resumed rebuild");
-        assert!(b.finished);
-        assert_eq!(b.skipped, 5, "restart must skip exactly the pre-crash progress");
-        assert_eq!(
-            a.restored + b.restored,
-            b.restored + b.skipped,
-            "a block was restored twice across the crash"
-        );
-        assert!(!sys.faults().contains(2));
-        engine.spawn_job("rebuild", b.plan);
-        engine.run().expect("rebuild timing");
-
-        let (got, _) = sys.read(1, 0, nblocks).expect("post-rebuild read");
-        assert_eq!(got, data);
-        assert!(sys.scrub().expect("scrub") > 0);
+        Ok(outcome)
     }
 }

@@ -1,72 +1,36 @@
 //! Incremental rebalancing: draining an epoch transition's pending set.
 //!
 //! [`crate::membership`] flips placement instantly; this module moves the
-//! bytes afterwards, in bounded crash-idempotent steps that reuse the
-//! resumable-rebuild skeleton — fetch (straight copy from the vacated
-//! disk when its media survives, redundancy reconstruction when not),
-//! byte-compare against the new home, write only on difference. Reads
-//! keep resolving still-pending blocks against the old home throughout,
-//! so the array serves every request mid-migration with zero failed ops.
+//! bytes afterwards, in bounded crash-idempotent steps through the shared
+//! executor in [`crate::restore`] — a verbatim move from the vacated disk
+//! when its media survives, the rebuild walk filtered to the pending
+//! blocks when not. Reads keep resolving still-pending blocks against the
+//! old home throughout, so the array serves every request mid-migration
+//! with zero failed ops.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use raidx_core::BlockAddr;
-use sim_core::plan::{par, seq};
-use sim_core::Plan;
 
 use crate::error::IoError;
 use crate::membership::{EPOCH_META_LB, EPOCH_META_SPAN};
+use crate::placer::Migration;
+use crate::restore::{RestoreOutcome, RestoreStep};
 use crate::system::IoSystem;
-
-/// Outcome of one (possibly partial) incremental rebalance attempt.
-#[derive(Debug)]
-pub struct RebalanceOutcome {
-    /// Timing plan of the attempt's actual I/O.
-    pub plan: Plan,
-    /// Blocks copied (or reconstructed) onto the new home this attempt.
-    pub moved: usize,
-    /// Pending blocks found already correct on the new home — a resumed
-    /// rebalance re-verifies instead of rewriting, exactly like the
-    /// resumable rebuild it reuses the skeleton of.
-    pub skipped: usize,
-    /// True when the migration's pending set has fully drained.
-    pub finished: bool,
-}
-
-/// What one pending physical block of the vacated disk held, for the
-/// reconstruct path when the old media is unreadable.
-enum PendingRole {
-    /// A data or image copy of this logical block (same bytes either way).
-    Block(u64),
-    /// The parity block of this stripe.
-    Parity(u64),
-}
 
 impl IoSystem {
     /// Drain up to `step_limit` pending blocks of the in-flight migration
-    /// (all of them when `None`), driven from node `client`.
-    ///
-    /// Reuses the resumable-rebuild skeleton: each block is fetched (a
-    /// straight copy from the old disk when its media survives, a
-    /// redundancy reconstruction when not), byte-compared against the new
-    /// home and only written when it differs — so a rebalance interrupted
-    /// at any point re-runs idempotently and `moved` never double-counts
-    /// a block. Returns a no-op outcome when no migration is in flight.
+    /// (all of them when `None`), driven from node `client`. Interrupted
+    /// at any point it re-runs idempotently (`IoSystem::restore`
+    /// compares before it writes). Returns a finished no-op outcome when
+    /// no migration is in flight.
     pub fn rebalance(
         &mut self,
         client: usize,
         step_limit: Option<usize>,
-    ) -> Result<RebalanceOutcome, IoError> {
-        let m = match self.placer.migration() {
-            Some(m) => m.clone(),
-            None => {
-                return Ok(RebalanceOutcome {
-                    plan: Plan::Noop,
-                    moved: 0,
-                    skipped: 0,
-                    finished: true,
-                })
-            }
+    ) -> Result<RestoreOutcome, IoError> {
+        let Some(m) = self.placer.migration().cloned() else {
+            return self.restore(client, &[], None);
         };
         let lock =
             self.locks.acquire(client, EPOCH_META_LB, EPOCH_META_SPAN).map_err(IoError::Lock)?;
@@ -78,108 +42,37 @@ impl IoSystem {
     fn rebalance_locked(
         &mut self,
         client: usize,
-        m: &crate::placer::Migration,
+        m: &Migration,
         step_limit: Option<usize>,
-    ) -> Result<RebalanceOutcome, IoError> {
-        let limit = step_limit.unwrap_or(usize::MAX).min(m.pending.len());
-        let batch: Vec<u64> = m.pending.iter().take(limit).copied().collect();
+    ) -> Result<RestoreOutcome, IoError> {
         let old_ok =
             !m.old_dead && !self.plane.is_failed(m.old_phys) && !self.plane.is_offline(m.old_phys);
-
-        // Reconstruct mode: reverse-map each pending physical block to
-        // what it held, by walking the written region once.
-        let mut roles: BTreeMap<u64, PendingRole> = BTreeMap::new();
-        if !old_ok {
-            for lb in 0..self.high_water {
-                let d = self.layout.locate_data(lb);
-                if d.disk == m.slot {
-                    roles.entry(d.block).or_insert(PendingRole::Block(lb));
-                }
-                for img in self.layout.locate_images(lb) {
-                    if img.disk == m.slot {
-                        roles.entry(img.block).or_insert(PendingRole::Block(lb));
-                    }
-                }
-                if let Some(p) = self.layout.locate_parity(lb) {
-                    if p.disk == m.slot {
-                        let (s, _) = self.layout.stripe_of(lb);
-                        roles.entry(p.block).or_insert(PendingRole::Parity(s));
-                    }
-                }
-            }
+        let (steps, lost) = if old_ok {
+            let moves = m.pending.iter().map(|&b| RestoreStep {
+                inputs: vec![BlockAddr::new(m.old_phys, b)],
+                dst: BlockAddr::new(m.new_phys, b),
+            });
+            (moves.collect(), Vec::new())
+        } else {
+            self.plan_slot(m.slot, |s| m.pending.contains(&s.target.block))
+        };
+        let mut outcome = self.restore(client, &steps, step_limit)?;
+        for s in &steps[..outcome.restored + outcome.skipped] {
+            self.placer.clear_pending(m.slot, s.dst.block);
         }
-        // Sources must route around media faults and the migrating slot
-        // itself (slot space, resolved per copy through the placer).
-        let mut avoid = self.placer.slot_read_faults(&self.storage_faults());
-        avoid.insert(m.slot);
-
-        let bs = self.block_size() as usize;
-        let mut moved = 0usize;
-        let mut skipped = 0usize;
-        // (physical source reads, destination) of each block actually moved.
-        let mut steps: Vec<(Vec<BlockAddr>, BlockAddr)> = Vec::new();
-        for b in batch {
-            let (bytes, inputs) = if old_ok {
-                let bytes = self.plane.read_owned(m.old_phys, b)?;
-                (bytes, vec![BlockAddr::new(m.old_phys, b)])
-            } else {
-                match roles.get(&b) {
-                    Some(PendingRole::Block(lb)) => self.fetch_block(*lb, &avoid)?,
-                    Some(PendingRole::Parity(s)) => {
-                        let mut acc = vec![0u8; bs];
-                        let mut inputs = Vec::new();
-                        for member in self.layout.stripe_blocks(*s) {
-                            let (bytes, ins) = self.fetch_block(member, &avoid)?;
-                            cluster::xor_into(&mut acc, &bytes);
-                            inputs.extend(ins);
-                        }
-                        (acc, inputs)
-                    }
-                    None => {
-                        // Not a copy location of any written block (the
-                        // layout walk is the authority): nothing to move.
-                        self.placer.clear_pending(m.slot, b);
-                        skipped += 1;
-                        continue;
-                    }
-                }
-            };
-            let dst = BlockAddr::new(m.new_phys, b);
-            let existing = self.plane.read_owned(dst.disk, dst.block)?;
-            if existing == bytes {
-                skipped += 1;
-            } else {
-                self.plane.write(dst.disk, dst.block, &bytes)?;
-                moved += 1;
-                steps.push((inputs, dst));
-            }
+        // A pending block that is no copy location of any written block
+        // (the layout walk is the authority) has nothing to move.
+        let known: BTreeSet<u64> =
+            steps.iter().map(|s| s.dst.block).chain(lost.iter().map(|l| l.target.block)).collect();
+        for &b in m.pending.difference(&known) {
             self.placer.clear_pending(m.slot, b);
+            outcome.skipped += 1;
         }
-        let finished = self.placer.finish_if_drained();
-
-        let ops = self.ops();
-        let step_plans: Vec<Plan> = steps
-            .iter()
-            .map(|(inputs, dst)| {
-                let write = ops.write_run(client, dst.disk, dst.block, 1, false);
-                match inputs.as_slice() {
-                    [src] => seq(vec![ops.read_run(client, src.disk, src.block, 1), write]),
-                    _ => {
-                        let reads: Vec<Plan> = inputs
-                            .iter()
-                            .map(|a| ops.read_run(client, a.disk, a.block, 1))
-                            .collect();
-                        let n = reads.len() as u64 + 1;
-                        seq(vec![par(reads), ops.xor(client, n * bs as u64), write])
-                    }
-                }
-            })
-            .collect();
-        // Pace the migration in batches, like the resumable rebuild: a
-        // real rebalancer bounds outstanding I/O against foreground load.
-        let batched: Vec<Plan> = step_plans.chunks(32).map(|c| par(c.to_vec())).collect();
-        let plan = if batched.is_empty() { Plan::Noop } else { seq(batched) };
-        Ok(RebalanceOutcome { plan, moved, skipped, finished })
+        outcome.finished = self.placer.finish_if_drained();
+        match lost.first() {
+            Some(l) => Err(IoError::DataLoss { lb: l.lbs(self.layout.as_ref())[0] }),
+            None => Ok(outcome),
+        }
     }
 }
 
@@ -216,7 +109,7 @@ mod tests {
         let mut total_moved = 0;
         loop {
             let out = sys.rebalance(0, Some(5)).expect("rebalance step");
-            total_moved += out.moved;
+            total_moved += out.restored;
             engine.spawn_job("rebalance", out.plan);
             engine.run().expect("rebalance timing");
             if out.finished {
@@ -262,10 +155,11 @@ mod tests {
         assert!(sys.scrub().expect("scrub") > 0);
     }
 
-    /// A rebalance interrupted mid-flight re-runs idempotently: resumed
-    /// attempts skip already-moved blocks and never double-count.
+    /// A write to a still-pending block mid-migration lands on the new
+    /// home and supersedes that block's move (budgeted resume itself is
+    /// covered by the table-driven test in `crate::restore`).
     #[test]
-    fn interrupted_rebalance_resumes_idempotently() {
+    fn write_during_migration_supersedes_the_move() {
         let (mut engine, mut sys) = shape(4, 1, 8 << 20, Arch::RaidX);
         let bs = sys.block_size() as usize;
         let nblocks = 32u64;
@@ -276,27 +170,19 @@ mod tests {
         sys.add_disk(&mut engine, 0).expect("add spare");
         sys.remove_disk(0, 1).expect("remove");
         let pending = sys.migration_pending();
-        assert!(pending > 3);
-
         let a = sys.rebalance(0, Some(3)).expect("partial rebalance");
         assert!(!a.finished);
-        assert_eq!(a.moved + a.skipped, 3);
-        // Overwrite one still-pending block mid-migration: the write goes
-        // to the new home and supersedes that block's migration.
         let lb = (0..nblocks)
+            .rev()
             .find(|&lb| sys.layout().locate_data(lb).disk == 1)
             .expect("a primary on the migrating slot");
         let fresh = vec![0xA5u8; bs];
         sys.write(0, lb, &fresh).expect("write during migration");
+        assert!(sys.migration_pending() < pending - 3, "the write must clear its pending entry");
 
         let b = sys.rebalance(0, None).expect("resumed rebalance");
         assert!(b.finished);
-        assert_eq!(sys.migration_pending(), 0);
-        assert!(
-            a.moved + a.skipped + b.moved + b.skipped <= pending,
-            "resume must not double-count blocks"
-        );
-
+        assert!(a.restored + a.skipped + b.restored + b.skipped < pending);
         let (got, _) = sys.read(2, lb, 1).expect("superseded block read");
         assert_eq!(got, fresh, "in-migration write must win");
         assert!(sys.scrub().expect("scrub") > 0);

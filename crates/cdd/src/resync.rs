@@ -8,26 +8,10 @@
 
 use std::collections::BTreeSet;
 
-use cluster::xor_into;
-use raidx_core::BlockAddr;
-use sim_core::plan::{par, seq};
 use sim_core::Plan;
 
 use crate::error::IoError;
 use crate::system::IoSystem;
-
-/// How one resynced block was obtained (plan building).
-enum ResyncAction {
-    /// Straight copy from a surviving replica.
-    Copy {
-        src: BlockAddr,
-        dst: BlockAddr,
-    },
-    Xor {
-        inputs: Vec<BlockAddr>,
-        dst: BlockAddr,
-    },
-}
 
 impl IoSystem {
     /// Bring a transiently-offline disk back: its contents survived, so
@@ -48,103 +32,54 @@ impl IoSystem {
     /// Restore every copy parked against online `disk` from surviving
     /// replicas (after a transient outage or a healed partition).
     /// Returns the timing plan and the number of blocks restored.
+    ///
+    /// A parked block leaves the ledger only once its copies on `disk`
+    /// are restored: if a second failure took a copy's last source, the
+    /// rest are still restored, the unrestorable blocks stay parked and
+    /// the call returns [`IoError::DataLoss`] — rebuild the source, then
+    /// resync again.
     pub fn resync_parked(&mut self, client: usize, disk: usize) -> Result<(Plan, usize), IoError> {
         assert!(
             !self.faults.contains(disk) && !self.offline.contains(disk),
             "resync target must be online"
         );
-        let lbs: Vec<u64> =
-            self.parked.remove(&disk).map(|s| s.into_iter().collect()).unwrap_or_default();
-        if lbs.is_empty() {
-            return Ok((Plan::Noop, 0));
-        }
+        let parked = match self.parked.get(&disk) {
+            Some(p) if !p.is_empty() => p.clone(),
+            _ => return Ok((Plan::Noop, 0)),
+        };
         // The ledger is keyed by physical disk; the copies to restore are
         // the ones whose *slot* this disk currently serves.
-        let slot = self.placer.map().slot_of(disk).expect("resyncing a disk that serves no slot"); // lint-ok(no-unwrap): operator-error invariant — parked ledgers only exist for active disks
-                                                                                                   // Sources must avoid media faults *and* the target's stale copies
-                                                                                                   // (slot space — fetch resolves copies through the placer).
-        let mut avoid = self.placer.slot_read_faults(&self.storage_faults());
-        avoid.insert(slot);
+        // lint-ok(no-unwrap): operator-error invariant — parked ledgers only exist for active disks
+        let slot = self.placer.map().slot_of(disk).expect("resyncing a disk that serves no slot");
+        let layout = self.layout.as_ref();
+        let (steps, lost) =
+            self.plan_slot(slot, |s| s.lbs(layout).iter().any(|lb| parked.contains(lb)));
+        let stale: BTreeSet<u64> =
+            lost.iter().flat_map(|l| l.lbs(layout)).filter(|lb| parked.contains(lb)).collect();
 
-        let mut actions: Vec<ResyncAction> = Vec::new();
-        let mut parity_stripes: BTreeSet<u64> = BTreeSet::new();
-        for &lb in &lbs {
-            let d = self.layout.locate_data(lb);
-            if d.disk == slot {
-                let (bytes, inputs) = self.fetch_block(lb, &avoid)?;
-                let dst = BlockAddr::new(disk, d.block);
-                self.plane.write(dst.disk, dst.block, &bytes)?;
-                self.placer.clear_pending(slot, d.block);
-                actions.push(match inputs.as_slice() {
-                    [src] => ResyncAction::Copy { src: *src, dst },
-                    _ => ResyncAction::Xor { inputs, dst },
-                });
+        let outcome = self.restore(client, &steps, None)?;
+        for s in &steps {
+            self.placer.clear_pending(slot, s.dst.block);
+        }
+        match stale.first().copied() {
+            None => {
+                self.parked.remove(&disk);
+                Ok((outcome.plan, outcome.restored))
             }
-            for img in self.layout.locate_images(lb) {
-                if img.disk != slot {
-                    continue;
-                }
-                let (bytes, inputs) = self.fetch_block(lb, &avoid)?;
-                let dst = BlockAddr::new(disk, img.block);
-                self.plane.write(dst.disk, dst.block, &bytes)?;
-                self.placer.clear_pending(slot, img.block);
-                actions.push(match inputs.as_slice() {
-                    [src] => ResyncAction::Copy { src: *src, dst },
-                    _ => ResyncAction::Xor { inputs, dst },
-                });
-            }
-            if let Some(p) = self.layout.locate_parity(lb) {
-                let (s, _) = self.layout.stripe_of(lb);
-                if p.disk == slot && parity_stripes.insert(s) {
-                    // Recompute the stripe's parity from its members.
-                    let bs = self.block_size() as usize;
-                    let mut acc = vec![0u8; bs];
-                    let mut inputs = Vec::new();
-                    for member in self.layout.stripe_blocks(s) {
-                        let (bytes, ins) = self.fetch_block(member, &avoid)?;
-                        xor_into(&mut acc, &bytes);
-                        inputs.extend(ins);
-                    }
-                    let dst = BlockAddr::new(disk, p.block);
-                    self.plane.write(dst.disk, dst.block, &acc)?;
-                    self.placer.clear_pending(slot, p.block);
-                    actions.push(ResyncAction::Xor { inputs, dst });
-                }
+            Some(lb) => {
+                self.parked.insert(disk, stale);
+                Err(IoError::DataLoss { lb })
             }
         }
-
-        let bs = self.block_size() as usize;
-        let ops = self.ops();
-        let step_plans: Vec<Plan> = actions
-            .iter()
-            .map(|a| match a {
-                ResyncAction::Copy { src, dst } => seq(vec![
-                    ops.read_run(client, src.disk, src.block, 1),
-                    ops.write_run(client, dst.disk, dst.block, 1, false),
-                ]),
-                ResyncAction::Xor { inputs, dst } => {
-                    let reads: Vec<Plan> =
-                        inputs.iter().map(|a| ops.read_run(client, a.disk, a.block, 1)).collect();
-                    let n = reads.len() as u64 + 1;
-                    seq(vec![
-                        par(reads),
-                        ops.xor(client, n * bs as u64),
-                        ops.write_run(client, dst.disk, dst.block, 1, false),
-                    ])
-                }
-            })
-            .collect();
-        let restored = step_plans.len();
-        let batched: Vec<Plan> = step_plans.chunks(32).map(|c| par(c.to_vec())).collect();
-        let plan = if batched.is_empty() { Plan::Noop } else { seq(batched) };
-        Ok((plan, restored))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::testkit::shape;
+    use crate::IoError;
     use raidx_core::Arch;
+
     /// A transient outage keeps the disk's contents: recovery resyncs
     /// only the blocks that went stale (parked) while it was offline.
     #[test]
@@ -176,6 +111,38 @@ mod tests {
         let (got, _) = sys.read(2, 0, nblocks).expect("post-recovery read");
         assert_eq!(&got[..8 * bs], &after[..]);
         assert_eq!(&got[8 * bs..], &before[8 * bs..]);
+        assert!(sys.scrub().expect("scrub") > 0);
+    }
+
+    /// Regression: a second failure during recovery must not cost the
+    /// ledger. Resync restores what still has a source, keeps exactly the
+    /// unrestorable blocks parked and reports the loss; once the partner
+    /// is rebuilt a second resync finishes the job.
+    #[test]
+    fn resync_keeps_unrestored_blocks_parked_on_error() {
+        let (_engine, mut sys) = shape(4, 1, 8 << 20, Arch::RaidX);
+        let bs = sys.block_size() as usize;
+        sys.write(0, 0, &vec![0x42; 24 * bs]).expect("healthy seed");
+        let _ = sys.flush_images();
+        sys.fail_disk_transient(1);
+        sys.write(0, 0, &vec![0x91; 16 * bs]).expect("degraded write");
+        let _ = sys.flush_images();
+        // The partner of *some* parked blocks dies for good: a parked
+        // block whose only other copy lived on disk 2 has no source left.
+        sys.fail_disk(2);
+        let parked = sys.parked[&1].clone();
+        let sourceless = |lb: &u64| sys.copy_addrs(*lb).iter().all(|a| a.disk == 1 || a.disk == 2);
+        let unrestorable = parked.iter().filter(|lb| sourceless(lb)).count();
+        assert!(0 < unrestorable && unrestorable < parked.len(), "want a mixed ledger");
+
+        let err = sys.recover_disk_transient(0, 1).expect_err("a source is gone");
+        assert!(matches!(err, IoError::DataLoss { .. }), "{err}");
+        assert!(sys.offline_disks().is_empty(), "the disk itself is back");
+        assert_eq!(sys.parked_blocks(1), unrestorable, "only unrestored blocks stay parked");
+
+        sys.rebuild_disk(0, 2).expect("rebuild the partner");
+        sys.resync_parked(0, 1).expect("second resync has every source again");
+        assert_eq!(sys.parked_total(), 0);
         assert!(sys.scrub().expect("scrub") > 0);
     }
 }

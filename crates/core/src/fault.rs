@@ -1,125 +1,92 @@
 //! Failure analysis and rebuild planning.
 //!
 //! Pure planning: given a layout, a fault set and the high-water mark of
-//! written logical blocks, compute what must be read and written to restore
-//! full redundancy onto replacement disks. The `cdd` crate executes these
-//! plans against the data plane and the timing model.
+//! written logical blocks, list every copy a disk holds and the surviving
+//! blocks that re-create it. The `cdd` crate filters these steps (full
+//! rebuild, parked-block resync, pending-block rebalance) and executes
+//! them against the data plane and the timing model.
 
 use crate::layout::{Layout, ReadSource};
 use crate::types::{BlockAddr, FaultSet};
 
-/// One step of a rebuild: reconstruct the contents of `target` (a block on
-/// a replaced disk) from `source`.
+/// The logical identity of one physical copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Content {
+    /// The data or a mirror image of this logical block (same bytes).
+    Block(u64),
+    /// The parity block of this stripe.
+    Parity(u64),
+}
+
+/// One step of a rebuild: `target` (a block on the replaced disk) holds
+/// `content`, re-created as the XOR of `inputs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RebuildStep {
+    /// What the block holds.
+    pub content: Content,
     /// The physical block being restored.
     pub target: BlockAddr,
-    /// Where its bytes come from.
-    pub source: RebuildSource,
+    /// Surviving blocks whose XOR is the content, in read order: a single
+    /// replica for a mirrored copy, the stripe's sibling data blocks then
+    /// its parity for RAID-5 data, the data blocks alone for the parity
+    /// itself. Empty when no source survives (the copy is lost).
+    pub inputs: Vec<BlockAddr>,
 }
 
-/// Where a rebuild step gets its data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RebuildSource {
-    /// Copy a surviving replica (the logical block to re-read via the
-    /// layout's degraded path).
-    Copy(u64),
-    /// XOR of the surviving members of a RAID-5 stripe: `(logical,
-    /// physical)` sibling data blocks plus the parity block if the lost
-    /// block was data, or just the siblings if the lost block was parity.
-    Xor {
-        /// Surviving `(logical, physical)` data members of the stripe.
-        siblings: Vec<(u64, BlockAddr)>,
-        /// Parity block to fold in (None when rebuilding the parity itself).
-        parity: Option<BlockAddr>,
-    },
+impl RebuildStep {
+    /// The logical blocks the content is a function of, ascending: the
+    /// block itself, or every member of the parity's stripe.
+    pub fn lbs(&self, layout: &dyn Layout) -> Vec<u64> {
+        match self.content {
+            Content::Block(lb) => vec![lb],
+            Content::Parity(s) => layout.stripe_blocks(s),
+        }
+    }
 }
 
-/// Plan the restoration of every block that lived on `disk` (now replaced
-/// with a blank spare), considering only logical blocks below `used`.
+/// List the restoration of every block that lives on `disk`, considering
+/// only logical blocks below `used`, in ascending logical-block order
+/// (data, then images, then — at a stripe's first member — its parity).
 ///
 /// Covers both roles a disk plays: primary data blocks and mirror images /
-/// parity blocks hosted for other disks' data.
-///
-/// Returns `Err(lost)` with the lost logical blocks if some data is
-/// unrecoverable under the remaining fault set.
+/// parity blocks hosted for other disks' data. Sources avoid `disk` itself
+/// and `remaining_faults`; a copy with no surviving source gets a step
+/// with empty `inputs`.
 pub fn plan_rebuild(
     layout: &dyn Layout,
     disk: usize,
     remaining_faults: &FaultSet,
     used: u64,
-) -> Result<Vec<RebuildStep>, Vec<u64>> {
+) -> Vec<RebuildStep> {
+    let mut avoid = remaining_faults.clone();
+    avoid.insert(disk);
     let mut steps = Vec::new();
-    let mut lost = Vec::new();
-    let used = used.min(layout.capacity_blocks());
-    for lb in 0..used {
-        let data = layout.locate_data(lb);
-        // Restore the primary copy if it lived on the replaced disk.
-        if data.disk == disk {
-            match layout.read_source(lb, &with(remaining_faults, disk)) {
-                ReadSource::Primary(_) => unreachable!("primary is on the dead disk"),
-                ReadSource::Image(_) => {
-                    steps.push(RebuildStep { target: data, source: RebuildSource::Copy(lb) })
+    for lb in 0..used.min(layout.capacity_blocks()) {
+        let copies = std::iter::once(layout.locate_data(lb)).chain(layout.locate_images(lb));
+        for target in copies.filter(|a| a.disk == disk) {
+            let inputs = match layout.read_source(lb, &avoid) {
+                ReadSource::Primary(a) | ReadSource::Image(a) => vec![a],
+                ReadSource::Reconstruct { siblings, parity } => {
+                    siblings.into_iter().map(|(_, a)| a).chain([parity]).collect()
                 }
-                ReadSource::Reconstruct { siblings, parity } => steps.push(RebuildStep {
-                    target: data,
-                    source: RebuildSource::Xor { siblings, parity: Some(parity) },
-                }),
-                ReadSource::Lost => lost.push(lb),
-            }
+                ReadSource::Lost => Vec::new(),
+            };
+            steps.push(RebuildStep { content: Content::Block(lb), target, inputs });
         }
-        // Restore any image of this block hosted on the replaced disk.
-        for img in layout.locate_images(lb) {
-            if img.disk == disk {
-                if remaining_faults.contains(data.disk) {
-                    lost.push(lb);
-                } else {
-                    steps.push(RebuildStep { target: img, source: RebuildSource::Copy(lb) });
-                }
-            }
-        }
-        // Restore a parity block hosted on the replaced disk (once per
-        // stripe: only when `lb` is the stripe's first member).
-        if let Some(p) = layout.locate_parity(lb) {
+        // A parity block hosted on the disk, once per stripe. Unwritten
+        // members read as zero; they still XOR in.
+        if let Some(target) = layout.locate_parity(lb).filter(|p| p.disk == disk) {
             let (s, pos) = layout.stripe_of(lb);
-            if p.disk == disk && pos == 0 {
-                let mut siblings = Vec::new();
-                let mut ok = true;
-                for member in layout.stripe_blocks(s) {
-                    if member >= used {
-                        // Unwritten members read as zero; they still XOR in.
-                    }
-                    let a = layout.locate_data(member);
-                    if remaining_faults.contains(a.disk) {
-                        ok = false;
-                        break;
-                    }
-                    siblings.push((member, a));
-                }
-                if ok {
-                    steps.push(RebuildStep {
-                        target: p,
-                        source: RebuildSource::Xor { siblings, parity: None },
-                    });
-                } else {
-                    lost.push(lb);
-                }
+            if pos == 0 {
+                let members: Vec<BlockAddr> =
+                    layout.stripe_blocks(s).into_iter().map(|m| layout.locate_data(m)).collect();
+                let lost = members.iter().any(|a| avoid.contains(a.disk));
+                let inputs = if lost { Vec::new() } else { members };
+                steps.push(RebuildStep { content: Content::Parity(s), target, inputs });
             }
         }
     }
-    if lost.is_empty() {
-        Ok(steps)
-    } else {
-        lost.sort_unstable();
-        lost.dedup();
-        Err(lost)
-    }
-}
-
-fn with(f: &FaultSet, extra: usize) -> FaultSet {
-    let mut g = f.clone();
-    g.insert(extra);
-    g
+    steps
 }
 
 #[cfg(test)]
@@ -133,7 +100,7 @@ mod tests {
     fn raidx_rebuild_covers_data_and_images() {
         let l = RaidX::new(4, 1, 240);
         let used = 48;
-        let steps = plan_rebuild(&l, 0, &FaultSet::none(), used).unwrap();
+        let steps = plan_rebuild(&l, 0, &FaultSet::none(), used);
         // Disk 0 held primary data for lbs with data disk 0 and images of
         // some groups; every such block must be restored.
         let mut targets: Vec<BlockAddr> = steps.iter().map(|s| s.target).collect();
@@ -145,29 +112,36 @@ mod tests {
         assert_eq!(steps.len(), expected);
         for s in &steps {
             assert_eq!(s.target.disk, 0);
-            assert!(matches!(s.source, RebuildSource::Copy(_)));
+            assert!(matches!(s.content, Content::Block(_)));
+            assert_eq!(s.inputs.len(), 1, "a mirrored copy restores from one replica");
+            assert_ne!(s.inputs[0].disk, 0);
         }
     }
 
     #[test]
     fn raid5_rebuild_uses_xor() {
         let l = Raid5::new(4, 100);
-        let steps = plan_rebuild(&l, 1, &FaultSet::none(), 30).unwrap();
+        let steps = plan_rebuild(&l, 1, &FaultSet::none(), 30);
         assert!(!steps.is_empty());
-        assert!(steps.iter().all(|s| matches!(s.source, RebuildSource::Xor { .. })));
-        // Data blocks restore with parity in the XOR set; parity blocks
-        // without.
-        assert!(steps
-            .iter()
-            .any(|s| matches!(&s.source, RebuildSource::Xor { parity: Some(_), .. })));
-        assert!(steps.iter().any(|s| matches!(&s.source, RebuildSource::Xor { parity: None, .. })));
+        // Data blocks restore from siblings + parity (every other disk),
+        // parity blocks from the stripe's data alone.
+        for s in &steps {
+            let want = match s.content {
+                Content::Block(_) => 3,
+                Content::Parity(st) => l.stripe_blocks(st).len(),
+            };
+            assert_eq!(s.inputs.len(), want, "{s:?}");
+            assert!(s.inputs.iter().all(|a| a.disk != 1));
+        }
+        assert!(steps.iter().any(|s| matches!(s.content, Content::Block(_))));
+        assert!(steps.iter().any(|s| matches!(s.content, Content::Parity(_))));
     }
 
     #[test]
     fn raid10_rebuild_copies_mirror() {
         let l = Raid10::new(4, 100);
-        let steps = plan_rebuild(&l, 0, &FaultSet::none(), 20).unwrap();
-        assert!(steps.iter().all(|s| matches!(s.source, RebuildSource::Copy(_))));
+        let steps = plan_rebuild(&l, 0, &FaultSet::none(), 20);
+        assert!(steps.iter().all(|s| s.inputs.len() == 1 && s.inputs[0].disk == 1));
     }
 
     #[test]
@@ -175,16 +149,23 @@ mod tests {
         let l = RaidX::new(4, 1, 240);
         // Disk 0's data has images on various disks; failing all other
         // disks in the row guarantees loss.
-        let res = plan_rebuild(&l, 0, &FaultSet::of(&[1, 2, 3]), 48);
-        let lost = res.unwrap_err();
-        assert!(!lost.is_empty());
+        let steps = plan_rebuild(&l, 0, &FaultSet::of(&[1, 2, 3]), 48);
+        assert!(steps.iter().all(|s| s.inputs.is_empty()));
+        assert_eq!(steps[0].lbs(&l), vec![0]);
+        // RAID-5 parity with a dead stripe member is lost too.
+        let r5 = Raid5::new(4, 100);
+        let steps = plan_rebuild(&r5, 3, &FaultSet::of(&[0]), 3);
+        assert_eq!(steps.len(), 1);
+        assert_eq!(steps[0].content, Content::Parity(0));
+        assert!(steps[0].inputs.is_empty());
+        assert_eq!(steps[0].lbs(&r5), vec![0, 1, 2]);
     }
 
     #[test]
     fn rebuild_respects_high_water_mark() {
         let l = RaidX::new(4, 1, 240);
-        let few = plan_rebuild(&l, 0, &FaultSet::none(), 8).unwrap();
-        let many = plan_rebuild(&l, 0, &FaultSet::none(), 80).unwrap();
+        let few = plan_rebuild(&l, 0, &FaultSet::none(), 8);
+        let many = plan_rebuild(&l, 0, &FaultSet::none(), 80);
         assert!(many.len() > few.len());
     }
 }
