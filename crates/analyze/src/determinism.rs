@@ -11,10 +11,6 @@
 //! * unordered-map bindings are tracked **per scope** — a `let` binding
 //!   is only a hazard source inside its enclosing function, while
 //!   struct fields and statics stay file-wide.
-//!
-//! Acknowledgement syntax: a `det-ok:` line comment on the
-//! hazard line or the line above suppresses it; a marker covering no
-//! hazard is flagged as stale. Doc comments are never acknowledgements.
 
 use crate::parser::{flatten, Item, ItemKind};
 use crate::{Finding, ParsedFile};
@@ -37,8 +33,6 @@ const UNORDERED_TYPES: [&str; 2] = [concat!("Hash", "Map"), concat!("Hash", "Set
 
 const ITER_METHODS: [&str; 7] =
     [".iter()", ".iter_mut()", ".values()", ".values_mut()", ".keys()", ".drain()", ".into_iter()"];
-
-const ACK_MARKER: &str = concat!("det", "-ok");
 
 /// Extract the identifier bound on a line declaring an unordered-map
 /// value: `foo: HashMap<…>`, `let foo = HashMap::new()`.
@@ -127,30 +121,26 @@ fn enclosing_fn(items: &[&Item], line: usize) -> Option<(usize, usize)> {
         .min_by_key(|&(a, b)| b - a)
 }
 
-/// One hazard before acknowledgement handling.
-struct RawHazard {
-    line: usize,
-    what: String,
-    snippet: String,
-}
-
-fn raw_hazards(pf: &ParsedFile) -> (Vec<RawHazard>, Vec<usize>) {
+/// Scan one parsed file for hazards (acknowledgement is the caller's
+/// job: [`crate::analyze_files`] applies the `lint-ok` markers).
+pub fn scan(pf: &ParsedFile) -> Vec<Finding> {
     let fns = flatten(&pf.items);
     let mut tracked: Vec<Tracked> = Vec::new();
-    let mut found: Vec<RawHazard> = Vec::new();
-    let mut acks: Vec<usize> = Vec::new(); // 1-based marker lines
+    let mut out: Vec<Finding> = Vec::new();
     for (idx, view) in pf.lex.lines.iter().enumerate() {
         let lineno = idx + 1;
         if pf.in_test(lineno) {
             continue;
         }
-        if !view.doc {
-            if let Some(comment) = view.comment.as_deref() {
-                if comment.contains(ACK_MARKER) {
-                    acks.push(lineno);
-                }
-            }
-        }
+        let mut hazard = |what: String| {
+            out.push(Finding {
+                rule: RULE,
+                file: pf.path.clone(),
+                line: lineno,
+                message: format!("{what} — {}", view.raw),
+                acknowledged: false,
+            });
+        };
         let line = view.code.as_str();
         if let Some(ident) = declared_ident(line) {
             // `let` bindings live to the end of the enclosing fn;
@@ -166,53 +156,15 @@ fn raw_hazards(pf: &ParsedFile) -> (Vec<RawHazard>, Vec<usize>) {
         }
         for pat in CLOCK_AND_ENTROPY {
             if line.contains(pat) {
-                found.push(RawHazard {
-                    line: lineno,
-                    what: format!("forbidden call {pat}"),
-                    snippet: view.raw.clone(),
-                });
+                hazard(format!("forbidden call {pat}"));
             }
         }
         for t in &tracked {
             if t.span.0 <= lineno && lineno <= t.span.1 && iterates(line, &t.ident) {
-                found.push(RawHazard {
-                    line: lineno,
-                    what: format!("unordered iteration of `{}`", t.ident),
-                    snippet: view.raw.clone(),
-                });
+                hazard(format!("unordered iteration of `{}`", t.ident));
             }
         }
     }
-    (found, acks)
-}
-
-/// Scan one parsed file, producing acknowledged/unacknowledged findings
-/// plus stale-acknowledgement findings.
-pub fn scan(pf: &ParsedFile) -> Vec<Finding> {
-    let (found, acks) = raw_hazards(pf);
-    let mut out = Vec::new();
-    for h in &found {
-        let acked = acks.iter().any(|&a| a == h.line || a + 1 == h.line);
-        out.push(Finding {
-            rule: RULE,
-            file: pf.path.clone(),
-            line: h.line,
-            message: format!("{} — {}", h.what, h.snippet),
-            acknowledged: acked,
-        });
-    }
-    for &a in &acks {
-        if !found.iter().any(|h| h.line == a || h.line == a + 1) {
-            out.push(Finding {
-                rule: RULE,
-                file: pf.path.clone(),
-                line: a,
-                message: format!("stale {ACK_MARKER} acknowledgement (no hazard in scope)"),
-                acknowledged: false,
-            });
-        }
-    }
-    out.sort_by_key(|f| f.line);
     out
 }
 
@@ -220,10 +172,9 @@ pub fn scan(pf: &ParsedFile) -> Vec<Finding> {
 mod tests {
     use super::*;
 
-    /// Unacknowledged findings (hazards and stale acks) in `src`.
+    /// Hazards found in `src`.
     fn open_findings(src: &str) -> Vec<Finding> {
-        let pf = ParsedFile::parse(&crate::SourceFile::new("x.rs", src));
-        scan(&pf).into_iter().filter(|f| !f.acknowledged).collect()
+        scan(&ParsedFile::parse(&crate::SourceFile::new("x.rs", src)))
     }
 
     #[test]
@@ -299,16 +250,6 @@ fn real() {}
     }
 
     #[test]
-    fn det_ok_ack_and_stale_detection() {
-        let acked = "let t = Instant::now(); // det-ok: canary\n";
-        assert!(open_findings(acked).is_empty());
-        let stale = "fn f() {\n    // det-ok: nothing here\n    let x = compute();\n}\n";
-        let h = open_findings(stale);
-        assert_eq!(h.len(), 1, "{h:?}");
-        assert!(h[0].message.contains("stale"));
-    }
-
-    #[test]
     fn hazards_in_strings_and_comments_are_not_findings() {
         let src = "\
 // the stopwatch .elapsed( reading happens in the driver
@@ -319,16 +260,5 @@ fn f() {
 }
 ";
         assert!(open_findings(src).is_empty());
-    }
-
-    #[test]
-    fn scan_reports_acknowledged_findings_too() {
-        let pf = crate::ParsedFile::parse(&crate::SourceFile::new(
-            "x.rs",
-            "let t = Instant::now(); // det-ok: canary\n",
-        ));
-        let f = scan(&pf);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].acknowledged);
     }
 }

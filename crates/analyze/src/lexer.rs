@@ -303,13 +303,13 @@ mod tests {
 
     #[test]
     fn strings_become_content_tokens() {
-        let fx = lex("call(\"op:{i}\", 2)");
+        let fx = lex("call(\"tag:{i}\", 2)");
         let strs: Vec<_> = fx.tokens.iter().filter(|t| t.kind == TokKind::Str).collect();
         assert_eq!(strs.len(), 1);
-        assert_eq!(strs[0].text, "op:{i}");
+        assert_eq!(strs[0].text, "tag:{i}");
         assert_eq!(strs[0].line, 1);
         // The line view blanks the content.
-        assert!(!fx.lines[0].code.contains("op:"), "{}", fx.lines[0].code);
+        assert!(!fx.lines[0].code.contains("tag:"), "{}", fx.lines[0].code);
     }
 
     #[test]

@@ -2,37 +2,33 @@
 //! raidx-analyze — parser-based whole-workspace static analysis.
 //!
 //! Dependency-free lexer + item-level parser over the workspace's Rust
-//! sources, plus the rule families run by verify pass 11
+//! sources, plus the three rule families run by verify pass 11
 //! (`static-analysis`):
 //!
 //! 1. `determinism` — scope-aware nondeterminism hazards (clock/entropy
 //!    calls, unordered HashMap/HashSet iteration tracked through
-//!    bindings), with item-granular `#[cfg(test)]` skipping and
-//!    `det-ok:` acknowledgements.
-//! 2. `fault-trigger` — every named trace-point trigger built for
-//!    `sim_core::fault::FaultPlan` must reference a point name actually
-//!    announced somewhere in the workspace.
-//! 3. `wildcard-match` — `_` / binding-wildcard arms are banned in
+//!    bindings), with item-granular `#[cfg(test)]` skipping.
+//! 2. `wildcard-match` — `_` / binding-wildcard arms are banned in
 //!    matches over safety-critical enums (`IoError`, `FaultEvent`,
 //!    `TracePoint`, `ReadSource`).
-//! 4. `lock-discipline` — in `crates/cdd`, every function that acquires
-//!    a lock-group grant must release/surrender it on all paths or
-//!    return the handle.
-//! 5. Hygiene gates — `module-size` (≤450-line cap with grandfathered
+//! 3. Hygiene gates — `module-size` (≤450-line cap with grandfathered
 //!    files), `no-unwrap` (`unwrap`/`expect` outside tests in
 //!    sim-core/cdd). Undocumented `pub` items are left to rustc's
 //!    `missing_docs` lint, which every crate enables.
 //!
+//! Invariants a type can hold are not rules here: a lock-group grant
+//! cannot leak because `cdd` code can only take one through
+//! `IoSystem::with_grant`, and a fault trigger cannot name a point nobody
+//! announces because `sim_core::FaultPlan` keys triggers by op index.
+//!
 //! Findings are acknowledged in source with a trailing
 //! `lint-ok(<rule>): reason` comment on the finding line or the line
-//! above (the determinism family keeps its historical `det-ok:`
-//! marker). Unused acknowledgements are themselves findings.
+//! above — one syntax for every rule. Unused acknowledgements are
+//! themselves findings (`stale-ack`).
 
-pub mod conformance;
 pub mod determinism;
 pub mod hygiene;
 pub mod lexer;
-pub mod lockcheck;
 pub mod matchexpr;
 pub mod parser;
 pub mod wildcard;
@@ -106,7 +102,7 @@ impl ParsedFile {
 }
 
 // The ack marker is assembled from pieces so the analyzer never flags
-// its own definition (the same trick the determinism marker uses).
+// its own definition.
 const LINT_OK: &str = concat!("lint", "-ok(");
 
 /// Rules acknowledged by a `lint-ok(<rule>): …` comment covering `line`
@@ -139,9 +135,6 @@ fn acks_covering(pf: &ParsedFile, line: usize) -> Vec<String> {
 /// stale-ack finding for every marker that suppressed nothing.
 fn apply_acks(files: &[ParsedFile], findings: &mut Vec<Finding>) {
     for f in findings.iter_mut() {
-        if f.acknowledged {
-            continue; // the rule's own marker already acknowledged it
-        }
         if let Some(pf) = files.iter().find(|p| p.path == f.file) {
             if acks_covering(pf, f.line).iter().any(|r| r == f.rule) {
                 f.acknowledged = true;
@@ -181,10 +174,6 @@ fn apply_acks(files: &[ParsedFile], findings: &mut Vec<Finding>) {
 }
 
 /// Run every rule family over the given in-memory files.
-///
-/// Cross-file rules (fault-trigger conformance) see exactly this set,
-/// so canary tests can plant a trigger with or without its announce
-/// site.
 pub fn analyze_files(files: &[SourceFile]) -> Vec<Finding> {
     let parsed: Vec<ParsedFile> = files.iter().map(ParsedFile::parse).collect();
     let mut findings = Vec::new();
@@ -192,11 +181,7 @@ pub fn analyze_files(files: &[SourceFile]) -> Vec<Finding> {
         findings.extend(determinism::scan(pf));
         findings.extend(wildcard::scan(pf));
         findings.extend(hygiene::scan(pf));
-        if pf.path.starts_with("cdd/") {
-            findings.extend(lockcheck::scan(pf));
-        }
     }
-    findings.extend(conformance::scan(&parsed));
     apply_acks(&parsed, &mut findings);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
@@ -247,15 +232,20 @@ mod tests {
 
     #[test]
     fn lint_ok_ack_suppresses_and_stale_ack_flags() {
-        // Planted unwrap in a non-test sim-core file, acknowledged.
+        // Planted unwrap and wall-clock read in a non-test sim-core file,
+        // each acknowledged under its own rule by the one marker syntax.
         let acked = SourceFile::new(
             "sim-core/src/canary.rs",
-            "pub fn f(v: Option<u32>) -> u32 {\n    v.unwrap() // lint-ok(no-unwrap): canary\n}\n",
+            "pub fn f(v: Option<u32>) -> u32 {\n    \
+             // lint-ok(determinism): canary\n    let t = Instant::now();\n    \
+             v.unwrap() // lint-ok(no-unwrap): canary\n}\n",
         );
         let findings = analyze_files(&[acked]);
-        let unwraps: Vec<_> = findings.iter().filter(|f| f.rule == "no-unwrap").collect();
-        assert_eq!(unwraps.len(), 1);
-        assert!(unwraps[0].acknowledged);
+        for rule in ["no-unwrap", "determinism"] {
+            let hits: Vec<_> = findings.iter().filter(|f| f.rule == rule).collect();
+            assert_eq!(hits.len(), 1, "{rule}: {findings:?}");
+            assert!(hits[0].acknowledged, "{rule}");
+        }
         assert!(!findings.iter().any(|f| f.rule == "stale-ack"));
 
         // A marker that covers nothing is flagged as stale.

@@ -2,9 +2,8 @@
 //!
 //! Not a full Rust grammar — just enough structure for whole-workspace
 //! lint rules: the item tree (modules, functions, impls, structs, enums,
-//! traits, consts) with line spans; `#[cfg(test)]` scoping at item
-//! granularity; and match expressions with their arm patterns. Everything operates on token
-//! indices into the file's stream, so rules can re-scan any region.
+//! traits, consts) with line spans, and `#[cfg(test)]` scoping at item
+//! granularity. Match expressions are [`crate::matchexpr`]'s.
 
 use crate::lexer::{FileLex, TokKind, Token};
 
@@ -38,19 +37,12 @@ pub enum ItemKind {
 pub struct Item {
     /// The item's kind.
     pub kind: ItemKind,
-    /// Declared name (impl blocks: the headline type path; empty when
-    /// anonymous).
-    pub name: String,
     /// Item (or an ancestor) carries `#[cfg(test)]`.
     pub cfg_test: bool,
     /// 1-based line of the item keyword.
     pub line: usize,
     /// 1-based line of the item's last token.
     pub end_line: usize,
-    /// Token range of the signature (keyword up to the body brace).
-    pub sig: (usize, usize),
-    /// Token index range of the `{ … }` body interior, if any.
-    pub body: Option<(usize, usize)>,
     /// Child items (modules, impl and trait bodies).
     pub children: Vec<Item>,
 }
@@ -211,13 +203,6 @@ fn parse_item(
     cfg_test: bool,
 ) -> (Item, usize) {
     let line = toks[kw].line;
-    // Name: first ident after the keyword (macro_rules: after the `!`).
-    let name = (kw + 1..end.min(kw + 4))
-        .find_map(|k| {
-            let t = &toks[k];
-            (t.kind == TokKind::Ident && !t.is_ident("for")).then(|| t.text.clone())
-        })
-        .unwrap_or_default();
     // Scan to the body `{` or the terminating `;` at group depth 0.
     let mut depth = 0i32;
     let mut j = kw + 1;
@@ -256,7 +241,6 @@ fn parse_item(
         }
         j += 1;
     }
-    let sig_end = body.map(|(b, _)| b.saturating_sub(1)).unwrap_or(past.saturating_sub(1));
     let children = match (kind, body) {
         (ItemKind::Mod | ItemKind::Impl | ItemKind::Trait, Some((b, e))) => {
             parse_range(toks, b, e, cfg_test)
@@ -264,7 +248,7 @@ fn parse_item(
         _ => Vec::new(),
     };
     let end_line = toks.get(past.saturating_sub(1)).map(|t| t.line).unwrap_or(line);
-    (Item { kind, name, cfg_test, line, end_line, sig: (kw, sig_end), body, children }, past)
+    (Item { kind, cfg_test, line, end_line, children }, past)
 }
 
 #[cfg(test)]
@@ -285,13 +269,16 @@ pub struct After;
         let fx = lex(src);
         let items = parse_items(&fx);
         let flat = flatten(&items);
-        let names: Vec<_> = flat.iter().map(|i| i.name.as_str()).collect();
-        assert_eq!(names, vec!["documented", "tests", "inner", "After"]);
+        let shape: Vec<_> = flat.iter().map(|i| (i.kind, i.line)).collect();
+        assert_eq!(
+            shape,
+            vec![(ItemKind::Fn, 1), (ItemKind::Mod, 3), (ItemKind::Fn, 4), (ItemKind::Struct, 6)]
+        );
         let spans = test_line_spans(&items);
         assert!(in_spans(&spans, 4), "{spans:?}");
         assert!(!in_spans(&spans, 6), "{spans:?}");
         // Code *after* a test module is still parsed (item granularity).
-        assert!(flat.iter().any(|i| i.name == "After" && !i.cfg_test));
+        assert!(flat.iter().any(|i| i.kind == ItemKind::Struct && !i.cfg_test));
     }
 
     #[test]
@@ -310,8 +297,8 @@ impl std::fmt::Display for S {
         let items = parse_items(&fx);
         let kinds: Vec<_> = items.iter().map(|i| i.kind).collect();
         assert_eq!(kinds, vec![ItemKind::Struct, ItemKind::Impl, ItemKind::Impl]);
-        assert_eq!(items[1].children[0].name, "a");
-        assert_eq!(items[2].children[0].name, "fmt");
+        assert_eq!((items[1].children[0].kind, items[1].children[0].line), (ItemKind::Fn, 4));
+        assert_eq!((items[2].children[0].kind, items[2].children[0].line), (ItemKind::Fn, 7));
     }
 
     #[test]
@@ -319,7 +306,7 @@ impl std::fmt::Display for S {
         let src = "const X: u64 = { 3 + 4 };\npub fn after() {}\n";
         let fx = lex(src);
         let items = parse_items(&fx);
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[1].name, "after");
+        let shape: Vec<_> = items.iter().map(|i| (i.kind, i.line)).collect();
+        assert_eq!(shape, vec![(ItemKind::Const, 1), (ItemKind::Fn, 2)]);
     }
 }

@@ -22,7 +22,7 @@ fn raw_strings_with_hash_depths_hide_hazards_and_acks() {
     let src = r####"
 fn f() -> (&'static str, &'static str) {
     let a = r#"Instant::now() inside raw "text""#;
-    let b = r##"SystemTime with // det-ok: not an ack"##;
+    let b = r##"SystemTime with // lint-ok(determinism): not an ack"##;
     (a, b)
 }
 "####;

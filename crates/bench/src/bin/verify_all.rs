@@ -102,10 +102,10 @@ fn main() {
     let mut timings: Vec<(&str, f64)> = Vec::new();
     let mut reports: Vec<PassReport> = Vec::new();
     for name in &selected {
-        // det-ok: wall-clock spent per pass is reporting, not simulation.
+        // lint-ok(determinism): wall-clock spent per pass is reporting, not simulation.
         let t0 = std::time::Instant::now();
         let mut p = run_pass(name, cli.budget, cli.smoke);
-        // det-ok: wall-clock readout of the per-pass stopwatch above.
+        // lint-ok(determinism): wall-clock readout of the per-pass stopwatch above.
         let secs = t0.elapsed().as_secs_f64();
         p.secs = Some(secs);
         timings.push((name, secs));

@@ -46,16 +46,6 @@ pub fn build_store(
     }
 }
 
-/// Build with a custom CDD configuration (for the ablations).
-pub fn build_store_with(
-    engine: &mut Engine,
-    cc: ClusterConfig,
-    arch: Arch,
-    cdd: CddConfig,
-) -> Box<dyn BlockStore> {
-    Box::new(IoSystem::new(engine, cc, arch, cdd))
-}
-
 /// Map `f` over `items` on a scoped worker pool (simulations are
 /// independent and CPU-bound, so sweeps scale with cores). Result order
 /// matches input order.

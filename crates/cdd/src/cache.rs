@@ -29,8 +29,6 @@
 
 use std::collections::BTreeMap;
 
-use sim_core::metrics::MetricsRegistry;
-
 use crate::system::IoSystem;
 
 /// Tunables of the per-client block cache (see
@@ -64,20 +62,6 @@ pub struct CacheStats {
     /// Fill blocks dropped because the range was invalidated between
     /// [`CacheSet::begin_fill`] and [`CacheSet::commit_fill`].
     pub fill_aborts: u64,
-}
-
-impl CacheStats {
-    /// Export every counter into `reg` under the `cdd.cache_*` names —
-    /// the bridge from the cache to the [`sim_core::metrics`] plane the
-    /// exporters read.
-    pub fn export_into(&self, reg: &mut MetricsRegistry) {
-        reg.set_counter("cdd.cache_hits", self.hits);
-        reg.set_counter("cdd.cache_misses", self.misses);
-        reg.set_counter("cdd.cache_invalidations", self.invalidations);
-        reg.set_counter("cdd.cache_evictions", self.evictions);
-        reg.set_counter("cdd.cache_flushes", self.flushes);
-        reg.set_counter("cdd.cache_fill_aborts", self.fill_aborts);
-    }
 }
 
 /// Epoch snapshot taken before an array read whose result may be cached.

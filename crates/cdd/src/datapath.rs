@@ -81,36 +81,37 @@ impl IoSystem {
             }
         }
 
-        // Consistency module: atomically acquire the lock group, held for
-        // the duration of the (logically instantaneous) functional update.
-        let lock = self.locks.acquire(client, lb0, nblocks).map_err(IoError::Lock)?;
-        self.sample_locks();
-        // Protocol trace: the whole op shares one synthetic tick, in
-        // program order grant → write → surrenders → release.
-        let tick = if self.tracer.is_some() { Some(self.next_op_tick()) } else { None };
-        let actor = hb::client_actor(client);
-        if let Some(at) = tick {
-            self.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Acquire);
-        }
-        let mut surrendered = if tick.is_some() { Some(Vec::new()) } else { None };
-        let result =
-            self.write_locked(client, &eff_slots, lb0, nblocks, data, surrendered.as_mut());
-        // Coherence: the write grant doubles as the invalidation
-        // broadcast through the replicated lock-group table — every
-        // client's cached copy of the range is dropped while the grant
-        // is still held, even if the write itself failed partway.
-        self.cache_invalidate(lb0, nblocks);
-        self.locks.release(lock);
-        if let Some(at) = tick {
-            if result.is_ok() {
-                self.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Write);
-                for lb in surrendered.as_deref().unwrap_or(&[]) {
-                    self.trace_access(at, actor, hb::image_cell(*lb), 1, AccessKind::Write);
-                }
+        // Consistency module: the lock group is held for the duration of
+        // the (logically instantaneous) functional update.
+        let written = self.with_grant(client, lb0, nblocks, |sys| {
+            sys.sample_locks();
+            // Protocol trace: the whole op shares one synthetic tick, in
+            // program order grant → write → surrenders → release.
+            let tick = if sys.tracer.is_some() { Some(sys.next_op_tick()) } else { None };
+            let actor = hb::client_actor(client);
+            if let Some(at) = tick {
+                sys.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Acquire);
             }
-            self.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Release);
-        }
-        let body = match result {
+            let mut surrendered = if tick.is_some() { Some(Vec::new()) } else { None };
+            let result =
+                sys.write_locked(client, &eff_slots, lb0, nblocks, data, surrendered.as_mut());
+            // Coherence: the write grant doubles as the invalidation
+            // broadcast through the replicated lock-group table — every
+            // client's cached copy of the range is dropped while the grant
+            // is still held, even if the write itself failed partway.
+            sys.cache_invalidate(lb0, nblocks);
+            if let Some(at) = tick {
+                if result.is_ok() {
+                    sys.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Write);
+                    for lb in surrendered.as_deref().unwrap_or(&[]) {
+                        sys.trace_access(at, actor, hb::image_cell(*lb), 1, AccessKind::Write);
+                    }
+                }
+                sys.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Release);
+            }
+            result
+        });
+        let body = match written {
             Ok(body) => body,
             Err(IoError::DataLoss { lb }) => return Err(self.classify_loss(client, lb)),
             Err(e) => return Err(e),
@@ -372,8 +373,8 @@ impl IoSystem {
             chain.push(par(branches));
         }
         if self.tracer.is_some() {
-            // Reads are lock-free by design; the trace point lets the
-            // analyzer's (off-by-default) read/write auditor see them.
+            // Reads are lock-free by design; the trace point feeds the
+            // analyzer's same-tick auditor.
             let at = self.next_op_tick();
             self.trace_access(
                 at,

@@ -3,11 +3,11 @@
 //! [`FaultInjector`] binds a [`sim_core::FaultPlan`] of [`FaultEvent`]s
 //! to a live [`IoSystem`]: timed events fire when the engine's clock is
 //! driven past their deadline (via [`sim_core::Engine::run_until`]),
-//! point events fire when the workload announces a named trace point
-//! ([`FaultInjector::hit_point`]). Because both the schedule and the
-//! engine are deterministic, the same seed plus the same plan replays
-//! the exact same failure — the property the `fault-sweep` verify pass
-//! fingerprints.
+//! op events fire when the scripted workload announces the index of the
+//! op it is about to issue ([`FaultInjector::hit_op`]). Because both the
+//! schedule and the engine are deterministic, the same seed plus the same
+//! plan replays the exact same failure — the property the `fault-sweep`
+//! verify pass fingerprints.
 //!
 //! Events split into *damage* (disk fail, transient offline, NIC
 //! partition, node crash, disk slowdown) and *repair* (transient
@@ -107,25 +107,20 @@ pub enum FaultEvent {
 }
 
 /// Executes a [`FaultPlan`] of [`FaultEvent`]s against an engine and an
-/// I/O system, recording what fired when.
+/// I/O system.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan<FaultEvent>,
-    fired: Vec<(SimTime, FaultEvent)>,
 }
 
 impl FaultInjector {
     /// Wrap a prepared fault plan.
     pub fn new(plan: FaultPlan<FaultEvent>) -> Self {
-        FaultInjector { plan, fired: Vec::new() }
+        FaultInjector { plan }
     }
 
-    /// Events applied so far, in firing order with their sim times.
-    pub fn fired(&self) -> &[(SimTime, FaultEvent)] {
-        &self.fired
-    }
-
-    /// Timed events not yet fired.
+    /// Events not yet fired, timed and op-triggered alike. Non-zero after
+    /// a script ends means a trigger named an op the script never reached.
     pub fn pending(&self) -> usize {
         self.plan.pending()
     }
@@ -141,30 +136,30 @@ impl FaultInjector {
         let due = self.plan.take_due(engine.now());
         let n = due.len();
         for ev in due {
-            self.apply(ev, engine, sys)?;
+            apply(ev, engine, sys)?;
         }
         Ok(n)
     }
 
-    /// Announce a named trace point (e.g. `"op:7"`); fires any fault
-    /// scheduled for this occurrence of the point. Returns how many fired.
-    pub fn hit_point(
+    /// Announce that the workload is about to issue op number `op`;
+    /// fires every fault scheduled for it. Returns how many fired.
+    pub fn hit_op(
         &mut self,
-        name: &str,
+        op: u64,
         engine: &mut Engine,
         sys: &mut IoSystem,
     ) -> Result<usize, IoError> {
-        let due = self.plan.hit_point(name);
+        let due = self.plan.hit_op(op);
         let n = due.len();
         for ev in due {
-            self.apply(ev, engine, sys)?;
+            apply(ev, engine, sys)?;
         }
         Ok(n)
     }
 
     /// Drive the engine through every remaining *timed* trigger: run the
-    /// clock up to each deadline, fire, repeat. Point triggers are not
-    /// consumed (only the workload can hit those). The caller finishes
+    /// clock up to each deadline, fire, repeat. Op triggers are not
+    /// consumed (only the workload can reach those). The caller finishes
     /// the run with `engine.run()` afterwards.
     pub fn drain_timed(&mut self, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), IoError> {
         while let Some(t) = self.plan.next_time() {
@@ -173,62 +168,56 @@ impl FaultInjector {
         }
         Ok(())
     }
+}
 
-    fn apply(
-        &mut self,
-        ev: FaultEvent,
-        engine: &mut Engine,
-        sys: &mut IoSystem,
-    ) -> Result<(), IoError> {
-        self.fired.push((engine.now(), ev.clone()));
-        match ev {
-            FaultEvent::DiskFail { disk } => sys.fail_disk(disk),
-            FaultEvent::DiskTransient { disk } => sys.fail_disk_transient(disk),
-            FaultEvent::DiskRecover { disk, client } => {
-                let (plan, _) = sys.recover_disk_transient(client, disk)?;
-                engine.spawn_job(format!("recovery/disk{disk}"), plan);
-            }
-            FaultEvent::DiskSlow { disk, factor } => {
-                engine.set_resource_slowdown(sys.cluster.disks[disk].res, factor);
-            }
-            FaultEvent::NicPartition { node } => sys.partition_node(node),
-            FaultEvent::NicHeal { node, client } => {
-                sys.heal_node(node);
-                // Copies skipped while the node was unreachable are stale;
-                // resync every parked disk it hosts (the disks themselves
-                // stayed healthy, so resync is legal immediately).
-                for disk in 0..sys.cluster.ndisks() {
-                    if sys.cluster.node_of_disk(disk) == node
-                        && sys.parked_blocks(disk) > 0
-                        && !sys.faults().contains(disk)
-                        && !sys.offline_disks().contains(disk)
-                    {
-                        let (plan, _) = sys.resync_parked(client, disk)?;
-                        engine.spawn_job(format!("recovery/heal{node}-disk{disk}"), plan);
-                    }
-                }
-            }
-            FaultEvent::NodeCrash { node } => sys.crash_node(node),
-            FaultEvent::DiskAdd { client } => {
-                sys.add_disk(engine, client)?;
-            }
-            FaultEvent::DiskRemove { disk, client } => {
-                sys.remove_disk(client, disk)?;
-            }
-            FaultEvent::DiskReplace { disk, client } => {
-                sys.replace_disk(engine, client, disk)?;
-            }
-            FaultEvent::NodeRestart { node, client } => {
-                sys.heal_node(node);
-                for disk in 0..sys.cluster.ndisks() {
-                    if sys.cluster.node_of_disk(disk) == node && sys.offline_disks().contains(disk)
-                    {
-                        let (plan, _) = sys.recover_disk_transient(client, disk)?;
-                        engine.spawn_job(format!("recovery/restart{node}-disk{disk}"), plan);
-                    }
+/// Apply one fault event to the system under test.
+fn apply(ev: FaultEvent, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), IoError> {
+    match ev {
+        FaultEvent::DiskFail { disk } => sys.fail_disk(disk),
+        FaultEvent::DiskTransient { disk } => sys.fail_disk_transient(disk),
+        FaultEvent::DiskRecover { disk, client } => {
+            let (plan, _) = sys.recover_disk_transient(client, disk)?;
+            engine.spawn_job(format!("recovery/disk{disk}"), plan);
+        }
+        FaultEvent::DiskSlow { disk, factor } => {
+            engine.set_resource_slowdown(sys.cluster.disks[disk].res, factor);
+        }
+        FaultEvent::NicPartition { node } => sys.partition_node(node),
+        FaultEvent::NicHeal { node, client } => {
+            sys.heal_node(node);
+            // Copies skipped while the node was unreachable are stale;
+            // resync every parked disk it hosts (the disks themselves
+            // stayed healthy, so resync is legal immediately).
+            for disk in 0..sys.cluster.ndisks() {
+                if sys.cluster.node_of_disk(disk) == node
+                    && sys.parked_blocks(disk) > 0
+                    && !sys.faults().contains(disk)
+                    && !sys.offline_disks().contains(disk)
+                {
+                    let (plan, _) = sys.resync_parked(client, disk)?;
+                    engine.spawn_job(format!("recovery/heal{node}-disk{disk}"), plan);
                 }
             }
         }
-        Ok(())
+        FaultEvent::NodeCrash { node } => sys.crash_node(node),
+        FaultEvent::DiskAdd { client } => {
+            sys.add_disk(engine, client)?;
+        }
+        FaultEvent::DiskRemove { disk, client } => {
+            sys.remove_disk(client, disk)?;
+        }
+        FaultEvent::DiskReplace { disk, client } => {
+            sys.replace_disk(engine, client, disk)?;
+        }
+        FaultEvent::NodeRestart { node, client } => {
+            sys.heal_node(node);
+            for disk in 0..sys.cluster.ndisks() {
+                if sys.cluster.node_of_disk(disk) == node && sys.offline_disks().contains(disk) {
+                    let (plan, _) = sys.recover_disk_transient(client, disk)?;
+                    engine.spawn_job(format!("recovery/restart{node}-disk{disk}"), plan);
+                }
+            }
+        }
     }
+    Ok(())
 }

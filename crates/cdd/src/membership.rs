@@ -160,18 +160,17 @@ impl IoSystem {
     /// roster epoch. The disk serves no placement until a later
     /// [`IoSystem::remove_disk`] promotes it.
     pub fn add_disk(&mut self, engine: &mut Engine, client: usize) -> Result<usize, IoError> {
-        let lock =
-            self.locks.acquire(client, EPOCH_META_LB, EPOCH_META_SPAN).map_err(IoError::Lock)?;
-        let g = self.cluster.add_disk(engine);
-        let p = self.plane.add_disk();
-        let s = self.placer.add_spare();
-        debug_assert!(g == p && p == s, "disk id spaces diverged: {g}/{p}/{s}");
-        // Membership epoch bump: flush every client's cache while the
-        // meta lock is held, preserving the StaleEpoch admission story —
-        // no cached extent may straddle an epoch transition.
-        self.cache_flush_all();
-        self.locks.release(lock);
-        Ok(g)
+        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys| {
+            let g = sys.cluster.add_disk(engine);
+            let p = sys.plane.add_disk();
+            let s = sys.placer.add_spare();
+            debug_assert!(g == p && p == s, "disk id spaces diverged: {g}/{p}/{s}");
+            // Membership epoch bump: flush every client's cache while the
+            // meta lock is held, preserving the StaleEpoch admission story —
+            // no cached extent may straddle an epoch transition.
+            sys.cache_flush_all();
+            Ok(g)
+        })
     }
 
     /// Remove (retire) active physical disk `phys` from the array,
@@ -194,8 +193,16 @@ impl IoSystem {
         let slot = self.placer.map().slot_of(phys).expect("can only remove an active disk"); // lint-ok(no-unwrap): operator-error invariant documented on the method
         let spare =
             self.placer.map().first_spare().expect("removing a disk requires a registered spare"); // lint-ok(no-unwrap): operator-error invariant documented on the method
-        let lock =
-            self.locks.acquire(client, EPOCH_META_LB, EPOCH_META_SPAN).map_err(IoError::Lock)?;
+        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys| {
+            sys.promote_spare(slot, phys, spare);
+            Ok(spare)
+        })
+    }
+
+    /// The epoch transition of [`IoSystem::remove_disk`], run under the
+    /// meta lock: rebind `slot` from `phys` to `spare` and record what
+    /// must migrate.
+    fn promote_spare(&mut self, slot: usize, phys: usize, spare: usize) {
         let old_dead = self.plane.is_failed(phys) || self.plane.is_offline(phys);
 
         let parked_old: BTreeSet<u64> = self.parked.remove(&phys).unwrap_or_default();
@@ -240,8 +247,6 @@ impl IoSystem {
         // Epoch transition: cached extents must not survive a placement
         // change (same rule as `add_disk`).
         self.cache_flush_all();
-        self.locks.release(lock);
-        Ok(spare)
     }
 
     /// Replace active physical disk `phys` with a freshly added blank

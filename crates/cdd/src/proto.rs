@@ -204,7 +204,6 @@ impl Model for CddModel {
                             .is_some_and(|r| r.owner == t && r.start <= lb && lb < r.start + r.len)
                     });
                     if !covered {
-                        // lint-ok(lock-discipline): grants live in client state until Release
                         return Err(format!(
                             "client {t} writes block {lb} without a covering grant"
                         ));

@@ -32,11 +32,9 @@ impl IoSystem {
         let Some(m) = self.placer.migration().cloned() else {
             return self.restore(client, &[], None);
         };
-        let lock =
-            self.locks.acquire(client, EPOCH_META_LB, EPOCH_META_SPAN).map_err(IoError::Lock)?;
-        let result = self.rebalance_locked(client, &m, step_limit);
-        self.locks.release(lock);
-        result
+        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys| {
+            sys.rebalance_locked(client, &m, step_limit)
+        })
     }
 
     fn rebalance_locked(

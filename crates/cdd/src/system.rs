@@ -67,7 +67,9 @@ pub struct IoSystem {
     /// logical blocks whose copy there was skipped and must be restored
     /// on recovery.
     pub(crate) parked: BTreeMap<usize, BTreeSet<u64>>,
-    pub(crate) locks: LockGroupTable,
+    /// The lock-group table. Private: every grant goes through
+    /// [`IoSystem::with_grant`], which cannot leak one.
+    locks: LockGroupTable,
     pub(crate) high_water: u64,
     /// Data-plane write-behind buffer of the OSM image path (addresses
     /// are physical, so disk-level drains match the fault state).
@@ -284,10 +286,21 @@ impl IoSystem {
         self.locks.conflicts()
     }
 
-    /// Lock-group records currently held (diagnostics; normally zero at
-    /// rest since grants are scoped to each functional call).
-    pub fn locks_held(&self) -> usize {
-        self.locks.held().count()
+    /// Consistency module: atomically acquire write permission on
+    /// `[start, start+len)` for `client`, run `body` under the grant, and
+    /// release it whatever `body` returned. The only way cdd code takes a
+    /// lock group, so no path can hold one past the functional update.
+    pub(crate) fn with_grant<R>(
+        &mut self,
+        client: usize,
+        start: u64,
+        len: u64,
+        body: impl FnOnce(&mut Self) -> Result<R, IoError>,
+    ) -> Result<R, IoError> {
+        let grant = self.locks.acquire(client, start, len).map_err(IoError::Lock)?;
+        let result = body(self);
+        self.locks.release(grant);
+        result
     }
 
     /// Start recording per-op lock-table occupancy and image-backlog

@@ -137,6 +137,11 @@ fn reconfig_agrees_with_model(name: &str, fail_before_remove: bool) {
             );
         }
         sys.scrub().expect("redundancy must hold after migration");
+        // Every transition above ran under client 0's meta grant and
+        // released it: another client's transition is not refused.
+        let grants = sys.lock_grants();
+        sys.add_disk(&mut engine, 1).expect("add/remove/rebalance leaked the meta grant");
+        assert_eq!(sys.lock_grants(), grants + 1);
     });
 }
 

@@ -206,6 +206,23 @@ fn lock_grants_counted_per_write() {
     s.write(1, 8, &pattern(8, 4, bs)).unwrap();
     assert_eq!(s.lock_grants(), 2);
     assert_eq!(s.high_water(), 12);
+
+    // A write that fails inside its grant still releases it. Block 3
+    // loses both copies, so client 0's write of [0, 4) is DataLoss — yet
+    // client 1's overlapping write of a surviving block is not refused.
+    let lost = [s.layout().locate_data(3).disk, s.layout().locate_images(3)[0].disk];
+    lost.iter().for_each(|&d| s.fail_disk(d));
+    assert!(matches!(s.write(0, 0, &pattern(0, 4, bs)), Err(IoError::DataLoss { .. })));
+    assert_eq!(s.lock_grants(), 3, "the failed write was granted its group");
+    let survivor = (0..3)
+        .find(|&lb| {
+            let l = s.layout();
+            let mut copies = l.locate_images(lb);
+            copies.push(l.locate_data(lb));
+            copies.iter().any(|a| !lost.contains(&a.disk))
+        })
+        .expect("two failures cannot take every block of a 4-disk stripe");
+    s.write(1, survivor, &pattern(survivor, 1, bs)).expect("failed write leaked its grant");
 }
 
 #[test]

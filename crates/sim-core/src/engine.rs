@@ -226,7 +226,7 @@ impl Engine {
     pub fn plan_context(&self) -> PlanContext {
         PlanContext {
             resources: self.resources.len(),
-            // det-ok: collected into another map, order cannot be observed.
+            // lint-ok(determinism): collected into another map, order cannot be observed.
             barriers: self.barriers.iter().map(|(&id, b)| (id, b.needed)).collect(),
         }
     }
@@ -342,11 +342,6 @@ impl Engine {
         &self.resources[id.index()].stats
     }
 
-    /// Name given to a resource at registration.
-    pub fn resource_name(&self, id: ResourceId) -> &str {
-        &self.resources[id.index()].name
-    }
-
     /// Iterate over `(id, name, stats)` for every resource.
     pub fn resources(&self) -> impl Iterator<Item = (ResourceId, &str, &ResourceStats)> {
         self.resources
@@ -381,7 +376,7 @@ impl Engine {
 
     fn diagnose_stall(&self) -> String {
         let mut waiting_barrier = 0usize;
-        // det-ok: commutative sum, iteration order cannot be observed.
+        // lint-ok(determinism): commutative sum, iteration order cannot be observed.
         for b in self.barriers.values() {
             waiting_barrier += b.waiting.len();
         }

@@ -1,10 +1,10 @@
 //! Deterministic fault scheduling: the [`FaultPlan`].
 //!
 //! A fault plan is a script of events to fire *during* engine execution,
-//! either at exact simulated times or at named trace points (e.g. "the
-//! third time op 7 is issued"). The plan itself is payload-agnostic —
-//! `sim-core` knows nothing about disks or NICs — so the storage layer
-//! defines its own fault event type and drives the plan through
+//! either at exact simulated times or when a scripted workload reaches a
+//! given op index. The plan itself is payload-agnostic — `sim-core` knows
+//! nothing about disks or NICs — so the storage layer defines its own
+//! fault event type and drives the plan through
 //! [`Engine::run_until`](crate::Engine::run_until): run up to the next
 //! scheduled time, take the due events, apply them to the system under
 //! test, continue. Because both triggers are expressed in simulated time
@@ -12,49 +12,20 @@
 //! produce the same execution — the property the fault-sweep verify pass
 //! fingerprints.
 
-use std::collections::BTreeMap;
-
 use crate::time::SimTime;
-
-/// When a scheduled fault fires.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultTrigger {
-    /// At an exact simulated time (fires the first time the clock reaches
-    /// it; drive the engine with [`crate::Engine::run_until`] to land on
-    /// the exact nanosecond).
-    At(SimTime),
-    /// On the `hit`-th occurrence (1-based) of a named trace point, as
-    /// counted by [`FaultPlan::hit_point`].
-    AtPoint {
-        /// Trace-point name (e.g. `"op:3"`, `"rebuild-batch"`).
-        point: String,
-        /// Which occurrence fires the fault (1 = the first hit).
-        hit: u64,
-    },
-}
-
-/// One scheduled fault: a trigger and an opaque payload.
-#[derive(Debug, Clone)]
-pub struct ScheduledFault<F> {
-    /// When it fires.
-    pub trigger: FaultTrigger,
-    /// What fires (interpreted by the layer that owns the plan).
-    pub fault: F,
-}
 
 /// A deterministic schedule of fault events.
 ///
 /// Time-triggered events pop in `(time, insertion order)` order via
-/// [`FaultPlan::take_due`]; point-triggered events pop when their named
-/// point reaches the scheduled hit count via [`FaultPlan::hit_point`].
+/// [`FaultPlan::take_due`]; op-triggered events pop when the workload
+/// announces their op index via [`FaultPlan::hit_op`]. An op index the
+/// workload never reaches stays [`pending`](FaultPlan::pending).
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan<F> {
     /// Time-triggered events, kept sorted by `(time, seq)`.
     timed: Vec<(SimTime, u64, F)>,
-    /// Point-triggered events.
-    pointed: Vec<(String, u64, F)>,
-    /// Occurrence counters per point name.
-    hits: BTreeMap<String, u64>,
+    /// Op-triggered events, in insertion order.
+    at_ops: Vec<(u64, F)>,
     /// Insertion counter (stable tie-break for equal times).
     seq: u64,
 }
@@ -62,7 +33,7 @@ pub struct FaultPlan<F> {
 impl<F> FaultPlan<F> {
     /// An empty plan.
     pub fn new() -> Self {
-        FaultPlan { timed: Vec::new(), pointed: Vec::new(), hits: BTreeMap::new(), seq: 0 }
+        FaultPlan { timed: Vec::new(), at_ops: Vec::new(), seq: 0 }
     }
 
     /// Schedule `fault` at simulated time `t`.
@@ -74,20 +45,11 @@ impl<F> FaultPlan<F> {
         self
     }
 
-    /// Schedule `fault` on the `hit`-th occurrence (1-based) of the named
-    /// trace point.
-    pub fn at_point(&mut self, point: impl Into<String>, hit: u64, fault: F) -> &mut Self {
-        assert!(hit >= 1, "point hits are 1-based");
-        self.pointed.push((point.into(), hit, fault));
+    /// Schedule `fault` just before op number `op` (0-based) of the
+    /// scripted workload.
+    pub fn at_op(&mut self, op: u64, fault: F) -> &mut Self {
+        self.at_ops.push((op, fault));
         self
-    }
-
-    /// Schedule `fault` via an explicit [`FaultTrigger`].
-    pub fn schedule(&mut self, sf: ScheduledFault<F>) -> &mut Self {
-        match sf.trigger {
-            FaultTrigger::At(t) => self.at(t, sf.fault),
-            FaultTrigger::AtPoint { point, hit } => self.at_point(point, hit, sf.fault),
-        }
     }
 
     /// Earliest still-pending time trigger.
@@ -102,33 +64,18 @@ impl<F> FaultPlan<F> {
         self.timed.drain(..n).map(|(_, _, f)| f).collect()
     }
 
-    /// Record one occurrence of the named trace point and pop every fault
-    /// scheduled for exactly this occurrence.
-    pub fn hit_point(&mut self, point: &str) -> Vec<F> {
-        let count = self.hits.entry(point.to_string()).or_insert(0);
-        *count += 1;
-        let now = *count;
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < self.pointed.len() {
-            if self.pointed[i].0 == point && self.pointed[i].1 == now {
-                let (_, _, f) = self.pointed.remove(i);
-                due.push(f);
-            } else {
-                i += 1;
-            }
-        }
-        due
+    /// The workload is about to issue op number `op`: pop every fault
+    /// scheduled for it, in insertion order.
+    pub fn hit_op(&mut self, op: u64) -> Vec<F> {
+        let (due, rest): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.at_ops).into_iter().partition(|(at, _)| *at == op);
+        self.at_ops = rest;
+        due.into_iter().map(|(_, f)| f).collect()
     }
 
-    /// Number of the named point's occurrences recorded so far.
-    pub fn point_hits(&self, point: &str) -> u64 {
-        self.hits.get(point).copied().unwrap_or(0)
-    }
-
-    /// Still-pending events (timed + pointed).
+    /// Still-pending events (timed + op-triggered).
     pub fn pending(&self) -> usize {
-        self.timed.len() + self.pointed.len()
+        self.timed.len() + self.at_ops.len()
     }
 
     /// True when every scheduled event has fired.
@@ -153,28 +100,17 @@ mod tests {
     }
 
     #[test]
-    fn point_faults_fire_on_scheduled_occurrence() {
+    fn op_faults_fire_at_their_op_in_insertion_order() {
         let mut p = FaultPlan::new();
-        p.at_point("op", 2, "second").at_point("op", 1, "first").at_point("other", 1, "x");
-        assert_eq!(p.hit_point("op"), vec!["first"]);
-        assert_eq!(p.hit_point("op"), vec!["second"]);
-        assert_eq!(p.hit_point("op"), Vec::<&str>::new());
-        assert_eq!(p.point_hits("op"), 3);
-        assert_eq!(p.hit_point("other"), vec!["x"]);
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn schedule_accepts_explicit_triggers() {
-        let mut p = FaultPlan::new();
-        p.schedule(ScheduledFault { trigger: FaultTrigger::At(SimTime(7)), fault: 1u32 });
-        p.schedule(ScheduledFault {
-            trigger: FaultTrigger::AtPoint { point: "p".into(), hit: 1 },
-            fault: 2u32,
-        });
-        assert_eq!(p.pending(), 2);
-        assert_eq!(p.take_due(SimTime(7)), vec![1]);
-        assert_eq!(p.hit_point("p"), vec![2]);
+        p.at_op(2, "late").at_op(1, "first").at_op(1, "second").at_op(9, "unreached");
+        assert_eq!(p.hit_op(0), Vec::<&str>::new());
+        assert_eq!(p.hit_op(1), vec!["first", "second"]);
+        assert_eq!(p.hit_op(1), Vec::<&str>::new(), "a fault fires once");
+        assert_eq!(p.hit_op(2), vec!["late"]);
+        // The script ended before op 9: the trigger stays pending, which
+        // is what the fault-sweep and race-detect cells assert against.
+        assert_eq!(p.pending(), 1);
+        assert!(!p.is_empty());
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //!
 //! **Detector classes** (reported as [`HbViolation`]s):
 //!
-//! * `WriteWrite`/`ReadWrite` — conflicting accesses to an SIOS cell
-//!   unordered by happens-before (a protocol data race). Read/write
-//!   conflicts are off by default ([`HbOptions::flag_read_write`])
-//!   because CDD reads are deliberately lock-free — read/write ordering
-//!   is the linearizability pass's property, not a race.
+//! * `WriteWrite` — two writes to an SIOS cell unordered by
+//!   happens-before (a protocol data race). Read/write conflicts are not
+//!   a detector class: CDD reads are deliberately lock-free, so
+//!   read/write ordering is the linearizability pass's property, not a
+//!   race. `Read` accesses feed only the same-tick auditor.
 //! * `UncoveredWrite` — a protocol actor's SIOS write not covered by a
 //!   live lock-group grant (the single-I/O-space discipline).
 //! * `SameTickAccess`/`SameTickService` — two same-timestamp events with
@@ -167,8 +167,6 @@ impl VectorClock {
 pub enum ViolationKind {
     /// Two writes to one cell unordered by happens-before.
     WriteWrite,
-    /// A read and a write to one cell unordered by happens-before.
-    ReadWrite,
     /// A protocol SIOS write not covered by a live lock-group grant.
     UncoveredWrite,
     /// Two same-timestamp accesses with overlapping cells, unordered.
@@ -182,7 +180,6 @@ impl ViolationKind {
     pub fn label(self) -> &'static str {
         match self {
             ViolationKind::WriteWrite => "write-write race",
-            ViolationKind::ReadWrite => "read-write race",
             ViolationKind::UncoveredWrite => "uncovered write",
             ViolationKind::SameTickAccess => "same-tick access overlap",
             ViolationKind::SameTickService => "same-tick service overlap",
@@ -241,10 +238,6 @@ impl std::fmt::Display for HbViolation {
 /// Analyzer policy knobs.
 #[derive(Debug, Clone)]
 pub struct HbOptions {
-    /// Also flag read/write conflicts unordered by happens-before.
-    /// Default `false`: CDD reads are deliberately lock-free, and
-    /// read/write ordering is the linearizability pass's property.
-    pub flag_read_write: bool,
     /// Require every protocol SIOS write to be covered by a live
     /// lock-group grant (default `true`).
     pub require_lock_coverage: bool,
@@ -262,7 +255,6 @@ pub struct HbOptions {
 impl Default for HbOptions {
     fn default() -> Self {
         HbOptions {
-            flag_read_write: false,
             require_lock_coverage: true,
             max_events: usize::MAX,
             max_violations: 64,
@@ -319,16 +311,6 @@ impl HbAnalysis {
     }
 }
 
-/// FastTrack-style per-cell state: the last write epoch plus the set of
-/// reads since (one epoch per reading actor slot).
-#[derive(Debug, Default)]
-struct CellState {
-    /// `(actor slot, counter, event index)` of the last write.
-    last_write: Option<(usize, u64, usize)>,
-    /// Reads since the last write: actor slot → `(counter, event index)`.
-    reads: BTreeMap<usize, (u64, usize)>,
-}
-
 struct ActorState {
     /// Raw actor id as it appeared in the stream.
     id: u32,
@@ -370,8 +352,8 @@ struct Analyzer {
     protocol: BTreeMap<u32, usize>,
     /// Parked barrier waiters: barrier id → actor slots.
     barrier_waiters: BTreeMap<u32, Vec<usize>>,
-    /// Per-cell race state.
-    cells: BTreeMap<u64, CellState>,
+    /// Per SIOS cell, the last write: `(actor slot, counter, event index)`.
+    last_writes: BTreeMap<u64, (usize, u64, usize)>,
     /// Per-cell join of clocks at lock release (the lock edge source).
     release_clocks: BTreeMap<u64, VectorClock>,
     /// Same-tick footprints at `tick_at`.
@@ -389,7 +371,7 @@ impl Analyzer {
             live_tasks: BTreeMap::new(),
             protocol: BTreeMap::new(),
             barrier_waiters: BTreeMap::new(),
-            cells: BTreeMap::new(),
+            last_writes: BTreeMap::new(),
             release_clocks: BTreeMap::new(),
             tick_at: SimTime::ZERO,
             tick_accesses: Vec::new(),
@@ -582,14 +564,6 @@ impl Analyzer {
                 self.actors[slot].clock.tick(slot);
             }
             AccessKind::Read => {
-                let n = self.checked_len(first, len);
-                for i in 0..n {
-                    let c = first + i;
-                    if cell_ns(c) != SIOS_NS {
-                        continue;
-                    }
-                    self.check_read(slot, c, ev);
-                }
                 self.record_tick_access(slot, first, len, false, ev);
                 self.actors[slot].clock.tick(slot);
             }
@@ -630,70 +604,21 @@ impl Analyzer {
         }
     }
 
-    fn check_read(&mut self, slot: usize, c: u64, ev: usize) {
-        let mut found: Option<HbViolation> = None;
-        if self.opts.flag_read_write {
-            if let Some(state) = self.cells.get(&c) {
-                if let Some((ws, wc, wev)) = state.last_write {
-                    if ws != slot && !self.actors[slot].clock.covers(ws, wc) {
-                        found = Some(HbViolation {
-                            kind: ViolationKind::ReadWrite,
-                            cell: c,
-                            actors: (self.actors[ws].id, self.actors[slot].id),
-                            events: (wev, ev),
-                            detail: "read unordered with a prior write to the same cell"
-                                .to_string(),
-                        });
-                    }
-                }
-            }
-        }
-        let counter = self.actors[slot].clock.get(slot);
-        self.cells.entry(c).or_default().reads.insert(slot, (counter, ev));
-        if let Some(v) = found {
-            self.report(v);
-        }
-    }
-
     fn check_write(&mut self, slot: usize, c: u64, ev: usize) {
-        let my_id = self.actors[slot].id;
-        let mut found: Vec<HbViolation> = Vec::new();
-        if let Some(state) = self.cells.get(&c) {
-            let clock = &self.actors[slot].clock;
-            if let Some((ws, wc, wev)) = state.last_write {
-                if ws != slot && !clock.covers(ws, wc) {
-                    found.push(HbViolation {
-                        kind: ViolationKind::WriteWrite,
-                        cell: c,
-                        actors: (self.actors[ws].id, my_id),
-                        events: (wev, ev),
-                        detail: "two writes to the same cell unordered by \
-                                 fork/join/barrier/lock edges"
-                            .to_string(),
-                    });
-                }
-            }
-            if self.opts.flag_read_write {
-                for (&rs, &(rc, rev)) in &state.reads {
-                    if rs != slot && !clock.covers(rs, rc) {
-                        found.push(HbViolation {
-                            kind: ViolationKind::ReadWrite,
-                            cell: c,
-                            actors: (self.actors[rs].id, my_id),
-                            events: (rev, ev),
-                            detail: "write unordered with a prior read of the same cell"
-                                .to_string(),
-                        });
-                    }
-                }
-            }
-        }
         let epoch = self.actors[slot].clock.get(slot);
-        let state = self.cells.entry(c).or_default();
-        state.last_write = Some((slot, epoch, ev));
-        state.reads.clear();
-        for v in found {
-            self.report(v);
+        let prev = self.last_writes.insert(c, (slot, epoch, ev));
+        if let Some((ws, wc, wev)) = prev {
+            if ws != slot && !self.actors[slot].clock.covers(ws, wc) {
+                self.report(HbViolation {
+                    kind: ViolationKind::WriteWrite,
+                    cell: c,
+                    actors: (self.actors[ws].id, self.actors[slot].id),
+                    events: (wev, ev),
+                    detail: "two writes to the same cell unordered by \
+                             fork/join/barrier/lock edges"
+                        .to_string(),
+                });
+            }
         }
     }
 

@@ -57,7 +57,7 @@ pub use demand::Demand;
 pub use engine::{DeadlockError, Engine, JobId, JobRecord, RunReport, TaskId};
 pub use explore::{Exploration, Explorer, Failure, FailureKind, Footprint, Model, ThreadId};
 pub use export::{chrome_trace_json, json_is_valid, metrics_csv, metrics_json, utilization_csv};
-pub use fault::{FaultPlan, FaultTrigger, ScheduledFault};
+pub use fault::FaultPlan;
 pub use hb::{HbAnalysis, HbOptions, HbViolation, ViolationKind};
 pub use metrics::{Histogram, MetricsRegistry, TimeSeries};
 pub use plan::{BarrierId, Plan};

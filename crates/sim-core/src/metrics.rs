@@ -197,11 +197,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Add `by` to the named counter (creating it at zero).
-    pub fn incr(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
     /// Set the named counter to an absolute value.
     pub fn set_counter(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);

@@ -49,11 +49,6 @@ impl SplitMix64 {
         // Multiply-shift; bias is negligible for simulation purposes.
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
-
-    /// Uniform in `[lo, hi)` (float).
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_f64() * (hi - lo)
-    }
 }
 
 #[cfg(test)]

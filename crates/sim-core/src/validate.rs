@@ -182,13 +182,13 @@ pub fn barrier_arrivals(plan: &Plan, out: &mut HashMap<BarrierId, usize>) {
                 for p in v {
                     let mut child = HashMap::new();
                     arrivals(p, &mut child);
-                    // det-ok: commutative max-merge, order-insensitive.
+                    // lint-ok(determinism): commutative max-merge, order-insensitive.
                     for (id, n) in child {
                         let e = max.entry(id).or_insert(0);
                         *e = (*e).max(n);
                     }
                 }
-                // det-ok: commutative addition into the accumulator.
+                // lint-ok(determinism): commutative addition into the accumulator.
                 for (id, n) in max {
                     *acc.entry(id).or_insert(0) += n;
                 }
@@ -203,7 +203,7 @@ pub fn barrier_arrivals(plan: &Plan, out: &mut HashMap<BarrierId, usize>) {
     }
     let mut acc = HashMap::new();
     arrivals(plan, &mut acc);
-    // det-ok: commutative addition into the output map.
+    // lint-ok(determinism): commutative addition into the output map.
     for (id, n) in acc {
         *out.entry(id).or_insert(0) += n;
     }
@@ -219,7 +219,7 @@ pub fn lint_jobs(plans: &[Plan], ctx: &PlanContext) -> Vec<PlanError> {
         barrier_arrivals(p, &mut arriving);
     }
     let mut ordered: Vec<(BarrierId, usize)> =
-        // det-ok: sorted immediately below so the error list is deterministic.
+        // lint-ok(determinism): sorted immediately below so the error list is deterministic.
         ctx.barriers.iter().map(|(&id, &needed)| (id, needed)).collect();
     ordered.sort_by_key(|(id, _)| id.0);
     for (id, needed) in ordered {

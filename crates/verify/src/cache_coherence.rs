@@ -14,9 +14,10 @@
 //! 3. **Canary** — the planted [`cdd::Defect::SkipInvalidate`] (a write
 //!    that skips the invalidation its grant carries) must be caught as a
 //!    stale, non-linearizable read — proving the oracle is alive.
-//! 4. **Transparency** — the same random op script runs cached and
-//!    uncached on every architecture; both runs must acknowledge the
-//!    same writes and return byte-identical data for every read.
+//! 4. **Transparency** — the same random re-reading op script runs
+//!    cached and uncached on every architecture; both runs must
+//!    acknowledge the same writes and return byte-identical data for
+//!    every read, and the cached run must have served hits.
 //! 5. **Payoff** — the shared Zipfian read workload must clear a ≥50%
 //!    hit rate at skew s = 1.0 and actually shorten the measured phase
 //!    in simulated time, with zero stale reads.
@@ -24,7 +25,9 @@
 use raidx_core::Arch;
 use sim_core::check::Gen;
 use sim_core::explore::Explorer;
-use workloads::op_script::{check_against_model, gen_script, run_script, ScriptOutcome};
+use workloads::op_script::{
+    check_against_model, gen_script, run_script, with_rereads, ScriptOutcome,
+};
 use workloads::zipf::{run_zipf, ZipfConfig, ZipfOutcome};
 
 use cdd::proto::{scenario_cache, CddModel};
@@ -81,11 +84,13 @@ pub fn zipf_cache_work() -> Vec<(String, u64)> {
     ]
 }
 
-/// Run the same random op script cached and uncached on `arch` and
-/// require identical outcomes: same acknowledged writes, zero stale
-/// reads on both sides (every read byte-checked against the shared
-/// shadow model), and a byte-identical final region. Returns a summary
-/// on success, the divergence on failure.
+/// Run the same random re-reading op script cached and uncached on
+/// `arch` and require identical outcomes: same acknowledged writes, zero
+/// stale reads on both sides (every read byte-checked against the shared
+/// shadow model), a byte-identical final region, and — when
+/// `capacity_blocks` can hold the longest scripted run (4 blocks), so a
+/// re-read is sure to find its range resident — at least one cache hit.
+/// Returns a summary on success, the divergence on failure.
 pub fn transparency_check(
     arch: Arch,
     seed: u64,
@@ -96,7 +101,7 @@ pub fn transparency_check(
     let run = |cache: Option<CacheConfig>| -> RunResult {
         let cfg = CddConfig { cache, ..CddConfig::default() };
         let (mut engine, mut sys) = cdd::testkit::shape_with(4, 1, 8 << 20, arch, cfg);
-        let ops = gen_script(&mut Gen::new(seed), 4, 64, nops);
+        let ops = with_rereads(gen_script(&mut Gen::new(seed), 4, 64, nops));
         let out = run_script(&mut engine, &mut sys, &ops, None)
             .map_err(|e| format!("{arch:?} seed {seed}: script aborted: {e}"))?;
         let readback = check_against_model(&mut sys, 0, &out.model)
@@ -122,8 +127,8 @@ pub fn transparency_check(
         return Err(format!("{ctx}: final region diverges from the model"));
     }
     let stats = stats.ok_or_else(|| format!("{ctx}: cached system reports no stats"))?;
-    if stats.hits + stats.misses == 0 {
-        return Err(format!("{ctx}: cache never consulted"));
+    if capacity_blocks >= 4 && stats.hits == 0 {
+        return Err(format!("{ctx}: cache never served a read ({} misses)", stats.misses));
     }
     Ok(format!(
         "{ctx}: {} ops byte-identical ({} hits, {} misses, {} invalidations)",
@@ -236,7 +241,8 @@ mod tests {
     }
 
     /// Satellite property: random op scripts, every architecture, ≥8
-    /// seeds each, random cache capacities — the cached array must be
+    /// seeds each, random cache capacities (down to 1 block, where a
+    /// multi-block fill evicts itself) — the cached array must be
     /// byte-for-byte indistinguishable from the uncached one.
     #[test]
     fn cache_is_transparent_for_random_scripts_on_every_arch() {

@@ -9,8 +9,9 @@
 //!   repaired (transient resync, partition heal, node restart, or a full
 //!   rebuild). Afterwards the array must be byte-identical to the
 //!   script's shadow model, the scrub must find every redundancy
-//!   relation consistent, and no parked blocks, offline disks or
-//!   partitions may remain.
+//!   relation consistent, no parked blocks, offline disks or partitions
+//!   may remain, and no trigger of the plan may still be pending (an op
+//!   index the script never reached is a repair that never ran).
 //! * **Determinism under faults** — each scenario runs twice with the
 //!   [`EventLog`] tracer installed; the full observability event streams
 //!   must fingerprint identically. Same seed + same [`FaultPlan`] ⇒ the
@@ -25,7 +26,7 @@ use raidx_core::Arch;
 use sim_core::check::Gen;
 use sim_core::trace::EventLog;
 use sim_core::{FaultPlan, SimTime};
-use workloads::op_script::{check_against_model, gen_script, run_script};
+use workloads::op_script::{check_against_model, gen_script, run_script, with_rereads, ScriptOp};
 
 use crate::report::PassReport;
 use crate::trace_determinism::stream_fingerprint;
@@ -85,10 +86,11 @@ pub struct SweepScenario {
     pub kind: FaultKind,
     /// Script op index the fault fires before.
     pub inject_at: usize,
-    /// Run with the client block cache enabled. Cached cells additionally
-    /// assert that no read served stale bytes at any point: the fault
-    /// classes swept here (disk loss, node crash, reconfiguration) must
-    /// be invisible through the cache's flush/invalidation hooks.
+    /// Run with the client block cache enabled, on a script that re-reads
+    /// so the cache actually serves. Cached cells additionally assert
+    /// that no read served stale bytes at any point: the fault classes
+    /// swept here (disk loss, node crash, reconfiguration) must be
+    /// invisible through the cache's flush/invalidation hooks.
     pub cached: bool,
 }
 
@@ -114,7 +116,19 @@ const NOPS: usize = 40;
 const REGION_BLOCKS: u64 = 64;
 const SCRIPT_SEED: u64 = 0x00fa_0157;
 /// Ops between injection and the matching repair event.
-const REPAIR_GAP: usize = 6;
+const REPAIR_GAP: u64 = 6;
+
+impl SweepScenario {
+    /// The cell's op script (re-reading in the cached cells).
+    pub fn script(&self) -> Vec<ScriptOp> {
+        let ops = gen_script(&mut Gen::new(SCRIPT_SEED), CLIENTS, REGION_BLOCKS, NOPS);
+        if self.cached {
+            with_rereads(ops)
+        } else {
+            ops
+        }
+    }
+}
 
 /// The sweep grid: every architecture × every fault class × three
 /// injection points (early, middle, late). `smoke` cuts it to two fault
@@ -149,36 +163,36 @@ pub fn scenarios(smoke: bool) -> Vec<SweepScenario> {
 }
 
 fn build_plan(kind: FaultKind, inject_at: usize) -> FaultPlan<FaultEvent> {
-    let inject = format!("op:{inject_at}");
-    let repair = format!("op:{}", inject_at + REPAIR_GAP);
+    let inject = inject_at as u64;
+    let repair = inject + REPAIR_GAP;
     let mut plan = FaultPlan::new();
     match kind {
         FaultKind::Permanent => {
-            plan.at_point(inject, 1, FaultEvent::DiskFail { disk: TARGET_DISK });
+            plan.at_op(inject, FaultEvent::DiskFail { disk: TARGET_DISK });
         }
         FaultKind::Transient => {
-            plan.at_point(inject, 1, FaultEvent::DiskTransient { disk: TARGET_DISK });
-            plan.at_point(repair, 1, FaultEvent::DiskRecover { disk: TARGET_DISK, client: DRIVER });
+            plan.at_op(inject, FaultEvent::DiskTransient { disk: TARGET_DISK });
+            plan.at_op(repair, FaultEvent::DiskRecover { disk: TARGET_DISK, client: DRIVER });
         }
         FaultKind::Partition => {
-            plan.at_point(inject, 1, FaultEvent::NicPartition { node: TARGET_NODE });
-            plan.at_point(repair, 1, FaultEvent::NicHeal { node: TARGET_NODE, client: DRIVER });
+            plan.at_op(inject, FaultEvent::NicPartition { node: TARGET_NODE });
+            plan.at_op(repair, FaultEvent::NicHeal { node: TARGET_NODE, client: DRIVER });
         }
         FaultKind::Crash => {
-            plan.at_point(inject, 1, FaultEvent::NodeCrash { node: TARGET_NODE });
-            plan.at_point(repair, 1, FaultEvent::NodeRestart { node: TARGET_NODE, client: DRIVER });
+            plan.at_op(inject, FaultEvent::NodeCrash { node: TARGET_NODE });
+            plan.at_op(repair, FaultEvent::NodeRestart { node: TARGET_NODE, client: DRIVER });
         }
         FaultKind::Slow => {
             // Timed trigger: exercises the run_until-driven path.
             plan.at(SimTime(1_500_000), FaultEvent::DiskSlow { disk: TARGET_DISK, factor: 6 });
-            plan.at_point(repair, 1, FaultEvent::DiskSlow { disk: TARGET_DISK, factor: 1 });
+            plan.at_op(repair, FaultEvent::DiskSlow { disk: TARGET_DISK, factor: 1 });
         }
         FaultKind::Reconfig => {
-            plan.at_point(inject, 1, FaultEvent::DiskAdd { client: DRIVER });
-            plan.at_point(repair, 1, FaultEvent::DiskRemove { disk: TARGET_DISK, client: DRIVER });
+            plan.at_op(inject, FaultEvent::DiskAdd { client: DRIVER });
+            plan.at_op(repair, FaultEvent::DiskRemove { disk: TARGET_DISK, client: DRIVER });
         }
         FaultKind::Replace => {
-            plan.at_point(inject, 1, FaultEvent::DiskReplace { disk: TARGET_DISK, client: DRIVER });
+            plan.at_op(inject, FaultEvent::DiskReplace { disk: TARGET_DISK, client: DRIVER });
         }
     }
     plan
@@ -218,27 +232,27 @@ fn post_recovery_problems(sys: &mut IoSystem, kind: FaultKind) -> Vec<String> {
     problems
 }
 
-/// Run one scenario once: scripted ops with the fault plan attached,
-/// repair (rebuild for the permanent class), then the full recovery
-/// contract check.
-pub fn run_scenario(sc: &SweepScenario) -> SweepOutcome {
+/// Run one scenario once: `ops` ([`SweepScenario::script`]) with the fault
+/// plan attached, repair (rebuild for the permanent class), then the full
+/// recovery contract check. `cache` is `sc.cached`, or `false` to replay a
+/// cached cell's re-reading script as its uncached twin.
+pub fn run_scenario(sc: &SweepScenario, ops: &[ScriptOp], cache: bool) -> SweepOutcome {
     let cdd_cfg = cdd::CddConfig {
-        cache: sc.cached.then_some(cdd::CacheConfig { capacity_blocks: 32 }),
+        cache: cache.then_some(cdd::CacheConfig { capacity_blocks: 32 }),
         ..cdd::CddConfig::default()
     };
     let (mut engine, mut sys) = cdd::testkit::shape_with(4, 1, 8 << 20, sc.arch, cdd_cfg);
     let log = EventLog::new();
     engine.set_tracer(Box::new(log.clone()));
-    let ops = gen_script(&mut Gen::new(SCRIPT_SEED), CLIENTS, REGION_BLOCKS, NOPS);
     let mut inj = FaultInjector::new(build_plan(sc.kind, sc.inject_at));
 
     let mut problems = Vec::new();
     let mut failed_ops = 0;
-    match run_script(&mut engine, &mut sys, &ops, Some(&mut inj)) {
+    match run_script(&mut engine, &mut sys, ops, Some(&mut inj)) {
         Ok(out) => {
             failed_ops = out.failed;
-            if inj.fired().is_empty() {
-                problems.push("no fault fired".into());
+            if inj.pending() != 0 {
+                problems.push(format!("{} trigger(s) pending at script end", inj.pending()));
             }
             // The permanent class repairs after the script: a full
             // rebuild under whatever background flushes are still live.
@@ -268,16 +282,16 @@ pub fn run_scenario(sc: &SweepScenario) -> SweepOutcome {
             if out.failed > 0 {
                 problems.push(format!("{} ops failed under a single tolerated fault", out.failed));
             }
-            if sc.cached {
+            if cache {
                 // The cached cells' extra contract: no read — before,
                 // during or after the fault — may have served stale
-                // bytes, and the cache must actually have been in play.
+                // bytes, and the cache must actually have served some.
                 if out.stale_reads > 0 {
                     problems.push(format!("{} stale reads through the cache", out.stale_reads));
                 }
                 match sys.cache_stats() {
-                    Some(stats) if stats.hits + stats.misses > 0 => {}
-                    Some(_) => problems.push("cache never consulted".into()),
+                    Some(stats) if stats.hits > 0 => {}
+                    Some(_) => problems.push("cache never served a read".into()),
                     None => problems.push("cached cell ran without a cache".into()),
                 }
             }
@@ -304,8 +318,9 @@ pub fn run_scenario(sc: &SweepScenario) -> SweepOutcome {
 pub fn run_pass(smoke: bool) -> PassReport {
     let mut report = PassReport::new("fault-sweep");
     for sc in scenarios(smoke) {
-        let a = run_scenario(&sc);
-        let b = run_scenario(&sc);
+        let ops = sc.script();
+        let a = run_scenario(&sc, &ops, sc.cached);
+        let b = run_scenario(&sc, &ops, sc.cached);
         let cached = if sc.cached { " cached" } else { "" };
         let name = format!("{:?} {:?} @op{}{cached}", sc.arch, sc.kind, sc.inject_at);
         let mut problems = a.problems.clone();
@@ -317,6 +332,9 @@ pub fn run_pass(smoke: bool) -> PassReport {
         }
         if a.events == 0 {
             problems.push("no events traced".into());
+        }
+        if sc.cached && run_scenario(&sc, &ops, false).fingerprint == a.fingerprint {
+            problems.push("cache changed nothing: fingerprint equals the uncached twin's".into());
         }
         if problems.is_empty() {
             report.ok(
@@ -355,12 +373,27 @@ mod tests {
     }
 
     #[test]
+    fn unreached_trigger_fails_the_cell() {
+        // Injected so late that the repair's op index lies past the end
+        // of the script: the timed slowdown fires, the restore never
+        // does.
+        let sc = SweepScenario {
+            arch: Arch::RaidX,
+            kind: FaultKind::Slow,
+            inject_at: NOPS,
+            cached: false,
+        };
+        let out = run_scenario(&sc, &sc.script(), false);
+        assert!(out.problems.iter().any(|p| p.contains("pending")), "{:?}", out.problems);
+    }
+
+    #[test]
     fn every_fault_kind_recovers_cleanly_once() {
         // One full-depth scenario per fault kind (the full grid runs in
         // `verify_all`; this keeps the unit suite fast but total).
         for kind in FaultKind::ALL {
             let sc = SweepScenario { arch: Arch::RaidX, kind, inject_at: 10, cached: false };
-            let out = run_scenario(&sc);
+            let out = run_scenario(&sc, &sc.script(), false);
             assert!(out.problems.is_empty(), "{kind:?}: {:?}", out.problems);
         }
     }
@@ -374,7 +407,7 @@ mod tests {
         for arch in Arch::ALL {
             run_cases(&format!("fault-recovery-{arch:?}"), 8, |g| {
                 let nops = g.usize_in(20..36);
-                let inject_at = g.usize_in(1..nops - REPAIR_GAP - 1);
+                let inject_at = g.usize_in(1..nops - REPAIR_GAP as usize - 1);
                 let kind = [
                     FaultKind::Permanent,
                     FaultKind::Transient,
@@ -388,7 +421,7 @@ mod tests {
                 let mut inj = FaultInjector::new(build_plan(kind, inject_at));
                 let out = run_script(&mut engine, &mut sys, &ops, Some(&mut inj))
                     .expect("faulted script run");
-                assert!(!inj.fired().is_empty(), "fault never fired");
+                assert_eq!(inj.pending(), 0, "a trigger was never reached");
                 if kind == FaultKind::Permanent {
                     let (plan, _) = sys.rebuild_disk(DRIVER, TARGET_DISK).expect("rebuild");
                     engine.spawn_job("rebuild", plan);

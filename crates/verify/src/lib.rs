@@ -41,8 +41,9 @@
 //!    points (permanent disk failure, transient outage, NIC partition,
 //!    node crash, disk slowdown) across every architecture mid-workload,
 //!    asserting byte-for-byte survival after recovery (degraded writes
-//!    resynced, rebuilds complete, scrub clean) and that every faulted
-//!    scenario replays fingerprint-identically from the same seed and
+//!    resynced, rebuilds complete, scrub clean, no trigger left
+//!    pending) and that every faulted scenario replays
+//!    fingerprint-identically from the same seed and
 //!    [`sim_core::FaultPlan`].
 //! 10. [`race_detect`] — feeds the merged engine + protocol trace of a
 //!     seeded scripted workload to the FastTrack-style vector-clock
@@ -54,12 +55,10 @@
 //!     disk services) prove each detector class catches real bugs, with
 //!     ddmin-shrunk counterexample windows.
 //! 11. [`static_analysis`] — the [`raidx_analyze`] parser-based
-//!     whole-workspace analyzer: scope-aware determinism hazards,
-//!     fault-trigger/trace-point conformance, a wildcard-arm ban on
-//!     matches over safety-critical enums, cdd lock-grant discipline,
-//!     and hygiene gates (module-size
-//!     cap, `unwrap`/`expect` outside tests, missing pub docs), each
-//!     proved live by a planted-defect canary.
+//!     whole-workspace analyzer: scope-aware determinism hazards, a
+//!     wildcard-arm ban on matches over safety-critical enums, and
+//!     hygiene gates (module-size cap, `unwrap`/`expect` outside tests),
+//!     each proved live by a planted-defect canary.
 //! 12. [`perf_smoke`] — the engine-performance regression gate: re-runs
 //!     two small scenarios and compares the deterministic
 //!     [`sim_core::EngineStats`] work counters against in-code baseline
@@ -180,7 +179,7 @@ pub const PASSES: [(&str, &str); 13] = [
     ("trace-determinism", "full observability event stream must replay byte-identically"),
     ("fault-sweep", "every enumerated single-fault point recovers byte-for-byte"),
     ("race-detect", "vector-clock happens-before races and same-tick commutativity violations"),
-    ("static-analysis", "parser-based workspace rules: determinism scopes, trigger conformance, wildcard arms, lock discipline, hygiene"),
+    ("static-analysis", "parser-based workspace rules: determinism scopes, wildcard arms, hygiene"),
     ("perf-smoke", "deterministic engine work counters vs the in-code baseline tables"),
     ("cache-coherence", "client block-cache gate: model check + linearizability with a skip-invalidation canary, cached-vs-uncached transparency, Zipf hit-rate/speedup"),
 ];

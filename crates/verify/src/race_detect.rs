@@ -18,7 +18,8 @@
 //!
 //! 1. **Clean sweep** — scripted multi-client workloads (fault-free and
 //!    with a transient-outage fault plan) across all four architectures
-//!    must analyze clean, with real accesses and sync edges observed.
+//!    must analyze clean, with real accesses and sync edges observed and
+//!    every trigger of the plan fired by script end.
 //! 2. **Detector determinism** — a double run must produce
 //!    bit-identical [`HbAnalysis`] fingerprints.
 //! 3. **Observer neutrality** — a traced run must be result-identical
@@ -66,23 +67,26 @@ struct RunResult {
     end: SimTime,
     /// Fingerprint of the engine's own job/latency trace.
     engine_fp: u64,
+    /// Fault triggers the script never reached.
+    pending_faults: usize,
 }
 
 fn transient_plan(inject_at: usize, repair_at: usize) -> FaultPlan<FaultEvent> {
     let mut plan = FaultPlan::new();
-    plan.at_point(format!("op:{inject_at}"), 1, FaultEvent::DiskTransient { disk: TARGET_DISK });
-    plan.at_point(
-        format!("op:{repair_at}"),
-        1,
-        FaultEvent::DiskRecover { disk: TARGET_DISK, client: DRIVER },
-    );
+    plan.at_op(inject_at as u64, FaultEvent::DiskTransient { disk: TARGET_DISK });
+    plan.at_op(repair_at as u64, FaultEvent::DiskRecover { disk: TARGET_DISK, client: DRIVER });
     plan
 }
 
 /// One seeded scripted run: `traced` installs a shared [`EventLog`] in
-/// both the engine and the I/O system; `faulted` attaches the transient
-/// outage fault plan. Same arguments ⇒ same behavior (pass 8 property).
-fn scripted_run(arch: Arch, nops: usize, traced: bool, faulted: bool) -> RunResult {
+/// both the engine and the I/O system; `plan` attaches a fault plan.
+/// Same arguments ⇒ same behavior (pass 8 property).
+fn scripted_run(
+    arch: Arch,
+    nops: usize,
+    traced: bool,
+    plan: Option<FaultPlan<FaultEvent>>,
+) -> RunResult {
     let (mut engine, mut sys) = cdd::testkit::shape(4, 2, 8 << 20, arch);
     let log = EventLog::new();
     if traced {
@@ -90,11 +94,7 @@ fn scripted_run(arch: Arch, nops: usize, traced: bool, faulted: bool) -> RunResu
         sys.set_tracer(Box::new(log.clone()));
     }
     let ops = gen_script(&mut Gen::new(SCRIPT_SEED), CLIENTS, REGION_BLOCKS, nops);
-    let mut injector = if faulted {
-        Some(FaultInjector::new(transient_plan(nops / 3, 2 * nops / 3)))
-    } else {
-        None
-    };
+    let mut injector = plan.map(FaultInjector::new);
     let out = run_script(&mut engine, &mut sys, &ops, injector.as_mut())
         .expect("scripted workload aborted");
     RunResult {
@@ -105,6 +105,7 @@ fn scripted_run(arch: Arch, nops: usize, traced: bool, faulted: bool) -> RunResu
         stale_reads: out.stale_reads,
         end: engine.now(),
         engine_fp: engine_fingerprint(&engine),
+        pending_faults: injector.map_or(0, |inj| inj.pending()),
     }
 }
 
@@ -128,6 +129,23 @@ fn analysis_summary(a: &HbAnalysis) -> String {
         a.fingerprint(),
         if a.truncated { ", truncated by budget" } else { "" }
     )
+}
+
+/// One clean-sweep cell: the run's stream must analyze clean and be
+/// substantive, and its fault plan (if any) must have fired completely.
+fn check_clean(report: &mut PassReport, label: String, run: &RunResult, opts: &HbOptions) {
+    let analysis = analyze(&run.events, opts);
+    let substantive = analysis.accesses > 0 && analysis.sync_edges > 0;
+    let detail = if run.pending_faults > 0 {
+        format!("{} fault trigger(s) still pending at script end", run.pending_faults)
+    } else if !substantive {
+        format!("stream not substantive: {}", analysis_summary(&analysis))
+    } else if analysis.clean() {
+        analysis_summary(&analysis)
+    } else {
+        format!("{} violations, first: {}", analysis.violations.len(), analysis.violations[0])
+    };
+    report.push(label, analysis.clean() && substantive && run.pending_faults == 0, detail);
 }
 
 /// Plant 1: strip one client op's lock grant (its `Acquire` and the
@@ -253,29 +271,11 @@ pub fn run_pass(smoke: bool) -> PassReport {
     let mut canonical: Option<Vec<TimedEvent>> = None;
     for arch in Arch::ALL {
         for &faulted in variants {
-            let run = scripted_run(arch, nops, true, faulted);
-            let analysis = analyze(&run.events, &opts);
+            let plan = faulted.then(|| transient_plan(nops / 3, 2 * nops / 3));
+            let run = scripted_run(arch, nops, true, plan);
             let label =
                 format!("{arch:?} {} workload", if faulted { "faulted" } else { "fault-free" });
-            let substantive = analysis.accesses > 0 && analysis.sync_edges > 0;
-            let detail = if analysis.clean() {
-                analysis_summary(&analysis)
-            } else {
-                format!(
-                    "{} violations, first: {}",
-                    analysis.violations.len(),
-                    analysis.violations[0]
-                )
-            };
-            report.push(
-                label,
-                analysis.clean() && substantive,
-                if substantive {
-                    detail
-                } else {
-                    format!("stream not substantive: {}", analysis_summary(&analysis))
-                },
-            );
+            check_clean(&mut report, label, &run, &opts);
             if !faulted && canonical.is_none() {
                 canonical = Some(run.events.clone());
             }
@@ -285,8 +285,8 @@ pub fn run_pass(smoke: bool) -> PassReport {
     // 2. Detector determinism: double run, identical analysis fingerprints.
     {
         let arch = Arch::RaidX;
-        let a = analyze(&scripted_run(arch, nops, true, false).events, &opts);
-        let b = analyze(&scripted_run(arch, nops, true, false).events, &opts);
+        let a = analyze(&scripted_run(arch, nops, true, None).events, &opts);
+        let b = analyze(&scripted_run(arch, nops, true, None).events, &opts);
         report.push(
             "double-run analysis fingerprint",
             a.fingerprint() == b.fingerprint(),
@@ -296,8 +296,8 @@ pub fn run_pass(smoke: bool) -> PassReport {
 
     // 3. Observer neutrality: tracing must not change results.
     for arch in Arch::ALL {
-        let traced = scripted_run(arch, nops, true, false);
-        let bare = scripted_run(arch, nops, false, false);
+        let traced = scripted_run(arch, nops, true, None);
+        let bare = scripted_run(arch, nops, false, None);
         let identical = traced.model == bare.model
             && traced.completed == bare.completed
             && traced.failed == bare.failed
@@ -397,8 +397,19 @@ mod tests {
     }
 
     #[test]
+    fn unreached_trigger_fails_the_clean_sweep_cell() {
+        // The repair is planted past the end of the script.
+        let run = scripted_run(Arch::RaidX, 30, true, Some(transient_plan(10, 30)));
+        assert_eq!(run.pending_faults, 1);
+        let mut report = PassReport::new("race-detect");
+        check_clean(&mut report, "planted".into(), &run, &HbOptions::default());
+        assert!(!report.all_ok(), "{}", report.render());
+        assert!(report.render().contains("still pending"), "{}", report.render());
+    }
+
+    #[test]
     fn traced_stream_carries_protocol_accesses() {
-        let run = scripted_run(Arch::RaidX, 40, true, false);
+        let run = scripted_run(Arch::RaidX, 40, true, None);
         let accesses =
             run.events.iter().filter(|te| matches!(te.event, TraceEvent::Access { .. })).count();
         assert!(accesses > 0, "IoSystem tracer emitted no access events");
@@ -418,7 +429,7 @@ mod tests {
 
     #[test]
     fn all_three_plants_have_material() {
-        let run = scripted_run(Arch::RaidX, 40, true, false);
+        let run = scripted_run(Arch::RaidX, 40, true, None);
         assert!(plant_dropped_grant(&run.events).is_some(), "no grant to drop");
         assert!(plant_same_tick_service(&run.events).is_some(), "no disk write to twin");
     }

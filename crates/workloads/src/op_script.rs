@@ -1,12 +1,12 @@
-//! Scripted op sequences with named trace points — the workload half of
-//! fault injection.
+//! Scripted op sequences with op-indexed fault triggers — the workload
+//! half of fault injection.
 //!
 //! A script is a flat, pre-generated list of [`ScriptOp`]s (so the
 //! sequence is independent of what faults do to it); [`run_script`]
-//! executes it one op per engine cycle, announcing the trace point
-//! `"op:<index>"` to an optional [`cdd::FaultInjector`] before each op —
-//! the hook the `fault-sweep` verify pass and the recovery property
-//! tests use to fire a fault at a precise position in the workload.
+//! executes it one op per engine cycle, announcing each op's index to an
+//! optional [`cdd::FaultInjector`] before issuing it — the hook the
+//! `fault-sweep` verify pass and the recovery property tests use to fire
+//! a fault at a precise position in the workload.
 //!
 //! Alongside the array, the runner maintains a **shadow model**: the
 //! bytes of every write that *succeeded* (failed ops drop out of the
@@ -69,6 +69,19 @@ pub fn gen_script(g: &mut Gen, clients: usize, region_blocks: u64, nops: usize) 
         .collect()
 }
 
+/// `ops` with every read issued twice back to back, so the second one
+/// finds the range resident in the issuing client's block cache
+/// (capacity permitting). The script shape of the cache-facing verify
+/// cells: a [`gen_script`] script alone practically never re-reads a
+/// range from the same client before a write invalidates it.
+pub fn with_rereads(ops: Vec<ScriptOp>) -> Vec<ScriptOp> {
+    let twice = |op: ScriptOp| {
+        let again = matches!(op, ScriptOp::Read { .. }).then_some(op);
+        std::iter::once(op).chain(again)
+    };
+    ops.into_iter().flat_map(twice).collect()
+}
+
 /// What a script run observed.
 #[derive(Debug)]
 pub struct ScriptOutcome {
@@ -85,10 +98,10 @@ pub struct ScriptOutcome {
     pub stale_reads: usize,
 }
 
-/// Execute `ops` one engine cycle at a time. Before each op the trace
-/// point `"op:<index>"` is announced to `injector` (if any) and due
-/// timed faults fire; after the whole script, remaining timed faults are
-/// drained with the engine driven past their deadlines. Ops that fail
+/// Execute `ops` one engine cycle at a time. Before each op its index
+/// is announced to `injector` (if any) and due timed faults fire; after
+/// the whole script, remaining timed faults are drained with the engine
+/// driven past their deadlines. Ops that fail
 /// (`DataLoss`/`Unreachable`/…) are *counted*, not propagated: a faulted
 /// run keeps going, exactly like a retrying client application.
 pub fn run_script(
@@ -101,7 +114,7 @@ pub fn run_script(
     let mut out = ScriptOutcome { model: BTreeMap::new(), completed: 0, failed: 0, stale_reads: 0 };
     for (i, op) in ops.iter().enumerate() {
         if let Some(inj) = injector.as_deref_mut() {
-            inj.hit_point(&format!("op:{i}"), engine, sys)?;
+            inj.hit_op(i as u64, engine, sys)?;
             inj.poll(engine, sys)?;
         }
         match *op {

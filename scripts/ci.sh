@@ -43,4 +43,7 @@ echo "==> verify_all (plan lint, lock order, layout, determinism, model check, l
 # crates/verify/src/perf_smoke.rs.
 cargo run --release -p bench --bin verify_all -- --budget 20000 --smoke
 
+echo "==> loc (Rust lines per crate; informational, never fails)"
+sh scripts/loc.sh || true
+
 echo "ci.sh: all gates passed"
