@@ -14,8 +14,8 @@
 //! shrinks the fault sweep and race detector to their CI subsets;
 //! `--list-passes` prints the registry (stable order) and exits;
 //! `--json <path>` additionally writes every pass's checks as
-//! machine-readable JSON (stable schema: pass, rule, file, line,
-//! message, acknowledged, ok). Each pass reports its wall-clock time.
+//! machine-readable JSON (stable schema: pass, rule, message, ok).
+//! Each pass reports its wall-clock time.
 
 use raidx_verify::report::{self, PassReport};
 use raidx_verify::{model_check, run_pass, PASSES};
@@ -102,10 +102,12 @@ fn main() {
     let mut timings: Vec<(&str, f64)> = Vec::new();
     let mut reports: Vec<PassReport> = Vec::new();
     for name in &selected {
-        // lint-ok(determinism): wall-clock spent per pass is reporting, not simulation.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock spent per pass is reporting, not simulation."
+        )]
         let t0 = std::time::Instant::now();
         let mut p = run_pass(name, cli.budget, cli.smoke);
-        // lint-ok(determinism): wall-clock readout of the per-pass stopwatch above.
         let secs = t0.elapsed().as_secs_f64();
         p.secs = Some(secs);
         timings.push((name, secs));

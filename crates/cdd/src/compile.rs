@@ -69,6 +69,7 @@ pub(crate) fn compile_op(op: &ProtoOp, sc: &Scenario, client: usize) -> Compiled
     let mut steps = Vec::new();
     match *op {
         ProtoOp::WriteGroup { start, len, val } => {
+            #[expect(clippy::wildcard_enum_match_arm, reason = "other defects acquire atomically")]
             match defect {
                 Defect::SplitAcquire if len > 1 => {
                     // Non-atomic per-block acquisition; odd clients in

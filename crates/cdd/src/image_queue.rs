@@ -52,6 +52,7 @@ impl ImageQueue {
     /// that became ready to flush: the whole group once it fills, or the
     /// image itself when the layout defines no group for it. Overwrites
     /// of a still-buffered logical block replace in place.
+    #[expect(clippy::expect_used, reason = "key taken from the map's own iteration one line up")]
     pub fn push(&mut self, img: PendingImage, group: Option<(u64, usize)>) -> Vec<PendingImage> {
         match group {
             Some((key, group_len)) => {
@@ -63,7 +64,7 @@ impl ImageQueue {
                     self.total += 1;
                 }
                 if entry.len() >= group_len {
-                    let full = self.groups.remove(&key).expect("entry exists"); // lint-ok(no-unwrap): key taken from the map's own iteration one line up
+                    let full = self.groups.remove(&key).expect("entry exists");
                     self.total -= full.len();
                     full
                 } else {
@@ -173,7 +174,8 @@ impl ImageQueue {
                 Some(&k) => k,
                 None => break,
             };
-            let group = self.groups.remove(&key).expect("key exists"); // lint-ok(no-unwrap): key taken from the map's own keys above
+            #[expect(clippy::expect_used, reason = "key taken from the map's own keys above")]
+            let group = self.groups.remove(&key).expect("key exists");
             self.total -= group.len();
             shed.extend(group);
         }

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
+#![warn(clippy::wildcard_enum_match_arm)]
 //! # cdd — cooperative disk drivers and the single I/O space
 //!
 //! The paper's enabling mechanism, reproduced in user space: every node's

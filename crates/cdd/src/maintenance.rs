@@ -120,7 +120,11 @@ impl IoSystem {
         assert!(self.faults.contains(disk), "rebuilding a healthy disk");
         // Rebuild planning runs in slot space; `disk` is the physical
         // target, which must be serving a slot (Active) to be rebuilt.
-        let slot = self.placer.map().slot_of(disk).expect("rebuilding a disk that serves no slot"); // lint-ok(no-unwrap): operator-error invariant — callers rebuild active disks only
+        #[expect(
+            clippy::expect_used,
+            reason = "operator-error invariant — callers rebuild active disks only"
+        )]
+        let slot = self.placer.map().slot_of(disk).expect("rebuilding a disk that serves no slot");
         let (steps, lost) = self.plan_slot(slot, |_| true);
         if let Some(l) = lost.first() {
             return Err(IoError::DataLoss { lb: l.lbs(self.layout.as_ref())[0] });

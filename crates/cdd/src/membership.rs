@@ -190,9 +190,11 @@ impl IoSystem {
     /// Panics if `phys` is not Active or no spare is registered — both
     /// are operator errors, not runtime conditions.
     pub fn remove_disk(&mut self, client: usize, phys: usize) -> Result<usize, IoError> {
-        let slot = self.placer.map().slot_of(phys).expect("can only remove an active disk"); // lint-ok(no-unwrap): operator-error invariant documented on the method
+        #[expect(clippy::expect_used, reason = "operator-error invariant documented on the method")]
+        let slot = self.placer.map().slot_of(phys).expect("can only remove an active disk");
+        #[expect(clippy::expect_used, reason = "operator-error invariant documented on the method")]
         let spare =
-            self.placer.map().first_spare().expect("removing a disk requires a registered spare"); // lint-ok(no-unwrap): operator-error invariant documented on the method
+            self.placer.map().first_spare().expect("removing a disk requires a registered spare");
         self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys| {
             sys.promote_spare(slot, phys, spare);
             Ok(spare)

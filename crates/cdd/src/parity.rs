@@ -37,7 +37,8 @@ impl SchemeDriver for ParityDriver {
         // stripe's parity disk are gone.
         for lb in lb0..lb0 + nblocks {
             let d = ctx.layout.locate_data(lb);
-            let p = ctx.layout.locate_parity(lb).expect("parity layout"); // lint-ok(no-unwrap): parity drivers only run on parity layouts
+            #[expect(clippy::expect_used, reason = "parity drivers only run on parity layouts")]
+            let p = ctx.layout.locate_parity(lb).expect("parity layout");
             if ctx.faults.contains(d.disk) && ctx.faults.contains(p.disk) {
                 return Err(IoError::DataLoss { lb });
             }
@@ -73,7 +74,8 @@ impl SchemeDriver for ParityDriver {
                         ctx.park(a.disk, m);
                     }
                 }
-                let p = ctx.layout.locate_parity(members[0]).expect("parity"); // lint-ok(no-unwrap): parity drivers only run on parity layouts
+                #[expect(clippy::expect_used, reason = "parity drivers only run on parity layouts")]
+                let p = ctx.layout.locate_parity(members[0]).expect("parity");
                 if !ctx.faults.contains(p.disk) {
                     ctx.write_block(p, &parity)?;
                     parity_writes.push((s, p));
@@ -88,7 +90,11 @@ impl SchemeDriver for ParityDriver {
                         continue;
                     }
                     let a = ctx.layout.locate_data(m);
-                    let p = ctx.layout.locate_parity(m).expect("parity"); // lint-ok(no-unwrap): parity drivers only run on parity layouts
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "parity drivers only run on parity layouts"
+                    )]
+                    let p = ctx.layout.locate_parity(m).expect("parity");
                     let d_ok = !ctx.faults.contains(a.disk);
                     let p_ok = !ctx.faults.contains(p.disk);
                     let newd = ctx.slice(data, lb0, m).to_vec();

@@ -49,7 +49,10 @@ impl IoSystem {
         };
         // The ledger is keyed by physical disk; the copies to restore are
         // the ones whose *slot* this disk currently serves.
-        // lint-ok(no-unwrap): operator-error invariant — parked ledgers only exist for active disks
+        #[expect(
+            clippy::expect_used,
+            reason = "operator-error invariant — parked ledgers only exist for active disks"
+        )]
         let slot = self.placer.map().slot_of(disk).expect("resyncing a disk that serves no slot");
         let layout = self.layout.as_ref();
         let (steps, lost) =

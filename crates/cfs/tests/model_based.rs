@@ -3,7 +3,7 @@
 //! fs (over a RAID-x single I/O space) and to a trivial in-memory model;
 //! results — contents and errors alike — must agree.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use cfs::{Fs, FsError};
 use raidx_core::Arch;
@@ -53,8 +53,8 @@ fn payload(size: u16, tag: u8) -> Vec<u8> {
 /// In-memory reference: which dirs exist, and file path -> contents.
 #[derive(Default)]
 struct Model {
-    dirs: HashSet<u8>,
-    files: HashMap<(u8, u8), Vec<u8>>,
+    dirs: BTreeSet<u8>,
+    files: BTreeMap<(u8, u8), Vec<u8>>,
 }
 
 #[test]
@@ -80,7 +80,7 @@ fn fs_agrees_with_model() {
                     let real = fs.create(client, &file_path(d, f));
                     if !model.dirs.contains(&d) {
                         assert!(matches!(real, Err(FsError::NotFound(_))));
-                    } else if let std::collections::hash_map::Entry::Vacant(e) =
+                    } else if let std::collections::btree_map::Entry::Vacant(e) =
                         model.files.entry((d, f))
                     {
                         assert!(real.is_ok());

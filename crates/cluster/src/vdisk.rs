@@ -220,7 +220,10 @@ impl DataPlane {
     /// the disk: only blocks that were ever written need copying. Sorted
     /// so iteration over the sparse store stays deterministic.
     pub fn written_blocks(&self, disk: usize) -> Vec<u64> {
-        // lint-ok(determinism): sorted immediately below before anything observes it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted immediately below before anything observes it."
+        )]
         let mut v: Vec<u64> = self.disks[disk].blocks.keys().copied().collect();
         v.sort_unstable();
         v

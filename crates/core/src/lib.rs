@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::wildcard_enum_match_arm)]
 //! # raidx-core — RAID-x orthogonal striping and mirroring, plus baselines
 //!
 //! The paper's primary contribution as pure, heavily-tested address

@@ -108,7 +108,7 @@ impl PeakModel {
     pub fn sustained_small_write_bw(&self, a: Arch) -> f64 {
         match a {
             Arch::RaidX => (self.n as f64 - 1.0) * self.disk_bw,
-            other => self.max_small_write_bw(other),
+            Arch::Raid5 | Arch::Chained | Arch::Raid10 => self.max_small_write_bw(a),
         }
     }
 
@@ -147,7 +147,7 @@ impl PeakModel {
     pub fn small_write_time(&self, a: Arch) -> f64 {
         match a {
             Arch::Raid5 => self.read_time + self.write_time,
-            _ => self.write_time,
+            Arch::Chained | Arch::Raid10 | Arch::RaidX => self.write_time,
         }
     }
 

@@ -128,7 +128,7 @@ mod tests {
             match l.read_source(lb, &none) {
                 ReadSource::Primary(_) => primaries += 1,
                 ReadSource::Image(_) => images += 1,
-                other => panic!("unexpected {other:?}"),
+                other @ (ReadSource::Reconstruct { .. } | ReadSource::Lost) => panic!("{other:?}"),
             }
         }
         assert_eq!(primaries, 20);

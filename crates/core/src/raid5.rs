@@ -156,15 +156,14 @@ mod tests {
         let l = Raid5::new(4, 100);
         let d0 = l.locate_data(0);
         let failed = FaultSet::of(&[d0.disk]);
-        match l.read_source(0, &failed) {
-            ReadSource::Reconstruct { siblings, parity } => {
-                assert_eq!(siblings.len(), 2);
-                assert_eq!(parity, l.parity_addr(0));
-                for (_, a) in &siblings {
-                    assert!(!failed.contains(a.disk));
-                }
-            }
-            other => panic!("expected reconstruction, got {other:?}"),
+        let src = l.read_source(0, &failed);
+        let ReadSource::Reconstruct { siblings, parity } = &src else {
+            panic!("expected reconstruction, got {src:?}")
+        };
+        assert_eq!(siblings.len(), 2);
+        assert_eq!(*parity, l.parity_addr(0));
+        for (_, a) in siblings {
+            assert!(!failed.contains(a.disk));
         }
         // A block whose disk survives is read normally even in degraded mode.
         assert!(matches!(l.read_source(1, &failed), ReadSource::Primary(_)));

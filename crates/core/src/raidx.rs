@@ -345,10 +345,8 @@ mod tests {
         let l = RaidX::new(4, 1, 240);
         // lb 0: data on disk 0, image on disk 3.
         assert!(matches!(l.read_source(0, &FaultSet::none()), ReadSource::Primary(_)));
-        match l.read_source(0, &FaultSet::of(&[0])) {
-            ReadSource::Image(a) => assert_eq!(a.disk, 3),
-            other => panic!("{other:?}"),
-        }
+        let degraded = l.read_source(0, &FaultSet::of(&[0]));
+        assert!(matches!(&degraded, ReadSource::Image(a) if a.disk == 3), "{degraded:?}");
         assert_eq!(l.read_source(0, &FaultSet::of(&[0, 3])), ReadSource::Lost);
     }
 

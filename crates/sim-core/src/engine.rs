@@ -59,8 +59,9 @@ impl JobRecord {
     /// Foreground latency of the job; panics if the job has not finished.
     /// Prefer [`JobRecord::try_latency`] anywhere an unfinished job can be
     /// observed (deadlocked runs, mid-run inspection, partial drains).
+    #[expect(clippy::expect_used, reason = "caller contract: latency() is only for finished jobs")]
     pub fn latency(&self) -> SimDuration {
-        self.try_latency().expect("job not finished") // lint-ok(no-unwrap): caller contract: latency() is only for finished jobs
+        self.try_latency().expect("job not finished")
     }
 
     /// Foreground latency of the job, or `None` if it has not finished.
@@ -206,7 +207,8 @@ impl Engine {
         name: impl Into<String>,
         model: Box<dyn ServiceModel>,
     ) -> ResourceId {
-        let id = ResourceId(u32::try_from(self.resources.len()).expect("too many resources")); // lint-ok(no-unwrap): u32 resource-id space is a sim capacity invariant
+        #[expect(clippy::expect_used, reason = "u32 resource-id space is a sim capacity invariant")]
+        let id = ResourceId(u32::try_from(self.resources.len()).expect("too many resources"));
         self.resources.push(queue::ResourceSlot::new(name.into(), model));
         id
     }
@@ -226,7 +228,10 @@ impl Engine {
     pub fn plan_context(&self) -> PlanContext {
         PlanContext {
             resources: self.resources.len(),
-            // lint-ok(determinism): collected into another map, order cannot be observed.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "collected into another map, order cannot be observed."
+            )]
             barriers: self.barriers.iter().map(|(&id, b)| (id, b.needed)).collect(),
         }
     }
@@ -275,7 +280,8 @@ impl Engine {
             let errs = lint_plan(&plan, &self.plan_context(), Strictness::Structural);
             assert!(errs.is_empty(), "structurally invalid plan: {errs:?}");
         }
-        let job = JobId(u32::try_from(self.jobs.len()).expect("too many jobs")); // lint-ok(no-unwrap): u32 job-id space is a sim capacity invariant
+        #[expect(clippy::expect_used, reason = "u32 job-id space is a sim capacity invariant")]
+        let job = JobId(u32::try_from(self.jobs.len()).expect("too many jobs"));
         self.jobs.push(JobRecord { label: label.into(), start, end: None });
         if let Some(tr) = self.tracer.as_mut() {
             let label = self.jobs[job.0 as usize].label.as_str();
@@ -311,7 +317,8 @@ impl Engine {
     pub fn run_until(&mut self, t: SimTime) -> SimTime {
         assert!(t >= self.now, "cannot run into the past");
         while self.events.peek().is_some_and(|Reverse(ev)| ev.time <= t) {
-            let Reverse(ev) = self.events.pop().expect("peeked event vanished"); // lint-ok(no-unwrap): peek on the same non-empty heap one line up
+            #[expect(clippy::expect_used, reason = "peek on the same non-empty heap one line up")]
+            let Reverse(ev) = self.events.pop().expect("peeked event vanished");
             self.step(ev);
         }
         self.now = t;
@@ -376,7 +383,11 @@ impl Engine {
 
     fn diagnose_stall(&self) -> String {
         let mut waiting_barrier = 0usize;
-        // lint-ok(determinism): commutative sum, iteration order cannot be observed.
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "commutative sum, iteration order cannot be observed."
+        )]
         for b in self.barriers.values() {
             waiting_barrier += b.waiting.len();
         }

@@ -111,7 +111,11 @@ impl Engine {
     /// resume the served task.
     pub(super) fn resource_done(&mut self, rid: ResourceId) {
         let slot = &mut self.resources[rid.index()];
-        let done = slot.current.take().expect("resource-done with idle resource"); // lint-ok(no-unwrap): resource-done events are only queued for busy slots
+        #[expect(
+            clippy::expect_used,
+            reason = "resource-done events are only queued for busy slots"
+        )]
+        let done = slot.current.take().expect("resource-done with idle resource");
         if let Some(tr) = self.tracer.as_mut() {
             let (demand, detached) = (&done.demand, self.tasks[done.task.index()].detached);
             tr.record(
@@ -136,8 +140,12 @@ impl Engine {
             _ => slot.queue.pop_front(),
         };
         if let Some(Waiter { task: tid, enqueued }) = next {
+            #[expect(
+                clippy::expect_used,
+                reason = "enqueue stores the demand with every queue entry"
+            )]
             let demand =
-                self.tasks[tid.index()].waiting.take().expect("queued task holds no demand"); // lint-ok(no-unwrap): enqueue stores the demand with every queue entry
+                self.tasks[tid.index()].waiting.take().expect("queued task holds no demand");
             self.start_service(rid, tid, demand, enqueued);
         }
         self.advance(done.task);

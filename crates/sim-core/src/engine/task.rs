@@ -23,6 +23,7 @@ enum Frame {
 impl Frame {
     /// Enter `plan`: a `Seq` is walked through its own iterator, anything
     /// else runs as a one-shot frame.
+    #[expect(clippy::wildcard_enum_match_arm, reason = "any non-Seq node runs as a one-shot frame")]
     fn enter(plan: Plan) -> Frame {
         match plan {
             Plan::Seq(v) => Frame::Seq(v.into_iter()),
@@ -60,7 +61,8 @@ pub(super) struct Task {
 impl Task {
     /// The demand of a task that sits in a resource queue.
     pub(super) fn queued_demand(&self) -> &Demand {
-        self.waiting.as_ref().expect("queued task holds no demand") // lint-ok(no-unwrap): enqueue stores the demand with every queue entry
+        #[expect(clippy::expect_used, reason = "enqueue stores the demand with every queue entry")]
+        self.waiting.as_ref().expect("queued task holds no demand")
     }
 }
 
@@ -93,7 +95,8 @@ impl Engine {
             TaskId(idx)
         } else {
             self.stats.on_task_spawn(true);
-            let idx = u32::try_from(self.tasks.len()).expect("too many tasks"); // lint-ok(no-unwrap): u32 task-id space is a sim capacity invariant
+            #[expect(clippy::expect_used, reason = "u32 task-id space is a sim capacity invariant")]
+            let idx = u32::try_from(self.tasks.len()).expect("too many tasks");
             self.tasks.push(task);
             TaskId(idx)
         };

@@ -4,9 +4,9 @@
 //! Every timestamp written here is **simulated** time (the Chrome format
 //! wants microseconds, so nanosecond stamps are divided by 1000 with
 //! three decimals kept — exact for the integer clock). Wall clocks are
-//! banned from this module: the `static-analysis` determinism rule scans
-//! for them, and the `trace-determinism` pass double-runs workloads to prove
-//! exports are byte-identical.
+//! banned from this module: `clippy.toml` disallows them, and the
+//! `trace-determinism` pass double-runs workloads to prove exports are
+//! byte-identical.
 //!
 //! Track layout of the Chrome trace:
 //!
@@ -99,6 +99,7 @@ pub fn chrome_trace_json(events: &[TimedEvent], res_names: &[String]) -> String 
 
     for te in events {
         let t = te.at.as_nanos();
+        #[expect(clippy::wildcard_enum_match_arm, reason = "only the kinds above are drawn")]
         match &te.event {
             TraceEvent::JobSpawned { job, label } => {
                 job_spawn.insert(*job, (t, label.clone()));

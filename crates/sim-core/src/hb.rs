@@ -100,8 +100,8 @@ pub fn cell_index(c: u64) -> u64 {
 pub const PROTOCOL_ACTOR_BASE: u32 = 0x8000_0000;
 
 /// The protocol actor id of client node `client`.
+#[expect(clippy::expect_used, reason = "client counts are far below the actor-namespace split")]
 pub fn client_actor(client: usize) -> u32 {
-    // lint-ok(no-unwrap): client counts are far below the actor-namespace split
     PROTOCOL_ACTOR_BASE | u32::try_from(client).expect("client id overflows actor namespace")
 }
 

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
+#![warn(clippy::wildcard_enum_match_arm)]
 //! # sim-core — deterministic discrete-event simulation engine
 //!
 //! The substrate under the RAID-x reproduction. Hardware components (disks,

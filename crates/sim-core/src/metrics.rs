@@ -272,6 +272,7 @@ impl MetricsRegistry {
         for te in events {
             let t = te.at;
             end_ns = end_ns.max(t.as_nanos());
+            #[expect(clippy::wildcard_enum_match_arm, reason = "other kinds feed no metric")]
             match &te.event {
                 TraceEvent::JobSpawned { job, .. } => {
                     jobs_spawned += 1;

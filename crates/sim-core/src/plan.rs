@@ -54,7 +54,7 @@ impl Plan {
             }
             Plan::Seq(v) | Plan::Par(v) => v.iter().map(Plan::disk_bytes).sum(),
             Plan::Background(p) => p.disk_bytes(),
-            _ => 0,
+            Plan::Noop | Plan::Delay(_) | Plan::Use { .. } | Plan::Barrier(_) => 0,
         }
     }
 
@@ -64,12 +64,13 @@ impl Plan {
             Plan::Use { .. } => 1,
             Plan::Seq(v) | Plan::Par(v) => v.iter().map(Plan::leaf_count).sum(),
             Plan::Background(p) => p.leaf_count(),
-            _ => 0,
+            Plan::Noop | Plan::Delay(_) | Plan::Barrier(_) => 0,
         }
     }
 
     /// Flatten nested empty/singleton combinators (cheap cosmetic
     /// normalization; the engine does not require it).
+    #[expect(clippy::wildcard_enum_match_arm, reason = "unflattened children are kept whole")]
     pub fn simplify(self) -> Plan {
         match self {
             Plan::Seq(v) => {
@@ -83,7 +84,11 @@ impl Plan {
                 }
                 match out.len() {
                     0 => Plan::Noop,
-                    1 => out.pop().expect("len checked"), // lint-ok(no-unwrap): arm guarded by the len()==1 match above
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "arm guarded by the len()==1 match above"
+                    )]
+                    1 => out.pop().expect("len checked"),
                     _ => Plan::Seq(out),
                 }
             }
@@ -98,7 +103,11 @@ impl Plan {
                 }
                 match out.len() {
                     0 => Plan::Noop,
-                    1 => out.pop().expect("len checked"), // lint-ok(no-unwrap): arm guarded by the len()==1 match above
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "arm guarded by the len()==1 match above"
+                    )]
+                    1 => out.pop().expect("len checked"),
                     _ => Plan::Par(out),
                 }
             }
@@ -106,7 +115,7 @@ impl Plan {
                 Plan::Noop => Plan::Noop,
                 other => Plan::Background(Box::new(other)),
             },
-            other => other,
+            other @ (Plan::Noop | Plan::Delay(_) | Plan::Use { .. } | Plan::Barrier(_)) => other,
         }
     }
 }
@@ -169,10 +178,7 @@ mod tests {
             background(Plan::Noop),
         ])
         .simplify();
-        match p {
-            Plan::Use { .. } => {}
-            other => panic!("expected single Use, got {other:?}"),
-        }
+        assert!(matches!(p, Plan::Use { .. }), "expected single Use, got {p:?}");
     }
 
     #[test]

@@ -76,6 +76,7 @@ impl FixedRate {
 }
 
 impl ServiceModel for FixedRate {
+    #[expect(clippy::wildcard_enum_match_arm, reason = "non-Busy demands are priced by byte count")]
     fn service_time(&mut self, demand: &Demand, _now: SimTime) -> SimDuration {
         match demand {
             Demand::Busy(d) => *d,

@@ -434,17 +434,29 @@ impl EventLog {
 
     /// Snapshot of all recorded events, in emission order.
     pub fn events(&self) -> Vec<TimedEvent> {
-        self.events.lock().expect("event log poisoned").clone() // lint-ok(no-unwrap): single-threaded sim: the event-log mutex cannot poison
+        #[expect(
+            clippy::expect_used,
+            reason = "single-threaded sim: the event-log mutex cannot poison"
+        )]
+        self.events.lock().expect("event log poisoned").clone()
     }
 
     /// Take all recorded events, leaving the log empty.
     pub fn take(&self) -> Vec<TimedEvent> {
-        std::mem::take(&mut *self.events.lock().expect("event log poisoned")) // lint-ok(no-unwrap): single-threaded sim: the event-log mutex cannot poison
+        #[expect(
+            clippy::expect_used,
+            reason = "single-threaded sim: the event-log mutex cannot poison"
+        )]
+        std::mem::take(&mut *self.events.lock().expect("event log poisoned"))
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("event log poisoned").len() // lint-ok(no-unwrap): single-threaded sim: the event-log mutex cannot poison
+        #[expect(
+            clippy::expect_used,
+            reason = "single-threaded sim: the event-log mutex cannot poison"
+        )]
+        self.events.lock().expect("event log poisoned").len()
     }
 
     /// True if nothing has been recorded.
@@ -455,9 +467,13 @@ impl EventLog {
 
 impl Tracer for EventLog {
     fn record(&mut self, at: SimTime, point: TracePoint<'_>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "single-threaded sim: the event-log mutex cannot poison"
+        )]
         self.events
             .lock()
-            .expect("event log poisoned") // lint-ok(no-unwrap): single-threaded sim: the event-log mutex cannot poison
+            .expect("event log poisoned")
             .push(TimedEvent { at, event: TraceEvent::from_point(point) });
     }
 }
@@ -470,6 +486,7 @@ pub fn render_event(ev: &TimedEvent) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::wildcard_enum_match_arm, reason = "tests pick one event kind out of the stream")]
 mod tests {
     use super::*;
     use crate::engine::Engine;

@@ -182,13 +182,19 @@ pub fn barrier_arrivals(plan: &Plan, out: &mut HashMap<BarrierId, usize>) {
                 for p in v {
                     let mut child = HashMap::new();
                     arrivals(p, &mut child);
-                    // lint-ok(determinism): commutative max-merge, order-insensitive.
+                    #[expect(
+                        clippy::iter_over_hash_type,
+                        reason = "commutative max-merge, order-insensitive."
+                    )]
                     for (id, n) in child {
                         let e = max.entry(id).or_insert(0);
                         *e = (*e).max(n);
                     }
                 }
-                // lint-ok(determinism): commutative addition into the accumulator.
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "commutative addition into the accumulator."
+                )]
                 for (id, n) in max {
                     *acc.entry(id).or_insert(0) += n;
                 }
@@ -198,12 +204,12 @@ pub fn barrier_arrivals(plan: &Plan, out: &mut HashMap<BarrierId, usize>) {
                     arrivals(p, acc);
                 }
             }
-            _ => {}
+            Plan::Noop | Plan::Delay(_) | Plan::Use { .. } | Plan::Background(_) => {}
         }
     }
     let mut acc = HashMap::new();
     arrivals(plan, &mut acc);
-    // lint-ok(determinism): commutative addition into the output map.
+    #[expect(clippy::iter_over_hash_type, reason = "commutative addition into the output map.")]
     for (id, n) in acc {
         *out.entry(id).or_insert(0) += n;
     }
@@ -218,8 +224,11 @@ pub fn lint_jobs(plans: &[Plan], ctx: &PlanContext) -> Vec<PlanError> {
         walk(p, ctx, Strictness::Strict, false, &mut errs);
         barrier_arrivals(p, &mut arriving);
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sorted immediately below so the error list is deterministic."
+    )]
     let mut ordered: Vec<(BarrierId, usize)> =
-        // lint-ok(determinism): sorted immediately below so the error list is deterministic.
         ctx.barriers.iter().map(|(&id, &needed)| (id, needed)).collect();
     ordered.sort_by_key(|(id, _)| id.0);
     for (id, needed) in ordered {

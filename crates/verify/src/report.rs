@@ -9,13 +9,6 @@ pub struct Check {
     pub ok: bool,
     /// Failure detail, or a short summary for passing checks.
     pub detail: String,
-    /// Source file the check refers to, when it carries a span
-    /// (static-analysis findings do; dynamic checks leave it empty).
-    pub file: Option<String>,
-    /// 1-based source line, when the check carries a span.
-    pub line: Option<usize>,
-    /// The finding behind this check was acknowledged in source.
-    pub acknowledged: bool,
 }
 
 /// The outcome of one verification pass: a list of named checks.
@@ -49,35 +42,7 @@ impl PassReport {
 
     /// Record a check whose outcome is already known.
     pub fn push(&mut self, name: impl Into<String>, ok: bool, detail: impl Into<String>) {
-        self.checks.push(Check {
-            name: name.into(),
-            ok,
-            detail: detail.into(),
-            file: None,
-            line: None,
-            acknowledged: false,
-        });
-    }
-
-    /// Record a check that carries a source span (static-analysis
-    /// findings), with its acknowledgement state.
-    pub fn push_spanned(
-        &mut self,
-        name: impl Into<String>,
-        ok: bool,
-        detail: impl Into<String>,
-        file: impl Into<String>,
-        line: usize,
-        acknowledged: bool,
-    ) {
-        self.checks.push(Check {
-            name: name.into(),
-            ok,
-            detail: detail.into(),
-            file: Some(file.into()),
-            line: Some(line),
-            acknowledged,
-        });
+        self.checks.push(Check { name: name.into(), ok, detail: detail.into() });
     }
 
     /// True when every check passed.
@@ -117,8 +82,7 @@ use sim_core::export::json_escape;
 /// (`verify_all --json`). Stable schema: every pass object carries
 /// `pass`, `ok`, `secs` (wall-clock cost, null when unmeasured — CI
 /// trends this over PRs) and `checks`; every check is an object with
-/// `pass`, `rule` (the check name), `file`/`line` (null for dynamic
-/// checks), `message`, `acknowledged` and `ok`.
+/// `pass`, `rule` (the check name), `message` and `ok`.
 pub fn render_json(reports: &[PassReport]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\n  \"passes\": [\n");
@@ -134,22 +98,12 @@ pub fn render_json(reports: &[PassReport]) -> String {
             r.all_ok()
         );
         for (ci, c) in r.checks.iter().enumerate() {
-            let file = match &c.file {
-                Some(f) => format!("\"{}\"", json_escape(f)),
-                None => "null".to_string(),
-            };
-            let line = match c.line {
-                Some(l) => l.to_string(),
-                None => "null".to_string(),
-            };
             let _ = writeln!(
                 out,
-                "      {{\"pass\": \"{}\", \"rule\": \"{}\", \"file\": {file}, \
-                 \"line\": {line}, \"message\": \"{}\", \"acknowledged\": {}, \"ok\": {}}}{}",
+                "      {{\"pass\": \"{}\", \"rule\": \"{}\", \"message\": \"{}\", \"ok\": {}}}{}",
                 json_escape(&r.pass),
                 json_escape(&c.name),
                 json_escape(&c.detail),
-                c.acknowledged,
                 c.ok,
                 if ci + 1 < r.checks.len() { "," } else { "" }
             );
@@ -165,17 +119,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_output_is_valid_and_spanned() {
+    fn json_output_is_valid_and_escaped() {
         let mut r = PassReport::new("static-analysis");
-        r.push_spanned("no-unwrap", true, "acked \"why\"", "cdd/src/x.rs", 12, true);
+        r.ok("module-size", "quoted \"why\"");
         r.fail("canary", "missing");
         r.secs = Some(1.2345);
         let json = render_json(&[r]);
         assert!(sim_core::export::json_is_valid(&json), "{json}");
-        assert!(json.contains("\"file\": \"cdd/src/x.rs\""));
-        assert!(json.contains("\"line\": 12"));
-        assert!(json.contains("\"acknowledged\": true"));
-        assert!(json.contains("\"file\": null"));
+        assert!(json.contains("\"message\": \"quoted \\\"why\\\"\""), "{json}");
+        assert!(json.contains("\"rule\": \"canary\", \"message\": \"missing\", \"ok\": false"));
         assert!(json.contains("\"secs\": 1.234"), "{json}");
     }
 

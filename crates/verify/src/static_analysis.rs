@@ -1,103 +1,82 @@
-//! Pass 11 — parser-based whole-workspace static analysis.
-//!
-//! Drives [`raidx_analyze`] over every production source file under
-//! `crates/` and reports each finding as a spanned check: acknowledged
-//! findings pass (and carry `acknowledged: true` into the `--json`
-//! output), unacknowledged findings fail the pass. Three rule families
-//! run (see the analyzer crate docs): scope-aware determinism hazards,
-//! the wildcard-match ban on safety-critical enums, and the hygiene
-//! gates (module size, `unwrap`/`expect`).
-//!
-//! In the house style of passes 2–10, the pass first proves each family
-//! can still detect a planted defect: every canary snippet below is
-//! analyzed in memory and must produce its expected finding.
+//! Pass 11 — module size and lint wiring: tier-1 runs no clippy, so of the static rules (DESIGN
+//! "Static analysis") it checks the line cap and that the lints' configuration is still in place.
 
 use crate::report::PassReport;
-use raidx_analyze::{analyze_files, analyze_workspace, Finding, SourceFile};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// The rule families the pass summarizes, in report order.
-const FAMILIES: [&str; 5] =
-    ["determinism", "wildcard-match", "module-size", "no-unwrap", "stale-ack"];
+/// Production modules may not exceed this many lines.
+const MODULE_LINE_CAP: usize = 450;
 
-/// One planted-defect canary: analyzing `file` must yield a finding of
-/// `rule`.
-struct Canary {
-    name: &'static str,
-    rule: &'static str,
-    file: SourceFile,
+/// Files that predate the cap, by exact workspace-relative path; the list only shrinks.
+const GRANDFATHERED: [&str; 6] = [
+    "sim-core/src/hb.rs",
+    "sim-core/src/explore.rs",
+    "sim-core/src/trace.rs",
+    "sim-core/src/export.rs",
+    "sim-core/src/metrics.rs",
+    "cfs/src/fs.rs",
+];
+
+/// The switches the lints hang on, as (file relative to `crates/`, text it must keep). No `#[expect]`
+/// vouches for a lint level: an expectation raises its own lint whatever the crate or workspace says.
+const WIRING: [(&str, &[&str]); 5] = [
+    ("../clippy.toml", &["Instant::now\"", "::SystemTime\"", "RandomState\"", "HashMap::iter\""]),
+    ("../Cargo.toml", &["unwrap_used =", "hash_type =", "allow_attributes =", "without_reason ="]),
+    ("sim-core/src/lib.rs", &["(clippy::expect_used)", "(clippy::wildcard_enum_match_arm)"]),
+    ("cdd/src/lib.rs", &["(clippy::expect_used)", "(clippy::wildcard_enum_match_arm)"]),
+    ("core/src/lib.rs", &["(clippy::wildcard_enum_match_arm)"]),
+];
+
+/// The tree's one `disallowed_types` expectation: without the `SystemTime` ban clippy rejects it.
+#[expect(clippy::disallowed_types, reason = "lint canary: the SystemTime ban must stay configured")]
+const _: Option<std::time::SystemTime> = None;
+
+/// Failure detail when `text` at workspace-relative `rel` is over the cap and not grandfathered.
+fn oversized(rel: &str, text: &str) -> Option<String> {
+    let n = text.lines().count();
+    (n > MODULE_LINE_CAP && !GRANDFATHERED.contains(&rel))
+        .then(|| format!("{rel} is {n} lines (cap {MODULE_LINE_CAP})"))
 }
 
-fn canaries() -> Vec<Canary> {
-    let wall_clock = "fn f() -> u64 {\n    let t = Instant::now();\n    t.as_nanos()\n}\n";
-    let wild = "fn f(e: IoError) -> u32 {\n    match e {\n        IoError::DataLoss { lb } => \
-                lb as u32,\n        _ => 0,\n    }\n}\n";
-    let unwrap = "pub fn f(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n";
-    let oversized = "// filler\n".repeat(raidx_analyze::hygiene::MODULE_LINE_CAP + 1);
-    vec![
-        Canary {
-            name: "canary: determinism wall clock",
-            rule: "determinism",
-            file: SourceFile::new("sim-core/src/canary.rs", wall_clock),
-        },
-        Canary {
-            name: "canary: wildcard arm over IoError",
-            rule: "wildcard-match",
-            file: SourceFile::new("cdd/src/canary.rs", wild),
-        },
-        Canary {
-            name: "canary: unwrap outside tests",
-            rule: "no-unwrap",
-            file: SourceFile::new("sim-core/src/canary.rs", unwrap),
-        },
-        Canary {
-            name: "canary: oversized module",
-            rule: "module-size",
-            file: SourceFile::new("cdd/src/canary.rs", &oversized),
-        },
-    ]
+/// A private lint table drifts from the workspace's and misses every lint added there.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    manifest.contains("[lints]\nworkspace = true")
 }
 
-fn run_canaries(report: &mut PassReport) {
-    for c in canaries() {
-        let findings = analyze_files(&[c.file]);
-        let hits = findings.iter().filter(|f| f.rule == c.rule && !f.acknowledged).count();
-        report.push(
-            c.name,
-            hits > 0,
-            format!("planted defect detected by `{}` ({hits} findings)", c.rule),
-        );
-    }
+/// Every file under `dir` in path order; an unreadable directory reads as empty.
+fn walk(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<_> =
+        std::fs::read_dir(dir).into_iter().flatten().flatten().map(|e| e.path()).collect();
+    paths.sort();
+    paths.into_iter().flat_map(|p| if p.is_dir() { walk(&p) } else { vec![p] }).collect()
 }
 
-fn report_findings(report: &mut PassReport, findings: &[Finding]) {
-    for family in FAMILIES {
-        let total = findings.iter().filter(|f| f.rule == family).count();
-        let acked = findings.iter().filter(|f| f.rule == family && f.acknowledged).count();
-        report.ok(
-            format!("family: {family}"),
-            format!("{total} findings, {acked} acknowledged, {} open", total - acked),
-        );
-    }
-    for f in findings {
-        report.push_spanned(
-            f.rule,
-            f.acknowledged,
-            format!("{}:{} {}", f.file, f.line, f.message),
-            f.file.clone(),
-            f.line,
-            f.acknowledged,
-        );
-    }
-}
-
-/// Run the full pass over the workspace rooted at `crates_dir`.
+/// Run the pass over the workspace whose member crates live in `crates_dir`.
 pub fn run_pass(crates_dir: &Path) -> PassReport {
     let mut report = PassReport::new("static-analysis");
-    run_canaries(&mut report);
-    match analyze_workspace(crates_dir) {
-        Ok(findings) => report_findings(&mut report, &findings),
-        Err(e) => report.fail("workspace scan", format!("scan failed: {e}")),
+    let read = |p: &Path| std::fs::read_to_string(p).unwrap_or_default();
+    for p in walk(crates_dir) {
+        let rel = p.strip_prefix(crates_dir).unwrap_or(&p).to_string_lossy();
+        let (text, top) = (read(&p), rel.split('/').nth(1));
+        if top == Some("Cargo.toml") {
+            report.push("lint-wiring", inherits_workspace_lints(&text), format!("{rel} inherits"));
+        } else if top == Some("src") && rel.ends_with(".rs") {
+            if let Some(detail) = oversized(&rel, &text) {
+                report.fail("module-size", detail);
+            }
+            if text.contains(concat!("lint-", "ok(")) {
+                report.fail("lint-wiring", format!("{rel}: comment ack, not #[expect(clippy::…)]"));
+            }
+        }
+    }
+    for path in GRANDFATHERED {
+        let n = read(&crates_dir.join(path)).lines().count();
+        report.push(format!("grandfathered {path}"), n > MODULE_LINE_CAP, format!("{n} lines"));
+    }
+    for (file, needles) in WIRING {
+        let (text, name) = (read(&crates_dir.join(file)), format!("lint-wiring {file}"));
+        let gone: Vec<_> = needles.iter().filter(|n| !text.contains(**n)).collect();
+        report.push(name, gone.is_empty(), format!("{} switches, gone: {gone:?}", needles.len()));
     }
     report
 }
@@ -105,24 +84,17 @@ pub fn run_pass(crates_dir: &Path) -> PassReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
     #[test]
-    fn all_canaries_fire() {
-        let mut report = PassReport::new("static-analysis");
-        run_canaries(&mut report);
-        assert!(report.all_ok(), "{}", report.render());
-        // Every rule that can fire on source text has a canary
-        // (`stale-ack` is exercised by the analyzer's own unit test).
-        let rules: std::collections::BTreeSet<_> = canaries().iter().map(|c| c.rule).collect();
-        assert_eq!(rules.len(), FAMILIES.len() - 1, "{rules:?}");
+    fn oversized_module_and_private_lint_table_are_flagged() {
+        let big = "// filler\n".repeat(MODULE_LINE_CAP + 1);
+        assert!(oversized("cdd/src/fresh.rs", &big).is_some());
+        assert!(oversized("cfs/src/fs.rs", &big).is_none(), "grandfathered");
+        assert!(!inherits_workspace_lints("[package]\n\n[lints.clippy]\nunwrap_used = \"warn\"\n"));
     }
 
     #[test]
-    fn clean_tree_passes_end_to_end() {
-        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates dir");
-        let report = run_pass(crates);
+    fn clean_tree_passes_and_every_grandfather_is_live() {
+        let report = run_pass(Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates dir"));
         assert!(report.all_ok(), "{}", report.render());
-        // Acknowledged findings surface as passing spanned checks.
-        assert!(report.checks.iter().any(|c| c.acknowledged && c.ok));
     }
 }

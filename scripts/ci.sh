@@ -12,6 +12,14 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo clippy (all targets, warnings are errors)"
+# This stage owns the static rules (DESIGN "Static analysis"): the
+# determinism bans (clippy.toml disallowed-methods/-types for wall clocks,
+# RandomState and HashMap/HashSet iterator chains, plus
+# iter_over_hash_type), unwrap_used everywhere and expect_used in
+# sim-core/cdd, wildcard_enum_match_arm in cdd/raidx-core/sim-core,
+# allow_attributes[_without_reason] (an ack is an #[expect] with a
+# reason, and rustc rejects it once unfulfilled), dbg_macro, todo and
+# rustc's missing_docs.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test (workspace)"
@@ -33,7 +41,7 @@ echo "==> benchmark (own workspace: build, smoke run, parity + manifest tests)"
 bash benchmark/run.sh --smoke
 cargo test --release -q --manifest-path benchmark/Cargo.toml
 
-echo "==> verify_all (plan lint, lock order, layout, determinism, model check, linearizability, crash consistency, trace determinism, fault sweep, race detect, static analysis, perf smoke, cache coherence)"
+echo "==> verify_all (plan lint, lock order, layout, determinism, model check, linearizability, crash consistency, trace determinism, fault sweep, race detect, module size + lint wiring, perf smoke, cache coherence)"
 # --budget bounds schedules explored per model-checking scenario
 # (model-check, linearizability, cache-coherence) and --smoke shrinks
 # the fault-injection sweep and race-detect to their CI subsets, so the
