@@ -29,6 +29,8 @@
 
 use std::collections::BTreeMap;
 
+use cluster::Block;
+
 use crate::system::IoSystem;
 
 /// Tunables of the per-client block cache (see
@@ -72,7 +74,9 @@ pub struct FillTicket {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    data: Vec<u8>,
+    /// The plane's own handle, not a copy: an overwrite replaces the
+    /// plane's handle and invalidates this entry, it never edits it.
+    data: Block,
     last_use: u64,
 }
 
@@ -132,12 +136,12 @@ impl CacheSet {
             self.stats.misses += nblocks;
             return None;
         }
-        let mut out = vec![0u8; nblocks as usize * bs];
+        let mut out = Vec::with_capacity(nblocks as usize * bs);
         for lb in lb0..lb0 + nblocks {
             self.clock += 1;
             let e = cache.entries.get_mut(&lb)?;
             e.last_use = self.clock;
-            out[(lb - lb0) as usize * bs..(lb - lb0 + 1) as usize * bs].copy_from_slice(&e.data);
+            out.extend_from_slice(&e.data);
         }
         self.stats.hits += nblocks;
         Some(out)
@@ -149,16 +153,16 @@ impl CacheSet {
         FillTicket { epoch: self.inv_epoch }
     }
 
-    /// Insert the blocks of a completed array read into `client`'s
-    /// cache, skipping any block invalidated (or flushed away) since the
-    /// ticket was taken — the invalidate-while-fill-pending race always
-    /// resolves toward invalidation.
-    pub fn commit_fill(&mut self, client: usize, t: FillTicket, lb0: u64, data: &[u8], bs: usize) {
+    /// Insert the blocks of a completed array read (`blocks[i]` is logical
+    /// block `lb0 + i`) into `client`'s cache, skipping any block
+    /// invalidated (or flushed away) since the ticket was taken — the
+    /// invalidate-while-fill-pending race always resolves toward
+    /// invalidation.
+    pub fn commit_fill(&mut self, client: usize, t: FillTicket, lb0: u64, blocks: Vec<Block>) {
         if self.cfg.capacity_blocks == 0 {
             return;
         }
-        let nblocks = (data.len() / bs) as u64;
-        for lb in lb0..lb0 + nblocks {
+        for (lb, data) in (lb0..).zip(blocks) {
             let stale =
                 self.last_flush > t.epoch || self.last_inv.get(&lb).is_some_and(|&e| e > t.epoch);
             if stale {
@@ -179,8 +183,7 @@ impl CacheSet {
                     self.stats.evictions += 1;
                 }
             }
-            let off = (lb - lb0) as usize * bs;
-            cache.entries.insert(lb, Entry { data: data[off..off + bs].to_vec(), last_use: clock });
+            cache.entries.insert(lb, Entry { data, last_use: clock });
         }
     }
 
@@ -284,11 +287,16 @@ impl IoSystem {
         self.cache.as_ref().map(CacheSet::begin_fill)
     }
 
-    /// Offer a completed array read's bytes to `client`'s cache.
-    pub(crate) fn cache_commit_fill(&mut self, client: usize, t: FillTicket, lb0: u64, d: &[u8]) {
-        let bs = self.cluster.cfg.block_size as usize;
+    /// Offer a completed array read's blocks to `client`'s cache.
+    pub(crate) fn cache_commit_fill(
+        &mut self,
+        client: usize,
+        t: FillTicket,
+        lb0: u64,
+        blocks: Vec<Block>,
+    ) {
         if let Some(c) = self.cache.as_mut() {
-            c.commit_fill(client, t, lb0, d, bs);
+            c.commit_fill(client, t, lb0, blocks);
         }
     }
 }
@@ -305,8 +313,7 @@ mod tests {
 
     fn fill(c: &mut CacheSet, client: usize, lb0: u64, blocks: &[u8]) {
         let t = c.begin_fill();
-        let data: Vec<u8> = blocks.iter().flat_map(|&b| [b; BS]).collect();
-        c.commit_fill(client, t, lb0, &data, BS);
+        c.commit_fill(client, t, lb0, blocks.iter().map(|&b| [b; BS].into()).collect());
     }
 
     #[test]
@@ -338,14 +345,14 @@ mod tests {
         let mut c = set(8, 1);
         let t = c.begin_fill();
         c.invalidate(0, 1);
-        c.commit_fill(0, t, 0, &[9u8; 2 * BS], BS);
+        c.commit_fill(0, t, 0, vec![[9u8; BS].into(); 2]);
         assert!(c.lookup(0, 0, 1, BS).is_none(), "invalidated block must not be filled");
         assert_eq!(c.lookup(0, 1, 1, BS), Some(vec![9; BS]), "untouched block fills fine");
         assert_eq!(c.stats().fill_aborts, 1);
         // A flush aborts in-flight fills of *every* block.
         let t = c.begin_fill();
         c.flush_all();
-        c.commit_fill(0, t, 4, &[7u8; BS], BS);
+        c.commit_fill(0, t, 4, vec![[7u8; BS].into()]);
         assert!(c.lookup(0, 4, 1, BS).is_none());
     }
 

@@ -14,7 +14,7 @@
 //! [`crate::placer::Placer`], and is the identity on a
 //! never-reconfigured array.
 
-use cluster::xor_into;
+use cluster::{xor_of, Block};
 use raidx_core::{FaultSet, ReadSource};
 use sim_core::plan::{delay, par, seq};
 use sim_core::trace::AccessKind;
@@ -254,7 +254,6 @@ impl IoSystem {
         }
         let fill = self.cache_begin_fill();
         let bs = self.block_size() as usize;
-        let mut out = vec![0u8; nblocks as usize * bs];
 
         // Client module: route around everything this client cannot reach.
         let eff = self.effective_faults(client);
@@ -311,29 +310,38 @@ impl IoSystem {
         }
 
         // Functional reads (slot addresses resolved per block through the
-        // placer, so pending-migration blocks come from their old home).
+        // placer, so pending-migration blocks come from their old home):
+        // one handle per block, borrowed from the plane or reconstructed.
+        let mut blocks: Vec<Option<Block>> = vec![None; nblocks as usize];
         for (disk, start, _, lbs) in &physical {
             for (i, &lb) in lbs.iter().enumerate() {
-                let off = (lb - lb0) as usize * bs;
                 let h = self.placer.read_home(raidx_core::BlockAddr::new(*disk, start + i as u64));
-                self.plane.read(h.disk, h.block, &mut out[off..off + bs])?;
+                blocks[(lb - lb0) as usize] = Some(self.plane.get(h.disk, h.block)?);
             }
         }
         for &(lb, a) in &forced_images {
-            let off = (lb - lb0) as usize * bs;
             let h = self.placer.read_home(a);
-            self.plane.read(h.disk, h.block, &mut out[off..off + bs])?;
+            blocks[(lb - lb0) as usize] = Some(self.plane.get(h.disk, h.block)?);
         }
         for (lb, siblings, parity) in &reconstructs {
-            let off = (*lb - lb0) as usize * bs;
-            let ph = self.placer.read_home(*parity);
-            let mut acc = self.plane.read_owned(ph.disk, ph.block)?;
-            for (_, a) in siblings {
+            let mut parts = Vec::with_capacity(siblings.len() + 1);
+            for a in std::iter::once(parity).chain(siblings.iter().map(|(_, a)| a)) {
                 let h = self.placer.read_home(*a);
-                let sib = self.plane.read_owned(h.disk, h.block)?;
-                xor_into(&mut acc, &sib);
+                parts.push(self.plane.get(h.disk, h.block)?);
             }
-            out[off..off + bs].copy_from_slice(&acc);
+            blocks[(*lb - lb0) as usize] = Some(xor_of(&parts));
+        }
+        // The caller's bytes are the one copy this read makes; the cache
+        // keeps the handles themselves.
+        #[expect(
+            clippy::expect_used,
+            reason = "every block of the range went to exactly one of the three lists above"
+        )]
+        let blocks: Vec<Block> =
+            blocks.into_iter().map(|b| b.expect("a block no read path served")).collect();
+        let mut out = Vec::with_capacity(nblocks as usize * bs);
+        for b in &blocks {
+            out.extend_from_slice(b);
         }
 
         // Timing plan (runs charged to the disk serving their first block).
@@ -385,7 +393,7 @@ impl IoSystem {
             );
         }
         if let Some(t) = fill {
-            self.cache_commit_fill(client, t, lb0, &out);
+            self.cache_commit_fill(client, t, lb0, blocks);
         }
         Ok((out, seq(chain)))
     }

@@ -8,7 +8,9 @@
 //! transient failure recovers from local state in seconds while a
 //! permanent one pays a full rebuild.
 
-use cluster::xor_into;
+use std::sync::Arc;
+
+use cluster::{xor_of, Block};
 use sim_core::Plan;
 
 use crate::error::IoError;
@@ -26,7 +28,6 @@ impl IoSystem {
     /// would run this in idle time; here it is the test suite's
     /// strongest invariant check.)
     pub fn scrub(&mut self) -> Result<u64, IoError> {
-        let bs = self.block_size() as usize;
         let mut audited = 0u64;
         let width = self.layout.stripe_width() as u64;
         // Slot view of the media faults; also covers a migrating slot
@@ -46,15 +47,15 @@ impl IoSystem {
                 continue;
             }
             let dh = self.placer.read_home(d);
-            let data = self.plane.read_owned(dh.disk, dh.block)?;
+            let data = self.plane.get(dh.disk, dh.block)?;
             // Mirror images must match exactly.
             for img in self.layout.locate_images(lb) {
                 if storage.contains(img.disk) || is_parked(self, img.disk, lb) {
                     continue;
                 }
                 let ih = self.placer.read_home(img);
-                let copy = self.plane.read_owned(ih.disk, ih.block)?;
-                if copy != data {
+                let copy = self.plane.get(ih.disk, ih.block)?;
+                if !Arc::ptr_eq(&copy, &data) && copy != data {
                     return Err(IoError::DataLoss { lb });
                 }
                 audited += 1;
@@ -64,7 +65,7 @@ impl IoSystem {
             if let Some(p) = self.layout.locate_parity(lb) {
                 let (s, pos) = self.layout.stripe_of(lb);
                 if pos == 0 && !storage.contains(p.disk) {
-                    let mut acc = vec![0u8; bs];
+                    let mut members: Vec<Block> = Vec::new();
                     let mut complete = true;
                     for member in self.layout.stripe_blocks(s) {
                         let a = self.layout.locate_data(member);
@@ -76,13 +77,12 @@ impl IoSystem {
                             break;
                         }
                         let ah = self.placer.read_home(a);
-                        let bytes = self.plane.read_owned(ah.disk, ah.block)?;
-                        xor_into(&mut acc, &bytes);
+                        members.push(self.plane.get(ah.disk, ah.block)?);
                     }
                     if complete {
                         let ph = self.placer.read_home(p);
-                        let parity = self.plane.read_owned(ph.disk, ph.block)?;
-                        if parity != acc {
+                        let parity = self.plane.get(ph.disk, ph.block)?;
+                        if parity != xor_of(&members) {
                             return Err(IoError::DataLoss { lb: s * width });
                         }
                         audited += 1;

@@ -5,7 +5,7 @@
 //! small-write problem); degraded stripes fall back to bare-data or
 //! reconstruct-write paths, parking whatever copy could not be written.
 
-use cluster::xor_into;
+use cluster::{xor_of, Block};
 use raidx_core::{BlockAddr, WriteScheme};
 use sim_core::plan::{par, seq};
 use sim_core::Plan;
@@ -63,12 +63,11 @@ impl SchemeDriver for ParityDriver {
                 // Full-stripe write: parity from the new data alone. A
                 // dead data disk's block is represented by parity only;
                 // a dead parity disk simply goes unmaintained.
-                let mut parity = vec![0u8; bs];
+                let parity = xor_of(members.iter().map(|&m| ctx.slice(data, lb0, m)));
                 for &m in &members {
-                    xor_into(&mut parity, ctx.slice(data, lb0, m));
                     let a = ctx.layout.locate_data(m);
                     if !ctx.faults.contains(a.disk) {
-                        ctx.write_block(a, ctx.slice(data, lb0, m))?;
+                        ctx.put_block(a, ctx.slice(data, lb0, m).into())?;
                         full_data.push((m, a));
                     } else {
                         ctx.park(a.disk, m);
@@ -77,7 +76,7 @@ impl SchemeDriver for ParityDriver {
                 #[expect(clippy::expect_used, reason = "parity drivers only run on parity layouts")]
                 let p = ctx.layout.locate_parity(members[0]).expect("parity");
                 if !ctx.faults.contains(p.disk) {
-                    ctx.write_block(p, &parity)?;
+                    ctx.put_block(p, parity)?;
                     parity_writes.push((s, p));
                 } else {
                     ctx.park(p.disk, members[0]);
@@ -97,22 +96,20 @@ impl SchemeDriver for ParityDriver {
                     let p = ctx.layout.locate_parity(m).expect("parity");
                     let d_ok = !ctx.faults.contains(a.disk);
                     let p_ok = !ctx.faults.contains(p.disk);
-                    let newd = ctx.slice(data, lb0, m).to_vec();
+                    let newd = ctx.slice(data, lb0, m);
                     match (d_ok, p_ok) {
                         (true, true) => {
                             // Healthy read-modify-write.
-                            let old = ctx.read_block(a)?;
-                            let mut new_parity = ctx.read_block(p)?;
-                            xor_into(&mut new_parity, &old);
-                            xor_into(&mut new_parity, &newd);
-                            ctx.write_block(a, &newd)?;
-                            ctx.write_block(p, &new_parity)?;
+                            let old = ctx.get_block(a)?;
+                            let old_parity = ctx.get_block(p)?;
+                            ctx.put_block(a, newd.into())?;
+                            ctx.put_block(p, xor_of([&old_parity[..], &old[..], newd]))?;
                             rmw_plans.push((m, a, p));
                         }
                         (true, false) => {
                             // Parity disk dead: data write only; park the
                             // stale parity for recomputation on recovery.
-                            ctx.write_block(a, &newd)?;
+                            ctx.put_block(a, newd.into())?;
                             ctx.park(p.disk, m);
                             bare_data.push((m, a));
                         }
@@ -120,18 +117,20 @@ impl SchemeDriver for ParityDriver {
                             // Reconstruct-write: the new block exists only
                             // through parity = new XOR surviving siblings.
                             ctx.park(a.disk, m);
-                            let mut parity = newd;
                             let mut sibs = Vec::new();
+                            let mut sib_blocks: Vec<Block> = Vec::new();
                             for sib in ctx.layout.stripe_blocks(s) {
                                 if sib == m {
                                     continue;
                                 }
                                 let sa = ctx.layout.locate_data(sib);
-                                let bytes = ctx.read_block(sa)?;
-                                xor_into(&mut parity, &bytes);
+                                sib_blocks.push(ctx.get_block(sa)?);
                                 sibs.push(sa);
                             }
-                            ctx.write_block(p, &parity)?;
+                            let parity = xor_of(
+                                std::iter::once(newd).chain(sib_blocks.iter().map(|b| &b[..])),
+                            );
+                            ctx.put_block(p, parity)?;
                             reconstruct_writes.push((m, sibs, p));
                         }
                         (false, false) => unreachable!("checked above"),

@@ -11,7 +11,9 @@
 //! three take "what lives on this slot" from [`plan_rebuild`] through
 //! `IoSystem::plan_slot`.
 
-use cluster::xor_into;
+use std::sync::Arc;
+
+use cluster::{xor_of, Block};
 use raidx_core::fault::{plan_rebuild, RebuildStep};
 use raidx_core::BlockAddr;
 use sim_core::plan::{par, seq};
@@ -90,14 +92,18 @@ impl IoSystem {
         let mut plans = Vec::new();
         for RestoreStep { inputs, dst } in todo {
             debug_assert!(!inputs.is_empty(), "restore step without a source");
-            let mut bytes = vec![0u8; bs as usize];
-            for a in inputs {
-                xor_into(&mut bytes, &self.plane.read_owned(a.disk, a.block)?);
-            }
-            if self.plane.read_owned(dst.disk, dst.block)? == bytes {
+            let sources: Vec<Block> =
+                inputs.iter().map(|a| self.plane.get(a.disk, a.block)).collect::<Result<_, _>>()?;
+            // A copy shares its source's buffer; only an XOR makes bytes.
+            let bytes = match &sources[..] {
+                [source] => source.clone(),
+                many => xor_of(many),
+            };
+            let current = self.plane.get(dst.disk, dst.block)?;
+            if Arc::ptr_eq(&current, &bytes) || current == bytes {
                 continue; // verified in place: no I/O to charge
             }
-            self.plane.write(dst.disk, dst.block, &bytes)?;
+            self.plane.put(dst.disk, dst.block, bytes)?;
             let ops = self.ops();
             let write = ops.write_run(client, dst.disk, dst.block, 1, false);
             let mut reads: Vec<Plan> =
@@ -205,6 +211,17 @@ mod tests {
                 let (got, _) = sys.read(2, 0, nblocks as u64).expect("read back");
                 assert_eq!(got, data, "{tag}");
                 assert!(sys.scrub().unwrap_or_else(|e| panic!("{tag} scrub: {e}")) > 0);
+                // A mirror's restored copy *is* its source's buffer: every
+                // home of a block, disk 1's included, holds one handle.
+                for lb in (0..nblocks as u64).filter(|_| arch != Arch::Raid5) {
+                    let mut copies = Vec::new();
+                    for a in sys.copy_addrs(lb) {
+                        let h = sys.placer.read_home(a);
+                        copies.push(sys.plane.get(h.disk, h.block).expect("healthy home"));
+                    }
+                    let shared = copies.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1]));
+                    assert!(copies.len() > 1 && shared, "{tag}: block {lb} was restored by copy");
+                }
 
                 // Re-arm the ledger over the restored bytes (a crash that
                 // lost only the bookkeeping) and run again. A closed

@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cluster::{Cluster, DataPlane};
+use cluster::{Block, Cluster, DataPlane};
 use raidx_core::{BlockAddr, FaultSet, Layout, WriteScheme};
 use sim_core::plan::{background, par, seq};
 use sim_core::Plan;
@@ -39,7 +39,7 @@ use crate::runs::{merge_runs, Run};
 /// [`crate::IoSystem`] for the duration of one admitted write.
 ///
 /// All placement arithmetic inside a driver happens in logical *slot*
-/// space; the context's [`WriteCtx::write_block`], [`WriteCtx::read_block`]
+/// space; the context's [`WriteCtx::put_block`], [`WriteCtx::get_block`]
 /// and [`WriteCtx::phys`] helpers translate to physical disks through the
 /// epoch-versioned placer at the plane boundary (the identity on a
 /// never-reconfigured array).
@@ -97,19 +97,21 @@ impl<'a> WriteCtx<'a> {
         self.placer.phys(slot)
     }
 
-    /// Write one block at slot-space address `a`: lands on the slot's
+    /// Store `block` at slot-space address `a`: lands on the slot's
     /// current home and supersedes any pending migration of the block.
-    pub fn write_block(&mut self, a: BlockAddr, bytes: &[u8]) -> Result<(), IoError> {
+    /// Every copy of one logical block is a clone of one handle, so the
+    /// caller's bytes are copied once however many homes they reach.
+    pub fn put_block(&mut self, a: BlockAddr, block: Block) -> Result<(), IoError> {
         let h = self.placer.write_home(a);
-        self.plane.write(h.disk, h.block, bytes)?;
+        self.plane.put(h.disk, h.block, block)?;
         Ok(())
     }
 
-    /// Read one block at slot-space address `a`, from wherever it
-    /// currently lives (the old home while pending migration).
-    pub fn read_block(&mut self, a: BlockAddr) -> Result<Vec<u8>, IoError> {
+    /// The block at slot-space address `a`, from wherever it currently
+    /// lives (the old home while pending migration).
+    pub fn get_block(&mut self, a: BlockAddr) -> Result<Block, IoError> {
         let h = self.placer.read_home(a);
-        Ok(self.plane.read_owned(h.disk, h.block)?)
+        Ok(self.plane.get(h.disk, h.block)?)
     }
 
     /// The block of `data` backing logical block `lb` of a request
@@ -188,7 +190,7 @@ impl SchemeDriver for PlainDriver {
             placements.push((lb, a));
         }
         for &(lb, a) in &placements {
-            ctx.write_block(a, ctx.slice(data, lb0, lb))?;
+            ctx.put_block(a, ctx.slice(data, lb0, lb).into())?;
         }
         let ops = ctx.ops();
         let plans = runs_to_writes(&ops, ctx.placer, client, &merge_runs(placements), true);
@@ -222,31 +224,39 @@ impl SchemeDriver for MirrorDriver {
         data: &[u8],
     ) -> Result<Plan, IoError> {
         let deferred_images = self.write_behind && ctx.cfg.background_mirroring;
-        let mut fg = Vec::new(); // foreground placements
-        let mut bg = Vec::new(); // deferred image placements
+        // Validate the whole range before touching anything: a refused
+        // request leaves the plane and the degraded-write ledger as they
+        // were.
+        let mut homes = Vec::with_capacity(nblocks as usize);
         for lb in lb0..lb0 + nblocks {
             let d = ctx.layout.locate_data(lb);
             let images = ctx.layout.locate_images(lb);
-            let d_ok = !ctx.faults.contains(d.disk);
-            let mut healthy_images: Vec<BlockAddr> = Vec::with_capacity(images.len());
-            for a in images {
-                if ctx.faults.contains(a.disk) {
-                    // Degraded write: the surviving copies go down now;
-                    // the skipped one is parked for resync/rebuild.
-                    ctx.park(a.disk, lb);
-                } else {
-                    healthy_images.push(a);
-                }
-            }
-            if !d_ok && healthy_images.is_empty() {
+            if ctx.faults.contains(d.disk) && images.iter().all(|a| ctx.faults.contains(a.disk)) {
                 return Err(IoError::DataLoss { lb });
             }
+            homes.push((lb, d, images));
+        }
+        let mut fg = Vec::new(); // foreground placements
+        let mut bg = Vec::new(); // deferred image placements
+        for (lb, d, images) in homes {
+            // The one copy out of the caller's buffer: the data home and
+            // every healthy image home hold this same handle.
+            let block: Block = ctx.slice(data, lb0, lb).into();
+            let d_ok = !ctx.faults.contains(d.disk);
             if d_ok {
+                ctx.put_block(d, block.clone())?;
                 fg.push((lb, d));
             } else {
                 ctx.park(d.disk, lb);
             }
-            for img in healthy_images {
+            for img in images {
+                if ctx.faults.contains(img.disk) {
+                    // Degraded write: the surviving copies go down now;
+                    // the skipped one is parked for resync/rebuild.
+                    ctx.park(img.disk, lb);
+                    continue;
+                }
+                ctx.put_block(img, block.clone())?;
                 // With the primary gone the image is the only durable copy,
                 // so it must be written before the ack.
                 if deferred_images && d_ok {
@@ -255,10 +265,6 @@ impl SchemeDriver for MirrorDriver {
                     fg.push((lb, img));
                 }
             }
-        }
-        let all: Vec<(u64, BlockAddr)> = fg.iter().chain(bg.iter()).copied().collect();
-        for (lb, a) in all {
-            ctx.write_block(a, ctx.slice(data, lb0, lb))?;
         }
         // Write-behind with group clustering: buffer each deferred image
         // under its mirroring group; a group that fills flushes as one
@@ -301,16 +307,67 @@ impl SchemeDriver for MirrorDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::shape;
+    use raidx_core::{Arch, Raid0};
+
+    const SCHEMES: [WriteScheme; 4] = [
+        WriteScheme::None,
+        WriteScheme::ForegroundMirror,
+        WriteScheme::BackgroundMirror,
+        WriteScheme::Parity,
+    ];
 
     #[test]
     fn dispatch_matches_scheme() {
-        for scheme in [
-            WriteScheme::None,
-            WriteScheme::ForegroundMirror,
-            WriteScheme::BackgroundMirror,
-            WriteScheme::Parity,
-        ] {
+        for scheme in SCHEMES {
             assert_eq!(driver_for(scheme.clone()).scheme(), scheme);
+        }
+    }
+
+    /// A refused write is a no-op under every scheme: whichever block of
+    /// the range turns out unstorable, the degraded-write ledger, the
+    /// image queue, the plane and what scrub sees are as before the call.
+    #[test]
+    fn a_refused_write_changes_nothing() {
+        for scheme in SCHEMES {
+            let arch = match scheme {
+                WriteScheme::ForegroundMirror => Arch::Raid10,
+                WriteScheme::Parity => Arch::Raid5,
+                WriteScheme::None | WriteScheme::BackgroundMirror => Arch::RaidX,
+            };
+            let (_engine, mut sys) = shape(4, 1, 4 << 20, arch);
+            if scheme == WriteScheme::None {
+                // No `Arch` stripes without redundancy; the layout does.
+                sys.layout = Box::new(Raid0::new(4, sys.cluster.cfg.blocks_per_disk()));
+            }
+            assert_eq!(sys.layout.write_scheme(), scheme);
+            let bs = sys.block_size() as usize;
+            sys.write(0, 0, &vec![0x42; 12 * bs]).expect("healthy seed");
+            for disk in 0..3 {
+                sys.fail_disk_transient(disk);
+            }
+            let state = |sys: &mut crate::IoSystem| {
+                let scrub = format!("{:?}", sys.scrub());
+                (sys.parked.clone(), sys.pending_image_blocks(), sys.plane.bytes_written(), scrub)
+            };
+            // Every alignment of a three-block request against the one
+            // surviving disk: the unstorable block is first, second, third.
+            let mut refused = 0;
+            for lb0 in 0..8 {
+                let before = state(&mut sys);
+                match sys.write(3, lb0, &vec![0x91; 3 * bs]) {
+                    Err(IoError::DataLoss { .. }) => {
+                        refused += 1;
+                        assert_eq!(state(&mut sys), before, "{scheme:?}: refused write at {lb0}");
+                    }
+                    // Three dead disks are beyond RAID-5: a reconstruct-write
+                    // can also die midway on an unreadable sibling, which is
+                    // an invariant violation, not a refusal.
+                    Ok(_) | Err(IoError::Disk(_)) => {}
+                    Err(e) => panic!("{scheme:?}: write at {lb0}: {e}"),
+                }
+            }
+            assert!(refused > 0, "{scheme:?}: no request was refused");
         }
     }
 }

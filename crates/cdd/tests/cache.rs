@@ -101,14 +101,14 @@ fn an_invalidation_aborts_the_overlapping_in_flight_fill() {
     let ticket = set.begin_fill();
     // ...when a writer's grant invalidates block 0 (new bytes on disk).
     set.invalidate(0, 1);
-    set.commit_fill(0, ticket, 0, &[0x11u8; 2 * BS], BS);
+    set.commit_fill(0, ticket, 0, vec![[0x11u8; BS].into(); 2]);
     assert!(set.lookup(0, 0, 1, BS).is_none(), "stale fill of block 0 must abort");
     assert_eq!(set.lookup(0, 1, 1, BS), Some(vec![0x11; BS]), "block 1 was untouched");
     assert_eq!(set.stats().fill_aborts, 1);
     // A whole-cache flush aborts in-flight fills of *any* block.
     let ticket = set.begin_fill();
     set.flush_all();
-    set.commit_fill(1, ticket, 4, &[0x22u8; BS], BS);
+    set.commit_fill(1, ticket, 4, vec![[0x22u8; BS].into()]);
     assert!(set.lookup(1, 4, 1, BS).is_none(), "fill predating the flush must abort");
     assert_eq!(set.stats().fill_aborts, 2);
 }

@@ -2,6 +2,8 @@
 //! through any architecture must read back identically — through the
 //! healthy path, the degraded path, and after rebuild.
 
+use std::sync::Arc;
+
 use cdd::{IoError, IoSystem};
 use raidx_core::Arch;
 use sim_core::Engine;
@@ -251,18 +253,59 @@ fn scrub_passes_after_arbitrary_activity() {
     }
 }
 
+/// A mirrored write copies each of the caller's blocks once: the data
+/// home and every image home hold the same buffer, not equal buffers.
+#[test]
+fn mirrored_write_stores_one_buffer_per_block() {
+    for arch in [Arch::Raid10, Arch::Chained, Arch::RaidX] {
+        let (_e, mut s) = sys(arch);
+        let bs = s.block_size() as usize;
+        s.write(0, 2, &pattern(2, 9, bs)).unwrap();
+        for lb in 2..11 {
+            let d = s.layout().locate_data(lb);
+            let images = s.layout().locate_images(lb);
+            assert!(!images.is_empty(), "{arch:?}: block {lb} has no image to share with");
+            let data = s.plane_mut().get(d.disk, d.block).unwrap();
+            assert_eq!(data[..], pattern(lb, 1, bs)[..], "{arch:?}: block {lb}");
+            for img in images {
+                let image = s.plane_mut().get(img.disk, img.block).unwrap();
+                assert!(
+                    Arc::ptr_eq(&data, &image),
+                    "{arch:?}: block {lb} image on {img:?} is a copy"
+                );
+            }
+        }
+    }
+}
+
+/// Bit rot on either side of a mirror pair is caught. The healthy copies
+/// share one buffer, so this also shows that scrub's pointer-equality
+/// fast path falls through to the byte compare, and that replacing one
+/// copy leaves the other exactly as written.
 #[test]
 fn scrub_detects_planted_corruption() {
-    let (_e, mut s) = sys(Arch::RaidX);
-    let bs = s.block_size() as usize;
-    s.write(0, 0, &pattern(0, 8, bs)).unwrap();
-    assert!(s.scrub().is_ok());
-    // Corrupt one image block directly on the plane (bit rot).
-    let img = s.layout().locate_images(3)[0];
-    let mut raw = s.plane_mut().read_owned(img.disk, img.block).unwrap();
-    raw[17] ^= 0xFF;
-    s.plane_mut().write(img.disk, img.block, &raw).unwrap();
-    assert!(matches!(s.scrub(), Err(IoError::DataLoss { lb: 3 })));
+    for arch in [Arch::Raid10, Arch::RaidX] {
+        for rot_data_side in [false, true] {
+            let tag = format!("{arch:?}, data side: {rot_data_side}");
+            let (_e, mut s) = sys(arch);
+            let bs = s.block_size() as usize;
+            s.write(0, 0, &pattern(0, 8, bs)).unwrap();
+            assert!(s.scrub().is_ok(), "{tag}");
+            let (data, img) = (s.layout().locate_data(3), s.layout().locate_images(3)[0]);
+            let (rotten, intact) = if rot_data_side { (data, img) } else { (img, data) };
+            // Corrupt one copy directly on the plane.
+            let mut raw = s.plane_mut().get(rotten.disk, rotten.block).unwrap().to_vec();
+            raw[17] ^= 0xFF;
+            s.plane_mut().write(rotten.disk, rotten.block, &raw).unwrap();
+            assert!(matches!(s.scrub(), Err(IoError::DataLoss { lb: 3 })), "{tag}");
+            let other = s.plane_mut().get(intact.disk, intact.block).unwrap();
+            assert_eq!(
+                other[..],
+                pattern(3, 1, bs)[..],
+                "{tag}: rot showed through the other copy"
+            );
+        }
+    }
 }
 
 #[test]

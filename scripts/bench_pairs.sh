@@ -1,0 +1,104 @@
+#!/usr/bin/env bash
+# Paired A/B of one benchmark workload: a base checkout against this
+# working tree (choosing-metrics §8). A host-time claim in CHANGES.md is
+# the table this prints, not a single run against the 25% bound.
+#
+#   scripts/bench_pairs.sh <base-checkout> <workload> [pairs=10] [seconds=8]
+#
+# Builds each side's benchmark/ once into a target directory of its own
+# under .bench_build/pairs (ignored by git; nothing under benchmark/ is
+# written), then runs `--workload W --trace 0` once per side per pair,
+# alternating which side goes first, with a fresh seed per pair shared by
+# both sides. A pair whose `correct`, `attempted`, `failed` or any
+# `sim_mbs.*` differs between the sides is refused (exit 1): the two
+# programs did not do the same work, so their host times do not compare.
+# Prints each side's quartiles of host_rep_s, setup_s and
+# host_peak_rss_mb and how many pairs the change won (lower wins; a tie
+# counts for neither).
+set -euo pipefail
+
+if [ $# -lt 2 ] || [ $# -gt 4 ]; then
+  echo "usage: scripts/bench_pairs.sh <base-checkout> <workload> [pairs=10] [seconds=8]" >&2
+  exit 2
+fi
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+base="$(cd "$1" && pwd)"
+workload="$2"
+pairs="${3:-10}"
+seconds="${4:-8}"
+work="$root/.bench_build/pairs"
+mkdir -p "$work"
+
+checkout_of() { if [ "$1" = base ]; then echo "$base"; else echo "$root"; fi; }
+
+for side in base change; do
+  echo "building $side: $(checkout_of "$side")/benchmark" >&2
+  CARGO_TARGET_DIR="$work/target-$side" cargo build --release --quiet --offline \
+    --manifest-path "$(checkout_of "$side")/benchmark/Cargo.toml"
+done
+
+# One run; prints the driver's JSON object (the benchmark's last line).
+run() { # side seed
+  (cd "$(checkout_of "$1")" && "$work/target-$1/release/benchmark" --out-dir "$work/out-$1" \
+    --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
+}
+host='host_rep_s|setup_s|host_peak_rss_mb'
+# The three host metrics of a JSON object, in that order.
+host_values() {
+  for m in ${host//|/ }; do
+    printf '%s ' "$(printf '%s\n' "$1" | sed -n "s/.*\"$m\": {\"value\": \([^,}]*\).*/\1/p")"
+  done
+}
+# The object with the host metrics blanked: everything that must be equal.
+work_done() { printf '%s' "$1" | sed -E "s/\"($host)\": \{\"value\": [^,}]*/\"\1\": {/g"; }
+
+rows="$work/rows-$workload.txt"
+: >"$rows"
+for pair in $(seq 1 "$pairs"); do
+  seed=$((100 + pair))
+  if [ $((pair % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi
+  for side in $order; do
+    json="$(run "$side" "$seed")"
+    if [ "$side" = base ]; then json_base="$json"; else json_change="$json"; fi
+    echo "$side $(host_values "$json")" >>"$rows"
+  done
+  if [ "$(work_done "$json_base")" != "$(work_done "$json_change")" ]; then
+    echo "pair $pair (seed $seed) refused: the two sides did different work" >&2
+    echo "  base:   $json_base" >&2
+    echo "  change: $json_change" >&2
+    exit 1
+  fi
+  echo "pair $pair/$pairs seed $seed ($order): ok" >&2
+done
+
+echo "$workload: $pairs pairs, --seconds $seconds, seeds 101..$((100 + pairs)), work identical in every pair"
+awk -v names="$host" '
+  function quartile(v, n, p,    h, lo) {
+    h = (n - 1) * p; lo = int(h)
+    return v[lo + 1] + (h - lo) * (v[(lo + 2 > n ? n : lo + 2)] - v[lo + 1])
+  }
+  { n[$1]++; for (m = 1; m <= 3; m++) val[$1, m, n[$1]] = $(m + 1) }
+  END {
+    split(names, name, "|")
+    printf "%-18s %-7s %10s %10s %10s   %s\n", "metric", "side", "q1", "median", "q3", "change wins"
+    for (m = 1; m <= 3; m++) {
+      wins = 0; ties = 0
+      for (i = 1; i <= n["base"]; i++) {
+        if (val["change", m, i] < val["base", m, i]) wins++
+        else if (val["change", m, i] == val["base", m, i]) ties++
+      }
+      for (s = 1; s <= 2; s++) {
+        side = (s == 1 ? "base" : "change")
+        for (i = 1; i <= n[side]; i++) v[i] = val[side, m, i]
+        # insertion sort: a handful of values
+        for (i = 2; i <= n[side]; i++) {
+          x = v[i]
+          for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+          v[j + 1] = x
+        }
+        note = (s == 2 ? sprintf("%d/%d%s", wins, n["base"], ties ? " (" ties " ties)" : "") : "")
+        printf "%-18s %-7s %10.4g %10.4g %10.4g   %s\n", name[m], side, \
+          quartile(v, n[side], 0.25), quartile(v, n[side], 0.5), quartile(v, n[side], 0.75), note
+      }
+    }
+  }' "$rows"

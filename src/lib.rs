@@ -45,7 +45,7 @@ pub mod sim {
 /// Hardware models and cluster assembly (re-exports of `sim-disk`,
 /// `sim-net` and `cluster`).
 pub mod hw {
-    pub use cluster::{Cluster, ClusterConfig, DataPlane, DiskError, DiskRef, Node};
+    pub use cluster::{Block, Cluster, ClusterConfig, DataPlane, DiskError, DiskRef, Node};
     pub use sim_disk::{BusSpec, DiskModel, DiskSpec, ScsiBus};
     pub use sim_net::{transfer_plan, NetPath, NetSpec};
 }
