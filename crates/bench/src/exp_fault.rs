@@ -108,8 +108,8 @@ fn spawn_foreground(engine: &mut Engine, sys: &mut IoSystem, nblocks: u64) {
 
 /// Measure rebuild-under-load for one architecture: foreground read load
 /// on the healthy array vs the same load issued degraded while the
-/// rebuild of the failed disk runs as a *background* job competing for
-/// the same disks and links.
+/// rebuild of the failed disk runs as a *background* job on the same
+/// disks and links, served only when no foreground demand waits there.
 pub fn rebuild_under_load(arch: Arch) -> RebuildLoadPoint {
     let nblocks = 256u64;
     let mut cc = ClusterConfig::trojans();
@@ -301,11 +301,18 @@ pub fn render() -> String {
         .collect();
     out.push_str(&md_table(&headers, &rows));
     out.push_str(
-        "\nThe rebuild runs as a background job competing with four clients \
-         re-reading the dataset degraded: foreground latency pays for both \
-         the re-routed reads and the rebuild's source/target traffic, while \
-         the drain column is how long the array stays exposed to a second \
-         failure.\n",
+        "\nThe rebuild runs as a background job beside four clients \
+         re-reading the dataset degraded. Its reads and writes are \
+         background traffic: at every disk, bus and port they start only \
+         when no client demand waits, so the foreground pays for its own \
+         re-routed reads (RAID-5's slowdown is whole-stripe reconstruction, \
+         not contention) plus at most the one rebuild demand already in \
+         service ahead of it. The cost lands in the drain column instead — \
+         how long the array stays exposed to a second failure. Nothing \
+         bounds that window: where the foreground saturates a resource the \
+         rebuild gets no service there until the load lets up (the only \
+         background work with a shedding bound is the image queue, \
+         `max_image_backlog`).\n",
     );
     out.push_str("\n### Rebalance under continuing foreground load\n\n");
     let headers = [
@@ -334,9 +341,10 @@ pub fn render() -> String {
     out.push_str(
         "\nHere the array is healthy: a hot-added spare absorbs a retired \
          disk via the epoch map's incremental migration, so only that \
-         disk's blocks move — compare the drain and slowdown columns \
-         against the full rebuild table above, which must reconstruct \
-         every lost block from redundancy.\n",
+         disk's blocks move — compare the drain column against the full \
+         rebuild table above, which must reconstruct every lost block \
+         from redundancy. The migration is background traffic too: the \
+         clients do not see it, and it finishes with them or after.\n",
     );
     out
 }

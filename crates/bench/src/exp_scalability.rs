@@ -1,7 +1,8 @@
 //! Scalability beyond the Trojans prototype — the paper's stated next
 //! step ("an enlarged prototype of several hundreds of disks on a much
 //! larger Trojans cluster"): RAID-x bandwidth as the cluster grows, on
-//! the 1999 interconnect and on gigabit Ethernet.
+//! the 1999 interconnect and on gigabit Ethernet, with RAID-10 beside it
+//! on the small write — the pattern OSM exists for.
 
 use cdd::{CddConfig, IoSystem};
 use cluster::ClusterConfig;
@@ -23,6 +24,11 @@ pub struct ScalePoint {
     pub read_mbs: f64,
     /// Aggregate large-write MB/s.
     pub write_mbs: f64,
+    /// Aggregate small-write MB/s (eight bursts of one block per client,
+    /// the repository benchmark's `scale_small_write` shape).
+    pub small_write_mbs: f64,
+    /// The same small-write run on RAID-10.
+    pub raid10_small_write_mbs: f64,
     /// Engine events dispatched for the large-write run
     /// ([`sim_core::EngineStats`]) — the simulator-cost axis of the
     /// sweep, deterministic per configuration.
@@ -30,19 +36,33 @@ pub struct ScalePoint {
 }
 
 /// Node counts swept.
-pub const NODES: [usize; 5] = [4, 8, 16, 32, 64];
+pub const NODES: [usize; 6] = [4, 8, 16, 32, 64, 128];
 
-fn run_one(nodes: usize, gigabit: bool, pattern: IoPattern) -> (f64, u64) {
+/// Bursts per client of the small-write columns: enough that whole
+/// mirroring groups fill and flush while the writers are still at it.
+const SMALL_WRITE_BURSTS: usize = 8;
+
+fn run_arch(
+    arch: Arch,
+    nodes: usize,
+    gigabit: bool,
+    pattern: IoPattern,
+    repeats: usize,
+) -> (f64, u64) {
     let mut cc = ClusterConfig::shape(nodes, 1);
     if gigabit {
         cc.net = NetSpec::gigabit();
     }
     let mut engine = Engine::new();
-    let mut store = IoSystem::new(&mut engine, cc, Arch::RaidX, CddConfig::default());
-    let cfg = ParallelIoConfig { clients: nodes, pattern, repeats: 2, ..Default::default() };
+    let mut store = IoSystem::new(&mut engine, cc, arch, CddConfig::default());
+    let cfg = ParallelIoConfig { clients: nodes, pattern, repeats, ..Default::default() };
     let mbs =
         run_parallel_io(&mut engine, &mut store, &cfg).expect("scale run failed").aggregate_mbs;
     (mbs, engine.stats().events)
+}
+
+fn run_one(nodes: usize, gigabit: bool, pattern: IoPattern) -> (f64, u64) {
+    run_arch(Arch::RaidX, nodes, gigabit, pattern, 2)
 }
 
 /// Full sweep.
@@ -56,7 +76,17 @@ pub fn run_sweep() -> Vec<ScalePoint> {
     par_map(cases, |(nodes, gigabit)| {
         let (read_mbs, _) = run_one(nodes, gigabit, IoPattern::LargeRead);
         let (write_mbs, engine_events) = run_one(nodes, gigabit, IoPattern::LargeWrite);
-        ScalePoint { nodes, gigabit, read_mbs, write_mbs, engine_events }
+        let small =
+            |arch| run_arch(arch, nodes, gigabit, IoPattern::SmallWrite, SMALL_WRITE_BURSTS).0;
+        ScalePoint {
+            nodes,
+            gigabit,
+            read_mbs,
+            write_mbs,
+            small_write_mbs: small(Arch::RaidX),
+            raid10_small_write_mbs: small(Arch::Raid10),
+            engine_events,
+        }
     })
 }
 
@@ -75,6 +105,8 @@ pub fn render(points: &[ScalePoint]) -> String {
             "nodes",
             "large read (MB/s)",
             "large write (MB/s)",
+            "small write (MB/s)",
+            "RAID-10 small write (MB/s)",
             "read MB/s per node",
             "engine events (write)",
         ];
@@ -86,6 +118,8 @@ pub fn render(points: &[ScalePoint]) -> String {
                     p.nodes.to_string(),
                     format!("{:.1}", p.read_mbs),
                     format!("{:.1}", p.write_mbs),
+                    format!("{:.1}", p.small_write_mbs),
+                    format!("{:.1}", p.raid10_small_write_mbs),
                     format!("{:.2}", p.read_mbs / p.nodes as f64),
                     p.engine_events.to_string(),
                 ]
@@ -96,8 +130,20 @@ pub fn render(points: &[ScalePoint]) -> String {
     out.push_str(
         "\nThe serverless design scales with node count because every node \
          contributes a NIC port and a disk arm; per-node efficiency dips \
-         slowly as the lock broadcast and cross-traffic grow. The same \
-         software on gigabit shifts the bottleneck to the disk arms.\n",
+         slowly as the lock broadcast and cross-traffic grow (the 128-node \
+         row is a different regime: a 2 MB file is 64 blocks, so each \
+         client touches only half the disks). The same software on gigabit shifts the \
+         bottleneck to the disk arms. Small writes (eight bursts of one \
+         block per client, the repository benchmark's `scale_small_write` \
+         shape) go to RAID-x from 8 nodes up on Fast Ethernet, by \
+         1.4-1.7x over RAID-10: image segments and image runs yield to \
+         every lock message, ack and data block, so a writer pays for one \
+         copy. It loses in two places. At 4 nodes a mirroring group is \
+         three blocks, so every few writes launch a flush and there is \
+         nothing to cluster. On gigabit at 64 nodes the bursts are short \
+         enough that a data block caught behind a 63-block image run \
+         already in service on its disk (about 170 ms; service is never \
+         preempted) stalls its whole barrier round.\n",
     );
     out
 }

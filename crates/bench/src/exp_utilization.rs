@@ -1,13 +1,16 @@
 //! Resource-utilization breakdown: where the bytes and the busy time go
-//! on a serverless RAID-x cluster versus the NFS baseline. Quantifies the
-//! paper's central architectural argument — the single I/O space spreads
-//! load over every NIC and disk arm, while NFS piles it on one node.
+//! on a serverless RAID-x cluster versus the NFS baseline, and how long a
+//! foreground or a background demand queues at each resource class.
+//! Quantifies the paper's central architectural argument — the single I/O
+//! space spreads load over every NIC and disk arm, while NFS piles it on
+//! one node — and its OSM claim: the deferred image traffic waits behind
+//! the writers, never the other way round.
 
 use cdd::{CddConfig, IoSystem};
 use cluster::{Cluster, ClusterConfig};
 use nfs_sim::{NfsConfig, NfsSystem};
 use raidx_core::Arch;
-use sim_core::{Engine, SimDuration};
+use sim_core::{Engine, ResourceStats, SimDuration};
 use workloads::{run_parallel_io, IoPattern, ParallelIoConfig};
 
 use crate::harness::md_table;
@@ -23,6 +26,18 @@ pub struct ClassUtil {
     pub max: f64,
     /// Total bytes through the class.
     pub bytes: u64,
+    /// Mean queueing delay of a foreground demand (`None`: none served).
+    pub fg_wait: Option<SimDuration>,
+    /// The same mean on the single resource where it is highest — a hot
+    /// spot on a few of 128 nodes vanishes in the class mean.
+    pub fg_wait_max: Option<SimDuration>,
+    /// Mean queueing delay of a background (detached) demand.
+    pub bg_wait: Option<SimDuration>,
+}
+
+/// Mean of `wait` over `ops` demands.
+fn mean_wait(wait: SimDuration, ops: u64) -> Option<SimDuration> {
+    wait.as_nanos().checked_div(ops).map(SimDuration)
 }
 
 fn summarize(engine: &Engine, cluster: &Cluster, span: SimDuration) -> Vec<ClassUtil> {
@@ -36,21 +51,42 @@ fn summarize(engine: &Engine, cluster: &Cluster, span: SimDuration) -> Vec<Class
     classes
         .drain(..)
         .map(|(class, ids)| {
-            let utils: Vec<f64> =
-                ids.iter().map(|&id| engine.resource_stats(id).utilization(span)).collect();
-            let bytes: u64 = ids.iter().map(|&id| engine.resource_stats(id).bytes).sum();
+            let stats = || ids.iter().map(|&id| engine.resource_stats(id));
+            let utils: Vec<f64> = stats().map(|s| s.utilization(span)).collect();
+            // The class as one resource: every counter but `max_queue` adds.
+            let total = stats().fold(ResourceStats::default(), |mut t, s| {
+                t.ops += s.ops;
+                t.bytes += s.bytes;
+                t.queue_wait += s.queue_wait;
+                t.bg_ops += s.bg_ops;
+                t.bg_queue_wait += s.bg_queue_wait;
+                t
+            });
             ClassUtil {
                 class,
                 mean: utils.iter().sum::<f64>() / utils.len() as f64,
                 max: utils.iter().cloned().fold(0.0, f64::max),
-                bytes,
+                bytes: total.bytes,
+                fg_wait: mean_wait(total.fg_queue_wait(), total.fg_ops()),
+                fg_wait_max: stats().filter_map(|s| mean_wait(s.fg_queue_wait(), s.fg_ops())).max(),
+                bg_wait: mean_wait(total.bg_queue_wait, total.bg_ops),
             }
         })
         .collect()
 }
 
-/// Run the 16-client large-write workload on both systems and render the
-/// per-class utilization tables.
+/// Run `cfg` on a RAID-x array over `cc` and summarize every resource
+/// class over the run, background drain included.
+fn raidx_summary(cc: ClusterConfig, cfg: &ParallelIoConfig) -> Vec<ClassUtil> {
+    let mut engine = Engine::new();
+    let mut sys = IoSystem::new(&mut engine, cc, Arch::RaidX, CddConfig::default());
+    let r = run_parallel_io(&mut engine, &mut sys, cfg).expect("experiment I/O failed");
+    summarize(&engine, &sys.cluster, SimDuration::from_secs_f64(r.drain_secs))
+}
+
+/// Run the 16-client large-write workload on both systems, and the
+/// 128-node small-write shape on RAID-x, and render the per-class
+/// utilization and queueing tables.
 pub fn render() -> String {
     let cfg = ParallelIoConfig {
         clients: 16,
@@ -60,16 +96,8 @@ pub fn render() -> String {
     };
 
     let mut out = String::from("\n### Resource utilization, 16 clients x 2 MB writes\n");
-    // RAID-x.
-    {
-        let mut engine = Engine::new();
-        let mut sys =
-            IoSystem::new(&mut engine, ClusterConfig::trojans(), Arch::RaidX, CddConfig::default());
-        let r = run_parallel_io(&mut engine, &mut sys, &cfg).expect("experiment I/O failed");
-        let span = SimDuration::from_secs_f64(r.drain_secs);
-        out.push_str("\n**RAID-x (serverless single I/O space)**\n\n");
-        out.push_str(&util_table(&summarize(&engine, &sys.cluster, span)));
-    }
+    out.push_str("\n**RAID-x (serverless single I/O space)**\n\n");
+    out.push_str(&util_table(&raidx_summary(ClusterConfig::trojans(), &cfg)));
     // NFS.
     {
         let mut engine = Engine::new();
@@ -94,11 +122,41 @@ pub fn render() -> String {
             hottest.mean * 100.0
         ));
     }
+
+    // Where a one-block write queues at scale: every resource is nearly
+    // idle, so what a foreground demand waits for is other demands, and
+    // the columns say of which class.
+    let small = ParallelIoConfig {
+        clients: 128,
+        pattern: IoPattern::SmallWrite,
+        repeats: 8,
+        ..Default::default()
+    };
+    out.push_str("\n### Resource utilization, 128 nodes x 128 clients x 32 KB writes, RAID-x\n\n");
+    out.push_str(&util_table(&raidx_summary(ClusterConfig::shape(128, 1), &small)));
+    out.push_str(
+        "\nForeground demands (lock messages, acks, data blocks) never wait \
+         for a queued image segment or image run, only for the one already \
+         in service: the deferred image traffic absorbs the queueing \
+         (background column) and finishes after the writers do.\n",
+    );
     out
 }
 
 fn util_table(rows: &[ClassUtil]) -> String {
-    let headers = ["resource class", "mean util", "max util", "bytes moved"];
+    let headers = [
+        "resource class",
+        "mean util",
+        "max util",
+        "bytes moved",
+        "mean fg wait (ms)",
+        "max fg wait (ms)",
+        "mean bg wait (ms)",
+    ];
+    let wait = |w: Option<SimDuration>| match w {
+        Some(w) => format!("{:.3}", w.as_millis_f64()),
+        None => "-".to_string(),
+    };
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -107,6 +165,9 @@ fn util_table(rows: &[ClassUtil]) -> String {
                 format!("{:.1}%", r.mean * 100.0),
                 format!("{:.1}%", r.max * 100.0),
                 format!("{:.1} MB", r.bytes as f64 / 1e6),
+                wait(r.fg_wait),
+                wait(r.fg_wait_max),
+                wait(r.bg_wait),
             ]
         })
         .collect();
@@ -121,5 +182,6 @@ mod tests {
         assert!(t.contains("RAID-x (serverless"));
         assert!(t.contains("NFS (central server"));
         assert!(t.contains("disk"));
+        assert!(t.contains("mean bg wait"));
     }
 }

@@ -33,13 +33,27 @@ impl SchemeDriver for ParityDriver {
     ) -> Result<Plan, IoError> {
         let bs = ctx.block_size();
         let width = ctx.layout.stripe_width() as u64;
-        // A block is unstorable only if both its data disk and its
-        // stripe's parity disk are gone.
-        for lb in lb0..lb0 + nblocks {
-            let d = ctx.layout.locate_data(lb);
+        let range = lb0..lb0 + nblocks;
+        let full_stripe = |members: &[u64]| {
+            members.len() == width as usize && members.iter().all(|m| range.contains(m))
+        };
+        // Validate the whole range before touching anything. A block whose
+        // data disk is gone lives on through parity alone, so it is
+        // unstorable if the parity disk is gone too, or — in a partial
+        // stripe, where that parity is rebuilt from the siblings on disk —
+        // if any sibling is unreadable.
+        for lb in range.clone() {
+            if !ctx.faults.contains(ctx.layout.locate_data(lb).disk) {
+                continue;
+            }
             #[expect(clippy::expect_used, reason = "parity drivers only run on parity layouts")]
             let p = ctx.layout.locate_parity(lb).expect("parity layout");
-            if ctx.faults.contains(d.disk) && ctx.faults.contains(p.disk) {
+            let members = ctx.layout.stripe_blocks(lb / width);
+            let lost_sibling = || {
+                let mut sibs = members.iter().filter(|&&m| m != lb);
+                sibs.any(|&m| ctx.faults.contains(ctx.layout.locate_data(m).disk))
+            };
+            if ctx.faults.contains(p.disk) || (!full_stripe(&members) && lost_sibling()) {
                 return Err(IoError::DataLoss { lb });
             }
         }
@@ -58,8 +72,7 @@ impl SchemeDriver for ParityDriver {
         let s_last = (lb0 + nblocks - 1) / width;
         for s in s_first..=s_last {
             let members = ctx.layout.stripe_blocks(s);
-            let covered = members.iter().all(|&m| (lb0..lb0 + nblocks).contains(&m));
-            if covered && members.len() == width as usize {
+            if full_stripe(&members) {
                 // Full-stripe write: parity from the new data alone. A
                 // dead data disk's block is represented by parity only;
                 // a dead parity disk simply goes unmaintained.
@@ -85,7 +98,7 @@ impl SchemeDriver for ParityDriver {
             } else {
                 // Partial stripe: per touched block.
                 for &m in &members {
-                    if !(lb0..lb0 + nblocks).contains(&m) {
+                    if !range.contains(&m) {
                         continue;
                     }
                     let a = ctx.layout.locate_data(m);

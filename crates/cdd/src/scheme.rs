@@ -360,10 +360,7 @@ mod tests {
                         refused += 1;
                         assert_eq!(state(&mut sys), before, "{scheme:?}: refused write at {lb0}");
                     }
-                    // Three dead disks are beyond RAID-5: a reconstruct-write
-                    // can also die midway on an unreadable sibling, which is
-                    // an invariant violation, not a refusal.
-                    Ok(_) | Err(IoError::Disk(_)) => {}
+                    Ok(_) => {}
                     Err(e) => panic!("{scheme:?}: write at {lb0}: {e}"),
                 }
             }

@@ -1,8 +1,16 @@
 //! Resource queueing: arrival, service start and completion.
 //!
+//! Every resource keeps two queues, one per traffic class: demands of
+//! foreground tasks and demands of detached ([`Plan::Background`]) ones.
+//! A waiting foreground demand always starts before a waiting background
+//! one; service is never preempted, and within a class the order is
+//! arrival order (or the model's pick among that class).
+//!
 //! A queue entry is 16 bytes — who waits and since when. The queued
 //! [`Demand`] itself waits in its task and moves into the slot only when
 //! service starts, so a deep queue stays a short run of cache lines.
+//!
+//! [`Plan::Background`]: crate::plan::Plan::Background
 
 use std::collections::VecDeque;
 
@@ -30,7 +38,8 @@ pub(super) struct ResourceSlot {
     model: Box<dyn ServiceModel>,
     /// [`ServiceModel::is_fifo`], asked once at registration.
     fifo: bool,
-    queue: VecDeque<Waiter>,
+    /// Waiters by traffic class: `[foreground, background]`.
+    queues: [VecDeque<Waiter>; 2],
     current: Option<InService>,
     pub(super) stats: ResourceStats,
     /// Service-time multiplier applied on top of the model (1 = nominal).
@@ -45,7 +54,7 @@ impl ResourceSlot {
             name,
             fifo: model.is_fifo(),
             model,
-            queue: VecDeque::new(),
+            queues: [VecDeque::new(), VecDeque::new()],
             current: None,
             stats: ResourceStats::default(),
             slowdown: 1,
@@ -60,24 +69,37 @@ impl Engine {
         let now = self.now;
         let task = &mut self.tasks[tid.index()];
         let slot = &mut self.resources[rid.index()];
-        let depth = slot.queue.len() + usize::from(slot.current.is_some()) + 1;
+        let [fg, bg] = &mut slot.queues;
+        let depth = fg.len() + bg.len() + usize::from(slot.current.is_some()) + 1;
         slot.stats.max_queue = slot.stats.max_queue.max(depth);
+        let detached = task.detached;
         if let Some(tr) = self.tracer.as_mut() {
-            let (demand, detached) = (&demand, task.detached);
-            tr.record(now, TracePoint::Enqueued { res: rid, task: tid, demand, depth, detached });
+            tr.record(
+                now,
+                TracePoint::Enqueued { res: rid, task: tid, demand: &demand, depth, detached },
+            );
             self.stats.on_tracer_records(1);
         }
         if slot.current.is_some() {
-            slot.queue.push_back(Waiter { task: tid, enqueued: now });
+            let queue = if detached { bg } else { fg };
+            queue.push_back(Waiter { task: tid, enqueued: now });
             task.waiting = Some(demand);
         } else {
-            self.start_service(rid, tid, demand, now);
+            self.start_service(rid, tid, demand, now, detached);
         }
     }
 
-    /// Put `demand`, which arrived at `enqueued`, into service on the idle
-    /// resource `rid` and schedule its completion.
-    fn start_service(&mut self, rid: ResourceId, tid: TaskId, demand: Demand, enqueued: SimTime) {
+    /// Put `demand` of the task `tid` (background iff `detached`), which
+    /// arrived at `enqueued`, into service on the idle resource `rid` and
+    /// schedule its completion.
+    fn start_service(
+        &mut self,
+        rid: ResourceId,
+        tid: TaskId,
+        demand: Demand,
+        enqueued: SimTime,
+        detached: bool,
+    ) {
         let now = self.now;
         let slot = &mut self.resources[rid.index()];
         let waited = now.since(enqueued);
@@ -86,15 +108,18 @@ impl Engine {
         slot.stats.busy += st;
         slot.stats.ops += 1;
         slot.stats.bytes += demand.bytes();
+        if detached {
+            slot.stats.bg_ops += 1;
+            slot.stats.bg_queue_wait += waited;
+        }
         let done_at = now + st;
         if let Some(tr) = self.tracer.as_mut() {
-            let (demand, detached) = (&demand, self.tasks[tid.index()].detached);
             tr.record(
                 now,
                 TracePoint::ServiceStarted {
                     res: rid,
                     task: tid,
-                    demand,
+                    demand: &demand,
                     waited,
                     done_at,
                     detached,
@@ -106,8 +131,9 @@ impl Engine {
         self.schedule(done_at, EventKind::ResourceDone(rid));
     }
 
-    /// The demand in service at `rid` completed: start the next waiter (the
-    /// head of the queue, or the model's pick on a non-FIFO resource) and
+    /// The demand in service at `rid` completed: start the next waiter —
+    /// from the foreground queue unless it is empty; the head of that
+    /// queue, or the model's pick from it on a non-FIFO resource — and
     /// resume the served task.
     pub(super) fn resource_done(&mut self, rid: ResourceId) {
         let slot = &mut self.resources[rid.index()];
@@ -124,20 +150,23 @@ impl Engine {
             );
             self.stats.on_tracer_records(1);
         }
-        let next = match slot.queue.len() {
+        // Background is served only when no foreground demand waits.
+        let detached = slot.queues[0].is_empty();
+        let queue = &mut slot.queues[usize::from(detached)];
+        let next = match queue.len() {
             n if n >= 2 && !slot.fifo => {
                 self.stats.on_queue_scan(n);
                 let tasks = &self.tasks;
-                let mut pending = slot.queue.iter().map(|w| tasks[w.task.index()].queued_demand());
+                let mut pending = queue.iter().map(|w| tasks[w.task.index()].queued_demand());
                 let idx = slot.model.select_next(&mut pending);
                 assert!(
                     idx < n,
                     "service model of `{}` picked pending demand {idx} of {n}",
                     slot.name
                 );
-                slot.queue.remove(idx)
+                queue.remove(idx)
             }
-            _ => slot.queue.pop_front(),
+            _ => queue.pop_front(),
         };
         if let Some(Waiter { task: tid, enqueued }) = next {
             #[expect(
@@ -146,7 +175,7 @@ impl Engine {
             )]
             let demand =
                 self.tasks[tid.index()].waiting.take().expect("queued task holds no demand");
-            self.start_service(rid, tid, demand, enqueued);
+            self.start_service(rid, tid, demand, enqueued, detached);
         }
         self.advance(done.task);
     }

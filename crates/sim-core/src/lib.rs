@@ -5,7 +5,7 @@
 //!
 //! The substrate under the RAID-x reproduction. Hardware components (disks,
 //! NIC ports, buses, CPUs) are [`ServiceModel`]s registered as resources with
-//! FIFO queues; simulated activities are [`Plan`] DAGs built from
+//! a FIFO queue per traffic class; simulated activities are [`Plan`] DAGs built from
 //! sequential/parallel composition, resource usages, delays, detached
 //! background work and MPI-style barriers. The [`Engine`] interprets plans in
 //! simulated time and collects per-resource utilization and per-job latency
@@ -21,9 +21,10 @@
 //!   order, so e.g. a disk model can track head position and charge less for
 //!   sequential access (the effect RAID-x's clustered image writes exploit).
 //! * **Foreground/background split** — [`Plan::Background`] expresses
-//!   RAID-x's deferred mirror flushes: it never gates job latency but still
-//!   occupies resources, and [`RunReport`] exposes both the foreground and
-//!   the drain completion times.
+//!   RAID-x's deferred mirror flushes: it never gates job latency, it still
+//!   occupies resources but yields every queue to waiting foreground
+//!   demands, and [`RunReport`] exposes both the foreground and the drain
+//!   completion times.
 //!
 //! ```
 //! use sim_core::{Engine, FixedRate, Demand};

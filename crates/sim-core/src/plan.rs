@@ -37,7 +37,13 @@ pub enum Plan {
     /// Child runs detached: the node completes immediately while the child
     /// continues concurrently (RAID-x background image flushes, write-behind
     /// caches). Detached work still occupies resources and is drained before
-    /// [`Engine::run`](crate::Engine::run) returns.
+    /// [`Engine::run`](crate::Engine::run) returns. It is the engine's
+    /// second traffic class: at every resource a waiting demand of a
+    /// detached task (the child and all its descendants) starts only when
+    /// no foreground demand waits there. Service is never preempted, so a
+    /// foreground demand waits for at most the one background demand
+    /// already in service; nothing ages a background demand forward, so a
+    /// foreground that keeps a resource's queue non-empty starves it there.
     Background(Box<Plan>),
     /// Block until every registered participant of the barrier arrives; the
     /// barrier then resets (cyclic, like `MPI_Barrier`).

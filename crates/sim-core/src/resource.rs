@@ -1,7 +1,9 @@
 //! Simulated resources: single servers with pluggable service-time models.
 //!
-//! A resource serves one demand at a time; further demands queue in arrival
-//! order and are served in that order unless the model declares a
+//! A resource serves one demand at a time; further demands queue, those
+//! of foreground tasks ahead of those of detached
+//! ([`Plan::Background`](crate::plan::Plan::Background)) ones, and within
+//! a class are served in arrival order unless the model declares a
 //! discipline of its own ([`ServiceModel::is_fifo`]). Service times come
 //! from a [`ServiceModel`], which may keep state (a disk model remembers
 //! its head position, so service time depends on history).
@@ -29,10 +31,10 @@ pub trait ServiceModel: Send {
     /// Time the resource is busy serving `demand`, starting at `now`.
     fn service_time(&mut self, demand: &Demand, now: SimTime) -> SimDuration;
 
-    /// Whether the resource serves strictly in arrival order. The engine
-    /// asks once, when the resource is registered: a FIFO resource pops
-    /// the head of its queue on every completion and never calls
-    /// [`ServiceModel::select_next`]. The default is `true`.
+    /// Whether the resource serves each traffic class strictly in arrival
+    /// order. The engine asks once, when the resource is registered: a
+    /// FIFO resource pops the head of a queue on every completion and
+    /// never calls [`ServiceModel::select_next`]. The default is `true`.
     fn is_fifo(&self) -> bool {
         true
     }
@@ -41,8 +43,9 @@ pub trait ServiceModel: Send {
     /// to serve next.
     ///
     /// Called whenever the resource finishes a demand and at least two
-    /// others wait; `pending` yields them in arrival order, once. The
-    /// engine panics on an index outside the yielded range. A disk model
+    /// others of the class served next wait (foreground if any waits,
+    /// else background); `pending` yields those in arrival order, once.
+    /// The engine panics on an index outside the yielded range. A disk model
     /// implements SSTF or elevator scheduling over the queued offsets
     /// here.
     fn select_next(&mut self, pending: &mut dyn Iterator<Item = &Demand>) -> usize {
@@ -98,6 +101,12 @@ pub struct ResourceStats {
     pub queue_wait: SimDuration,
     /// Largest queue length observed (including the demand in service).
     pub max_queue: usize,
+    /// The share of `ops` demanded by detached
+    /// ([`Plan::Background`](crate::plan::Plan::Background)) tasks; the
+    /// foreground share is the difference.
+    pub bg_ops: u64,
+    /// The share of `queue_wait` spent by those background demands.
+    pub bg_queue_wait: SimDuration,
 }
 
 impl ResourceStats {
@@ -116,6 +125,17 @@ impl ResourceStats {
             Some(ns) => SimDuration(ns),
             None => SimDuration::ZERO,
         }
+    }
+
+    /// Demands served for foreground tasks: `ops` less the background share.
+    pub fn fg_ops(&self) -> u64 {
+        self.ops - self.bg_ops
+    }
+
+    /// Time foreground demands spent queued: `queue_wait` less the
+    /// background share.
+    pub fn fg_queue_wait(&self) -> SimDuration {
+        self.queue_wait.saturating_sub(self.bg_queue_wait)
     }
 
     /// Achieved throughput in bytes/sec over `span`.
@@ -154,6 +174,7 @@ mod tests {
             bytes: 5_000_000,
             queue_wait: SimDuration::from_millis(50),
             max_queue: 3,
+            ..Default::default()
         };
         assert!((s.utilization(SimDuration::from_secs(1)) - 0.5).abs() < 1e-12);
         assert_eq!(s.mean_wait(), SimDuration::from_millis(10));

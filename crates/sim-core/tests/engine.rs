@@ -1,9 +1,14 @@
 //! The engine's execution semantics through its public API: sequencing,
-//! forking, queueing, background work, barriers, partial runs, slowdown,
-//! slot reuse and custom queue disciplines.
+//! forking, queueing, background work and its traffic class, barriers,
+//! partial runs, slowdown, slot reuse and custom queue disciplines.
+
+use std::sync::{Arc, Mutex};
 
 use sim_core::plan::{background, barrier, delay, par, seq, use_res};
-use sim_core::{BarrierId, Demand, Engine, FixedRate, JobId, ServiceModel, SimDuration, SimTime};
+use sim_core::trace::{EventLog, TraceEvent};
+use sim_core::{
+    BarrierId, Demand, Engine, FixedRate, JobId, Plan, ServiceModel, SimDuration, SimTime,
+};
 
 fn busy(d: u64) -> Demand {
     Demand::Busy(SimDuration::from_micros(d))
@@ -86,6 +91,104 @@ fn background_competes_for_resources() {
     );
     e.run().unwrap();
     assert_eq!(e.jobs()[0].latency(), SimDuration::from_micros(60));
+}
+
+/// `n` detached 100 µs demands on `r`, issued back to back at one instant.
+fn bg_burst(r: sim_core::ResourceId, n: u64) -> Vec<Plan> {
+    (0..n).map(|_| background(use_res(r, busy(100)))).collect()
+}
+
+#[test]
+fn foreground_waits_only_for_the_background_demand_in_service() {
+    let mut e = Engine::new();
+    let r = e.add_resource("port", Box::new(FixedRate::per_op(SimDuration::ZERO)));
+    // Eight background demands are queued when the foreground one arrives
+    // at 1 µs: it waits for the one in service and for none of the rest.
+    let mut plan = bg_burst(r, 8);
+    plan.extend([delay(SimDuration::from_micros(1)), use_res(r, busy(10))]);
+    e.spawn_job("j", seq(plan));
+    let rep = e.run().unwrap();
+    assert_eq!(e.jobs()[0].latency(), SimDuration::from_micros(110));
+    assert_eq!(rep.end, SimTime(810_000));
+    let s = e.resource_stats(r);
+    assert_eq!((s.ops, s.bg_ops), (9, 8));
+    assert_eq!(s.fg_queue_wait(), SimDuration::from_micros(99));
+}
+
+#[test]
+fn each_class_is_served_in_arrival_order() {
+    let log = EventLog::new();
+    let mut e = Engine::new();
+    e.set_tracer(Box::new(log.clone()));
+    let r = e.add_resource("port", Box::new(FixedRate::rate(1_000_000)));
+    let xfer = |bytes| use_res(r, Demand::NetXfer { bytes });
+    // Arrivals alternate between the classes while 10 is in service (10 µs):
+    // background 10, 20, 30 at 0, 2 and 4 µs, foreground 1, 2, 3 at 1, 3
+    // and 5 µs.
+    let pause = || delay(SimDuration::from_micros(2));
+    e.spawn_job(
+        "images",
+        seq(vec![
+            background(xfer(10)),
+            pause(),
+            background(xfer(20)),
+            pause(),
+            background(xfer(30)),
+        ]),
+    );
+    for (bytes, at_us) in [(1, 1), (2, 3), (3, 5)] {
+        e.spawn_job_at("fg", SimTime(at_us * 1_000), xfer(bytes));
+    }
+    e.run().unwrap();
+    let served: Vec<u64> = log
+        .events()
+        .iter()
+        .filter_map(|ev| match ev.event {
+            TraceEvent::ServiceStarted { bytes, .. } => Some(bytes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(served, [10, 1, 2, 3, 20, 30]);
+    assert_eq!(e.resource_stats(r).bg_ops, 3);
+}
+
+#[test]
+fn par_children_of_a_detached_task_are_background() {
+    let mut e = Engine::new();
+    let r = e.add_resource("disk", Box::new(FixedRate::per_op(SimDuration::ZERO)));
+    e.spawn_job(
+        "j",
+        seq(vec![
+            background(par(vec![use_res(r, busy(100)), use_res(r, busy(100))])),
+            delay(SimDuration::from_micros(1)),
+            use_res(r, busy(10)),
+        ]),
+    );
+    let rep = e.run().unwrap();
+    // The second child was queued first, yet the foreground demand went
+    // ahead of it.
+    assert_eq!(e.jobs()[0].latency(), SimDuration::from_micros(110));
+    assert_eq!(rep.end, SimTime(210_000));
+    assert_eq!(e.resource_stats(r).bg_ops, 2);
+}
+
+#[test]
+fn background_drains_after_a_saturating_foreground() {
+    let mut e = Engine::new();
+    let r = e.add_resource("disk", Box::new(FixedRate::per_op(SimDuration::ZERO)));
+    // The foreground keeps the queue non-empty for 50 back-to-back
+    // demands; the queued background work gets nothing until then.
+    let mut plan = bg_burst(r, 4);
+    plan.push(delay(SimDuration::from_micros(1)));
+    plan.extend((0..50).map(|_| use_res(r, busy(100))));
+    e.spawn_job("hog", seq(plan.clone()));
+    e.spawn_job("hog2", seq(plan));
+    let rep = e.run().expect("background work must not strand the run");
+    assert!(rep.end >= rep.foreground_end);
+    assert_eq!(rep.end.since(rep.foreground_end), SimDuration::from_micros(700));
+    let s = e.resource_stats(r);
+    assert_eq!((s.ops, s.bg_ops), (108, 8));
+    assert_eq!(s.busy, SimDuration::from_micros(10_800));
 }
 
 #[test]
@@ -208,6 +311,57 @@ fn custom_queue_discipline_reorders_service() {
     let end = |j: JobId| e.jobs()[j.index()].end.unwrap();
     assert!(end(j1) < end(j5), "first-come starts first");
     assert!(end(j5) < end(j3), "largest pending served before smaller");
+}
+
+/// A non-FIFO model that logs the payload sizes of every pick it is
+/// offered and serves the last arrival.
+struct LoggedPicks(Arc<Mutex<Vec<Vec<u64>>>>);
+
+impl ServiceModel for LoggedPicks {
+    fn service_time(&mut self, _demand: &Demand, _now: SimTime) -> SimDuration {
+        SimDuration::from_micros(10)
+    }
+    fn is_fifo(&self) -> bool {
+        false
+    }
+    fn select_next(&mut self, pending: &mut dyn Iterator<Item = &Demand>) -> usize {
+        let sizes: Vec<u64> = pending.map(Demand::bytes).collect();
+        self.0.lock().expect("no test panics holding the log").push(sizes.clone());
+        sizes.len() - 1
+    }
+}
+
+#[test]
+fn a_queue_discipline_picks_within_the_class_being_served() {
+    let picks = Arc::new(Mutex::new(Vec::new()));
+    let mut e = Engine::new();
+    let r = e.add_resource("d", Box::new(LoggedPicks(picks.clone())));
+    let xfer = |bytes| use_res(r, Demand::NetXfer { bytes });
+    // Background sizes are 100.., foreground sizes 1..; 100 enters service
+    // at once and everything else is queued behind it, classes interleaved.
+    e.spawn_job(
+        "j",
+        seq(vec![
+            background(xfer(100)),
+            delay(SimDuration::from_micros(1)),
+            par(vec![
+                background(xfer(101)),
+                xfer(1),
+                background(xfer(102)),
+                xfer(2),
+                background(xfer(103)),
+                xfer(3),
+            ]),
+        ]),
+    );
+    e.run().unwrap();
+    // Offered while two or more of a class wait: the foreground three,
+    // then two; only then the background three, then two.
+    assert_eq!(
+        *picks.lock().unwrap(),
+        [vec![1, 2, 3], vec![1, 2], vec![101, 102, 103], vec![101, 102]]
+    );
+    assert_eq!(e.resource_stats(r).bg_ops, 4);
 }
 
 #[test]

@@ -31,9 +31,9 @@ type Work = Vec<(&'static str, u64)>;
 const SMOKE_BASELINE: [(&str, u64); 7] = [
     ("events", 906),
     ("heap_pushes", 906),
-    ("heap_peak", 15),
+    ("heap_peak", 16),
     ("tasks_spawned", 163),
-    ("task_slot_allocs", 44),
+    ("task_slot_allocs", 56),
     ("queue_scan_iters", 0),
     ("tracer_records", 2540),
 ];

@@ -7,7 +7,8 @@
 //! aggregate bandwidth is total payload over the time the last client
 //! finishes its foreground I/O — exactly how the paper counts RAID-x's
 //! deferred image writes (they drain in the background and are excluded
-//! from the foreground figure but still contend across bursts).
+//! from the foreground figure; across bursts they still hold whatever
+//! resource they were being served on when a foreground demand arrived).
 
 use cdd::{BlockStore, IoError};
 use sim_core::plan::{barrier, seq};

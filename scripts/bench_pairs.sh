@@ -3,7 +3,7 @@
 # working tree (choosing-metrics §8). A host-time claim in CHANGES.md is
 # the table this prints, not a single run against the 25% bound.
 #
-#   scripts/bench_pairs.sh <base-checkout> <workload> [pairs=10] [seconds=8]
+#   scripts/bench_pairs.sh <base-checkout> <workload> [pairs=10] [seconds=8] [moves]
 #
 # Builds each side's benchmark/ once into a target directory of its own
 # under .bench_build/pairs (ignored by git; nothing under benchmark/ is
@@ -12,13 +12,16 @@
 # both sides. A pair whose `correct`, `attempted`, `failed` or any
 # `sim_mbs.*` differs between the sides is refused (exit 1): the two
 # programs did not do the same work, so their host times do not compare.
-# Prints each side's quartiles of host_rep_s, setup_s and
-# host_peak_rss_mb and how many pairs the change won (lower wins; a tie
-# counts for neither).
+# A change that is meant to move a simulated result names it in `moves`,
+# a `|`-separated list (e.g. `sim_mbs.raidx`): those metrics may differ
+# and are tabulated with the host ones; every other one still refuses.
+# Prints each side's quartiles of host_rep_s, setup_s, host_peak_rss_mb
+# and the `moves` metrics, and how many pairs the change won (lower wins
+# a host metric, higher a simulated one; a tie counts for neither).
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 4 ]; then
-  echo "usage: scripts/bench_pairs.sh <base-checkout> <workload> [pairs=10] [seconds=8]" >&2
+if [ $# -lt 2 ] || [ $# -gt 5 ]; then
+  echo "usage: scripts/bench_pairs.sh <base-checkout> <workload> [pairs=10] [seconds=8] [moves]" >&2
   exit 2
 fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -26,6 +29,7 @@ base="$(cd "$1" && pwd)"
 workload="$2"
 pairs="${3:-10}"
 seconds="${4:-8}"
+moves="${5:-}"
 work="$root/.bench_build/pairs"
 mkdir -p "$work"
 
@@ -43,14 +47,16 @@ run() { # side seed
     --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
 }
 host='host_rep_s|setup_s|host_peak_rss_mb'
-# The three host metrics of a JSON object, in that order.
-host_values() {
-  for m in ${host//|/ }; do
-    printf '%s ' "$(printf '%s\n' "$1" | sed -n "s/.*\"$m\": {\"value\": \([^,}]*\).*/\1/p")"
+# The metrics allowed to differ between the sides, host ones first.
+free="$host${moves:+|$moves}"
+# Their values in a JSON object, in that order.
+free_values() {
+  for m in ${free//|/ }; do
+    printf '%s ' "$(printf '%s\n' "$1" | sed -n "s/.*\"${m//./\\.}\": {\"value\": \([^,}]*\).*/\1/p")"
   done
 }
-# The object with the host metrics blanked: everything that must be equal.
-work_done() { printf '%s' "$1" | sed -E "s/\"($host)\": \{\"value\": [^,}]*/\"\1\": {/g"; }
+# The object with those metrics blanked: everything that must be equal.
+work_done() { printf '%s' "$1" | sed -E "s/\"(${free//./\\.})\": \{\"value\": [^,}]*/\"\1\": {/g"; }
 
 rows="$work/rows-$workload.txt"
 : >"$rows"
@@ -60,7 +66,7 @@ for pair in $(seq 1 "$pairs"); do
   for side in $order; do
     json="$(run "$side" "$seed")"
     if [ "$side" = base ]; then json_base="$json"; else json_change="$json"; fi
-    echo "$side $(host_values "$json")" >>"$rows"
+    echo "$side $(free_values "$json")" >>"$rows"
   done
   if [ "$(work_done "$json_base")" != "$(work_done "$json_change")" ]; then
     echo "pair $pair (seed $seed) refused: the two sides did different work" >&2
@@ -71,20 +77,22 @@ for pair in $(seq 1 "$pairs"); do
   echo "pair $pair/$pairs seed $seed ($order): ok" >&2
 done
 
-echo "$workload: $pairs pairs, --seconds $seconds, seeds 101..$((100 + pairs)), work identical in every pair"
-awk -v names="$host" '
+echo "$workload: $pairs pairs, --seconds $seconds, seeds 101..$((100 + pairs)), work identical in every pair${moves:+ but for $moves}"
+awk -v names="$free" '
   function quartile(v, n, p,    h, lo) {
     h = (n - 1) * p; lo = int(h)
     return v[lo + 1] + (h - lo) * (v[(lo + 2 > n ? n : lo + 2)] - v[lo + 1])
   }
-  { n[$1]++; for (m = 1; m <= 3; m++) val[$1, m, n[$1]] = $(m + 1) }
+  { n[$1]++; for (m = 2; m <= NF; m++) val[$1, m - 1, n[$1]] = $m }
   END {
-    split(names, name, "|")
+    metrics = split(names, name, "|")
     printf "%-18s %-7s %10s %10s %10s   %s\n", "metric", "side", "q1", "median", "q3", "change wins"
-    for (m = 1; m <= 3; m++) {
+    for (m = 1; m <= metrics; m++) {
       wins = 0; ties = 0
+      # Lower wins a host metric (the first three), higher a simulated one.
+      sign = (m <= 3 ? 1 : -1)
       for (i = 1; i <= n["base"]; i++) {
-        if (val["change", m, i] < val["base", m, i]) wins++
+        if (sign * val["change", m, i] < sign * val["base", m, i]) wins++
         else if (val["change", m, i] == val["base", m, i]) ties++
       }
       for (s = 1; s <= 2; s++) {

@@ -142,3 +142,80 @@ fn claim_nfs_centralizes_traffic() {
     let others: u64 = (1..16).map(|n| engine.resource_stats(store.cluster.nodes[n].rx).bytes).sum();
     assert!(server_rx > others, "server rx {server_rx} vs all others {others}");
 }
+
+/// "Background" means hidden from every writer, not only the one that
+/// filled the group: while one client's full mirroring-group flush (31
+/// segments through its NIC, one long run on the image disk) is in
+/// flight, another client's one-block write — whose lock round needs an
+/// ack from the flushing node — takes what it takes on an idle cluster
+/// plus at most the few segments already in service along its path.
+#[test]
+fn claim_image_flush_is_hidden_from_other_writers() {
+    const FLUSHER: usize = 1;
+    const WRITER: usize = 2;
+    let cc = ClusterConfig::shape(32, 1);
+    let segment = cc.net.wire_time(cc.net.segment_bytes);
+    // The writer's latency, whether the flush outlived the write and the
+    // background demands the flusher's NIC served.
+    let small_write_latency = |with_flush: bool| {
+        let mut engine = Engine::new();
+        let mut sys = IoSystem::new(&mut engine, cc.clone(), Arch::RaidX, CddConfig::default());
+        let bs = sys.block_size() as usize;
+        let group = sys.layout().image_group_key(0).expect("RAID-x groups its images").1;
+        if with_flush {
+            // Blocks 0..group are one whole mirroring group: the write's
+            // plan ends by detaching the clustered flush.
+            let fill = sys.write(FLUSHER, 0, &vec![0xF1; group * bs]).unwrap();
+            assert_eq!(sys.pending_image_blocks(), 0, "the group did not fill");
+            let fill = engine.spawn_job("fill", fill);
+            // The flush leaves as the foreground half completes.
+            while engine.jobs()[fill.index()].end.is_none() {
+                engine.run_until(engine.now() + segment);
+            }
+        }
+        let start = engine.now();
+        let lb = 10 * group as u64;
+        let image_disk = sys.layout().locate_images(0)[0].disk;
+        assert_ne!(sys.layout().locate_data(lb).disk, image_disk);
+        let plan = sys.write(WRITER, lb, &vec![0x5A; bs]).unwrap();
+        let job = engine.spawn_job("small-write", plan);
+        let report = engine.run().unwrap();
+        let end = engine.jobs()[job.index()].end.unwrap();
+        let tx = engine.resource_stats(sys.cluster.nodes[FLUSHER].tx);
+        (end.since(start), report.end > end, tx.bg_ops)
+    };
+    let (alone, ..) = small_write_latency(false);
+    let (beside, flush_outlived_write, bg_segments) = small_write_latency(true);
+    assert!(flush_outlived_write && bg_segments >= 31, "no flush was in flight");
+    assert!(
+        beside.as_nanos() <= alone.as_nanos() + 4 * segment.as_nanos(),
+        "one-block write took {beside} beside a group flush, {alone} alone (segment {segment})"
+    );
+}
+
+/// RAID-x keeps its small-write lead over RAID-10 as the cluster grows
+/// (the `scale_small_write` shape: clients = nodes = disks, eight bursts
+/// of one block each).
+#[test]
+fn claim_raidx_small_writes_beat_raid10_as_the_cluster_grows() {
+    for nodes in [16, 32, 64] {
+        let small_write = |arch| {
+            let mut engine = Engine::new();
+            let cc = ClusterConfig::shape(nodes, 1);
+            let mut store = IoSystem::new(&mut engine, cc, arch, CddConfig::default());
+            let cfg = ParallelIoConfig {
+                clients: nodes,
+                pattern: IoPattern::SmallWrite,
+                repeats: 8,
+                ..Default::default()
+            };
+            let mbs = run_parallel_io(&mut engine, &mut store, &cfg).unwrap().aggregate_mbs;
+            let bg: u64 = engine.resources().map(|(_, _, s)| s.bg_ops).sum();
+            (mbs, bg)
+        };
+        let (rx, rx_bg) = small_write(Arch::RaidX);
+        let (r10, r10_bg) = small_write(Arch::Raid10);
+        assert!(rx_bg > 0 && r10_bg == 0, "only RAID-x defers its images");
+        assert!(rx >= r10, "{nodes} nodes: RAID-x {rx:.2} MB/s < RAID-10 {r10:.2} MB/s");
+    }
+}
