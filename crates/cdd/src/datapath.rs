@@ -119,10 +119,14 @@ impl IoSystem {
         self.sample_backlog();
         self.high_water = self.high_water.max(lb0 + nblocks);
 
-        let ops = self.ops();
-        let mut chain = vec![ops.driver(client)];
+        let mut chain = vec![self.ops().driver(client)];
         if self.cfg.lock_broadcast {
-            chain.push(ops.lock_round(client));
+            // A single-node array has no peer to tell, and an empty `Par`
+            // is not a Strict-valid plan.
+            let peers = self.lock_round(client);
+            if !peers.is_empty() {
+                chain.push(par(peers));
+            }
         }
         if blocked.is_some() {
             self.timeouts += 1;

@@ -6,7 +6,7 @@
 //! SCSI bus, and the disk itself.
 
 use cluster::Cluster;
-use sim_core::plan::{par, seq, use_res};
+use sim_core::plan::{seq, shared, use_res};
 use sim_core::{Demand, Plan, SimDuration};
 use sim_net::transfer_plan;
 
@@ -85,18 +85,35 @@ impl<'a> OpBuilder<'a> {
 
     /// One lock-group acquisition round: the client's consistency module
     /// broadcasts the grant to every peer CDD and collects acknowledgements
-    /// (the table is replicated, so all copies update atomically).
-    pub fn lock_round(&self, client: usize) -> Plan {
-        let peers: Vec<Plan> = (0..self.cluster.cfg.nodes)
+    /// (the table is replicated, so all copies update atomically). Returns
+    /// the branches that run in parallel, one per peer — none on a
+    /// single-node array — each a [`Plan::Shared`] chain of the grant
+    /// message's stages followed by the ack's.
+    ///
+    /// The round depends on the client and the cluster only, never on the
+    /// write, and at 128 nodes it is 1,270 leaves: [`crate::IoSystem`]
+    /// calls this once per client, on its first write, and pushes clones
+    /// of the handles from then on.
+    pub fn lock_round(&self, client: usize) -> Vec<Plan> {
+        (0..self.cluster.cfg.nodes)
             .filter(|&n| n != client)
             .map(|n| {
-                seq(vec![
+                let mut steps = Vec::with_capacity(10);
+                for m in [
                     self.msg(client, n, self.cfg.control_bytes),
                     self.msg(n, client, self.cfg.ack_bytes),
-                ])
+                ] {
+                    // A one-segment message is a chain of leaves, spliced in
+                    // so that the engine clones a leaf per step.
+                    if let Plan::Seq(stages) = m {
+                        steps.extend(stages);
+                    } else {
+                        steps.push(m);
+                    }
+                }
+                shared(steps)
             })
-            .collect();
-        par(peers)
+            .collect()
     }
 }
 
@@ -174,7 +191,7 @@ mod tests {
         let (mut e, c) = setup();
         let cfg = CddConfig::default();
         let b = OpBuilder { cluster: &c, cfg: &cfg };
-        e.spawn_job("locks", b.lock_round(0));
+        e.spawn_job("locks", sim_core::plan::par(b.lock_round(0)));
         e.run().unwrap();
         for n in 1..4 {
             assert!(e.resource_stats(c.nodes[n].rx).ops > 0, "peer {n} not contacted");

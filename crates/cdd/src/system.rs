@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use cluster::{Cluster, ClusterConfig, ClusterMap, DataPlane};
 use raidx_core::{Arch, FaultSet, Layout};
 use sim_core::trace::{AccessKind, TracePoint, Tracer};
-use sim_core::{hb, Engine, SimTime};
+use sim_core::{hb, Engine, Plan, SimTime};
 use sim_net::PartitionMap;
 
 use crate::config::CddConfig;
@@ -107,6 +107,14 @@ pub struct IoSystem {
     /// ([`crate::cache`]); `None` (the default) keeps every request path
     /// byte- and plan-identical to an uncached build.
     pub(crate) cache: Option<crate::cache::CacheSet>,
+    /// Per client, the branches of its lock round
+    /// ([`OpBuilder::lock_round`]), built on the client's first write and
+    /// kept for the life of the system: nothing they depend on (node set,
+    /// network spec, control and ack sizes) changes after construction —
+    /// `add_disk` adds disks, not nodes. Built lazily: all of them up front
+    /// would be `nodes²` chains inside `new` (16,256 at 128 nodes), paid
+    /// even by a system whose clients only read.
+    lock_rounds: Vec<Option<Vec<Plan>>>,
 }
 
 impl IoSystem {
@@ -156,6 +164,7 @@ impl IoSystem {
             tracer: None,
             trace_ticks: 0,
             cache,
+            lock_rounds: vec![None; nodes],
         }
     }
 
@@ -366,6 +375,15 @@ impl IoSystem {
 
     pub(crate) fn ops(&self) -> OpBuilder<'_> {
         OpBuilder { cluster: &self.cluster, cfg: &self.cfg }
+    }
+
+    /// The parallel branches of `client`'s lock round: handles to the
+    /// chains every write of that client shares.
+    pub(crate) fn lock_round(&mut self, client: usize) -> Vec<Plan> {
+        // Not `self.ops()`: the builder must borrow only the fields it
+        // reads while `lock_rounds` is borrowed mutably.
+        let ops = OpBuilder { cluster: &self.cluster, cfg: &self.cfg };
+        self.lock_rounds[client].get_or_insert_with(|| ops.lock_round(client)).clone()
     }
 
     /// Record one `(op sequence, records held)` sample if lock metrics

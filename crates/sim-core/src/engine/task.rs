@@ -5,7 +5,12 @@
 //! stored inline, so stepping a `Seq` chain touches the task and the plan
 //! buffer only; outer frames sit in a `Vec` whose capacity a freed slot
 //! keeps for its next tenant. Plan memory is released progressively: a
-//! `Seq`'s buffer is freed the moment its iterator runs dry.
+//! `Seq`'s buffer is freed the moment its iterator runs dry. A `Shared`
+//! chain is the exception by design: its frame is a handle and an index,
+//! each step is cloned out as it is reached, and the buffer belongs to
+//! whoever built it — any number of live tasks may be inside one at once.
+
+use std::sync::Arc;
 
 use super::{Engine, EventKind, JobId, TaskId};
 use crate::demand::Demand;
@@ -18,15 +23,21 @@ enum Frame {
     One(Option<Plan>),
     /// The remaining children of a `Seq`.
     Seq(std::vec::IntoIter<Plan>),
+    /// The steps of a `Shared` and the index of the next one to run.
+    Shared(Arc<[Plan]>, usize),
 }
 
 impl Frame {
-    /// Enter `plan`: a `Seq` is walked through its own iterator, anything
-    /// else runs as a one-shot frame.
-    #[expect(clippy::wildcard_enum_match_arm, reason = "any non-Seq node runs as a one-shot frame")]
+    /// Enter `plan`: a `Seq` is walked through its own iterator, a `Shared`
+    /// by index, anything else runs as a one-shot frame.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "any node that is not a chain runs as a one-shot frame"
+    )]
     fn enter(plan: Plan) -> Frame {
         match plan {
             Plan::Seq(v) => Frame::Seq(v.into_iter()),
+            Plan::Shared(steps) => Frame::Shared(steps, 0),
             other => Frame::One(Some(other)),
         }
     }
@@ -35,6 +46,11 @@ impl Frame {
         match self {
             Frame::One(p) => p.take(),
             Frame::Seq(it) => it.next(),
+            Frame::Shared(steps, at) => {
+                let step = steps.get(*at)?.clone();
+                *at += 1;
+                Some(step)
+            }
         }
     }
 }
@@ -134,9 +150,8 @@ impl Engine {
                     self.enqueue(res, tid, demand);
                     return;
                 }
-                Plan::Seq(v) => {
-                    let inner = Frame::Seq(v.into_iter());
-                    let enclosing = std::mem::replace(&mut task.top, inner);
+                chain @ (Plan::Seq(_) | Plan::Shared(_)) => {
+                    let enclosing = std::mem::replace(&mut task.top, Frame::enter(chain));
                     task.outer.push(enclosing);
                 }
                 Plan::Par(v) => {
@@ -221,5 +236,21 @@ impl Engine {
                 self.advance(parent);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Frame, Task};
+    use crate::plan::Plan;
+    use std::mem::size_of;
+
+    /// The engine's per-event cost tracks these (64-bit targets): a plan
+    /// node is moved or cloned per step, a task is touched per event.
+    #[test]
+    fn plan_nodes_frames_and_tasks_stay_small() {
+        assert!(size_of::<Plan>() <= 32, "Plan is {} bytes", size_of::<Plan>());
+        assert!(size_of::<Frame>() <= 40, "Frame is {} bytes", size_of::<Frame>());
+        assert!(size_of::<Task>() <= 120, "Task is {} bytes", size_of::<Task>());
     }
 }

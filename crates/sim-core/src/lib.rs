@@ -25,6 +25,12 @@
 //!   occupies resources but yields every queue to waiting foreground
 //!   demands, and [`RunReport`] exposes both the foreground and the drain
 //!   completion times.
+//! * **Plans are owned, constants are shared** — a plan belongs to the
+//!   request it describes and is freed as the engine walks it;
+//!   [`Plan::Shared`] is the one node whose steps live behind an `Arc`, for
+//!   a sub-plan that is the same for every request (the CDD lock broadcast
+//!   of one client, 1,270 leaves at 128 nodes). It runs exactly like
+//!   [`Plan::Seq`]; only who owns the steps differs.
 //!
 //! ```
 //! use sim_core::{Engine, FixedRate, Demand};

@@ -6,6 +6,13 @@
 //! directly: a full-stripe write is `par(per-disk chains)`, RAID-x's deferred
 //! image flush is `background(...)`, and an MPI-style barrier is
 //! `barrier(id)`.
+//!
+//! A plan is owned by the request it describes and freed as the engine
+//! walks it. The one exception is [`Plan::Shared`]: a sub-plan that is a
+//! constant of the system (the CDD lock broadcast of one client) is built
+//! once behind an `Arc` and every request carries a handle to it.
+
+use std::sync::Arc;
 
 use crate::demand::Demand;
 use crate::resource::ResourceId;
@@ -32,6 +39,16 @@ pub enum Plan {
     },
     /// Children run one after another.
     Seq(Vec<Plan>),
+    /// Steps run one after another, exactly like [`Plan::Seq`], but the
+    /// steps are immutable and shared: cloning the node copies a handle,
+    /// and the engine walks the buffer by index, cloning one step at a time
+    /// and never freeing or copying the buffer itself. Meant for a
+    /// sub-plan that is the same for every request — build it once, keep
+    /// it as long as the system that issues it, push a clone per request.
+    /// Steps should be leaves (`Use`, `Delay`, `Barrier`, `Noop`): a
+    /// non-leaf step is deep-cloned each time a task enters it, which is
+    /// correct but gives back what sharing saves.
+    Shared(Arc<[Plan]>),
     /// Children run concurrently; the node completes when all do.
     Par(Vec<Plan>),
     /// Child runs detached: the node completes immediately while the child
@@ -59,6 +76,7 @@ impl Plan {
                 demand.bytes()
             }
             Plan::Seq(v) | Plan::Par(v) => v.iter().map(Plan::disk_bytes).sum(),
+            Plan::Shared(v) => v.iter().map(Plan::disk_bytes).sum(),
             Plan::Background(p) => p.disk_bytes(),
             Plan::Noop | Plan::Delay(_) | Plan::Use { .. } | Plan::Barrier(_) => 0,
         }
@@ -69,59 +87,9 @@ impl Plan {
         match self {
             Plan::Use { .. } => 1,
             Plan::Seq(v) | Plan::Par(v) => v.iter().map(Plan::leaf_count).sum(),
+            Plan::Shared(v) => v.iter().map(Plan::leaf_count).sum(),
             Plan::Background(p) => p.leaf_count(),
             Plan::Noop | Plan::Delay(_) | Plan::Barrier(_) => 0,
-        }
-    }
-
-    /// Flatten nested empty/singleton combinators (cheap cosmetic
-    /// normalization; the engine does not require it).
-    #[expect(clippy::wildcard_enum_match_arm, reason = "unflattened children are kept whole")]
-    pub fn simplify(self) -> Plan {
-        match self {
-            Plan::Seq(v) => {
-                let mut out: Vec<Plan> = Vec::with_capacity(v.len());
-                for p in v {
-                    match p.simplify() {
-                        Plan::Noop => {}
-                        Plan::Seq(inner) => out.extend(inner),
-                        other => out.push(other),
-                    }
-                }
-                match out.len() {
-                    0 => Plan::Noop,
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "arm guarded by the len()==1 match above"
-                    )]
-                    1 => out.pop().expect("len checked"),
-                    _ => Plan::Seq(out),
-                }
-            }
-            Plan::Par(v) => {
-                let mut out: Vec<Plan> = Vec::with_capacity(v.len());
-                for p in v {
-                    match p.simplify() {
-                        Plan::Noop => {}
-                        Plan::Par(inner) => out.extend(inner),
-                        other => out.push(other),
-                    }
-                }
-                match out.len() {
-                    0 => Plan::Noop,
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "arm guarded by the len()==1 match above"
-                    )]
-                    1 => out.pop().expect("len checked"),
-                    _ => Plan::Par(out),
-                }
-            }
-            Plan::Background(p) => match p.simplify() {
-                Plan::Noop => Plan::Noop,
-                other => Plan::Background(Box::new(other)),
-            },
-            other @ (Plan::Noop | Plan::Delay(_) | Plan::Use { .. } | Plan::Barrier(_)) => other,
         }
     }
 }
@@ -129,6 +97,11 @@ impl Plan {
 /// Sequential composition.
 pub fn seq(children: Vec<Plan>) -> Plan {
     Plan::Seq(children)
+}
+
+/// Sequential composition of immutable, shared steps (see [`Plan::Shared`]).
+pub fn shared(steps: Vec<Plan>) -> Plan {
+    Plan::Shared(steps.into())
 }
 
 /// Parallel composition (fork/join).
@@ -170,27 +143,9 @@ mod tests {
             disk_use(100),
             par(vec![disk_use(200), background(disk_use(300))]),
             use_res(ResourceId(1), Demand::NetXfer { bytes: 999 }),
+            shared(vec![disk_use(400), Plan::Noop, seq(vec![disk_use(500)])]),
         ]);
-        assert_eq!(p.disk_bytes(), 600);
-        assert_eq!(p.leaf_count(), 4);
-    }
-
-    #[test]
-    fn simplify_collapses_trivia() {
-        let p = seq(vec![
-            Plan::Noop,
-            seq(vec![disk_use(1), Plan::Noop]),
-            par(vec![]),
-            background(Plan::Noop),
-        ])
-        .simplify();
-        assert!(matches!(p, Plan::Use { .. }), "expected single Use, got {p:?}");
-    }
-
-    #[test]
-    fn simplify_keeps_structure() {
-        let p = par(vec![disk_use(1), disk_use(2)]).simplify();
-        assert!(matches!(p, Plan::Par(ref v) if v.len() == 2));
-        assert_eq!(p.disk_bytes(), 3);
+        assert_eq!(p.disk_bytes(), 1500);
+        assert_eq!(p.leaf_count(), 6);
     }
 }

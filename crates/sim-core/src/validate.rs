@@ -139,14 +139,8 @@ fn walk(
                 errs.push(PlanError::ZeroByteUse { res: *res });
             }
         }
-        Plan::Seq(v) => {
-            if v.is_empty() && strictness == Strictness::Strict {
-                errs.push(PlanError::EmptySeq);
-            }
-            for p in v {
-                walk(p, ctx, strictness, in_background, errs);
-            }
-        }
+        Plan::Seq(v) => walk_seq(v, ctx, strictness, in_background, errs),
+        Plan::Shared(v) => walk_seq(v, ctx, strictness, in_background, errs),
         Plan::Par(v) => {
             if v.is_empty() && strictness == Strictness::Strict {
                 errs.push(PlanError::EmptyPar);
@@ -167,38 +161,56 @@ fn walk(
     }
 }
 
+/// The steps of a `Seq` or a `Shared`: the two differ only in who owns them.
+fn walk_seq(
+    steps: &[Plan],
+    ctx: &PlanContext,
+    strictness: Strictness,
+    in_background: bool,
+    errs: &mut Vec<PlanError>,
+) {
+    if steps.is_empty() && strictness == Strictness::Strict {
+        errs.push(PlanError::EmptySeq);
+    }
+    for p in steps {
+        walk(p, ctx, strictness, in_background, errs);
+    }
+}
+
 /// Concurrent arrivals this plan contributes to each barrier per cycle:
-/// `Par` children arrive together (sum); `Seq` children arrive on
-/// successive cycles (max); `Background` subtrees are excluded (they are
-/// already an error).
+/// `Par` children arrive together (sum); `Seq` children and `Shared`
+/// steps arrive on successive cycles (max); `Background` subtrees are
+/// excluded (they are already an error).
 pub fn barrier_arrivals(plan: &Plan, out: &mut HashMap<BarrierId, usize>) {
+    fn successive(steps: &[Plan], acc: &mut HashMap<BarrierId, usize>) {
+        let mut max: HashMap<BarrierId, usize> = HashMap::new();
+        for p in steps {
+            let mut child = HashMap::new();
+            arrivals(p, &mut child);
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "commutative max-merge, order-insensitive."
+            )]
+            for (id, n) in child {
+                let e = max.entry(id).or_insert(0);
+                *e = (*e).max(n);
+            }
+        }
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "commutative addition into the accumulator."
+        )]
+        for (id, n) in max {
+            *acc.entry(id).or_insert(0) += n;
+        }
+    }
     fn arrivals(plan: &Plan, acc: &mut HashMap<BarrierId, usize>) {
         match plan {
             Plan::Barrier(id) => {
                 *acc.entry(*id).or_insert(0) += 1;
             }
-            Plan::Seq(v) => {
-                let mut max: HashMap<BarrierId, usize> = HashMap::new();
-                for p in v {
-                    let mut child = HashMap::new();
-                    arrivals(p, &mut child);
-                    #[expect(
-                        clippy::iter_over_hash_type,
-                        reason = "commutative max-merge, order-insensitive."
-                    )]
-                    for (id, n) in child {
-                        let e = max.entry(id).or_insert(0);
-                        *e = (*e).max(n);
-                    }
-                }
-                #[expect(
-                    clippy::iter_over_hash_type,
-                    reason = "commutative addition into the accumulator."
-                )]
-                for (id, n) in max {
-                    *acc.entry(id).or_insert(0) += n;
-                }
-            }
+            Plan::Seq(v) => successive(v, acc),
+            Plan::Shared(v) => successive(v, acc),
             Plan::Par(v) => {
                 for p in v {
                     arrivals(p, acc);
@@ -243,7 +255,7 @@ pub fn lint_jobs(plans: &[Plan], ctx: &PlanContext) -> Vec<PlanError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{background, barrier, par, seq, use_res};
+    use crate::plan::{background, barrier, par, seq, shared, use_res};
     use crate::time::SimDuration;
 
     fn ctx() -> PlanContext {
@@ -286,6 +298,30 @@ mod tests {
         assert!(lint_plan(&p, &ctx(), Strictness::Structural).is_empty());
         let errs = lint_plan(&p, &ctx(), Strictness::Strict);
         assert_eq!(errs.len(), 3, "{errs:?}");
+        // An empty `Shared` is an empty `Seq`.
+        assert!(lint_plan(&shared(Vec::new()), &ctx(), Strictness::Structural).is_empty());
+        assert_eq!(
+            lint_plan(&shared(Vec::new()), &ctx(), Strictness::Strict),
+            [PlanError::EmptySeq]
+        );
+    }
+
+    #[test]
+    fn defects_inside_shared_steps_are_reported() {
+        let b = BarrierId(1);
+        let p = seq(vec![
+            shared(vec![disk(0, 64), disk(7, 64), disk(1, 0)]),
+            background(shared(vec![disk(0, 8), barrier(b)])),
+            par(vec![shared(vec![barrier(b)]), disk(1, 8)]),
+        ]);
+        assert_eq!(
+            lint_plan(&p, &ctx(), Strictness::Strict),
+            [
+                PlanError::UnknownResource { res: ResourceId(7), registered: 2 },
+                PlanError::ZeroByteUse { res: ResourceId(1) },
+                PlanError::BarrierInBackground { id: b },
+            ]
+        );
     }
 
     #[test]
@@ -306,6 +342,14 @@ mod tests {
         assert_eq!(arr[&b], 1);
         barrier_arrivals(&j1, &mut arr);
         assert_eq!(arr[&b], 3);
+        // `Shared` steps count as `Seq` children do: successive cycles,
+        // and a `Par` among them still arrives together.
+        let j2 = shared(vec![barrier(b), disk(0, 8), j1.clone(), barrier(b)]);
+        let mut arr = HashMap::new();
+        barrier_arrivals(&j2, &mut arr);
+        assert_eq!(arr[&b], 2);
+        barrier_arrivals(&par(vec![j2, shared(vec![barrier(b)])]), &mut arr);
+        assert_eq!(arr[&b], 5);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::collections::VecDeque;
 
 use sim_core::check::{run_cases, Gen};
-use sim_core::plan::{background, barrier, delay, par, seq, use_res};
+use sim_core::plan::{background, barrier, delay, par, seq, shared, use_res};
 use sim_core::trace::{EventLog, TraceEvent};
 use sim_core::{
     BarrierId, Demand, Engine, FixedRate, Plan, ResourceId, ServiceModel, SimDuration, SimTime,
@@ -19,7 +19,8 @@ fn random_tree(g: &mut Gen, rids: &[ResourceId], serial: &mut u64, depth: u32) -
     let children = |g: &mut Gen, serial: &mut u64| -> Vec<Plan> {
         (0..g.usize_in(0..4)).map(|_| random_tree(g, rids, serial, depth + 1)).collect()
     };
-    let shape = if depth >= 3 { g.weighted(&[6, 1, 1]) } else { g.weighted(&[6, 1, 1, 3, 3, 2]) };
+    let shape =
+        if depth >= 3 { g.weighted(&[6, 1, 1]) } else { g.weighted(&[6, 1, 1, 3, 3, 2, 3]) };
     match shape {
         0 => {
             *serial += 1;
@@ -29,7 +30,8 @@ fn random_tree(g: &mut Gen, rids: &[ResourceId], serial: &mut u64, depth: u32) -
         2 => Plan::Noop,
         3 => seq(children(g, serial)),
         4 => par(children(g, serial)),
-        _ => background(random_tree(g, rids, serial, depth + 1)),
+        5 => background(random_tree(g, rids, serial, depth + 1)),
+        _ => shared(children(g, serial)),
     }
 }
 
@@ -58,6 +60,7 @@ fn price(plan: &Plan, models: &mut [FixedRate], demanded: &mut [(u64, u64, u64)]
             d.2 += demand.bytes();
         }
         Plan::Seq(v) | Plan::Par(v) => v.iter().for_each(|p| price(p, models, demanded)),
+        Plan::Shared(v) => v.iter().for_each(|p| price(p, models, demanded)),
         Plan::Background(p) => price(p, models, demanded),
         Plan::Noop | Plan::Delay(_) | Plan::Barrier(_) => {}
     }

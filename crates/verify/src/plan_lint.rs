@@ -5,8 +5,9 @@
 //! running it over the *actual* plan DAGs produced by [`cdd::IoSystem`]
 //! for every architecture and by [`nfs_sim::NfsSystem`]: healthy reads
 //! (zero-block to stripe-straddling) and writes (small and full-stripe),
-//! flushes, degraded reads, and rebuild plans. Any defect here means an
-//! I/O engine emits a plan the simulator could choke on.
+//! flushes, degraded reads, and rebuild plans, on a 4×2 cluster and on a
+//! single node with four disks (no peer, so no lock round). Any defect
+//! here means an I/O engine emits a plan the simulator could choke on.
 
 use cdd::{BlockStore, IoError};
 use cluster::ClusterConfig;
@@ -32,58 +33,69 @@ fn check_plan(report: &mut PassReport, engine: &Engine, name: String, plan: Resu
 
 /// Lint what a store emits through the [`BlockStore`] surface: a small
 /// and a full-stripe write, reads of 0, 1, `stripe` and `stripe + 1`
-/// blocks over them, and the write-behind flush.
+/// blocks over them, and the write-behind flush, from clients 1, 2 and 3
+/// (wrapped onto the `nodes` the store has).
 fn lint_store(
     report: &mut PassReport,
     engine: &Engine,
     store: &mut dyn BlockStore,
     name: &str,
     stripe: usize,
+    nodes: usize,
 ) {
     let bs = store.block_size() as usize;
     let one = vec![0xAB; bs];
     let full = vec![0xCD; bs * stripe];
-    check_plan(report, engine, format!("{name} small write"), store.write(1, 0, &one));
+    check_plan(report, engine, format!("{name} small write"), store.write(1 % nodes, 0, &one));
     check_plan(
         report,
         engine,
         format!("{name} stripe write"),
-        store.write(2, stripe as u64, &full),
+        store.write(2 % nodes, stripe as u64, &full),
     );
     for n in [0, 1, stripe as u64, stripe as u64 + 1] {
-        let plan = store.read(3, 0, n).map(|(_, p)| p);
+        let plan = store.read(3 % nodes, 0, n).map(|(_, p)| p);
         check_plan(report, engine, format!("{name} read {n} blocks"), plan);
     }
     check_plan(report, engine, format!("{name} flush"), Ok(store.flush()));
 }
 
 /// Lint the plans emitted by every architecture's (and the NFS
-/// baseline's) read, write, flush and rebuild paths on a small cluster.
-/// Returns one check per (store, operation).
+/// baseline's) read, write, flush and rebuild paths on a small cluster,
+/// and again on a single node for the layouts that fit one (RAID-x stripes
+/// across nodes and needs two). Returns one check per (store, operation).
 pub fn lint_io_paths() -> PassReport {
     let mut report = PassReport::new("plan-lint");
-    for arch in Arch::ALL {
-        let (engine, mut sys) = cdd::testkit::shape(4, 2, 4 << 20, arch);
-        let name = sys.layout().name();
-        let stripe = sys.layout().stripe_width();
-        lint_store(&mut report, &engine, &mut sys, name, stripe);
+    for (nodes, disks_per_node) in [(4, 2), (1, 4)] {
+        for arch in Arch::ALL {
+            if nodes == 1 && arch == Arch::RaidX {
+                continue;
+            }
+            let (engine, mut sys) = cdd::testkit::shape(nodes, disks_per_node, 4 << 20, arch);
+            let name = match nodes {
+                1 => format!("{} 1x{disks_per_node}", sys.layout().name()),
+                _ => sys.layout().name().to_string(),
+            };
+            let stripe = sys.layout().stripe_width();
+            lint_store(&mut report, &engine, &mut sys, &name, stripe, nodes);
 
-        // Degraded read + rebuild (skip RAID-0, which has no redundancy).
-        if sys.layout().guaranteed_fault_tolerance() > 0 {
-            let hw = sys.high_water();
-            sys.fail_disk(0);
-            let read = sys.read(1, 0, hw).map(|(_, p)| p);
-            check_plan(&mut report, &engine, format!("{name} degraded read"), read);
-            let rebuild = sys.rebuild_disk(1, 0).map(|(p, _)| p);
-            check_plan(&mut report, &engine, format!("{name} rebuild"), rebuild);
+            // Degraded read + rebuild (skip RAID-0, which has no redundancy).
+            if sys.layout().guaranteed_fault_tolerance() > 0 {
+                let hw = sys.high_water();
+                sys.fail_disk(0);
+                let read = sys.read(1 % nodes, 0, hw).map(|(_, p)| p);
+                check_plan(&mut report, &engine, format!("{name} degraded read"), read);
+                let rebuild = sys.rebuild_disk(1 % nodes, 0).map(|(p, _)| p);
+                check_plan(&mut report, &engine, format!("{name} rebuild"), rebuild);
+            }
         }
     }
     let mut engine = Engine::new();
     let mut cc = ClusterConfig::shape(4, 2);
     cc.disk.capacity = 4 << 20;
-    let stripe = cc.disks_per_node;
+    let (stripe, nodes) = (cc.disks_per_node, cc.nodes);
     let mut nfs = NfsSystem::new(&mut engine, cc, NfsConfig::default());
-    lint_store(&mut report, &engine, &mut nfs, "NFS", stripe);
+    lint_store(&mut report, &engine, &mut nfs, "NFS", stripe, nodes);
     report
 }
 
