@@ -138,15 +138,32 @@ impl DirEntry {
 
     /// Deserialize; `None` for an empty slot.
     pub fn decode(raw: &[u8]) -> Option<Self> {
+        let (name, inode, kind) = Self::peek(raw)?;
+        Some(DirEntry { name: name.to_string(), inode, kind })
+    }
+
+    /// [`DirEntry::decode`] without copying the name out of the slot.
+    pub(crate) fn peek(raw: &[u8]) -> Option<(&str, u32, InodeKind)> {
         let len = raw[0] as usize;
         if len == 0 || len > MAX_NAME {
             return None;
         }
         let kind = InodeKind::from_byte(raw[1])?;
         let inode = u32::from_le_bytes(raw[2..6].try_into().ok()?);
-        let name = std::str::from_utf8(&raw[8..8 + len]).ok()?.to_string();
-        Some(DirEntry { name, inode, kind })
+        Some((std::str::from_utf8(&raw[8..8 + len]).ok()?, inode, kind))
     }
+}
+
+/// The live entries of a directory block with their slot numbers, names
+/// still in place. `block` may be any prefix that holds every live slot.
+pub(crate) fn dir_slots(block: &[u8]) -> impl Iterator<Item = (usize, (&str, u32, InodeKind))> {
+    let slots = block.chunks_exact(DIRENT_SIZE).enumerate();
+    slots.filter_map(|(at, slot)| Some((at, DirEntry::peek(slot)?)))
+}
+
+/// Bytes of a directory block up to the end of its last live slot.
+pub(crate) fn dir_live_len(block: &[u8]) -> usize {
+    dir_slots(block).last().map_or(0, |(last, _)| (last + 1) * DIRENT_SIZE)
 }
 
 /// Volume geometry, stored in block 0.

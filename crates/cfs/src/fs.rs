@@ -2,245 +2,82 @@
 //!
 //! Every operation is executed functionally (metadata and data really
 //! serialize to blocks of the store) and returns a [`Plan`] with its
-//! simulated cost. Metadata blocks are cached per client with
-//! write-invalidate semantics — the same discipline the CDD consistency
-//! module enforces — while file data always hits the array (the paper's
-//! benchmarks run on uncached files).
+//! simulated cost. This module resolves paths, allocates inodes and
+//! extents and moves file data; inode-table and directory blocks it
+//! reaches only through the metadata layer ([`crate::meta`]), whose cache
+//! serves a block a client already holds without touching the store. File
+//! data always hits the array (the paper's benchmarks run on uncached
+//! files).
 
-use std::collections::{HashMap, HashSet};
+use cdd::BlockStore;
+use sim_core::plan::seq;
+use sim_core::Plan;
 
-use cdd::{BlockStore, IoError};
-use sim_core::plan::{delay, seq};
-use sim_core::{Plan, SimDuration};
-
-use crate::format::{
-    DirEntry, Extent, Inode, InodeKind, SuperBlock, DIRENT_SIZE, INODE_SIZE, MAGIC, MAX_NAME,
-};
-
-/// File-system errors.
-#[derive(Debug)]
-pub enum FsError {
-    /// Underlying block store failed.
-    Io(IoError),
-    /// Path component missing.
-    NotFound(String),
-    /// Creating something that already exists.
-    Exists(String),
-    /// Path component is not a directory.
-    NotDir(String),
-    /// Operation needs a file but found a directory.
-    IsDir(String),
-    /// Data area exhausted.
-    NoSpace,
-    /// Inode table exhausted.
-    NoInodes,
-    /// File needs more than [`crate::format::MAX_EXTENTS`] extents.
-    TooManyExtents,
-    /// Name empty or longer than [`MAX_NAME`].
-    InvalidName(String),
-}
-
-impl std::fmt::Display for FsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FsError::Io(e) => write!(f, "I/O error: {e}"),
-            FsError::NotFound(p) => write!(f, "not found: {p}"),
-            FsError::Exists(p) => write!(f, "already exists: {p}"),
-            FsError::NotDir(p) => write!(f, "not a directory: {p}"),
-            FsError::IsDir(p) => write!(f, "is a directory: {p}"),
-            FsError::NoSpace => write!(f, "out of space"),
-            FsError::NoInodes => write!(f, "out of inodes"),
-            FsError::TooManyExtents => write!(f, "file too fragmented"),
-            FsError::InvalidName(n) => write!(f, "invalid name: {n:?}"),
-        }
-    }
-}
-impl std::error::Error for FsError {}
-
-impl From<IoError> for FsError {
-    fn from(e: IoError) -> Self {
-        FsError::Io(e)
-    }
-}
-
-/// Simulated cost of serving a metadata block from the node's buffer
-/// cache instead of the array.
-const CACHE_HIT_COST: SimDuration = SimDuration::from_micros(4);
+pub use crate::error::FsError;
+use crate::format::{DirEntry, Extent, Inode, InodeKind, DIRENT_SIZE, MAX_NAME};
+use crate::meta::Meta;
 
 /// The root directory's inode number.
 pub const ROOT_INO: u32 = 0;
 
 /// A mounted cluster file system.
 pub struct Fs<S: BlockStore> {
-    store: S,
-    sb: SuperBlock,
+    meta: Meta<S>,
     inode_used: Vec<bool>,
     /// Bump allocator over the data area plus a free list from unlinks.
     alloc_next: u64,
     free_extents: Vec<Extent>,
-    /// Per-block set of clients holding it in their metadata cache.
-    cache: HashMap<u64, HashSet<usize>>,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 impl<S: BlockStore> Fs<S> {
     /// Format `store` with `n_inodes` inode slots and mount it. Returns
     /// the mounted fs and the plan of the format I/O.
-    pub fn format(mut store: S, n_inodes: u32, client: usize) -> Result<(Self, Plan), FsError> {
-        let bs = store.block_size() as usize;
-        assert!(bs >= 512, "block size too small for the fs format");
-        let inodes_per_block = (bs / INODE_SIZE) as u64;
-        let itable_blocks = (n_inodes as u64).div_ceil(inodes_per_block);
-        let sb =
-            SuperBlock { magic: MAGIC, n_inodes, itable_start: 1, data_start: 1 + itable_blocks };
-        assert!(sb.data_start < store.capacity_blocks(), "volume too small");
-
-        let mut plans = Vec::new();
-        let mut buf = vec![0u8; bs];
-        sb.encode(&mut buf);
-        plans.push(store.write(client, 0, &buf)?);
-        // Zero the inode table, installing the root directory in slot 0.
-        let zero = vec![0u8; bs];
-        for b in 0..itable_blocks {
-            if b == 0 {
-                let mut first = zero.clone();
-                Inode::empty(InodeKind::Dir).encode(&mut first[..INODE_SIZE]);
-                plans.push(store.write(client, sb.itable_start + b, &first)?);
-            } else {
-                plans.push(store.write(client, sb.itable_start + b, &zero)?);
-            }
-        }
+    pub fn format(store: S, n_inodes: u32, client: usize) -> Result<(Self, Plan), FsError> {
+        let (meta, plan) = Meta::format(store, n_inodes, client)?;
         let mut inode_used = vec![false; n_inodes as usize];
         inode_used[ROOT_INO as usize] = true;
-        let alloc_next = sb.data_start;
-        let fs = Fs {
-            store,
-            sb,
-            inode_used,
-            alloc_next,
-            free_extents: Vec::new(),
-            cache: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-        };
-        Ok((fs, seq(plans)))
+        let alloc_next = meta.data_start();
+        Ok((Fs { meta, inode_used, alloc_next, free_extents: Vec::new() }, plan))
     }
 
-    /// Mount an already formatted store (reads the superblock).
-    pub fn mount(mut store: S, client: usize) -> Result<(Self, Plan), FsError> {
-        let (raw, p0) = store.read(client, 0, 1)?;
-        let sb = SuperBlock::decode(&raw).ok_or(FsError::NotFound("superblock".into()))?;
-        // Recover the inode bitmap and allocation frontier by scanning the
-        // table (small: tens of blocks).
-        let bs = store.block_size() as usize;
-        let ipb = bs / INODE_SIZE;
-        let itable_blocks = (sb.n_inodes as u64).div_ceil(ipb as u64);
-        let mut inode_used = vec![false; sb.n_inodes as usize];
-        let mut alloc_next = sb.data_start;
-        let mut plans = vec![p0];
-        for b in 0..itable_blocks {
-            let (raw, p) = store.read(client, sb.itable_start + b, 1)?;
-            plans.push(p);
-            for i in 0..ipb {
-                let ino = b as usize * ipb + i;
-                if ino >= sb.n_inodes as usize {
-                    break;
-                }
-                if let Some(inode) = Inode::decode(&raw[i * INODE_SIZE..(i + 1) * INODE_SIZE]) {
-                    if inode.kind != InodeKind::Free {
-                        inode_used[ino] = true;
-                        for e in inode.extents.iter().filter(|e| e.len > 0) {
-                            alloc_next = alloc_next.max(e.start + e.len);
-                        }
-                    }
-                }
-            }
-        }
-        let fs = Fs {
-            store,
-            sb,
-            inode_used,
-            alloc_next,
-            free_extents: Vec::new(),
-            cache: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-        };
-        Ok((fs, seq(plans)))
+    /// Mount an already formatted store: reads the superblock, and the
+    /// inode table for the inode bitmap and the allocation frontier.
+    pub fn mount(store: S, client: usize) -> Result<(Self, Plan), FsError> {
+        let (meta, table, plan) = Meta::mount(store, client)?;
+        let live = table.iter().filter(|inode| inode.kind != InodeKind::Free);
+        let alloc_next = live
+            .flat_map(|inode| inode.extents.iter().filter(|e| e.len > 0))
+            .fold(meta.data_start(), |next, e| next.max(e.start + e.len));
+        let inode_used = table.iter().map(|inode| inode.kind != InodeKind::Free).collect();
+        Ok((Fs { meta, inode_used, alloc_next, free_extents: Vec::new() }, plan))
     }
 
     /// The underlying store.
     pub fn store(&self) -> &S {
-        &self.store
+        self.meta.store()
     }
 
-    /// Mutable access to the underlying store.
+    /// Mutable access to the underlying store, for fault injection,
+    /// rebuilds and measurement. The contract is
+    /// [`cdd::IoSystem::plane_mut`]'s: a write through it bypasses the
+    /// metadata cache, which goes on serving what it held.
     pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
+        self.meta.store_mut()
     }
 
     /// Unmount, returning the underlying store (for remount tests and
     /// reconfiguration).
     pub fn into_store(self) -> S {
-        self.store
+        self.meta.into_store()
     }
 
     /// `(hits, misses)` of the metadata cache.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits, self.cache_misses)
+        self.meta.cache_stats()
     }
 
     fn bs(&self) -> usize {
-        self.store.block_size() as usize
-    }
-
-    // ---- block layer with per-client metadata caching ----
-
-    fn read_meta(&mut self, client: usize, lb: u64) -> Result<(Vec<u8>, Plan), FsError> {
-        let cached = self.store.caches_metadata()
-            && self.cache.get(&lb).is_some_and(|s| s.contains(&client));
-        let (bytes, plan) = self.store.read(client, lb, 1)?;
-        if cached {
-            self.cache_hits += 1;
-            Ok((bytes, delay(CACHE_HIT_COST)))
-        } else {
-            self.cache_misses += 1;
-            self.cache.entry(lb).or_default().insert(client);
-            Ok((bytes, plan))
-        }
-    }
-
-    fn write_meta(&mut self, client: usize, lb: u64, data: &[u8]) -> Result<Plan, FsError> {
-        // Write-invalidate: peers drop their copies; the writer keeps its
-        // own fresh copy.
-        let mut mine = HashSet::new();
-        mine.insert(client);
-        self.cache.insert(lb, mine);
-        Ok(self.store.write(client, lb, data)?)
-    }
-
-    // ---- inode layer ----
-
-    fn inode_pos(&self, ino: u32) -> (u64, usize) {
-        let ipb = self.bs() / INODE_SIZE;
-        (self.sb.itable_start + (ino as usize / ipb) as u64, (ino as usize % ipb) * INODE_SIZE)
-    }
-
-    fn read_inode(&mut self, client: usize, ino: u32) -> Result<(Inode, Plan), FsError> {
-        let (lb, off) = self.inode_pos(ino);
-        let (raw, plan) = self.read_meta(client, lb)?;
-        let inode = Inode::decode(&raw[off..off + INODE_SIZE])
-            .ok_or_else(|| FsError::NotFound(format!("inode {ino}")))?;
-        Ok((inode, plan))
-    }
-
-    fn write_inode(&mut self, client: usize, ino: u32, inode: &Inode) -> Result<Plan, FsError> {
-        let (lb, off) = self.inode_pos(ino);
-        let (mut raw, rp) = self.read_meta(client, lb)?;
-        inode.encode(&mut raw[off..off + INODE_SIZE]);
-        let wp = self.write_meta(client, lb, &raw)?;
-        Ok(seq(vec![rp, wp]))
+        self.meta.block_size()
     }
 
     fn alloc_inode(&mut self) -> Result<u32, FsError> {
@@ -269,7 +106,7 @@ impl<S: BlockStore> Fs<S> {
             self.free_extents[pos] = Extent { start: e.start + n, len: e.len - n };
             return Ok(Extent { start: e.start, len: n });
         }
-        let cap = self.store.capacity_blocks();
+        let cap = self.meta.store().capacity_blocks();
         if self.alloc_next + n > cap {
             return Err(FsError::NoSpace);
         }
@@ -286,41 +123,8 @@ impl<S: BlockStore> Fs<S> {
 
     // ---- directories ----
 
-    fn dir_blocks(&self, inode: &Inode) -> Vec<u64> {
-        inode.extents.iter().filter(|e| e.len > 0).flat_map(|e| e.start..e.start + e.len).collect()
-    }
-
-    fn dir_entries(
-        &mut self,
-        client: usize,
-        inode: &Inode,
-    ) -> Result<(Vec<DirEntry>, Plan), FsError> {
-        let blocks: Vec<u64> = self.dir_blocks(inode);
-        let mut entries = Vec::new();
-        let mut plans = Vec::new();
-        let per = self.bs() / DIRENT_SIZE;
-        for lb in blocks {
-            let (raw, p) = self.read_meta(client, lb)?;
-            plans.push(p);
-            for i in 0..per {
-                if let Some(e) = DirEntry::decode(&raw[i * DIRENT_SIZE..(i + 1) * DIRENT_SIZE]) {
-                    entries.push(e);
-                }
-            }
-        }
-        Ok((entries, seq(plans)))
-    }
-
-    fn dir_find(
-        &mut self,
-        client: usize,
-        inode: &Inode,
-        name: &str,
-    ) -> Result<(Option<DirEntry>, Plan), FsError> {
-        let (entries, plan) = self.dir_entries(client, inode)?;
-        Ok((entries.into_iter().find(|e| e.name == name), plan))
-    }
-
+    /// Add `entry` to directory `dir_ino`, growing it by a block when
+    /// every slot is taken.
     fn dir_add(
         &mut self,
         client: usize,
@@ -328,62 +132,17 @@ impl<S: BlockStore> Fs<S> {
         dir: &mut Inode,
         entry: &DirEntry,
     ) -> Result<Plan, FsError> {
-        let per = self.bs() / DIRENT_SIZE;
-        let blocks: Vec<u64> = self.dir_blocks(dir);
-        let mut plans = Vec::new();
-        // Find a free slot in existing blocks.
-        for lb in blocks {
-            let (mut raw, rp) = self.read_meta(client, lb)?;
-            for i in 0..per {
-                let slot = &mut raw[i * DIRENT_SIZE..(i + 1) * DIRENT_SIZE];
-                if DirEntry::decode(slot).is_none() {
-                    entry.encode(slot);
-                    let wp = self.write_meta(client, lb, &raw)?;
-                    dir.size += DIRENT_SIZE as u64;
-                    plans.push(rp);
-                    plans.push(wp);
-                    plans.push(self.write_inode(client, dir_ino, dir)?);
-                    return Ok(seq(plans));
-                }
-            }
-            plans.push(rp);
+        let (placed, mut plans) = self.meta.dir_insert(client, dir, entry)?;
+        if !placed {
+            let ext = self.alloc_blocks(1)?;
+            let slot =
+                dir.extents.iter_mut().find(|e| e.len == 0).ok_or(FsError::TooManyExtents)?;
+            *slot = ext;
+            plans.push(self.meta.dir_grow(client, ext.start, entry)?);
         }
-        // Grow the directory by one block.
-        let ext = self.alloc_blocks(1)?;
-        let slot = dir.extents.iter_mut().find(|e| e.len == 0).ok_or(FsError::TooManyExtents)?;
-        *slot = ext;
-        let mut raw = vec![0u8; self.bs()];
-        entry.encode(&mut raw[..DIRENT_SIZE]);
         dir.size += DIRENT_SIZE as u64;
-        plans.push(self.write_meta(client, ext.start, &raw)?);
-        plans.push(self.write_inode(client, dir_ino, dir)?);
+        plans.push(self.meta.write_inode(client, dir_ino, dir)?);
         Ok(seq(plans))
-    }
-
-    fn dir_remove(
-        &mut self,
-        client: usize,
-        inode: &Inode,
-        name: &str,
-    ) -> Result<(Option<DirEntry>, Plan), FsError> {
-        let per = self.bs() / DIRENT_SIZE;
-        let blocks: Vec<u64> = self.dir_blocks(inode);
-        let mut plans = Vec::new();
-        for lb in blocks {
-            let (mut raw, rp) = self.read_meta(client, lb)?;
-            plans.push(rp);
-            for i in 0..per {
-                let slot = &mut raw[i * DIRENT_SIZE..(i + 1) * DIRENT_SIZE];
-                if let Some(e) = DirEntry::decode(slot) {
-                    if e.name == name {
-                        slot.fill(0);
-                        plans.push(self.write_meta(client, lb, &raw)?);
-                        return Ok((Some(e), seq(plans)));
-                    }
-                }
-            }
-        }
-        Ok((None, seq(plans)))
     }
 
     // ---- path resolution ----
@@ -404,17 +163,16 @@ impl<S: BlockStore> Fs<S> {
     fn resolve(&mut self, client: usize, path: &str) -> Result<(u32, Inode, Plan), FsError> {
         let parts = Self::split_path(path)?;
         let mut ino = ROOT_INO;
-        let (mut inode, mut plan_acc) = self.read_inode(client, ino)?;
-        let mut plans = vec![std::mem::replace(&mut plan_acc, Plan::Noop)];
+        let (mut inode, p) = self.meta.read_inode(client, ino)?;
+        let mut plans = vec![p];
         for part in parts {
             if inode.kind != InodeKind::Dir {
                 return Err(FsError::NotDir(path.to_string()));
             }
-            let (hit, p) = self.dir_find(client, &inode, part)?;
+            let (hit, p) = self.meta.dir_find(client, &inode, part)?;
             plans.push(p);
-            let entry = hit.ok_or_else(|| FsError::NotFound(path.to_string()))?;
-            ino = entry.inode;
-            let (next, p) = self.read_inode(client, ino)?;
+            (ino, _) = hit.ok_or_else(|| FsError::NotFound(path.to_string()))?;
+            let (next, p) = self.meta.read_inode(client, ino)?;
             plans.push(p);
             inode = next;
         }
@@ -446,57 +204,57 @@ impl<S: BlockStore> Fs<S> {
 
     /// Create a directory.
     pub fn mkdir(&mut self, client: usize, path: &str) -> Result<Plan, FsError> {
-        let (pino, mut parent, leaf, p0) = self.resolve_parent(client, path)?;
-        let (existing, p1) = self.dir_find(client, &parent, leaf)?;
-        if existing.is_some() {
-            return Err(FsError::Exists(path.to_string()));
-        }
-        let ino = self.alloc_inode()?;
-        let inode = Inode::empty(InodeKind::Dir);
-        let p2 = self.write_inode(client, ino, &inode)?;
-        let entry = DirEntry { name: leaf.to_string(), inode: ino, kind: InodeKind::Dir };
-        let p3 = self.dir_add(client, pino, &mut parent, &entry)?;
-        Ok(seq(vec![p0, p1, p2, p3]))
+        self.make(client, path, InodeKind::Dir)
     }
 
     /// Create an empty file.
     pub fn create(&mut self, client: usize, path: &str) -> Result<Plan, FsError> {
+        self.make(client, path, InodeKind::File)
+    }
+
+    fn make(&mut self, client: usize, path: &str, kind: InodeKind) -> Result<Plan, FsError> {
         let (pino, mut parent, leaf, p0) = self.resolve_parent(client, path)?;
-        let (existing, p1) = self.dir_find(client, &parent, leaf)?;
+        let (existing, p1) = self.meta.dir_find(client, &parent, leaf)?;
         if existing.is_some() {
             return Err(FsError::Exists(path.to_string()));
         }
         let ino = self.alloc_inode()?;
-        let inode = Inode::empty(InodeKind::File);
-        let p2 = self.write_inode(client, ino, &inode)?;
-        let entry = DirEntry { name: leaf.to_string(), inode: ino, kind: InodeKind::File };
+        let p2 = self.meta.write_inode(client, ino, &Inode::empty(kind))?;
+        let entry = DirEntry { name: leaf.to_string(), inode: ino, kind };
         let p3 = self.dir_add(client, pino, &mut parent, &entry)?;
         Ok(seq(vec![p0, p1, p2, p3]))
+    }
+
+    /// The file at `path`, created empty if missing; the plans of getting
+    /// to it go on `plans`.
+    fn open_file(
+        &mut self,
+        client: usize,
+        path: &str,
+        plans: &mut Vec<Plan>,
+    ) -> Result<(u32, Inode), FsError> {
+        let (ino, inode, p) = match self.resolve(client, path) {
+            Err(FsError::NotFound(_)) => {
+                plans.push(self.create(client, path)?);
+                self.resolve(client, path)?
+            }
+            found => found?,
+        };
+        if inode.kind != InodeKind::File {
+            return Err(FsError::IsDir(path.to_string()));
+        }
+        plans.push(p);
+        Ok((ino, inode))
     }
 
     /// Replace a file's contents (creating it if missing).
     pub fn write_file(&mut self, client: usize, path: &str, data: &[u8]) -> Result<Plan, FsError> {
         let mut plans = Vec::new();
-        let ino = match self.resolve(client, path) {
-            Ok((ino, inode, p)) => {
-                if inode.kind != InodeKind::File {
-                    return Err(FsError::IsDir(path.to_string()));
-                }
-                plans.push(p);
-                // Free old extents (truncate).
-                for e in inode.extents.iter().filter(|e| e.len > 0) {
-                    self.free_blocks(*e);
-                }
-                ino
-            }
-            Err(FsError::NotFound(_)) => {
-                plans.push(self.create(client, path)?);
-                let (ino, _, p) = self.resolve(client, path)?;
-                plans.push(p);
-                ino
-            }
-            Err(e) => return Err(e),
-        };
+        let (ino, old) = self.open_file(client, path, &mut plans)?;
+        // Free old extents (truncate).
+        for e in old.extents.iter().filter(|e| e.len > 0) {
+            self.free_blocks(*e);
+        }
         let bs = self.bs();
         let nblocks = (data.len() as u64).div_ceil(bs as u64);
         let mut inode = Inode::empty(InodeKind::File);
@@ -506,9 +264,9 @@ impl<S: BlockStore> Fs<S> {
             inode.extents[0] = ext;
             let mut padded = vec![0u8; (nblocks as usize) * bs];
             padded[..data.len()].copy_from_slice(data);
-            plans.push(self.store.write(client, ext.start, &padded)?);
+            plans.push(self.meta.write_data(client, ext.start, &padded)?);
         }
-        plans.push(self.write_inode(client, ino, &inode)?);
+        plans.push(self.meta.write_inode(client, ino, &inode)?);
         Ok(seq(plans))
     }
 
@@ -521,7 +279,7 @@ impl<S: BlockStore> Fs<S> {
         let mut plans = vec![p0];
         let mut out = Vec::with_capacity(inode.size as usize);
         for e in inode.extents.iter().filter(|e| e.len > 0) {
-            let (bytes, p) = self.store.read(client, e.start, e.len)?;
+            let (bytes, p) = self.meta.read_data(client, e.start, e.len)?;
             plans.push(p);
             out.extend_from_slice(&bytes);
         }
@@ -535,7 +293,7 @@ impl<S: BlockStore> Fs<S> {
         if inode.kind != InodeKind::Dir {
             return Err(FsError::NotDir(path.to_string()));
         }
-        let (entries, p1) = self.dir_entries(client, &inode)?;
+        let (entries, p1) = self.meta.dir_entries(client, &inode)?;
         Ok((entries, seq(vec![p0, p1])))
     }
 
@@ -545,17 +303,23 @@ impl<S: BlockStore> Fs<S> {
         Ok((inode, p))
     }
 
-    /// Remove a file (directories must be empty are not checked — the
-    /// Andrew workload only unlinks files).
+    /// Remove a file. A directory is refused ([`FsError::IsDir`]): freeing
+    /// its inode would orphan whatever it holds.
     pub fn unlink(&mut self, client: usize, path: &str) -> Result<Plan, FsError> {
         let (_pino, parent, leaf, p0) = self.resolve_parent(client, path)?;
-        let (removed, p1) = self.dir_remove(client, &parent, leaf)?;
+        let (removed, p1) = self.meta.dir_remove(client, &parent, leaf, |kind| {
+            if kind == InodeKind::Dir {
+                Err(FsError::IsDir(path.to_string()))
+            } else {
+                Ok(())
+            }
+        })?;
         let entry = removed.ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        let (inode, p2) = self.read_inode(client, entry.inode)?;
+        let (inode, p2) = self.meta.read_inode(client, entry.inode)?;
         for e in inode.extents.iter().filter(|e| e.len > 0) {
             self.free_blocks(*e);
         }
-        let p3 = self.write_inode(client, entry.inode, &Inode::free())?;
+        let p3 = self.meta.write_inode(client, entry.inode, &Inode::free())?;
         self.inode_used[entry.inode as usize] = false;
         Ok(seq(vec![p0, p1, p2, p3]))
     }
@@ -569,22 +333,7 @@ impl<S: BlockStore> Fs<S> {
         }
         let bs = self.bs();
         let mut plans = Vec::new();
-        let (ino, mut inode) = match self.resolve(client, path) {
-            Ok((ino, inode, p)) => {
-                if inode.kind != InodeKind::File {
-                    return Err(FsError::IsDir(path.to_string()));
-                }
-                plans.push(p);
-                (ino, inode)
-            }
-            Err(FsError::NotFound(_)) => {
-                plans.push(self.create(client, path)?);
-                let (ino, inode, p) = self.resolve(client, path)?;
-                plans.push(p);
-                (ino, inode)
-            }
-            Err(e) => return Err(e),
-        };
+        let (ino, mut inode) = self.open_file(client, path, &mut plans)?;
 
         let old_size = inode.size as usize;
         let mut remaining = data;
@@ -592,13 +341,10 @@ impl<S: BlockStore> Fs<S> {
         let tail = old_size % bs;
         if tail != 0 {
             let last_block = block_at(&inode, (old_size / bs) as u64).expect("tail exists");
-            let (mut raw, rp) = {
-                let (bytes, p) = self.store.read(client, last_block, 1)?;
-                (bytes, p)
-            };
+            let (mut raw, rp) = self.meta.read_data(client, last_block, 1)?;
             let take = remaining.len().min(bs - tail);
             raw[tail..tail + take].copy_from_slice(&remaining[..take]);
-            let wp = self.store.write(client, last_block, &raw)?;
+            let wp = self.meta.write_data(client, last_block, &raw)?;
             plans.push(seq(vec![rp, wp]));
             remaining = &remaining[take..];
         }
@@ -622,10 +368,10 @@ impl<S: BlockStore> Fs<S> {
             }
             let mut padded = vec![0u8; (nblocks as usize) * bs];
             padded[..remaining.len()].copy_from_slice(remaining);
-            plans.push(self.store.write(client, ext.start, &padded)?);
+            plans.push(self.meta.write_data(client, ext.start, &padded)?);
         }
         inode.size = (old_size + data.len()) as u64;
-        plans.push(self.write_inode(client, ino, &inode)?);
+        plans.push(self.meta.write_inode(client, ino, &inode)?);
         Ok(seq(plans))
     }
 
@@ -633,30 +379,21 @@ impl<S: BlockStore> Fs<S> {
     /// nothing — the destination must not exist).
     pub fn rename(&mut self, client: usize, from: &str, to: &str) -> Result<Plan, FsError> {
         let (_, from_parent, from_leaf, p0) = self.resolve_parent(client, from)?;
-        let (removed_probe, p1) = self.dir_find(client, &from_parent, from_leaf)?;
-        let entry = removed_probe.ok_or_else(|| FsError::NotFound(from.to_string()))?;
-        let (to_pino, mut to_parent, to_leaf, p2) = self.resolve_parent(client, to)?;
-        let (existing, p3) = self.dir_find(client, &to_parent, to_leaf)?;
+        let (found, p1) = self.meta.dir_find(client, &from_parent, from_leaf)?;
+        let (inode, kind) = found.ok_or_else(|| FsError::NotFound(from.to_string()))?;
+        let (_, to_parent, to_leaf, p2) = self.resolve_parent(client, to)?;
+        let (existing, p3) = self.meta.dir_find(client, &to_parent, to_leaf)?;
         if existing.is_some() {
             return Err(FsError::Exists(to.to_string()));
         }
         // Remove the old entry, then insert the new one. The destination
-        // parent inode is re-read afterwards in case both paths share a
+        // parent is resolved again in between in case both paths share a
         // directory whose blocks just changed.
-        let (removed, p4) = self.dir_remove(client, &from_parent, from_leaf)?;
+        let (removed, p4) = self.meta.dir_remove(client, &from_parent, from_leaf, |_| Ok(()))?;
         debug_assert!(removed.is_some());
-        let to_parts: Vec<&str> = to.split('/').filter(|p| !p.is_empty()).collect();
-        let to_parent_path = if to_parts.len() <= 1 {
-            "/".to_string()
-        } else {
-            format!("/{}", to_parts[..to_parts.len() - 1].join("/"))
-        };
-        let (pino_fresh, parent_fresh, p5) = self.resolve(client, &to_parent_path)?;
-        to_parent = parent_fresh;
-        let new_entry =
-            DirEntry { name: to_leaf.to_string(), inode: entry.inode, kind: entry.kind };
-        let p6 = self.dir_add(client, pino_fresh, &mut to_parent, &new_entry)?;
-        let _ = to_pino;
+        let (to_pino, mut to_parent, _, p5) = self.resolve_parent(client, to)?;
+        let new_entry = DirEntry { name: to_leaf.to_string(), inode, kind };
+        let p6 = self.dir_add(client, to_pino, &mut to_parent, &new_entry)?;
         Ok(seq(vec![p0, p1, p2, p3, p4, p5, p6]))
     }
 }

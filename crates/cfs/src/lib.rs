@@ -9,8 +9,10 @@
 //! integrity guarantees that protect file data protect the file system
 //! itself through disk failures and rebuilds.
 
+mod error;
 pub mod format;
 pub mod fs;
+mod meta;
 
 pub use format::{DirEntry, Extent, Inode, InodeKind, SuperBlock};
 pub use fs::{Fs, FsError, ROOT_INO};

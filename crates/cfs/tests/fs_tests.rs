@@ -1,6 +1,6 @@
 //! Functional tests of the cluster file system over real block stores.
 
-use cdd::{BlockStore, IoSystem};
+use cdd::{BlockStore, CddConfig, IoSystem, ReadBalance};
 use cfs::{Fs, FsError, InodeKind};
 use cluster::ClusterConfig;
 use nfs_sim::{NfsConfig, NfsSystem};
@@ -92,6 +92,9 @@ fn errors_are_specific() {
     assert!(matches!(fs.mkdir(0, "relative"), Err(FsError::InvalidName(_))));
     let long = format!("/{}", "x".repeat(100));
     assert!(matches!(fs.create(0, &long), Err(FsError::InvalidName(_))));
+    // A directory is not unlinked out from over its children.
+    assert!(matches!(fs.unlink(0, "/d"), Err(FsError::IsDir(_))));
+    assert_eq!(fs.readdir(1, "/d").unwrap().0.len(), 1);
 }
 
 #[test]
@@ -116,17 +119,102 @@ fn metadata_cache_hits_on_repeat_resolution() {
     for i in 0..10 {
         fs.create(0, &format!("/proj/f{i}")).unwrap();
     }
-    let (h0, _) = fs.cache_stats();
+    let ((h0, m0), read0) = (fs.cache_stats(), fs.store_mut().plane_mut().bytes_read());
     for i in 0..10 {
         fs.stat(0, &format!("/proj/f{i}")).unwrap();
     }
-    let (h1, _) = fs.cache_stats();
+    let ((h1, m1), read1) = (fs.cache_stats(), fs.store_mut().plane_mut().bytes_read());
     assert!(h1 > h0, "repeat path resolution should hit the cache");
+    assert_eq!((m1, read1), (m0, read0), "a hit reads nothing from the store");
     // A different client has a cold cache.
     let (_, m0) = fs.cache_stats();
     fs.stat(3, "/proj/f0").unwrap();
     let (_, m1) = fs.cache_stats();
     assert!(m1 > m0, "client 3 should miss on first access");
+}
+
+/// A warm client's lookups are traffic the simulation never carries, so
+/// they must not show in the store's counters either: not as bytes read,
+/// and behind a partition not as timeouts or failovers.
+#[test]
+fn cache_hits_carry_no_traffic_behind_a_partition() {
+    let (_e, mut fs) = make_fs();
+    fs.mkdir(0, "/proj").unwrap();
+    fs.create(0, "/proj/f").unwrap();
+    fs.stat(0, "/proj/f").unwrap();
+    // Cut off the node whose disk serves the inode table (block 1 on; one
+    // disk per node, so disk and node numbers agree).
+    let node = fs.store().layout().locate_data(1).disk;
+    assert_ne!(node, 0, "the warm client itself stays connected");
+    fs.store_mut().partition_node(node);
+    let counters = |fs: &mut Fs<IoSystem>| {
+        let s = fs.store_mut();
+        (s.timeouts(), s.failovers(), s.plane_mut().bytes_read())
+    };
+    let before = counters(&mut fs);
+    for _ in 0..10 {
+        fs.stat(0, "/proj/f").unwrap();
+    }
+    assert_eq!(counters(&mut fs), before, "ten hits, no traffic");
+    // A cold client does go to the array, and meets the partition.
+    fs.stat(2, "/proj/f").unwrap();
+    let after = counters(&mut fs);
+    assert!(after.0 > before.0 && after.2 > before.2, "{before:?} -> {after:?}");
+}
+
+/// The least-loaded balancer sends a read to the copy whose disk has had
+/// fewer bytes dispatched to it; metadata hits dispatch none, so however
+/// many precede a run of data reads they cannot change which copy each is
+/// sent to.
+#[test]
+fn least_loaded_choice_ignores_metadata_hits() {
+    let data_reads = |warm_stats: usize| {
+        let cfg = CddConfig { read_balance: ReadBalance::LeastLoaded, ..CddConfig::default() };
+        let (_e, s) = cdd::testkit::shape_with(4, 1, 64 << 20, Arch::RaidX, cfg);
+        let (mut fs, _) = Fs::format(s, 512, 0).unwrap();
+        fs.write_file(0, "/f", &[7u8; 1000]).unwrap();
+        for _ in 0..warm_stats {
+            fs.stat(0, "/f").unwrap();
+        }
+        (0..32).map(|_| format!("{:?}", fs.read_file(0, "/f").unwrap().1)).collect::<Vec<_>>()
+    };
+    let (cold, warm) = (data_reads(0), data_reads(100));
+    assert!(cold.iter().any(|plan| *plan != cold[0]), "the balancer never moved a read");
+    assert_eq!(cold, warm);
+}
+
+/// A metadata write the array refuses must leave nothing in the cache
+/// that the array does not hold: afterwards a warm client sees exactly
+/// what a cold mount of the same store decodes.
+#[test]
+fn refused_metadata_write_leaves_no_stale_entry() {
+    let tree = |fs: &mut Fs<IoSystem>, client: usize| {
+        let mut names: Vec<String> =
+            fs.readdir(client, "/a").unwrap().0.into_iter().map(|e| e.name).collect();
+        names.sort();
+        let found: Vec<bool> =
+            ["/a/old", "/a/new"].iter().map(|p| fs.stat(client, p).is_ok()).collect();
+        (names, found)
+    };
+    let mut refused = 0;
+    // Every pair of disks taken offline in turn: some pair holds both
+    // copies of the block a `create` writes first, another of the next.
+    for (d1, d2) in (0..4).flat_map(|d1| (d1 + 1..4).map(move |d2| (d1, d2))) {
+        let (_e, mut fs) = make_fs();
+        fs.mkdir(0, "/a").unwrap();
+        fs.create(0, "/a/old").unwrap();
+        fs.store_mut().fail_disk_transient(d1);
+        fs.store_mut().fail_disk_transient(d2);
+        refused += usize::from(matches!(fs.create(0, "/a/new"), Err(FsError::Io(_))));
+        // The first disk back may find its resync sources still out.
+        let _ = fs.store_mut().recover_disk_transient(0, d1);
+        fs.store_mut().recover_disk_transient(0, d2).unwrap();
+        fs.store_mut().resync_parked(0, d1).unwrap();
+        let warm = tree(&mut fs, 0);
+        let (mut cold_fs, _) = Fs::mount(fs.into_store(), 0).unwrap();
+        assert_eq!(warm, tree(&mut cold_fs, 0), "disks {d1} and {d2} out");
+    }
+    assert!(refused > 0, "no pair of disks refused the write");
 }
 
 #[test]
@@ -183,6 +271,11 @@ fn works_over_nfs_store() {
     let (got, _) = fs.read_file(3, "/n/f").unwrap();
     assert_eq!(got, b"over nfs");
     assert_eq!(fs.store().arch_name(), "NFS");
+    // No cache to look in: every access misses, and a second name goes in
+    // the directory's one block, not in a block of its own.
+    fs.create(1, "/n/g").unwrap();
+    assert_eq!(fs.stat(1, "/n").unwrap().0.blocks(), 1);
+    assert_eq!(fs.cache_stats().0, 0);
 }
 
 #[test]

@@ -38,6 +38,32 @@ fn andrew_runs_over_nfs() {
     assert!(r.total_secs() > 0.0);
 }
 
+/// The array carries exactly the traffic the simulation charges for: over
+/// RAID-x (whose writes read nothing) an Andrew run reads one block from
+/// the functional plane per metadata-cache miss and per block of file
+/// data, and nothing for a hit — the host cost the cache exists to save.
+#[test]
+fn andrew_reads_only_misses_and_file_data() {
+    let mut engine = Engine::new();
+    let store =
+        IoSystem::new(&mut engine, ClusterConfig::trojans(), Arch::RaidX, CddConfig::default());
+    let (mut fs, _) = Fs::format(store, 2048, 0).unwrap();
+    let cfg = AndrewConfig { clients: 4, dirs: 2, files_per_dir: 3, ..Default::default() };
+    let ((hits0, misses0), read0) = (fs.cache_stats(), fs.store_mut().plane_mut().bytes_read());
+    run_andrew(&mut engine, &mut fs, &cfg).unwrap();
+    let ((hits1, misses1), read1) = (fs.cache_stats(), fs.store_mut().plane_mut().bytes_read());
+    assert!(hits1 - hits0 > misses1 - misses0, "the run is mostly hits");
+    // ReadAll and Make each read every source file once.
+    let mut data_blocks = 0;
+    for c in 0..4 {
+        for (d, f) in (0..2).flat_map(|d| (0..3).map(move |f| (d, f))) {
+            data_blocks += 2 * fs.stat(0, &format!("/c{c}/d{d}/src{f}.c")).unwrap().0.blocks();
+        }
+    }
+    let bs = fs.store().block_size();
+    assert_eq!(read1 - read0, (misses1 - misses0 + data_blocks) * bs);
+}
+
 /// Disk failure in the middle of a filesystem workload: everything
 /// written before the failure remains readable; rebuild restores
 /// redundancy; a second failure elsewhere is then survivable.
