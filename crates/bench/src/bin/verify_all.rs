@@ -1,24 +1,23 @@
 //! Run the `raidx-verify` passes and exit non-zero on any finding.
 //!
 //! ```text
-//! cargo run -p bench --bin verify_all [-- --pass <name>]... [-- --budget <n>] [-- --smoke] [-- --list-passes] [-- --json <path>]
+//! cargo run -p bench --bin verify_all [-- --pass <name>]... [-- --list-passes] [-- --json <path>]
 //! ```
 //!
-//! The thirteen passes, their registry ([`PASSES`]) and the dispatcher
+//! The eleven passes, their registry ([`PASSES`]) and the dispatcher
 //! ([`run_pass`]) live in `raidx_verify` (see its crate docs); this
 //! binary is argument parsing, per-pass timing and printing.
 //!
 //! `--pass <name>` (repeatable, hyphens and underscores interchangeable)
-//! runs only the named passes; `--budget <n>` bounds the schedules
-//! explored per model-checking scenario (default 100000); `--smoke`
-//! shrinks the fault sweep and race detector to their CI subsets;
+//! runs only the named passes — the one way to run less than the whole
+//! suite, which has no reduced mode (every pass at full size is 2–3 s);
 //! `--list-passes` prints the registry (stable order) and exits;
 //! `--json <path>` additionally writes every pass's checks as
 //! machine-readable JSON (stable schema: pass, rule, message, ok).
 //! Each pass reports its wall-clock time.
 
 use raidx_verify::report::{self, PassReport};
-use raidx_verify::{model_check, run_pass, PASSES};
+use raidx_verify::{run_pass, PASSES};
 
 fn pass_names() -> Vec<&'static str> {
     PASSES.iter().map(|&(n, _)| n).collect()
@@ -26,28 +25,19 @@ fn pass_names() -> Vec<&'static str> {
 
 struct Cli {
     passes: Vec<String>,
-    budget: u64,
-    smoke: bool,
     list: bool,
     json: Option<String>,
 }
 
 fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        passes: Vec::new(),
-        budget: model_check::DEFAULT_BUDGET,
-        smoke: false,
-        list: false,
-        json: None,
-    };
+    let mut cli = Cli { passes: Vec::new(), list: false, json: None };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => cli.smoke = true,
             "--list-passes" | "--list_passes" => cli.list = true,
             "--pass" => {
                 // Accept underscores as separators too (`--pass
-                // trace_determinism` names the same pass).
+                // crash_consistency` names the same pass).
                 let name = args.next().ok_or("--pass requires a name")?.replace('_', "-");
                 if !pass_names().contains(&name.as_str()) {
                     return Err(format!(
@@ -57,17 +47,12 @@ fn parse_args() -> Result<Cli, String> {
                 }
                 cli.passes.push(name);
             }
-            "--budget" => {
-                let n = args.next().ok_or("--budget requires a number")?;
-                cli.budget =
-                    n.parse().map_err(|e| format!("--budget: invalid number `{n}`: {e}"))?;
-            }
             "--json" => {
                 cli.json = Some(args.next().ok_or("--json requires a path")?);
             }
             "--help" | "-h" => {
                 return Err(format!(
-                    "usage: verify_all [--pass <name>]... [--budget <n>] [--smoke] [--list-passes] [--json <path>]\npasses: {}",
+                    "usage: verify_all [--pass <name>]... [--list-passes] [--json <path>]\npasses: {}",
                     pass_names().join(", ")
                 ));
             }
@@ -107,7 +92,7 @@ fn main() {
             reason = "wall-clock spent per pass is reporting, not simulation."
         )]
         let t0 = std::time::Instant::now();
-        let mut p = run_pass(name, cli.budget, cli.smoke);
+        let mut p = run_pass(name);
         let secs = t0.elapsed().as_secs_f64();
         p.secs = Some(secs);
         timings.push((name, secs));

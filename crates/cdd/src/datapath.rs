@@ -83,16 +83,9 @@ impl IoSystem {
 
         // Consistency module: the lock group is held for the duration of
         // the (logically instantaneous) functional update.
-        let written = self.with_grant(client, lb0, nblocks, |sys| {
+        let written = self.with_grant(client, lb0, nblocks, |sys, tick| {
             sys.sample_locks();
-            // Protocol trace: the whole op shares one synthetic tick, in
-            // program order grant → write → surrenders → release.
-            let tick = if sys.tracer.is_some() { Some(sys.next_op_tick()) } else { None };
-            let actor = hb::client_actor(client);
-            if let Some(at) = tick {
-                sys.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Acquire);
-            }
-            let mut surrendered = if tick.is_some() { Some(Vec::new()) } else { None };
+            let mut surrendered = tick.map(|_| Vec::new());
             let result =
                 sys.write_locked(client, &eff_slots, lb0, nblocks, data, surrendered.as_mut());
             // Coherence: the write grant doubles as the invalidation
@@ -100,14 +93,14 @@ impl IoSystem {
             // client's cached copy of the range is dropped while the grant
             // is still held, even if the write itself failed partway.
             sys.cache_invalidate(lb0, nblocks);
-            if let Some(at) = tick {
-                if result.is_ok() {
-                    sys.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Write);
-                    for lb in surrendered.as_deref().unwrap_or(&[]) {
-                        sys.trace_access(at, actor, hb::image_cell(*lb), 1, AccessKind::Write);
-                    }
+            // Protocol trace, on the grant's tick and between its
+            // `Acquire` and `Release`: the write, then the surrenders.
+            if let (Some(at), true) = (tick, result.is_ok()) {
+                let actor = hb::client_actor(client);
+                sys.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Write);
+                for lb in surrendered.into_iter().flatten() {
+                    sys.trace_access(at, actor, hb::image_cell(lb), 1, AccessKind::Write);
                 }
-                sys.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Release);
             }
             result
         });

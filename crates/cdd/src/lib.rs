@@ -76,7 +76,7 @@ pub use error::IoError;
 pub use fault::{FaultEvent, FaultInjector};
 pub use frontend::{Admission, ReadBalancer};
 pub use image_queue::{ImageQueue, PendingImage};
-pub use locks::{LockConflict, LockEvent, LockGroupTable, LockHandle, LockRecord, ReleaseError};
+pub use locks::{LockConflict, LockGroupTable, LockHandle, LockRecord, ReleaseError};
 pub use ops::OpBuilder;
 pub use placer::{Migration, Placer};
 pub use proto::{CddModel, Defect, HistOp, OpRecord, ProtoOp, ProtoState, Scenario};

@@ -5,6 +5,10 @@
 //! paper replicates the table among all consistency modules — here one
 //! logical copy holds the authoritative state and the timing model charges
 //! the broadcast round).
+//!
+//! The table keeps counters, not a history: a grant's observable record
+//! is the `Acquire`/`Release` pair `IoSystem::with_grant` emits on the
+//! [`sim_core::trace::Tracer`] stream.
 
 /// A write-permission grant over a contiguous logical block range.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,43 +52,6 @@ pub struct LockConflict {
     pub len: u64,
 }
 
-/// One entry of a recorded grant/release trace (see
-/// [`LockGroupTable::enable_trace`]). The `raidx-verify` lock-order
-/// analyzer replays these to detect cyclic acquisition orders, double
-/// grants and leaked groups.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LockEvent {
-    /// A grant was issued.
-    Grant {
-        /// Client that received the grant.
-        owner: usize,
-        /// First block of the group.
-        start: u64,
-        /// Blocks in the group.
-        len: u64,
-        /// Slot index of the grant (matches the release event).
-        slot: usize,
-    },
-    /// A grant was released.
-    Release {
-        /// Client releasing.
-        owner: usize,
-        /// Slot index being released.
-        slot: usize,
-    },
-    /// An acquisition was rejected because of an overlapping grant.
-    Conflict {
-        /// Client that was refused.
-        owner: usize,
-        /// Client holding the overlapping grant.
-        holder: usize,
-        /// First block of the refused request.
-        start: u64,
-        /// Blocks requested.
-        len: u64,
-    },
-}
-
 /// The lock-group table.
 #[derive(Debug, Default, Clone)]
 pub struct LockGroupTable {
@@ -92,7 +59,6 @@ pub struct LockGroupTable {
     free: Vec<usize>,
     grants: u64,
     conflicts: u64,
-    trace: Option<Vec<LockEvent>>,
 }
 
 impl LockGroupTable {
@@ -114,9 +80,6 @@ impl LockGroupTable {
         for rec in self.slots.iter().flatten() {
             if rec.owner != owner && rec.overlaps(start, len) {
                 self.conflicts += 1;
-                if let Some(t) = &mut self.trace {
-                    t.push(LockEvent::Conflict { owner, holder: rec.owner, start, len });
-                }
                 return Err(LockConflict { holder: rec.owner, start: rec.start, len: rec.len });
             }
         }
@@ -146,9 +109,6 @@ impl LockGroupTable {
                 self.slots.len() - 1
             }
         };
-        if let Some(t) = &mut self.trace {
-            t.push(LockEvent::Grant { owner, start, len, slot: idx });
-        }
         LockHandle(idx)
     }
 
@@ -171,25 +131,9 @@ impl LockGroupTable {
     /// grant) instead of aborting.
     pub fn try_release(&mut self, h: LockHandle) -> Result<(), ReleaseError> {
         let slot = self.slots.get_mut(h.0).ok_or(ReleaseError::Stale)?;
-        let rec = slot.take().ok_or(ReleaseError::NotHeld)?;
+        slot.take().ok_or(ReleaseError::NotHeld)?;
         self.free.push(h.0);
-        if let Some(t) = &mut self.trace {
-            t.push(LockEvent::Release { owner: rec.owner, slot: h.0 });
-        }
         Ok(())
-    }
-
-    /// Start recording a grant/release trace (clears any previous one).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Take the recorded trace, leaving recording enabled.
-    pub fn take_trace(&mut self) -> Vec<LockEvent> {
-        match &mut self.trace {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
     }
 
     /// Number of grants issued over the table's lifetime.
@@ -283,35 +227,5 @@ mod tests {
         let mut t = LockGroupTable::new();
         // A handle forged for a slot that was never allocated.
         assert_eq!(t.try_release(LockHandle(5)), Err(ReleaseError::Stale));
-    }
-
-    #[test]
-    fn trace_records_grant_release_conflict() {
-        let mut t = LockGroupTable::new();
-        t.enable_trace();
-        let h = t.acquire(0, 0, 10).unwrap();
-        assert!(t.acquire(1, 5, 2).is_err());
-        t.release(h);
-        let trace = t.take_trace();
-        assert_eq!(
-            trace,
-            vec![
-                LockEvent::Grant { owner: 0, start: 0, len: 10, slot: 0 },
-                LockEvent::Conflict { owner: 1, holder: 0, start: 5, len: 2 },
-                LockEvent::Release { owner: 0, slot: 0 },
-            ]
-        );
-        // Recording stays enabled after take_trace.
-        let h = t.acquire(2, 100, 1).unwrap();
-        t.release(h);
-        assert_eq!(t.take_trace().len(), 2);
-    }
-
-    #[test]
-    fn trace_disabled_by_default() {
-        let mut t = LockGroupTable::new();
-        let h = t.acquire(0, 0, 1).unwrap();
-        t.release(h);
-        assert!(t.take_trace().is_empty());
     }
 }

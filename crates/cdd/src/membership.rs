@@ -160,7 +160,7 @@ impl IoSystem {
     /// roster epoch. The disk serves no placement until a later
     /// [`IoSystem::remove_disk`] promotes it.
     pub fn add_disk(&mut self, engine: &mut Engine, client: usize) -> Result<usize, IoError> {
-        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys| {
+        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys, _| {
             let g = sys.cluster.add_disk(engine);
             let p = sys.plane.add_disk();
             let s = sys.placer.add_spare();
@@ -195,7 +195,7 @@ impl IoSystem {
         #[expect(clippy::expect_used, reason = "operator-error invariant documented on the method")]
         let spare =
             self.placer.map().first_spare().expect("removing a disk requires a registered spare");
-        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys| {
+        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys, _| {
             sys.promote_spare(slot, phys, spare);
             Ok(spare)
         })

@@ -32,7 +32,7 @@ impl IoSystem {
         let Some(m) = self.placer.migration().cloned() else {
             return self.restore(client, &[], None);
         };
-        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys| {
+        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys, _| {
             sys.rebalance_locked(client, &m, step_limit)
         })
     }

@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cluster::{Cluster, ClusterConfig, ClusterMap, DataPlane};
 use raidx_core::{Arch, FaultSet, Layout};
-use sim_core::trace::{AccessKind, TracePoint, Tracer};
+use sim_core::trace::{AccessKind, TraceEvent, Tracer};
 use sim_core::{hb, Engine, Plan, SimTime};
 use sim_net::PartitionMap;
 
@@ -93,7 +93,7 @@ pub struct IoSystem {
     pub(crate) timeouts: u64,
     /// Requests that failed over to a replica after a timeout.
     pub(crate) failovers: u64,
-    /// Optional observer of protocol-level [`TracePoint::Access`] events
+    /// Optional observer of protocol-level [`TraceEvent::Access`] events
     /// (lock grants/releases, SIOS reads/writes, OSM image surrenders).
     /// `None` keeps every emission site a single branch — the same
     /// zero-cost-when-disabled guarantee the engine's tracer gives.
@@ -188,7 +188,7 @@ impl IoSystem {
         SimTime(t)
     }
 
-    /// Emit one `Access` trace point if a tracer is installed.
+    /// Emit one `Access` event if a tracer is installed.
     pub(crate) fn trace_access(
         &mut self,
         at: SimTime,
@@ -198,7 +198,7 @@ impl IoSystem {
         kind: AccessKind,
     ) {
         if let Some(tr) = self.tracer.as_mut() {
-            tr.record(at, TracePoint::Access { task: actor, cell, len, kind });
+            tr.record(at, TraceEvent::Access { task: actor, cell, len, kind });
         }
     }
 
@@ -298,16 +298,29 @@ impl IoSystem {
     /// Consistency module: atomically acquire write permission on
     /// `[start, start+len)` for `client`, run `body` under the grant, and
     /// release it whatever `body` returned. The only way cdd code takes a
-    /// lock group, so no path can hold one past the functional update.
+    /// lock group, so no path can hold one past the functional update —
+    /// nor, as the entry assert states, take a second one under the
+    /// first — and the only place a grant is traced: with a tracer
+    /// installed the op gets one protocol tick, handed to `body` for its
+    /// own accesses, with `Acquire` emitted before and `Release` after it.
     pub(crate) fn with_grant<R>(
         &mut self,
         client: usize,
         start: u64,
         len: u64,
-        body: impl FnOnce(&mut Self) -> Result<R, IoError>,
+        body: impl FnOnce(&mut Self, Option<SimTime>) -> Result<R, IoError>,
     ) -> Result<R, IoError> {
+        debug_assert!(self.locks.held().next().is_none(), "with_grant entered under a live grant");
         let grant = self.locks.acquire(client, start, len).map_err(IoError::Lock)?;
-        let result = body(self);
+        let tick = self.tracer.is_some().then(|| self.next_op_tick());
+        let trace = |sys: &mut Self, kind| {
+            if let Some(at) = tick {
+                sys.trace_access(at, hb::client_actor(client), hb::sios_cell(start), len, kind);
+            }
+        };
+        trace(self, AccessKind::Acquire);
+        let result = body(self, tick);
+        trace(self, AccessKind::Release);
         self.locks.release(grant);
         result
     }
@@ -332,17 +345,6 @@ impl IoSystem {
     /// series never exceeds the bound.
     pub fn take_backlog_samples(&mut self) -> Vec<(u64, usize)> {
         self.backlog_samples.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Start recording the lock-group grant/release trace (consumed by
-    /// the `raidx-verify` lock-order analyzer).
-    pub fn enable_lock_trace(&mut self) {
-        self.locks.enable_trace();
-    }
-
-    /// Take the recorded lock trace, leaving recording enabled.
-    pub fn take_lock_trace(&mut self) -> Vec<crate::locks::LockEvent> {
-        self.locks.take_trace()
     }
 
     /// Direct (test) access to the functional plane.
@@ -405,5 +407,18 @@ impl IoSystem {
         if let Some(samples) = self.backlog_samples.as_mut() {
             samples.push((seq, pending));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// No grant is alive when one is taken — the fact that left a
+    /// lock-order analysis of this system nothing to find.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "with_grant entered under a live grant")]
+    fn a_grant_body_cannot_take_a_second_grant() {
+        let (_engine, mut sys) = crate::testkit::shape(4, 1, 8 << 20, raidx_core::Arch::RaidX);
+        let _ = sys.with_grant(0, 0, 1, |sys, _| sys.with_grant(0, 8, 1, |_, _| Ok(())));
     }
 }

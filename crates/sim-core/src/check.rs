@@ -12,7 +12,7 @@
 //! ([`shrink_list`], [`shrink_u64s`]) back the model checker's schedule
 //! shrinking in [`crate::explore`].
 
-use crate::rng::SplitMix64;
+use crate::rng::{fnv1a, SplitMix64};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -128,16 +128,6 @@ impl Gen {
     }
 }
 
-/// FNV-1a hash of the test name: a stable, platform-independent base seed.
-fn name_seed(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Greedily minimize `items` under the failure oracle `still_fails` by
 /// deleting contiguous chunks (ddmin-style: halves first, then single
 /// elements). The oracle must return `true` when the candidate still
@@ -229,7 +219,8 @@ fn format_tape(tape: &[u64]) -> String {
 /// the original panic. Properties should be self-contained: the closure is
 /// re-invoked many times during shrinking.
 pub fn run_cases(name: &str, cases: u64, mut f: impl FnMut(&mut Gen)) {
-    let base = name_seed(name);
+    // A stable, platform-independent base seed.
+    let base = fnv1a([name]);
     for case in 0..cases {
         let seed = base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut g = Gen::new(seed);

@@ -17,7 +17,7 @@ use crate::plan::{BarrierId, Plan};
 use crate::prof::EngineStats;
 use crate::resource::{ResourceId, ResourceStats, ServiceModel};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TracePoint, Tracer};
+use crate::trace::{TraceEvent, Tracer};
 use crate::validate::{lint_jobs, lint_plan, PlanContext, PlanError, Strictness};
 
 /// Opaque handle to a spawned foreground job.
@@ -284,8 +284,8 @@ impl Engine {
         let job = JobId(u32::try_from(self.jobs.len()).expect("too many jobs"));
         self.jobs.push(JobRecord { label: label.into(), start, end: None });
         if let Some(tr) = self.tracer.as_mut() {
-            let label = self.jobs[job.0 as usize].label.as_str();
-            tr.record(start, TracePoint::JobSpawned { job, label });
+            let label = self.jobs[job.index()].label.clone();
+            tr.record(start, TraceEvent::JobSpawned { job: job.0, label });
             self.stats.on_tracer_records(1);
         }
         self.live_foreground += 1;

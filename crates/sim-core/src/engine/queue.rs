@@ -18,7 +18,7 @@ use super::{Engine, EventKind, TaskId};
 use crate::demand::Demand;
 use crate::resource::{ResourceId, ResourceStats, ServiceModel};
 use crate::time::SimTime;
-use crate::trace::TracePoint;
+use crate::trace::TraceEvent;
 
 /// A task waiting for a resource; its demand is `Task::waiting`.
 struct Waiter {
@@ -74,9 +74,10 @@ impl Engine {
         slot.stats.max_queue = slot.stats.max_queue.max(depth);
         let detached = task.detached;
         if let Some(tr) = self.tracer.as_mut() {
+            let (kind, bytes) = ((&demand).into(), demand.bytes());
             tr.record(
                 now,
-                TracePoint::Enqueued { res: rid, task: tid, demand: &demand, depth, detached },
+                TraceEvent::Enqueued { res: rid.0, task: tid.0, kind, bytes, depth, detached },
             );
             self.stats.on_tracer_records(1);
         }
@@ -116,12 +117,13 @@ impl Engine {
         if let Some(tr) = self.tracer.as_mut() {
             tr.record(
                 now,
-                TracePoint::ServiceStarted {
-                    res: rid,
-                    task: tid,
-                    demand: &demand,
-                    waited,
-                    done_at,
+                TraceEvent::ServiceStarted {
+                    res: rid.0,
+                    task: tid.0,
+                    kind: (&demand).into(),
+                    bytes: demand.bytes(),
+                    waited_ns: waited.as_nanos(),
+                    done_at_ns: done_at.as_nanos(),
                     detached,
                 },
             );
@@ -143,10 +145,15 @@ impl Engine {
         )]
         let done = slot.current.take().expect("resource-done with idle resource");
         if let Some(tr) = self.tracer.as_mut() {
-            let (demand, detached) = (&done.demand, self.tasks[done.task.index()].detached);
             tr.record(
                 self.now,
-                TracePoint::ServiceFinished { res: rid, task: done.task, demand, detached },
+                TraceEvent::ServiceFinished {
+                    res: rid.0,
+                    task: done.task.0,
+                    kind: (&done.demand).into(),
+                    bytes: done.demand.bytes(),
+                    detached: self.tasks[done.task.index()].detached,
+                },
             );
             self.stats.on_tracer_records(1);
         }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use super::{Engine, EventKind, JobId, TaskId};
 use crate::demand::Demand;
 use crate::plan::Plan;
-use crate::trace::TracePoint;
+use crate::trace::TraceEvent;
 
 /// A position in a plan: what remains to run at one nesting level.
 enum Frame {
@@ -117,7 +117,8 @@ impl Engine {
             TaskId(idx)
         };
         if let Some(tr) = self.tracer.as_mut() {
-            tr.record(self.now, TracePoint::TaskSpawned { task: tid, parent, detached });
+            let parent = parent.map(|p| p.0);
+            tr.record(self.now, TraceEvent::TaskSpawned { task: tid.0, parent, detached });
             self.stats.on_tracer_records(1);
         }
         tid
@@ -181,7 +182,8 @@ impl Engine {
                         .get_mut(&id)
                         .unwrap_or_else(|| panic!("barrier {id:?} not registered"));
                     let filled = b.waiting.len() + 1 == b.needed;
-                    let point = if filled {
+                    // (cycle count, tasks released) once the barrier opens.
+                    let opened = if filled {
                         b.cycles += 1;
                         let cycle = b.cycles;
                         let waiters = std::mem::take(&mut b.waiting);
@@ -189,13 +191,20 @@ impl Engine {
                         for w in waiters {
                             self.schedule(self.now, EventKind::Resume(w));
                         }
-                        TracePoint::BarrierOpened { barrier: id, task: tid, cycle, released }
+                        Some((cycle, released))
                     } else {
                         b.waiting.push(tid);
-                        TracePoint::BarrierWaited { barrier: id, task: tid }
+                        None
                     };
                     if let Some(tr) = self.tracer.as_mut() {
-                        tr.record(self.now, point);
+                        let (barrier, task) = (id.0, tid.0);
+                        let event = match opened {
+                            Some((cycle, released)) => {
+                                TraceEvent::BarrierOpened { barrier, task, cycle, released }
+                            }
+                            None => TraceEvent::BarrierWaited { barrier, task },
+                        };
+                        tr.record(self.now, event);
                         self.stats.on_tracer_records(1);
                     }
                     if !filled {
@@ -214,13 +223,13 @@ impl Engine {
         self.live_total -= 1;
         self.free_tasks.push(tid.0);
         if let Some(tr) = self.tracer.as_mut() {
-            tr.record(self.now, TracePoint::TaskFinished { task: tid, detached });
+            tr.record(self.now, TraceEvent::TaskFinished { task: tid.0, detached });
             self.stats.on_tracer_records(1);
         }
         if let Some(job) = job {
             self.jobs[job.index()].end = Some(self.now);
             if let Some(tr) = self.tracer.as_mut() {
-                tr.record(self.now, TracePoint::JobFinished { job });
+                tr.record(self.now, TraceEvent::JobFinished { job: job.0 });
                 self.stats.on_tracer_records(1);
             }
             self.live_foreground -= 1;

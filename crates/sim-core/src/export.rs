@@ -5,7 +5,7 @@
 //! wants microseconds, so nanosecond stamps are divided by 1000 with
 //! three decimals kept — exact for the integer clock). Wall clocks are
 //! banned from this module: `clippy.toml` disallows them, and the
-//! `trace-determinism` pass double-runs workloads to prove exports are
+//! `determinism` verify pass double-runs workloads to prove exports are
 //! byte-identical.
 //!
 //! Track layout of the Chrome trace:

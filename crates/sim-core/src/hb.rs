@@ -55,10 +55,12 @@
 //!
 //! The analyzer is *total*: it accepts arbitrary sub-streams (unknown
 //! parents become roots, releases without grants are ignored), which is
-//! what makes ddmin shrinking ([`shrink_window`]) sound.
+//! what makes ddmin shrinking ([`crate::check::shrink_list`] with a
+//! same-[`HbViolation::key`] oracle) sound.
 
 use std::collections::BTreeMap;
 
+use crate::rng::fnv1a;
 use crate::time::SimTime;
 use crate::trace::{AccessKind, DemandKind, TimedEvent, TraceEvent};
 
@@ -235,39 +237,14 @@ impl std::fmt::Display for HbViolation {
     }
 }
 
-/// Analyzer policy knobs.
-#[derive(Debug, Clone)]
-pub struct HbOptions {
-    /// Require every protocol SIOS write to be covered by a live
-    /// lock-group grant (default `true`).
-    pub require_lock_coverage: bool,
-    /// Process at most this many events (budget cap for smoke runs);
-    /// [`HbAnalysis::truncated`] reports whether the cap was hit.
-    pub max_events: usize,
-    /// Stop recording after this many violations (analysis continues).
-    pub max_violations: usize,
-    /// Only check cells whose in-namespace index is below this bound
-    /// (`u64::MAX` = all cells). Smoke runs bound the cell subset so the
-    /// per-cell state stays small on huge traces.
-    pub cell_limit: u64,
-}
-
-impl Default for HbOptions {
-    fn default() -> Self {
-        HbOptions {
-            require_lock_coverage: true,
-            max_events: usize::MAX,
-            max_violations: 64,
-            cell_limit: u64::MAX,
-        }
-    }
-}
+/// Findings recorded per analysis; the analysis itself runs to the end
+/// of the stream.
+const MAX_VIOLATIONS: usize = 64;
 
 /// What one [`analyze`] run saw.
 #[derive(Debug, Clone)]
 pub struct HbAnalysis {
-    /// Findings, in stream order (capped at
-    /// [`HbOptions::max_violations`]).
+    /// Findings, in stream order (the first 64).
     pub violations: Vec<HbViolation>,
     /// Events processed.
     pub events: usize,
@@ -277,8 +254,6 @@ pub struct HbAnalysis {
     pub actors: usize,
     /// Synchronization edges constructed (fork/join/barrier/lock).
     pub sync_edges: usize,
-    /// True when [`HbOptions::max_events`] cut the analysis short.
-    pub truncated: bool,
 }
 
 impl HbAnalysis {
@@ -291,23 +266,9 @@ impl HbAnalysis {
     /// of identical streams must agree bit-for-bit (the detector's own
     /// determinism is audited by the `race-detect` verify pass).
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for v in &self.violations {
-            eat(v.to_string().as_bytes());
-            eat(b"\n");
-        }
-        for n in [self.events as u64, self.accesses as u64, self.actors as u64] {
-            eat(&n.to_le_bytes());
-        }
-        h
+        let findings = self.violations.iter().map(|v| format!("{v}\n").into_bytes());
+        let counters = [self.events, self.accesses, self.actors];
+        fnv1a(findings.chain(counters.map(|n| (n as u64).to_le_bytes().to_vec())))
     }
 }
 
@@ -344,7 +305,6 @@ struct TickService {
 const MAX_ACCESS_CELLS: u64 = 4096;
 
 struct Analyzer {
-    opts: HbOptions,
     actors: Vec<ActorState>,
     /// Live engine-task instances: raw task id → actor slot.
     live_tasks: BTreeMap<u32, usize>,
@@ -364,9 +324,8 @@ struct Analyzer {
 }
 
 impl Analyzer {
-    fn new(opts: HbOptions) -> Self {
+    fn new() -> Self {
         Analyzer {
-            opts,
             actors: Vec::new(),
             live_tasks: BTreeMap::new(),
             protocol: BTreeMap::new(),
@@ -382,13 +341,12 @@ impl Analyzer {
                 accesses: 0,
                 actors: 0,
                 sync_edges: 0,
-                truncated: false,
             },
         }
     }
 
     fn report(&mut self, v: HbViolation) {
-        if self.out.violations.len() < self.opts.max_violations {
+        if self.out.violations.len() < MAX_VIOLATIONS {
             self.out.violations.push(v);
         }
     }
@@ -418,16 +376,6 @@ impl Analyzer {
         let slot = self.new_actor(id, None);
         self.protocol.insert(id, slot);
         slot
-    }
-
-    /// Truncate an access range to the checkable cell subset.
-    fn checked_len(&self, first: u64, len: u64) -> u64 {
-        let len = len.min(MAX_ACCESS_CELLS);
-        let idx = cell_index(first);
-        if idx >= self.opts.cell_limit {
-            return 0;
-        }
-        len.min(self.opts.cell_limit - idx)
     }
 
     fn flip_tick(&mut self, at: SimTime) {
@@ -568,7 +516,7 @@ impl Analyzer {
                 self.actors[slot].clock.tick(slot);
             }
             AccessKind::Write => {
-                let n = self.checked_len(first, len);
+                let n = len.min(MAX_ACCESS_CELLS);
                 let mut uncovered: Option<u64> = None;
                 for i in 0..n {
                     let c = first + i;
@@ -576,8 +524,7 @@ impl Analyzer {
                         continue;
                     }
                     self.check_write(slot, c, ev);
-                    if self.opts.require_lock_coverage
-                        && self.actors[slot].id & PROTOCOL_ACTOR_BASE != 0
+                    if self.actors[slot].id & PROTOCOL_ACTOR_BASE != 0
                         && self.actors[slot].id != OSM_ACTOR
                         && uncovered.is_none()
                         && !self.actors[slot].held.iter().any(|&(h0, hl)| c >= h0 && c < h0 + hl)
@@ -666,10 +613,6 @@ impl Analyzer {
 
     fn run(mut self, events: &[TimedEvent]) -> HbAnalysis {
         for (i, te) in events.iter().enumerate() {
-            if i >= self.opts.max_events {
-                self.out.truncated = true;
-                break;
-            }
             self.out.events += 1;
             match te.event {
                 TraceEvent::TaskSpawned { task, parent, .. } => self.on_task_spawned(task, parent),
@@ -697,52 +640,8 @@ impl Analyzer {
 }
 
 /// Run the happens-before analysis over an event stream.
-pub fn analyze(events: &[TimedEvent], opts: &HbOptions) -> HbAnalysis {
-    Analyzer::new(opts.clone()).run(events)
-}
-
-/// ddmin-style 1-minimal shrinking of the trace window around a finding:
-/// repeatedly drop chunks of the stream while re-analysis still yields a
-/// violation with the same [`HbViolation::key`]. The analyzer's
-/// robustness on arbitrary sub-streams is what makes this sound.
-pub fn shrink_window(
-    events: &[TimedEvent],
-    key: (ViolationKind, u64, u32, u32),
-    opts: &HbOptions,
-) -> Vec<TimedEvent> {
-    let still_fails = |candidate: &[TimedEvent]| {
-        analyze(candidate, opts).violations.iter().any(|v| v.key() == key)
-    };
-    let mut current: Vec<TimedEvent> = events.to_vec();
-    if !still_fails(&current) {
-        return current;
-    }
-    let mut n = 2usize;
-    while current.len() >= 2 {
-        let chunk = current.len().div_ceil(n);
-        let mut reduced = false;
-        let mut start = 0usize;
-        while start < current.len() {
-            let end = (start + chunk).min(current.len());
-            let mut candidate = Vec::with_capacity(current.len() - (end - start));
-            candidate.extend_from_slice(&current[..start]);
-            candidate.extend_from_slice(&current[end..]);
-            if !candidate.is_empty() && still_fails(&candidate) {
-                current = candidate;
-                n = n.saturating_sub(1).max(2);
-                reduced = true;
-                break;
-            }
-            start = end;
-        }
-        if !reduced {
-            if chunk <= 1 {
-                break;
-            }
-            n = (n * 2).min(current.len());
-        }
-    }
-    current
+pub fn analyze(events: &[TimedEvent]) -> HbAnalysis {
+    Analyzer::new().run(events)
 }
 
 #[cfg(test)]
@@ -792,7 +691,7 @@ mod tests {
             ev(5, access(0, sios_cell(5), 1, AccessKind::Write)),
             ev(6, finished(0)),
         ];
-        let a = analyze(&events, &HbOptions::default());
+        let a = analyze(&events);
         assert!(a.clean(), "fork/join edges must order these writes: {:?}", a.violations);
         assert_eq!(a.actors, 2);
         assert!(a.sync_edges >= 2, "fork and join edges expected");
@@ -806,7 +705,7 @@ mod tests {
             ev(1, access(0, sios_cell(9), 1, AccessKind::Write)),
             ev(2, access(1, sios_cell(9), 1, AccessKind::Write)),
         ];
-        let a = analyze(&events, &HbOptions::default());
+        let a = analyze(&events);
         assert_eq!(kinds(&a), vec![ViolationKind::WriteWrite]);
         assert_eq!(a.violations[0].cell, sios_cell(9));
     }
@@ -829,9 +728,9 @@ mod tests {
             events.push(ev(4, access(1, sios_cell(4), 1, AccessKind::Write)));
             events
         };
-        let clean = analyze(&barrier(true), &HbOptions::default());
+        let clean = analyze(&barrier(true));
         assert!(clean.clean(), "barrier must order the writes: {:?}", clean.violations);
-        let raced = analyze(&barrier(false), &HbOptions::default());
+        let raced = analyze(&barrier(false));
         assert_eq!(kinds(&raced), vec![ViolationKind::WriteWrite]);
     }
 
@@ -856,9 +755,9 @@ mod tests {
 
     #[test]
     fn lock_edges_order_clients_and_dropped_grant_is_caught() {
-        let clean = analyze(&locked_protocol_stream(false), &HbOptions::default());
+        let clean = analyze(&locked_protocol_stream(false));
         assert!(clean.clean(), "lock edges must order the clients: {:?}", clean.violations);
-        let raced = analyze(&locked_protocol_stream(true), &HbOptions::default());
+        let raced = analyze(&locked_protocol_stream(true));
         let ks = kinds(&raced);
         assert!(
             ks.contains(&ViolationKind::UncoveredWrite),
@@ -877,7 +776,7 @@ mod tests {
             ev(0, access(c0, image_cell(7), 1, AccessKind::Write)),
             ev(1, access(c1, image_cell(7), 1, AccessKind::Write)),
         ];
-        let a = analyze(&events, &HbOptions::default());
+        let a = analyze(&events);
         assert!(a.clean(), "image surrender order is legitimately unordered: {:?}", a.violations);
     }
 
@@ -887,15 +786,14 @@ mod tests {
             ev(5, access(client_actor(0), sios_cell(0), 4, AccessKind::Write)),
             ev(5, access(client_actor(1), sios_cell(3), 2, AccessKind::Write)),
         ];
-        let opts = HbOptions { require_lock_coverage: false, ..HbOptions::default() };
-        let a = analyze(&events, &opts);
+        let a = analyze(&events);
         assert!(kinds(&a).contains(&ViolationKind::SameTickAccess), "{:?}", kinds(&a));
         // Disjoint footprints at one tick commute: no finding.
         let disjoint = vec![
             ev(5, access(client_actor(0), sios_cell(0), 2, AccessKind::Write)),
             ev(5, access(client_actor(1), sios_cell(8), 2, AccessKind::Write)),
         ];
-        let b = analyze(&disjoint, &opts);
+        let b = analyze(&disjoint);
         assert!(!kinds(&b).contains(&ViolationKind::SameTickAccess));
     }
 
@@ -907,7 +805,7 @@ mod tests {
             ev(9, service(3, 0, DemandKind::DiskWrite)),
             ev(9, service(3, 1, DemandKind::DiskWrite)),
         ];
-        let a = analyze(&events, &HbOptions::default());
+        let a = analyze(&events);
         assert_eq!(kinds(&a), vec![ViolationKind::SameTickService]);
         // Different resources at one tick are fine.
         let ok = vec![
@@ -916,7 +814,7 @@ mod tests {
             ev(9, service(3, 0, DemandKind::DiskWrite)),
             ev(9, service(4, 1, DemandKind::DiskWrite)),
         ];
-        assert!(analyze(&ok, &HbOptions::default()).clean());
+        assert!(analyze(&ok).clean());
     }
 
     #[test]
@@ -928,13 +826,13 @@ mod tests {
             ev(3, spawned(0, None)), // engine free-list reuses slot 0
             ev(4, access(0, sios_cell(1), 1, AccessKind::Write)),
         ];
-        let a = analyze(&events, &HbOptions::default());
+        let a = analyze(&events);
         assert_eq!(a.actors, 2, "slot reuse must not merge instances");
         assert_eq!(kinds(&a), vec![ViolationKind::WriteWrite], "instances are unordered");
     }
 
     #[test]
-    fn shrink_window_reduces_and_preserves_the_finding() {
+    fn ddmin_over_sub_streams_reduces_and_preserves_the_finding() {
         // Pad the dropped-grant defect with unrelated locked traffic.
         let mut events = Vec::new();
         for i in 0..20u64 {
@@ -944,40 +842,28 @@ mod tests {
             events.push(ev(100 + i, access(c, sios_cell(100 + i), 1, AccessKind::Release)));
         }
         events.extend(locked_protocol_stream(true));
-        let opts = HbOptions::default();
-        let a = analyze(&events, &opts);
+        let a = analyze(&events);
         let race = a
             .violations
             .iter()
             .find(|v| v.kind == ViolationKind::WriteWrite)
             .expect("planted race");
-        let window = shrink_window(&events, race.key(), &opts);
+        let exhibits =
+            |w: &[TimedEvent]| analyze(w).violations.iter().any(|v| v.key() == race.key());
+        let window = crate::check::shrink_list(&events, exhibits);
         assert!(window.len() < events.len(), "window must shrink");
         assert!(window.len() >= 2, "a race needs both accesses");
-        let again = analyze(&window, &opts);
-        assert!(
-            again.violations.iter().any(|v| v.key() == race.key()),
-            "shrunk window must still exhibit the finding"
-        );
+        assert!(exhibits(&window), "shrunk window must still exhibit the finding");
     }
 
     #[test]
     fn analysis_fingerprint_is_deterministic_and_sensitive() {
         let events = locked_protocol_stream(true);
-        let a = analyze(&events, &HbOptions::default());
-        let b = analyze(&events, &HbOptions::default());
+        let a = analyze(&events);
+        let b = analyze(&events);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        let clean = analyze(&locked_protocol_stream(false), &HbOptions::default());
+        let clean = analyze(&locked_protocol_stream(false));
         assert_ne!(a.fingerprint(), clean.fingerprint());
-    }
-
-    #[test]
-    fn max_events_budget_truncates() {
-        let events = locked_protocol_stream(false);
-        let opts = HbOptions { max_events: 2, ..HbOptions::default() };
-        let a = analyze(&events, &opts);
-        assert!(a.truncated);
-        assert_eq!(a.events, 2);
     }
 
     #[test]

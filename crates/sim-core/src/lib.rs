@@ -67,14 +67,12 @@ pub use engine::{DeadlockError, Engine, JobId, JobRecord, RunReport, TaskId};
 pub use explore::{Exploration, Explorer, Failure, FailureKind, Footprint, Model, ThreadId};
 pub use export::{chrome_trace_json, json_is_valid, metrics_csv, metrics_json, utilization_csv};
 pub use fault::FaultPlan;
-pub use hb::{HbAnalysis, HbOptions, HbViolation, ViolationKind};
+pub use hb::{HbAnalysis, HbViolation, ViolationKind};
 pub use metrics::{Histogram, MetricsRegistry, TimeSeries};
 pub use plan::{BarrierId, Plan};
 pub use prof::EngineStats;
 pub use resource::{FixedRate, ResourceId, ResourceStats, ServiceModel};
-pub use rng::SplitMix64;
+pub use rng::{fnv1a, SplitMix64};
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    AccessKind, DemandKind, EventLog, NoopTracer, TimedEvent, TraceEvent, TracePoint, Tracer,
-};
+pub use trace::{AccessKind, DemandKind, EventLog, NoopTracer, TimedEvent, TraceEvent, Tracer};
 pub use validate::{PlanContext, PlanError, Strictness};

@@ -51,6 +51,21 @@ impl SplitMix64 {
     }
 }
 
+/// 64-bit FNV-1a over the concatenation of `chunks`: the workspace's one
+/// fingerprint hash (stream, aggregate and analysis fingerprints, and the
+/// name-derived seeds of [`crate::check`]). Stable across platforms and
+/// builds; not a defence against crafted collisions.
+pub fn fnv1a<B: AsRef<[u8]>>(chunks: impl IntoIterator<Item = B>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for chunk in chunks {
+        for &b in chunk.as_ref() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,6 +95,14 @@ mod tests {
             let x = g.next_f64();
             assert!((0.0..1.0).contains(&x));
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors_and_ignores_chunking() {
+        assert_eq!(fnv1a([""; 0]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(["a"]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(["foobar"]), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(["foo", "bar"]), fnv1a(["foobar"]));
     }
 
     #[test]

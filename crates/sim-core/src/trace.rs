@@ -1,30 +1,31 @@
-//! Deterministic tracing: structured engine events behind a zero-cost hook.
+//! Deterministic tracing: one owned event type behind a zero-cost hook.
 //!
-//! The engine owns an optional boxed [`Tracer`] (see
-//! [`Engine::set_tracer`](crate::Engine::set_tracer)); with no tracer
-//! installed every emission site is a single `Option` branch on the hot
-//! path, so existing benches are untouched. With a tracer installed the
-//! engine reports every job/task transition, resource
-//! acquire→service→release step and barrier wait **at simulated time** —
-//! wall clocks never appear in trace records, which is what makes traces
-//! reproducible bit-for-bit across same-seed runs (the
-//! `trace-determinism` verify pass enforces exactly that).
+//! [`TraceEvent`] is the only event type and [`Tracer::record`] the only
+//! way one is reported. The engine owns an optional boxed [`Tracer`] (see
+//! [`Engine::set_tracer`](crate::Engine::set_tracer)) and so does the CDD
+//! I/O system, for its protocol-level [`TraceEvent::Access`] events; a
+//! clone of one [`EventLog`] installed in both yields one merged stream,
+//! which is also the only record of lock-group grants and releases.
+//! Every emission site builds its event inside the `if let Some(tracer)`
+//! branch, so with no tracer installed a site costs that one branch and
+//! constructs nothing. With a tracer installed the engine reports every
+//! job/task transition, resource acquire→service→release step and barrier
+//! wait **at simulated time** — wall clocks never appear in trace
+//! records, which is what makes traces reproducible bit-for-bit across
+//! same-seed runs (the `determinism` verify pass enforces exactly that).
 //!
 //! Two implementations ship here:
 //!
 //! * [`NoopTracer`] — discards everything (the explicit form of the
 //!   default behaviour).
-//! * [`EventLog`] — records an owned [`TimedEvent`] stream behind a
-//!   cloneable handle, so callers keep a handle, install a clone in the
-//!   engine, run, and read the events back afterwards.
+//! * [`EventLog`] — keeps the [`TimedEvent`] stream behind a cloneable
+//!   handle, so callers keep a handle, install a clone in the engine,
+//!   run, and read the events back afterwards.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::demand::Demand;
-use crate::engine::{JobId, TaskId};
-use crate::plan::BarrierId;
-use crate::resource::ResourceId;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Classification of a [`Demand`] carried inside owned trace events
 /// (the demand itself stays with the engine).
@@ -71,7 +72,7 @@ impl From<&Demand> for DemandKind {
     }
 }
 
-/// What an [`TracePoint::Access`] trace point did to its cell range.
+/// What a [`TraceEvent::Access`] event did to its cell range.
 ///
 /// `Acquire`/`Release` are synchronization accesses (lock-group grant
 /// and surrender); `Read`/`Write` are data accesses. The
@@ -101,51 +102,50 @@ impl AccessKind {
     }
 }
 
-/// One engine event as seen by a [`Tracer`], borrowing engine state.
-///
-/// The lifetime keeps the hot path allocation-free: a tracer that wants
-/// to retain events converts to the owned [`TraceEvent`] form (see
-/// [`TraceEvent::from_point`]).
-#[derive(Debug, Clone, Copy)]
-pub enum TracePoint<'a> {
+/// One engine or protocol event, owned: ids are indices, a demand is
+/// reduced to its ([`DemandKind`], bytes) and the job label is cloned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceEvent {
     /// A foreground job was spawned; it becomes runnable at the stamped
     /// time (which may be later than the spawn call).
     JobSpawned {
         /// The new job.
-        job: JobId,
+        job: u32,
         /// Caller-supplied job label.
-        label: &'a str,
+        label: String,
     },
     /// A foreground job's plan completed.
     JobFinished {
         /// The finished job.
-        job: JobId,
+        job: u32,
     },
     /// A task (plan instance) was created.
     TaskSpawned {
         /// The new task.
-        task: TaskId,
+        task: u32,
         /// Parent task for `Par` children.
-        parent: Option<TaskId>,
+        parent: Option<u32>,
         /// True for detached (`Background`) tasks.
         detached: bool,
     },
     /// A task completed.
     TaskFinished {
         /// The finished task.
-        task: TaskId,
+        task: u32,
         /// True for detached (`Background`) tasks.
         detached: bool,
     },
     /// A demand arrived at a resource (it may start service immediately;
-    /// if so a `ServiceStarted` point follows at the same time).
+    /// if so a `ServiceStarted` event follows at the same time).
     Enqueued {
-        /// The resource.
-        res: ResourceId,
+        /// The resource index.
+        res: u32,
         /// The requesting task.
-        task: TaskId,
-        /// The demand presented.
-        demand: &'a Demand,
+        task: u32,
+        /// Demand classification.
+        kind: DemandKind,
+        /// Demand payload bytes.
+        bytes: u64,
         /// Queue depth after arrival (queued + in service).
         depth: usize,
         /// True if the requesting task is detached.
@@ -153,45 +153,49 @@ pub enum TracePoint<'a> {
     },
     /// A demand entered service on a resource.
     ServiceStarted {
-        /// The resource.
-        res: ResourceId,
+        /// The resource index.
+        res: u32,
         /// The task being served.
-        task: TaskId,
-        /// The demand in service.
-        demand: &'a Demand,
-        /// Time spent queued before service began.
-        waited: SimDuration,
-        /// Simulated time at which service will complete.
-        done_at: SimTime,
+        task: u32,
+        /// Demand classification.
+        kind: DemandKind,
+        /// Demand payload bytes.
+        bytes: u64,
+        /// Nanoseconds spent queued before service began.
+        waited_ns: u64,
+        /// Simulated completion time of the service, in nanoseconds.
+        done_at_ns: u64,
         /// True if the served task is detached.
         detached: bool,
     },
     /// A demand completed service and released the resource.
     ServiceFinished {
-        /// The resource.
-        res: ResourceId,
+        /// The resource index.
+        res: u32,
         /// The task that was served.
-        task: TaskId,
-        /// The completed demand.
-        demand: &'a Demand,
+        task: u32,
+        /// Demand classification.
+        kind: DemandKind,
+        /// Demand payload bytes.
+        bytes: u64,
         /// True if the served task is detached.
         detached: bool,
     },
     /// A task parked on a barrier that is not yet full.
     BarrierWaited {
-        /// The barrier.
-        barrier: BarrierId,
+        /// The barrier id.
+        barrier: u32,
         /// The parked task.
-        task: TaskId,
+        task: u32,
     },
     /// A barrier filled and released its waiters.
     BarrierOpened {
-        /// The barrier.
-        barrier: BarrierId,
+        /// The barrier id.
+        barrier: u32,
         /// The arriving task that filled the barrier (it falls through
         /// without parking; the waiters were announced by
-        /// [`TracePoint::BarrierWaited`]).
-        task: TaskId,
+        /// [`TraceEvent::BarrierWaited`]).
+        task: u32,
         /// Completed cycle count after this opening.
         cycle: u64,
         /// Tasks released (waiters plus the arriving task).
@@ -221,8 +225,8 @@ pub enum TracePoint<'a> {
 /// simulation loop and its outputs are covered by the determinism
 /// audits.
 pub trait Tracer: Send {
-    /// Record one engine event stamped with the simulated time `at`.
-    fn record(&mut self, at: SimTime, point: TracePoint<'_>);
+    /// Record one event stamped with the simulated time `at`.
+    fn record(&mut self, at: SimTime, event: TraceEvent);
 }
 
 /// A tracer that discards every event (the explicit form of the engine's
@@ -231,177 +235,7 @@ pub trait Tracer: Send {
 pub struct NoopTracer;
 
 impl Tracer for NoopTracer {
-    fn record(&mut self, _at: SimTime, _point: TracePoint<'_>) {}
-}
-
-/// Owned form of a [`TracePoint`]: demands are reduced to
-/// ([`DemandKind`], bytes, offset) and labels are cloned.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// See [`TracePoint::JobSpawned`].
-    JobSpawned {
-        /// The new job.
-        job: u32,
-        /// Caller-supplied job label.
-        label: String,
-    },
-    /// See [`TracePoint::JobFinished`].
-    JobFinished {
-        /// The finished job.
-        job: u32,
-    },
-    /// See [`TracePoint::TaskSpawned`].
-    TaskSpawned {
-        /// The new task.
-        task: u32,
-        /// Parent task for `Par` children.
-        parent: Option<u32>,
-        /// True for detached tasks.
-        detached: bool,
-    },
-    /// See [`TracePoint::TaskFinished`].
-    TaskFinished {
-        /// The finished task.
-        task: u32,
-        /// True for detached tasks.
-        detached: bool,
-    },
-    /// See [`TracePoint::Enqueued`].
-    Enqueued {
-        /// The resource index.
-        res: u32,
-        /// The requesting task.
-        task: u32,
-        /// Demand classification.
-        kind: DemandKind,
-        /// Demand payload bytes.
-        bytes: u64,
-        /// Queue depth after arrival.
-        depth: usize,
-        /// True if the requesting task is detached.
-        detached: bool,
-    },
-    /// See [`TracePoint::ServiceStarted`].
-    ServiceStarted {
-        /// The resource index.
-        res: u32,
-        /// The task being served.
-        task: u32,
-        /// Demand classification.
-        kind: DemandKind,
-        /// Demand payload bytes.
-        bytes: u64,
-        /// Nanoseconds spent queued before service.
-        waited_ns: u64,
-        /// Simulated completion time of the service, in nanoseconds.
-        done_at_ns: u64,
-        /// True if the served task is detached.
-        detached: bool,
-    },
-    /// See [`TracePoint::ServiceFinished`].
-    ServiceFinished {
-        /// The resource index.
-        res: u32,
-        /// The task that was served.
-        task: u32,
-        /// Demand classification.
-        kind: DemandKind,
-        /// Demand payload bytes.
-        bytes: u64,
-        /// True if the served task is detached.
-        detached: bool,
-    },
-    /// See [`TracePoint::BarrierWaited`].
-    BarrierWaited {
-        /// The barrier id.
-        barrier: u32,
-        /// The parked task.
-        task: u32,
-    },
-    /// See [`TracePoint::BarrierOpened`].
-    BarrierOpened {
-        /// The barrier id.
-        barrier: u32,
-        /// The arriving task that filled the barrier.
-        task: u32,
-        /// Completed cycle count after this opening.
-        cycle: u64,
-        /// Tasks released.
-        released: usize,
-    },
-    /// See [`TracePoint::Access`].
-    Access {
-        /// Acting thread of control (engine task index or protocol actor).
-        task: u32,
-        /// First cell touched (namespaced; see `sim_core::hb` helpers).
-        cell: u64,
-        /// Number of consecutive cells touched.
-        len: u64,
-        /// What the access did.
-        kind: AccessKind,
-    },
-}
-
-impl TraceEvent {
-    /// Convert a borrowed [`TracePoint`] into the owned form.
-    pub fn from_point(point: TracePoint<'_>) -> TraceEvent {
-        match point {
-            TracePoint::JobSpawned { job, label } => {
-                TraceEvent::JobSpawned { job: job.index() as u32, label: label.to_string() }
-            }
-            TracePoint::JobFinished { job } => TraceEvent::JobFinished { job: job.index() as u32 },
-            TracePoint::TaskSpawned { task, parent, detached } => TraceEvent::TaskSpawned {
-                task: task.index() as u32,
-                parent: parent.map(|p| p.index() as u32),
-                detached,
-            },
-            TracePoint::TaskFinished { task, detached } => {
-                TraceEvent::TaskFinished { task: task.index() as u32, detached }
-            }
-            TracePoint::Enqueued { res, task, demand, depth, detached } => TraceEvent::Enqueued {
-                res: res.index() as u32,
-                task: task.index() as u32,
-                kind: demand.into(),
-                bytes: demand.bytes(),
-                depth,
-                detached,
-            },
-            TracePoint::ServiceStarted { res, task, demand, waited, done_at, detached } => {
-                TraceEvent::ServiceStarted {
-                    res: res.index() as u32,
-                    task: task.index() as u32,
-                    kind: demand.into(),
-                    bytes: demand.bytes(),
-                    waited_ns: waited.as_nanos(),
-                    done_at_ns: done_at.as_nanos(),
-                    detached,
-                }
-            }
-            TracePoint::ServiceFinished { res, task, demand, detached } => {
-                TraceEvent::ServiceFinished {
-                    res: res.index() as u32,
-                    task: task.index() as u32,
-                    kind: demand.into(),
-                    bytes: demand.bytes(),
-                    detached,
-                }
-            }
-            TracePoint::BarrierWaited { barrier, task } => {
-                TraceEvent::BarrierWaited { barrier: barrier.0, task: task.index() as u32 }
-            }
-            TracePoint::BarrierOpened { barrier, task, cycle, released } => {
-                TraceEvent::BarrierOpened {
-                    barrier: barrier.0,
-                    task: task.index() as u32,
-                    cycle,
-                    released,
-                }
-            }
-            TracePoint::Access { task, cell, len, kind } => {
-                TraceEvent::Access { task, cell, len, kind }
-            }
-        }
-    }
+    fn record(&mut self, _at: SimTime, _event: TraceEvent) {}
 }
 
 /// A [`TraceEvent`] stamped with the simulated time it occurred.
@@ -432,31 +266,27 @@ impl EventLog {
         Self::default()
     }
 
-    /// Snapshot of all recorded events, in emission order.
-    pub fn events(&self) -> Vec<TimedEvent> {
+    fn buf(&self) -> MutexGuard<'_, Vec<TimedEvent>> {
         #[expect(
             clippy::expect_used,
             reason = "single-threaded sim: the event-log mutex cannot poison"
         )]
-        self.events.lock().expect("event log poisoned").clone()
+        self.events.lock().expect("event log poisoned")
+    }
+
+    /// Snapshot of all recorded events, in emission order.
+    pub fn events(&self) -> Vec<TimedEvent> {
+        self.buf().clone()
     }
 
     /// Take all recorded events, leaving the log empty.
     pub fn take(&self) -> Vec<TimedEvent> {
-        #[expect(
-            clippy::expect_used,
-            reason = "single-threaded sim: the event-log mutex cannot poison"
-        )]
-        std::mem::take(&mut *self.events.lock().expect("event log poisoned"))
+        std::mem::take(&mut *self.buf())
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        #[expect(
-            clippy::expect_used,
-            reason = "single-threaded sim: the event-log mutex cannot poison"
-        )]
-        self.events.lock().expect("event log poisoned").len()
+        self.buf().len()
     }
 
     /// True if nothing has been recorded.
@@ -466,20 +296,13 @@ impl EventLog {
 }
 
 impl Tracer for EventLog {
-    fn record(&mut self, at: SimTime, point: TracePoint<'_>) {
-        #[expect(
-            clippy::expect_used,
-            reason = "single-threaded sim: the event-log mutex cannot poison"
-        )]
-        self.events
-            .lock()
-            .expect("event log poisoned")
-            .push(TimedEvent { at, event: TraceEvent::from_point(point) });
+    fn record(&mut self, at: SimTime, event: TraceEvent) {
+        self.buf().push(TimedEvent { at, event });
     }
 }
 
 /// Render one timed event as a stable single-line text form. The
-/// `trace-determinism` verify pass fingerprints these lines; the format
+/// `determinism` verify pass fingerprints these lines; the format
 /// only needs to be stable within a build, not across versions.
 pub fn render_event(ev: &TimedEvent) -> String {
     format!("{} {:?}", ev.at.as_nanos(), ev.event)
@@ -492,7 +315,7 @@ mod tests {
     use crate::engine::Engine;
     use crate::plan::{background, barrier, par, seq, use_res};
     use crate::resource::FixedRate;
-    use crate::BarrierId;
+    use crate::{BarrierId, SimDuration};
 
     fn busy(us: u64) -> Demand {
         Demand::Busy(SimDuration::from_micros(us))

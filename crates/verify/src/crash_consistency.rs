@@ -1,4 +1,4 @@
-//! Pass 7 — crash-consistency audit of the OSM/checkpoint write
+//! Pass 6 — crash-consistency audit of the OSM/checkpoint write
 //! protocols.
 //!
 //! Drives [`checkpoint::crash`]: enumerate a crash after **every prefix**

@@ -1,52 +1,37 @@
-//! Pass 4a — the determinism auditor.
+//! Pass 3 — determinism of the seeded workload, event by event.
 //!
 //! The whole reproduction rests on the simulator being a pure function of
 //! its configuration: the property tests replay seeds, the experiment
-//! harness compares architectures run in separate engines, and regressions
-//! are diffed run-over-run. This pass runs the same seeded cluster
-//! workload twice in two fresh engines and fingerprints everything
-//! observable — job completion records and per-resource statistics — with
-//! FNV-1a. Any divergence is reported with the first differing trace
-//! line.
+//! harness compares architectures run in separate engines, regressions
+//! are diffed run-over-run, and the Perfetto/CSV exporters assume a trace
+//! can be reproduced (a trace you cannot reproduce is a trace you cannot
+//! debug from). Per architecture this pass runs the same seeded cluster
+//! workload three times in fresh engines:
+//!
+//! * twice with an [`EventLog`] tracer installed — the two runs must emit
+//!   **byte-identical** event streams (every job spawn, queue arrival,
+//!   service start/finish and barrier opening, in the same order at the
+//!   same simulated nanosecond) and agree on the end-of-run aggregates
+//!   (job completion records and per-resource statistics, fingerprinted
+//!   by [`engine_fingerprint`]);
+//! * once untraced — its aggregates must match the traced runs', so the
+//!   observer does not perturb what it watches.
+//!
+//! Two runs can agree on totals while interleaving events differently,
+//! which is why the stream is compared and not only the aggregates. A
+//! *perturbation canary* then swaps one adjacent event pair in a copy of
+//! a recorded stream and asserts both the diff and the fingerprint catch
+//! it — guarding against the comparator degenerating into a constant.
 
 use raidx_core::Arch;
-use sim_core::Engine;
+use sim_core::trace::{render_event, EventLog, TimedEvent};
+use sim_core::{fnv1a, Engine};
 use workloads::parallel_io::{run_parallel_io, IoPattern, ParallelIoConfig};
 
-/// Outcome of a double-run audit for one architecture.
-#[derive(Debug, Clone)]
-pub struct DeterminismReport {
-    /// Architecture audited.
-    pub arch: Arch,
-    /// Fingerprint of the first run.
-    pub fingerprint_a: u64,
-    /// Fingerprint of the second run.
-    pub fingerprint_b: u64,
-    /// Trace lines compared.
-    pub lines: usize,
-    /// First differing line, as `(index, run A line, run B line)`.
-    pub divergence: Option<(usize, String, String)>,
-}
+use crate::report::PassReport;
 
-impl DeterminismReport {
-    /// True when both runs produced identical traces.
-    pub fn deterministic(&self) -> bool {
-        self.fingerprint_a == self.fingerprint_b && self.divergence.is_none()
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Render every observable of a finished engine as one trace line per
-/// job and per resource (stable, human-diffable).
+/// Render every end-of-run observable of a finished engine as one line
+/// per job and per resource (stable, human-diffable).
 pub fn trace_lines(engine: &Engine) -> Vec<String> {
     let mut lines = Vec::new();
     for (i, j) in engine.jobs().iter().enumerate() {
@@ -66,18 +51,70 @@ pub fn trace_lines(engine: &Engine) -> Vec<String> {
     lines
 }
 
-/// FNV-1a fingerprint over an engine's full observable trace.
+/// FNV-1a fingerprint over an engine's end-of-run aggregates
+/// ([`trace_lines`]).
 pub fn engine_fingerprint(engine: &Engine) -> u64 {
-    let mut h = FNV_OFFSET;
-    for line in trace_lines(engine) {
-        fnv1a(&mut h, line.as_bytes());
-        fnv1a(&mut h, b"\n");
-    }
-    h
+    fnv1a(trace_lines(engine).iter().flat_map(|line| [line.as_str(), "\n"]))
 }
 
-fn one_run(arch: Arch) -> (u64, Vec<String>) {
+/// FNV-1a fingerprint over a rendered event stream.
+pub fn stream_fingerprint(events: &[TimedEvent]) -> u64 {
+    fnv1a(events.iter().map(|ev| render_event(ev) + "\n"))
+}
+
+/// First index at which `a` and `b` differ, with both sides rendered; a
+/// length mismatch is reported at the first missing index, in `unit`s.
+fn first_divergence<T: PartialEq>(
+    a: &[T],
+    b: &[T],
+    render: impl Fn(&T) -> String,
+    unit: &str,
+) -> Option<(usize, String, String)> {
+    let differing = a.iter().zip(b).position(|(x, y)| x != y);
+    differing.map(|i| (i, render(&a[i]), render(&b[i]))).or_else(|| {
+        let (la, lb) = (a.len(), b.len());
+        (la != lb).then(|| (la.min(lb), format!("{la} {unit}"), format!("{lb} {unit}")))
+    })
+}
+
+/// First divergence between two event streams, as
+/// `(index, run A line, run B line)`.
+pub fn diff_streams(a: &[TimedEvent], b: &[TimedEvent]) -> Option<(usize, String, String)> {
+    first_divergence(a, b, render_event, "events")
+}
+
+/// Outcome of the three-run audit for one architecture.
+#[derive(Debug, Clone)]
+pub struct DeterminismReport {
+    /// Architecture audited.
+    pub arch: Arch,
+    /// [`stream_fingerprint`] of the first traced run.
+    pub stream_fingerprint: u64,
+    /// Events the first traced run recorded.
+    pub events: usize,
+    /// [`engine_fingerprint`] of the first traced run.
+    pub engine_fingerprint: u64,
+    /// Aggregate lines compared.
+    pub lines: usize,
+    /// The first disagreement between any two of the three runs.
+    pub divergence: Option<String>,
+}
+
+impl DeterminismReport {
+    /// True when the three runs agree and observed something.
+    pub fn deterministic(&self) -> bool {
+        self.divergence.is_none() && self.events > 0 && self.lines > 0
+    }
+}
+
+/// One run of the Figure-5 style workload; the event stream is empty when
+/// `traced` is false.
+fn one_run(arch: Arch, traced: bool) -> (Vec<TimedEvent>, Engine) {
     let (mut engine, mut sys) = cdd::testkit::shape(4, 2, 8 << 20, arch);
+    let log = EventLog::new();
+    if traced {
+        engine.set_tracer(Box::new(log.clone()));
+    }
     let cfg = ParallelIoConfig {
         clients: 4,
         pattern: IoPattern::LargeWrite,
@@ -86,60 +123,90 @@ fn one_run(arch: Arch) -> (u64, Vec<String>) {
         ..Default::default()
     };
     run_parallel_io(&mut engine, &mut sys, &cfg).expect("workload failed");
-    (engine_fingerprint(&engine), trace_lines(&engine))
+    (log.events(), engine)
 }
 
-/// Run the Figure-5 style workload twice with the same seed and compare
-/// the full traces.
+/// Run the workload twice traced and once untraced and compare: the
+/// traced streams with each other, then every run's aggregates.
 pub fn audit_workload(arch: Arch) -> DeterminismReport {
-    let (fa, la) = one_run(arch);
-    let (fb, lb) = one_run(arch);
-    let divergence = la
-        .iter()
-        .zip(lb.iter())
-        .enumerate()
-        .find(|(_, (a, b))| a != b)
-        .map(|(i, (a, b))| (i, a.clone(), b.clone()))
-        .or_else(|| {
-            (la.len() != lb.len()).then(|| {
-                (
-                    la.len().min(lb.len()),
-                    format!("{} lines", la.len()),
-                    format!("{} lines", lb.len()),
-                )
-            })
+    let (stream_a, engine_a) = one_run(arch, true);
+    let (stream_b, engine_b) = one_run(arch, true);
+    let (_, bare) = one_run(arch, false);
+    let lines = trace_lines(&engine_a);
+    let lines_differ = |other: &Engine, what: &str| {
+        first_divergence(&lines, &trace_lines(other), String::clone, "lines")
+            .map(|(i, a, b)| format!("{what} aggregates diverged at line {i}: `{a}` vs `{b}`"))
+    };
+    let divergence = diff_streams(&stream_a, &stream_b)
+        .map(|(i, a, b)| format!("traced streams diverged at event {i}: `{a}` vs `{b}`"))
+        .or_else(|| lines_differ(&engine_b, "traced"))
+        .or_else(|| lines_differ(&bare, "untraced"));
+    DeterminismReport {
+        arch,
+        stream_fingerprint: stream_fingerprint(&stream_a),
+        events: stream_a.len(),
+        engine_fingerprint: engine_fingerprint(&engine_a),
+        lines: lines.len(),
+        divergence,
+    }
+}
+
+/// Run the determinism pass: the three-run audit per architecture plus
+/// the perturbation canary.
+pub fn run_pass() -> PassReport {
+    let mut report = PassReport::new("determinism");
+    for arch in Arch::ALL {
+        let audit = audit_workload(arch);
+        let detail = audit.divergence.clone().unwrap_or_else(|| {
+            format!(
+                "stream fingerprint {:016x}, {} events byte-identical; aggregate fingerprint \
+                 {:016x}, {} lines, untraced run agrees",
+                audit.stream_fingerprint, audit.events, audit.engine_fingerprint, audit.lines
+            )
         });
-    DeterminismReport { arch, fingerprint_a: fa, fingerprint_b: fb, lines: la.len(), divergence }
+        report.push(format!("{arch:?} double run"), audit.deterministic(), detail);
+    }
+    // Perturbation canary: an injected reorder must be caught.
+    let (stream, _) = one_run(Arch::ALL[0], true);
+    if stream.len() >= 2 {
+        let mut perturbed = stream.clone();
+        let mid = perturbed.len() / 2;
+        perturbed.swap(mid - 1, mid);
+        let caught = diff_streams(&stream, &perturbed).is_some()
+            && stream_fingerprint(&stream) != stream_fingerprint(&perturbed);
+        report.push(
+            "perturbation canary",
+            caught,
+            if caught {
+                "injected event reorder detected by diff and fingerprint"
+            } else {
+                "injected event reorder NOT detected"
+            },
+        );
+    } else {
+        report.fail("perturbation canary", "stream too short to perturb");
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::SimTime;
 
     #[test]
-    fn all_archs_deterministic() {
-        for arch in Arch::ALL {
-            let r = audit_workload(arch);
-            assert!(
-                r.deterministic(),
-                "{arch:?} diverged at {:?} (fp {:x} vs {:x})",
-                r.divergence,
-                r.fingerprint_a,
-                r.fingerprint_b
-            );
-            assert!(r.lines > 0);
-        }
+    fn pass_is_green_on_every_architecture_and_the_canary() {
+        let report = run_pass();
+        assert!(report.all_ok(), "{}", report.render());
+        assert_eq!(report.checks.len(), Arch::ALL.len() + 1);
     }
 
     /// Seeded divergence: different workloads must produce different
     /// fingerprints (the hash actually observes the trace).
     #[test]
     fn fingerprint_distinguishes_runs() {
-        let mut fps = Vec::new();
-        for arch in [Arch::RaidX, Arch::Raid5] {
-            fps.push(one_run(arch).0);
-        }
-        assert_ne!(fps[0], fps[1]);
+        let fp = |arch| engine_fingerprint(&one_run(arch, false).1);
+        assert_ne!(fp(Arch::RaidX), fp(Arch::Raid5));
     }
 
     #[test]
@@ -157,5 +224,25 @@ mod tests {
         a.run().expect("run a");
         b.run().expect("run b");
         assert_ne!(engine_fingerprint(&a), engine_fingerprint(&b));
+    }
+
+    #[test]
+    fn fingerprint_observes_event_content_and_order() {
+        let mk = |bytes: u64| TimedEvent {
+            at: SimTime(10),
+            event: sim_core::TraceEvent::ServiceFinished {
+                res: 0,
+                task: 1,
+                kind: sim_core::DemandKind::DiskWrite,
+                bytes,
+                detached: false,
+            },
+        };
+        let a = vec![mk(1), mk(2)];
+        let b = vec![mk(2), mk(1)];
+        assert_ne!(stream_fingerprint(&a), stream_fingerprint(&b));
+        assert!(diff_streams(&a, &b).is_some());
+        assert_eq!(diff_streams(&a, &a.clone()), None);
+        assert_eq!(diff_streams(&a, &a[..1]).map(|(i, ..)| i), Some(1), "length mismatch");
     }
 }

@@ -1,4 +1,4 @@
-//! Pass 9 — fault-injection sweep.
+//! Pass 7 — fault-injection sweep.
 //!
 //! Enumerates single-fault injection points across every architecture
 //! and asserts the two properties the fault subsystem promises:
@@ -28,8 +28,8 @@ use sim_core::trace::EventLog;
 use sim_core::{FaultPlan, SimTime};
 use workloads::op_script::{check_against_model, gen_script, run_script, with_rereads, ScriptOp};
 
+use crate::determinism::stream_fingerprint;
 use crate::report::PassReport;
-use crate::trace_determinism::stream_fingerprint;
 
 /// The fault classes the sweep injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,31 +131,21 @@ impl SweepScenario {
 }
 
 /// The sweep grid: every architecture × every fault class × three
-/// injection points (early, middle, late). `smoke` cuts it to two fault
-/// classes at the middle point — the CI stage.
-pub fn scenarios(smoke: bool) -> Vec<SweepScenario> {
-    let kinds: &[FaultKind] = if smoke {
-        &[FaultKind::Permanent, FaultKind::Crash, FaultKind::Reconfig]
-    } else {
-        &FaultKind::ALL
-    };
-    let points: &[usize] = if smoke { &[18] } else { &[2, 18, 32] };
+/// injection points (early, middle, late), plus the cached cells.
+pub fn scenarios() -> Vec<SweepScenario> {
     let mut out = Vec::new();
     for arch in Arch::ALL {
-        for &kind in kinds {
-            for &inject_at in points {
+        for kind in FaultKind::ALL {
+            for inject_at in [2, 18, 32] {
                 out.push(SweepScenario { arch, kind, inject_at, cached: false });
             }
         }
     }
     // Cached cells: the fault classes whose flush/invalidation hooks the
     // cache must ride (media loss → rebuild, node crash → client flush,
-    // membership epoch bump → global flush), at the middle point. Smoke
-    // keeps RAID-x only; the full grid sweeps every architecture.
-    let cache_kinds = [FaultKind::Permanent, FaultKind::Crash, FaultKind::Reconfig];
-    let cache_archs: &[Arch] = if smoke { &[Arch::RaidX] } else { &Arch::ALL };
-    for &arch in cache_archs {
-        for kind in cache_kinds {
+    // membership epoch bump → global flush), at the middle point.
+    for arch in Arch::ALL {
+        for kind in [FaultKind::Permanent, FaultKind::Crash, FaultKind::Reconfig] {
             out.push(SweepScenario { arch, kind, inject_at: 18, cached: true });
         }
     }
@@ -315,9 +305,9 @@ pub fn run_scenario(sc: &SweepScenario, ops: &[ScriptOp], cache: bool) -> SweepO
 
 /// Run the sweep: every scenario executes **twice**; both runs must be
 /// clean and fingerprint-identical.
-pub fn run_pass(smoke: bool) -> PassReport {
+pub fn run_pass() -> PassReport {
     let mut report = PassReport::new("fault-sweep");
-    for sc in scenarios(smoke) {
+    for sc in scenarios() {
         let ops = sc.script();
         let a = run_scenario(&sc, &ops, sc.cached);
         let b = run_scenario(&sc, &ops, sc.cached);
@@ -357,19 +347,10 @@ mod tests {
     use sim_core::check::run_cases;
 
     #[test]
-    fn smoke_sweep_is_green() {
-        let report = run_pass(true);
-        assert!(report.all_ok(), "{}", report.render());
-    }
-
-    #[test]
     fn full_grid_enumerates_all_cells() {
         // 4 arch × 7 kinds × 3 points, plus 4 arch × 3 cached cells.
-        assert_eq!(scenarios(false).len(), 4 * 7 * 3 + 4 * 3);
-        // 4 arch × 3 kinds at the middle point, plus 3 cached RAID-x cells.
-        assert_eq!(scenarios(true).len(), 4 * 3 + 3);
-        assert_eq!(scenarios(false).iter().filter(|s| s.cached).count(), 12);
-        assert_eq!(scenarios(true).iter().filter(|s| s.cached).count(), 3);
+        assert_eq!(scenarios().len(), 4 * 7 * 3 + 4 * 3);
+        assert_eq!(scenarios().iter().filter(|s| s.cached).count(), 12);
     }
 
     #[test]

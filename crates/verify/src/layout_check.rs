@@ -1,4 +1,4 @@
-//! Pass 3 — exhaustive layout conformance checking.
+//! Pass 2 — exhaustive layout conformance checking.
 //!
 //! Each checker takes the placement function under test as a closure, so
 //! the unit tests can feed deliberately broken placements and prove the

@@ -1,4 +1,4 @@
-//! Pass 6 — Wing–Gong linearizability checking of SIOS histories.
+//! Pass 5 — Wing–Gong linearizability checking of SIOS histories.
 //!
 //! The model checker records every completed group read/write with its
 //! real-time invocation/response window ([`cdd::proto::OpRecord`]). This
@@ -15,13 +15,14 @@
 //! memoized on `(remaining-ops mask, store state)` so equivalent
 //! prefixes are explored once.
 
+use crate::model_check::{push_canary, push_exploration};
 use crate::report::PassReport;
 use cdd::proto::{
     scenario_cache, scenario_epoch, scenario_reader, scenario_three, CddModel, HistOp, OpRecord,
     Scenario,
 };
 use cdd::Defect;
-use sim_core::explore::Explorer;
+use sim_core::explore::{Exploration, Explorer};
 use std::collections::BTreeSet;
 
 /// Check one history against the sequential block-store spec (`blocks`
@@ -88,80 +89,47 @@ fn dfs(hist: &[OpRecord], mask: u64, store: &[u64], memo: &mut BTreeSet<(u64, Ve
     false
 }
 
-/// Explore one scenario and linearizability-check the history of every
-/// schedule, appending one check to `rep`.
-pub fn check_scenario(rep: &mut PassReport, sc: Scenario, budget: u64) {
-    let name = sc.name;
+/// Explore `sc`, linearizability-checking the history of every schedule.
+fn explore_histories(sc: Scenario) -> Exploration {
     let blocks = sc.blocks;
-    let m = CddModel::new(sc);
-    let ex = Explorer { max_schedules: budget.max(1), ..Explorer::default() };
-    let r = ex.explore_with(&m, |s| check_history(blocks, &s.history));
-    match (&r.failure, r.truncated) {
-        (Some(f), _) => rep.fail(name, f.to_string()),
-        (None, true) => rep.fail(
-            name,
-            format!("budget exhausted after {} schedules ({} pruned)", r.schedules, r.pruned),
-        ),
-        (None, false) => rep.ok(
-            name,
-            format!("{} schedules, every history linearizable ({} pruned)", r.schedules, r.pruned),
-        ),
-    }
+    Explorer::default().explore_with(&CddModel::new(sc), |s| check_history(blocks, &s.history))
 }
 
-/// Run the linearizability pass: clean scenarios plus a canary with a
-/// planted unlocked reader the checker must flag.
-pub fn run_pass(budget: u64) -> PassReport {
+/// Explore one scenario and linearizability-check the history of every
+/// schedule, appending one check to `rep`.
+pub fn check_scenario(rep: &mut PassReport, sc: Scenario) {
+    let name = sc.name;
+    let r = explore_histories(sc);
+    let clean =
+        format!("{} schedules, every history linearizable ({} pruned)", r.schedules, r.pruned);
+    push_exploration(rep, name, &r, clean);
+}
+
+/// Run the linearizability pass: clean scenarios plus three canaries the
+/// checker must flag.
+pub fn run_pass() -> PassReport {
     let mut rep = PassReport::new("linearizability");
-    check_scenario(&mut rep, scenario_reader(Defect::None), budget);
-    check_scenario(&mut rep, scenario_three(Defect::None), budget);
-    check_scenario(&mut rep, scenario_epoch(Defect::None), budget);
-    check_scenario(&mut rep, scenario_cache(Defect::None), budget);
-    // Canary: an unlocked reader must produce a torn (non-linearizable)
-    // read on some schedule.
-    let sc = scenario_reader(Defect::UnlockedRead);
-    let blocks = sc.blocks;
-    let m = CddModel::new(sc);
-    let ex = Explorer { max_schedules: budget.max(1), ..Explorer::default() };
-    let r = ex.explore_with(&m, |s| check_history(blocks, &s.history));
-    rep.push(
-        "canary: planted unlocked read is caught",
-        r.failure.is_some(),
-        match &r.failure {
-            Some(f) => format!("caught: {f}"),
-            None => "checker missed a planted unlocked read".to_string(),
-        },
-    );
-    // Canary: a migration copy that skips the pending re-validation must
-    // produce a stale (non-linearizable) read on some schedule.
-    let sc = scenario_epoch(Defect::UnsyncedReconfig);
-    let blocks = sc.blocks;
-    let m = CddModel::new(sc);
-    let ex = Explorer { max_schedules: budget.max(1), ..Explorer::default() };
-    let r = ex.explore_with(&m, |s| check_history(blocks, &s.history));
-    rep.push(
-        "canary: planted unsynced migration is caught",
-        r.failure.is_some(),
-        match &r.failure {
-            Some(f) => format!("caught: {f}"),
-            None => "checker missed a planted unsynced migration".to_string(),
-        },
-    );
-    // Canary: a writer that skips the cache-invalidation broadcast must
-    // leave some schedule with a stale cached read after the write's
-    // response — non-linearizable by the real-time rule.
-    let sc = scenario_cache(Defect::SkipInvalidate);
-    let blocks = sc.blocks;
-    let m = CddModel::new(sc);
-    let ex = Explorer { max_schedules: budget.max(1), ..Explorer::default() };
-    let r = ex.explore_with(&m, |s| check_history(blocks, &s.history));
-    rep.push(
+    check_scenario(&mut rep, scenario_reader(Defect::None));
+    check_scenario(&mut rep, scenario_three(Defect::None));
+    check_scenario(&mut rep, scenario_epoch(Defect::None));
+    check_scenario(&mut rep, scenario_cache(Defect::None));
+    // An unlocked reader must produce a torn (non-linearizable) read on
+    // some schedule.
+    let r = explore_histories(scenario_reader(Defect::UnlockedRead));
+    push_canary(&mut rep, "canary: planted unlocked read is caught", &r, "unlocked read");
+    // A migration copy that skips the pending re-validation must produce
+    // a stale (non-linearizable) read on some schedule.
+    let r = explore_histories(scenario_epoch(Defect::UnsyncedReconfig));
+    push_canary(&mut rep, "canary: planted unsynced migration is caught", &r, "unsynced migration");
+    // A writer that skips the cache-invalidation broadcast must leave
+    // some schedule with a stale cached read after the write's response —
+    // non-linearizable by the real-time rule.
+    let r = explore_histories(scenario_cache(Defect::SkipInvalidate));
+    push_canary(
+        &mut rep,
         "canary: planted skipped invalidation is caught",
-        r.failure.is_some(),
-        match &r.failure {
-            Some(f) => format!("caught: {f}"),
-            None => "checker missed a planted skipped invalidation".to_string(),
-        },
+        &r,
+        "skipped invalidation",
     );
     rep
 }
@@ -214,7 +182,7 @@ mod tests {
 
     #[test]
     fn clean_pass_reports_zero_findings() {
-        let rep = run_pass(crate::model_check::DEFAULT_BUDGET);
+        let rep = run_pass();
         assert!(rep.all_ok(), "{}", rep.render());
         assert_eq!(rep.checks.len(), 7);
     }
@@ -222,11 +190,7 @@ mod tests {
     #[test]
     fn seeded_skip_invalidate_produces_stale_read() {
         let mut rep = PassReport::new("linearizability");
-        check_scenario(
-            &mut rep,
-            scenario_cache(Defect::SkipInvalidate),
-            crate::model_check::DEFAULT_BUDGET,
-        );
+        check_scenario(&mut rep, scenario_cache(Defect::SkipInvalidate));
         assert_eq!(rep.failures(), 1, "{}", rep.render());
         assert!(rep.checks[0].detail.contains("no linearization"), "{}", rep.checks[0].detail);
     }
@@ -234,11 +198,7 @@ mod tests {
     #[test]
     fn seeded_unlocked_read_fails_the_check() {
         let mut rep = PassReport::new("linearizability");
-        check_scenario(
-            &mut rep,
-            scenario_reader(Defect::UnlockedRead),
-            crate::model_check::DEFAULT_BUDGET,
-        );
+        check_scenario(&mut rep, scenario_reader(Defect::UnlockedRead));
         assert_eq!(rep.failures(), 1, "{}", rep.render());
         assert!(rep.checks[0].detail.contains("leaf check"), "{}", rep.checks[0].detail);
     }
@@ -246,11 +206,7 @@ mod tests {
     #[test]
     fn seeded_unsynced_reconfig_produces_stale_read() {
         let mut rep = PassReport::new("linearizability");
-        check_scenario(
-            &mut rep,
-            scenario_epoch(Defect::UnsyncedReconfig),
-            crate::model_check::DEFAULT_BUDGET,
-        );
+        check_scenario(&mut rep, scenario_epoch(Defect::UnsyncedReconfig));
         assert_eq!(rep.failures(), 1, "{}", rep.render());
         assert!(rep.checks[0].detail.contains("no linearization"), "{}", rep.checks[0].detail);
     }
@@ -258,11 +214,7 @@ mod tests {
     #[test]
     fn seeded_early_release_produces_torn_read() {
         let mut rep = PassReport::new("linearizability");
-        check_scenario(
-            &mut rep,
-            scenario_reader(Defect::EarlyRelease),
-            crate::model_check::DEFAULT_BUDGET,
-        );
+        check_scenario(&mut rep, scenario_reader(Defect::EarlyRelease));
         assert_eq!(rep.failures(), 1, "{}", rep.render());
     }
 }

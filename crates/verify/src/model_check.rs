@@ -1,4 +1,4 @@
-//! Pass 5 — `raidx-model`: exhaustive interleaving exploration of CDD
+//! Pass 4 — `raidx-model`: exhaustive interleaving exploration of CDD
 //! lock-protocol scenarios.
 //!
 //! Each scenario from [`cdd::proto`] is a small multi-client program over
@@ -14,6 +14,10 @@
 //! findings) and one *canary*: a deliberately defective scenario the
 //! checker must flag — guarding against the checker itself rotting into
 //! a pass-everything no-op.
+//!
+//! The schedule budget is [`Explorer::default`]'s `max_schedules`
+//! (100,000; the largest scenario explores 698). It is not a parameter:
+//! a search it truncates fails its row.
 
 use crate::report::PassReport;
 use cdd::proto::{
@@ -21,57 +25,55 @@ use cdd::proto::{
     Scenario,
 };
 use cdd::Defect;
-use sim_core::explore::Explorer;
+use sim_core::explore::{Exploration, Explorer};
 
-/// Default schedule budget when the driver does not supply one.
-pub const DEFAULT_BUDGET: u64 = 100_000;
-
-fn explorer(budget: u64) -> Explorer {
-    Explorer { max_schedules: budget.max(1), ..Explorer::default() }
-}
-
-/// Explore one scenario under `budget`, appending one check to `rep`.
-/// The check fails on any invariant/step/deadlock finding *or* if the
-/// budget truncated coverage (an unexplored schedule is an unverified
-/// claim).
-pub fn check_scenario(rep: &mut PassReport, sc: Scenario, budget: u64) {
-    let name = sc.name;
-    let m = CddModel::new(sc);
-    let r = explorer(budget).explore(&m);
+/// Append the row of one scenario's exploration `r` to `rep`: it fails on
+/// any invariant/step/deadlock/leaf finding *or* if the budget truncated
+/// coverage (an unexplored schedule is an unverified claim); a clean,
+/// complete search reports `clean`.
+pub(crate) fn push_exploration(rep: &mut PassReport, name: &str, r: &Exploration, clean: String) {
     match (&r.failure, r.truncated) {
         (Some(f), _) => rep.fail(name, f.to_string()),
         (None, true) => rep.fail(
             name,
             format!("budget exhausted after {} schedules ({} pruned)", r.schedules, r.pruned),
         ),
-        (None, false) => rep.ok(
-            name,
-            format!(
-                "{} schedules, {} steps, {} branches pruned, all invariants hold",
-                r.schedules, r.steps, r.pruned
-            ),
-        ),
+        (None, false) => rep.ok(name, clean),
     }
 }
 
-/// Run the model-check pass: all clean scenarios plus the defect canary.
-pub fn run_pass(budget: u64) -> PassReport {
-    let mut rep = PassReport::new("model-check");
-    check_scenario(&mut rep, scenario_contended(Defect::None), budget);
-    check_scenario(&mut rep, scenario_reader(Defect::None), budget);
-    check_scenario(&mut rep, scenario_three(Defect::None), budget);
-    check_scenario(&mut rep, scenario_epoch(Defect::None), budget);
-    check_scenario(&mut rep, scenario_cache(Defect::None), budget);
-    // Canary: the checker must still catch a planted double grant.
-    let canary = explorer(budget).explore(&CddModel::new(scenario_contended(Defect::DoubleGrant)));
-    rep.push(
-        "canary: planted double grant is caught",
-        canary.failure.is_some(),
-        match &canary.failure {
-            Some(f) => format!("caught: {f}"),
-            None => "checker missed a planted double grant".to_string(),
-        },
+/// Append the canary row `name`: exploring the planted `defect` must have
+/// found a failure.
+pub(crate) fn push_canary(rep: &mut PassReport, name: &str, r: &Exploration, defect: &str) {
+    match &r.failure {
+        Some(f) => rep.ok(name, format!("caught: {f}")),
+        None => rep.fail(name, format!("checker missed a planted {defect}")),
+    }
+}
+
+/// Explore one scenario, appending one check to `rep`.
+pub fn check_scenario(rep: &mut PassReport, sc: Scenario) {
+    let name = sc.name;
+    let r = Explorer::default().explore(&CddModel::new(sc));
+    let clean = format!(
+        "{} schedules, {} steps, {} branches pruned, all invariants hold",
+        r.schedules, r.steps, r.pruned
     );
+    push_exploration(rep, name, &r, clean);
+}
+
+/// Run the model-check pass: all clean scenarios plus the defect canary.
+pub fn run_pass() -> PassReport {
+    let mut rep = PassReport::new("model-check");
+    check_scenario(&mut rep, scenario_contended(Defect::None));
+    check_scenario(&mut rep, scenario_reader(Defect::None));
+    check_scenario(&mut rep, scenario_three(Defect::None));
+    check_scenario(&mut rep, scenario_epoch(Defect::None));
+    check_scenario(&mut rep, scenario_cache(Defect::None));
+    // Canary: the checker must still catch a planted double grant.
+    let canary =
+        Explorer::default().explore(&CddModel::new(scenario_contended(Defect::DoubleGrant)));
+    push_canary(&mut rep, "canary: planted double grant is caught", &canary, "double grant");
     rep
 }
 
@@ -82,7 +84,7 @@ mod tests {
 
     #[test]
     fn clean_pass_reports_zero_findings() {
-        let rep = run_pass(DEFAULT_BUDGET);
+        let rep = run_pass();
         assert!(rep.all_ok(), "{}", rep.render());
         assert_eq!(rep.checks.len(), 6);
     }
@@ -90,7 +92,7 @@ mod tests {
     #[test]
     fn seeded_double_grant_fails_the_check() {
         let mut rep = PassReport::new("model-check");
-        check_scenario(&mut rep, scenario_contended(Defect::DoubleGrant), DEFAULT_BUDGET);
+        check_scenario(&mut rep, scenario_contended(Defect::DoubleGrant));
         assert_eq!(rep.failures(), 1, "{}", rep.render());
         assert!(rep.checks[0].detail.contains("invariant"), "{}", rep.checks[0].detail);
     }
@@ -98,15 +100,17 @@ mod tests {
     #[test]
     fn seeded_lost_wakeup_fails_the_check() {
         let mut rep = PassReport::new("model-check");
-        check_scenario(&mut rep, scenario_contended(Defect::SkipWakeup), DEFAULT_BUDGET);
+        check_scenario(&mut rep, scenario_contended(Defect::SkipWakeup));
         assert_eq!(rep.failures(), 1, "{}", rep.render());
         assert!(rep.checks[0].detail.contains("deadlock"), "{}", rep.checks[0].detail);
     }
 
     #[test]
-    fn tiny_budget_reports_truncation() {
+    fn an_exhausted_budget_fails_the_row() {
         let mut rep = PassReport::new("model-check");
-        check_scenario(&mut rep, scenario_three(Defect::None), 2);
+        let tiny = Explorer { max_schedules: 2, ..Explorer::default() };
+        let r = tiny.explore(&CddModel::new(scenario_three(Defect::None)));
+        push_exploration(&mut rep, "three-clients", &r, String::new());
         assert_eq!(rep.failures(), 1, "{}", rep.render());
         assert!(rep.checks[0].detail.contains("budget"), "{}", rep.checks[0].detail);
     }

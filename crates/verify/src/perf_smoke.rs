@@ -1,4 +1,4 @@
-//! Pass 12 — `perf-smoke`: the engine-performance regression gate.
+//! Pass 10 — `perf-smoke`: the engine-performance regression gate.
 //!
 //! Wall-clock benchmarks cannot gate CI (they measure the host, not the
 //! code; `benchmark/` reports them), so this pass gates what *is*
@@ -40,8 +40,6 @@ const SMOKE_BASELINE: [(&str, u64); 7] = [
 /// Baseline of [`model_budget_work`].
 const MODEL_BASELINE: [(&str, u64); 3] = [("schedules", 4), ("steps", 32), ("pruned", 4)];
 
-/// Schedule budget of the gated model-check scenario.
-const MODEL_BUDGET: u64 = 20_000;
 /// Counters may drift by this factor before the gate trips. Wide enough
 /// to absorb legitimate engine evolution in the same PR that updates the
 /// baseline, narrow enough to catch a complexity-class regression.
@@ -65,11 +63,11 @@ fn smoke_work() -> Work {
     engine.stats().pairs().to_vec()
 }
 
-/// Deterministic work counters of the gated model-check scenario: a
-/// bounded exploration of the contended CDD lock scenario.
+/// Deterministic work counters of the gated model-check scenario: the
+/// exploration of the contended CDD lock scenario.
 fn model_budget_work() -> Work {
     let m = cdd::proto::CddModel::new(cdd::proto::scenario_contended(cdd::Defect::None));
-    let r = Explorer { max_schedules: MODEL_BUDGET, ..Explorer::default() }.explore(&m);
+    let r = Explorer::default().explore(&m);
     vec![("schedules", r.schedules), ("steps", r.steps), ("pruned", r.pruned)]
 }
 

@@ -1,6 +1,6 @@
-//! Pass 10 — happens-before race detection and commutativity audit.
+//! Pass 8 — happens-before race detection and commutativity audit.
 //!
-//! The model checker (pass 5) proves ordering properties exhaustively on
+//! The model checker (pass 4) proves ordering properties exhaustively on
 //! tiny scenarios; this pass scales the same concern to full-size runs.
 //! It records the merged engine + protocol trace of a seeded scripted
 //! workload (one [`sim_core::EventLog`] clone installed in both the
@@ -29,17 +29,17 @@
 //! 4. **Planted defects** — three seeded defect classes (a dropped
 //!    lock grant, a skipped barrier, two same-tick disk services on one
 //!    resource) must each be detected, and ddmin shrinking
-//!    ([`sim_core::hb::shrink_window`]) must produce a strictly smaller
+//!    ([`sim_core::check::shrink_list`]) must produce a strictly smaller
 //!    trace window still exhibiting the same finding.
 
 use std::collections::BTreeMap;
 
 use cdd::{FaultEvent, FaultInjector};
 use raidx_core::Arch;
-use sim_core::check::Gen;
-use sim_core::hb::{self, analyze, shrink_window};
+use sim_core::check::{shrink_list, Gen};
+use sim_core::hb::{self, analyze};
 use sim_core::trace::{AccessKind, EventLog, TimedEvent, TraceEvent};
-use sim_core::{FaultPlan, HbAnalysis, HbOptions, SimTime, ViolationKind};
+use sim_core::{FaultPlan, HbAnalysis, SimTime, ViolationKind};
 use workloads::op_script::{gen_script, run_script};
 
 use crate::determinism::engine_fingerprint;
@@ -49,6 +49,8 @@ use crate::report::PassReport;
 const CLIENTS: usize = 4;
 const REGION_BLOCKS: u64 = 64;
 const SCRIPT_SEED: u64 = 0xC0FFEE;
+/// Script length of every run of the pass.
+const NOPS: usize = 80;
 /// Disk hit by the transient-outage fault plan.
 const TARGET_DISK: usize = 1;
 /// Client that drives recovery.
@@ -80,7 +82,7 @@ fn transient_plan(inject_at: usize, repair_at: usize) -> FaultPlan<FaultEvent> {
 
 /// One seeded scripted run: `traced` installs a shared [`EventLog`] in
 /// both the engine and the I/O system; `plan` attaches a fault plan.
-/// Same arguments ⇒ same behavior (pass 8 property).
+/// Same arguments ⇒ same behavior (pass 3 property).
 fn scripted_run(
     arch: Arch,
     nops: usize,
@@ -109,32 +111,21 @@ fn scripted_run(
     }
 }
 
-/// Analyzer options for the pass: full fidelity, or the smoke budget
-/// (bounded event count and cell subset).
-fn pass_options(smoke: bool) -> HbOptions {
-    if smoke {
-        HbOptions { max_events: 40_000, cell_limit: 32, ..HbOptions::default() }
-    } else {
-        HbOptions::default()
-    }
-}
-
 fn analysis_summary(a: &HbAnalysis) -> String {
     format!(
-        "{} events ({} accesses), {} actors, {} sync edges, fingerprint {:016x}{}",
+        "{} events ({} accesses), {} actors, {} sync edges, fingerprint {:016x}",
         a.events,
         a.accesses,
         a.actors,
         a.sync_edges,
-        a.fingerprint(),
-        if a.truncated { ", truncated by budget" } else { "" }
+        a.fingerprint()
     )
 }
 
 /// One clean-sweep cell: the run's stream must analyze clean and be
 /// substantive, and its fault plan (if any) must have fired completely.
-fn check_clean(report: &mut PassReport, label: String, run: &RunResult, opts: &HbOptions) {
-    let analysis = analyze(&run.events, opts);
+fn check_clean(report: &mut PassReport, label: String, run: &RunResult) {
+    let analysis = analyze(&run.events);
     let substantive = analysis.accesses > 0 && analysis.sync_edges > 0;
     let detail = if run.pending_faults > 0 {
         format!("{} fault trigger(s) still pending at script end", run.pending_faults)
@@ -228,11 +219,10 @@ fn check_plant(
     report: &mut PassReport,
     name: &str,
     planted: &[TimedEvent],
-    opts: &HbOptions,
     key_kind: ViolationKind,
     matches: impl Fn(&sim_core::HbViolation) -> bool,
 ) {
-    let analysis = analyze(planted, opts);
+    let analysis = analyze(planted);
     let Some(v) = analysis.violations.iter().find(|v| v.kind == key_kind && matches(v)) else {
         report.fail(
             name.to_string(),
@@ -243,8 +233,10 @@ fn check_plant(
         );
         return;
     };
-    let window = shrink_window(planted, v.key(), opts);
-    let still = analyze(&window, opts).violations.iter().any(|w| w.key() == v.key());
+    // Sound because the analyzer is total on sub-streams.
+    let exhibits = |w: &[TimedEvent]| analyze(w).violations.iter().any(|f| f.key() == v.key());
+    let window = shrink_list(planted, exhibits);
+    let still = exhibits(&window);
     let shrunk = window.len() < planted.len();
     report.push(
         name.to_string(),
@@ -259,23 +251,19 @@ fn check_plant(
     );
 }
 
-/// Run the full race-detection pass. `smoke` bounds the script length
-/// and the analyzer budget (event cap + cell subset) for CI.
-pub fn run_pass(smoke: bool) -> PassReport {
+/// Run the race-detection pass.
+pub fn run_pass() -> PassReport {
     let mut report = PassReport::new("race-detect");
-    let nops = if smoke { 30 } else { 80 };
-    let opts = pass_options(smoke);
 
     // 1. Clean sweep: every architecture, fault-free and faulted.
-    let variants: &[bool] = if smoke { &[false] } else { &[false, true] };
     let mut canonical: Option<Vec<TimedEvent>> = None;
     for arch in Arch::ALL {
-        for &faulted in variants {
-            let plan = faulted.then(|| transient_plan(nops / 3, 2 * nops / 3));
-            let run = scripted_run(arch, nops, true, plan);
+        for faulted in [false, true] {
+            let plan = faulted.then(|| transient_plan(NOPS / 3, 2 * NOPS / 3));
+            let run = scripted_run(arch, NOPS, true, plan);
             let label =
                 format!("{arch:?} {} workload", if faulted { "faulted" } else { "fault-free" });
-            check_clean(&mut report, label, &run, &opts);
+            check_clean(&mut report, label, &run);
             if !faulted && canonical.is_none() {
                 canonical = Some(run.events.clone());
             }
@@ -285,8 +273,8 @@ pub fn run_pass(smoke: bool) -> PassReport {
     // 2. Detector determinism: double run, identical analysis fingerprints.
     {
         let arch = Arch::RaidX;
-        let a = analyze(&scripted_run(arch, nops, true, None).events, &opts);
-        let b = analyze(&scripted_run(arch, nops, true, None).events, &opts);
+        let a = analyze(&scripted_run(arch, NOPS, true, None).events);
+        let b = analyze(&scripted_run(arch, NOPS, true, None).events);
         report.push(
             "double-run analysis fingerprint",
             a.fingerprint() == b.fingerprint(),
@@ -296,8 +284,8 @@ pub fn run_pass(smoke: bool) -> PassReport {
 
     // 3. Observer neutrality: tracing must not change results.
     for arch in Arch::ALL {
-        let traced = scripted_run(arch, nops, true, None);
-        let bare = scripted_run(arch, nops, false, None);
+        let traced = scripted_run(arch, NOPS, true, None);
+        let bare = scripted_run(arch, NOPS, false, None);
         let identical = traced.model == bare.model
             && traced.completed == bare.completed
             && traced.failed == bare.failed
@@ -326,20 +314,15 @@ pub fn run_pass(smoke: bool) -> PassReport {
                 )
             },
         );
-        if smoke {
-            break;
-        }
     }
 
     // 4. Planted defects over the canonical real stream.
     let canonical = canonical.expect("at least one traced run recorded");
-    let plant_opts = HbOptions::default();
     match plant_dropped_grant(&canonical) {
         Some((planted, cell, actor)) => check_plant(
             &mut report,
             "planted defect: dropped lock grant",
             &planted,
-            &plant_opts,
             ViolationKind::UncoveredWrite,
             |v| v.cell >= cell && v.actors.0 == actor,
         ),
@@ -348,13 +331,12 @@ pub fn run_pass(smoke: bool) -> PassReport {
     {
         let control = plant_skipped_barrier(&canonical, false);
         let planted = plant_skipped_barrier(&canonical, true);
-        let control_clean = analyze(&control, &plant_opts).clean();
+        let control_clean = analyze(&control).clean();
         if control_clean {
             check_plant(
                 &mut report,
                 "planted defect: skipped barrier",
                 &planted,
-                &plant_opts,
                 ViolationKind::WriteWrite,
                 |v| v.cell == hb::sios_cell(1 << 20),
             );
@@ -370,7 +352,6 @@ pub fn run_pass(smoke: bool) -> PassReport {
             &mut report,
             "planted defect: same-tick disk services",
             &planted,
-            &plant_opts,
             ViolationKind::SameTickService,
             |v| v.cell == u64::from(res) && v.actors.0 == task,
         ),
@@ -385,14 +366,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_pass_is_green() {
-        let report = run_pass(true);
-        assert!(report.all_ok(), "{}", report.render());
-    }
-
-    #[test]
-    fn full_pass_is_green() {
-        let report = run_pass(false);
+    fn pass_is_green() {
+        let report = run_pass();
         assert!(report.all_ok(), "{}", report.render());
     }
 
@@ -402,7 +377,7 @@ mod tests {
         let run = scripted_run(Arch::RaidX, 30, true, Some(transient_plan(10, 30)));
         assert_eq!(run.pending_faults, 1);
         let mut report = PassReport::new("race-detect");
-        check_clean(&mut report, "planted".into(), &run, &HbOptions::default());
+        check_clean(&mut report, "planted".into(), &run);
         assert!(!report.all_ok(), "{}", report.render());
         assert!(report.render().contains("still pending"), "{}", report.render());
     }
