@@ -13,8 +13,6 @@ use crate::harness::md_table;
 /// Outcome of one failure/recovery scenario.
 #[derive(Debug, Clone)]
 pub struct FaultPoint {
-    /// Architecture.
-    pub arch: Arch,
     /// Scenario label.
     pub scenario: String,
     /// Did all data survive (verified byte-for-byte)?
@@ -62,7 +60,6 @@ pub fn single_failure(arch: Arch) -> FaultPoint {
     // Post-rebuild verification.
     let (after, _) = s.read(2, 0, nblocks).expect("experiment I/O failed");
     FaultPoint {
-        arch,
         scenario: "single disk failure + rebuild".into(),
         survived: survived && after == data,
         degraded_read_secs,
@@ -74,8 +71,6 @@ pub fn single_failure(arch: Arch) -> FaultPoint {
 /// Foreground cost of rebuilding while clients keep issuing I/O.
 #[derive(Debug, Clone)]
 pub struct RebuildLoadPoint {
-    /// Architecture.
-    pub arch: Arch,
     /// Foreground load duration on the healthy array (seconds).
     pub fg_healthy_secs: f64,
     /// Foreground load duration while the rebuild runs in the
@@ -144,7 +139,6 @@ pub fn rebuild_under_load(arch: Arch) -> RebuildLoadPoint {
     engine.spawn_job("rebuild", background(rebuild_plan));
     let report = engine.run().expect("rebuild-under-load run");
     RebuildLoadPoint {
-        arch,
         fg_healthy_secs,
         fg_rebuild_secs: report.foreground_end.since(t0).as_secs_f64(),
         rebuild_drain_secs: report.end.since(t0).as_secs_f64(),
@@ -156,8 +150,6 @@ pub fn rebuild_under_load(arch: Arch) -> RebuildLoadPoint {
 /// onto a hot-added spare while clients keep reading.
 #[derive(Debug, Clone)]
 pub struct RebalanceLoadPoint {
-    /// Architecture.
-    pub arch: Arch,
     /// Foreground load duration on the static array (seconds).
     pub fg_healthy_secs: f64,
     /// Foreground load duration while the migration drains in the
@@ -217,7 +209,6 @@ pub fn rebalance_under_load(arch: Arch) -> RebalanceLoadPoint {
     engine.spawn_job("rebalance", background(out.plan));
     let report = engine.run().expect("rebalance-under-load run");
     RebalanceLoadPoint {
-        arch,
         fg_healthy_secs,
         fg_rebalance_secs: report.foreground_end.since(t0).as_secs_f64(),
         rebalance_drain_secs: report.end.since(t0).as_secs_f64(),

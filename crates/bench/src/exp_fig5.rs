@@ -5,7 +5,7 @@ use cluster::ClusterConfig;
 use sim_core::Engine;
 use workloads::{run_parallel_io, BandwidthResult, IoPattern, ParallelIoConfig};
 
-use crate::harness::{build_store, md_table, par_map, SystemKind};
+use crate::harness::{build_store, md_table, par_map, write_csv, SystemKind};
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -45,6 +45,19 @@ pub fn run_point(kind: SystemKind, pattern: IoPattern, clients: usize) -> Bandwi
     let mut store = build_store(&mut engine, ClusterConfig::trojans(), kind);
     let cfg = ParallelIoConfig { clients, pattern, repeats: 3, ..Default::default() };
     run_parallel_io(&mut engine, &mut store, &cfg).expect("fig5 point failed")
+}
+
+/// Run the sweep, write its points to `results/fig5.csv` and return the
+/// rendered tables.
+pub fn report() -> String {
+    let points = run_sweep();
+    let rows = points.iter().map(|p| {
+        let (r, pattern) = (&p.result, p.pattern.label().replace(' ', "-"));
+        let (mbs, secs, drain) = (r.aggregate_mbs, r.elapsed_secs, r.drain_secs);
+        format!("{},{pattern},{},{mbs:.4},{secs:.6},{drain:.6}", p.kind.name(), p.clients)
+    });
+    write_csv("fig5", "arch,pattern,clients,aggregate_mbs,elapsed_s,drain_s", rows);
+    render(&points)
 }
 
 /// Render the sweep as four markdown tables, one per subplot.

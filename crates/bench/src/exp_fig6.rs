@@ -6,7 +6,7 @@ use cluster::ClusterConfig;
 use sim_core::Engine;
 use workloads::{run_andrew, AndrewConfig, AndrewResult, PHASES};
 
-use crate::harness::{build_store, md_table, par_map, SystemKind};
+use crate::harness::{build_store, md_table, par_map, write_csv, SystemKind};
 
 /// Client counts (the paper drives up to 32 clients on 16 nodes).
 pub const CLIENTS: [usize; 5] = [1, 4, 8, 16, 32];
@@ -40,6 +40,19 @@ pub fn run_sweep() -> Vec<Point> {
         }
     }
     par_map(cases, |(kind, clients)| Point { kind, clients, result: run_point(kind, clients) })
+}
+
+/// Run the sweep, write its points to `results/fig6.csv` and return the
+/// rendered tables.
+pub fn report() -> String {
+    let points = run_sweep();
+    let rows = points.iter().map(|p| {
+        let phases: String = p.result.phase_secs.iter().map(|s| format!("{s:.4},")).collect();
+        format!("{},{},{phases}{:.4}", p.kind.name(), p.clients, p.result.total_secs())
+    });
+    let header = "arch,clients,makedir_s,copy_s,scandir_s,readall_s,make_s,total_s";
+    write_csv("fig6", header, rows);
+    render(&points)
 }
 
 /// Render one subplot per architecture (as in the paper) plus a totals

@@ -78,21 +78,17 @@ where
     slots.into_iter().map(|s| s.into_inner().expect("poisoned").expect("slot unfilled")).collect()
 }
 
-/// Write a CSV file (header + rows) under `results/`, creating the
-/// directory if needed. Returns the path written. Values are emitted
-/// verbatim — callers pass plain numbers and names without commas.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<String> {
-    std::fs::create_dir_all("results")?;
+/// Write `results/{name}.csv` (the header line, then one line per row),
+/// creating the directory if needed, and report the outcome on stderr.
+pub fn write_csv(name: &str, header: &str, rows: impl Iterator<Item = String>) {
     let path = format!("results/{name}.csv");
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
+    let body: String = rows.map(|row| row + "\n").collect();
+    let written = std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, format!("{header}\n{body}")));
+    match written {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("{path}: write failed: {e}"),
     }
-    std::fs::write(&path, out)?;
-    Ok(path)
 }
 
 /// Render a markdown table: header row + alignment + data rows.

@@ -79,9 +79,10 @@ pub use image_queue::{ImageQueue, PendingImage};
 pub use locks::{LockConflict, LockGroupTable, LockHandle, LockRecord, ReleaseError};
 pub use ops::OpBuilder;
 pub use placer::{Migration, Placer};
-pub use proto::{CddModel, Defect, HistOp, OpRecord, ProtoOp, ProtoState, Scenario};
+pub use proto::{CddModel, ProtoState};
 pub use restore::RestoreOutcome;
 pub use runs::{merge_runs, Run};
+pub use scenarios::{Defect, HistOp, OpRecord, ProtoOp, Scenario};
 pub use scheme::{driver_for, SchemeDriver, WriteCtx};
 pub use store::BlockStore;
 pub use system::IoSystem;

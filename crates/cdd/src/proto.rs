@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 
 use crate::compile::{compile_op, CompiledOp, MicroStep};
 use crate::locks::{LockGroupTable, LockHandle};
+use crate::scenarios::{Defect, HistOp, OpRecord, ProtoOp, Scenario};
 use sim_core::explore::{Footprint, Model, ThreadId};
 
 /// Abstract footprint cell of the shared lock-group table.
@@ -34,14 +35,6 @@ pub const TABLE_CELL: u64 = 0;
 pub fn block_cell(lb: u64) -> u64 {
     1 + lb
 }
-
-// The scenario vocabulary (scripted ops, seeded defects, history
-// records) lives in `crate::scenarios`; re-exported here so the
-// `cdd::proto::*` paths the verify passes use keep working.
-pub use crate::scenarios::{
-    scenario_cache, scenario_contended, scenario_epoch, scenario_reader, scenario_three, Defect,
-    HistOp, OpRecord, ProtoOp, Scenario,
-};
 
 /// Per-client execution state.
 #[derive(Debug, Clone)]
@@ -327,17 +320,8 @@ impl Model for CddModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::{scenario_cache, scenario_contended, scenario_reader, scenario_three};
     use sim_core::explore::{Explorer, FailureKind};
-
-    fn all_clean_scenarios() -> Vec<Scenario> {
-        vec![
-            scenario_contended(Defect::None),
-            scenario_reader(Defect::None),
-            scenario_three(Defect::None),
-            scenario_epoch(Defect::None),
-            scenario_cache(Defect::None),
-        ]
-    }
 
     /// The values client 0's two cached reads returned, in program order.
     fn client0_reads(s: &ProtoState) -> Vec<u64> {
@@ -385,7 +369,7 @@ mod tests {
 
     #[test]
     fn clean_scenarios_explore_clean() {
-        for sc in all_clean_scenarios() {
+        for sc in crate::scenarios::SCENARIOS.map(|f| f(Defect::None)) {
             let name = sc.name;
             let r = Explorer::default().explore(&CddModel::new(sc));
             assert!(r.clean(), "{name}: {:?}", r.failure);

@@ -196,6 +196,10 @@ pub fn scenario_cache(defect: Defect) -> Scenario {
     }
 }
 
+/// Every scenario, in the order the model-check pass reports them.
+pub const SCENARIOS: [fn(Defect) -> Scenario; 5] =
+    [scenario_contended, scenario_reader, scenario_three, scenario_epoch, scenario_cache];
+
 /// One entry of the SIOS operation history recorded during exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HistOp {

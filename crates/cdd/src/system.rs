@@ -334,7 +334,7 @@ impl IoSystem {
     }
 
     /// Take the recorded `(op sequence, lock records held)` samples,
-    /// leaving recording enabled. The `trace_dump` exporter turns these
+    /// leaving recording enabled. The `bench trace` exporter turns these
     /// into the CDD lock-table occupancy series.
     pub fn take_lock_samples(&mut self) -> Vec<(u64, usize)> {
         self.lock_samples.as_mut().map(std::mem::take).unwrap_or_default()

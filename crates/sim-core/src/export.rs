@@ -304,7 +304,7 @@ pub fn metrics_json(reg: &MetricsRegistry) -> String {
 }
 
 /// Minimal structural JSON validity check (objects, arrays, strings,
-/// numbers, literals). Used by `trace_dump --smoke` to assert emitted
+/// numbers, literals). Used by `bench trace --smoke` to assert emitted
 /// trace files parse without pulling in a JSON dependency.
 pub fn json_is_valid(s: &str) -> bool {
     let b = s.as_bytes();

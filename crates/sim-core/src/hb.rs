@@ -32,8 +32,8 @@
 //! * `WriteWrite` — two writes to an SIOS cell unordered by
 //!   happens-before (a protocol data race). Read/write conflicts are not
 //!   a detector class: CDD reads are deliberately lock-free, so
-//!   read/write ordering is the linearizability pass's property, not a
-//!   race. `Read` accesses feed only the same-tick auditor.
+//!   read/write ordering is the model check's linearizability property,
+//!   not a race. `Read` accesses feed only the same-tick auditor.
 //! * `UncoveredWrite` — a protocol actor's SIOS write not covered by a
 //!   live lock-group grant (the single-I/O-space discipline).
 //! * `SameTickAccess`/`SameTickService` — two same-timestamp events with

@@ -1,15 +1,14 @@
-//! Pass 11 — `cache-coherence`: the client block cache's transparency
+//! Pass 10 — `cache-coherence`: the client block cache's transparency
 //! and payoff gate.
 //!
 //! The cache ([`cdd::cache`]) must be *invisible* to correctness and
 //! *visible* to performance. Its protocol is checked where every other
 //! scenario's is: the `cache-coherence` scenario
-//! ([`cdd::proto::scenario_cache`], a writer racing two caching readers)
-//! is a row of the model-check pass (4) and of the linearizability pass
-//! (5), whose `planted skipped invalidation` canary proves a write that
-//! skips the invalidation its grant carries is caught as a stale,
-//! non-linearizable read. This pass keeps what only it checks, on the
-//! real cache in full-size runs:
+//! ([`cdd::scenarios::scenario_cache`], a writer racing two caching
+//! readers) is a row of the model-check pass (4), whose `planted skipped
+//! invalidation` canary proves a write that skips the invalidation its
+//! grant carries is caught as a stale, non-linearizable read. This pass
+//! keeps what only it checks, on the real cache in full-size runs:
 //!
 //! 1. **Transparency** — the same random re-reading op script runs
 //!    cached and uncached on every architecture; both runs must

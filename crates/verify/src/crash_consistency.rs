@@ -1,4 +1,4 @@
-//! Pass 6 — crash-consistency audit of the OSM/checkpoint write
+//! Pass 5 — crash-consistency audit of the OSM/checkpoint write
 //! protocols.
 //!
 //! Drives [`checkpoint::crash`]: enumerate a crash after **every prefix**

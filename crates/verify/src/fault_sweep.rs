@@ -1,4 +1,4 @@
-//! Pass 7 — fault-injection sweep.
+//! Pass 6 — fault-injection sweep.
 //!
 //! Enumerates single-fault injection points across every architecture
 //! and asserts the two properties the fault subsystem promises:
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn every_fault_kind_recovers_cleanly_once() {
         // One full-depth scenario per fault kind (the full grid runs in
-        // `verify_all`; this keeps the unit suite fast but total).
+        // `bench verify`; this keeps the unit suite fast but total).
         for kind in FaultKind::ALL {
             let sc = SweepScenario { arch: Arch::RaidX, kind, inject_at: 10, cached: false };
             let out = run_scenario(&sc, &sc.script(), false);

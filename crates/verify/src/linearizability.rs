@@ -1,28 +1,22 @@
-//! Pass 5 — Wing–Gong linearizability checking of SIOS histories.
+//! Wing–Gong linearizability checking of SIOS histories — the leaf
+//! check pass 4 ([`crate::model_check`]) runs on every explored schedule.
 //!
 //! The model checker records every completed group read/write with its
-//! real-time invocation/response window ([`cdd::proto::OpRecord`]). This
-//! pass replays each explored schedule's history against a **sequential
-//! block-store specification**: there must exist a total order of the
-//! operations that (a) respects real time — an operation that completed
-//! before another was invoked stays before it — and (b) makes every
-//! group read return exactly the store contents at its linearization
-//! point. A torn read (a reader observing half of a group write) has no
-//! such order, which is precisely the consistency the paper's lock-group
-//! protocol is supposed to buy.
+//! real-time invocation/response window ([`cdd::OpRecord`]). Each
+//! schedule's history is checked against a **sequential block-store
+//! specification**: there must exist a total order of the operations
+//! that (a) respects real time — an operation that completed before
+//! another was invoked stays before it — and (b) makes every group read
+//! return exactly the store contents at its linearization point. A torn
+//! read (a reader observing half of a group write) has no such order,
+//! which is precisely the consistency the paper's lock-group protocol is
+//! supposed to buy.
 //!
 //! The search is the classic Wing–Gong DFS over linearization prefixes,
 //! memoized on `(remaining-ops mask, store state)` so equivalent
 //! prefixes are explored once.
 
-use crate::model_check::{push_canary, push_exploration};
-use crate::report::PassReport;
-use cdd::proto::{
-    scenario_cache, scenario_epoch, scenario_reader, scenario_three, CddModel, HistOp, OpRecord,
-    Scenario,
-};
-use cdd::Defect;
-use sim_core::explore::{Exploration, Explorer};
+use cdd::{HistOp, OpRecord};
 use std::collections::BTreeSet;
 
 /// Check one history against the sequential block-store spec (`blocks`
@@ -89,51 +83,6 @@ fn dfs(hist: &[OpRecord], mask: u64, store: &[u64], memo: &mut BTreeSet<(u64, Ve
     false
 }
 
-/// Explore `sc`, linearizability-checking the history of every schedule.
-fn explore_histories(sc: Scenario) -> Exploration {
-    let blocks = sc.blocks;
-    Explorer::default().explore_with(&CddModel::new(sc), |s| check_history(blocks, &s.history))
-}
-
-/// Explore one scenario and linearizability-check the history of every
-/// schedule, appending one check to `rep`.
-pub fn check_scenario(rep: &mut PassReport, sc: Scenario) {
-    let name = sc.name;
-    let r = explore_histories(sc);
-    let clean =
-        format!("{} schedules, every history linearizable ({} pruned)", r.schedules, r.pruned);
-    push_exploration(rep, name, &r, clean);
-}
-
-/// Run the linearizability pass: clean scenarios plus three canaries the
-/// checker must flag.
-pub fn run_pass() -> PassReport {
-    let mut rep = PassReport::new("linearizability");
-    check_scenario(&mut rep, scenario_reader(Defect::None));
-    check_scenario(&mut rep, scenario_three(Defect::None));
-    check_scenario(&mut rep, scenario_epoch(Defect::None));
-    check_scenario(&mut rep, scenario_cache(Defect::None));
-    // An unlocked reader must produce a torn (non-linearizable) read on
-    // some schedule.
-    let r = explore_histories(scenario_reader(Defect::UnlockedRead));
-    push_canary(&mut rep, "canary: planted unlocked read is caught", &r, "unlocked read");
-    // A migration copy that skips the pending re-validation must produce
-    // a stale (non-linearizable) read on some schedule.
-    let r = explore_histories(scenario_epoch(Defect::UnsyncedReconfig));
-    push_canary(&mut rep, "canary: planted unsynced migration is caught", &r, "unsynced migration");
-    // A writer that skips the cache-invalidation broadcast must leave
-    // some schedule with a stale cached read after the write's response —
-    // non-linearizable by the real-time rule.
-    let r = explore_histories(scenario_cache(Defect::SkipInvalidate));
-    push_canary(
-        &mut rep,
-        "canary: planted skipped invalidation is caught",
-        &r,
-        "skipped invalidation",
-    );
-    rep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,43 +127,5 @@ mod tests {
         // But if they overlap, the stale read is fine.
         let hist = vec![w(0, 1, 4, 0, 2, 7), r(1, 3, 5, 0, vec![0, 0])];
         assert!(check_history(2, &hist).is_ok());
-    }
-
-    #[test]
-    fn clean_pass_reports_zero_findings() {
-        let rep = run_pass();
-        assert!(rep.all_ok(), "{}", rep.render());
-        assert_eq!(rep.checks.len(), 7);
-    }
-
-    #[test]
-    fn seeded_skip_invalidate_produces_stale_read() {
-        let mut rep = PassReport::new("linearizability");
-        check_scenario(&mut rep, scenario_cache(Defect::SkipInvalidate));
-        assert_eq!(rep.failures(), 1, "{}", rep.render());
-        assert!(rep.checks[0].detail.contains("no linearization"), "{}", rep.checks[0].detail);
-    }
-
-    #[test]
-    fn seeded_unlocked_read_fails_the_check() {
-        let mut rep = PassReport::new("linearizability");
-        check_scenario(&mut rep, scenario_reader(Defect::UnlockedRead));
-        assert_eq!(rep.failures(), 1, "{}", rep.render());
-        assert!(rep.checks[0].detail.contains("leaf check"), "{}", rep.checks[0].detail);
-    }
-
-    #[test]
-    fn seeded_unsynced_reconfig_produces_stale_read() {
-        let mut rep = PassReport::new("linearizability");
-        check_scenario(&mut rep, scenario_epoch(Defect::UnsyncedReconfig));
-        assert_eq!(rep.failures(), 1, "{}", rep.render());
-        assert!(rep.checks[0].detail.contains("no linearization"), "{}", rep.checks[0].detail);
-    }
-
-    #[test]
-    fn seeded_early_release_produces_torn_read() {
-        let mut rep = PassReport::new("linearizability");
-        check_scenario(&mut rep, scenario_reader(Defect::EarlyRelease));
-        assert_eq!(rep.failures(), 1, "{}", rep.render());
     }
 }

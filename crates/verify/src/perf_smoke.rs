@@ -1,4 +1,4 @@
-//! Pass 10 — `perf-smoke`: the engine-performance regression gate.
+//! Pass 9 — `perf-smoke`: the engine-performance regression gate.
 //!
 //! Wall-clock benchmarks cannot gate CI (they measure the host, not the
 //! code; `benchmark/` reports them), so this pass gates what *is*
@@ -66,7 +66,7 @@ fn smoke_work() -> Work {
 /// Deterministic work counters of the gated model-check scenario: the
 /// exploration of the contended CDD lock scenario.
 fn model_budget_work() -> Work {
-    let m = cdd::proto::CddModel::new(cdd::proto::scenario_contended(cdd::Defect::None));
+    let m = cdd::CddModel::new(cdd::scenarios::scenario_contended(cdd::Defect::None));
     let r = Explorer::default().explore(&m);
     vec![("schedules", r.schedules), ("steps", r.steps), ("pruned", r.pruned)]
 }

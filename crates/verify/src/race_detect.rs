@@ -1,4 +1,4 @@
-//! Pass 8 — happens-before race detection and commutativity audit.
+//! Pass 7 — happens-before race detection and commutativity audit.
 //!
 //! The model checker (pass 4) proves ordering properties exhaustively on
 //! tiny scenarios; this pass scales the same concern to full-size runs.

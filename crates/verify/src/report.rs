@@ -19,7 +19,7 @@ pub struct PassReport {
     /// Individual checks, in execution order.
     pub checks: Vec<Check>,
     /// Wall-clock seconds the pass took, when the driver measured it
-    /// (`verify_all` does; library callers may leave it `None`). Carried
+    /// (`bench verify` does; library callers may leave it `None`). Carried
     /// into the JSON report so CI can trend pass cost over PRs.
     pub secs: Option<f64>,
 }
@@ -79,7 +79,7 @@ impl PassReport {
 use sim_core::export::json_escape;
 
 /// Serialize a run's pass reports as machine-readable JSON
-/// (`verify_all --json`). Stable schema: every pass object carries
+/// (`bench verify --json`). Stable schema: every pass object carries
 /// `pass`, `ok`, `secs` (wall-clock cost, null when unmeasured — CI
 /// trends this over PRs) and `checks`; every check is an object with
 /// `pass`, `rule` (the check name), `message` and `ok`.

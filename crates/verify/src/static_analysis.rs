@@ -1,4 +1,4 @@
-//! Pass 9 — module size and lint wiring: tier-1 runs no clippy, so of the static rules (DESIGN
+//! Pass 8 — module size and lint wiring: tier-1 runs no clippy, so of the static rules (DESIGN
 //! "Static analysis") it checks the line cap and that the lints' configuration is still in place.
 
 use crate::report::PassReport;

@@ -3,7 +3,7 @@
 # the trace-export self-check, the golden simulated results, the
 # benchmark package, and every raidx-verify pass. Each check runs once:
 # a failing test names itself in `cargo test` output and a failing pass
-# in verify_all's per-pass report, so no pass or test file has a stage
+# in `bench verify`'s per-pass report, so no pass or test file has a stage
 # of its own. Run from the repository root. Fails fast on the first
 # broken stage.
 set -eu
@@ -25,14 +25,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> trace_dump --smoke (trace/metrics export self-check)"
-cargo run --release -p bench --bin trace_dump -- --smoke
+echo "==> bench trace --smoke (trace/metrics export self-check)"
+cargo run --release -p bench -- trace --smoke
 
 echo "==> golden (simulated results byte-identical to the committed files)"
-# all_experiments prints every table and rewrites results/fig5.csv and
+# `exp all` prints every table and rewrites results/fig5.csv and
 # fig6.csv; an intentional change of a simulated number regenerates all
 # three (EXPERIMENTS.md) in the same PR.
-cargo run --release -p bench --bin all_experiments | cmp - results/all_experiments.md
+cargo run --release -p bench -- exp all | cmp - results/all_experiments.md
 git diff --exit-code -- results/fig5.csv results/fig6.csv
 
 echo "==> benchmark (own workspace: build, smoke run, parity + manifest tests)"
@@ -41,13 +41,13 @@ echo "==> benchmark (own workspace: build, smoke run, parity + manifest tests)"
 bash benchmark/run.sh --smoke
 cargo test --release -q --manifest-path benchmark/Cargo.toml
 
-echo "==> verify_all (plan lint, layout, determinism, model check, linearizability, crash consistency, fault sweep, race detect, module size + lint wiring, perf smoke, cache coherence)"
+echo "==> bench verify (plan lint, layout, determinism, model check + linearizability, crash consistency, fault sweep, race detect, module size + lint wiring, perf smoke, cache coherence)"
 # Bare: the suite has no modes, so this is the run every other caller
 # makes (tests/verify_smoke.rs repeats it under `cargo test`). perf-smoke
 # gates deterministic work counters only (host time is benchmark/'s job):
 # an intentional engine change pastes the fresh table the failure message
 # prints into crates/verify/src/perf_smoke.rs.
-cargo run --release -p bench --bin verify_all
+cargo run --release -p bench -- verify
 
 echo "==> loc (Rust lines per crate; informational, never fails)"
 sh scripts/loc.sh || true
