@@ -295,16 +295,35 @@ mod tests {
     }
 
     /// Every `exp <name>` the docs cite (so every `bench -- exp <name>`)
-    /// names an entry, and every entry is cited.
+    /// names an entry, and every entry is cited; every `--pass <name>`
+    /// names a verify pass (underscores read as dashes, as `parse` does).
     #[test]
     fn doc_references_name_registry_entries() {
+        let read = |doc: &str| {
+            let path = format!("{}/../../{doc}", env!("CARGO_MANIFEST_DIR"));
+            std::fs::read_to_string(path).expect("doc missing")
+        };
+        for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+            for rest in read(doc).split("--pass ").skip(1) {
+                let name: String = rest
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
+                    .map(|c| if c == '_' { '-' } else { c })
+                    .collect();
+                // `--pass <name>` in a usage line has no name token.
+                if !name.is_empty() {
+                    assert!(
+                        PASSES.iter().any(|p| p.0 == name),
+                        "{doc}: `--pass {name}` is no pass"
+                    );
+                }
+            }
+        }
         let names: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
         assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
         let mut cited = BTreeSet::new();
         for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md"] {
-            let path = format!("{}/../../{doc}", env!("CARGO_MANIFEST_DIR"));
-            let text = std::fs::read_to_string(path).expect("doc missing");
-            for rest in text.split("exp ").skip(1) {
+            for rest in read(doc).split("exp ").skip(1) {
                 let name: String =
                     rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
                 // `exp <name>|all` in a usage line has no name token.

@@ -18,7 +18,7 @@ use cluster::{xor_of, Block};
 use raidx_core::{FaultSet, ReadSource};
 use sim_core::plan::{delay, par, seq};
 use sim_core::trace::AccessKind;
-use sim_core::{hb, Plan};
+use sim_core::Plan;
 
 use crate::error::IoError;
 use crate::frontend::{self, Admission};
@@ -85,22 +85,16 @@ impl IoSystem {
         // the (logically instantaneous) functional update.
         let written = self.with_grant(client, lb0, nblocks, |sys, tick| {
             sys.sample_locks();
-            let mut surrendered = tick.map(|_| Vec::new());
-            let result =
-                sys.write_locked(client, &eff_slots, lb0, nblocks, data, surrendered.as_mut());
+            let result = sys.write_locked(client, &eff_slots, lb0, nblocks, data);
             // Coherence: the write grant doubles as the invalidation
             // broadcast through the replicated lock-group table — every
             // client's cached copy of the range is dropped while the grant
             // is still held, even if the write itself failed partway.
             sys.cache_invalidate(lb0, nblocks);
-            // Protocol trace, on the grant's tick and between its
-            // `Acquire` and `Release`: the write, then the surrenders.
+            // Lock record: the write, on the grant's tick and between its
+            // `Acquire` and `Release`.
             if let (Some(at), true) = (tick, result.is_ok()) {
-                let actor = hb::client_actor(client);
-                sys.trace_access(at, actor, hb::sios_cell(lb0), nblocks, AccessKind::Write);
-                for lb in surrendered.into_iter().flatten() {
-                    sys.trace_access(at, actor, hb::image_cell(lb), 1, AccessKind::Write);
-                }
+                sys.trace_access(at, client, lb0, nblocks, AccessKind::Write);
             }
             result
         });
@@ -140,7 +134,6 @@ impl IoSystem {
         lb0: u64,
         nblocks: u64,
         data: &[u8],
-        surrendered: Option<&mut Vec<u64>>,
     ) -> Result<Plan, IoError> {
         let driver = scheme::driver_for(self.layout.write_scheme());
         let mut ctx = WriteCtx {
@@ -152,7 +145,6 @@ impl IoSystem {
             cfg: &self.cfg,
             images: &mut self.images,
             parked: &mut self.parked,
-            surrendered,
         };
         driver.write(&mut ctx, client, lb0, nblocks, data)
     }
@@ -236,18 +228,7 @@ impl IoSystem {
         // Misses snapshot the invalidation epoch *before* the array read
         // so a concurrent grant's invalidation always beats the fill.
         if let Some(bytes) = self.cache_try_serve(client, lb0, nblocks) {
-            let plan = seq(vec![self.ops().driver(client)]);
-            if self.tracer.is_some() {
-                let at = self.next_op_tick();
-                self.trace_access(
-                    at,
-                    hb::client_actor(client),
-                    hb::sios_cell(lb0),
-                    nblocks,
-                    AccessKind::Read,
-                );
-            }
-            return Ok((bytes, plan));
+            return Ok((bytes, seq(vec![self.ops().driver(client)])));
         }
         let fill = self.cache_begin_fill();
         let bs = self.block_size() as usize;
@@ -376,18 +357,6 @@ impl IoSystem {
             // A zero-block read has no branches; an empty `Par` is not a
             // Strict-valid plan.
             chain.push(par(branches));
-        }
-        if self.tracer.is_some() {
-            // Reads are lock-free by design; the trace point feeds the
-            // analyzer's same-tick auditor.
-            let at = self.next_op_tick();
-            self.trace_access(
-                at,
-                hb::client_actor(client),
-                hb::sios_cell(lb0),
-                nblocks,
-                AccessKind::Read,
-            );
         }
         if let Some(t) = fill {
             self.cache_commit_fill(client, t, lb0, blocks);

@@ -101,12 +101,7 @@ impl IoSystem {
         self.faults.insert(disk);
         self.offline.remove(disk);
         self.plane.fail(disk);
-        let drained = self.images.remove_disk(disk);
-        if self.tracer.is_some() {
-            let lbs: Vec<u64> = drained.iter().map(|p| p.lb).collect();
-            self.trace_image_drain(&lbs);
-        }
-        for img in drained {
+        for img in self.images.remove_disk(disk) {
             self.park(disk, img.lb);
         }
     }
@@ -121,12 +116,7 @@ impl IoSystem {
         assert!(!self.faults.contains(disk), "disk already permanently failed");
         self.offline.insert(disk);
         self.plane.set_offline(disk, true);
-        let drained = self.images.remove_disk(disk);
-        if self.tracer.is_some() {
-            let lbs: Vec<u64> = drained.iter().map(|p| p.lb).collect();
-            self.trace_image_drain(&lbs);
-        }
-        for img in drained {
+        for img in self.images.remove_disk(disk) {
             self.park(disk, img.lb);
         }
     }

@@ -64,10 +64,6 @@ pub struct WriteCtx<'a> {
     /// recovery resyncs exactly these; permanent rebuild clears them
     /// wholesale.
     pub parked: &'a mut BTreeMap<usize, BTreeSet<u64>>,
-    /// When tracing, the logical blocks whose images this write flushed
-    /// out of the [`ImageQueue`] (full groups and backlog overflow).
-    /// `None` when the orchestrator has no tracer installed.
-    pub surrendered: Option<&'a mut Vec<u64>>,
 }
 
 impl<'a> WriteCtx<'a> {
@@ -283,9 +279,6 @@ impl SchemeDriver for MirrorDriver {
         let fg_plans = runs_to_writes(&ops, ctx.placer, client, &merge_runs(fg), true);
         let mut chain = vec![par(fg_plans)];
         if !ready.is_empty() {
-            if let Some(out) = ctx.surrendered.as_deref_mut() {
-                out.extend(ready.iter().map(|p| p.lb));
-            }
             chain.push(background(par(ImageQueue::flush_plans(&ops, ready))));
         }
         // Bounded write-behind: whatever still exceeds the backlog cap is
@@ -294,9 +287,6 @@ impl SchemeDriver for MirrorDriver {
         if let Some(bound) = ctx.cfg.max_image_backlog {
             let overflow = ctx.images.drain_overflow(bound);
             if !overflow.is_empty() {
-                if let Some(out) = ctx.surrendered.as_deref_mut() {
-                    out.extend(overflow.iter().map(|p| p.lb));
-                }
                 chain.push(par(ImageQueue::flush_plans(&ops, overflow)));
             }
         }

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use cluster::{Cluster, ClusterConfig, ClusterMap, DataPlane};
 use raidx_core::{Arch, FaultSet, Layout};
 use sim_core::trace::{AccessKind, TraceEvent, Tracer};
-use sim_core::{hb, Engine, Plan, SimTime};
+use sim_core::{Engine, Plan, SimTime};
 use sim_net::PartitionMap;
 
 use crate::config::CddConfig;
@@ -93,16 +93,17 @@ pub struct IoSystem {
     pub(crate) timeouts: u64,
     /// Requests that failed over to a replica after a timeout.
     pub(crate) failovers: u64,
-    /// Optional observer of protocol-level [`TraceEvent::Access`] events
-    /// (lock grants/releases, SIOS reads/writes, OSM image surrenders).
-    /// `None` keeps every emission site a single branch — the same
+    /// Optional observer of the lock record: the [`TraceEvent::Access`]
+    /// events of [`IoSystem::with_grant`] (every grant's `Acquire` and
+    /// `Release`, and a data write's one `Write` between them). `None`
+    /// keeps every emission site a single branch — the same
     /// zero-cost-when-disabled guarantee the engine's tracer gives.
-    pub(crate) tracer: Option<Box<dyn Tracer>>,
-    /// Synthetic protocol clock: one tick per traced operation. Access
+    tracer: Option<Box<dyn Tracer>>,
+    /// Synthetic protocol clock: one tick per traced grant. Access
     /// events are stamped with it (not engine time — the functional
-    /// update is logically instantaneous), so every op's accesses share
-    /// a timestamp distinct from every other op's.
-    pub(crate) trace_ticks: u64,
+    /// update is logically instantaneous), so a grant's events share a
+    /// timestamp distinct from every other grant's.
+    trace_ticks: u64,
     /// Per-client block caches with lock-group-grant coherence
     /// ([`crate::cache`]); `None` (the default) keeps every request path
     /// byte- and plan-identical to an uncached build.
@@ -168,49 +169,25 @@ impl IoSystem {
         }
     }
 
-    /// Install a [`Tracer`] observing protocol-level cell accesses from
-    /// now on (replacing any previous one). Install a clone of the same
+    /// Install a [`Tracer`] observing the lock record from now on
+    /// (replacing any previous one). Install a clone of the same
     /// [`sim_core::EventLog`] here and in the engine to get one merged
-    /// stream for the happens-before analyzer ([`sim_core::hb`]).
+    /// stream; [`crate::testkit::grants_of`] walks its grants.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
         self.tracer = Some(tracer);
     }
 
-    /// Remove and return the installed tracer, restoring no-op tracing.
-    pub fn clear_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
-    }
-
-    /// Allocate the next protocol-clock tick (tracing enabled only).
-    pub(crate) fn next_op_tick(&mut self) -> SimTime {
-        let t = self.trace_ticks;
-        self.trace_ticks += 1;
-        SimTime(t)
-    }
-
-    /// Emit one `Access` event if a tracer is installed.
+    /// Emit one `Access` event on protocol tick `at`.
     pub(crate) fn trace_access(
         &mut self,
         at: SimTime,
-        actor: u32,
-        cell: u64,
+        client: usize,
+        lb: u64,
         len: u64,
         kind: AccessKind,
     ) {
         if let Some(tr) = self.tracer.as_mut() {
-            tr.record(at, TraceEvent::Access { task: actor, cell, len, kind });
-        }
-    }
-
-    /// Emit image-surrender writes for blocks that left the OSM queue
-    /// outside any client op (flush points, disk drains).
-    pub(crate) fn trace_image_drain(&mut self, lbs: &[u64]) {
-        if self.tracer.is_none() || lbs.is_empty() {
-            return;
-        }
-        let at = self.next_op_tick();
-        for &lb in lbs {
-            self.trace_access(at, hb::OSM_ACTOR, hb::image_cell(lb), 1, AccessKind::Write);
+            tr.record(at, TraceEvent::Access { client, lb, len, kind });
         }
     }
 
@@ -301,8 +278,8 @@ impl IoSystem {
     /// lock group, so no path can hold one past the functional update —
     /// nor, as the entry assert states, take a second one under the
     /// first — and the only place a grant is traced: with a tracer
-    /// installed the op gets one protocol tick, handed to `body` for its
-    /// own accesses, with `Acquire` emitted before and `Release` after it.
+    /// installed the grant gets one protocol tick, handed to `body` for
+    /// its `Write`, with `Acquire` emitted before and `Release` after it.
     pub(crate) fn with_grant<R>(
         &mut self,
         client: usize,
@@ -312,10 +289,13 @@ impl IoSystem {
     ) -> Result<R, IoError> {
         debug_assert!(self.locks.held().next().is_none(), "with_grant entered under a live grant");
         let grant = self.locks.acquire(client, start, len).map_err(IoError::Lock)?;
-        let tick = self.tracer.is_some().then(|| self.next_op_tick());
+        let tick = self.tracer.is_some().then(|| {
+            self.trace_ticks += 1;
+            SimTime(self.trace_ticks - 1)
+        });
         let trace = |sys: &mut Self, kind| {
             if let Some(at) = tick {
-                sys.trace_access(at, hb::client_actor(client), hb::sios_cell(start), len, kind);
+                sys.trace_access(at, client, start, len, kind);
             }
         };
         trace(self, AccessKind::Acquire);
@@ -359,10 +339,6 @@ impl IoSystem {
         let all = self.images.drain_all();
         if all.is_empty() {
             return sim_core::Plan::Noop;
-        }
-        if self.tracer.is_some() {
-            let lbs: Vec<u64> = all.iter().map(|p| p.lb).collect();
-            self.trace_image_drain(&lbs);
         }
         let ops = self.ops();
         sim_core::plan::par(ImageQueue::flush_plans(&ops, all))

@@ -108,7 +108,7 @@ mod tests {
         assert_eq!(p.hit_op(1), Vec::<&str>::new(), "a fault fires once");
         assert_eq!(p.hit_op(2), vec!["late"]);
         // The script ended before op 9: the trigger stays pending, which
-        // is what the fault-sweep and race-detect cells assert against.
+        // is what every fault-sweep cell asserts against.
         assert_eq!(p.pending(), 1);
         assert!(!p.is_empty());
     }

@@ -52,7 +52,6 @@ pub mod engine;
 pub mod explore;
 pub mod export;
 pub mod fault;
-pub mod hb;
 pub mod metrics;
 pub mod plan;
 pub mod prof;
@@ -67,7 +66,6 @@ pub use engine::{DeadlockError, Engine, JobId, JobRecord, RunReport, TaskId};
 pub use explore::{Exploration, Explorer, Failure, FailureKind, Footprint, Model, ThreadId};
 pub use export::{chrome_trace_json, json_is_valid, metrics_csv, metrics_json, utilization_csv};
 pub use fault::FaultPlan;
-pub use hb::{HbAnalysis, HbViolation, ViolationKind};
 pub use metrics::{Histogram, MetricsRegistry, TimeSeries};
 pub use plan::{BarrierId, Plan};
 pub use prof::EngineStats;

@@ -72,34 +72,17 @@ impl From<&Demand> for DemandKind {
     }
 }
 
-/// What a [`TraceEvent::Access`] event did to its cell range.
-///
-/// `Acquire`/`Release` are synchronization accesses (lock-group grant
-/// and surrender); `Read`/`Write` are data accesses. The
-/// happens-before analyzer ([`crate::hb`]) derives lock edges from the
-/// former and checks the latter for races and lock coverage.
+/// What a [`TraceEvent::Access`] event did to its block range: the lock
+/// record of one grant is an `Acquire`, at most one `Write` and a
+/// `Release`, in that order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AccessKind {
-    /// A data read of the cell range.
-    Read,
-    /// A data write of the cell range.
-    Write,
-    /// A lock-group grant covering the cell range.
+    /// A lock-group grant covering the block range.
     Acquire,
-    /// A lock-group release of the cell range.
+    /// A data write of the block range, under the writer's live grant.
+    Write,
+    /// A lock-group release of the block range.
     Release,
-}
-
-impl AccessKind {
-    /// Short stable label, used by exporters and fingerprints.
-    pub fn label(self) -> &'static str {
-        match self {
-            AccessKind::Read => "read",
-            AccessKind::Write => "write",
-            AccessKind::Acquire => "acquire",
-            AccessKind::Release => "release",
-        }
-    }
 }
 
 /// One engine or protocol event, owned: ids are indices, a demand is
@@ -201,19 +184,17 @@ pub enum TraceEvent {
         /// Tasks released (waiters plus the arriving task).
         released: usize,
     },
-    /// A protocol-level cell access — emitted outside the engine by
-    /// instrumented subsystems (the CDD lock/write path, the OSM image
-    /// queue) through a shared tracer, and consumed by the
-    /// happens-before analyzer ([`crate::hb`]). `task` is an *actor*
-    /// id in the analyzer's namespace (an engine task index or a
-    /// protocol actor such as a client node); `cell` is a namespaced
-    /// cell id covering `len` consecutive cells.
+    /// One entry of the CDD lock record, emitted outside the engine by
+    /// `IoSystem::with_grant` through a shared tracer: a grant's
+    /// `Acquire` and `Release` and the data write between them, stamped
+    /// with the grant's protocol tick rather than engine time.
     Access {
-        /// Acting thread of control (engine task index or protocol actor).
-        task: u32,
-        /// First cell touched (namespaced; see `sim_core::hb` helpers).
-        cell: u64,
-        /// Number of consecutive cells touched.
+        /// The client node holding the grant.
+        client: usize,
+        /// First logical block of the range (past the array's capacity
+        /// for the epoch meta range of membership operations).
+        lb: u64,
+        /// Number of consecutive blocks.
         len: u64,
         /// What the access did.
         kind: AccessKind,

@@ -8,14 +8,15 @@
 //! debug from). Per architecture this pass runs the same seeded cluster
 //! workload three times in fresh engines:
 //!
-//! * twice with an [`EventLog`] tracer installed — the two runs must emit
-//!   **byte-identical** event streams (every job spawn, queue arrival,
-//!   service start/finish and barrier opening, in the same order at the
-//!   same simulated nanosecond) and agree on the end-of-run aggregates
-//!   (job completion records and per-resource statistics, fingerprinted
-//!   by [`engine_fingerprint`]);
-//! * once untraced — its aggregates must match the traced runs', so the
-//!   observer does not perturb what it watches.
+//! * twice with one [`EventLog`] installed in both the engine and the
+//!   I/O system — the two runs must emit **byte-identical** event
+//!   streams (every job spawn, queue arrival, service start/finish,
+//!   barrier opening and lock grant, in the same order at the same
+//!   simulated nanosecond or protocol tick) and agree on the end-of-run
+//!   aggregates (job completion records and per-resource statistics,
+//!   fingerprinted by [`engine_fingerprint`]);
+//! * once untraced — its aggregates must match the traced runs', so
+//!   neither tracer perturbs what it watches.
 //!
 //! Two runs can agree on totals while interleaving events differently,
 //! which is why the stream is compared and not only the aggregates. A
@@ -107,13 +108,15 @@ impl DeterminismReport {
     }
 }
 
-/// One run of the Figure-5 style workload; the event stream is empty when
-/// `traced` is false.
+/// One run of the Figure-5 style workload; traced, one [`EventLog`]
+/// records both the engine and the I/O system's lock record, and the
+/// stream is empty when `traced` is false.
 fn one_run(arch: Arch, traced: bool) -> (Vec<TimedEvent>, Engine) {
     let (mut engine, mut sys) = cdd::testkit::shape(4, 2, 8 << 20, arch);
     let log = EventLog::new();
     if traced {
         engine.set_tracer(Box::new(log.clone()));
+        sys.set_tracer(Box::new(log.clone()));
     }
     let cfg = ParallelIoConfig {
         clients: 4,

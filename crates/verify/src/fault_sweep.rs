@@ -12,15 +12,21 @@
 //!   relation consistent, no parked blocks, offline disks or partitions
 //!   may remain, and no trigger of the plan may still be pending (an op
 //!   index the script never reached is a repair that never ran).
-//! * **Determinism under faults** — each scenario runs twice with the
-//!   [`EventLog`] tracer installed; the full observability event streams
-//!   must fingerprint identically. Same seed + same [`FaultPlan`] ⇒ the
-//!   same execution, which is what makes an injected failure debuggable.
+//! * **Determinism under faults** — each scenario runs twice with one
+//!   [`EventLog`] installed in the engine and the I/O system; the full
+//!   event streams must fingerprint identically. Same seed + same
+//!   [`FaultPlan`] ⇒ the same execution, which is what makes an injected
+//!   failure debuggable.
+//! * **Every grant on the record** — the stream's lock record passes
+//!   [`cdd::testkit::grants_of`] with exactly [`IoSystem::lock_grants`]
+//!   pairs and at least one write, and a post-script rebuild or
+//!   rebalance restores at least one block.
 //!
 //! The sweep uses a 4-node × 1-disk array so every injected fault is a
 //! *single* fault to each redundancy group — the regime all four
 //! layouts are specified to survive.
 
+use cdd::testkit::{grants_of, Grants};
 use cdd::{FaultEvent, FaultInjector, IoSystem};
 use raidx_core::Arch;
 use sim_core::check::Gen;
@@ -101,8 +107,10 @@ pub struct SweepOutcome {
     pub fingerprint: u64,
     /// Events the tracer recorded.
     pub events: usize,
-    /// Script ops that surfaced an error.
-    pub failed_ops: usize,
+    /// The stream's lock record (zero when its walk failed).
+    pub grants: Grants,
+    /// Blocks the post-script rebuild or rebalance restored.
+    pub restored: usize,
     /// Everything that violated the recovery contract (empty = clean).
     pub problems: Vec<String>,
 }
@@ -234,40 +242,42 @@ pub fn run_scenario(sc: &SweepScenario, ops: &[ScriptOp], cache: bool) -> SweepO
     let (mut engine, mut sys) = cdd::testkit::shape_with(4, 1, 8 << 20, sc.arch, cdd_cfg);
     let log = EventLog::new();
     engine.set_tracer(Box::new(log.clone()));
+    sys.set_tracer(Box::new(log.clone()));
     let mut inj = FaultInjector::new(build_plan(sc.kind, sc.inject_at));
 
     let mut problems = Vec::new();
-    let mut failed_ops = 0;
+    let mut restored = 0;
     match run_script(&mut engine, &mut sys, ops, Some(&mut inj)) {
         Ok(out) => {
-            failed_ops = out.failed;
             if inj.pending() != 0 {
                 problems.push(format!("{} trigger(s) pending at script end", inj.pending()));
             }
-            // The permanent class repairs after the script: a full
-            // rebuild under whatever background flushes are still live.
-            if sc.kind == FaultKind::Permanent {
-                match sys.rebuild_disk(DRIVER, TARGET_DISK) {
-                    Ok((plan, _)) => {
-                        engine.spawn_job("rebuild", plan);
-                        engine.run().expect("rebuild deadlocked");
+            // After the script the permanent class rebuilds, under whatever
+            // background flushes are still live, and the reconfiguration
+            // classes drain the in-flight migration, like an operator
+            // finishing a rebalance. Either must restore something.
+            let repair = match sc.kind {
+                FaultKind::Permanent => Some(sys.rebuild_disk(DRIVER, TARGET_DISK)),
+                kind if kind.is_reconfig() => Some(sys.rebalance(DRIVER, None).map(|o| {
+                    if !o.finished {
+                        problems.push("rebalance did not drain the migration".into());
                     }
-                    Err(e) => problems.push(format!("rebuild failed: {e}")),
-                }
-            }
-            // The reconfiguration classes drain the in-flight migration
-            // after the script, like an operator finishing a rebalance.
-            if sc.kind.is_reconfig() {
-                match sys.rebalance(DRIVER, None) {
-                    Ok(o) => {
-                        if !o.finished {
-                            problems.push("rebalance did not drain the migration".into());
-                        }
-                        engine.spawn_job("rebalance", o.plan);
-                        engine.run().expect("rebalance deadlocked");
+                    (o.plan, o.restored)
+                })),
+                _ => None,
+            };
+            match repair {
+                Some(Ok((plan, n))) => {
+                    // `Replace @op2` swaps the disk before the script writes to it.
+                    if n == 0 && !(sc.kind == FaultKind::Replace && sc.inject_at == 2) {
+                        problems.push("repair restored no block".into());
                     }
-                    Err(e) => problems.push(format!("rebalance failed: {e}")),
+                    restored = n;
+                    engine.spawn_job("repair", plan);
+                    engine.run().expect("repair deadlocked");
                 }
+                Some(Err(e)) => problems.push(format!("repair failed: {e}")),
+                None => {}
             }
             if out.failed > 0 {
                 problems.push(format!("{} ops failed under a single tolerated fault", out.failed));
@@ -295,10 +305,19 @@ pub fn run_scenario(sc: &SweepScenario, ops: &[ScriptOp], cache: bool) -> SweepO
         Err(e) => problems.push(format!("script aborted: {e}")),
     }
     let events = log.events();
+    let grants = grants_of(&events, sys.capacity_blocks()).unwrap_or_else(|e| {
+        problems.push(format!("lock record: {e}"));
+        Grants::default()
+    });
+    if grants.pairs != sys.lock_grants() || grants.writes == 0 {
+        let (pairs, writes, taken) = (grants.pairs, grants.writes, sys.lock_grants());
+        problems.push(format!("{pairs} grants / {writes} writes on the record, {taken} taken"));
+    }
     SweepOutcome {
         fingerprint: stream_fingerprint(&events),
         events: events.len(),
-        failed_ops,
+        grants,
+        restored,
         problems,
     }
 }
@@ -320,9 +339,6 @@ pub fn run_pass() -> PassReport {
                 a.fingerprint, b.fingerprint
             ));
         }
-        if a.events == 0 {
-            problems.push("no events traced".into());
-        }
         if sc.cached && run_scenario(&sc, &ops, false).fingerprint == a.fingerprint {
             problems.push("cache changed nothing: fingerprint equals the uncached twin's".into());
         }
@@ -330,8 +346,9 @@ pub fn run_pass() -> PassReport {
             report.ok(
                 name,
                 format!(
-                    "fingerprint {:016x}, {} events, replay identical, 0 lost blocks",
-                    a.fingerprint, a.events
+                    "fingerprint {:016x}, {} events, {} grants / {} writes on the record, \
+                     {} blocks restored, replay identical, 0 lost blocks",
+                    a.fingerprint, a.events, a.grants.pairs, a.grants.writes, a.restored
                 ),
             );
         } else {

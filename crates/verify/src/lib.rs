@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! # raidx-verify — static analysis and invariant verification
 //!
-//! Ten offline passes that check the reproduction's correctness
+//! Nine offline passes that check the reproduction's correctness
 //! properties *before and between* simulations, independently of the unit
 //! tests. The suite has no modes: every caller — `bench verify`, CI and the
 //! tier-1 hook — runs every pass at full size (2–3 s release, 11–18 s debug).
@@ -18,19 +18,18 @@
 //! 5. [`crash_consistency`] — recovery after every crash point of OSM
 //!    flushes and two-level checkpoint commits.
 //! 6. [`fault_sweep`] — every single-fault injection point recovers byte
-//!    for byte and replays fingerprint-identically.
-//! 7. [`race_detect`] — vector-clock happens-before races, uncovered
-//!    writes and same-tick commutativity violations ([`sim_core::hb`]).
-//! 8. [`static_analysis`] — the module-size cap and the wiring of the
+//!    for byte, replays fingerprint-identically and leaves a well-formed
+//!    lock record ([`cdd::testkit::grants_of`]).
+//! 7. [`static_analysis`] — the module-size cap and the wiring of the
 //!    clippy lints that own the static rules.
-//! 9. [`perf_smoke`] — deterministic engine work counters against
+//! 8. [`perf_smoke`] — deterministic engine work counters against
 //!    in-code baselines; host time is `benchmark/`'s job.
-//! 10. [`cache_coherence`] — cached-vs-uncached transparency and the
-//!     Zipfian payoff gate; the cache protocol is a row of pass 4.
+//! 9. [`cache_coherence`] — cached-vs-uncached transparency and the
+//!    Zipfian payoff gate; the cache protocol is a row of pass 4.
 //!
 //! Every pass is a library API first: [`PASSES`] is the registry and
 //! [`run_pass`] the dispatcher. `cargo run -p bench -- verify`
-//! drives all ten (filterable with `--pass <name>`, listable with
+//! drives all nine (filterable with `--pass <name>`, listable with
 //! `--list-passes`, exportable with `--json <path>`) and exits non-zero
 //! on any finding; the root package's `tests/verify_smoke.rs` runs the
 //! same registry under `cargo test`.
@@ -44,7 +43,6 @@ pub mod linearizability;
 pub mod model_check;
 pub mod perf_smoke;
 pub mod plan_lint;
-pub mod race_detect;
 pub mod report;
 pub mod static_analysis;
 
@@ -78,7 +76,7 @@ fn layout_pass() -> PassReport {
 /// Registry of every pass with a one-line description, in execution
 /// order (the order `bench verify --list-passes` prints and a full run
 /// executes).
-pub const PASSES: [(&str, &str); 10] = [
+pub const PASSES: [(&str, &str); 9] = [
     ("plan-lint", "reject Plan DAG shapes that would panic or deadlock the event loop"),
     ("layout-conformance", "exhaustive OSM/parity/mirror placement rules across array shapes"),
     (
@@ -87,8 +85,10 @@ pub const PASSES: [(&str, &str); 10] = [
     ),
     ("model-check", "every interleaving of small CDD lock scenarios; every history linearizable"),
     ("crash-consistency", "crash-point enumeration inside OSM flushes and checkpoint commits"),
-    ("fault-sweep", "every enumerated single-fault point recovers byte-for-byte"),
-    ("race-detect", "vector-clock happens-before races and same-tick commutativity violations"),
+    (
+        "fault-sweep",
+        "every enumerated single-fault point recovers byte-for-byte, every grant on the record",
+    ),
     (
         "static-analysis",
         "module-size cap and the wiring of the clippy lints that own the static rules",
@@ -110,7 +110,6 @@ pub fn run_pass(name: &str) -> PassReport {
         "model-check" => model_check::run_pass(),
         "crash-consistency" => crash_consistency::run_pass(),
         "fault-sweep" => fault_sweep::run_pass(),
-        "race-detect" => race_detect::run_pass(),
         "static-analysis" => {
             let crates_dir =
                 std::path::Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates dir");

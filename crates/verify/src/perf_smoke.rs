@@ -1,4 +1,4 @@
-//! Pass 9 — `perf-smoke`: the engine-performance regression gate.
+//! Pass 8 — `perf-smoke`: the engine-performance regression gate.
 //!
 //! Wall-clock benchmarks cannot gate CI (they measure the host, not the
 //! code; `benchmark/` reports them), so this pass gates what *is*
