@@ -2,9 +2,10 @@
 //! scripted [`ProtoOp`] breaks into atomic scheduler-visible
 //! [`MicroStep`]s (acquire the lock group, write/read one block,
 //! release; bump the epoch, migrate the pending block) so the explorer
-//! in [`crate::proto`] can preempt between any two. Seeded [`Defect`]s
-//! are planted here, at compilation time, by distorting the step
-//! sequence.
+//! in [`crate::proto`] can preempt between any two. Each micro-step is
+//! one call sequence of the real lock table, placer or cache. Seeded
+//! [`Defect`]s that change the step sequence are planted here, at
+//! compilation time; the rest are planted where the step runs.
 
 use crate::scenarios::{Defect, ProtoOp, Scenario};
 
@@ -15,6 +16,10 @@ pub(crate) enum MicroStep {
         start: u64,
         len: u64,
     },
+    /// Store write through the placer's write home, plus the cache
+    /// invalidation its grant carries, in one action: the implementation
+    /// performs both under the same grant with no read able to
+    /// interleave.
     Write {
         lb: u64,
         val: u64,
@@ -23,30 +28,22 @@ pub(crate) enum MicroStep {
         lb: u64,
     },
     /// Lock-free cached read of one block: hit serves the client's
-    /// cached value, miss reads the store and fills the cache — one
-    /// atomic action, like the real cache's fill under the driver.
+    /// cached copy, miss reads the read home and fills the cache — one
+    /// atomic action, like `IoSystem::read_admitted`'s fill.
     CacheRead {
         lb: u64,
     },
-    /// Coherent store write: update the block *and* drop every client's
-    /// cached copy of it in one atomic action — the write grant carries
-    /// the invalidation, and the implementation performs both under the
-    /// same grant with no read able to interleave. Splitting them would
-    /// itself be the bug: any window between the store update and the
-    /// purge lets one reader observe the new value while another still
-    /// hits its stale copy. [`Defect::SkipInvalidate`] plants exactly
-    /// that bug by compiling a plain `Write` instead.
-    WriteInv {
-        lb: u64,
-        val: u64,
-    },
     Release,
-    /// Epoch transition: placement flips, the migrating block goes pending.
-    Bump,
-    /// Migration copy old home → new home. The faithful protocol
-    /// re-validates the pending flag (a new-epoch write already moved the
-    /// block); the seeded defect copies unconditionally.
+    /// Epoch transition of block `lb`'s slot: placement flips, the block
+    /// goes pending.
+    Bump {
+        lb: u64,
+    },
+    /// Migration copy old home → new home of block `lb`. The faithful
+    /// protocol re-validates that the block is still pending (a new-epoch
+    /// write already moved it); the seeded defect copies unconditionally.
     Migrate {
+        lb: u64,
         revalidate: bool,
     },
 }
@@ -56,12 +53,6 @@ pub(crate) enum MicroStep {
 pub(crate) struct CompiledOp {
     pub(crate) op: ProtoOp,
     pub(crate) steps: Vec<MicroStep>,
-}
-
-/// Whether any client of the scenario scripts a lock-free cached read —
-/// the trigger for emitting writer-side invalidation micro-steps.
-fn has_cached_reader(sc: &Scenario) -> bool {
-    sc.scripts.iter().flatten().any(|op| matches!(op, ProtoOp::CachedReadGroup { .. }))
 }
 
 pub(crate) fn compile_op(op: &ProtoOp, sc: &Scenario, client: usize) -> CompiledOp {
@@ -86,27 +77,15 @@ pub(crate) fn compile_op(op: &ProtoOp, sc: &Scenario, client: usize) -> Compiled
                 }
                 _ => steps.push(MicroStep::Acquire { start, len }),
             }
-            // Invalidations ride the write grant — but only in scenarios
-            // that actually script cached readers, so scenarios without a
-            // cache keep their exact historical step sequences (and the
-            // perf gate's exploration work counters).
-            let coherent = has_cached_reader(sc) && defect != Defect::SkipInvalidate;
-            let write_step = |lb: u64| {
-                if coherent {
-                    MicroStep::WriteInv { lb, val }
-                } else {
-                    MicroStep::Write { lb, val }
-                }
-            };
             if defect == Defect::EarlyRelease && len > 1 {
-                steps.push(write_step(start));
+                steps.push(MicroStep::Write { lb: start, val });
                 steps.push(MicroStep::Release);
                 for lb in start + 1..start + len {
-                    steps.push(write_step(lb));
+                    steps.push(MicroStep::Write { lb, val });
                 }
             } else {
                 for lb in start..start + len {
-                    steps.push(write_step(lb));
+                    steps.push(MicroStep::Write { lb, val });
                 }
                 steps.push(MicroStep::Release);
             }
@@ -129,18 +108,17 @@ pub(crate) fn compile_op(op: &ProtoOp, sc: &Scenario, client: usize) -> Compiled
                 steps.push(MicroStep::Release);
             }
         }
-        ProtoOp::Reconfig => {
+        ProtoOp::Reconfig { lb } => {
             // The meta lock is a reserved range past the data blocks —
             // the model analogue of `membership::EPOCH_META_LB`.
             steps.push(MicroStep::Acquire { start: sc.blocks, len: 1 });
-            steps.push(MicroStep::Bump);
+            steps.push(MicroStep::Bump { lb });
             steps.push(MicroStep::Release);
-            let mig = sc.mig.unwrap_or(0);
             if defect == Defect::UnsyncedReconfig {
-                steps.push(MicroStep::Migrate { revalidate: false });
+                steps.push(MicroStep::Migrate { lb, revalidate: false });
             } else {
-                steps.push(MicroStep::Acquire { start: mig, len: 1 });
-                steps.push(MicroStep::Migrate { revalidate: true });
+                steps.push(MicroStep::Acquire { start: lb, len: 1 });
+                steps.push(MicroStep::Migrate { lb, revalidate: true });
                 steps.push(MicroStep::Release);
             }
         }

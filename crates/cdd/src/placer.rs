@@ -40,7 +40,7 @@ pub struct Migration {
 
 /// Epoch-aware placement view handed to every layer that used to assume
 /// static membership.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Placer {
     map: ClusterMap,
     migration: Option<Migration>,

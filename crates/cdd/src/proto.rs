@@ -5,26 +5,33 @@
 //! ([`ProtoOp`]); compilation breaks every operation into *micro-steps*
 //! (acquire the lock group, write/read one block, release) so the
 //! explorer can preempt between any two. [`CddModel`] implements
-//! [`sim_core::explore::Model`] over the shared [`ProtoState`]: the real
-//! [`LockGroupTable`], a flat block store standing in for the Single I/O
-//! Space, and a recorded operation history for post-hoc linearizability
-//! checking.
+//! [`sim_core::explore::Model`] over the shared [`ProtoState`], which
+//! holds the implementation's own types and restates none of their
+//! rules: the [`LockGroupTable`], a [`Placer`] with one slot per logical
+//! block, a [`CacheSet`] with one cache per client, the physical blocks
+//! the placer routes to, and a recorded operation history for post-hoc
+//! linearizability checking. Each micro-step is the call sequence the
+//! request path makes (DESIGN §7 maps one to the other).
 //!
 //! **Invariants checked while exploring** (the paper's CDD consistency
 //! contract): no two live grants of different owners overlap (grants are
 //! exclusive write permissions), every store write is covered by a grant
-//! held by the writer (when `assert_coverage` is on), and every schedule
-//! terminates (a client blocked forever is a lost wakeup / deadlock,
-//! which the explorer reports).
+//! held by the writer, and every schedule terminates (a client blocked
+//! forever is a lost wakeup / deadlock, which the explorer reports).
 //!
-//! **Seeded defects.** [`Defect`] plants one of five protocol bugs so the
-//! checker's tests can prove each detection path actually fires; see the
-//! variant docs for which signal catches which bug.
+//! **Seeded defects.** [`Defect`] plants one of seven protocol bugs so
+//! the checker's tests can prove each detection path actually fires; see
+//! the variant docs for which signal catches which bug.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
+use cluster::Block;
+use raidx_core::BlockAddr;
+
+use crate::cache::{CacheConfig, CacheSet};
 use crate::compile::{compile_op, CompiledOp, MicroStep};
 use crate::locks::{LockGroupTable, LockHandle};
+use crate::placer::{Migration, Placer};
 use crate::scenarios::{Defect, HistOp, OpRecord, ProtoOp, Scenario};
 use sim_core::explore::{Footprint, Model, ThreadId};
 
@@ -36,6 +43,25 @@ pub fn block_cell(lb: u64) -> u64 {
     1 + lb
 }
 
+/// Bytes of a model block: one little-endian `u64` value.
+const BLOCK_BYTES: usize = 8;
+
+/// The block holding `val`.
+fn block_of(val: u64) -> Block {
+    Block::from(val.to_le_bytes().as_slice())
+}
+
+/// The value a block holds.
+fn val_of(bytes: &[u8]) -> u64 {
+    bytes.try_into().map_or(0, u64::from_le_bytes)
+}
+
+/// Slot-space address of logical block `lb`: every slot holds one block,
+/// at index 0.
+fn addr(lb: u64) -> BlockAddr {
+    BlockAddr::new(lb as usize, 0)
+}
+
 /// Per-client execution state.
 #[derive(Debug, Clone)]
 pub struct ClientState {
@@ -45,6 +71,9 @@ pub struct ClientState {
     waiting: bool,
     op_inv: Option<u64>,
     read_vals: Vec<u64>,
+    /// The migration this client's epoch bump started, as
+    /// [`crate::IoSystem::rebalance`] snapshots it.
+    migration: Option<Migration>,
 }
 
 /// The shared state the explorer clones at every branch point.
@@ -52,26 +81,26 @@ pub struct ClientState {
 pub struct ProtoState {
     /// The real CDD lock-group table.
     pub table: LockGroupTable,
-    /// The Single-I/O-Space stand-in: one value per logical block.
-    pub store: Vec<u64>,
+    /// The real placer: slot `lb` serves logical block `lb`.
+    pub placer: Placer,
+    /// The real client caches, one per client.
+    pub cache: CacheSet,
+    /// The Single I/O Space: one block per physical disk of the placer's
+    /// roster, spares included.
+    pub disks: Vec<Block>,
     /// Completed operations, for the linearizability checker.
     pub history: Vec<OpRecord>,
-    /// Current cluster-map epoch (0 until a [`ProtoOp::Reconfig`] bumps it).
-    pub epoch: u64,
-    /// New-home cell of the migrating block ([`Scenario::mig`]).
-    pub shadow: u64,
-    /// True while the migrating block still awaits its copy: reads of it
-    /// are served from the old home, a new-epoch write clears the flag.
-    pub pending: bool,
     /// Global step counter (real-time order for inv/resp stamps).
     pub steps: u64,
-    /// Per-client block caches (block → cached value) backing the
-    /// lock-free [`ProtoOp::CachedReadGroup`] micro-steps; writers'
-    /// coherent `WriteInv` micro-steps purge entries from every cache
-    /// atomically with the store update.
-    pub caches: Vec<BTreeMap<u64, u64>>,
     /// Per-client execution state.
     pub clients: Vec<ClientState>,
+}
+
+impl ProtoState {
+    /// Block `lb` where a read finds it: at the placer's read home.
+    fn read_block(&self, lb: u64) -> Block {
+        self.disks[self.placer.read_home(addr(lb)).disk].clone()
+    }
 }
 
 /// A compiled [`Scenario`] implementing [`Model`] for the explorer.
@@ -110,15 +139,14 @@ impl Model for CddModel {
     type State = ProtoState;
 
     fn init(&self) -> ProtoState {
+        let blocks = self.scenario.blocks as usize;
         ProtoState {
             table: LockGroupTable::new(),
-            store: vec![0; self.scenario.blocks as usize],
+            placer: Placer::identity(blocks),
+            cache: CacheSet::new(CacheConfig::default(), self.programs.len()),
+            disks: vec![block_of(0); blocks],
             history: Vec::new(),
-            epoch: 0,
-            shadow: 0,
-            pending: false,
             steps: 0,
-            caches: self.programs.iter().map(|_| BTreeMap::new()).collect(),
             clients: self
                 .programs
                 .iter()
@@ -129,6 +157,7 @@ impl Model for CddModel {
                     waiting: false,
                     op_inv: None,
                     read_vals: Vec::new(),
+                    migration: None,
                 })
                 .collect(),
         }
@@ -149,20 +178,15 @@ impl Model for CddModel {
     fn footprint(&self, s: &ProtoState, t: ThreadId) -> Footprint {
         match self.current(s, t) {
             MicroStep::Acquire { .. } | MicroStep::Release => Footprint::cells(vec![TABLE_CELL]),
-            MicroStep::Write { lb, .. } | MicroStep::Read { lb } => {
-                Footprint::cells(vec![block_cell(lb)])
-            }
-            // Cached reads and coherent writes race through the block's
-            // coherence state: both touch the block cell so the explorer
-            // interleaves them against each other and plain accesses.
-            MicroStep::CacheRead { lb } | MicroStep::WriteInv { lb, .. } => {
-                Footprint::cells(vec![block_cell(lb)])
-            }
-            // Both touch the migrating block's routing state (epoch /
-            // pending / shadow), which its reads and writes consult.
-            MicroStep::Bump | MicroStep::Migrate { .. } => {
-                Footprint::cells(vec![block_cell(self.scenario.mig.unwrap_or(0))])
-            }
+            // Reads, cached reads and writes race through the block's
+            // home and coherence state; the epoch bump and the migration
+            // copy change its routing. All touch the block cell, so the
+            // explorer interleaves them against each other.
+            MicroStep::Write { lb, .. }
+            | MicroStep::Read { lb }
+            | MicroStep::CacheRead { lb }
+            | MicroStep::Bump { lb }
+            | MicroStep::Migrate { lb, .. } => Footprint::cells(vec![block_cell(lb)]),
         }
     }
 
@@ -189,77 +213,65 @@ impl Model for CddModel {
                     advance = false;
                 }
             },
-            MicroStep::Write { lb, val } | MicroStep::WriteInv { lb, val } => {
-                if self.scenario.assert_coverage {
-                    let covered = s.clients[t].handles.iter().any(|&h| {
-                        s.table
-                            .record_of(h)
-                            .is_some_and(|r| r.owner == t && r.start <= lb && lb < r.start + r.len)
-                    });
-                    if !covered {
-                        return Err(format!(
-                            "client {t} writes block {lb} without a covering grant"
-                        ));
-                    }
+            MicroStep::Write { lb, val } => {
+                let covered = s.clients[t].handles.iter().any(|&h| {
+                    s.table
+                        .record_of(h)
+                        .is_some_and(|r| r.owner == t && r.start <= lb && lb < r.start + r.len)
+                });
+                if !covered {
+                    return Err(format!("client {t} writes block {lb} without a covering grant"));
                 }
-                if self.scenario.mig == Some(lb) && s.epoch > 0 {
-                    // New-epoch write: lands at the new home and supersedes
-                    // any still-outstanding migration copy.
-                    s.shadow = val;
-                    s.pending = false;
-                } else {
-                    s.store[lb as usize] = val;
-                }
-                if matches!(comp.steps[step_idx], MicroStep::WriteInv { .. }) {
-                    // The grant's coherence action, atomic with the store
-                    // update: no client may keep a superseded copy.
-                    for cache in &mut s.caches {
-                        cache.remove(&lb);
-                    }
+                // `write_admitted`: the new home takes the bytes (and the
+                // block leaves the pending set), then every client's
+                // cached copy goes while the grant is held.
+                let home = s.placer.write_home(addr(lb));
+                s.disks[home.disk] = block_of(val);
+                if self.scenario.defect != Defect::SkipInvalidate {
+                    s.cache.invalidate(lb, 1);
                 }
             }
             MicroStep::Read { lb } => {
-                let v = if self.scenario.mig == Some(lb) && s.epoch > 0 {
-                    if s.pending {
-                        s.store[lb as usize] // still draining: old home
-                    } else {
-                        s.shadow
-                    }
-                } else {
-                    s.store[lb as usize]
-                };
+                let v = val_of(&s.read_block(lb));
                 s.clients[t].read_vals.push(v);
             }
             MicroStep::CacheRead { lb } => {
-                let v = match s.caches[t].get(&lb) {
-                    Some(&v) => v,
+                // `read_admitted`: a hit is served locally; a miss reads
+                // the read home between the two phases of a fill.
+                let v = match s.cache.lookup(t, lb, 1, BLOCK_BYTES) {
+                    Some(bytes) => val_of(&bytes),
                     None => {
-                        // Miss: read the store (same epoch routing as a
-                        // plain read) and fill the client's cache.
-                        let v = if self.scenario.mig == Some(lb) && s.epoch > 0 {
-                            if s.pending {
-                                s.store[lb as usize]
-                            } else {
-                                s.shadow
-                            }
-                        } else {
-                            s.store[lb as usize]
-                        };
-                        s.caches[t].insert(lb, v);
+                        let ticket = s.cache.begin_fill();
+                        let block = s.read_block(lb);
+                        let v = val_of(&block);
+                        s.cache.commit_fill(t, ticket, lb, vec![block]);
                         v
                     }
                 };
                 s.clients[t].read_vals.push(v);
             }
-            MicroStep::Bump => {
-                s.epoch += 1;
-                s.pending = true;
+            MicroStep::Bump { lb } => {
+                // `add_disk` then `remove_disk`: a blank spare joins, then
+                // takes over the block's slot with the block pending.
+                let spare = s.placer.add_spare();
+                s.disks.resize(spare + 1, block_of(0));
+                s.placer.begin_promote(lb as usize, spare, false, BTreeSet::from([0]));
+                s.clients[t].migration = s.placer.migration().cloned();
             }
-            MicroStep::Migrate { revalidate } => {
-                if !revalidate || s.pending {
-                    s.shadow = s.store[self.scenario.mig.unwrap_or(0) as usize];
-                    s.pending = false;
+            MicroStep::Migrate { revalidate, .. } => {
+                // `rebalance`: move the snapshot's block old → new home,
+                // then retire the drained migration. The faithful copy
+                // re-checks the live pending set first.
+                let m = s.clients[t]
+                    .migration
+                    .take()
+                    .ok_or_else(|| format!("client {t} migrates without an epoch bump"))?;
+                let pending = s.placer.migration().is_some_and(|cur| cur.pending.contains(&0));
+                if !revalidate || pending {
+                    s.disks[m.new_phys] = s.disks[m.old_phys].clone();
                 }
+                s.placer.clear_pending(m.slot, 0);
+                s.placer.finish_if_drained();
             }
             MicroStep::Release => {
                 let handles = std::mem::take(&mut s.clients[t].handles);
@@ -289,7 +301,7 @@ impl Model for CddModel {
                         Some(HistOp::Read { start: *start, vals: std::mem::take(&mut c.read_vals) })
                     }
                     // A migration preserves contents: no logical effect.
-                    ProtoOp::Reconfig => None,
+                    ProtoOp::Reconfig { .. } => None,
                 };
                 c.op_idx += 1;
                 c.step_idx = 0;
@@ -346,6 +358,7 @@ mod tests {
         let (s, fail) = sim_core::explore::replay(&m, &[0, 1, 1, 1, 0], 64);
         assert!(fail.is_none(), "{fail:?}");
         assert_eq!(client0_reads(&s), vec![0, 42], "post-write read must miss and see 42");
+        assert_eq!(s.cache.stats().invalidations, 1, "the write dropped c0's cached copy");
     }
 
     /// Planted defect: skipping the invalidation leaves the stale cached
@@ -357,6 +370,7 @@ mod tests {
         let (s, fail) = sim_core::explore::replay(&m, &[0, 1, 1, 1, 0], 64);
         assert!(fail.is_none(), "{fail:?}");
         assert_eq!(client0_reads(&s), vec![0, 0], "stale cached value must survive the write");
+        assert_eq!(s.cache.stats().invalidations, 0, "the write invalidated nothing");
         let write_resp = s
             .history
             .iter()

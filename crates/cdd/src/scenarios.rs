@@ -2,7 +2,8 @@
 //! client programs ([`ProtoOp`], [`Scenario`]), seeded protocol bugs
 //! ([`Defect`]) and the recorded operation history the linearizability
 //! checker consumes ([`HistOp`], [`OpRecord`]). The compiled explorable
-//! model over this vocabulary lives in [`crate::proto`].
+//! model over this vocabulary, which runs every operation against the
+//! real lock table, placer and cache, lives in [`crate::proto`].
 
 /// One scripted group operation of a client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,22 +24,26 @@ pub enum ProtoOp {
         /// Blocks in the group.
         len: u64,
     },
-    /// Lock-free read of every block through the client's local cache:
-    /// a hit serves the cached value, a miss reads the store and fills.
-    /// Coherence comes from writers' invalidation micro-steps riding
-    /// their grant — exactly the [`crate::cache`] protocol.
+    /// Lock-free read of every block through the client's
+    /// [`crate::cache::CacheSet`] entry: a hit serves the cached value, a
+    /// miss reads the store and fills. Coherence comes from the
+    /// invalidation every write makes under its grant.
     CachedReadGroup {
         /// First logical block of the group.
         start: u64,
         /// Blocks in the group.
         len: u64,
     },
-    /// An operator's epoch transition over the scenario's migrating block
-    /// ([`Scenario::mig`]): bump the epoch under the reserved meta lock
-    /// (placement flips, the block becomes pending), then copy the block
-    /// to its new home under the block lock, re-validating that it is
-    /// still pending — the micro-step shape of [`crate::rebalance`].
-    Reconfig,
+    /// An operator's epoch transition moving block `lb`'s slot to a new
+    /// disk: bump the epoch under the reserved meta lock (placement
+    /// flips, the block becomes pending), then copy the block to its new
+    /// home under the block lock, re-validating that it is still pending
+    /// — the micro-step shape of [`crate::membership`] then
+    /// [`crate::rebalance`].
+    Reconfig {
+        /// The logical block whose slot migrates.
+        lb: u64,
+    },
 }
 
 /// A protocol bug planted into the compiled scenario, used by
@@ -55,7 +60,7 @@ pub enum Defect {
     SkipWakeup,
     /// The group is released after the first block write; remaining
     /// blocks are written unlocked. Caught by the write-coverage step
-    /// assertion, or as a torn read by the linearizability checker.
+    /// assertion, which every scenario makes.
     EarlyRelease,
     /// Multi-block groups are acquired one block at a time — ascending on
     /// even clients, descending on odd ones — instead of atomically.
@@ -69,11 +74,10 @@ pub enum Defect {
     /// write with the stale old-home bytes. Caught as a non-linearizable
     /// (stale) read by the history checker.
     UnsyncedReconfig,
-    /// Writers skip the cache invalidation their grant is supposed to
-    /// carry (a plain store write instead of the coherent
-    /// write-and-purge), so a cached read issued strictly after the
-    /// write completes can still return the superseded value. Caught as
-    /// a non-linearizable (stale) read by the history checker.
+    /// Writers skip the [`crate::cache::CacheSet::invalidate`] call their
+    /// grant is supposed to carry, so a cached read issued strictly after
+    /// the write completes can still return the superseded value. Caught
+    /// as a non-linearizable (stale) read by the history checker.
     SkipInvalidate,
 }
 
@@ -88,16 +92,6 @@ pub struct Scenario {
     pub scripts: Vec<Vec<ProtoOp>>,
     /// The planted bug, if any.
     pub defect: Defect,
-    /// Assert at every store write that the writer holds a covering
-    /// grant. On for invariant scenarios; off for linearizability
-    /// scenarios (there the history checker is the oracle).
-    pub assert_coverage: bool,
-    /// The logical block an epoch transition migrates, if the scenario
-    /// scripts a [`ProtoOp::Reconfig`]. After the bump, this block's
-    /// writes land at (and reads of it come from) a shadow new-home cell,
-    /// with pending reads served from the old home — the model analogue of
-    /// [`crate::placer::Placer`] routing.
-    pub mig: Option<u64>,
 }
 
 /// Two clients writing the same two-block group — the minimal contended
@@ -111,8 +105,6 @@ pub fn scenario_contended(defect: Defect) -> Scenario {
             vec![ProtoOp::WriteGroup { start: 0, len: 2, val: 20 }],
         ],
         defect,
-        assert_coverage: true,
-        mig: None,
     }
 }
 
@@ -127,8 +119,6 @@ pub fn scenario_reader(defect: Defect) -> Scenario {
             vec![ProtoOp::ReadGroup { start: 0, len: 2 }],
         ],
         defect,
-        assert_coverage: false,
-        mig: None,
     }
 }
 
@@ -144,8 +134,6 @@ pub fn scenario_three(defect: Defect) -> Scenario {
             vec![ProtoOp::ReadGroup { start: 0, len: 2 }],
         ],
         defect,
-        assert_coverage: true,
-        mig: None,
     }
 }
 
@@ -158,13 +146,11 @@ pub fn scenario_epoch(defect: Defect) -> Scenario {
         name: "epoch-migration",
         blocks: 1,
         scripts: vec![
-            vec![ProtoOp::Reconfig],
+            vec![ProtoOp::Reconfig { lb: 0 }],
             vec![ProtoOp::WriteGroup { start: 0, len: 1, val: 9 }],
             vec![ProtoOp::ReadGroup { start: 0, len: 1 }],
         ],
         defect,
-        assert_coverage: false,
-        mig: Some(0),
     }
 }
 
@@ -191,8 +177,6 @@ pub fn scenario_cache(defect: Defect) -> Scenario {
             ],
         ],
         defect,
-        assert_coverage: true,
-        mig: None,
     }
 }
 

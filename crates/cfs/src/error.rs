@@ -23,6 +23,9 @@ pub enum FsError {
     TooManyExtents,
     /// Name empty or longer than [`crate::format::MAX_NAME`].
     InvalidName(String),
+    /// An on-disk structure holds a value no formatted volume can: the
+    /// image is damaged or hostile.
+    Corrupt(String),
 }
 
 impl std::fmt::Display for FsError {
@@ -37,6 +40,7 @@ impl std::fmt::Display for FsError {
             FsError::NoInodes => write!(f, "out of inodes"),
             FsError::TooManyExtents => write!(f, "file too fragmented"),
             FsError::InvalidName(n) => write!(f, "invalid name: {n:?}"),
+            FsError::Corrupt(what) => write!(f, "corrupt volume: {what}"),
         }
     }
 }

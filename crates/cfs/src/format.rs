@@ -111,6 +111,28 @@ impl Inode {
         }
         Some(Inode { kind, size, extents })
     }
+
+    /// Check an inode against the data area `[data_start, capacity)` of a
+    /// volume of `bs`-byte blocks: a free one always fits; a live one's
+    /// extents lie inside the area, and a file's size fits its blocks.
+    pub(crate) fn validate(&self, data_start: u64, capacity: u64, bs: usize) -> Result<(), String> {
+        if self.kind == InodeKind::Free {
+            return Ok(());
+        }
+        let mut blocks = 0u64;
+        for e in self.extents.iter().filter(|e| e.len > 0) {
+            if e.start < data_start || e.start.checked_add(e.len).is_none_or(|end| end > capacity) {
+                return Err(format!(
+                    "extent {e:?} outside the data area [{data_start}, {capacity})"
+                ));
+            }
+            blocks += e.len;
+        }
+        if self.kind == InodeKind::File && self.size > blocks.saturating_mul(bs as u64) {
+            return Err(format!("file size {} exceeds its {blocks} blocks", self.size));
+        }
+        Ok(())
+    }
 }
 
 /// A directory entry.
@@ -201,6 +223,22 @@ impl SuperBlock {
             itable_start: u64::from_le_bytes(raw[16..24].try_into().ok()?),
             data_start: u64::from_le_bytes(raw[24..32].try_into().ok()?),
         })
+    }
+
+    /// Check the geometry against a volume of `capacity` blocks of `bs`
+    /// bytes: the inode table has a slot for the root and lies between
+    /// the superblock and the data area, which starts inside the volume.
+    pub(crate) fn validate(&self, bs: usize, capacity: u64) -> Result<(), String> {
+        let table_blocks = u64::from(self.n_inodes).div_ceil((bs / INODE_SIZE) as u64);
+        let table_end = self.itable_start.checked_add(table_blocks);
+        if self.n_inodes == 0
+            || self.itable_start == 0
+            || table_end.is_none_or(|end| end > self.data_start)
+            || self.data_start >= capacity
+        {
+            return Err(format!("superblock {self:?} does not fit {capacity} blocks"));
+        }
+        Ok(())
     }
 }
 

@@ -140,7 +140,7 @@ impl<S: BlockStore> Fs<S> {
             *slot = ext;
             plans.push(self.meta.dir_grow(client, ext.start, entry)?);
         }
-        dir.size += DIRENT_SIZE as u64;
+        dir.size = dir.size.saturating_add(DIRENT_SIZE as u64);
         plans.push(self.meta.write_inode(client, dir_ino, dir)?);
         Ok(seq(plans))
     }

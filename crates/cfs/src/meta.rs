@@ -245,18 +245,26 @@ impl<S: BlockStore> Meta<S> {
 
     /// Open the volume on `store`: its superblock and every slot of the
     /// inode table, an undecodable one read as free. The table is small
-    /// (tens of blocks) and read past the cache, which starts cold.
+    /// (tens of blocks) and read past the cache, which starts cold. A
+    /// superblock or inode that does not fit the volume is
+    /// [`FsError::Corrupt`].
     pub(crate) fn mount(mut store: S, client: usize) -> Result<(Self, Vec<Inode>, Plan), FsError> {
         let (raw, p0) = store.read(client, 0, 1)?;
         let sb = SuperBlock::decode(&raw).ok_or(FsError::NotFound("superblock".into()))?;
-        let ipb = store.block_size() as usize / INODE_SIZE;
+        let (bs, capacity) = (store.block_size() as usize, store.capacity_blocks());
+        sb.validate(bs, capacity).map_err(FsError::Corrupt)?;
+        let ipb = bs / INODE_SIZE;
         let mut table = Vec::new();
         let mut plans = vec![p0];
         for b in 0..(sb.n_inodes as u64).div_ceil(ipb as u64) {
             let (raw, p) = store.read(client, sb.itable_start + b, 1)?;
             plans.push(p);
-            let slots = raw.chunks_exact(INODE_SIZE).take(sb.n_inodes as usize - table.len());
-            table.extend(slots.map(|s| Inode::decode(s).unwrap_or_else(Inode::free)));
+            for slot in raw.chunks_exact(INODE_SIZE).take(sb.n_inodes as usize - table.len()) {
+                let inode = Inode::decode(slot).unwrap_or_else(Inode::free);
+                let corrupt = |e| FsError::Corrupt(format!("inode {}: {e}", table.len()));
+                inode.validate(sb.data_start, capacity, bs).map_err(corrupt)?;
+                table.push(inode);
+            }
         }
         Ok((Self::cold(store, sb), table, seq(plans)))
     }
@@ -314,14 +322,19 @@ impl<S: BlockStore> Meta<S> {
 
     // ---- inodes ----
 
-    /// Table block and byte offset of inode `ino`.
-    fn inode_pos(&self, ino: u32) -> (u64, usize) {
+    /// Table block and byte offset of inode `ino`; a number past the
+    /// table (a damaged directory entry) is [`FsError::Corrupt`].
+    fn inode_pos(&self, ino: u32) -> Result<(u64, usize), FsError> {
+        if ino >= self.sb.n_inodes {
+            let n = self.sb.n_inodes;
+            return Err(FsError::Corrupt(format!("inode {ino} past the {n}-slot table")));
+        }
         let ipb = self.block_size() / INODE_SIZE;
-        (self.sb.itable_start + (ino as usize / ipb) as u64, (ino as usize % ipb) * INODE_SIZE)
+        Ok((self.sb.itable_start + (ino as usize / ipb) as u64, (ino as usize % ipb) * INODE_SIZE))
     }
 
     pub(crate) fn read_inode(&mut self, client: usize, ino: u32) -> Result<(Inode, Plan), FsError> {
-        let (lb, off) = self.inode_pos(ino);
+        let (lb, off) = self.inode_pos(ino)?;
         let (block, plan) = self.cache.read(&mut self.store, client, lb, <[u8]>::len)?;
         let inode = Inode::decode(&block.bytes()[off..off + INODE_SIZE])
             .ok_or_else(|| FsError::NotFound(format!("inode {ino}")))?;
@@ -335,7 +348,7 @@ impl<S: BlockStore> Meta<S> {
         ino: u32,
         inode: &Inode,
     ) -> Result<Plan, FsError> {
-        let (lb, off) = self.inode_pos(ino);
+        let (lb, off) = self.inode_pos(ino)?;
         let (block, rp) = self.cache.read(&mut self.store, client, lb, <[u8]>::len)?;
         let wp = block.rewrite(&mut self.store, client, lb, |block| {
             inode.encode(&mut block[off..off + INODE_SIZE]);

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Rust lines per crate under crates/: total (every .rs file, tests and
 # bins included) and non-test (each src/**/*.rs up to, not including, its
-# first `#[cfg(test)]` line). The figure ROADMAP item 4 and CHANGES.md
-# track. Informational: always exits 0. Run from the repository root.
+# first `#[cfg(test)]` line). The figure the ROADMAP preamble's line
+# target and CHANGES.md track. Informational: always exits 0. Run from the
+# repository root.
 printf '%-12s %8s %9s\n' crate total non-test
 all_total=0
 all_prod=0
