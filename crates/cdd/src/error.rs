@@ -7,8 +7,6 @@
 
 use cluster::DiskError;
 
-use crate::locks::LockConflict;
-
 /// Errors surfaced by the I/O system.
 #[derive(Debug)]
 pub enum IoError {
@@ -31,8 +29,6 @@ pub enum IoError {
         /// The unrecoverable logical block.
         lb: u64,
     },
-    /// A peer holds an overlapping lock group.
-    Lock(LockConflict),
     /// Every copy of a requested block sits behind an unresponsive node
     /// (NIC partition or crash) and the bounded retry budget is spent.
     /// Distinct from [`IoError::DataLoss`]: the bytes still exist and the
@@ -67,7 +63,6 @@ impl std::fmt::Display for IoError {
                 write!(f, "buffer {got} bytes, expected {expected}")
             }
             IoError::DataLoss { lb } => write!(f, "block {lb} unrecoverable"),
-            IoError::Lock(c) => write!(f, "lock conflict with node {}", c.holder),
             IoError::Unreachable { node, attempts } => {
                 write!(f, "node {node} unreachable after {attempts} attempts")
             }

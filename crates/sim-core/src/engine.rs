@@ -1,17 +1,18 @@
 //! The discrete-event engine.
 //!
-//! The engine owns resources, tasks, barriers and the event heap. It is
+//! The engine owns resources, tasks, barriers and the event queue. It is
 //! fully deterministic: event ties are broken by insertion order, service
 //! models are invoked in simulated-time order, and no wall-clock or OS
 //! entropy is consulted anywhere. This module holds the public surface
-//! and the event loop; `engine::task` steps plan instances and
-//! `engine::queue` runs the resource queues.
+//! and the event loop; `engine::task` steps plan instances,
+//! `engine::queue` runs the resource queues and `engine::event_queue`
+//! orders the events by time, then by push order.
 
+mod event_queue;
 mod queue;
 mod task;
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use crate::plan::{BarrierId, Plan};
 use crate::prof::EngineStats;
@@ -70,29 +71,11 @@ impl JobRecord {
     }
 }
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     Resume(TaskId),
     ResourceDone(ResourceId),
     StartJob(TaskId),
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct Event {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 struct BarrierState {
@@ -105,7 +88,7 @@ struct BarrierState {
 /// Error returned by [`Engine::run`] when simulation cannot make progress.
 #[derive(Debug)]
 pub struct DeadlockError {
-    /// Simulated time at which the event heap drained.
+    /// Simulated time at which the event queue drained.
     pub at: SimTime,
     /// Human-readable description of what is still waiting.
     pub detail: String,
@@ -131,8 +114,7 @@ pub struct RunReport {
 /// The discrete-event simulation engine. See the crate docs for the model.
 pub struct Engine {
     now: SimTime,
-    seq: u64,
-    events: BinaryHeap<Reverse<Event>>,
+    events: event_queue::EventQueue,
     resources: Vec<queue::ResourceSlot>,
     /// Task slots; the dead ones are listed in `free_tasks`.
     tasks: Vec<task::Task>,
@@ -161,8 +143,7 @@ impl Engine {
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
-            seq: 0,
-            events: BinaryHeap::new(),
+            events: event_queue::EventQueue::new(),
             resources: Vec::new(),
             tasks: Vec::new(),
             free_tasks: Vec::new(),
@@ -188,10 +169,11 @@ impl Engine {
         self.tracer.take()
     }
 
-    /// Deterministic lifetime work counters: events dispatched, heap
-    /// pushes and peak population, task spawns and slot allocations,
-    /// demands inspected by non-FIFO picks, tracer dispatches. Always
-    /// collected, identical across hosts for the same workload.
+    /// Deterministic lifetime work counters: events dispatched,
+    /// event-queue pushes and peak population, task spawns and slot
+    /// allocations, demands inspected by non-FIFO picks, tracer
+    /// dispatches. Always collected, identical across hosts for the same
+    /// workload.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
     }
@@ -297,8 +279,8 @@ impl Engine {
     /// Run until every event is processed and every task (including
     /// background tasks) has completed.
     pub fn run(&mut self) -> Result<RunReport, DeadlockError> {
-        while let Some(Reverse(ev)) = self.events.pop() {
-            self.step(ev);
+        while let Some((time, kind)) = self.events.pop_due(SimTime(u64::MAX)) {
+            self.step(time, kind);
         }
         if self.live_total > 0 {
             return Err(DeadlockError { at: self.now, detail: self.diagnose_stall() });
@@ -316,10 +298,8 @@ impl Engine {
     /// instant; [`crate::fault::FaultPlan`] supplies the instants.
     pub fn run_until(&mut self, t: SimTime) -> SimTime {
         assert!(t >= self.now, "cannot run into the past");
-        while self.events.peek().is_some_and(|Reverse(ev)| ev.time <= t) {
-            #[expect(clippy::expect_used, reason = "peek on the same non-empty heap one line up")]
-            let Reverse(ev) = self.events.pop().expect("peeked event vanished");
-            self.step(ev);
+        while let Some((time, kind)) = self.events.pop_due(t) {
+            self.step(time, kind);
         }
         self.now = t;
         self.now
@@ -364,20 +344,18 @@ impl Engine {
 
     /// Dispatch one popped event: advance the clock to it and drive its
     /// consequences to quiescence.
-    fn step(&mut self, ev: Event) {
-        debug_assert!(ev.time >= self.now, "time went backwards");
-        self.now = ev.time;
+    fn step(&mut self, time: SimTime, kind: EventKind) {
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
         self.stats.on_event();
-        match ev.kind {
+        match kind {
             EventKind::Resume(t) | EventKind::StartJob(t) => self.advance(t),
             EventKind::ResourceDone(r) => self.resource_done(r),
         }
     }
 
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(Event { time, seq, kind }));
+        self.events.push(time, kind);
         self.stats.on_heap_push(self.events.len());
     }
 

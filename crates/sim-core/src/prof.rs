@@ -1,7 +1,7 @@
 //! Deterministic engine work counters.
 //!
 //! [`EngineStats`] is always on and machine-independent: events popped,
-//! heap pushes, queue-scan iterations, task-slot allocations, tracer
+//! event-queue pushes, queue-scan iterations, task-slot allocations, tracer
 //! calls. The counters depend only on the simulated workload, never on
 //! the host, so they are *gateable*: verify pass `perf-smoke` compares
 //! them against an in-code baseline to catch algorithmic regressions (an
@@ -15,11 +15,12 @@
 /// the same workload — the property the `perf-smoke` verify pass gates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Events popped off the heap and dispatched.
+    /// Events popped off the event queue and dispatched.
     pub events: u64,
-    /// Events pushed onto the heap ([`crate::Engine`] `schedule`).
+    /// Events pushed onto the event queue ([`crate::Engine`] `schedule`).
+    /// The name predates the queue, which was a binary heap.
     pub heap_pushes: u64,
-    /// Largest event-heap population observed right after a push.
+    /// Largest event-queue population observed right after a push.
     pub heap_peak: u64,
     /// Tasks spawned (every `Par` child is its own task).
     pub tasks_spawned: u64,
@@ -39,7 +40,7 @@ impl EngineStats {
         self.events = self.events.saturating_add(1);
     }
 
-    /// Count one heap push; `len_after` is the heap size after it.
+    /// Count one event-queue push; `len_after` is the population after it.
     pub fn on_heap_push(&mut self, len_after: usize) {
         self.heap_pushes = self.heap_pushes.saturating_add(1);
         self.heap_peak = self.heap_peak.max(len_after as u64);

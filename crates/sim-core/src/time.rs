@@ -93,9 +93,17 @@ impl SimDuration {
             return SimDuration::ZERO;
         }
         // Round up: a transfer occupies the resource for at least the exact
-        // wire time; truncation would let utilization exceed 100%.
-        let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128);
-        SimDuration(ns.min(u64::MAX as u128) as u64)
+        // wire time; truncation would let utilization exceed 100%. Any
+        // transfer under ~18 GB divides in u64; the u128 form gives the
+        // same value and is kept for the rest.
+        let ns = match bytes.checked_mul(1_000_000_000) {
+            Some(scaled) => scaled.div_ceil(bytes_per_sec),
+            None => {
+                let ns = (u128::from(bytes) * 1_000_000_000).div_ceil(u128::from(bytes_per_sec));
+                u64::try_from(ns).unwrap_or(u64::MAX)
+            }
+        };
+        SimDuration(ns)
     }
 
     /// Nanoseconds in this duration.
@@ -227,6 +235,22 @@ mod tests {
         // Sanity: 12.5 MB/s moves 2 MB in 0.16 s.
         let d = SimDuration::for_bytes(2 * 1024 * 1024, 12_500_000);
         assert!((d.as_secs_f64() - 0.16777).abs() < 1e-3);
+    }
+
+    #[test]
+    fn for_bytes_u64_path_matches_u128_at_the_boundary() {
+        let edge = u64::MAX / 1_000_000_000;
+        for bytes in [0, 1, edge, edge + 1, u64::MAX] {
+            for rate in [1, 3, 12_500_000, 125_000_000, u64::MAX] {
+                let exact = (u128::from(bytes) * 1_000_000_000).div_ceil(u128::from(rate));
+                let want = u64::try_from(exact).unwrap_or(u64::MAX);
+                assert_eq!(
+                    SimDuration::for_bytes(bytes, rate).as_nanos(),
+                    want,
+                    "{bytes} B at {rate} B/s"
+                );
+            }
+        }
     }
 
     #[test]

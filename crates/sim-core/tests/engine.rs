@@ -394,6 +394,38 @@ fn run_until_pauses_mid_workload_and_resumes() {
     assert_eq!(e.jobs()[0].end, Some(SimTime(20_000)));
 }
 
+/// A pause that stops short of every queued event leaves the queue able
+/// to take an earlier one: a job spawned between the pause and the next
+/// event runs exactly as if it had been spawned before the whole run.
+#[test]
+fn a_job_spawned_after_a_pause_runs_as_if_spawned_up_front() {
+    let run = |pause: bool| {
+        let log = EventLog::new();
+        let mut e = Engine::new();
+        e.set_tracer(Box::new(log.clone()));
+        let r = e.add_resource("d", Box::new(FixedRate::per_op(SimDuration::ZERO)));
+        // Three jobs whose first steps are silent delays ending at 5, 6
+        // and 7 us, past the pause at t = 0.
+        for d in [5, 6, 7] {
+            e.spawn_job(
+                "early",
+                seq(vec![delay(SimDuration::from_micros(d)), use_res(r, busy(3))]),
+            );
+        }
+        let late = SimTime(1);
+        if pause {
+            assert_eq!(e.run_until(SimTime::ZERO), SimTime::ZERO);
+            assert!(e.jobs().iter().all(|j| j.end.is_none()), "nothing is due at the pause");
+        }
+        e.spawn_job_at("late", late, use_res(r, busy(6)));
+        e.run().unwrap();
+        log.events()
+    };
+    let paused = run(true);
+    assert!(paused.iter().any(|ev| matches!(ev.event, TraceEvent::ServiceStarted { .. })));
+    assert_eq!(paused, run(false));
+}
+
 #[test]
 fn run_until_advances_clock_past_all_events() {
     let mut e = Engine::new();

@@ -3,8 +3,9 @@
 //! Wall-clock benchmarks cannot gate CI (they measure the host, not the
 //! code; `benchmark/` reports them), so this pass gates what *is*
 //! deterministic: the engine's work counters ([`sim_core::EngineStats`]
-//! — events dispatched, heap pushes, queue-scan iterations, task-slot
-//! allocations, tracer calls). It re-runs two small scenarios and asserts
+//! — events dispatched, event-queue pushes, queue-scan iterations,
+//! task-slot allocations, tracer calls). It re-runs two small scenarios
+//! and asserts
 //!
 //! 1. the fresh work counters match the in-code baseline tables below
 //!    within a tolerance band — catching accidental algorithmic
