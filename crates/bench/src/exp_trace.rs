@@ -10,26 +10,26 @@
 //! backlog gauge never rises and its drain time equals its foreground
 //! time).
 //!
-//! Per architecture this writes four files (slug ∈ nfs/raid5/raid10/raidx):
+//! Per architecture this writes three files (slug ∈ nfs/raid5/raid10/raidx),
+//! all rendered from the run's one derivation, [`RunMetrics`]:
 //!
 //! * `trace_{slug}.json` — Chrome trace-event JSON; open at
 //!   <https://ui.perfetto.dev>. One track per disk/link/node resource,
 //!   one per job, counter tracks for queue depth and OSM backlog.
-//! * `util_{slug}.csv` — per-resource windowed utilization.
-//! * `series_{slug}.csv` — every gauge series (queue depths, backlog).
-//! * `metrics_{slug}.json` — counters + latency-histogram summaries.
+//! * `series_{slug}.csv` — every series: queue depths, windowed
+//!   utilization, the flush backlog and, for the RAID kinds, the CDD's
+//!   per-op image backlog.
+//! * `metrics_{slug}.json` — counters, the job-latency summary (exact
+//!   percentiles) and each series' last/max values.
 //!
-//! Everything here is driven by simulated time; the CDD lock-group
-//! samples are keyed by *operation sequence number* (lock grants are
-//! scoped to a functional call, so a sim-time axis would be empty).
+//! Everything here is driven by simulated time; the CDD image-backlog
+//! samples are keyed by *operation sequence number* (a write's functional
+//! update is logically instantaneous, so a sim-time axis would be empty).
 
 use cdd::{CddConfig, IoSystem};
 use cluster::ClusterConfig;
 use sim_core::trace::EventLog;
-use sim_core::{
-    chrome_trace_json, json_is_valid, metrics_csv, metrics_json, utilization_csv, Engine,
-    MetricsRegistry, SimDuration, SimTime,
-};
+use sim_core::{chrome_trace_json, json_is_valid, Engine, ResourceSeries, RunMetrics, SimDuration};
 use workloads::parallel_io::{run_parallel_io, BandwidthResult, IoPattern, ParallelIoConfig};
 
 use crate::harness::{build_store, md_table, par_map, SystemKind};
@@ -84,7 +84,6 @@ impl TraceConfig {
 }
 
 /// Everything measured and exported for one architecture.
-#[derive(Debug, Clone)]
 pub struct TraceRun {
     /// Architecture traced.
     pub kind: SystemKind,
@@ -92,29 +91,17 @@ pub struct TraceRun {
     pub slug: &'static str,
     /// Foreground bandwidth result of the traced run.
     pub bw: BandwidthResult,
-    /// Events recorded by the tracer.
-    pub events: usize,
-    /// Peak of the OSM flush-backlog gauge (bytes).
-    pub backlog_peak: f64,
-    /// Backlog still pending when the last client finished (bytes).
-    pub backlog_at_foreground_end: f64,
-    /// Backlog after the run fully drained (bytes; must be 0).
-    pub backlog_final: f64,
-    /// Foreground job latency percentiles in nanoseconds (p50, p95, p99).
-    pub latency_ns: Option<(u64, u64, u64)>,
+    /// The one derivation of the run's event stream.
+    pub metrics: RunMetrics,
+    /// The engine the run used; [`smoke_check`] holds the derivation
+    /// against the engine's own counters.
+    pub engine: Engine,
     /// CDD lock grants / conflicts (`None` for NFS).
     pub locks: Option<(u64, u64)>,
-    /// Samples that fell past the largest bound of any latency histogram
-    /// (their percentiles degrade to exact-max); nonzero means the stock
-    /// bucket bounds under-cover this workload.
-    pub hist_overflow: u64,
-    /// Peak queue depth per disk resource, `(resource name, depth)` in
-    /// registry order.
-    pub disk_queue_peaks: Vec<(String, u64)>,
     /// Whether the emitted Chrome trace parsed as valid JSON.
     pub trace_json_valid: bool,
-    /// Paths written, in `trace/util/series/metrics` order.
-    pub paths: [String; 4],
+    /// Paths written, in `trace/series/metrics` order.
+    pub paths: [String; 3],
 }
 
 /// Map an architecture to its file-name slug.
@@ -139,91 +126,52 @@ pub fn run_arch(kind: SystemKind, cfg: &TraceConfig) -> std::io::Result<TraceRun
         repeats: cfg.repeats,
         ..Default::default()
     };
-    // RAID kinds keep the concrete `IoSystem` in hand so the CDD lock
-    // metrics can be sampled; NFS goes through the generic builder.
-    let (bw, locks, lock_samples, backlog_samples) = match kind {
+    // RAID kinds keep the concrete `IoSystem` in hand for the counters
+    // the CDD keeps itself; NFS goes through the generic builder.
+    let (bw, locks, image_backlog) = match kind {
         SystemKind::Raid(arch) => {
             let mut sys = IoSystem::new(&mut engine, cfg.cc.clone(), arch, CddConfig::default());
             sys.enable_lock_metrics();
             engine.set_tracer(Box::new(log.clone()));
             let bw = run_parallel_io(&mut engine, &mut sys, &io_cfg).expect("traced run failed");
-            let samples = sys.take_lock_samples();
             let backlog = sys.take_backlog_samples();
-            (bw, Some((sys.lock_grants(), sys.lock_conflicts())), samples, Some(backlog))
+            (bw, Some((sys.lock_grants(), sys.lock_conflicts())), Some(backlog))
         }
         SystemKind::Nfs => {
             let mut store = build_store(&mut engine, cfg.cc.clone(), kind);
             engine.set_tracer(Box::new(log.clone()));
             let bw = run_parallel_io(&mut engine, &mut store, &io_cfg).expect("traced run failed");
-            (bw, None, Vec::new(), None)
+            (bw, None, None)
         }
     };
     let events = log.take();
-    let res_names: Vec<String> = engine.resources().map(|(_, n, _)| n.to_string()).collect();
-    let mut reg = MetricsRegistry::from_events(&events, &res_names, cfg.tick);
+    let names = engine.resources().map(|(_, n, _)| n.to_string()).collect();
+    let mut metrics = RunMetrics::derive(&events, names, cfg.tick);
     if let Some((grants, conflicts)) = locks {
-        reg.set_counter("cdd.lock_grants", grants);
-        reg.set_counter("cdd.lock_conflicts", conflicts);
-        // Held-lock samples are keyed by op sequence, not sim time.
-        let series = reg.gauge_mut("cdd.locks_held_by_op");
-        for &(op, held) in &lock_samples {
-            series.push(SimTime(op), held as f64);
-        }
+        metrics.store_counters =
+            vec![("cdd.lock_conflicts", conflicts), ("cdd.lock_grants", grants)];
     }
-    if let Some(samples) = &backlog_samples {
-        // Post-op buffered image blocks, keyed by op sequence. This is
-        // the series the backlog bound clamps (the time-domain
-        // `osm.flush_backlog_bytes` gauge tracks detached in-flight
-        // writes instead).
-        let series = reg.gauge_mut("cdd.image_backlog_by_op");
-        for &(op, blocks) in samples {
-            series.push(SimTime(op), blocks as f64);
-        }
+    if let Some(samples) = image_backlog {
+        // Post-op buffered image blocks: the series the backlog bound
+        // clamps (the time-domain backlog tracks detached in-flight writes
+        // instead).
+        let points = samples.into_iter().map(|(op, blocks)| (op, blocks as u64)).collect();
+        metrics.store_series = vec![("cdd.image_backlog_by_op", points)];
     }
 
     let s = slug(kind);
-    let trace = chrome_trace_json(&events, &res_names);
+    let trace = chrome_trace_json(&events, &metrics);
     let trace_json_valid = json_is_valid(&trace);
     std::fs::create_dir_all(&cfg.out_dir)?;
     let paths = [
         format!("{}/trace_{s}.json", cfg.out_dir),
-        format!("{}/util_{s}.csv", cfg.out_dir),
         format!("{}/series_{s}.csv", cfg.out_dir),
         format!("{}/metrics_{s}.json", cfg.out_dir),
     ];
     std::fs::write(&paths[0], &trace)?;
-    std::fs::write(&paths[1], utilization_csv(&reg))?;
-    std::fs::write(&paths[2], metrics_csv(&reg))?;
-    std::fs::write(&paths[3], metrics_json(&reg))?;
-
-    let backlog = reg.gauge("osm.flush_backlog_bytes");
-    let fg_end = SimTime((bw.elapsed_secs * 1e9).round() as u64);
-    let lat = reg.histogram("job_latency_ns");
-    let hist_overflow = reg.histograms().map(|(_, h)| h.overflow_count()).sum();
-    let disk_queue_peaks = reg
-        .gauges()
-        .filter(|(name, _)| name.starts_with("disk") && name.ends_with(".queue_depth"))
-        .map(|(name, series)| {
-            let res = name.trim_end_matches(".queue_depth").to_string();
-            (res, series.max_value().unwrap_or(0.0).round() as u64)
-        })
-        .collect();
-    Ok(TraceRun {
-        kind,
-        slug: s,
-        events: events.len(),
-        backlog_peak: backlog.and_then(|b| b.max_value()).unwrap_or(0.0),
-        backlog_at_foreground_end: backlog.and_then(|b| b.value_at(fg_end)).unwrap_or(0.0),
-        backlog_final: backlog.and_then(|b| b.last()).unwrap_or(0.0),
-        latency_ns: lat
-            .and_then(|h| Some((h.percentile(50.0)?, h.percentile(95.0)?, h.percentile(99.0)?))),
-        locks,
-        hist_overflow,
-        disk_queue_peaks,
-        trace_json_valid,
-        paths,
-        bw,
-    })
+    std::fs::write(&paths[1], metrics.series_csv())?;
+    std::fs::write(&paths[2], metrics.metrics_json())?;
+    Ok(TraceRun { kind, slug: s, bw, metrics, engine, locks, trace_json_valid, paths })
 }
 
 /// Trace all four measured architectures.
@@ -231,8 +179,20 @@ pub fn run_all(cfg: &TraceConfig) -> std::io::Result<Vec<TraceRun>> {
     par_map(SystemKind::MEASURED.to_vec(), |kind| run_arch(kind, cfg)).into_iter().collect()
 }
 
-fn kb(bytes: f64) -> String {
-    format!("{:.0}", bytes / 1024.0)
+fn kb(bytes: i64) -> String {
+    format!("{:.0}", bytes as f64 / 1024.0)
+}
+
+impl TraceRun {
+    /// OSM flush backlog (bytes) when the last client finished.
+    fn backlog_at_foreground_end(&self) -> i64 {
+        self.metrics.backlog_at((self.bw.elapsed_secs * 1e9).round() as u64)
+    }
+
+    /// OSM flush backlog (bytes) once the run fully drained; must be 0.
+    fn backlog_final(&self) -> i64 {
+        self.metrics.backlog_at(self.metrics.end_ns)
+    }
 }
 
 /// Render the summary table plus the foreground/background narrative.
@@ -259,14 +219,14 @@ pub fn render_summary(runs: &[TraceRun]) -> String {
                 format!("{:.1}", r.bw.aggregate_mbs),
                 format!("{:.4}", r.bw.elapsed_secs),
                 format!("{:.4}", r.bw.drain_secs),
-                kb(r.backlog_peak),
-                kb(r.backlog_at_foreground_end),
-                kb(r.backlog_final),
-                r.latency_ns.map_or("-".to_string(), |(p50, p95, p99)| {
+                kb(r.metrics.backlog_peak()),
+                kb(r.backlog_at_foreground_end()),
+                kb(r.backlog_final()),
+                r.metrics.latency_percentiles().map_or("-".to_string(), |[p50, p95, p99]| {
                     format!("{}/{}/{}", p50 / 1000, p95 / 1000, p99 / 1000)
                 }),
                 r.locks.map_or("-".to_string(), |(g, c)| format!("{g}/{c}")),
-                r.events.to_string(),
+                r.metrics.events.to_string(),
             ]
         })
         .collect();
@@ -282,25 +242,20 @@ pub fn render_summary(runs: &[TraceRun]) -> String {
              flush time. RAID-10 mirrors on the foreground path: backlog peak \
              {} KB and drain time equals foreground time \
              ({:.4}s vs {:.4}s).\n",
-            kb(rx.backlog_peak),
-            kb(rx.backlog_at_foreground_end),
-            kb(rx.backlog_final),
+            kb(rx.metrics.backlog_peak()),
+            kb(rx.backlog_at_foreground_end()),
+            kb(rx.backlog_final()),
             bg,
-            kb(r10.backlog_peak),
+            kb(r10.metrics.backlog_peak()),
             r10.bw.drain_secs,
             r10.bw.elapsed_secs,
         ));
     }
-    let total_events: usize = runs.iter().map(|r| r.events).sum();
-    let total_overflow: u64 = runs.iter().map(|r| r.hist_overflow).sum();
-    out.push_str(&format!(
-        "\nTotals: {total_events} trace events across {} runs; {total_overflow} \
-         histogram samples past the largest bucket bound (exact-max fallback).\n",
-        runs.len()
-    ));
+    let total_events: usize = runs.iter().map(|r| r.metrics.events).sum();
+    out.push_str(&format!("\nTotals: {total_events} trace events across {} runs.\n", runs.len()));
     for r in runs {
         let peaks: Vec<String> =
-            r.disk_queue_peaks.iter().map(|(res, d)| format!("{res}={d}")).collect();
+            disks(r).map(|d| format!("{}={}", d.name, d.queue_peak())).collect();
         out.push_str(&format!(
             "  {}: peak disk queue depth {}\n",
             r.slug,
@@ -313,6 +268,11 @@ pub fn render_summary(runs: &[TraceRun]) -> String {
     out
 }
 
+/// The disks a run queued anything at, in resource order.
+fn disks(r: &TraceRun) -> impl Iterator<Item = &ResourceSeries> {
+    r.metrics.resources.iter().filter(|s| s.name.starts_with("disk") && !s.queue_depth.is_empty())
+}
+
 /// Assert the properties a smoke run must exhibit; returns the first
 /// violated property as an error string.
 pub fn smoke_check(runs: &[TraceRun]) -> Result<(), String> {
@@ -320,32 +280,64 @@ pub fn smoke_check(runs: &[TraceRun]) -> Result<(), String> {
         return Err(format!("expected {} runs, got {}", SystemKind::MEASURED.len(), runs.len()));
     }
     for r in runs {
-        if r.events == 0 {
+        if r.metrics.events == 0 {
             return Err(format!("{}: tracer recorded no events", r.slug));
         }
         if !r.trace_json_valid {
             return Err(format!("{}: Chrome trace is not valid JSON", r.slug));
         }
-        if r.latency_ns.is_none() {
-            return Err(format!("{}: no job latency samples", r.slug));
-        }
         if r.bw.drain_secs + 1e-12 < r.bw.elapsed_secs {
             return Err(format!("{}: drain time shorter than foreground time", r.slug));
         }
+        derivation_agrees(r)?;
     }
     let rx = &runs[3];
-    if rx.backlog_peak <= 0.0 {
+    if rx.metrics.backlog_peak() <= 0 {
         return Err("raidx: OSM flush backlog never rose above zero".to_string());
     }
-    if rx.backlog_final != 0.0 {
-        return Err(format!("raidx: backlog did not drain to zero ({})", rx.backlog_final));
+    if rx.backlog_final() != 0 {
+        return Err(format!("raidx: backlog did not drain to zero ({})", rx.backlog_final()));
     }
     if rx.bw.drain_secs <= rx.bw.elapsed_secs {
         return Err("raidx: no background drain phase after foreground end".to_string());
     }
+    if !disks(rx).any(|d| d.queue_peak() > 0) {
+        return Err("raidx: parallel writes never queued at any disk".to_string());
+    }
     let r10 = &runs[2];
-    if r10.backlog_peak != 0.0 {
+    if r10.metrics.backlog_peak() != 0 {
         return Err("raid10: mirror writes unexpectedly deferred".to_string());
+    }
+    Ok(())
+}
+
+/// The run's derivation against what the engine counted itself: every
+/// resource's queue-depth peak, and the latency of every job (the stream
+/// stamps `JobSpawned` at a job's start and `JobFinished` at its end).
+/// The percentiles must be ordered samples no later than the drain.
+fn derivation_agrees(r: &TraceRun) -> Result<(), String> {
+    let m = &r.metrics;
+    for ((_, name, stats), derived) in r.engine.resources().zip(&m.resources) {
+        if derived.queue_peak() != stats.max_queue as i64 {
+            let (d, e) = (derived.queue_peak(), stats.max_queue);
+            return Err(format!("{}: {name} queue peak derived {d}, engine {e}", r.slug));
+        }
+    }
+    let mut engine_ns: Vec<u64> =
+        r.engine.jobs().iter().filter_map(|j| Some(j.try_latency()?.as_nanos())).collect();
+    engine_ns.sort_unstable();
+    if engine_ns != m.latencies_ns {
+        return Err(format!("{}: latencies {:?}, engine {engine_ns:?}", r.slug, m.latencies_ns));
+    }
+    let Some([p50, p95, p99]) = m.latency_percentiles() else {
+        return Err(format!("{}: no job latency samples", r.slug));
+    };
+    let (min, max) = (m.latencies_ns[0], m.latencies_ns[m.latencies_ns.len() - 1]);
+    if !(min <= p50 && p50 <= p95 && p95 <= p99 && p99 <= max) {
+        return Err(format!("{}: p50/p95/p99 {p50}/{p95}/{p99} ns outside [{min}, {max}]", r.slug));
+    }
+    if p99 as f64 / 1e9 > r.bw.drain_secs + 1e-12 {
+        return Err(format!("{}: p99 {p99} ns past the drain at {}s", r.slug, r.bw.drain_secs));
     }
     Ok(())
 }
@@ -361,26 +353,27 @@ mod tests {
     #[test]
     fn smoke_run_emits_valid_traces_and_proves_background_drain() {
         let cfg = TraceConfig { out_dir: test_out_dir("smoke"), ..TraceConfig::smoke() };
+        let _ = std::fs::remove_dir_all(&cfg.out_dir);
         let runs = run_all(&cfg).expect("trace export failed");
+        // Includes the derivation-against-engine check for every run.
         smoke_check(&runs).expect("smoke property violated");
-        for r in &runs {
-            for p in &r.paths {
-                let meta = std::fs::metadata(p).expect("exported file missing");
-                assert!(meta.len() > 0, "{p} is empty");
-            }
+        let mut written: Vec<String> = runs.iter().flat_map(|r| r.paths.clone()).collect();
+        for p in &written {
+            let meta = std::fs::metadata(p).expect("exported file missing");
+            assert!(meta.len() > 0, "{p} is empty");
         }
+        let mut listed: Vec<String> = std::fs::read_dir(&cfg.out_dir)
+            .expect("out dir")
+            .map(|e| e.expect("dir entry").path().to_string_lossy().into_owned())
+            .collect();
+        written.sort();
+        listed.sort();
+        assert_eq!(listed, written, "three files per architecture and nothing else");
         let summary = render_summary(&runs);
         assert!(summary.contains("RAID-x defers mirror-image writes"));
         assert!(summary.contains("trace_raidx.json"));
         assert!(summary.contains("Totals:"), "{summary}");
         assert!(summary.contains("peak disk queue depth"), "{summary}");
-        let rx = &runs[3];
-        assert!(!rx.disk_queue_peaks.is_empty(), "no disk queue gauges sampled");
-        assert!(
-            rx.disk_queue_peaks.iter().any(|(_, d)| *d > 0),
-            "parallel writes never queued at any disk: {:?}",
-            rx.disk_queue_peaks
-        );
     }
 
     #[test]
@@ -389,10 +382,9 @@ mod tests {
         let r = run_arch(SystemKind::MEASURED[3], &cfg).expect("raidx trace failed");
         let (grants, _) = r.locks.expect("raid run must report lock counters");
         assert!(grants > 0, "no lock grants recorded");
-        // The per-op lock and backlog samples reach the exported series.
-        let series = std::fs::read_to_string(&r.paths[2]).expect("series csv missing");
-        for gauge in ["cdd.locks_held_by_op,", "cdd.image_backlog_by_op,"] {
-            assert!(series.lines().any(|l| l.starts_with(gauge)), "{gauge} not exported");
-        }
+        // The per-op image-backlog samples reach the exported series.
+        let series = std::fs::read_to_string(&r.paths[1]).expect("series csv missing");
+        let gauge = "cdd.image_backlog_by_op,";
+        assert!(series.lines().any(|l| l.starts_with(gauge)), "{gauge} not exported");
     }
 }

@@ -84,7 +84,6 @@ impl IoSystem {
         // Consistency module: the lock group is held for the duration of
         // the (logically instantaneous) functional update.
         let written = self.with_grant(client, lb0, nblocks, |sys, tick| {
-            sys.sample_locks();
             let result = sys.write_locked(client, &eff_slots, lb0, nblocks, data);
             // Coherence: the write grant doubles as the invalidation
             // broadcast through the replicated lock-group table — every

@@ -77,17 +77,14 @@ pub struct IoSystem {
     /// Front-end replica selection for reads (load counters are indexed
     /// by logical slot, which never grows).
     pub(crate) balancer: ReadBalancer,
-    /// Per-op lock-table occupancy samples `(op sequence number, records
-    /// held while the op's grant was live)`, recorded only when
-    /// [`IoSystem::enable_lock_metrics`] has been called. Op sequence is
-    /// the timeline here — grants are scoped to the functional call, so
-    /// a sim-time series would read as permanently empty.
-    pub(crate) lock_samples: Option<Vec<(u64, usize)>>,
     /// Per-op image-backlog samples `(op sequence number, blocks buffered
-    /// after the op)`, recorded alongside the lock samples. The backlog
-    /// gauge of the write-behind bound.
+    /// after the op)`, recorded only when
+    /// [`IoSystem::enable_lock_metrics`] has been called: the backlog
+    /// gauge of the write-behind bound. Op sequence is the timeline here —
+    /// the functional update is logically instantaneous, so a sim-time
+    /// series would have no width.
     pub(crate) backlog_samples: Option<Vec<(u64, usize)>>,
-    /// Monotone operation counter (writes), for the sample series.
+    /// Completed writes so far: the backlog sampler's sequence counter.
     pub(crate) op_seq: u64,
     /// Request attempts that timed out against an unresponsive node.
     pub(crate) timeouts: u64,
@@ -157,7 +154,6 @@ impl IoSystem {
             high_water: 0,
             images: ImageQueue::new(),
             balancer,
-            lock_samples: None,
             backlog_samples: None,
             op_seq: 0,
             timeouts: 0,
@@ -310,23 +306,17 @@ impl IoSystem {
         result
     }
 
-    /// Start recording per-op lock-table occupancy and image-backlog
-    /// samples (see [`IoSystem::take_lock_samples`] and
+    /// Start recording one image-backlog sample per completed write (see
     /// [`IoSystem::take_backlog_samples`]); clears any previous samples.
+    /// Lock grants and conflicts need no switch: they are always counted
+    /// ([`IoSystem::lock_grants`], [`IoSystem::lock_conflicts`]).
     pub fn enable_lock_metrics(&mut self) {
-        self.lock_samples = Some(Vec::new());
         self.backlog_samples = Some(Vec::new());
     }
 
-    /// Take the recorded `(op sequence, lock records held)` samples,
-    /// leaving recording enabled. The `bench trace` exporter turns these
-    /// into the CDD lock-table occupancy series.
-    pub fn take_lock_samples(&mut self) -> Vec<(u64, usize)> {
-        self.lock_samples.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
     /// Take the recorded `(op sequence, buffered image blocks)` samples,
-    /// leaving recording enabled. With a backlog bound configured this
+    /// leaving recording enabled. The sequence numbers every completed
+    /// write from 0, recorded or not. With a backlog bound configured this
     /// series never exceeds the bound.
     pub fn take_backlog_samples(&mut self) -> Vec<(u64, usize)> {
         self.backlog_samples.as_mut().map(std::mem::take).unwrap_or_default()
@@ -369,22 +359,12 @@ impl IoSystem {
         self.lock_rounds[client].get_or_insert_with(|| ops.lock_round(client)).clone()
     }
 
-    /// Record one `(op sequence, records held)` sample if lock metrics
-    /// recording is on. Called while the current op's grant is live.
-    pub(crate) fn sample_locks(&mut self) {
-        let held = self.locks.held().count();
-        let seq = self.op_seq;
-        self.op_seq += 1;
-        if let Some(samples) = self.lock_samples.as_mut() {
-            samples.push((seq, held));
-        }
-    }
-
-    /// Record the post-op image backlog under the same op sequence the
-    /// lock sample used.
+    /// Count one completed write and, if recording is on, sample the image
+    /// backlog it left under its sequence number.
     pub(crate) fn sample_backlog(&mut self) {
         let pending = self.images.len();
-        let seq = self.op_seq.saturating_sub(1);
+        let seq = self.op_seq;
+        self.op_seq += 1;
         if let Some(samples) = self.backlog_samples.as_mut() {
             samples.push((seq, pending));
         }

@@ -1,5 +1,7 @@
-//! Exporters: Chrome trace-event JSON (Perfetto-loadable) and CSV/JSON
-//! metrics snapshots.
+//! Export: Chrome trace-event JSON (Perfetto-loadable), the JSON string
+//! escape every writer in the workspace shares, and a dependency-free JSON
+//! validity check. The CSV/JSON metric snapshots are rendered by the
+//! record they snapshot, [`RunMetrics`].
 //!
 //! Every timestamp written here is **simulated** time (the Chrome format
 //! wants microseconds, so nanosecond stamps are divided by 1000 with
@@ -22,10 +24,9 @@
 //! Open traces at <https://ui.perfetto.dev> ("Open trace file") or
 //! `chrome://tracing`.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::RunMetrics;
 use crate::trace::{TimedEvent, TraceEvent};
 
 /// Escape a string for inclusion inside a JSON string literal.
@@ -53,60 +54,30 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-/// Render a recorded event stream as Chrome trace-event JSON.
+/// Render a traced run as Chrome trace-event JSON.
 ///
-/// `res_names[i]` names resource index `i`. The output is a complete
-/// JSON object loadable by Perfetto; see the module docs for the track
-/// layout.
-pub fn chrome_trace_json(events: &[TimedEvent], res_names: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-        out.push_str(&line);
-    };
-
-    push(
+/// Service slices and barrier instants come from `events`; resource
+/// names, queue-depth and backlog counters and job tracks come from
+/// `run`, the stream's one derivation. The output is a complete JSON
+/// object loadable by Perfetto; see the module docs for the track layout.
+pub fn chrome_trace_json(events: &[TimedEvent], run: &RunMetrics) -> String {
+    let mut lines = vec![
         "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"resources\"}}"
             .to_string(),
-        &mut out,
-    );
-    push(
         "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"jobs\"}}"
             .to_string(),
-        &mut out,
-    );
-    for (i, name) in res_names.iter().enumerate() {
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{i},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(name)
-            ),
-            &mut out,
-        );
+    ];
+    for (i, r) in run.resources.iter().enumerate() {
+        lines.push(format!(
+            "{{\"ph\":\"M\",\"pid\":0,\"tid\":{i},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            json_escape(&r.name)
+        ));
     }
-
-    // Job spans need both endpoints; collect first.
-    let mut job_spawn: BTreeMap<u32, (u64, String)> = BTreeMap::new();
-    let mut job_end: BTreeMap<u32, u64> = BTreeMap::new();
-    // Queue depth per resource, recomputed while walking.
-    let mut depth: Vec<i64> = vec![0; res_names.len()];
-    let mut backlog: i128 = 0;
-
     for te in events {
         let t = te.at.as_nanos();
         #[expect(clippy::wildcard_enum_match_arm, reason = "only the kinds above are drawn")]
         match &te.event {
-            TraceEvent::JobSpawned { job, label } => {
-                job_spawn.insert(*job, (t, label.clone()));
-            }
-            TraceEvent::JobFinished { job } => {
-                job_end.insert(*job, t);
-            }
             TraceEvent::ServiceStarted {
                 res,
                 task,
@@ -115,192 +86,55 @@ pub fn chrome_trace_json(events: &[TimedEvent], res_names: &[String]) -> String 
                 waited_ns,
                 done_at_ns,
                 detached,
-            } => {
-                let dur = done_at_ns.saturating_sub(t);
-                push(
-                    format!(
-                        "{{\"ph\":\"X\",\"pid\":0,\"tid\":{res},\"ts\":{},\"dur\":{},\
-                         \"name\":\"{} {}B\",\"args\":{{\"task\":{task},\"wait_ns\":{waited_ns},\
-                         \"background\":{detached}}}}}",
-                        us(t),
-                        us(dur),
-                        kind.label(),
-                        bytes,
-                    ),
-                    &mut out,
-                );
-            }
-            TraceEvent::Enqueued { res, kind, bytes, detached, .. } => {
-                let r = *res as usize;
-                if r < depth.len() {
-                    depth[r] += 1;
-                    push(
-                        format!(
-                            "{{\"ph\":\"C\",\"pid\":0,\"tid\":{res},\"ts\":{},\
-                             \"name\":\"queue {}\",\"args\":{{\"depth\":{}}}}}",
-                            us(t),
-                            json_escape(&res_names[r]),
-                            depth[r],
-                        ),
-                        &mut out,
-                    );
-                }
-                if *detached && *kind == crate::trace::DemandKind::DiskWrite {
-                    backlog += i128::from(*bytes);
-                    push(
-                        format!(
-                            "{{\"ph\":\"C\",\"pid\":0,\"ts\":{},\
-                             \"name\":\"osm.flush_backlog_bytes\",\"args\":{{\"bytes\":{backlog}}}}}",
-                            us(t),
-                        ),
-                        &mut out,
-                    );
-                }
-            }
-            TraceEvent::ServiceFinished { res, kind, bytes, detached, .. } => {
-                let r = *res as usize;
-                if r < depth.len() {
-                    depth[r] -= 1;
-                    push(
-                        format!(
-                            "{{\"ph\":\"C\",\"pid\":0,\"tid\":{res},\"ts\":{},\
-                             \"name\":\"queue {}\",\"args\":{{\"depth\":{}}}}}",
-                            us(t),
-                            json_escape(&res_names[r]),
-                            depth[r],
-                        ),
-                        &mut out,
-                    );
-                }
-                if *detached && *kind == crate::trace::DemandKind::DiskWrite {
-                    backlog -= i128::from(*bytes);
-                    push(
-                        format!(
-                            "{{\"ph\":\"C\",\"pid\":0,\"ts\":{},\
-                             \"name\":\"osm.flush_backlog_bytes\",\"args\":{{\"bytes\":{backlog}}}}}",
-                            us(t),
-                        ),
-                        &mut out,
-                    );
-                }
-            }
-            TraceEvent::BarrierOpened { barrier, cycle, released, .. } => {
-                push(
-                    format!(
-                        "{{\"ph\":\"i\",\"pid\":0,\"ts\":{},\"s\":\"p\",\
-                         \"name\":\"barrier {barrier} cycle {cycle} ({released} released)\"}}",
-                        us(t),
-                    ),
-                    &mut out,
-                );
-            }
+            } => lines.push(format!(
+                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{res},\"ts\":{},\"dur\":{},\
+                 \"name\":\"{} {bytes}B\",\"args\":{{\"task\":{task},\"wait_ns\":{waited_ns},\
+                 \"background\":{detached}}}}}",
+                us(t),
+                us(done_at_ns.saturating_sub(t)),
+                kind.label(),
+            )),
+            TraceEvent::BarrierOpened { barrier, cycle, released, .. } => lines.push(format!(
+                "{{\"ph\":\"i\",\"pid\":0,\"ts\":{},\"s\":\"p\",\
+                 \"name\":\"barrier {barrier} cycle {cycle} ({released} released)\"}}",
+                us(t),
+            )),
             _ => {}
         }
     }
-
-    for (job, (start, label)) in &job_spawn {
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{job},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(label)
-            ),
-            &mut out,
-        );
-        if let Some(end) = job_end.get(job) {
-            push(
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{job},\"ts\":{},\"dur\":{},\
-                     \"name\":\"{}\"}}",
-                    us(*start),
-                    us(end.saturating_sub(*start)),
-                    json_escape(label),
-                ),
-                &mut out,
-            );
+    for (i, r) in run.resources.iter().enumerate() {
+        let name = json_escape(&r.name);
+        for &(t, depth) in &r.queue_depth {
+            lines.push(format!(
+                "{{\"ph\":\"C\",\"pid\":0,\"tid\":{i},\"ts\":{},\
+                 \"name\":\"queue {name}\",\"args\":{{\"depth\":{depth}}}}}",
+                us(t),
+            ));
         }
     }
-
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Render every gauge series of a registry as CSV:
-/// `series,t_ns,value` rows in name then time order.
-pub fn metrics_csv(reg: &MetricsRegistry) -> String {
-    let mut out = String::from("series,t_ns,value\n");
-    for (name, series) in reg.gauges() {
-        for &(t, v) in series.points() {
-            let _ = writeln!(out, "{name},{t},{v}");
+    for &(t, bytes) in &run.backlog {
+        lines.push(format!(
+            "{{\"ph\":\"C\",\"pid\":0,\"ts\":{},\
+             \"name\":\"osm.flush_backlog_bytes\",\"args\":{{\"bytes\":{bytes}}}}}",
+            us(t),
+        ));
+    }
+    for span in &run.jobs {
+        let (job, label) = (span.job, json_escape(&span.label));
+        lines.push(format!(
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{job},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{label}\"}}}}"
+        ));
+        if let Some(end) = span.end_ns {
+            lines.push(format!(
+                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{job},\"ts\":{},\"dur\":{},\
+                 \"name\":\"{label}\"}}",
+                us(span.start_ns),
+                us(end.saturating_sub(span.start_ns)),
+            ));
         }
     }
-    out
-}
-
-/// Render the per-resource utilization timelines as CSV:
-/// `resource,window_end_ns,utilization` rows, one per tick window. Only
-/// gauges named `{resource}.utilization` are included.
-pub fn utilization_csv(reg: &MetricsRegistry) -> String {
-    let mut out = String::from("resource,window_end_ns,utilization\n");
-    for (name, series) in reg.gauges() {
-        if let Some(res) = name.strip_suffix(".utilization") {
-            for &(t, v) in series.points() {
-                let _ = writeln!(out, "{res},{t},{v:.6}");
-            }
-        }
-    }
-    out
-}
-
-/// Render a registry snapshot as a JSON object: counters verbatim,
-/// histograms as summary objects (count/min/max/mean/p50/p95/p99) and
-/// gauges as last/max values (full series belong in the CSV export).
-pub fn metrics_json(reg: &MetricsRegistry) -> String {
-    let mut out = String::from("{\n  \"counters\": {");
-    let mut first = true;
-    for (name, v) in reg.counters() {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        let _ = write!(out, "\n    \"{}\": {v}", json_escape(name));
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    let mut first = true;
-    for (name, h) in reg.histograms() {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    \"{}\": {{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.3}, \
-             \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            json_escape(name),
-            h.count(),
-            h.min().unwrap_or(0),
-            h.max().unwrap_or(0),
-            h.mean().unwrap_or(0.0),
-            h.percentile(50.0).unwrap_or(0),
-            h.percentile(95.0).unwrap_or(0),
-            h.percentile(99.0).unwrap_or(0),
-        );
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    let mut first = true;
-    for (name, series) in reg.gauges() {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    \"{}\": {{\"points\": {}, \"last\": {}, \"max\": {}}}",
-            json_escape(name),
-            series.points().len(),
-            series.last().unwrap_or(0.0),
-            series.max_value().unwrap_or(0.0),
-        );
-    }
-    out.push_str("\n  }\n}\n");
-    out
+    format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n", lines.join(",\n"))
 }
 
 /// Minimal structural JSON validity check (objects, arrays, strings,
@@ -456,7 +290,8 @@ mod tests {
     use crate::trace::EventLog;
     use crate::Demand;
 
-    fn traced_run() -> (Vec<TimedEvent>, Vec<String>) {
+    #[test]
+    fn chrome_trace_is_valid_json_with_tracks_and_counters() {
         let mut e = Engine::new();
         let d = e.add_resource("disk0@node0", Box::new(FixedRate::rate(10 << 20)));
         let log = EventLog::new();
@@ -469,34 +304,20 @@ mod tests {
             ]),
         );
         e.run().unwrap();
-        let names = e.resources().map(|(_, n, _)| n.to_string()).collect();
-        (log.events(), names)
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_tracks_and_counters() {
-        let (events, names) = traced_run();
-        let json = chrome_trace_json(&events, &names);
+        let (events, names) = (log.events(), e.resources().map(|(_, n, _)| n.into()).collect());
+        let run = RunMetrics::derive(&events, names, SimDuration::from_millis(1));
+        let json = chrome_trace_json(&events, &run);
         assert!(json_is_valid(&json), "invalid JSON:\n{json}");
-        assert!(json.contains("\"process_name\""));
-        assert!(json.contains("disk0@node0"));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("osm.flush_backlog_bytes"));
-        assert!(json.contains("client0/write"));
-    }
-
-    #[test]
-    fn csv_and_json_snapshots_round_trip() {
-        let (events, names) = traced_run();
-        let reg = MetricsRegistry::from_events(&events, &names, SimDuration::from_millis(1));
-        let csv = metrics_csv(&reg);
-        assert!(csv.starts_with("series,t_ns,value\n"));
-        assert!(csv.contains("disk0@node0.queue_depth"));
-        let ucsv = utilization_csv(&reg);
-        assert!(ucsv.contains("disk0@node0,"));
-        let json = metrics_json(&reg);
-        assert!(json_is_valid(&json), "invalid JSON:\n{json}");
-        assert!(json.contains("job_latency_ns"));
+        for needle in [
+            "\"process_name\"",
+            "\"ph\":\"X\",\"pid\":0",
+            "\"name\":\"queue disk0@node0\",\"args\":{\"depth\":1}",
+            "\"name\":\"osm.flush_backlog_bytes\",\"args\":{\"bytes\":65536}",
+            "\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.000",
+            "client0/write",
+        ] {
+            assert!(json.contains(needle), "{needle} missing:\n{json}");
+        }
     }
 
     #[test]

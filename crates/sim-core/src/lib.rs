@@ -31,6 +31,12 @@
 //!   a sub-plan that is the same for every request (the CDD lock broadcast
 //!   of one client, 1,270 leaves at 128 nodes). It runs exactly like
 //!   [`Plan::Seq`]; only who owns the steps differs.
+//! * **Observed from one stream** — an optional [`Tracer`] receives every
+//!   job, queue, service and barrier event as a [`TraceEvent`];
+//!   [`RunMetrics::derive`] turns a recorded stream into one typed record
+//!   (queue depths, windowed utilization, the OSM flush backlog, job spans
+//!   and exact latency percentiles), and [`chrome_trace_json`] draws it
+//!   for Perfetto.
 //!
 //! ```
 //! use sim_core::{Engine, FixedRate, Demand};
@@ -64,9 +70,9 @@ pub mod validate;
 pub use demand::Demand;
 pub use engine::{DeadlockError, Engine, JobId, JobRecord, RunReport, TaskId};
 pub use explore::{Exploration, Explorer, Failure, FailureKind, Footprint, Model, ThreadId};
-pub use export::{chrome_trace_json, json_is_valid, metrics_csv, metrics_json, utilization_csv};
+pub use export::{chrome_trace_json, json_is_valid};
 pub use fault::FaultPlan;
-pub use metrics::{Histogram, MetricsRegistry, TimeSeries};
+pub use metrics::{percentile, JobSpan, ResourceSeries, RunMetrics};
 pub use plan::{BarrierId, Plan};
 pub use prof::EngineStats;
 pub use resource::{FixedRate, ResourceId, ResourceStats, ServiceModel};

@@ -1,497 +1,417 @@
-//! Metrics: counters, gauges, sim-time series and fixed-bucket histograms.
+//! One derivation of a traced run.
 //!
-//! A [`MetricsRegistry`] is a deterministic bag of named metrics. It can
-//! be populated by hand, but the main entry point is
-//! [`MetricsRegistry::from_events`], which derives the standard metric
-//! set from a recorded [`TimedEvent`](crate::trace::TimedEvent) stream:
+//! [`RunMetrics::derive`] walks a recorded
+//! [`TimedEvent`](crate::trace::TimedEvent) stream once and keeps, as
+//! typed fields, everything the exports and `bench trace` read:
 //!
-//! * `"{resource}.queue_depth"` — step series of queued + in-service
-//!   demands per active resource;
-//! * `"{resource}.utilization"` — busy fraction per sim-time tick window
-//!   for every registered resource (disks, NIC ports, buses, CPUs);
-//! * `"osm.flush_backlog_bytes"` — bytes of detached (background) disk
-//!   writes accepted but not yet on stable storage: the OSM
-//!   mirror-flush backlog over time;
-//! * `"job_latency_ns"` — a fixed-bucket histogram of foreground job
-//!   latencies (p50/p95/p99 come from here).
+//! * per resource, indexed by resource id, the queue-depth step series
+//!   (queued + in-service demands) and the busy fraction per sim-time
+//!   tick window (disks, NIC ports, buses, CPUs);
+//! * the OSM flush backlog: bytes of detached (background) disk writes
+//!   accepted but not yet on stable storage, over time;
+//! * every job's spawn→finish span, and the finished jobs' latencies,
+//!   sorted, so p50/p95/p99 are exact nearest-rank values
+//!   ([`percentile`]) rather than bucket bounds.
 //!
-//! All timestamps are simulated time; nothing here consults a wall
-//! clock, so the same run always yields byte-identical metrics.
+//! [`RunMetrics::series_csv`] and [`RunMetrics::metrics_json`] render the
+//! record; metric names appear only there. All timestamps are simulated
+//! time; nothing here consults a wall clock, so the same run always yields
+//! byte-identical metrics.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::time::{SimDuration, SimTime};
-use crate::trace::{TimedEvent, TraceEvent};
+use crate::export::json_escape;
+use crate::time::SimDuration;
+use crate::trace::{DemandKind, TimedEvent, TraceEvent};
 
-/// A fixed-bucket histogram over `u64` samples.
-///
-/// Buckets are defined by a sorted list of inclusive upper bounds plus an
-/// implicit overflow bucket; a sample `v` lands in the first bucket whose
-/// bound is `>= v`. Percentile queries report the upper bound of the
-/// bucket containing the requested rank (the overflow bucket reports the
-/// exact maximum seen), so percentiles on bound-aligned distributions are
-/// exact.
+/// Cap on utilization windows per resource; [`RunMetrics::derive`] widens
+/// the tick rather than exceed it.
+pub const MAX_UTIL_WINDOWS: u64 = 4096;
+
+/// Nearest-rank `p`-th percentile (`0 < p <= 100`) of an ascending slice:
+/// the smallest sample with at least `p`% of the samples at or below it,
+/// so the answer is always one of the samples. `None` if the slice is
+/// empty.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.saturating_sub(1).min(last)])
+}
+
+/// What one resource did over the run.
+#[derive(Debug, Clone, Default)]
+pub struct ResourceSeries {
+    /// The resource's registered name.
+    pub name: String,
+    /// `(t_ns, depth)` after every arrival and every departure; depth
+    /// counts queued and in-service demands.
+    pub queue_depth: Vec<(u64, i64)>,
+    /// Busy fraction of each utilization window, in window order; window
+    /// `w` ends at [`RunMetrics::window_end`]`(w)`.
+    pub utilization: Vec<f64>,
+}
+
+impl ResourceSeries {
+    /// The deepest the queue got (0 if nothing ever arrived).
+    pub fn queue_peak(&self) -> i64 {
+        self.queue_depth.iter().map(|&(_, d)| d).max().unwrap_or(0)
+    }
+}
+
+/// One foreground job, spawn to finish.
 #[derive(Debug, Clone)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    total: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
+pub struct JobSpan {
+    /// The job's id.
+    pub job: u32,
+    /// Caller-supplied job label.
+    pub label: String,
+    /// When the job became runnable (ns).
+    pub start_ns: u64,
+    /// When its plan completed (ns), if it did within the stream.
+    pub end_ns: Option<u64>,
 }
 
-impl Histogram {
-    /// A histogram with the given inclusive upper bounds (must be
-    /// non-empty and strictly increasing).
-    pub fn with_bounds(bounds: &[u64]) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bucket");
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must be strictly increasing");
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            total: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Exponential bounds: `first, first*factor, …` (`n` buckets).
-    pub fn exponential(first: u64, factor: u64, n: usize) -> Histogram {
-        assert!(first > 0 && factor > 1 && n > 0, "degenerate exponential bounds");
-        let mut bounds = Vec::with_capacity(n);
-        let mut b = first;
-        for _ in 0..n {
-            bounds.push(b);
-            b = b.saturating_mul(factor);
-        }
-        bounds.dedup();
-        Histogram::with_bounds(&bounds)
-    }
-
-    /// The stock latency histogram: 1 µs doubling through ~1100 s.
-    pub fn latency_default() -> Histogram {
-        Histogram::exponential(1_000, 2, 40)
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: u64) {
-        let i = self.bounds.partition_point(|&b| b < v);
-        self.counts[i] += 1;
-        self.total += 1;
-        self.sum += u128::from(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Smallest sample, or `None` if empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` if empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.max)
-    }
-
-    /// Mean of all samples, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.sum as f64 / self.total as f64)
-    }
-
-    /// The `p`-th percentile (`0 < p <= 100`), or `None` if the histogram
-    /// is empty. Reports the upper bound of the bucket holding the
-    /// requested rank; the overflow bucket reports the exact maximum.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0 * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(if i < self.bounds.len() { self.bounds[i] } else { self.max });
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Samples that landed past the largest configured bound — the
-    /// overflow bucket, where percentiles fall back to the exact maximum.
-    /// A nonzero count means the bounds under-cover the distribution.
-    pub fn overflow_count(&self) -> u64 {
-        self.counts[self.bounds.len()]
-    }
-
-    /// `(upper_bound, count)` pairs for every non-overflow bucket plus a
-    /// final `(max_seen, count)` overflow entry.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> =
-            self.bounds.iter().copied().zip(self.counts.iter().copied()).collect();
-        out.push((self.max, self.counts[self.bounds.len()]));
-        out
-    }
-}
-
-/// A time series of `(sim-time ns, value)` samples, in time order.
+/// Everything derived from one traced run, in one pass over its events.
 #[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(u64, f64)>,
+pub struct RunMetrics {
+    /// Events in the stream.
+    pub events: usize,
+    /// Per resource, indexed by resource id.
+    pub resources: Vec<ResourceSeries>,
+    /// Width of a utilization window (ns), after any widening; 0 for an
+    /// empty run.
+    pub tick_ns: u64,
+    /// The run's last instant (ns): its latest event or service completion.
+    pub end_ns: u64,
+    /// OSM flush backlog `(t_ns, bytes)` after every arrival and departure
+    /// of a detached disk write.
+    pub backlog: Vec<(u64, i64)>,
+    /// Bytes of detached disk writes accepted over the run.
+    pub flush_bytes: u64,
+    /// Every job spawned in the stream, in spawn order.
+    pub jobs: Vec<JobSpan>,
+    /// Latencies (ns) of the jobs that finished, ascending.
+    pub latencies_ns: Vec<u64>,
+    /// Counters the store under the run keeps itself (the stream does not
+    /// carry them), rendered ahead of the record's own.
+    pub store_counters: Vec<(&'static str, u64)>,
+    /// Series the store keeps itself, keyed by its operation sequence
+    /// number rather than time (a functional update is logically
+    /// instantaneous, so a sim-time axis would be empty).
+    pub store_series: Vec<(&'static str, Vec<(u64, u64)>)>,
 }
 
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> TimeSeries {
-        TimeSeries::default()
-    }
-
-    /// Append a sample at simulated time `t`.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t.as_nanos(), v));
-    }
-
-    /// All samples, in insertion (= time) order.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-
-    /// The most recent value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
-    /// The largest value seen, if any.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, v)| v).fold(None, |m, v| Some(m.map_or(v, |x: f64| x.max(v))))
-    }
-
-    /// The value in effect at time `t` under step semantics (the last
-    /// sample at or before `t`), if any.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        let ns = t.as_nanos();
-        let idx = self.points.partition_point(|&(pt, _)| pt <= ns);
-        idx.checked_sub(1).map(|i| self.points[i].1)
-    }
-}
-
-/// A deterministic bag of named counters, gauge series and histograms.
-/// Names iterate in lexicographic order, so exports are reproducible.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, TimeSeries>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Set the named counter to an absolute value.
-    pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
-    }
-
-    /// The named counter's value, if present.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
-    }
-
-    /// Mutable access to the named gauge series (creating it empty).
-    pub fn gauge_mut(&mut self, name: &str) -> &mut TimeSeries {
-        self.gauges.entry(name.to_string()).or_default()
-    }
-
-    /// The named gauge series, if present.
-    pub fn gauge(&self, name: &str) -> Option<&TimeSeries> {
-        self.gauges.get(name)
-    }
-
-    /// Mutable access to the named histogram, creating it with the given
-    /// bounds if absent.
-    pub fn histogram_mut(&mut self, name: &str, default: fn() -> Histogram) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_insert_with(default)
-    }
-
-    /// The named histogram, if present.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauge series in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Derive the standard metric set from a recorded event stream.
-    ///
-    /// `res_names[i]` names resource index `i` (as returned by
-    /// [`Engine::resources`](crate::Engine::resources)); `tick` is the
-    /// window width for utilization sampling (widened automatically if
-    /// the run would need more than [`MAX_UTIL_WINDOWS`] windows).
-    pub fn from_events(
-        events: &[TimedEvent],
-        res_names: &[String],
-        tick: SimDuration,
-    ) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.set_counter("events", events.len() as u64);
-
-        // Pass 1: bookkeeping shared by every derived metric.
-        let mut end_ns = 0u64;
-        let mut job_start: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut depth: Vec<i64> = vec![0; res_names.len()];
-        // Per-resource service intervals for utilization windows.
-        let mut service: Vec<Vec<(u64, u64)>> = vec![Vec::new(); res_names.len()];
-        let mut backlog: i128 = 0;
-        let mut backlog_series = TimeSeries::new();
-        let mut jobs_spawned = 0u64;
-        let mut jobs_finished = 0u64;
-        let mut flush_bytes = 0u64;
+impl RunMetrics {
+    /// Derive the record from a recorded event stream. `names[i]` names
+    /// resource index `i` (as [`Engine::resources`](crate::Engine::resources)
+    /// lists them); `tick` is the utilization window width, widened if the
+    /// run would need more than [`MAX_UTIL_WINDOWS`] windows.
+    pub fn derive(events: &[TimedEvent], names: Vec<String>, tick: SimDuration) -> RunMetrics {
+        let mut run = RunMetrics {
+            events: events.len(),
+            resources: names
+                .into_iter()
+                .map(|name| ResourceSeries { name, ..ResourceSeries::default() })
+                .collect(),
+            ..RunMetrics::default()
+        };
+        let mut depth = vec![0i64; run.resources.len()];
+        // Per-resource service intervals, windowed once the end is known.
+        let mut service: Vec<Vec<(u64, u64)>> = vec![Vec::new(); run.resources.len()];
+        let mut span_of: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut backlog = 0i64;
 
         for te in events {
-            let t = te.at;
-            end_ns = end_ns.max(t.as_nanos());
+            let t = te.at.as_nanos();
+            run.end_ns = run.end_ns.max(t);
             #[expect(clippy::wildcard_enum_match_arm, reason = "other kinds feed no metric")]
             match &te.event {
-                TraceEvent::JobSpawned { job, .. } => {
-                    jobs_spawned += 1;
-                    job_start.insert(*job, t.as_nanos());
+                TraceEvent::JobSpawned { job, label } => {
+                    span_of.insert(*job, run.jobs.len());
+                    let span =
+                        JobSpan { job: *job, label: label.clone(), start_ns: t, end_ns: None };
+                    run.jobs.push(span);
                 }
                 TraceEvent::JobFinished { job } => {
-                    jobs_finished += 1;
-                    if let Some(start) = job_start.get(job) {
-                        let lat = t.as_nanos().saturating_sub(*start);
-                        reg.histogram_mut("job_latency_ns", Histogram::latency_default).record(lat);
+                    if let Some(span) = span_of.get(job).map(|&i| &mut run.jobs[i]) {
+                        span.end_ns = Some(t);
+                        run.latencies_ns.push(t.saturating_sub(span.start_ns));
                     }
                 }
-                TraceEvent::Enqueued { res, kind, bytes, detached, .. } => {
+                TraceEvent::Enqueued { res, kind, bytes, detached, .. }
+                | TraceEvent::ServiceFinished { res, kind, bytes, detached, .. } => {
+                    let step = if matches!(te.event, TraceEvent::Enqueued { .. }) { 1 } else { -1 };
                     let r = *res as usize;
-                    if r < depth.len() {
-                        depth[r] += 1;
-                        reg.gauge_mut(&format!("{}.queue_depth", res_names[r]))
-                            .push(t, depth[r] as f64);
+                    if let Some(d) = depth.get_mut(r) {
+                        *d += step;
+                        run.resources[r].queue_depth.push((t, *d));
                     }
-                    if *detached && *kind == crate::trace::DemandKind::DiskWrite {
-                        backlog += i128::from(*bytes);
-                        backlog_series.push(t, backlog as f64);
-                        flush_bytes += *bytes;
+                    if *detached && *kind == DemandKind::DiskWrite {
+                        backlog += step * *bytes as i64;
+                        run.backlog.push((t, backlog));
+                        if step > 0 {
+                            run.flush_bytes += *bytes;
+                        }
                     }
                 }
                 TraceEvent::ServiceStarted { res, done_at_ns, .. } => {
-                    let r = *res as usize;
-                    if r < service.len() {
-                        service[r].push((t.as_nanos(), *done_at_ns));
-                        end_ns = end_ns.max(*done_at_ns);
-                    }
-                }
-                TraceEvent::ServiceFinished { res, kind, bytes, detached, .. } => {
-                    let r = *res as usize;
-                    if r < depth.len() {
-                        depth[r] -= 1;
-                        reg.gauge_mut(&format!("{}.queue_depth", res_names[r]))
-                            .push(t, depth[r] as f64);
-                    }
-                    if *detached && *kind == crate::trace::DemandKind::DiskWrite {
-                        backlog -= i128::from(*bytes);
-                        backlog_series.push(t, backlog as f64);
+                    if let Some(intervals) = service.get_mut(*res as usize) {
+                        intervals.push((t, *done_at_ns));
+                        run.end_ns = run.end_ns.max(*done_at_ns);
                     }
                 }
                 _ => {}
             }
         }
-        reg.set_counter("jobs.spawned", jobs_spawned);
-        reg.set_counter("jobs.finished", jobs_finished);
-        reg.set_counter("osm.flush_bytes", flush_bytes);
-        if !backlog_series.points().is_empty() {
-            *reg.gauge_mut("osm.flush_backlog_bytes") = backlog_series;
-        }
+        run.latencies_ns.sort_unstable();
 
-        // Pass 2: utilization windows per resource on the sim-time tick.
-        if end_ns > 0 {
-            let mut tick_ns = tick.as_nanos().max(1);
-            let max_windows = MAX_UTIL_WINDOWS as u64;
-            if end_ns.div_ceil(tick_ns) > max_windows {
-                tick_ns = end_ns.div_ceil(max_windows);
+        if run.end_ns > 0 {
+            let end = run.end_ns;
+            run.tick_ns = tick.as_nanos().max(1);
+            if end.div_ceil(run.tick_ns) > MAX_UTIL_WINDOWS {
+                run.tick_ns = end.div_ceil(MAX_UTIL_WINDOWS);
             }
-            let windows = end_ns.div_ceil(tick_ns) as usize;
-            for (r, name) in res_names.iter().enumerate() {
+            let tick_ns = run.tick_ns;
+            let windows = end.div_ceil(tick_ns) as usize;
+            for (r, intervals) in service.iter().enumerate() {
                 let mut busy = vec![0u64; windows];
-                for &(s, e) in &service[r] {
+                for &(s, e) in intervals {
                     let mut w = (s / tick_ns) as usize;
                     let mut cur = s;
                     while cur < e && w < windows {
-                        let w_end = ((w as u64 + 1) * tick_ns).min(end_ns);
+                        let w_end = run.window_end(w);
                         busy[w] += e.min(w_end) - cur;
                         cur = w_end;
                         w += 1;
                     }
                 }
-                let series = reg.gauge_mut(&format!("{name}.utilization"));
-                for (w, b) in busy.iter().enumerate() {
-                    let w_start = w as u64 * tick_ns;
-                    let w_end = (w_start + tick_ns).min(end_ns);
-                    let span = (w_end - w_start).max(1);
-                    series.push(SimTime(w_end), *b as f64 / span as f64);
-                }
+                let util = busy.iter().enumerate().map(|(w, &b)| {
+                    let span = (run.window_end(w) - w as u64 * tick_ns).max(1);
+                    b as f64 / span as f64
+                });
+                run.resources[r].utilization = util.collect();
             }
         }
-        reg
+        run
+    }
+
+    /// End (ns) of utilization window `w`: the tick boundary, or the run's
+    /// end for the last window.
+    pub fn window_end(&self, w: usize) -> u64 {
+        ((w as u64 + 1) * self.tick_ns).min(self.end_ns)
+    }
+
+    /// The flush backlog in effect at `t_ns` (the last sample at or before
+    /// it; 0 before the first).
+    pub fn backlog_at(&self, t_ns: u64) -> i64 {
+        let i = self.backlog.partition_point(|&(t, _)| t <= t_ns);
+        i.checked_sub(1).map_or(0, |i| self.backlog[i].1)
+    }
+
+    /// The largest flush backlog reached (0 if nothing was ever deferred).
+    pub fn backlog_peak(&self) -> i64 {
+        self.backlog.iter().map(|&(_, b)| b).max().unwrap_or(0)
+    }
+
+    /// Exact p50, p95 and p99 of the finished jobs' latencies (ns), or
+    /// `None` if no job finished.
+    pub fn latency_percentiles(&self) -> Option<[u64; 3]> {
+        let p = |q| percentile(&self.latencies_ns, q);
+        Some([p(50.0)?, p(95.0)?, p(99.0)?])
+    }
+
+    /// Every series under its exported name, in render order: the store's,
+    /// then per resource its queue depth and utilization (each window
+    /// stamped at its end), then the flush backlog.
+    fn named_series(&self) -> Vec<(String, Vec<(u64, f64)>)> {
+        let steps = |s: &[(u64, i64)]| s.iter().map(|&(t, v)| (t, v as f64)).collect();
+        let mut all: Vec<(String, Vec<(u64, f64)>)> = self
+            .store_series
+            .iter()
+            .map(|(name, s)| (name.to_string(), s.iter().map(|&(t, v)| (t, v as f64)).collect()))
+            .collect();
+        for r in &self.resources {
+            if !r.queue_depth.is_empty() {
+                all.push((format!("{}.queue_depth", r.name), steps(&r.queue_depth)));
+            }
+            if !r.utilization.is_empty() {
+                let util = r.utilization.iter().enumerate().map(|(w, &u)| (self.window_end(w), u));
+                all.push((format!("{}.utilization", r.name), util.collect()));
+            }
+        }
+        if !self.backlog.is_empty() {
+            all.push(("osm.flush_backlog_bytes".to_string(), steps(&self.backlog)));
+        }
+        all
+    }
+
+    /// Render every series as CSV: `series,t_ns,value` rows, one per sample.
+    pub fn series_csv(&self) -> String {
+        let mut out = String::from("series,t_ns,value\n");
+        for (name, points) in self.named_series() {
+            for (t, v) in points {
+                let _ = writeln!(out, "{name},{t},{v}");
+            }
+        }
+        out
+    }
+
+    /// Render the record as a JSON object: counters (the store's, then the
+    /// stream's), the job-latency summary with exact percentiles, and each
+    /// series' point count, last and largest value (the points themselves
+    /// are [`RunMetrics::series_csv`]'s).
+    pub fn metrics_json(&self) -> String {
+        let own = [
+            ("events", self.events as u64),
+            ("jobs.finished", self.latencies_ns.len() as u64),
+            ("jobs.spawned", self.jobs.len() as u64),
+            ("osm.flush_bytes", self.flush_bytes),
+        ];
+        let mut out = String::from("{\n  \"counters\": {");
+        for (i, (name, v)) in self.store_counters.iter().copied().chain(own).enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}\n    \"{}\": {v}", json_escape(name));
+        }
+        let lat = &self.latencies_ns;
+        let sum: u128 = lat.iter().map(|&v| u128::from(v)).sum();
+        let mean = if lat.is_empty() { 0.0 } else { sum as f64 / lat.len() as f64 };
+        let [p50, p95, p99] = self.latency_percentiles().unwrap_or_default();
+        let _ = write!(
+            out,
+            "\n  }},\n  \"job_latency_ns\": {{\"count\": {}, \"min\": {}, \"max\": {}, \
+             \"mean\": {mean:.3}, \"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}},\n  \"gauges\": {{",
+            lat.len(),
+            lat.first().copied().unwrap_or(0),
+            lat.last().copied().unwrap_or(0),
+        );
+        for (i, (name, points)) in self.named_series().iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let last = points.last().map_or(0.0, |&(_, v)| v);
+            let max = points.iter().map(|&(_, v)| v).reduce(f64::max).unwrap_or(0.0);
+            let _ = write!(
+                out,
+                "{sep}\n    \"{}\": {{\"points\": {}, \"last\": {last}, \"max\": {max}}}",
+                json_escape(name),
+                points.len(),
+            );
+        }
+        out.push_str("\n  }\n}\n");
+        out
     }
 }
-
-/// Cap on utilization windows per resource; `from_events` widens the
-/// tick rather than exceed it.
-pub const MAX_UTIL_WINDOWS: usize = 4096;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::DemandKind;
+    use crate::export::json_is_valid;
+    use crate::time::SimTime;
 
     #[test]
-    fn empty_histogram_reports_none() {
-        let h = Histogram::latency_default();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.percentile(50.0), None);
-        assert_eq!(h.percentile(99.0), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
-    }
-
-    #[test]
-    fn single_sample_dominates_every_percentile() {
-        let mut h = Histogram::with_bounds(&[10, 100, 1000]);
-        h.record(70);
-        for p in [0.1, 1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(h.percentile(p), Some(100), "p{p}");
-        }
-        assert_eq!((h.min(), h.max()), (Some(70), Some(70)));
-        assert_eq!(h.mean(), Some(70.0));
-    }
-
-    #[test]
-    fn bucket_boundary_samples_land_in_their_bucket() {
-        let mut h = Histogram::with_bounds(&[10, 20, 30]);
-        // A sample exactly on a bound belongs to that bucket (inclusive
-        // upper bounds), one past it to the next.
-        h.record(10);
-        h.record(11);
-        assert_eq!(h.buckets()[0], (10, 1));
-        assert_eq!(h.buckets()[1], (20, 1));
-    }
-
-    #[test]
-    fn exact_percentiles_on_known_distribution() {
-        // 100 samples, one per bound 1..=100: pN is exactly N.
-        let bounds: Vec<u64> = (1..=100).collect();
-        let mut h = Histogram::with_bounds(&bounds);
-        for v in 1..=100 {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(50.0), Some(50));
-        assert_eq!(h.percentile(99.0), Some(99));
-        assert_eq!(h.percentile(100.0), Some(100));
-        assert_eq!(h.percentile(1.0), Some(1));
-    }
-
-    #[test]
-    fn overflow_bucket_reports_exact_max() {
-        let mut h = Histogram::with_bounds(&[10]);
-        h.record(5);
-        h.record(12345);
-        assert_eq!(h.percentile(100.0), Some(12345));
-        assert_eq!(h.buckets().last(), Some(&(12345, 1)));
-    }
-
-    #[test]
-    fn time_series_step_semantics() {
-        let mut s = TimeSeries::new();
-        assert_eq!(s.value_at(SimTime(5)), None);
-        s.push(SimTime(10), 1.0);
-        s.push(SimTime(20), 3.0);
-        assert_eq!(s.value_at(SimTime(5)), None);
-        assert_eq!(s.value_at(SimTime(10)), Some(1.0));
-        assert_eq!(s.value_at(SimTime(15)), Some(1.0));
-        assert_eq!(s.value_at(SimTime(25)), Some(3.0));
-        assert_eq!(s.max_value(), Some(3.0));
+    fn percentile_is_nearest_rank() {
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&v, 50.0), Some(2.0));
+        assert_eq!(percentile(&v, 100.0), Some(4.0));
+        assert_eq!(percentile(&v, 1.0), Some(1.0));
+        assert_eq!(percentile(&[7u64], 99.0), Some(7));
+        assert_eq!(percentile::<u64>(&[], 50.0), None);
     }
 
     fn ev(at_ns: u64, event: TraceEvent) -> TimedEvent {
         TimedEvent { at: SimTime(at_ns), event }
     }
 
-    #[test]
-    fn from_events_builds_backlog_and_latency() {
-        let names = vec!["disk0".to_string()];
-        let events = vec![
-            ev(0, TraceEvent::JobSpawned { job: 0, label: "w".into() }),
+    fn disk_write(at_ns: u64, done_at_ns: u64) -> [TimedEvent; 3] {
+        let (res, task, kind, bytes, detached) = (0, 0, DemandKind::DiskWrite, 4096, true);
+        [
+            ev(at_ns, TraceEvent::Enqueued { res, task, kind, bytes, depth: 1, detached }),
             ev(
-                0,
-                TraceEvent::Enqueued {
-                    res: 0,
-                    task: 0,
-                    kind: DemandKind::DiskWrite,
-                    bytes: 4096,
-                    depth: 1,
-                    detached: true,
-                },
-            ),
-            ev(
-                0,
+                at_ns,
                 TraceEvent::ServiceStarted {
-                    res: 0,
-                    task: 0,
-                    kind: DemandKind::DiskWrite,
-                    bytes: 4096,
+                    res,
+                    task,
+                    kind,
+                    bytes,
                     waited_ns: 0,
-                    done_at_ns: 1_000_000,
-                    detached: true,
+                    done_at_ns,
+                    detached,
                 },
             ),
-            ev(500_000, TraceEvent::JobFinished { job: 0 }),
-            ev(
-                1_000_000,
-                TraceEvent::ServiceFinished {
-                    res: 0,
-                    task: 0,
-                    kind: DemandKind::DiskWrite,
-                    bytes: 4096,
-                    detached: true,
-                },
-            ),
+            ev(done_at_ns, TraceEvent::ServiceFinished { res, task, kind, bytes, detached }),
+        ]
+    }
+
+    /// Two jobs of 3 ms and 5 ms: the percentiles are those latencies, not
+    /// the power-of-two bucket bounds (4.096 and 8.192 ms) above them.
+    #[test]
+    fn percentiles_are_exact_latencies() {
+        let spawn = |job| ev(0, TraceEvent::JobSpawned { job, label: format!("j{job}") });
+        let events = [
+            spawn(0),
+            spawn(1),
+            ev(3_000_000, TraceEvent::JobFinished { job: 0 }),
+            ev(5_000_000, TraceEvent::JobFinished { job: 1 }),
         ];
-        let reg = MetricsRegistry::from_events(&events, &names, SimDuration::from_millis(1));
-        let backlog = reg.gauge("osm.flush_backlog_bytes").expect("backlog series");
-        assert_eq!(backlog.max_value(), Some(4096.0));
-        assert_eq!(backlog.last(), Some(0.0));
-        let lat = reg.histogram("job_latency_ns").expect("latency histogram");
-        assert_eq!(lat.count(), 1);
-        // Disk busy the whole 1ms run -> utilization 1.0.
-        let util = reg.gauge("disk0.utilization").expect("utilization series");
-        assert!(util.points().iter().all(|&(_, v)| (0.0..=1.0).contains(&v)));
-        assert_eq!(util.last(), Some(1.0));
-        assert_eq!(reg.counter("osm.flush_bytes"), Some(4096));
+        let run = RunMetrics::derive(&events, Vec::new(), SimDuration::from_millis(1));
+        assert_eq!(run.latencies_ns, [3_000_000, 5_000_000]);
+        assert_eq!(run.latency_percentiles(), Some([3_000_000, 5_000_000, 5_000_000]));
+        assert_eq!(run.jobs[1].end_ns, Some(5_000_000));
+    }
+
+    #[test]
+    fn derive_builds_backlog_depth_and_utilization() {
+        let names = vec!["disk0".to_string()];
+        let mut events = vec![ev(0, TraceEvent::JobSpawned { job: 0, label: "w".into() })];
+        let [enq, start, fin] = disk_write(0, 1_000_000);
+        events.extend([enq, start, ev(500_000, TraceEvent::JobFinished { job: 0 }), fin]);
+        let run = RunMetrics::derive(&events, names, SimDuration::from_millis(1));
+        assert_eq!(run.backlog, [(0, 4096), (1_000_000, 0)]);
+        assert_eq!(
+            (run.backlog_peak(), run.backlog_at(999_999), run.backlog_at(run.end_ns)),
+            (4096, 4096, 0)
+        );
+        assert_eq!((run.flush_bytes, run.latencies_ns.as_slice()), (4096, &[500_000][..]));
+        let disk = &run.resources[0];
+        assert_eq!(
+            (disk.queue_depth.as_slice(), disk.queue_peak()),
+            (&[(0, 1), (1_000_000, 0)][..], 1)
+        );
+        // Disk busy the whole 1 ms run: one window, utilization 1.
+        assert_eq!((run.tick_ns, disk.utilization.as_slice()), (1_000_000, &[1.0][..]));
+    }
+
+    #[test]
+    fn csv_and_json_render_every_series_and_counter() {
+        let mut run =
+            RunMetrics::derive(&disk_write(0, 2_000), vec!["d".into()], SimDuration(1_000));
+        run.store_counters = vec![("store.grants", 2)];
+        run.store_series = vec![("store.by_op", vec![(0, 3)])];
+        let csv = run.series_csv();
+        let rows = [
+            "series,t_ns,value",
+            "store.by_op,0,3",
+            "d.queue_depth,0,1",
+            "d.queue_depth,2000,0",
+            "d.utilization,1000,1",
+            "d.utilization,2000,1",
+            "osm.flush_backlog_bytes,0,4096",
+            "osm.flush_backlog_bytes,2000,0",
+        ];
+        assert_eq!(csv.lines().collect::<Vec<_>>(), rows);
+        let json = run.metrics_json();
+        assert!(json_is_valid(&json), "invalid JSON:\n{json}");
+        assert!(json.contains("\"store.grants\": 2,\n    \"events\": 3"), "{json}");
+        assert!(json.contains("\"job_latency_ns\": {\"count\": 0"), "{json}");
+        assert!(
+            json.contains("\"d.utilization\": {\"points\": 2, \"last\": 1, \"max\": 1}"),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn long_runs_widen_the_tick() {
+        let run = RunMetrics::derive(&disk_write(0, 10_000_000), vec!["d".into()], SimDuration(1));
+        assert_eq!(run.resources[0].utilization.len() as u64, MAX_UTIL_WINDOWS);
+        assert_eq!(run.window_end(MAX_UTIL_WINDOWS as usize - 1), run.end_ns);
     }
 }

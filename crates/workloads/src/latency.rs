@@ -8,7 +8,7 @@
 //! read-modify-write shows up as a fat write tail).
 
 use cdd::{BlockStore, IoError};
-use sim_core::Engine;
+use sim_core::{percentile, Engine};
 
 /// Latency distribution summary (seconds).
 #[derive(Debug, Clone)]
@@ -25,14 +25,6 @@ pub struct LatencyResult {
     pub max: f64,
     /// Number of samples.
     pub samples: usize,
-}
-
-/// Percentile of an unsorted sample set (nearest-rank).
-pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
 }
 
 /// Measure per-operation latency of single-block operations.
@@ -78,14 +70,15 @@ pub fn measure_latency<S: BlockStore>(
         }
     }
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let n = samples.len();
+    samples.sort_by(f64::total_cmp);
+    let at = |p| percentile(&samples, p).expect("a latency run takes at least one sample");
     Ok(LatencyResult {
         mean,
-        p50: percentile(&mut samples, 50.0),
-        p95: percentile(&mut samples, 95.0),
-        p99: percentile(&mut samples, 99.0),
-        max: samples.last().copied().unwrap_or(0.0),
-        samples: n,
+        p50: at(50.0),
+        p95: at(95.0),
+        p99: at(99.0),
+        max: at(100.0),
+        samples: samples.len(),
     })
 }
 
@@ -97,16 +90,6 @@ mod tests {
     fn run(arch: Arch, writes: bool) -> LatencyResult {
         let (mut engine, mut store) = cdd::testkit::trojans(arch);
         measure_latency(&mut engine, &mut store, 8, 6, writes).unwrap()
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut v = vec![4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&mut v, 50.0), 2.0);
-        assert_eq!(percentile(&mut v, 100.0), 4.0);
-        assert_eq!(percentile(&mut v, 1.0), 1.0);
-        let mut one = vec![7.0];
-        assert_eq!(percentile(&mut one, 99.0), 7.0);
     }
 
     #[test]

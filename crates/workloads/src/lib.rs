@@ -20,7 +20,7 @@ pub mod parallel_io;
 pub mod zipf;
 
 pub use andrew::{run_andrew, AndrewConfig, AndrewResult, PHASES};
-pub use latency::{measure_latency, percentile, LatencyResult};
+pub use latency::{measure_latency, LatencyResult};
 pub use mixed::{run_mixed, MixedConfig, MixedResult};
 pub use op_script::{check_against_model, gen_script, run_script, ScriptOp, ScriptOutcome};
 pub use parallel_io::{run_parallel_io, BandwidthResult, IoPattern, ParallelIoConfig};
