@@ -81,7 +81,7 @@ fn raidx_summary(cc: ClusterConfig, cfg: &ParallelIoConfig) -> Vec<ClassUtil> {
     let mut engine = Engine::new();
     let mut sys = IoSystem::new(&mut engine, cc, Arch::RaidX, CddConfig::default());
     let r = run_parallel_io(&mut engine, &mut sys, cfg).expect("experiment I/O failed");
-    summarize(&engine, &sys.cluster, SimDuration::from_secs_f64(r.drain_secs))
+    summarize(&engine, sys.cluster(), SimDuration::from_secs_f64(r.drain_secs))
 }
 
 /// Run the 16-client large-write workload on both systems, and the

@@ -308,14 +308,22 @@ mod tests {
     }
 
     /// Crashing a node takes its disks transiently offline, partitions
-    /// it, and re-homes its buffered image flushes.
+    /// it, and re-homes its buffered image flushes: each becomes a local
+    /// write at its image disk's owner, so flushing them sends nothing over
+    /// the network. Restarting the node (as `FaultEvent::NodeRestart`
+    /// does) then resyncs what was parked, and every byte reads back.
     #[test]
     fn crash_node_combines_partition_and_transient_disks() {
-        let (_engine, mut sys) = shape(4, 2, 8 << 20, Arch::RaidX);
+        let (mut engine, mut sys) = shape(4, 2, 8 << 20, Arch::RaidX);
         let bs = sys.block_size() as usize;
-        for lb in 0..4u64 {
-            sys.write(2, lb, &vec![1u8; bs]).expect("seed");
+        let blocks = 12u64;
+        let data: Vec<u8> = (0..blocks as usize * bs).map(|i| (i % 251) as u8).collect();
+        for (lb, block) in (0..blocks).zip(data.chunks(bs)) {
+            let plan = sys.write(2, lb, block).expect("seed");
+            engine.spawn_job("seed", plan);
         }
+        engine.run().expect("seed writes");
+
         sys.crash_node(2);
         assert!(sys.partitions().is_partitioned(2));
         for g in 0..sys.cluster.ndisks() {
@@ -323,8 +331,29 @@ mod tests {
                 assert!(sys.offline_disks().contains(g), "disk {g} should be offline");
             }
         }
-        // Remaining buffered images must not be owned by the dead node.
-        let drained = sys.images.drain_all();
-        assert!(drained.iter().all(|p| p.client != 2), "crashed node still owns flushes");
+        assert!(sys.pending_image_blocks() > 0, "nothing left to re-home");
+        assert!(sys.parked_total() > 0, "no image aimed at the crashed node was parked");
+
+        let tx = |engine: &sim_core::Engine, sys: &crate::IoSystem| -> Vec<u64> {
+            sys.cluster.nodes.iter().map(|n| engine.resource_stats(n.tx).bytes).collect()
+        };
+        let before = tx(&engine, &sys);
+        let flush = sys.flush_images();
+        engine.spawn_job("flush", flush);
+        engine.run().expect("flush");
+        assert_eq!(tx(&engine, &sys), before, "a re-homed image flush crossed the network");
+
+        sys.heal_node(2);
+        for g in 0..sys.cluster.ndisks() {
+            if sys.cluster.node_of_disk(g) == 2 {
+                let (plan, _) = sys.recover_disk_transient(0, g).expect("resync");
+                engine.spawn_job("restart", plan);
+            }
+        }
+        engine.run().expect("restart");
+        assert_eq!(sys.parked_total(), 0);
+        sys.scrub().expect("scrub after restart");
+        let (got, _) = sys.read(0, 0, blocks).expect("read back");
+        assert!(got == data, "bytes lost across the crash");
     }
 }

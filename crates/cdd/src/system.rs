@@ -48,8 +48,10 @@ pub use crate::error::IoError;
 
 /// The single I/O space of one architecture over one cluster.
 pub struct IoSystem {
-    /// Cluster resource handles (public: workloads need node/NIC ids).
-    pub cluster: Cluster,
+    /// Cluster resource handles. Read-only outside the crate
+    /// ([`IoSystem::cluster`]): the cached lock rounds are derived from
+    /// its node set and network spec.
+    pub(crate) cluster: Cluster,
     pub(crate) plane: DataPlane,
     pub(crate) layout: Box<dyn Layout>,
     pub(crate) cfg: CddConfig,
@@ -185,6 +187,11 @@ impl IoSystem {
         if let Some(tr) = self.tracer.as_mut() {
             tr.record(at, TraceEvent::Access { client, lb, len, kind });
         }
+    }
+
+    /// Cluster resource handles (workloads need node, NIC and disk ids).
+    pub fn cluster(&self) -> &Cluster {
+        &self.cluster
     }
 
     /// The layout driving this system.

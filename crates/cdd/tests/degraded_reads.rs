@@ -79,7 +79,7 @@ fn raid5_covers_primary_reconstruct_and_lost() {
     // A second failure exceeds RAID-5's tolerance: some stripe member is
     // unrecoverable and the read path reports data loss.
     let second =
-        (0..s.cluster.disks.len()).find(|&d| d != dead && !s.faults().contains(d)).unwrap();
+        (0..s.cluster().disks.len()).find(|&d| d != dead && !s.faults().contains(d)).unwrap();
     s.fail_disk(second);
     let lost = (0..s.capacity_blocks())
         .find(|&lb| matches!(s.layout().read_source(lb, s.faults()), ReadSource::Lost))

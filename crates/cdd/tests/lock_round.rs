@@ -88,7 +88,7 @@ fn traced_writes(
         assert_eq!(round.is_some(), cfg.lock_broadcast, "lock_broadcast is the only switch");
         if let (true, Some(round)) = (reference, round) {
             let Plan::Par(owned) =
-                reference_round(&OpBuilder { cluster: &sys.cluster, cfg }, client)
+                reference_round(&OpBuilder { cluster: sys.cluster(), cfg }, client)
             else {
                 unreachable!("reference_round builds a Par")
             };

@@ -16,7 +16,7 @@ fn setup(policy: ReadBalance, arch: Arch) -> (Engine, IoSystem) {
 }
 
 fn disk_read_bytes(e: &Engine, s: &IoSystem) -> Vec<u64> {
-    s.cluster.disks.iter().map(|d| e.resource_stats(d.res).bytes).collect()
+    s.cluster().disks.iter().map(|d| e.resource_stats(d.res).bytes).collect()
 }
 
 #[test]

@@ -16,11 +16,13 @@
 //! Recovery: a transient failure restores from the checkpoint's **local
 //! mirrored image** (OSM keeps one image per block in the same row);
 //! a permanent disk failure restores through the degraded read path.
+//! [`two_level`] times both paths. Neither writes a commit record or a
+//! journal: a checkpoint is ordinary array writes, so its crash recovery
+//! is the array's own (`cdd::IoSystem::crash_node`, transient resync and
+//! rebuild, exercised by the verify fault sweep).
 
-pub mod crash;
 pub mod two_level;
 
-pub use crash::{audit_two_level, audit_write_behind, CrashAudit, CrashDefect, CrashFinding};
 pub use two_level::{image_local_blocks, run_two_level, TwoLevelResult};
 
 use cdd::{BlockStore, IoError};

@@ -25,7 +25,7 @@ pub fn image_local_blocks(sys: &IoSystem, node: usize, count: usize, skip: usize
     for lb in 0..sys.capacity_blocks() {
         let img = sys.layout().locate_images(lb);
         let Some(img) = img.first() else { continue };
-        if sys.cluster.node_of_disk(img.disk) == node {
+        if sys.cluster().node_of_disk(img.disk) == node {
             if skipped < skip {
                 skipped += 1;
                 continue;
@@ -80,10 +80,11 @@ pub fn run_two_level(
     let checkpoint_secs = engine.now().since(t0).as_secs_f64();
 
     // --- Transient recovery: read the local image clusters directly.
-    let tx_before: u64 = sys.cluster.nodes.iter().map(|n| engine.resource_stats(n.tx).bytes).sum();
+    let tx_before: u64 =
+        sys.cluster().nodes.iter().map(|n| engine.resource_stats(n.tx).bytes).sum();
     let images: Vec<(u64, raidx_core::BlockAddr)> =
         lbs.iter().map(|&lb| (lb, sys.layout().locate_images(lb)[0])).collect();
-    let ops = OpBuilder { cluster: &sys.cluster, cfg: &CddConfig::default() };
+    let ops = OpBuilder { cluster: sys.cluster(), cfg: &CddConfig::default() };
     let reads: Vec<Plan> = merge_runs(images)
         .into_iter()
         .map(|run| ops.read_run(node, run.disk, run.start, run.len()))
@@ -92,11 +93,11 @@ pub fn run_two_level(
     engine.spawn_job("transient-recovery", par(reads));
     engine.run().expect("transient recovery deadlocked");
     let transient_secs = engine.now().since(t1).as_secs_f64();
-    let tx_after: u64 = sys.cluster.nodes.iter().map(|n| engine.resource_stats(n.tx).bytes).sum();
+    let tx_after: u64 = sys.cluster().nodes.iter().map(|n| engine.resource_stats(n.tx).bytes).sum();
 
     // --- Permanent recovery: the node is gone; a neighbour reads the
     // striped data blocks.
-    let neighbour = (node + 1) % sys.cluster.cfg.nodes;
+    let neighbour = (node + 1) % sys.cluster().cfg.nodes;
     let t2 = engine.now();
     for &lb in &lbs {
         let (bytes, p) = sys.read(neighbour, lb, 1)?;
@@ -132,13 +133,13 @@ mod tests {
             assert_eq!(lbs.len(), 45);
             for &lb in &lbs {
                 let img = sys.layout().locate_images(lb)[0];
-                assert_eq!(sys.cluster.node_of_disk(img.disk), node);
+                assert_eq!(sys.cluster().node_of_disk(img.disk), node);
                 // And the data block is *not* local-only: it stripes.
             }
             // Data blocks cover many nodes (striping preserved).
             let data_nodes: std::collections::HashSet<usize> = lbs
                 .iter()
-                .map(|&lb| sys.cluster.node_of_disk(sys.layout().locate_data(lb).disk))
+                .map(|&lb| sys.cluster().node_of_disk(sys.layout().locate_data(lb).disk))
                 .collect();
             assert!(data_nodes.len() >= 8, "checkpoint not striped: {data_nodes:?}");
         }

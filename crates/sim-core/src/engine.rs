@@ -19,7 +19,7 @@ use crate::prof::EngineStats;
 use crate::resource::{ResourceId, ResourceStats, ServiceModel};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
-use crate::validate::{lint_jobs, lint_plan, PlanContext, PlanError, Strictness};
+use crate::validate::{lint_plan, PlanContext, PlanError, Strictness};
 
 /// Opaque handle to a spawned foreground job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -212,9 +212,9 @@ impl Engine {
             resources: self.resources.len(),
             #[expect(
                 clippy::disallowed_methods,
-                reason = "collected into another map, order cannot be observed."
+                reason = "collected into a set, order cannot be observed."
             )]
-            barriers: self.barriers.iter().map(|(&id, b)| (id, b.needed)).collect(),
+            barriers: self.barriers.keys().copied().collect(),
         }
     }
 
@@ -224,18 +224,6 @@ impl Engine {
     /// demands. Returns every defect found, not just the first.
     pub fn validate(&self, plan: &Plan) -> Result<(), Vec<PlanError>> {
         let errs = lint_plan(plan, &self.plan_context(), Strictness::Strict);
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
-    }
-
-    /// Validate a whole job set before spawning: every plan individually
-    /// (strict) plus cross-job barrier participant accounting — the class
-    /// of defect that silently deadlocks [`Engine::run`].
-    pub fn validate_jobs(&self, plans: &[Plan]) -> Result<(), Vec<PlanError>> {
-        let errs = lint_jobs(plans, &self.plan_context());
         if errs.is_empty() {
             Ok(())
         } else {

@@ -5,17 +5,14 @@
 //! the event loop (an unknown resource id). This module rejects those
 //! shapes *before* any event fires, with an error that names the offending
 //! node. [`Engine::validate`](crate::Engine::validate) checks one plan
-//! against the engine's registered resources and barriers;
-//! [`Engine::validate_jobs`](crate::Engine::validate_jobs) additionally
-//! cross-checks barrier participant counts across a whole job set, which is
-//! where the silent-deadlock bugs live.
+//! against the engine's registered resources and barriers.
 
 use crate::demand::Demand;
 use crate::plan::{BarrierId, Plan};
 use crate::resource::ResourceId;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
-/// A defect found in a [`Plan`] (or a set of plans) by static validation.
+/// A defect found in a [`Plan`] by static validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// A `Use` leaf names a resource that was never registered.
@@ -49,17 +46,6 @@ pub enum PlanError {
         /// The resource the empty demand targets.
         res: ResourceId,
     },
-    /// Across a job set: the number of tasks that concurrently arrive at a
-    /// barrier does not match its registered participant count, so the
-    /// barrier either never opens (deadlock) or opens early.
-    ParticipantMismatch {
-        /// The barrier in question.
-        id: BarrierId,
-        /// Participants declared via `register_barrier`.
-        registered: usize,
-        /// Concurrent arrivals implied by the job set's plans.
-        arriving: usize,
-    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -79,10 +65,6 @@ impl std::fmt::Display for PlanError {
             PlanError::ZeroByteUse { res } => {
                 write!(f, "zero-byte transfer demand at resource {res:?}")
             }
-            PlanError::ParticipantMismatch { id, registered, arriving } => write!(
-                f,
-                "barrier {id:?} registered for {registered} participants but {arriving} arrive"
-            ),
         }
     }
 }
@@ -95,8 +77,8 @@ impl std::error::Error for PlanError {}
 pub struct PlanContext {
     /// Number of registered resources (ids are dense, so a bound suffices).
     pub resources: usize,
-    /// Registered barriers and their participant counts.
-    pub barriers: HashMap<BarrierId, usize>,
+    /// Registered barriers.
+    pub barriers: HashSet<BarrierId>,
 }
 
 /// Severity classes of [`PlanError`], used to pick which checks gate
@@ -151,7 +133,7 @@ fn walk(
         }
         Plan::Background(p) => walk(p, ctx, strictness, true, errs),
         Plan::Barrier(id) => {
-            if !ctx.barriers.contains_key(id) {
+            if !ctx.barriers.contains(id) {
                 errs.push(PlanError::UnregisteredBarrier { id: *id });
             }
             if in_background {
@@ -177,81 +159,6 @@ fn walk_seq(
     }
 }
 
-/// Concurrent arrivals this plan contributes to each barrier per cycle:
-/// `Par` children arrive together (sum); `Seq` children and `Shared`
-/// steps arrive on successive cycles (max); `Background` subtrees are
-/// excluded (they are already an error).
-pub fn barrier_arrivals(plan: &Plan, out: &mut HashMap<BarrierId, usize>) {
-    fn successive(steps: &[Plan], acc: &mut HashMap<BarrierId, usize>) {
-        let mut max: HashMap<BarrierId, usize> = HashMap::new();
-        for p in steps {
-            let mut child = HashMap::new();
-            arrivals(p, &mut child);
-            #[expect(
-                clippy::iter_over_hash_type,
-                reason = "commutative max-merge, order-insensitive."
-            )]
-            for (id, n) in child {
-                let e = max.entry(id).or_insert(0);
-                *e = (*e).max(n);
-            }
-        }
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "commutative addition into the accumulator."
-        )]
-        for (id, n) in max {
-            *acc.entry(id).or_insert(0) += n;
-        }
-    }
-    fn arrivals(plan: &Plan, acc: &mut HashMap<BarrierId, usize>) {
-        match plan {
-            Plan::Barrier(id) => {
-                *acc.entry(*id).or_insert(0) += 1;
-            }
-            Plan::Seq(v) => successive(v, acc),
-            Plan::Shared(v) => successive(v, acc),
-            Plan::Par(v) => {
-                for p in v {
-                    arrivals(p, acc);
-                }
-            }
-            Plan::Noop | Plan::Delay(_) | Plan::Use { .. } | Plan::Background(_) => {}
-        }
-    }
-    let mut acc = HashMap::new();
-    arrivals(plan, &mut acc);
-    #[expect(clippy::iter_over_hash_type, reason = "commutative addition into the output map.")]
-    for (id, n) in acc {
-        *out.entry(id).or_insert(0) += n;
-    }
-}
-
-/// Validate a whole job set: every plan individually, plus the cross-job
-/// barrier participant accounting.
-pub fn lint_jobs(plans: &[Plan], ctx: &PlanContext) -> Vec<PlanError> {
-    let mut errs = Vec::new();
-    let mut arriving: HashMap<BarrierId, usize> = HashMap::new();
-    for p in plans {
-        walk(p, ctx, Strictness::Strict, false, &mut errs);
-        barrier_arrivals(p, &mut arriving);
-    }
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "sorted immediately below so the error list is deterministic."
-    )]
-    let mut ordered: Vec<(BarrierId, usize)> =
-        ctx.barriers.iter().map(|(&id, &needed)| (id, needed)).collect();
-    ordered.sort_by_key(|(id, _)| id.0);
-    for (id, needed) in ordered {
-        let n = arriving.get(&id).copied().unwrap_or(0);
-        if n != needed && n > 0 {
-            errs.push(PlanError::ParticipantMismatch { id, registered: needed, arriving: n });
-        }
-    }
-    errs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,7 +166,7 @@ mod tests {
     use crate::time::SimDuration;
 
     fn ctx() -> PlanContext {
-        PlanContext { resources: 2, barriers: [(BarrierId(1), 2)].into_iter().collect() }
+        PlanContext { resources: 2, barriers: [BarrierId(1)].into_iter().collect() }
     }
 
     fn disk(res: u32, bytes: u64) -> Plan {
@@ -328,48 +235,5 @@ mod tests {
     fn busy_demand_is_not_a_zero_byte_transfer() {
         let p = use_res(ResourceId(0), Demand::Busy(SimDuration::from_micros(1)));
         assert!(lint_plan(&p, &ctx(), Strictness::Strict).is_empty());
-    }
-
-    #[test]
-    fn participant_accounting_seq_vs_par() {
-        // Two jobs: one arrives twice sequentially (two cycles, one
-        // concurrent arrival), one arrives in two parallel branches.
-        let b = BarrierId(1);
-        let j0 = seq(vec![barrier(b), disk(0, 8), barrier(b)]);
-        let j1 = par(vec![barrier(b), barrier(b)]);
-        let mut arr = HashMap::new();
-        barrier_arrivals(&j0, &mut arr);
-        assert_eq!(arr[&b], 1);
-        barrier_arrivals(&j1, &mut arr);
-        assert_eq!(arr[&b], 3);
-        // `Shared` steps count as `Seq` children do: successive cycles,
-        // and a `Par` among them still arrives together.
-        let j2 = shared(vec![barrier(b), disk(0, 8), j1.clone(), barrier(b)]);
-        let mut arr = HashMap::new();
-        barrier_arrivals(&j2, &mut arr);
-        assert_eq!(arr[&b], 2);
-        barrier_arrivals(&par(vec![j2, shared(vec![barrier(b)])]), &mut arr);
-        assert_eq!(arr[&b], 5);
-    }
-
-    #[test]
-    fn job_set_mismatch_detected() {
-        let b = BarrierId(1); // registered for 2
-        let plans = vec![barrier(b)]; // only one job arrives
-        let errs = lint_jobs(&plans, &ctx());
-        assert!(
-            errs.iter().any(|e| matches!(
-                e,
-                PlanError::ParticipantMismatch { registered: 2, arriving: 1, .. }
-            )),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn job_set_exact_match_passes() {
-        let b = BarrierId(1);
-        let plans = vec![barrier(b), seq(vec![disk(0, 4), barrier(b)])];
-        assert!(lint_jobs(&plans, &ctx()).is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! Pass 9 — `cache-coherence`: the client block cache's transparency
+//! Pass 8 — `cache-coherence`: the client block cache's transparency
 //! and payoff gate.
 //!
 //! The cache ([`cdd::cache`]) must be *invisible* to correctness and

@@ -1,4 +1,4 @@
-//! Pass 6 — fault-injection sweep.
+//! Pass 5 — fault-injection sweep.
 //!
 //! Enumerates single-fault injection points across every architecture
 //! and asserts the two properties the fault subsystem promises:

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! # raidx-verify — static analysis and invariant verification
 //!
-//! Nine offline passes that check the reproduction's correctness
+//! Eight offline passes that check the reproduction's correctness
 //! properties *before and between* simulations, independently of the unit
 //! tests. The suite has no modes: every caller — `bench verify`, CI and the
 //! tier-1 hook — runs every pass at full size (2–3 s release, 11–18 s debug).
@@ -15,27 +15,24 @@
 //! 4. [`model_check`] — every interleaving of small CDD lock-protocol
 //!    scenarios keeps the lock-group invariants, and every history is
 //!    linearizable ([`linearizability`]).
-//! 5. [`crash_consistency`] — recovery after every crash point of OSM
-//!    flushes and two-level checkpoint commits.
-//! 6. [`fault_sweep`] — every single-fault injection point recovers byte
+//! 5. [`fault_sweep`] — every single-fault injection point recovers byte
 //!    for byte, replays fingerprint-identically and leaves a well-formed
 //!    lock record ([`cdd::testkit::grants_of`]).
-//! 7. [`static_analysis`] — the module-size cap and the wiring of the
+//! 6. [`static_analysis`] — the module-size cap and the wiring of the
 //!    clippy lints that own the static rules.
-//! 8. [`perf_smoke`] — deterministic engine work counters against
+//! 7. [`perf_smoke`] — deterministic engine work counters against
 //!    in-code baselines; host time is `benchmark/`'s job.
-//! 9. [`cache_coherence`] — cached-vs-uncached transparency and the
+//! 8. [`cache_coherence`] — cached-vs-uncached transparency and the
 //!    Zipfian payoff gate; the cache protocol is a row of pass 4.
 //!
 //! Every pass is a library API first: [`PASSES`] is the registry and
 //! [`run_pass`] the dispatcher. `cargo run -p bench -- verify`
-//! drives all nine (filterable with `--pass <name>`, listable with
+//! drives all eight (filterable with `--pass <name>`, listable with
 //! `--list-passes`, exportable with `--json <path>`) and exits non-zero
 //! on any finding; the root package's `tests/verify_smoke.rs` runs the
 //! same registry under `cargo test`.
 
 pub mod cache_coherence;
-pub mod crash_consistency;
 pub mod determinism;
 pub mod fault_sweep;
 pub mod layout_check;
@@ -76,7 +73,7 @@ fn layout_pass() -> PassReport {
 /// Registry of every pass with a one-line description, in execution
 /// order (the order `bench verify --list-passes` prints and a full run
 /// executes).
-pub const PASSES: [(&str, &str); 9] = [
+pub const PASSES: [(&str, &str); 8] = [
     ("plan-lint", "reject Plan DAG shapes that would panic or deadlock the event loop"),
     ("layout-conformance", "exhaustive OSM/parity/mirror placement rules across array shapes"),
     (
@@ -84,7 +81,6 @@ pub const PASSES: [(&str, &str); 9] = [
         "event stream and end-of-run aggregates of the seeded workload replay identically",
     ),
     ("model-check", "every interleaving of small CDD lock scenarios; every history linearizable"),
-    ("crash-consistency", "crash-point enumeration inside OSM flushes and checkpoint commits"),
     (
         "fault-sweep",
         "every enumerated single-fault point recovers byte-for-byte, every grant on the record",
@@ -108,7 +104,6 @@ pub fn run_pass(name: &str) -> PassReport {
         "layout-conformance" => layout_pass(),
         "determinism" => determinism::run_pass(),
         "model-check" => model_check::run_pass(),
-        "crash-consistency" => crash_consistency::run_pass(),
         "fault-sweep" => fault_sweep::run_pass(),
         "static-analysis" => {
             let crates_dir =

@@ -41,10 +41,11 @@ echo "==> benchmark (own workspace: build, smoke run, parity + manifest tests)"
 bash benchmark/run.sh --smoke
 cargo test --release -q --manifest-path benchmark/Cargo.toml
 
-echo "==> bench verify (plan lint, layout, determinism, model check + linearizability, crash consistency, fault sweep + lock record, module size + lint wiring, perf smoke, cache coherence)"
+echo "==> bench verify (plan lint, layout, determinism, model check + linearizability, fault sweep + lock record, module size + lint wiring, perf smoke, cache coherence)"
 # Bare: the suite has no modes, so this is the run every other caller
 # makes (tests/verify_smoke.rs repeats it under `cargo test`). perf-smoke
-# gates deterministic work counters only (host time is benchmark/'s job):
+# requires deterministic work counters to equal its tables exactly (host
+# time is benchmark/'s job):
 # an intentional engine change pastes the fresh table the failure message
 # prints into crates/verify/src/perf_smoke.rs.
 cargo run --release -p bench -- verify

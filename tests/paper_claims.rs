@@ -119,10 +119,10 @@ fn claim_serverless_traffic_distribution() {
     };
     run_parallel_io(&mut engine, &mut store, &cfg).unwrap();
     let active_tx =
-        store.cluster.nodes.iter().filter(|n| engine.resource_stats(n.tx).bytes > 0).count();
+        store.cluster().nodes.iter().filter(|n| engine.resource_stats(n.tx).bytes > 0).count();
     assert!(active_tx >= 15, "only {active_tx} nodes transmitted — looks centralized");
     let active_disks =
-        store.cluster.disks.iter().filter(|d| engine.resource_stats(d.res).bytes > 0).count();
+        store.cluster().disks.iter().filter(|d| engine.resource_stats(d.res).bytes > 0).count();
     assert_eq!(active_disks, 16, "all disks should participate in striped writes");
 }
 
@@ -181,7 +181,7 @@ fn claim_image_flush_is_hidden_from_other_writers() {
         let job = engine.spawn_job("small-write", plan);
         let report = engine.run().unwrap();
         let end = engine.jobs()[job.index()].end.unwrap();
-        let tx = engine.resource_stats(sys.cluster.nodes[FLUSHER].tx);
+        let tx = engine.resource_stats(sys.cluster().nodes[FLUSHER].tx);
         (end.since(start), report.end > end, tx.bg_ops)
     };
     let (alone, ..) = small_write_latency(false);

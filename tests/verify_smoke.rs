@@ -7,7 +7,7 @@ use raidx_verify::{run_pass, PASSES};
 
 #[test]
 fn every_verify_pass_is_green() {
-    assert_eq!(PASSES.len(), 9);
+    assert_eq!(PASSES.len(), 8);
     let failed: Vec<String> = PASSES
         .iter()
         .map(|&(name, _)| run_pass(name))
