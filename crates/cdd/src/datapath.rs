@@ -106,13 +106,10 @@ impl IoSystem {
         self.high_water = self.high_water.max(lb0 + nblocks);
 
         let mut chain = vec![self.ops().driver(client)];
-        if self.cfg.lock_broadcast {
-            // A single-node array has no peer to tell, and an empty `Par`
-            // is not a Strict-valid plan.
-            let peers = self.lock_round(client);
-            if !peers.is_empty() {
-                chain.push(par(peers));
-            }
+        // A single-node array has no peer to tell, and a fan without arms
+        // is not a Strict-valid plan.
+        if self.cfg.lock_broadcast && self.cluster.cfg.nodes > 1 {
+            chain.push(self.lock_round(client));
         }
         if blocked.is_some() {
             self.timeouts += 1;

@@ -5,10 +5,12 @@
 //! (or a local fast path — the device-masquerading case), the owner node's
 //! SCSI bus, and the disk itself.
 
+use std::sync::Arc;
+
 use cluster::Cluster;
-use sim_core::plan::{seq, shared, use_res};
+use sim_core::plan::{fan, seq, use_res};
 use sim_core::{Demand, Plan, SimDuration};
-use sim_net::transfer_plan;
+use sim_net::{receive_half, send_half, transfer_plan, NetPath};
 
 use crate::config::CddConfig;
 
@@ -85,35 +87,44 @@ impl<'a> OpBuilder<'a> {
 
     /// One lock-group acquisition round: the client's consistency module
     /// broadcasts the grant to every peer CDD and collects acknowledgements
-    /// (the table is replicated, so all copies update atomically). Returns
-    /// the branches that run in parallel, one per peer — none on a
-    /// single-node array — each a [`Plan::Shared`] chain of the grant
-    /// message's stages followed by the ack's.
+    /// (the table is replicated, so all copies update atomically). The
+    /// round is one [`Plan::Fan`] with an arm per peer — `arms[n]`, built
+    /// by [`OpBuilder::lock_arm`] — and runs exactly as the `Par` over
+    /// peers of `seq([msg(client, n, control), msg(n, client, ack)])`:
+    /// the head is the sender half of the client's grant, the tail the
+    /// receiver half of a peer's ack.
     ///
     /// The round depends on the client and the cluster only, never on the
     /// write, and at 128 nodes it is 1,270 leaves: [`crate::IoSystem`]
-    /// calls this once per client, on its first write, and pushes clones
-    /// of the handles from then on.
-    pub fn lock_round(&self, client: usize) -> Vec<Plan> {
-        (0..self.cluster.cfg.nodes)
-            .filter(|&n| n != client)
-            .map(|n| {
-                let mut steps = Vec::with_capacity(10);
-                for m in [
-                    self.msg(client, n, self.cfg.control_bytes),
-                    self.msg(n, client, self.cfg.ack_bytes),
-                ] {
-                    // A one-segment message is a chain of leaves, spliced in
-                    // so that the engine clones a leaf per step.
-                    if let Plan::Seq(stages) = m {
-                        steps.extend(stages);
-                    } else {
-                        steps.push(m);
-                    }
-                }
-                shared(steps)
-            })
-            .collect()
+    /// builds it once per client, on its first write, and pushes clones
+    /// of the handle from then on. Both messages must fit one network
+    /// segment, which `IoSystem::new` checks.
+    pub fn lock_round(&self, client: usize, arms: &[Arc<[Plan]>]) -> Plan {
+        let (spec, ends) = (&self.cluster.cfg.net, self.ends(client));
+        let mut head = Vec::with_capacity(3);
+        send_half(spec, &ends, self.cfg.control_bytes, &mut head);
+        let mut tail = Vec::with_capacity(2);
+        receive_half(spec, &ends, self.cfg.ack_bytes, &mut tail);
+        let peers = arms.iter().enumerate().filter(|&(n, _)| n != client);
+        fan(head, peers.map(|(_, arm)| Arc::clone(arm)).collect(), tail)
+    }
+
+    /// Peer `n`'s arm of every lock round: receive the grant, send the
+    /// ack. It names none of the client's resources, so one arm serves
+    /// every client's round.
+    pub fn lock_arm(&self, n: usize) -> Arc<[Plan]> {
+        let (spec, ends) = (&self.cluster.cfg.net, self.ends(n));
+        let mut arm = Vec::with_capacity(5);
+        receive_half(spec, &ends, self.cfg.control_bytes, &mut arm);
+        send_half(spec, &ends, self.cfg.ack_bytes, &mut arm);
+        arm.into()
+    }
+
+    /// Node `n` at both ends of a wire: the sender half of a message from
+    /// `n` and the receiver half of one to `n` are this path's halves.
+    fn ends(&self, n: usize) -> NetPath {
+        let node = &self.cluster.nodes[n];
+        NetPath::remote(node.cpu, node.tx, node.rx, node.cpu)
     }
 }
 
@@ -191,7 +202,8 @@ mod tests {
         let (mut e, c) = setup();
         let cfg = CddConfig::default();
         let b = OpBuilder { cluster: &c, cfg: &cfg };
-        e.spawn_job("locks", sim_core::plan::par(b.lock_round(0)));
+        let arms: Vec<_> = (0..4).map(|n| b.lock_arm(n)).collect();
+        e.spawn_job("locks", b.lock_round(0, &arms));
         e.run().unwrap();
         for n in 1..4 {
             assert!(e.resource_stats(c.nodes[n].rx).ops > 0, "peer {n} not contacted");

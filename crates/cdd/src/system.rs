@@ -30,6 +30,7 @@
 //! [`crate::maintenance`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use cluster::{Cluster, ClusterConfig, ClusterMap, DataPlane};
 use raidx_core::{Arch, FaultSet, Layout};
@@ -49,8 +50,8 @@ pub use crate::error::IoError;
 /// The single I/O space of one architecture over one cluster.
 pub struct IoSystem {
     /// Cluster resource handles. Read-only outside the crate
-    /// ([`IoSystem::cluster`]): the cached lock rounds are derived from
-    /// its node set and network spec.
+    /// ([`IoSystem::cluster`]): the cached lock rounds and arms are
+    /// derived from its node set and network spec.
     pub(crate) cluster: Cluster,
     pub(crate) plane: DataPlane,
     pub(crate) layout: Box<dyn Layout>,
@@ -107,14 +108,16 @@ pub struct IoSystem {
     /// ([`crate::cache`]); `None` (the default) keeps every request path
     /// byte- and plan-identical to an uncached build.
     pub(crate) cache: Option<crate::cache::CacheSet>,
-    /// Per client, the branches of its lock round
-    /// ([`OpBuilder::lock_round`]), built on the client's first write and
-    /// kept for the life of the system: nothing they depend on (node set,
-    /// network spec, control and ack sizes) changes after construction —
-    /// `add_disk` adds disks, not nodes. Built lazily: all of them up front
-    /// would be `nodes²` chains inside `new` (16,256 at 128 nodes), paid
-    /// even by a system whose clients only read.
-    lock_rounds: Vec<Option<Vec<Plan>>>,
+    /// Per client, its lock round ([`OpBuilder::lock_round`]), built on
+    /// the client's first write and kept for the life of the system:
+    /// nothing it depends on (node set, network spec, control and ack
+    /// sizes) changes after construction — `add_disk` adds disks, not
+    /// nodes.
+    lock_rounds: Vec<Option<Plan>>,
+    /// Per node, the arm every client's lock round shares for it
+    /// ([`OpBuilder::lock_arm`]); empty until the first round is built,
+    /// so a system whose clients only read never builds them.
+    lock_arms: Vec<Arc<[Plan]>>,
 }
 
 impl IoSystem {
@@ -136,6 +139,13 @@ impl IoSystem {
             cluster_cfg.total_disks(),
             cluster_cfg.block_size as usize,
             blocks_per_disk,
+        );
+        let segment = cluster_cfg.net.segment_bytes;
+        assert!(
+            cfg.control_bytes <= segment && cfg.ack_bytes <= segment,
+            "a control message ({} B) and an ack ({} B) must each fit one {segment}-byte segment",
+            cfg.control_bytes,
+            cfg.ack_bytes,
         );
         let total_disks = cluster_cfg.total_disks();
         let nodes = cluster_cfg.nodes;
@@ -164,6 +174,7 @@ impl IoSystem {
             trace_ticks: 0,
             cache,
             lock_rounds: vec![None; nodes],
+            lock_arms: Vec::new(),
         }
     }
 
@@ -357,13 +368,17 @@ impl IoSystem {
         OpBuilder { cluster: &self.cluster, cfg: &self.cfg }
     }
 
-    /// The parallel branches of `client`'s lock round: handles to the
-    /// chains every write of that client shares.
-    pub(crate) fn lock_round(&mut self, client: usize) -> Vec<Plan> {
+    /// A handle to `client`'s lock round, which every write of that client
+    /// shares.
+    pub(crate) fn lock_round(&mut self, client: usize) -> Plan {
         // Not `self.ops()`: the builder must borrow only the fields it
-        // reads while `lock_rounds` is borrowed mutably.
+        // reads while the caches are borrowed mutably.
         let ops = OpBuilder { cluster: &self.cluster, cfg: &self.cfg };
-        self.lock_rounds[client].get_or_insert_with(|| ops.lock_round(client)).clone()
+        if self.lock_arms.is_empty() {
+            self.lock_arms = (0..self.cluster.cfg.nodes).map(|n| ops.lock_arm(n)).collect();
+        }
+        let arms = &self.lock_arms;
+        self.lock_rounds[client].get_or_insert_with(|| ops.lock_round(client, arms)).clone()
     }
 
     /// Count one completed write and, if recording is on, sample the image

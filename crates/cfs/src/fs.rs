@@ -162,16 +162,27 @@ impl<S: BlockStore> Fs<S> {
 
     fn resolve(&mut self, client: usize, path: &str) -> Result<(u32, Inode, Plan), FsError> {
         let parts = Self::split_path(path)?;
+        self.walk(client, &parts, || path.to_string())
+    }
+
+    /// Walk the components `parts` down from the root. `path` renders the
+    /// walked path for an error, and is called only when one is returned.
+    fn walk(
+        &mut self,
+        client: usize,
+        parts: &[&str],
+        path: impl Fn() -> String,
+    ) -> Result<(u32, Inode, Plan), FsError> {
         let mut ino = ROOT_INO;
         let (mut inode, p) = self.meta.read_inode(client, ino)?;
         let mut plans = vec![p];
         for part in parts {
             if inode.kind != InodeKind::Dir {
-                return Err(FsError::NotDir(path.to_string()));
+                return Err(FsError::NotDir(path()));
             }
             let (hit, p) = self.meta.dir_find(client, &inode, part)?;
             plans.push(p);
-            (ino, _) = hit.ok_or_else(|| FsError::NotFound(path.to_string()))?;
+            (ino, _) = hit.ok_or_else(|| FsError::NotFound(path()))?;
             let (next, p) = self.meta.read_inode(client, ino)?;
             plans.push(p);
             inode = next;
@@ -180,22 +191,21 @@ impl<S: BlockStore> Fs<S> {
     }
 
     /// Resolve the parent directory of `path`, returning
-    /// `(parent ino, parent inode, leaf name, plan)`.
+    /// `(parent ino, parent inode, leaf name, plan)`. The parent is walked
+    /// from `path`'s own components; its path is formatted only for an
+    /// error.
     fn resolve_parent<'p>(
         &mut self,
         client: usize,
         path: &'p str,
     ) -> Result<(u32, Inode, &'p str, Plan), FsError> {
         let parts = Self::split_path(path)?;
-        let leaf = *parts.last().ok_or_else(|| FsError::InvalidName(path.to_string()))?;
-        let parent_path = if parts.len() == 1 {
-            "/".to_string()
-        } else {
-            format!("/{}", parts[..parts.len() - 1].join("/"))
-        };
-        let (ino, inode, plan) = self.resolve(client, &parent_path)?;
+        let (&leaf, dirs) =
+            parts.split_last().ok_or_else(|| FsError::InvalidName(path.to_string()))?;
+        let parent_path = || format!("/{}", dirs.join("/"));
+        let (ino, inode, plan) = self.walk(client, dirs, parent_path)?;
         if inode.kind != InodeKind::Dir {
-            return Err(FsError::NotDir(parent_path));
+            return Err(FsError::NotDir(parent_path()));
         }
         Ok((ino, inode, leaf, plan))
     }

@@ -135,12 +135,12 @@ impl NfsSystem {
     ) -> Result<(Vec<u8>, Plan), IoError> {
         frontend::validate_range(lb0, nblocks, self.capacity_blocks())?;
         let bs = self.block_size() as usize;
-        let mut out = vec![0u8; nblocks as usize * bs];
+        let mut out = Vec::with_capacity(nblocks as usize * bs);
         let mut rpcs = Vec::with_capacity(nblocks as usize);
-        for (i, lb) in (lb0..lb0 + nblocks).enumerate() {
+        for lb in lb0..lb0 + nblocks {
             let a = self.layout.locate_data(lb);
             let g = self.global_disk(a.disk);
-            self.plane.read(g, a.block, &mut out[i * bs..(i + 1) * bs])?;
+            out.extend_from_slice(&self.plane.get(g, a.block)?);
             let d = &self.cluster.disks[g];
             rpcs.push(seq(vec![
                 self.rpc(client, self.server, 0),
@@ -211,6 +211,22 @@ mod tests {
         let (got, rp) = s.read(3, 1, 4).unwrap();
         assert_eq!(got, data);
         e.spawn_job("w", wp);
+        e.spawn_job("r", rp);
+        e.run().unwrap();
+    }
+
+    #[test]
+    fn a_never_written_block_reads_back_as_zeros() {
+        let mut e = Engine::new();
+        let mut s = NfsSystem::new(&mut e, cfg(), NfsConfig::default());
+        let bs = s.block_size() as usize;
+        s.write(1, 5, &vec![9u8; bs]).unwrap();
+        // Blocks 4 and 6 were never written; block 5 sits between them.
+        let (got, rp) = s.read(2, 4, 3).unwrap();
+        let mut expect = vec![0u8; 3 * bs];
+        expect[bs..2 * bs].fill(9);
+        assert_eq!(got, expect);
+        assert_eq!(s.plane.bytes_read(), 3 * bs as u64, "every block read is counted");
         e.spawn_job("r", rp);
         e.run().unwrap();
     }

@@ -259,7 +259,7 @@ impl Engine {
             self.stats.on_tracer_records(1);
         }
         self.live_foreground += 1;
-        let tid = self.new_task(plan, None, Some(job), false);
+        let tid = self.new_task(task::Frame::enter(plan), None, Some(job), false);
         self.schedule(start, EventKind::StartJob(tid));
         job
     }

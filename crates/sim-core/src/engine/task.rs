@@ -5,39 +5,40 @@
 //! stored inline, so stepping a `Seq` chain touches the task and the plan
 //! buffer only; outer frames sit in a `Vec` whose capacity a freed slot
 //! keeps for its next tenant. Plan memory is released progressively: a
-//! `Seq`'s buffer is freed the moment its iterator runs dry. A `Shared`
-//! chain is the exception by design: its frame is a handle and an index,
-//! each step is cloned out as it is reached, and the buffer belongs to
-//! whoever built it — any number of live tasks may be inside one at once.
+//! `Seq`'s buffer is freed the moment its iterator runs dry. A `Fan` is
+//! the exception by design: each of its arm tasks holds a handle, the arm
+//! and a position, each step is cloned out as it is reached, and the
+//! buffers belong to whoever built the fan — any number of live tasks may
+//! be inside one at once.
 
 use std::sync::Arc;
 
 use super::{Engine, EventKind, JobId, TaskId};
 use crate::demand::Demand;
-use crate::plan::Plan;
+use crate::plan::{Fan, Plan};
 use crate::trace::TraceEvent;
 
 /// A position in a plan: what remains to run at one nesting level.
-enum Frame {
+pub(super) enum Frame {
     /// A lone plan node not yet entered (`None` once taken).
     One(Option<Plan>),
     /// The remaining children of a `Seq`.
     Seq(std::vec::IntoIter<Plan>),
-    /// The steps of a `Shared` and the index of the next one to run.
-    Shared(Arc<[Plan]>, usize),
+    /// One arm's chain of a `Fan`: the arm, and the position of the next
+    /// step in `head ++ arm ++ tail`.
+    Fan(Arc<Fan>, usize, usize),
 }
 
 impl Frame {
-    /// Enter `plan`: a `Seq` is walked through its own iterator, a `Shared`
-    /// by index, anything else runs as a one-shot frame.
+    /// Enter `plan`: a `Seq` is walked through its own iterator, anything
+    /// else runs as a one-shot frame.
     #[expect(
         clippy::wildcard_enum_match_arm,
         reason = "any node that is not a chain runs as a one-shot frame"
     )]
-    fn enter(plan: Plan) -> Frame {
+    pub(super) fn enter(plan: Plan) -> Frame {
         match plan {
             Plan::Seq(v) => Frame::Seq(v.into_iter()),
-            Plan::Shared(steps) => Frame::Shared(steps, 0),
             other => Frame::One(Some(other)),
         }
     }
@@ -46,8 +47,8 @@ impl Frame {
         match self {
             Frame::One(p) => p.take(),
             Frame::Seq(it) => it.next(),
-            Frame::Shared(steps, at) => {
-                let step = steps.get(*at)?.clone();
+            Frame::Fan(fan, arm, at) => {
+                let step = fan.step(*arm, *at)?.clone();
                 *at += 1;
                 Some(step)
             }
@@ -85,14 +86,14 @@ impl Task {
 impl Engine {
     pub(super) fn new_task(
         &mut self,
-        plan: Plan,
+        top: Frame,
         parent: Option<TaskId>,
         job: Option<JobId>,
         detached: bool,
     ) -> TaskId {
         self.live_total += 1;
         let mut task = Task {
-            top: Frame::enter(plan),
+            top,
             outer: Vec::new(),
             waiting: None,
             parent,
@@ -151,8 +152,8 @@ impl Engine {
                     self.enqueue(res, tid, demand);
                     return;
                 }
-                chain @ (Plan::Seq(_) | Plan::Shared(_)) => {
-                    let enclosing = std::mem::replace(&mut task.top, Frame::enter(chain));
+                Plan::Seq(v) => {
+                    let enclosing = std::mem::replace(&mut task.top, Frame::Seq(v.into_iter()));
                     task.outer.push(enclosing);
                 }
                 Plan::Par(v) => {
@@ -164,7 +165,22 @@ impl Engine {
                     // themselves background work.
                     let det = task.detached;
                     for child in v {
-                        let ct = self.new_task(child, Some(tid), None, det);
+                        let ct = self.new_task(Frame::enter(child), Some(tid), None, det);
+                        self.advance(ct);
+                    }
+                    return;
+                }
+                Plan::Fan(fan) => {
+                    // Spawned and driven exactly as the `Par` of its chains.
+                    let arms = fan.arms.len();
+                    if arms == 0 {
+                        continue;
+                    }
+                    task.join_remaining = arms;
+                    let det = task.detached;
+                    for arm in 0..arms {
+                        let top = Frame::Fan(Arc::clone(&fan), arm, 0);
+                        let ct = self.new_task(top, Some(tid), None, det);
                         self.advance(ct);
                     }
                     return;
@@ -173,7 +189,7 @@ impl Engine {
                     // Spawn detached and keep going; the child is driven from
                     // a fresh event so its resource queueing interleaves
                     // fairly with the parent's continuation.
-                    let ct = self.new_task(*p, None, None, true);
+                    let ct = self.new_task(Frame::enter(*p), None, None, true);
                     self.schedule(self.now, EventKind::Resume(ct));
                 }
                 Plan::Barrier(id) => {

@@ -27,10 +27,12 @@
 //!   completion times.
 //! * **Plans are owned, constants are shared** — a plan belongs to the
 //!   request it describes and is freed as the engine walks it;
-//!   [`Plan::Shared`] is the one node whose steps live behind an `Arc`, for
-//!   a sub-plan that is the same for every request (the CDD lock broadcast
-//!   of one client, 1,270 leaves at 128 nodes). It runs exactly like
-//!   [`Plan::Seq`]; only who owns the steps differs.
+//!   [`Plan::Fan`] is the one node whose steps live behind an `Arc`, for a
+//!   sub-plan that is the same for every request (the CDD lock broadcast
+//!   of one client, 1,270 leaves at 128 nodes, stored as 10 of its own
+//!   plus 127 arms it shares with every other client). It runs exactly
+//!   like the [`Plan::Par`] of its chains; only who owns the steps
+//!   differs.
 //! * **Observed from one stream** — an optional [`Tracer`] receives every
 //!   job, queue, service and barrier event as a [`TraceEvent`];
 //!   [`RunMetrics::derive`] turns a recorded stream into one typed record
@@ -73,7 +75,7 @@ pub use explore::{Exploration, Explorer, Failure, FailureKind, Footprint, Model,
 pub use export::{chrome_trace_json, json_is_valid};
 pub use fault::FaultPlan;
 pub use metrics::{percentile, JobSpan, ResourceSeries, RunMetrics};
-pub use plan::{BarrierId, Plan};
+pub use plan::{BarrierId, Fan, Plan};
 pub use prof::EngineStats;
 pub use resource::{FixedRate, ResourceId, ResourceStats, ServiceModel};
 pub use rng::{fnv1a, SplitMix64};

@@ -8,7 +8,7 @@
 //! `barrier(id)`.
 //!
 //! A plan is owned by the request it describes and freed as the engine
-//! walks it. The one exception is [`Plan::Shared`]: a sub-plan that is a
+//! walks it. The one exception is [`Plan::Fan`]: a sub-plan that is a
 //! constant of the system (the CDD lock broadcast of one client) is built
 //! once behind an `Arc` and every request carries a handle to it.
 
@@ -17,6 +17,45 @@ use std::sync::Arc;
 use crate::demand::Demand;
 use crate::resource::ResourceId;
 use crate::time::SimDuration;
+
+/// The steps of a [`Plan::Fan`]: one chain per arm, `head ++ arm ++ tail`,
+/// with every step stored once. An arm is itself shared, so one arm may
+/// sit in many fans. Steps should be leaves (`Use`, `Delay`, `Barrier`,
+/// `Noop`): a non-leaf step is deep-cloned each time a task enters it,
+/// which is correct but gives back what sharing saves.
+#[derive(Debug)]
+pub struct Fan {
+    /// Steps every arm's chain starts with.
+    pub head: Vec<Plan>,
+    /// The arms, one chain and one task each.
+    pub arms: Vec<Arc<[Plan]>>,
+    /// Steps every arm's chain ends with.
+    pub tail: Vec<Plan>,
+}
+
+impl Fan {
+    /// Step `at` of arm `arm`'s chain `head ++ arms[arm] ++ tail`, or
+    /// `None` past its end.
+    pub(crate) fn step(&self, arm: usize, at: usize) -> Option<&Plan> {
+        let body = &self.arms[arm];
+        match at.checked_sub(self.head.len()) {
+            None => self.head.get(at),
+            Some(i) if i < body.len() => body.get(i),
+            Some(i) => self.tail.get(i - body.len()),
+        }
+    }
+
+    /// The steps of arm `arm`'s chain, in order.
+    pub fn chain(&self, arm: usize) -> impl Iterator<Item = &Plan> {
+        self.head.iter().chain(self.arms[arm].iter()).chain(&self.tail)
+    }
+
+    /// Every step of every arm's chain, as they run: the head and the
+    /// tail once per arm.
+    pub fn chains(&self) -> impl Iterator<Item = &Plan> {
+        (0..self.arms.len()).flat_map(|arm| self.chain(arm))
+    }
+}
 
 /// Identifier for a named cross-job barrier (see [`Engine::register_barrier`](crate::Engine::register_barrier)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,16 +78,14 @@ pub enum Plan {
     },
     /// Children run one after another.
     Seq(Vec<Plan>),
-    /// Steps run one after another, exactly like [`Plan::Seq`], but the
-    /// steps are immutable and shared: cloning the node copies a handle,
-    /// and the engine walks the buffer by index, cloning one step at a time
-    /// and never freeing or copying the buffer itself. Meant for a
-    /// sub-plan that is the same for every request — build it once, keep
-    /// it as long as the system that issues it, push a clone per request.
-    /// Steps should be leaves (`Use`, `Delay`, `Barrier`, `Noop`): a
-    /// non-leaf step is deep-cloned each time a task enters it, which is
-    /// correct but gives back what sharing saves.
-    Shared(Arc<[Plan]>),
+    /// A fan of chains with a common head and tail, run exactly like
+    /// `par(arms.map(|a| seq(head ++ a ++ tail)))` (see [`Fan`]), but
+    /// immutable and shared: cloning the node copies a handle, and each arm
+    /// task walks the fan by index, cloning one step at a time and never
+    /// freeing or copying a buffer. Meant for a sub-plan that is the same
+    /// for every request — build it once, keep it as long as the system
+    /// that issues it, push a clone per request.
+    Fan(Arc<Fan>),
     /// Children run concurrently; the node completes when all do.
     Par(Vec<Plan>),
     /// Child runs detached: the node completes immediately while the child
@@ -76,7 +113,7 @@ impl Plan {
                 demand.bytes()
             }
             Plan::Seq(v) | Plan::Par(v) => v.iter().map(Plan::disk_bytes).sum(),
-            Plan::Shared(v) => v.iter().map(Plan::disk_bytes).sum(),
+            Plan::Fan(f) => f.chains().map(Plan::disk_bytes).sum(),
             Plan::Background(p) => p.disk_bytes(),
             Plan::Noop | Plan::Delay(_) | Plan::Use { .. } | Plan::Barrier(_) => 0,
         }
@@ -87,7 +124,7 @@ impl Plan {
         match self {
             Plan::Use { .. } => 1,
             Plan::Seq(v) | Plan::Par(v) => v.iter().map(Plan::leaf_count).sum(),
-            Plan::Shared(v) => v.iter().map(Plan::leaf_count).sum(),
+            Plan::Fan(f) => f.chains().map(Plan::leaf_count).sum(),
             Plan::Background(p) => p.leaf_count(),
             Plan::Noop | Plan::Delay(_) | Plan::Barrier(_) => 0,
         }
@@ -99,9 +136,10 @@ pub fn seq(children: Vec<Plan>) -> Plan {
     Plan::Seq(children)
 }
 
-/// Sequential composition of immutable, shared steps (see [`Plan::Shared`]).
-pub fn shared(steps: Vec<Plan>) -> Plan {
-    Plan::Shared(steps.into())
+/// A shared fan: `par(arms.map(|a| seq(head ++ a ++ tail)))` with every
+/// step stored once (see [`Plan::Fan`]).
+pub fn fan(head: Vec<Plan>, arms: Vec<Arc<[Plan]>>, tail: Vec<Plan>) -> Plan {
+    Plan::Fan(Arc::new(Fan { head, arms, tail }))
 }
 
 /// Parallel composition (fork/join).
@@ -143,9 +181,35 @@ mod tests {
             disk_use(100),
             par(vec![disk_use(200), background(disk_use(300))]),
             use_res(ResourceId(1), Demand::NetXfer { bytes: 999 }),
-            shared(vec![disk_use(400), Plan::Noop, seq(vec![disk_use(500)])]),
+            fan(
+                vec![disk_use(400), Plan::Noop],
+                vec![vec![seq(vec![disk_use(500)])].into(), Vec::new().into()],
+                vec![disk_use(600)],
+            ),
         ]);
-        assert_eq!(p.disk_bytes(), 1500);
-        assert_eq!(p.leaf_count(), 6);
+        // The head and tail run once per arm.
+        assert_eq!(p.disk_bytes(), 600 + 2 * 1000 + 500);
+        assert_eq!(p.leaf_count(), 4 + 2 * 2 + 1);
+    }
+
+    #[test]
+    fn a_fan_step_walks_head_arm_tail() {
+        let f = Fan {
+            head: vec![disk_use(1), disk_use(2)],
+            arms: vec![
+                vec![disk_use(10)].into(),
+                Vec::new().into(),
+                vec![disk_use(30), disk_use(31)].into(),
+            ],
+            tail: vec![disk_use(9)],
+        };
+        for arm in 0..3 {
+            let walked: Vec<u64> =
+                (0..).map_while(|at| f.step(arm, at)).map(Plan::disk_bytes).collect();
+            let chained: Vec<u64> = f.chain(arm).map(Plan::disk_bytes).collect();
+            assert_eq!(walked, chained, "arm {arm}");
+        }
+        assert_eq!(f.chain(2).map(Plan::disk_bytes).collect::<Vec<_>>(), [1, 2, 30, 31, 9]);
+        assert!(f.step(1, 3).is_none());
     }
 }

@@ -121,13 +121,34 @@ fn walk(
                 errs.push(PlanError::ZeroByteUse { res: *res });
             }
         }
-        Plan::Seq(v) => walk_seq(v, ctx, strictness, in_background, errs),
-        Plan::Shared(v) => walk_seq(v, ctx, strictness, in_background, errs),
+        Plan::Seq(v) => {
+            if v.is_empty() && strictness == Strictness::Strict {
+                errs.push(PlanError::EmptySeq);
+            }
+            for p in v {
+                walk(p, ctx, strictness, in_background, errs);
+            }
+        }
         Plan::Par(v) => {
             if v.is_empty() && strictness == Strictness::Strict {
                 errs.push(PlanError::EmptyPar);
             }
             for p in v {
+                walk(p, ctx, strictness, in_background, errs);
+            }
+        }
+        Plan::Fan(f) => {
+            // The `Par` of the arms' chains, with each shared step walked
+            // once rather than once per arm.
+            if strictness == Strictness::Strict {
+                if f.arms.is_empty() {
+                    errs.push(PlanError::EmptyPar);
+                }
+                if f.head.is_empty() && f.tail.is_empty() && f.arms.iter().any(|a| a.is_empty()) {
+                    errs.push(PlanError::EmptySeq);
+                }
+            }
+            for p in f.head.iter().chain(f.arms.iter().flat_map(|a| a.iter())).chain(&f.tail) {
                 walk(p, ctx, strictness, in_background, errs);
             }
         }
@@ -143,26 +164,10 @@ fn walk(
     }
 }
 
-/// The steps of a `Seq` or a `Shared`: the two differ only in who owns them.
-fn walk_seq(
-    steps: &[Plan],
-    ctx: &PlanContext,
-    strictness: Strictness,
-    in_background: bool,
-    errs: &mut Vec<PlanError>,
-) {
-    if steps.is_empty() && strictness == Strictness::Strict {
-        errs.push(PlanError::EmptySeq);
-    }
-    for p in steps {
-        walk(p, ctx, strictness, in_background, errs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{background, barrier, par, seq, shared, use_res};
+    use crate::plan::{background, barrier, fan, par, seq, use_res};
     use crate::time::SimDuration;
 
     fn ctx() -> PlanContext {
@@ -205,27 +210,35 @@ mod tests {
         assert!(lint_plan(&p, &ctx(), Strictness::Structural).is_empty());
         let errs = lint_plan(&p, &ctx(), Strictness::Strict);
         assert_eq!(errs.len(), 3, "{errs:?}");
-        // An empty `Shared` is an empty `Seq`.
-        assert!(lint_plan(&shared(Vec::new()), &ctx(), Strictness::Structural).is_empty());
-        assert_eq!(
-            lint_plan(&shared(Vec::new()), &ctx(), Strictness::Strict),
-            [PlanError::EmptySeq]
-        );
     }
 
     #[test]
-    fn defects_inside_shared_steps_are_reported() {
+    fn an_empty_fan_is_an_empty_par() {
+        let empty = fan(Vec::new(), Vec::new(), Vec::new());
+        assert!(lint_plan(&empty, &ctx(), Strictness::Structural).is_empty());
+        assert_eq!(lint_plan(&empty, &ctx(), Strictness::Strict), [PlanError::EmptyPar]);
+        // An arm whose whole chain is empty is an empty `Seq`.
+        let hollow = fan(Vec::new(), vec![Vec::new().into()], Vec::new());
+        assert_eq!(lint_plan(&hollow, &ctx(), Strictness::Strict), [PlanError::EmptySeq]);
+        let tailed = fan(Vec::new(), vec![Vec::new().into()], vec![disk(0, 8)]);
+        assert!(lint_plan(&tailed, &ctx(), Strictness::Strict).is_empty());
+    }
+
+    #[test]
+    fn defects_in_a_fans_head_arm_or_tail_are_reported() {
         let b = BarrierId(1);
+        let arms = || vec![vec![disk(0, 8)].into(), vec![disk(7, 64)].into()];
         let p = seq(vec![
-            shared(vec![disk(0, 64), disk(7, 64), disk(1, 0)]),
-            background(shared(vec![disk(0, 8), barrier(b)])),
-            par(vec![shared(vec![barrier(b)]), disk(1, 8)]),
+            fan(vec![disk(1, 0)], arms(), vec![disk(1, 8)]),
+            fan(vec![barrier(b)], vec![vec![disk(0, 8)].into()], vec![disk(5, 8)]),
+            background(fan(vec![disk(0, 8)], vec![vec![barrier(b)].into()], Vec::new())),
         ]);
         assert_eq!(
             lint_plan(&p, &ctx(), Strictness::Strict),
             [
-                PlanError::UnknownResource { res: ResourceId(7), registered: 2 },
                 PlanError::ZeroByteUse { res: ResourceId(1) },
+                PlanError::UnknownResource { res: ResourceId(7), registered: 2 },
+                PlanError::UnknownResource { res: ResourceId(5), registered: 2 },
                 PlanError::BarrierInBackground { id: b },
             ]
         );

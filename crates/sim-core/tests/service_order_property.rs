@@ -6,7 +6,7 @@
 use std::collections::VecDeque;
 
 use sim_core::check::{run_cases, Gen};
-use sim_core::plan::{background, barrier, delay, par, seq, shared, use_res};
+use sim_core::plan::{background, barrier, delay, fan, par, seq, use_res};
 use sim_core::trace::{EventLog, TraceEvent};
 use sim_core::{
     BarrierId, Demand, Engine, FixedRate, Plan, ResourceId, ServiceModel, SimDuration, SimTime,
@@ -31,7 +31,11 @@ fn random_tree(g: &mut Gen, rids: &[ResourceId], serial: &mut u64, depth: u32) -
         3 => seq(children(g, serial)),
         4 => par(children(g, serial)),
         5 => background(random_tree(g, rids, serial, depth + 1)),
-        _ => shared(children(g, serial)),
+        _ => {
+            let head = children(g, serial);
+            let arms = (0..g.usize_in(0..3)).map(|_| children(g, serial).into()).collect();
+            fan(head, arms, children(g, serial))
+        }
     }
 }
 
@@ -60,7 +64,7 @@ fn price(plan: &Plan, models: &mut [FixedRate], demanded: &mut [(u64, u64, u64)]
             d.2 += demand.bytes();
         }
         Plan::Seq(v) | Plan::Par(v) => v.iter().for_each(|p| price(p, models, demanded)),
-        Plan::Shared(v) => v.iter().for_each(|p| price(p, models, demanded)),
+        Plan::Fan(f) => f.chains().for_each(|p| price(p, models, demanded)),
         Plan::Background(p) => price(p, models, demanded),
         Plan::Noop | Plan::Delay(_) | Plan::Barrier(_) => {}
     }

@@ -17,5 +17,5 @@ pub mod path;
 pub mod spec;
 
 pub use partition::PartitionMap;
-pub use path::{transfer_plan, NetPath};
+pub use path::{receive_half, send_half, transfer_plan, NetPath};
 pub use spec::NetSpec;

@@ -80,22 +80,34 @@ pub fn transfer_plan(spec: &NetSpec, path: &NetPath, bytes: u64) -> Plan {
 }
 
 fn segment_plan(spec: &NetSpec, path: &NetPath, payload: u64) -> Plan {
-    let wire = payload + spec.header_bytes;
     let mut chain = Vec::with_capacity(5);
+    send_half(spec, path, payload, &mut chain);
+    receive_half(spec, path, payload, &mut chain);
+    seq(chain)
+}
+
+/// Append the sender half of a one-segment message of `payload` bytes
+/// along `path` to `out`: source CPU, source tx port, then the switch.
+/// Each stage is a leaf, so a half can be spliced into a shared chain.
+pub fn send_half(spec: &NetSpec, path: &NetPath, payload: u64, out: &mut Vec<Plan>) {
     if let Some(cpu) = path.src_cpu {
-        chain.push(use_res(cpu, Demand::CpuMsg { bytes: payload }));
+        out.push(use_res(cpu, Demand::CpuMsg { bytes: payload }));
     }
     if let Some(tx) = path.src_tx {
-        chain.push(use_res(tx, Demand::NetXfer { bytes: wire }));
+        out.push(use_res(tx, Demand::NetXfer { bytes: payload + spec.header_bytes }));
     }
-    chain.push(delay(spec.switch_latency));
+    out.push(delay(spec.switch_latency));
+}
+
+/// Append the receiver half of a one-segment message of `payload` bytes
+/// along `path` to `out`: destination rx port, then destination CPU.
+pub fn receive_half(spec: &NetSpec, path: &NetPath, payload: u64, out: &mut Vec<Plan>) {
     if let Some(rx) = path.dst_rx {
-        chain.push(use_res(rx, Demand::NetXfer { bytes: wire }));
+        out.push(use_res(rx, Demand::NetXfer { bytes: payload + spec.header_bytes }));
     }
     if let Some(cpu) = path.dst_cpu {
-        chain.push(use_res(cpu, Demand::CpuMsg { bytes: payload }));
+        out.push(use_res(cpu, Demand::CpuMsg { bytes: payload }));
     }
-    seq(chain)
 }
 
 #[cfg(test)]

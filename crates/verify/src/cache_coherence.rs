@@ -174,13 +174,6 @@ mod tests {
     use sim_core::check::run_cases;
 
     #[test]
-    fn clean_pass_reports_zero_findings() {
-        let rep = run_pass();
-        assert!(rep.all_ok(), "{}", rep.render());
-        assert_eq!(rep.checks.len(), 10);
-    }
-
-    #[test]
     fn zipf_work_counters_are_deterministic_and_clear_the_gates() {
         let work = zipf_cache_work();
         assert_eq!(work, zipf_cache_work(), "zipf counters must be reproducible");

@@ -102,16 +102,3 @@ pub fn run_pass() -> PassReport {
     gate_scenario(&mut rep, "model_check_budget", &model_budget_work(), &MODEL_BASELINE);
     rep
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fresh_counters_equal_the_baseline_tables() {
-        assert_eq!(smoke_work(), SMOKE_BASELINE, "same-seed smoke runs must be identical");
-        assert_eq!(model_budget_work(), MODEL_BASELINE);
-        let rep = run_pass();
-        assert!(rep.all_ok(), "{}", rep.render());
-    }
-}

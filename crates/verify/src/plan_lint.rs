@@ -105,14 +105,6 @@ mod tests {
     use sim_core::plan::{background, barrier, seq, use_res};
     use sim_core::{BarrierId, Demand, PlanError};
 
-    #[test]
-    fn real_io_paths_are_clean() {
-        let report = lint_io_paths();
-        assert!(report.all_ok(), "\n{}", report.render());
-        // All four architectures actually got linted.
-        assert!(report.checks.len() >= 4 * 4, "\n{}", report.render());
-    }
-
     /// The seeded-defect direction: a barrier parked inside a detached
     /// subtree must be rejected by the engine-level validator.
     #[test]

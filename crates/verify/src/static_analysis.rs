@@ -84,10 +84,4 @@ mod tests {
         assert!(oversized("sim-core/src/explore.rs", &big).is_none(), "grandfathered");
         assert!(!inherits_workspace_lints("[package]\n\n[lints.clippy]\nunwrap_used = \"warn\"\n"));
     }
-
-    #[test]
-    fn clean_tree_passes_and_every_grandfather_is_live() {
-        let report = run_pass(Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates dir"));
-        assert!(report.all_ok(), "{}", report.render());
-    }
 }
