@@ -28,7 +28,7 @@ pub fn render() -> String {
         .map(|(name, l)| {
             let mut row = vec![name.clone()];
             for f in 1..=4usize {
-                row.push(format!("{:.3}", survival_probability(l.as_ref(), f, 50_000, 42)));
+                row.push(format!("{:.3}", survival_probability(l.as_ref(), f)));
             }
             row
         })

@@ -3,13 +3,12 @@
 //! * `bench exp <name>|all` — one [`EXPERIMENTS`] entry per table/figure
 //!   of the paper, extension and ablation; `all` prints the document
 //!   `results/all_experiments.md` holds (`fig5`/`fig6` also write CSVs).
-//! * `bench verify [--pass <name>]... [--list-passes] [--json <path>]` —
-//!   the `raidx_verify` passes; `--pass` (repeatable) selects a subset.
 //! * `bench trace [--smoke] [--clients N] [--repeats N] [--out DIR]` —
 //!   traces and metrics under `results/traces/`; `--smoke` runs a small
 //!   configuration and asserts what CI relies on ([`smoke_check`]).
 //!
 //! Flags may come in any order. Exit codes: 0 clean, 1 findings, 2 usage.
+//! The verification suite is `cargo test` (crate `raidx-verify`).
 
 mod exp_ablations;
 mod exp_degraded;
@@ -31,8 +30,6 @@ mod harness;
 use std::process::ExitCode;
 
 use exp_trace::{render_summary, run_all, smoke_check, TraceConfig};
-use raidx_verify::report::{self, PassReport};
-use raidx_verify::{run_pass, PASSES};
 
 /// `(name, heading, body)`: `exp <name>` prints the body; `exp all`
 /// prints it under `## <heading>`.
@@ -67,8 +64,6 @@ const EXPERIMENTS: [Experiment; 14] = [
 enum Command {
     /// An [`EXPERIMENTS`] name, or `all`.
     Exp(&'static str),
-    /// The selected passes (none = every pass).
-    Verify { passes: Vec<&'static str>, list: bool, json: Option<String> },
     /// `--smoke` and the overrides of the base [`TraceConfig`].
     Trace { smoke: bool, clients: Option<usize>, repeats: Option<usize>, out: Option<String> },
 }
@@ -76,11 +71,9 @@ enum Command {
 fn usage() -> String {
     format!(
         "usage: bench exp <name>|all
-       bench verify [--pass <name>]... [--list-passes] [--json <path>]
        bench trace [--smoke] [--clients N] [--repeats N] [--out DIR]
-experiments: {}, all\npasses: {}",
-        EXPERIMENTS.map(|e| e.0).join(", "),
-        PASSES.map(|p| p.0).join(", ")
+experiments: {}, all",
+        EXPERIMENTS.map(|e| e.0).join(", ")
     )
 }
 
@@ -118,24 +111,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
                 None => Ok(Command::Exp(name)),
             }
         }
-        "verify" => {
-            let (mut passes, mut list, mut json) = (Vec::new(), false, None);
-            while let Some(arg) = args.next() {
-                match arg.as_str() {
-                    "--list-passes" | "--list_passes" => list = true,
-                    "--pass" => {
-                        let name = value(&mut args, "--pass")?.replace('_', "-");
-                        let Some(&(pass, _)) = PASSES.iter().find(|p| p.0 == name) else {
-                            return Err(format!("unknown pass `{name}`\n{}", usage()));
-                        };
-                        passes.push(pass);
-                    }
-                    "--json" => json = Some(value(&mut args, "--json")?),
-                    _ => return Err(unexpected(&arg)),
-                }
-            }
-            Ok(Command::Verify { passes, list, json })
-        }
         "trace" => {
             let (mut smoke, mut clients, mut repeats, mut out) = (false, None, None, None);
             while let Some(arg) = args.next() {
@@ -167,52 +142,6 @@ fn exp(name: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn verify(passes: &[&str], list: bool, json: Option<&str>) -> ExitCode {
-    if list {
-        let width = PASSES.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        for (name, desc) in PASSES {
-            println!("{name:width$}  {desc}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    let (mut failures, mut checks, mut total, mut slowest) = (0, 0, 0.0, ("", 0.0));
-    let mut reports: Vec<PassReport> = Vec::new();
-    for (name, _) in PASSES.iter().filter(|p| passes.is_empty() || passes.contains(&p.0)) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "wall-clock spent per pass is reporting, not simulation."
-        )]
-        let t0 = std::time::Instant::now();
-        let mut p = run_pass(name);
-        let secs = t0.elapsed().as_secs_f64();
-        p.secs = Some(secs);
-        total += secs;
-        if secs >= slowest.1 {
-            slowest = (name, secs);
-        }
-        print!("{}", p.render());
-        println!("   ({secs:.2}s)\n");
-        failures += p.failures();
-        checks += p.checks.len();
-        reports.push(p);
-    }
-    if let Some(path) = json {
-        if let Err(e) = std::fs::write(path, report::render_json(&reports)) {
-            eprintln!("--json {path}: write failed: {e}");
-            return ExitCode::from(2);
-        }
-        println!("json report written to {path}");
-    }
-    println!("timing: {total:.2}s total, slowest pass {} ({:.2}s)", slowest.0, slowest.1);
-    if failures == 0 {
-        println!("bench verify: all {checks} checks passed across {} passes", reports.len());
-        ExitCode::SUCCESS
-    } else {
-        println!("bench verify: {failures}/{checks} checks FAILED");
-        ExitCode::FAILURE
-    }
-}
-
 fn trace(cfg: &TraceConfig, smoke: bool) -> ExitCode {
     let runs = match run_all(cfg) {
         Ok(r) => r,
@@ -235,7 +164,6 @@ fn trace(cfg: &TraceConfig, smoke: bool) -> ExitCode {
 fn main() -> ExitCode {
     match parse(std::env::args().skip(1)) {
         Ok(Command::Exp(name)) => exp(name),
-        Ok(Command::Verify { passes, list, json }) => verify(&passes, list, json.as_deref()),
         Ok(Command::Trace { smoke, clients, repeats, out }) => {
             let mut cfg = if smoke { TraceConfig::smoke() } else { TraceConfig::default() };
             cfg.clients = clients.unwrap_or(cfg.clients);
@@ -259,10 +187,6 @@ mod tests {
         parse(line.split_whitespace().map(String::from))
     }
 
-    fn verify_cmd(passes: &[&'static str], list: bool, json: Option<&str>) -> Command {
-        Command::Verify { passes: passes.to_vec(), list, json: json.map(String::from) }
-    }
-
     fn trace_cmd(smoke: bool, n: Option<usize>, out: Option<&str>) -> Command {
         Command::Trace { smoke, clients: n, repeats: n, out: out.map(String::from) }
     }
@@ -272,10 +196,6 @@ mod tests {
         for (line, want) in [
             ("exp all", Command::Exp("all")),
             ("exp fault_tolerance", Command::Exp("fault_tolerance")),
-            ("verify", verify_cmd(&[], false, None)),
-            ("verify --list-passes", verify_cmd(&[], true, None)),
-            ("verify --pass model_check --list_passes", verify_cmd(&["model-check"], true, None)),
-            ("verify --json o --pass perf-smoke", verify_cmd(&["perf-smoke"], false, Some("o"))),
             ("trace", trace_cmd(false, None, None)),
             ("trace --smoke", trace_cmd(true, None, None)),
             ("trace --clients 4 --smoke --repeats 4 --out d", trace_cmd(true, Some(4), Some("d"))),
@@ -286,39 +206,21 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_command_lines() {
-        let bad = ["", "experiments", "--help", "exp", "exp fig8", "exp fig5 extra", "verify -h"];
-        let bad_flags = ["verify --pass", "verify --pass linearizability", "verify --json"];
+        let bad = ["", "experiments", "--help", "exp", "exp fig8", "exp fig5 extra", "verify"];
         let bad_trace = ["trace --clients", "trace --repeats -1", "trace --out", "trace --pass x"];
-        for line in bad.into_iter().chain(bad_flags).chain(bad_trace) {
+        for line in bad.into_iter().chain(bad_trace) {
             assert!(parse_str(line).is_err(), "`{line}` parsed");
         }
     }
 
     /// Every `exp <name>` the docs cite (so every `bench -- exp <name>`)
-    /// names an entry, and every entry is cited; every `--pass <name>`
-    /// names a verify pass (underscores read as dashes, as `parse` does).
+    /// names an entry, and every entry is cited.
     #[test]
     fn doc_references_name_registry_entries() {
         let read = |doc: &str| {
             let path = format!("{}/../../{doc}", env!("CARGO_MANIFEST_DIR"));
             std::fs::read_to_string(path).expect("doc missing")
         };
-        for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
-            for rest in read(doc).split("--pass ").skip(1) {
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-                    .map(|c| if c == '_' { '-' } else { c })
-                    .collect();
-                // `--pass <name>` in a usage line has no name token.
-                if !name.is_empty() {
-                    assert!(
-                        PASSES.iter().any(|p| p.0 == name),
-                        "{doc}: `--pass {name}` is no pass"
-                    );
-                }
-            }
-        }
         let names: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
         assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
         let mut cited = BTreeSet::new();

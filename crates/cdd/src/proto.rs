@@ -63,7 +63,7 @@ fn addr(lb: u64) -> BlockAddr {
 }
 
 /// Per-client execution state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClientState {
     op_idx: usize,
     step_idx: usize,
@@ -147,19 +147,7 @@ impl Model for CddModel {
             disks: vec![block_of(0); blocks],
             history: Vec::new(),
             steps: 0,
-            clients: self
-                .programs
-                .iter()
-                .map(|_| ClientState {
-                    op_idx: 0,
-                    step_idx: 0,
-                    handles: Vec::new(),
-                    waiting: false,
-                    op_inv: None,
-                    read_vals: Vec::new(),
-                    migration: None,
-                })
-                .collect(),
+            clients: vec![ClientState::default(); self.programs.len()],
         }
     }
 
@@ -333,7 +321,7 @@ impl Model for CddModel {
 mod tests {
     use super::*;
     use crate::scenarios::{scenario_cache, scenario_contended, scenario_reader, scenario_three};
-    use sim_core::explore::{Explorer, FailureKind};
+    use sim_core::explore::{Explorer, Failure, FailureKind};
 
     /// The values client 0's two cached reads returned, in program order.
     fn client0_reads(s: &ProtoState) -> Vec<u64> {
@@ -392,46 +380,61 @@ mod tests {
         }
     }
 
+    /// The failure exploring `sc` finds.
+    fn failure(sc: Scenario) -> Failure {
+        Explorer::default().explore(&CddModel::new(sc)).failure.expect("planted defect not caught")
+    }
+
     #[test]
     fn double_grant_violates_invariant() {
-        let r =
-            Explorer::default().explore(&CddModel::new(scenario_contended(Defect::DoubleGrant)));
-        let f = r.failure.expect("double grant not caught");
+        let f = failure(scenario_contended(Defect::DoubleGrant));
         assert!(matches!(f.kind, FailureKind::Invariant(_)), "{f}");
     }
 
     #[test]
     fn skipped_wakeup_deadlocks() {
-        let r = Explorer::default().explore(&CddModel::new(scenario_contended(Defect::SkipWakeup)));
-        let f = r.failure.expect("lost wakeup not caught");
+        let f = failure(scenario_contended(Defect::SkipWakeup));
         assert!(matches!(f.kind, FailureKind::Deadlock(_)), "{f}");
     }
 
     #[test]
     fn split_acquire_deadlocks() {
-        let r =
-            Explorer::default().explore(&CddModel::new(scenario_contended(Defect::SplitAcquire)));
-        let f = r.failure.expect("ABBA deadlock not caught");
+        let f = failure(scenario_contended(Defect::SplitAcquire));
         assert!(matches!(f.kind, FailureKind::Deadlock(_)), "{f}");
     }
 
     #[test]
     fn early_release_fails_coverage() {
-        let r =
-            Explorer::default().explore(&CddModel::new(scenario_contended(Defect::EarlyRelease)));
-        let f = r.failure.expect("uncovered write not caught");
+        let f = failure(scenario_contended(Defect::EarlyRelease));
         assert!(matches!(f.kind, FailureKind::Step(_)), "{f}");
+    }
+
+    /// Every interleaving from `s`, unpruned: (complete schedules, whether
+    /// any failed a step or the invariant, or deadlocked).
+    fn naive(m: &CddModel, s: &ProtoState) -> (u64, bool) {
+        let live: Vec<usize> = (0..m.threads()).filter(|&t| !m.done(s, t)).collect();
+        if live.is_empty() {
+            return (1, false);
+        }
+        let mut out = (0, live.iter().all(|&t| !m.enabled(s, t)));
+        for t in live.into_iter().filter(|&t| m.enabled(s, t)) {
+            let mut c = s.clone();
+            let (n, bad) = match m.step(&mut c, t).and_then(|()| m.invariant(&c)) {
+                Ok(()) => naive(m, &c),
+                Err(_) => (0, true),
+            };
+            out = (out.0 + n, out.1 || bad);
+        }
+        out
     }
 
     #[test]
     fn pruning_preserves_clean_verdict() {
-        let full = Explorer { sleep_sets: false, ..Explorer::default() };
-        let pruned = Explorer::default();
-        let a = full.explore(&CddModel::new(scenario_three(Defect::None)));
-        let b = pruned.explore(&CddModel::new(scenario_three(Defect::None)));
-        assert!(a.clean() && b.clean());
-        assert!(b.pruned > 0, "no pruning happened");
-        assert!(b.steps <= a.steps, "pruning did not reduce work");
+        let m = CddModel::new(scenario_three(Defect::None));
+        let ((schedules, failed), r) = (naive(&m, &m.init()), Explorer::default().explore(&m));
+        assert!(!failed && r.clean());
+        assert!(r.pruned > 0, "no pruning happened");
+        assert!(r.schedules < schedules, "pruning did not reduce work: {schedules} unpruned");
     }
 
     #[test]

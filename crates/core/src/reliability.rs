@@ -4,17 +4,16 @@
 //! Table 2's "max fault coverage" row reports the *best case* (how many
 //! failures can be survived when they land favourably). Operators care
 //! about the expected case: the probability that `f` simultaneous random
-//! failures lose no data. For small arrays this is computed exactly by
-//! enumeration; larger arrays fall back to deterministic Monte-Carlo
-//! sampling.
+//! failures lose no data, computed exactly by enumerating every fault
+//! set (the 16-disk, f ≤ 4 sweep of `exp reliability` is C(16,4) = 1,820
+//! sets at most).
 
 use crate::layout::Layout;
 use crate::types::FaultSet;
 
 /// Probability that a uniformly random set of `f` distinct failed disks
-/// is survivable, computed exactly when `C(ndisks, f)` is small enough,
-/// else by `samples` Monte-Carlo draws seeded with `seed`.
-pub fn survival_probability(layout: &dyn Layout, f: usize, samples: u64, seed: u64) -> f64 {
+/// is survivable, by enumerating every `f`-subset of the disks.
+pub fn survival_probability(layout: &dyn Layout, f: usize) -> f64 {
     let n = layout.ndisks();
     if f == 0 {
         return 1.0;
@@ -22,28 +21,6 @@ pub fn survival_probability(layout: &dyn Layout, f: usize, samples: u64, seed: u
     if f > n {
         return 0.0;
     }
-    if combinations(n, f) <= 200_000 {
-        exact(layout, f)
-    } else {
-        monte_carlo(layout, f, samples, seed)
-    }
-}
-
-fn combinations(n: usize, k: usize) -> u128 {
-    let k = k.min(n - k);
-    let mut c: u128 = 1;
-    for i in 0..k {
-        c = c * (n - i) as u128 / (i + 1) as u128;
-        if c > 1 << 40 {
-            return u128::MAX;
-        }
-    }
-    c
-}
-
-/// Exact: enumerate every f-subset of disks.
-fn exact(layout: &dyn Layout, f: usize) -> f64 {
-    let n = layout.ndisks();
     let mut picked = vec![0usize; f];
     let mut survived = 0u64;
     let mut total = 0u64;
@@ -74,23 +51,6 @@ fn enumerate_subsets(
     }
 }
 
-/// Deterministic Monte-Carlo estimate.
-fn monte_carlo(layout: &dyn Layout, f: usize, samples: u64, seed: u64) -> f64 {
-    let n = layout.ndisks();
-    let mut rng = sim_core::SplitMix64::new(seed);
-    let mut survived = 0u64;
-    for _ in 0..samples {
-        let mut fs = FaultSet::none();
-        while fs.len() < f {
-            fs.insert(rng.next_below(n as u64) as usize);
-        }
-        if layout.tolerates(&fs) {
-            survived += 1;
-        }
-    }
-    survived as f64 / samples as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,21 +59,21 @@ mod tests {
     #[test]
     fn single_failure_always_survivable_on_redundant_layouts() {
         let n = 16;
-        assert_eq!(survival_probability(&Raid5::new(n, 100), 1, 0, 0), 1.0);
-        assert_eq!(survival_probability(&Raid10::new(n, 100), 1, 0, 0), 1.0);
-        assert_eq!(survival_probability(&ChainedDecluster::new(n, 100), 1, 0, 0), 1.0);
-        assert_eq!(survival_probability(&RaidX::new(16, 1, 131_072), 1, 0, 0), 1.0);
+        assert_eq!(survival_probability(&Raid5::new(n, 100), 1), 1.0);
+        assert_eq!(survival_probability(&Raid10::new(n, 100), 1), 1.0);
+        assert_eq!(survival_probability(&ChainedDecluster::new(n, 100), 1), 1.0);
+        assert_eq!(survival_probability(&RaidX::new(16, 1, 131_072), 1), 1.0);
     }
 
     #[test]
     fn raid5_double_failure_always_fatal() {
-        assert_eq!(survival_probability(&Raid5::new(8, 100), 2, 0, 0), 0.0);
+        assert_eq!(survival_probability(&Raid5::new(8, 100), 2), 0.0);
     }
 
     #[test]
     fn raid10_double_failure_matches_combinatorics() {
         // 8 disks, 4 pairs: P(two failures hit one pair) = 4 / C(8,2) = 4/28.
-        let p = survival_probability(&Raid10::new(8, 100), 2, 0, 0);
+        let p = survival_probability(&Raid10::new(8, 100), 2);
         assert!((p - 24.0 / 28.0).abs() < 1e-12, "p={p}");
     }
 
@@ -121,7 +81,7 @@ mod tests {
     fn chained_double_failure_matches_ring_adjacency() {
         // n-disk ring: fatal pairs are the n adjacent ones out of C(n,2).
         let n = 10;
-        let p = survival_probability(&ChainedDecluster::new(n, 100), 2, 0, 0);
+        let p = survival_probability(&ChainedDecluster::new(n, 100), 2);
         let expect = 1.0 - n as f64 / (n as f64 * (n as f64 - 1.0) / 2.0);
         assert!((p - expect).abs() < 1e-12, "p={p} expect={expect}");
     }
@@ -129,7 +89,7 @@ mod tests {
     #[test]
     fn raidx_nxk_double_failure_matches_row_combinatorics() {
         // 4x3: fatal iff both failures share a row of 4: 3*C(4,2)=18 of C(12,2)=66.
-        let p = survival_probability(&RaidX::new(4, 3, 240), 2, 0, 0);
+        let p = survival_probability(&RaidX::new(4, 3, 240), 2);
         let expect = 1.0 - 18.0 / 66.0;
         assert!((p - expect).abs() < 1e-12, "p={p} expect={expect}");
     }
@@ -139,7 +99,7 @@ mod tests {
         let l = RaidX::new(4, 3, 240);
         let mut prev = 1.0;
         for f in 1..=4 {
-            let p = survival_probability(&l, f, 0, 0);
+            let p = survival_probability(&l, f);
             assert!(p <= prev + 1e-12, "f={f}: {p} > {prev}");
             prev = p;
         }
@@ -148,17 +108,9 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_tracks_exact() {
-        let l = Raid10::new(8, 100);
-        let exact_p = exact(&l, 2);
-        let mc = monte_carlo(&l, 2, 40_000, 7);
-        assert!((exact_p - mc).abs() < 0.01, "exact {exact_p} vs mc {mc}");
-    }
-
-    #[test]
     fn edge_cases() {
         let l = Raid5::new(4, 100);
-        assert_eq!(survival_probability(&l, 0, 0, 0), 1.0);
-        assert_eq!(survival_probability(&l, 5, 0, 0), 0.0);
+        assert_eq!(survival_probability(&l, 0), 1.0);
+        assert_eq!(survival_probability(&l, 5), 0.0);
     }
 }

@@ -1,11 +1,13 @@
 //! Property-based tests of the layout invariants across randomly drawn
 //! array shapes, capacities and block ranges (driven by the deterministic
-//! in-tree harness in `sim_core::check`).
+//! in-tree harness in `sim_core::check`), and of each layout's placement
+//! rule — OSM rows and image groups, RAID-5 rotation, RAID-10 pairing,
+//! chained declustering's right-neighbour image — on fixed shapes too.
 
 use raidx_core::layout::{check_layout_invariants, Layout, ReadSource};
-use raidx_core::{ChainedDecluster, FaultSet, Raid0, Raid10, Raid5, RaidX};
+use raidx_core::{BlockAddr, ChainedDecluster, FaultSet, Raid0, Raid10, Raid5, RaidX};
 use sim_core::check::{run_cases, Gen};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Draw `(n nodes, k disks/node, blocks per disk)`. The disk must hold at
 /// least one whole image group per half (`RaidX::new` rejects smaller
@@ -195,5 +197,101 @@ fn raidx_capacity_bound() {
             lost <= (n as u64 * k as u64) * (n as u64 - 1) + raw / 2 % 2 * (n as u64 * k as u64),
             "capacity lost {lost} blocks"
         );
+    });
+}
+
+/// Fixed `(n, k)` shapes every placement rule below is also checked on:
+/// the paper's 12-disk decompositions plus off-square shapes that exercise
+/// group-boundary rounding, at 240 blocks per disk.
+const SWEEP_SHAPES: [(usize, usize); 8] =
+    [(12, 1), (6, 2), (4, 3), (3, 4), (2, 6), (8, 2), (5, 3), (7, 1)];
+
+/// Run `check(n, k, blocks per disk)` on every [`SWEEP_SHAPES`] entry,
+/// then on 48 random shapes.
+fn sweep(name: &str, mut check: impl FnMut(usize, usize, u64)) {
+    for (n, k) in SWEEP_SHAPES {
+        check(n, k, 240);
+    }
+    run_cases(name, 48, |g| {
+        let (n, k, bpd) = shape(g);
+        check(n, k, bpd);
+    });
+}
+
+/// RAID-x: a block's image stays in its data disk's row sub-array.
+#[test]
+fn raidx_image_stays_in_the_data_row() {
+    sweep("raidx_image_stays_in_the_data_row", |n, k, bpd| {
+        let l = RaidX::new(n, k, bpd);
+        for lb in 0..l.capacity_blocks() {
+            let (d, m) = (l.locate_data(lb), l.image_addr(lb));
+            assert_eq!(l.row_of_disk(m.disk), l.row_of_disk(d.disk), "{n}x{k}/{bpd} lb {lb}");
+        }
+    });
+}
+
+/// RAID-x: the members of an image group sit contiguously on one disk,
+/// which the clustered sequential image flush depends on.
+#[test]
+fn raidx_image_groups_are_contiguous_on_one_disk() {
+    sweep("raidx_image_groups_are_contiguous_on_one_disk", |n, k, bpd| {
+        let l = RaidX::new(n, k, bpd);
+        let mut groups: BTreeMap<(usize, u64), Vec<BlockAddr>> = BTreeMap::new();
+        for lb in 0..l.capacity_blocks() {
+            groups.entry(l.image_group(lb)).or_default().push(l.image_addr(lb));
+        }
+        for (group, mut addrs) in groups {
+            addrs.sort_unstable();
+            let first = addrs[0];
+            for (i, a) in addrs.iter().enumerate() {
+                let want = BlockAddr::new(first.disk, first.block + i as u64);
+                assert_eq!(*a, want, "{n}x{k}/{bpd} group {group:?}: images not contiguous");
+            }
+        }
+    });
+}
+
+/// RAID-5: left-symmetric rotation, `parity_disk(s) == n-1-(s mod n)`.
+#[test]
+fn raid5_parity_rotates_left_symmetric() {
+    sweep("raid5_parity_rotates_left_symmetric", |n, k, bpd| {
+        if n * k < 3 {
+            return;
+        }
+        let l = Raid5::new(n * k, bpd);
+        let nd = l.ndisks() as u64;
+        for s in 0..(l.capacity_blocks() / l.stripe_width() as u64).min(16 * nd) {
+            assert_eq!(l.parity_disk(s) as u64, nd - 1 - s % nd, "{nd} disks, stripe {s}");
+        }
+    });
+}
+
+/// RAID-10: a block's mirror is its pair partner (`2i`/`2i+1`), on the
+/// same row.
+#[test]
+fn raid10_mirror_is_the_pair_partner_on_the_same_row() {
+    sweep("raid10_mirror_is_the_pair_partner_on_the_same_row", |n, k, bpd| {
+        if (n * k) % 2 == 1 {
+            return;
+        }
+        let l = Raid10::new(n * k, bpd);
+        for lb in 0..l.capacity_blocks() {
+            let (d, m) = (l.locate_data(lb), l.locate_images(lb)[0]);
+            assert_eq!(m, BlockAddr::new(d.disk ^ 1, d.block), "{} disks, lb {lb}", n * k);
+        }
+    });
+}
+
+/// Chained declustering: disk `d`'s image lives on its right neighbour
+/// `(d+1) mod N`, in the bottom half of the platter.
+#[test]
+fn chained_image_is_the_right_neighbour_in_the_bottom_half() {
+    sweep("chained_image_is_the_right_neighbour_in_the_bottom_half", |n, k, bpd| {
+        let l = ChainedDecluster::new(n * k, bpd);
+        for lb in 0..l.capacity_blocks() {
+            let (d, m) = (l.locate_data(lb), l.locate_images(lb)[0]);
+            assert_eq!(m.disk, (d.disk + 1) % (n * k), "{} disks, lb {lb}", n * k);
+            assert!(m.block >= bpd / 2, "{} disks, lb {lb}: image in the data half", n * k);
+        }
     });
 }

@@ -10,23 +10,22 @@
 //! every completed schedule (e.g. a linearizability audit of the recorded
 //! history).
 //!
-//! **Pruning.** With `sleep_sets` on, the explorer applies the classic
-//! sleep-set refinement of partial-order reduction (the non-vector-clock
-//! half of DPOR): after a branch on thread `t` is fully explored, sibling
-//! branches need not re-interleave steps *independent* of `t`'s step.
-//! Independence comes from [`Footprint`]s — the abstract cells a thread's
-//! next step reads or writes; steps with disjoint footprints commute.
-//! Footprints must be conservative: if two steps could interact through
-//! any observable channel (including assertions), their footprints must
-//! intersect. Histories recorded for post-hoc checking are exempt — two
-//! truly independent steps produce histories equivalent up to reordering
-//! of concurrent records, which a correct history checker treats alike.
+//! **Pruning.** The explorer applies the classic sleep-set refinement of
+//! partial-order reduction (the non-vector-clock half of DPOR): after a
+//! branch on thread `t` is fully explored, sibling branches need not
+//! re-interleave steps *independent* of `t`'s step. Independence comes
+//! from [`Footprint`]s — the abstract cells a thread's next step reads or
+//! writes; steps with disjoint footprints commute. Footprints must be
+//! conservative: if two steps could interact through any observable
+//! channel (including assertions), their footprints must intersect.
+//! Histories recorded for post-hoc checking are exempt — two truly
+//! independent steps produce histories equivalent up to reordering of
+//! concurrent records, which a correct history checker treats alike.
 //!
 //! **Counterexamples.** A failure carries the schedule (thread choice
-//! sequence) that produced it; with `shrink` on, the explorer minimizes it
-//! with [`crate::check::shrink_list`] before reporting. A minimized
-//! schedule is replayed as "follow these choices, then continue
-//! round-robin" — see [`replay`].
+//! sequence) that produced it, minimized with [`crate::check::shrink_list`]
+//! before reporting. A minimized schedule is replayed as "follow these
+//! choices, then continue round-robin" — see [`replay`].
 
 use crate::check::shrink_list;
 
@@ -158,7 +157,7 @@ pub struct Exploration {
     pub pruned: u64,
     /// True when the schedule budget ran out before full coverage.
     pub truncated: bool,
-    /// The first failure found (minimized when shrinking is on), if any.
+    /// The first failure found (minimized), if any.
     pub failure: Option<Failure>,
 }
 
@@ -178,15 +177,11 @@ pub struct Explorer {
     /// Stop exploring (reporting `truncated`) after this many complete
     /// schedules.
     pub max_schedules: u64,
-    /// Enable sleep-set pruning.
-    pub sleep_sets: bool,
-    /// Minimize failing schedules before reporting.
-    pub shrink: bool,
 }
 
 impl Default for Explorer {
     fn default() -> Self {
-        Explorer { max_depth: 256, max_schedules: 100_000, sleep_sets: true, shrink: true }
+        Explorer { max_depth: 256, max_schedules: 100_000 }
     }
 }
 
@@ -210,10 +205,8 @@ impl Explorer {
         let mut sched = Vec::new();
         let init = m.init();
         self.dfs(m, &init, &mut sched, 0, &mut on_leaf, &mut out);
-        if self.shrink {
-            if let Some(f) = out.failure.take() {
-                out.failure = Some(minimize(m, f, &mut on_leaf, self.max_depth));
-            }
+        if let Some(f) = out.failure.take() {
+            out.failure = Some(minimize(m, f, &mut on_leaf, self.max_depth));
         }
         out
     }
@@ -280,23 +273,18 @@ impl Explorer {
                     Some(Failure { schedule: sched.clone(), kind: FailureKind::Invariant(e) });
                 return false;
             }
+            // Sleeping threads stay asleep while independent of the step
+            // just taken; fully-explored siblings fall asleep on the same
+            // condition.
             let mut child_sleep = 0u64;
-            if self.sleep_sets {
-                // Sleeping threads stay asleep while independent of the
-                // step just taken; fully-explored siblings fall asleep on
-                // the same condition.
-                for x in 0..n {
-                    if (sleep >> x) & 1 == 1
-                        && !m.done(s, x)
-                        && m.footprint(s, x).independent(&fp_t)
-                    {
-                        child_sleep |= 1 << x;
-                    }
+            for x in 0..n {
+                if (sleep >> x) & 1 == 1 && !m.done(s, x) && m.footprint(s, x).independent(&fp_t) {
+                    child_sleep |= 1 << x;
                 }
-                for (x, fp_x) in &explored {
-                    if fp_x.independent(&fp_t) {
-                        child_sleep |= 1 << x;
-                    }
+            }
+            for (x, fp_x) in &explored {
+                if fp_x.independent(&fp_t) {
+                    child_sleep |= 1 << x;
                 }
             }
             if !self.dfs(m, &child, sched, child_sleep, on_leaf, out) {
@@ -398,239 +386,4 @@ fn minimize<M: Model>(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Two threads each do load; add; store (non-atomic increment).
-    struct RacyCounter {
-        atomic: bool,
-    }
-
-    #[derive(Clone)]
-    struct CounterState {
-        value: u64,
-        loaded: [Option<u64>; 2],
-        pc: [usize; 2],
-    }
-
-    impl Model for RacyCounter {
-        type State = CounterState;
-        fn init(&self) -> CounterState {
-            CounterState { value: 0, loaded: [None, None], pc: [0, 0] }
-        }
-        fn threads(&self) -> usize {
-            2
-        }
-        fn done(&self, s: &CounterState, t: ThreadId) -> bool {
-            s.pc[t] >= if self.atomic { 1 } else { 2 }
-        }
-        fn footprint(&self, _s: &CounterState, _t: ThreadId) -> Footprint {
-            Footprint::cells(vec![0])
-        }
-        fn step(&self, s: &mut CounterState, t: ThreadId) -> Result<(), String> {
-            if self.atomic {
-                s.value += 1;
-            } else if s.pc[t] == 0 {
-                s.loaded[t] = Some(s.value);
-            } else {
-                s.value = s.loaded[t].ok_or("store before load")? + 1;
-            }
-            s.pc[t] += 1;
-            Ok(())
-        }
-    }
-
-    fn counter_leaf(s: &CounterState) -> Result<(), String> {
-        if s.value == 2 {
-            Ok(())
-        } else {
-            Err(format!("lost update: final value {}", s.value))
-        }
-    }
-
-    #[test]
-    fn finds_lost_update() {
-        let ex = Explorer::default();
-        let r = ex.explore_with(&RacyCounter { atomic: false }, counter_leaf);
-        let f = r.failure.expect("race not found");
-        assert!(matches!(f.kind, FailureKind::Leaf(_)), "{f}");
-        // Minimized: the interleaving load0 load1 store store (4 steps,
-        // possibly fewer recorded thanks to round-robin continuation).
-        assert!(f.schedule.len() <= 4, "not shrunk: {:?}", f.schedule);
-        let (_, kind) = replay_with(&RacyCounter { atomic: false }, &f.schedule, 16, counter_leaf);
-        assert!(kind.is_some(), "minimized schedule does not reproduce");
-    }
-
-    #[test]
-    fn atomic_counter_is_clean() {
-        let ex = Explorer::default();
-        let r = ex.explore_with(&RacyCounter { atomic: true }, counter_leaf);
-        assert!(r.clean(), "{:?}", r.failure);
-        assert!(r.schedules >= 1);
-    }
-
-    /// Two binary locks; each thread acquires both (pc 0 and 1), then
-    /// releases both (pc 2). Thread 0 takes A then B; thread 1 takes B
-    /// then A (or A then B when `ordered`) — the classic ABBA deadlock.
-    struct TwoLocks {
-        ordered: bool,
-    }
-
-    #[derive(Clone)]
-    struct LockState {
-        held: [Option<ThreadId>; 2],
-        pc: [usize; 2],
-    }
-
-    impl TwoLocks {
-        fn wants(&self, t: ThreadId, pc: usize) -> usize {
-            match (t, self.ordered) {
-                (0, _) | (1, true) => pc, // A then B
-                (1, false) => 1 - pc,     // B then A
-                _ => unreachable!(),
-            }
-        }
-    }
-
-    impl Model for TwoLocks {
-        type State = LockState;
-        fn init(&self) -> LockState {
-            LockState { held: [None, None], pc: [0, 0] }
-        }
-        fn threads(&self) -> usize {
-            2
-        }
-        fn done(&self, s: &LockState, t: ThreadId) -> bool {
-            s.pc[t] >= 3
-        }
-        fn enabled(&self, s: &LockState, t: ThreadId) -> bool {
-            !self.done(s, t) && (s.pc[t] == 2 || s.held[self.wants(t, s.pc[t])].is_none())
-        }
-        fn footprint(&self, s: &LockState, t: ThreadId) -> Footprint {
-            if s.pc[t] == 2 {
-                Footprint::cells(vec![0, 1])
-            } else {
-                Footprint::cells(vec![self.wants(t, s.pc[t]) as u64])
-            }
-        }
-        fn step(&self, s: &mut LockState, t: ThreadId) -> Result<(), String> {
-            if s.pc[t] == 2 {
-                for h in s.held.iter_mut() {
-                    if *h == Some(t) {
-                        *h = None;
-                    }
-                }
-            } else {
-                let lock = self.wants(t, s.pc[t]);
-                if s.held[lock].is_some() {
-                    return Err(format!("lock {lock} granted twice"));
-                }
-                s.held[lock] = Some(t);
-            }
-            s.pc[t] += 1;
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn finds_abba_deadlock_and_shrinks_it() {
-        let ex = Explorer::default();
-        let r = ex.explore(&TwoLocks { ordered: false });
-        let f = r.failure.expect("deadlock not found");
-        assert!(matches!(f.kind, FailureKind::Deadlock(_)), "{f}");
-        // Minimal prefix: thread 1 grabs B before the round-robin
-        // continuation lets thread 0 run — at most one step per thread.
-        assert!(f.schedule.len() <= 2, "not minimized: {:?}", f.schedule);
-        let (_, kind) = replay(&TwoLocks { ordered: false }, &f.schedule, 16);
-        assert!(matches!(kind, Some(FailureKind::Deadlock(_))), "{kind:?}");
-    }
-
-    #[test]
-    fn ordered_locking_is_clean() {
-        let r = Explorer::default().explore(&TwoLocks { ordered: true });
-        assert!(r.clean(), "{:?}", r.failure);
-    }
-
-    /// N independent single-step threads touching disjoint cells.
-    struct Independent {
-        n: usize,
-    }
-
-    impl Model for Independent {
-        type State = Vec<bool>;
-        fn init(&self) -> Vec<bool> {
-            vec![false; self.n]
-        }
-        fn threads(&self) -> usize {
-            self.n
-        }
-        fn done(&self, s: &Vec<bool>, t: ThreadId) -> bool {
-            s[t]
-        }
-        fn footprint(&self, _s: &Vec<bool>, t: ThreadId) -> Footprint {
-            Footprint::cells(vec![t as u64])
-        }
-        fn step(&self, s: &mut Vec<bool>, t: ThreadId) -> Result<(), String> {
-            s[t] = true;
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn sleep_sets_collapse_independent_interleavings() {
-        let full = Explorer { sleep_sets: false, ..Explorer::default() };
-        let pruned = Explorer::default();
-        let rf = full.explore(&Independent { n: 4 });
-        let rp = pruned.explore(&Independent { n: 4 });
-        assert_eq!(rf.schedules, 24, "4! interleavings unpruned");
-        assert_eq!(rp.schedules, 1, "fully independent -> one schedule");
-        assert!(rp.pruned > 0);
-        assert!(rf.clean() && rp.clean());
-    }
-
-    #[test]
-    fn pruning_preserves_verdict_on_racy_model() {
-        let full = Explorer { sleep_sets: false, ..Explorer::default() };
-        let pruned = Explorer::default();
-        let a = full.explore_with(&RacyCounter { atomic: false }, counter_leaf);
-        let b = pruned.explore_with(&RacyCounter { atomic: false }, counter_leaf);
-        assert_eq!(a.failure.is_some(), b.failure.is_some());
-    }
-
-    #[test]
-    fn budget_truncates() {
-        let ex = Explorer { max_schedules: 3, sleep_sets: false, ..Explorer::default() };
-        let r = ex.explore(&Independent { n: 4 });
-        assert!(r.truncated);
-        assert_eq!(r.schedules, 3);
-        assert!(r.clean());
-    }
-
-    #[test]
-    fn depth_bound_reported() {
-        /// A thread that never finishes.
-        struct Spin;
-        impl Model for Spin {
-            type State = u64;
-            fn init(&self) -> u64 {
-                0
-            }
-            fn threads(&self) -> usize {
-                1
-            }
-            fn done(&self, _s: &u64, _t: ThreadId) -> bool {
-                false
-            }
-            fn footprint(&self, _s: &u64, _t: ThreadId) -> Footprint {
-                Footprint::Global
-            }
-            fn step(&self, s: &mut u64, _t: ThreadId) -> Result<(), String> {
-                *s += 1;
-                Ok(())
-            }
-        }
-        let ex = Explorer { max_depth: 10, shrink: false, ..Explorer::default() };
-        let r = ex.explore(&Spin);
-        assert!(matches!(r.failure, Some(Failure { kind: FailureKind::Depth, .. })));
-    }
-}
+mod tests;

@@ -1,11 +1,11 @@
-//! Pass 3 — determinism of the seeded workload, event by event.
+//! Determinism of the seeded workload, event by event.
 //!
 //! The whole reproduction rests on the simulator being a pure function of
 //! its configuration: the property tests replay seeds, the experiment
 //! harness compares architectures run in separate engines, regressions
 //! are diffed run-over-run, and the Perfetto/CSV exporters assume a trace
 //! can be reproduced (a trace you cannot reproduce is a trace you cannot
-//! debug from). Per architecture this pass runs the same seeded cluster
+//! debug from). Per architecture the audit runs the same seeded cluster
 //! workload three times in fresh engines:
 //!
 //! * twice with one [`EventLog`] installed in both the engine and the
@@ -19,17 +19,17 @@
 //!   neither tracer perturbs what it watches.
 //!
 //! Two runs can agree on totals while interleaving events differently,
-//! which is why the stream is compared and not only the aggregates. A
-//! *perturbation canary* then swaps one adjacent event pair in a copy of
-//! a recorded stream and asserts both the diff and the fingerprint catch
-//! it — guarding against the comparator degenerating into a constant.
+//! which is why the stream is compared and not only the aggregates. Both
+//! fingerprints are pinned per architecture, so a change that moves any
+//! event fails too. A *perturbation canary* swaps one adjacent event pair
+//! in a copy of a recorded stream and asserts both the diff and the
+//! fingerprint catch it — guarding against the comparator degenerating
+//! into a constant.
 
 use raidx_core::Arch;
 use sim_core::trace::{render_event, EventLog, TimedEvent};
 use sim_core::{fnv1a, Engine};
 use workloads::parallel_io::{run_parallel_io, IoPattern, ParallelIoConfig};
-
-use crate::report::PassReport;
 
 /// Render every end-of-run observable of a finished engine as one line
 /// per job and per resource (stable, human-diffable).
@@ -154,48 +154,47 @@ pub fn audit_workload(arch: Arch) -> DeterminismReport {
     }
 }
 
-/// Run the determinism pass: the three-run audit per architecture plus
-/// the perturbation canary.
-pub fn run_pass() -> PassReport {
-    let mut report = PassReport::new("determinism");
-    for arch in Arch::ALL {
-        let audit = audit_workload(arch);
-        let detail = audit.divergence.clone().unwrap_or_else(|| {
-            format!(
-                "stream fingerprint {:016x}, {} events byte-identical; aggregate fingerprint \
-                 {:016x}, {} lines, untraced run agrees",
-                audit.stream_fingerprint, audit.events, audit.engine_fingerprint, audit.lines
-            )
-        });
-        report.push(format!("{arch:?} double run"), audit.deterministic(), detail);
-    }
-    // Perturbation canary: an injected reorder must be caught.
-    let (stream, _) = one_run(Arch::ALL[0], true);
-    if stream.len() >= 2 {
-        let mut perturbed = stream.clone();
-        let mid = perturbed.len() / 2;
-        perturbed.swap(mid - 1, mid);
-        let caught = diff_streams(&stream, &perturbed).is_some()
-            && stream_fingerprint(&stream) != stream_fingerprint(&perturbed);
-        report.push(
-            "perturbation canary",
-            caught,
-            if caught {
-                "injected event reorder detected by diff and fingerprint"
-            } else {
-                "injected event reorder NOT detected"
-            },
-        );
-    } else {
-        report.fail("perturbation canary", "stream too short to perturb");
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sim_core::SimTime;
+
+    /// (architecture, stream fingerprint, aggregate fingerprint) of each
+    /// architecture's audited run, in [`Arch::ALL`] order.
+    const FINGERPRINTS: [(Arch, u64, u64); 4] = [
+        (Arch::Raid5, 0xcf1e_aed2_346a_91b2, 0x455f_92d0_1cbe_a90f),
+        (Arch::Chained, 0x5e21_38f0_dba2_c96e, 0x410a_6b96_ce4e_37a3),
+        (Arch::Raid10, 0x2fb7_0d88_433e_59bb, 0xc733_fcfd_16c2_c2de),
+        (Arch::RaidX, 0x1ca7_30e5_2ae8_87ae, 0x0eb7_52ef_4a82_216b),
+    ];
+
+    #[test]
+    fn every_arch_replays_byte_identically() {
+        let mut fresh = Vec::new();
+        for arch in Arch::ALL {
+            let a = audit_workload(arch);
+            let why = a.divergence.as_deref().unwrap_or("the run observed nothing");
+            assert!(a.deterministic(), "{arch:?}: {why}");
+            fresh.push((arch, a.stream_fingerprint, a.engine_fingerprint));
+        }
+        let table: String = fresh
+            .iter()
+            .map(|(arch, s, e)| format!("    (Arch::{arch:?}, 0x{s:016x}, 0x{e:016x}),\n"))
+            .collect();
+        assert_eq!(fresh, FINGERPRINTS, "fresh table:\n{table}");
+    }
+
+    /// Perturbation canary: one adjacent pair swapped in a real stream is
+    /// caught by both the diff and the fingerprint.
+    #[test]
+    fn a_swapped_event_pair_is_caught() {
+        let (stream, _) = one_run(Arch::ALL[0], true);
+        let mut perturbed = stream.clone();
+        let mid = perturbed.len() / 2;
+        perturbed.swap(mid - 1, mid);
+        assert!(diff_streams(&stream, &perturbed).is_some(), "the diff missed the reorder");
+        assert_ne!(stream_fingerprint(&stream), stream_fingerprint(&perturbed));
+    }
 
     /// Seeded divergence: different workloads must produce different
     /// fingerprints (the hash actually observes the trace).

@@ -1,5 +1,5 @@
 //! Wing–Gong linearizability checking of SIOS histories — the leaf
-//! check pass 4 ([`crate::model_check`]) runs on every explored schedule.
+//! check [`crate::model_check`] runs on every explored schedule.
 //!
 //! The model checker records every completed group read/write with its
 //! real-time invocation/response window ([`cdd::OpRecord`]). Each

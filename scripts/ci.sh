@@ -1,11 +1,10 @@
 #!/usr/bin/env sh
-# Full local CI gate: formatting, lints, the whole workspace test suite,
-# the trace-export self-check, the golden simulated results, the
-# benchmark package, and every raidx-verify pass. Each check runs once:
-# a failing test names itself in `cargo test` output and a failing pass
-# in `bench verify`'s per-pass report, so no pass or test file has a stage
-# of its own. Run from the repository root. Fails fast on the first
-# broken stage.
+# Full local CI gate: formatting, lints, the whole workspace test suite
+# (the raidx-verify checks included), the trace-export self-check, the
+# golden simulated results and the benchmark package. Each check runs
+# once: a failing test names itself in `cargo test` output, so no test
+# file has a stage of its own. Run from the repository root. Fails fast on
+# the first broken stage.
 set -eu
 
 echo "==> cargo fmt --check"
@@ -40,15 +39,6 @@ echo "==> benchmark (own workspace: build, smoke run, parity + manifest tests)"
 # a public-API change under crates/ can break it unnoticed.
 bash benchmark/run.sh --smoke
 cargo test --release -q --manifest-path benchmark/Cargo.toml
-
-echo "==> bench verify (plan lint, layout, determinism, model check + linearizability, fault sweep + lock record, module size + lint wiring, perf smoke, cache coherence)"
-# Bare: the suite has no modes, so this is the run every other caller
-# makes (tests/verify_smoke.rs repeats it under `cargo test`). perf-smoke
-# requires deterministic work counters to equal its tables exactly (host
-# time is benchmark/'s job):
-# an intentional engine change pastes the fresh table the failure message
-# prints into crates/verify/src/perf_smoke.rs.
-cargo run --release -p bench -- verify
 
 echo "==> loc (Rust lines per crate; informational, never fails)"
 sh scripts/loc.sh || true
