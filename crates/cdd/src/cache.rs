@@ -251,8 +251,8 @@ impl IoSystem {
     }
 
     /// Drop every client's cached extents (the hook membership epoch
-    /// transitions call; public for recovery drivers and tests).
-    pub fn cache_flush_all(&mut self) {
+    /// transitions call).
+    pub(crate) fn cache_flush_all(&mut self) {
         if let Some(c) = self.cache.as_mut() {
             c.flush_all();
         }

@@ -11,7 +11,7 @@
 //! All placement decisions (layout addresses, fault routing, replica
 //! selection) happen in logical *slot* space; the translation to
 //! physical disks happens at the plane boundary through the
-//! [`crate::placer::Placer`], and is the identity on a
+//! epoch-versioned `Placer`, and is the identity on a
 //! never-reconfigured array.
 
 use cluster::{xor_of, Block};

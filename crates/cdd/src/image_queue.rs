@@ -80,17 +80,6 @@ impl ImageQueue {
         self.total
     }
 
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Number of buffered image blocks destined for `disk` — what
-    /// [`ImageQueue::remove_disk`] would drain, without draining it.
-    pub fn blocks_on_disk(&self, disk: usize) -> usize {
-        self.groups.values().flatten().filter(|p| p.addr.disk == disk).count()
-    }
-
     /// Drain every buffered group (partial groups included), in group key
     /// order. Call at sync points.
     pub fn drain_all(&mut self) -> Vec<PendingImage> {
@@ -205,6 +194,19 @@ impl ImageQueue {
             i += len as usize;
         }
         plans
+    }
+}
+
+#[cfg(test)]
+impl ImageQueue {
+    /// True when nothing is buffered.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// Buffered image blocks bound for `disk`: what [`ImageQueue::remove_disk`] would drain.
+    pub(crate) fn blocks_on_disk(&self, disk: usize) -> usize {
+        self.groups.values().flatten().filter(|p| p.addr.disk == disk).count()
     }
 }
 

@@ -24,10 +24,10 @@
 //! |---|---|
 //! | [`frontend`] | front end / admission: range + length validation (shared with `nfs_sim`), run coalescing, read replica selection |
 //! | [`cache`] | per-client block cache in front of the read path, kept coherent by write-grant invalidations and epoch flushes |
-//! | [`locks`] | consistency module: the replicated lock-group table |
-//! | [`scheme`] | scheme drivers: one [`scheme::SchemeDriver`] per [`raidx_core::WriteScheme`] (plain / mirror; parity in [`parity`]) |
-//! | [`image_queue`] | data plane write-behind: the bounded OSM [`image_queue::ImageQueue`] |
-//! | [`placer`] | epoch-versioned slot→physical placement ([`placer::Placer`] over [`cluster::ClusterMap`]) |
+//! | `locks` | consistency module: the replicated lock-group table, taken only through `IoSystem::with_grant` |
+//! | `scheme` | scheme drivers: one `SchemeDriver` per [`raidx_core::WriteScheme`] (plain / mirror; parity in [`parity`]) |
+//! | `image_queue` | data plane write-behind: the bounded OSM `ImageQueue` |
+//! | `placer` | epoch-versioned slot→physical placement (`Placer` over [`cluster::ClusterMap`]) |
 //! | [`system`] | the [`IoSystem`] state — configuration, planes, placer, ledgers |
 //! | [`datapath`] | the request pipeline: admission stamping, locked writes, translated reads |
 //! | [`membership`] | fault injection hooks and epoch transitions (add/remove/replace disks) |
@@ -40,32 +40,29 @@
 //! Supporting modules: [`config`] (tunables, including the
 //! [`CddConfig::max_image_backlog`] backpressure bound), [`error`] (the
 //! shared [`IoError`]), [`ops`] (plan builders), [`runs`] (coalescing),
-//! [`store`] (the [`BlockStore`] abstraction over CDD and NFS),
-//! [`scenarios`] + [`proto`] (model-checking scenarios and their
-//! explorable compilation, micro-steps in the private `compile` module) and [`testkit`] (shared test/bench
-//! constructors).
+//! [`store`] (the [`BlockStore`] abstraction over CDD and NFS) and
+//! [`testkit`] (shared test/bench constructors). `locks`, `scheme`,
+//! `image_queue` and `placer` are private to the crate: other crates reach
+//! them only through [`IoSystem`].
 
 pub mod cache;
-mod compile;
 pub mod config;
 pub mod datapath;
 pub mod error;
 pub mod fault;
 pub mod frontend;
-pub mod image_queue;
-pub mod locks;
+mod image_queue;
+mod locks;
 pub mod maintenance;
 pub mod membership;
 pub mod ops;
 pub mod parity;
-pub mod placer;
-pub mod proto;
+mod placer;
 pub mod rebalance;
 pub mod restore;
 pub mod resync;
 pub mod runs;
-pub mod scenarios;
-pub mod scheme;
+mod scheme;
 pub mod store;
 pub mod system;
 pub mod testkit;
@@ -74,15 +71,9 @@ pub use cache::{CacheConfig, CacheStats};
 pub use config::{CddConfig, ReadBalance};
 pub use error::IoError;
 pub use fault::{FaultEvent, FaultInjector};
-pub use frontend::{Admission, ReadBalancer};
-pub use image_queue::{ImageQueue, PendingImage};
-pub use locks::{LockConflict, LockGroupTable, LockHandle, LockRecord, ReleaseError};
+pub use frontend::Admission;
 pub use ops::OpBuilder;
-pub use placer::{Migration, Placer};
-pub use proto::{CddModel, ProtoState};
 pub use restore::RestoreOutcome;
 pub use runs::{merge_runs, Run};
-pub use scenarios::{Defect, HistOp, OpRecord, ProtoOp, Scenario};
-pub use scheme::{driver_for, SchemeDriver, WriteCtx};
 pub use store::BlockStore;
 pub use system::IoSystem;

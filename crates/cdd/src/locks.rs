@@ -31,16 +31,6 @@ impl LockRecord {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockHandle(usize);
 
-/// Why [`LockGroupTable::try_release`] refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReleaseError {
-    /// The handle's slot index was never allocated.
-    Stale,
-    /// The slot exists but holds no grant — a double release or a release
-    /// without a matching grant.
-    NotHeld,
-}
-
 /// Why a lock-group acquisition failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockConflict {
@@ -53,6 +43,12 @@ pub struct LockConflict {
 }
 
 /// The lock-group table.
+///
+/// Its one caller is `IoSystem::with_grant`, which acquires on an empty
+/// table and releases before it returns, and every `IoSystem` call runs to
+/// completion under `&mut self`: at most one grant is ever live, so
+/// [`LockGroupTable::conflicts`] stays 0. The overlap rules are the
+/// paper's table, kept and unit-tested as such.
 #[derive(Debug, Default, Clone)]
 pub struct LockGroupTable {
     slots: Vec<Option<LockRecord>>,
@@ -83,20 +79,6 @@ impl LockGroupTable {
                 return Err(LockConflict { holder: rec.owner, start: rec.start, len: rec.len });
             }
         }
-        Ok(self.insert_grant(owner, start, len))
-    }
-
-    /// Grant `[start, start+len)` to `owner` **without** the overlap
-    /// check. This is a defect-injection hook for the `raidx-model`
-    /// checker (planting a double-grant bug the table invariant must
-    /// catch); production protocol code must always go through
-    /// [`LockGroupTable::acquire`].
-    pub fn acquire_unchecked(&mut self, owner: usize, start: u64, len: u64) -> LockHandle {
-        assert!(len > 0, "empty lock group");
-        self.insert_grant(owner, start, len)
-    }
-
-    fn insert_grant(&mut self, owner: usize, start: u64, len: u64) -> LockHandle {
         self.grants += 1;
         let rec = LockRecord { owner, start, len };
         let idx = match self.free.pop() {
@@ -109,31 +91,19 @@ impl LockGroupTable {
                 self.slots.len() - 1
             }
         };
-        LockHandle(idx)
+        Ok(LockHandle(idx))
     }
 
-    /// The record currently held under `h`, if the slot is live.
-    pub fn record_of(&self, h: LockHandle) -> Option<&LockRecord> {
-        self.slots.get(h.0).and_then(Option::as_ref)
-    }
-
-    /// Atomically release a grant.
+    /// Atomically release a grant. Panics on a handle whose slot was never
+    /// allocated (`stale lock handle`) or holds no grant (`double release`).
     pub fn release(&mut self, h: LockHandle) {
-        match self.try_release(h) {
-            Ok(()) => {}
-            Err(ReleaseError::Stale) => panic!("stale lock handle"),
-            Err(ReleaseError::NotHeld) => panic!("double release"),
+        let Some(slot) = self.slots.get_mut(h.0) else {
+            panic!("stale lock handle");
+        };
+        if slot.take().is_none() {
+            panic!("double release");
         }
-    }
-
-    /// Non-panicking release: reports a stale handle or a release of a
-    /// group that is not currently held (double release / release without
-    /// grant) instead of aborting.
-    pub fn try_release(&mut self, h: LockHandle) -> Result<(), ReleaseError> {
-        let slot = self.slots.get_mut(h.0).ok_or(ReleaseError::Stale)?;
-        slot.take().ok_or(ReleaseError::NotHeld)?;
         self.free.push(h.0);
-        Ok(())
     }
 
     /// Number of grants issued over the table's lifetime.
@@ -215,17 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn try_release_reports_double_release() {
-        let mut t = LockGroupTable::new();
-        let h = t.acquire(0, 0, 1).unwrap();
-        assert_eq!(t.try_release(h), Ok(()));
-        assert_eq!(t.try_release(h), Err(ReleaseError::NotHeld));
-    }
-
-    #[test]
-    fn try_release_reports_release_without_grant() {
+    #[should_panic(expected = "stale lock handle")]
+    fn release_without_grant_panics() {
         let mut t = LockGroupTable::new();
         // A handle forged for a slot that was never allocated.
-        assert_eq!(t.try_release(LockHandle(5)), Err(ReleaseError::Stale));
+        t.release(LockHandle(5));
     }
 }

@@ -5,7 +5,7 @@
 //! An epoch transition is a metadata operation: it binds a logical slot
 //! to a new physical disk in the [`cluster::ClusterMap`] (serialised
 //! through the replicated lock-group table via the reserved
-//! [`EPOCH_META_LB`] range) and records which physical blocks of the
+//! `EPOCH_META_LB` range) and records which physical blocks of the
 //! vacated disk still await migration. The bytes then move
 //! *incrementally* — [`IoSystem::rebalance`] drains the pending set in
 //! bounded, crash-idempotent steps while reads keep resolving pending
@@ -48,7 +48,7 @@ impl IoSystem {
     /// a node unreachable from `client` through the current partitions.
     /// Every request is planned against this set, so in-flight partitions
     /// are observed — this is the client module's view of the array.
-    pub fn effective_faults(&self, client: usize) -> FaultSet {
+    pub(crate) fn effective_faults(&self, client: usize) -> FaultSet {
         let mut eff = self.storage_faults();
         if !self.partitions.is_empty() {
             for g in 0..self.cluster.ndisks() {

@@ -1,4 +1,5 @@
-//! The RAID-5 parity scheme driver, split out of [`crate::scheme`].
+//! The RAID-5 parity scheme driver, split out of the crate's `scheme`
+//! module.
 //!
 //! Full stripes compute parity client-side and stream `n` writes;
 //! partial stripes pay the four-operation read-modify-write (the
@@ -6,7 +7,7 @@
 //! reconstruct-write paths, parking whatever copy could not be written.
 
 use cluster::{xor_of, Block};
-use raidx_core::{BlockAddr, WriteScheme};
+use raidx_core::BlockAddr;
 use sim_core::plan::{par, seq};
 use sim_core::Plan;
 
@@ -19,10 +20,6 @@ use crate::scheme::{runs_to_writes, SchemeDriver, WriteCtx};
 pub struct ParityDriver;
 
 impl SchemeDriver for ParityDriver {
-    fn scheme(&self) -> WriteScheme {
-        WriteScheme::Parity
-    }
-
     fn write(
         &self,
         ctx: &mut WriteCtx<'_>,

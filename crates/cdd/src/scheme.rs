@@ -121,9 +121,6 @@ impl<'a> WriteCtx<'a> {
 
 /// One write policy of the single I/O space.
 pub trait SchemeDriver: Sync {
-    /// The scheme this driver implements (dispatch sanity / reports).
-    fn scheme(&self) -> WriteScheme;
-
     /// Execute an admitted, locked write: move the bytes on the
     /// functional plane now and return the timing plan.
     fn write(
@@ -165,10 +162,6 @@ pub(crate) fn runs_to_writes(
 pub struct PlainDriver;
 
 impl SchemeDriver for PlainDriver {
-    fn scheme(&self) -> WriteScheme {
-        WriteScheme::None
-    }
-
     fn write(
         &self,
         ctx: &mut WriteCtx<'_>,
@@ -203,14 +196,6 @@ pub struct MirrorDriver {
 }
 
 impl SchemeDriver for MirrorDriver {
-    fn scheme(&self) -> WriteScheme {
-        if self.write_behind {
-            WriteScheme::BackgroundMirror
-        } else {
-            WriteScheme::ForegroundMirror
-        }
-    }
-
     fn write(
         &self,
         ctx: &mut WriteCtx<'_>,
@@ -306,13 +291,6 @@ mod tests {
         WriteScheme::BackgroundMirror,
         WriteScheme::Parity,
     ];
-
-    #[test]
-    fn dispatch_matches_scheme() {
-        for scheme in SCHEMES {
-            assert_eq!(driver_for(scheme.clone()).scheme(), scheme);
-        }
-    }
 
     /// A refused write is a no-op under every scheme: whichever block of
     /// the range turns out unstorable, the degraded-write ledger, the

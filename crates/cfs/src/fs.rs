@@ -4,7 +4,7 @@
 //! serialize to blocks of the store) and returns a [`Plan`] with its
 //! simulated cost. This module resolves paths, allocates inodes and
 //! extents and moves file data; inode-table and directory blocks it
-//! reaches only through the metadata layer ([`crate::meta`]), whose cache
+//! reaches only through the metadata layer (`meta`), whose cache
 //! serves a block a client already holds without touching the store. File
 //! data always hits the array (the paper's benchmarks run on uncached
 //! files).

@@ -8,9 +8,7 @@
 //! hands out is also recorded on a *tape*; when a case fails, the harness
 //! replays the property against shrunk tapes (dropping draws, then lowering
 //! their values) and prints the smallest still-failing tape next to the
-//! original seed, replayable with [`run_tape`]. The same greedy minimizers
-//! ([`shrink_list`], [`shrink_u64s`]) back the model checker's schedule
-//! shrinking in [`crate::explore`].
+//! original seed, replayable with [`run_tape`].
 
 use crate::rng::{fnv1a, SplitMix64};
 use std::ops::Range;
@@ -133,7 +131,7 @@ impl Gen {
 /// elements). The oracle must return `true` when the candidate still
 /// reproduces the failure; the returned list is a subsequence of `items`
 /// on which it does.
-pub fn shrink_list<T: Clone>(items: &[T], mut still_fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
+fn shrink_list<T: Clone>(items: &[T], mut still_fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
     let mut cur = items.to_vec();
     let mut budget = SHRINK_BUDGET;
     let mut chunk = (cur.len() / 2).max(1);
@@ -166,7 +164,7 @@ pub fn shrink_list<T: Clone>(items: &[T], mut still_fails: impl FnMut(&[T]) -> b
 /// each element is tried at zero, then binary-searched down to the
 /// smallest still-failing value. Run after [`shrink_list`] has removed
 /// whole elements.
-pub fn shrink_u64s(items: &[u64], mut still_fails: impl FnMut(&[u64]) -> bool) -> Vec<u64> {
+fn shrink_u64s(items: &[u64], mut still_fails: impl FnMut(&[u64]) -> bool) -> Vec<u64> {
     let mut cur = items.to_vec();
     let mut budget = SHRINK_BUDGET;
     for i in 0..cur.len() {

@@ -57,7 +57,6 @@
 pub mod check;
 pub mod demand;
 pub mod engine;
-pub mod explore;
 pub mod export;
 pub mod fault;
 pub mod metrics;
@@ -71,7 +70,6 @@ pub mod validate;
 
 pub use demand::Demand;
 pub use engine::{DeadlockError, Engine, JobId, JobRecord, RunReport, TaskId};
-pub use explore::{Exploration, Explorer, Failure, FailureKind, Footprint, Model, ThreadId};
 pub use export::{chrome_trace_json, json_is_valid};
 pub use fault::FaultPlan;
 pub use metrics::{percentile, JobSpan, ResourceSeries, RunMetrics};

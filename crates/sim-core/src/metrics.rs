@@ -1,7 +1,7 @@
 //! One derivation of a traced run.
 //!
 //! [`RunMetrics::derive`] walks a recorded
-//! [`TimedEvent`](crate::trace::TimedEvent) stream once and keeps, as
+//! [`TimedEvent`] stream once and keeps, as
 //! typed fields, everything the exports and `bench trace` read:
 //!
 //! * per resource, indexed by resource id, the queue-depth step series

@@ -2,14 +2,11 @@
 //! gate.
 //!
 //! The cache ([`cdd::cache`]) must be *invisible* to correctness and
-//! *visible* to performance. Its protocol is checked where every other
-//! scenario's is: the `cache-coherence` scenario
-//! ([`cdd::scenarios::scenario_cache`], a writer racing two caching
-//! readers) is explored by [`crate::model_check`], whose
-//! `seeded_skip_invalidate_produces_stale_read` proves a write that skips
-//! the invalidation its grant carries is caught as a stale,
-//! non-linearizable read. The tests here keep what only they check, on the
-//! real cache in full-size runs:
+//! *visible* to performance. Its protocol — a write invalidates its range
+//! in every client's cache under its grant; an epoch bump, a partition or
+//! a crash flushes — is unit-tested in [`cdd::cache`] and checked on the
+//! real `IoSystem` by `cdd/tests/cache.rs`. The tests here keep what only
+//! the real cache in full-size runs can show:
 //!
 //! 1. **Transparency** — the same random re-reading op script runs
 //!    cached and uncached on every architecture, 8 seeds each; both runs must

@@ -8,16 +8,13 @@
 //! on. The layouts' placement rules need neither and are `raidx-core`'s own
 //! tests (`crates/core/tests/layout_properties.rs`).
 //!
-//! Values a test pins — fingerprints, schedule counts, work counters — are
+//! Values a test pins — fingerprints, digests, work counters — are
 //! `const` tables beside it; a failing comparison prints the fresh table,
 //! ready to paste after an intentional change. Each module documents what
 //! it checks and the planted defect that proves its detector live:
 //!
 //! * [`plan_lint`] — every real I/O path emits a plan the engine accepts.
 //! * [`determinism`] — event streams and aggregates replay byte-identically.
-//! * [`model_check`] — every interleaving of small CDD lock-protocol
-//!   scenarios keeps the lock-group invariants, and every history is
-//!   linearizable ([`linearizability`]).
 //! * [`fault_sweep`] — every single-fault injection point recovers byte
 //!   for byte, replays fingerprint-identically and leaves a well-formed
 //!   lock record ([`cdd::testkit::grants_of`]).
@@ -26,13 +23,12 @@
 //! * [`perf_smoke`] — deterministic engine work counters against an
 //!   in-code baseline; host time is `benchmark/`'s job.
 //! * [`cache_coherence`] — cached-vs-uncached transparency and the
-//!   Zipfian payoff gate; the cache protocol is a [`model_check`] scenario.
+//!   Zipfian payoff gate; the cache protocol itself is unit-tested in
+//!   [`cdd::cache`] and on the real `IoSystem` in `cdd/tests/cache.rs`.
 
 pub mod cache_coherence;
 pub mod determinism;
 pub mod fault_sweep;
-pub mod linearizability;
-pub mod model_check;
 pub mod perf_smoke;
 pub mod plan_lint;
 pub mod static_analysis;

@@ -9,8 +9,7 @@
 //! The counters are deterministic, so any difference is a change in what
 //! the engine does: a queue scan creeping back onto the FIFO resources of
 //! the smoke scenario shows up as a non-zero `queue_scan_iters` long
-//! before anyone profiles. The model checker's work is pinned per scenario
-//! by [`crate::model_check`].
+//! before anyone profiles.
 //!
 //! An intentional engine change updates the table in the same change: the
 //! failure message prints the fresh counters as a paste-able table.

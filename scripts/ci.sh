@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Full local CI gate: formatting, lints, the whole workspace test suite
+# Full local CI gate: formatting, lints, rustdoc, the whole workspace test suite
 # (the raidx-verify checks included), the trace-export self-check, the
 # golden simulated results and the benchmark package. Each check runs
 # once: a failing test names itself in `cargo test` output, so no test
@@ -20,6 +20,11 @@ echo "==> cargo clippy (all targets, warnings are errors)"
 # reason, and rustc rejects it once unfulfilled), dbg_macro, todo and
 # rustc's missing_docs.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (rustdoc warnings are errors)"
+# A dangling intra-doc link, or a public doc linking a crate-private item,
+# fails here; neither the compiler, clippy nor the tests report it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
