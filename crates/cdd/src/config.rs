@@ -1,6 +1,6 @@
-//! Tunables of the cooperative disk driver layer.
-
-use sim_core::SimDuration;
+//! What an experiment varies about the cooperative disk driver layer.
+//! The protocol's fixed costs are constants in [`crate::ops`], and the
+//! request timeout is [`crate::datapath::REQUEST_TIMEOUT`].
 
 /// How reads are spread across a block's replicas (the "I/O load
 /// balancing" the paper names as the Trojans project's next phase).
@@ -17,20 +17,10 @@ pub enum ReadBalance {
     LeastLoaded,
 }
 
-/// Costs and policies of the CDD protocol, separate from the hardware
-/// parameters in [`cluster::ClusterConfig`].
+/// Policies of the CDD protocol that experiments switch, separate from
+/// the hardware parameters in [`cluster::ClusterConfig`].
 #[derive(Debug, Clone)]
 pub struct CddConfig {
-    /// Size of a control message (request header, lock message).
-    pub control_bytes: u64,
-    /// Size of an acknowledgement.
-    pub ack_bytes: u64,
-    /// Host XOR bandwidth for parity math, bytes/second.
-    pub xor_rate: u64,
-    /// Extra driver CPU time charged per block operation (kernel-level CDD
-    /// dispatch; the paper's point is that this is *small* because no
-    /// cross-space system calls are needed).
-    pub driver_overhead: SimDuration,
     /// Whether writes first acquire a lock group via a broadcast round to
     /// every peer CDD's consistency module (the replicated lock-group
     /// table). Disable to measure the consistency protocol's cost.
@@ -50,17 +40,6 @@ pub struct CddConfig {
     pub max_image_backlog: Option<usize>,
     /// Replica-selection policy for reads.
     pub read_balance: ReadBalance,
-    /// How long a client waits on an unresponsive remote CDD before
-    /// declaring the attempt timed out and failing over to another
-    /// replica. Charged once per failed attempt on the request's timing
-    /// plan. The default (50 ms) is several disk service times — long
-    /// enough that a merely-busy disk never trips it.
-    pub request_timeout: sim_core::SimDuration,
-    /// Bounded retry: how many failover attempts a request may make after
-    /// its first try times out. `0` disables failover entirely — an
-    /// unreachable primary surfaces [`crate::IoError::Unreachable`]
-    /// immediately.
-    pub max_retries: u32,
     /// Per-client block cache in front of the read path
     /// ([`crate::cache`]). `None` (the default) disables caching — the
     /// system is byte- and plan-identical to an uncached build, which
@@ -74,16 +53,10 @@ pub struct CddConfig {
 impl Default for CddConfig {
     fn default() -> Self {
         CddConfig {
-            control_bytes: 64,
-            ack_bytes: 32,
-            xor_rate: 400_000_000,
-            driver_overhead: SimDuration::from_micros(15),
             lock_broadcast: true,
             background_mirroring: true,
             max_image_backlog: None,
             read_balance: ReadBalance::default(),
-            request_timeout: SimDuration::from_millis(50),
-            max_retries: 2,
             cache: None,
         }
     }
@@ -96,13 +69,10 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = CddConfig::default();
-        assert!(c.control_bytes > 0 && c.ack_bytes > 0);
-        assert!(c.xor_rate > 0);
         assert!(c.lock_broadcast);
         assert!(c.background_mirroring);
         assert!(c.max_image_backlog.is_none(), "write-behind is unbounded by default");
-        assert!(c.request_timeout > SimDuration::from_millis(10), "timeout >> disk service time");
-        assert!(c.max_retries >= 1, "failover must be on by default");
+        assert_eq!(c.read_balance, ReadBalance::LayoutPreference);
         assert!(c.cache.is_none(), "client caching is off by default (byte-identical runs)");
     }
 }

@@ -1,5 +1,5 @@
 //! The request paths of the [`IoSystem`]: epoch-stamped admission,
-//! locked writes through the scheme drivers, and replica-balanced reads.
+//! locked writes through the write schemes, and replica-balanced reads.
 //!
 //! Every request is admitted first ([`crate::frontend::Admission`]),
 //! stamping the placement epoch the client saw. Writes must execute
@@ -15,16 +15,21 @@
 //! never-reconfigured array.
 
 use cluster::{xor_of, Block};
-use raidx_core::{FaultSet, ReadSource};
+use raidx_core::{FaultSet, ReadSource, WriteScheme};
 use sim_core::plan::{delay, par, seq};
 use sim_core::trace::AccessKind;
-use sim_core::Plan;
+use sim_core::{Plan, SimDuration};
 
 use crate::error::IoError;
 use crate::frontend::{self, Admission};
 use crate::runs::merge_runs;
-use crate::scheme::{self, WriteCtx};
 use crate::system::IoSystem;
+
+/// How long a client waits on an unresponsive remote CDD before it
+/// declares the attempt timed out and fails over to another copy,
+/// charged once on the request's timing plan. Several disk service
+/// times, so a merely busy disk never trips it.
+pub const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 
 impl IoSystem {
     /// Admit a write of `len` bytes at `lb0`, stamping the current epoch.
@@ -70,16 +75,10 @@ impl IoSystem {
 
         // Client module: plan against what this client can actually reach.
         // An alive-but-unreachable copy costs one timed-out attempt before
-        // the degraded write proceeds without it (parking the copy); with
-        // retries disabled the request surfaces the partition instead.
+        // the degraded write proceeds without it (parking the copy).
         let eff = self.effective_faults(client);
         let eff_slots = self.placer.slot_write_faults(&eff);
-        let blocked = self.blocked_peer(&eff, lb0, nblocks);
-        if let Some(node) = blocked {
-            if self.cfg.max_retries == 0 {
-                return Err(IoError::Unreachable { node, attempts: 1 });
-            }
-        }
+        let blocked = self.touches_blocked_copy(&eff, lb0, nblocks);
 
         // Consistency module: the lock group is held for the duration of
         // the (logically instantaneous) functional update.
@@ -111,46 +110,45 @@ impl IoSystem {
         if self.cfg.lock_broadcast && self.cluster.cfg.nodes > 1 {
             chain.push(self.lock_round(client));
         }
-        if blocked.is_some() {
+        if blocked {
             self.timeouts += 1;
             self.failovers += 1;
-            chain.push(delay(self.cfg.request_timeout));
+            chain.push(delay(REQUEST_TIMEOUT));
         }
         chain.push(body);
         Ok(seq(chain))
     }
 
-    /// Scheme-driver dispatch: hand the admitted, locked write to the
-    /// driver matching the layout's write scheme, planned against the
-    /// requesting client's effective fault set (slot view).
+    /// Hand the admitted, locked write to the method of the layout's
+    /// write scheme, planned against the requesting client's effective
+    /// fault set (slot view).
     fn write_locked(
         &mut self,
         client: usize,
-        eff_slots: &FaultSet,
+        faults: &FaultSet,
         lb0: u64,
         nblocks: u64,
         data: &[u8],
     ) -> Result<Plan, IoError> {
-        let driver = scheme::driver_for(self.layout.write_scheme());
-        let mut ctx = WriteCtx {
-            layout: self.layout.as_ref(),
-            plane: &mut self.plane,
-            placer: &mut self.placer,
-            faults: eff_slots,
-            cluster: &self.cluster,
-            cfg: &self.cfg,
-            images: &mut self.images,
-            parked: &mut self.parked,
-        };
-        driver.write(&mut ctx, client, lb0, nblocks, data)
+        match self.layout.write_scheme() {
+            WriteScheme::None => self.write_plain(faults, client, lb0, nblocks, data),
+            WriteScheme::ForegroundMirror => {
+                self.write_mirrored(faults, client, lb0, nblocks, data, false)
+            }
+            WriteScheme::BackgroundMirror => {
+                let write_behind = self.cfg.background_mirroring;
+                self.write_mirrored(faults, client, lb0, nblocks, data, write_behind)
+            }
+            WriteScheme::Parity => self.write_parity(faults, client, lb0, nblocks, data),
+        }
     }
 
-    /// First alive-but-unreachable peer node involved in a request over
-    /// `[lb0, lb0+nblocks)`, if any — the node a timed-out attempt is
-    /// charged against. `eff` is the client's physical-space view.
-    pub(crate) fn blocked_peer(&self, eff: &FaultSet, lb0: u64, nblocks: u64) -> Option<usize> {
+    /// Whether a request over `[lb0, lb0+nblocks)` involves a copy that
+    /// is alive but unreachable, which costs it one timed-out attempt.
+    /// `eff` is the client's physical-space view.
+    fn touches_blocked_copy(&self, eff: &FaultSet, lb0: u64, nblocks: u64) -> bool {
         if self.partitions.is_empty() {
-            return None;
+            return false;
         }
         let storage = self.storage_faults();
         for lb in lb0..lb0 + nblocks {
@@ -161,14 +159,14 @@ impl IoSystem {
                     && !self.plane.is_failed(phys)
                     && !self.plane.is_offline(phys)
                 {
-                    return Some(self.cluster.node_of_disk(phys));
+                    return true;
                 }
             }
         }
-        None
+        false
     }
 
-    /// Refine a driver-level `DataLoss` into the client-visible error:
+    /// Refine a scheme-level `DataLoss` into the client-visible error:
     /// if every copy is gone from the *media*, it really is data loss;
     /// if the bytes survive behind a partition, the request failed only
     /// on connectivity and must say so (and must not hang).
@@ -177,17 +175,16 @@ impl IoSystem {
         if matches!(self.layout.read_source(lb, &storage_slots), ReadSource::Lost) {
             return IoError::DataLoss { lb };
         }
-        let attempts = 1 + self.cfg.max_retries;
         let mut addrs = vec![self.layout.locate_data(lb)];
         addrs.extend(self.layout.locate_images(lb));
         for a in addrs {
             let node = self.cluster.node_of_disk(self.placer.read_home(a).disk);
             if !self.partitions.reachable(client, node) {
-                return IoError::Unreachable { node, attempts };
+                return IoError::Unreachable { node };
             }
         }
         // Unreachable through parity placement only.
-        IoError::Unreachable { node: client, attempts }
+        IoError::Unreachable { node: client }
     }
 
     /// Read `nblocks` logical blocks starting at `lb0` for node `client`.
@@ -241,7 +238,7 @@ impl IoSystem {
         let mut healthy = Vec::new();
         let mut forced_images = Vec::new();
         let mut reconstructs = Vec::new();
-        let mut blocked: Option<usize> = None;
+        let mut blocked = false;
         for lb in lb0..lb0 + nblocks {
             let d = self.layout.locate_data(lb);
             if !eff_slots.contains(d.disk) {
@@ -253,7 +250,7 @@ impl IoSystem {
                 && !self.plane.is_failed(serving)
                 && !self.plane.is_offline(serving)
             {
-                blocked.get_or_insert(self.cluster.node_of_disk(serving));
+                blocked = true;
             }
             match self.layout.read_source(lb, &eff_slots) {
                 ReadSource::Primary(a) | ReadSource::Image(a) => forced_images.push((lb, a)),
@@ -263,10 +260,7 @@ impl IoSystem {
                 ReadSource::Lost => return Err(self.classify_loss(client, lb)),
             }
         }
-        if let Some(node) = blocked {
-            if self.cfg.max_retries == 0 {
-                return Err(IoError::Unreachable { node, attempts: 1 });
-            }
+        if blocked {
             self.timeouts += 1;
             self.failovers += 1;
         }
@@ -343,11 +337,11 @@ impl IoSystem {
             branches.push(seq(vec![par(reads), ops.xor(client, n_in * bs as u64)]));
         }
         let mut chain = vec![ops.driver(client)];
-        if blocked.is_some() {
+        if blocked {
             // The failed attempt against the unresponsive primary: the
             // client waits out the full request timeout before retrying
             // against the replica — failover is bounded, never a hang.
-            chain.push(delay(self.cfg.request_timeout));
+            chain.push(delay(REQUEST_TIMEOUT));
         }
         if !branches.is_empty() {
             // A zero-block read has no branches; an empty `Par` is not a

@@ -1,6 +1,6 @@
 //! Errors surfaced by the CDD I/O pipeline.
 //!
-//! Every layer of the pipeline — front-end admission, scheme drivers,
+//! Every layer of the pipeline — front-end admission, write schemes,
 //! data plane — and every [`crate::BlockStore`] implementation reports
 //! failures through this one type, so workloads and file systems handle
 //! the serverless array and the NFS baseline identically.
@@ -30,15 +30,12 @@ pub enum IoError {
         lb: u64,
     },
     /// Every copy of a requested block sits behind an unresponsive node
-    /// (NIC partition or crash) and the bounded retry budget is spent.
-    /// Distinct from [`IoError::DataLoss`]: the bytes still exist and the
-    /// request would succeed once the partition heals — the client must
-    /// *not* hang waiting for that.
+    /// (NIC partition or crash). Distinct from [`IoError::DataLoss`]: the
+    /// bytes still exist and the request would succeed once the partition
+    /// heals — the client must *not* hang waiting for that.
     Unreachable {
-        /// The unresponsive node the last attempt timed out against.
+        /// An unresponsive node holding a copy of the block.
         node: usize,
-        /// Attempts made (1 initial + retries) before giving up.
-        attempts: u32,
     },
     /// The request was admitted under a placement epoch the array has
     /// since moved past (writes must target the current epoch; reads may
@@ -63,9 +60,7 @@ impl std::fmt::Display for IoError {
                 write!(f, "buffer {got} bytes, expected {expected}")
             }
             IoError::DataLoss { lb } => write!(f, "block {lb} unrecoverable"),
-            IoError::Unreachable { node, attempts } => {
-                write!(f, "node {node} unreachable after {attempts} attempts")
-            }
+            IoError::Unreachable { node } => write!(f, "node {node} unreachable"),
             IoError::StaleEpoch { seen, current } => {
                 write!(f, "admitted under epoch {seen}, array is at epoch {current}")
             }

@@ -1,7 +1,7 @@
 //! Front-end / admission layer of the CDD pipeline (the paper's *client
 //! module*).
 //!
-//! Everything that happens before a request is handed to a scheme driver
+//! Everything that happens before a request is handed to a write scheme
 //! lives here: admission (range and length validation, shared verbatim by
 //! [`crate::IoSystem`] and the `nfs_sim::NfsSystem` baseline so both
 //! stores reject malformed I/O with the same [`IoError`] variants), run

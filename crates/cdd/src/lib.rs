@@ -25,7 +25,7 @@
 //! | [`frontend`] | front end / admission: range + length validation (shared with `nfs_sim`), run coalescing, read replica selection |
 //! | [`cache`] | per-client block cache in front of the read path, kept coherent by write-grant invalidations and epoch flushes |
 //! | `locks` | consistency module: the replicated lock-group table, taken only through `IoSystem::with_grant` |
-//! | `scheme` | scheme drivers: one `SchemeDriver` per [`raidx_core::WriteScheme`] (plain / mirror; parity in [`parity`]) |
+//! | `scheme` | write schemes: one `IoSystem` method per [`raidx_core::WriteScheme`] arm (plain / mirror; parity in `parity`) |
 //! | `image_queue` | data plane write-behind: the bounded OSM `ImageQueue` |
 //! | `placer` | epoch-versioned slot→physical placement (`Placer` over [`cluster::ClusterMap`]) |
 //! | [`system`] | the [`IoSystem`] state — configuration, planes, placer, ledgers |
@@ -37,13 +37,14 @@
 //! | [`rebalance`] | incremental migration draining an epoch transition's pending set |
 //! | [`fault`] | deterministic mid-workload fault injection ([`FaultInjector`]) |
 //!
-//! Supporting modules: [`config`] (tunables, including the
-//! [`CddConfig::max_image_backlog`] backpressure bound), [`error`] (the
-//! shared [`IoError`]), [`ops`] (plan builders), [`runs`] (coalescing),
-//! [`store`] (the [`BlockStore`] abstraction over CDD and NFS) and
-//! [`testkit`] (shared test/bench constructors). `locks`, `scheme`,
-//! `image_queue` and `placer` are private to the crate: other crates reach
-//! them only through [`IoSystem`].
+//! Supporting modules: [`config`] (the policies an experiment varies,
+//! including the [`CddConfig::max_image_backlog`] backpressure bound),
+//! [`error`] (the shared [`IoError`]), [`ops`] (plan builders and the
+//! protocol's cost constants), [`runs`] (coalescing), [`store`] (the
+//! [`BlockStore`] abstraction over CDD and NFS) and [`testkit`] (shared
+//! test/bench constructors). `locks`, `scheme`, `parity`, `image_queue`
+//! and `placer` are private to the crate: other crates reach them only
+//! through [`IoSystem`].
 
 pub mod cache;
 pub mod config;
@@ -56,7 +57,7 @@ mod locks;
 pub mod maintenance;
 pub mod membership;
 pub mod ops;
-pub mod parity;
+mod parity;
 mod placer;
 pub mod rebalance;
 pub mod restore;

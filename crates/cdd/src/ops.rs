@@ -4,6 +4,9 @@
 //! client driver dispatch, control/data messages across the interconnect
 //! (or a local fast path — the device-masquerading case), the owner node's
 //! SCSI bus, and the disk itself.
+//!
+//! The protocol's costs are the constants below; no experiment varies
+//! them.
 
 use std::sync::Arc;
 
@@ -12,14 +15,21 @@ use sim_core::plan::{fan, seq, use_res};
 use sim_core::{Demand, Plan, SimDuration};
 use sim_net::{receive_half, send_half, transfer_plan, NetPath};
 
-use crate::config::CddConfig;
+/// Size of a control message (request header, lock message), in bytes.
+pub const CONTROL_BYTES: u64 = 64;
+/// Size of an acknowledgement, in bytes.
+pub const ACK_BYTES: u64 = 32;
+/// Host XOR bandwidth for parity math, bytes/second.
+const XOR_RATE: u64 = 400_000_000;
+/// Driver CPU time charged per request (kernel-level CDD dispatch; the
+/// paper's point is that this is *small* because no cross-space system
+/// calls are needed).
+const DRIVER_OVERHEAD: SimDuration = SimDuration::from_micros(15);
 
 /// Builds plans against a concrete cluster.
 pub struct OpBuilder<'a> {
     /// The cluster whose resources the plans reference.
     pub cluster: &'a Cluster,
-    /// Protocol cost parameters.
-    pub cfg: &'a CddConfig,
 }
 
 impl<'a> OpBuilder<'a> {
@@ -35,7 +45,7 @@ impl<'a> OpBuilder<'a> {
 
     /// The client CDD's kernel dispatch cost for one request.
     pub fn driver(&self, client: usize) -> Plan {
-        use_res(self.cluster.nodes[client].cpu, Demand::Busy(self.cfg.driver_overhead))
+        use_res(self.cluster.nodes[client].cpu, Demand::Busy(DRIVER_OVERHEAD))
     }
 
     /// Write `nblocks` consecutive blocks starting at physical block
@@ -53,12 +63,12 @@ impl<'a> OpBuilder<'a> {
         let payload = nblocks * self.bs();
         let d = &self.cluster.disks[disk];
         let mut chain = vec![
-            self.msg(client, owner, self.cfg.control_bytes + payload),
+            self.msg(client, owner, CONTROL_BYTES + payload),
             use_res(d.bus, Demand::BusXfer { bytes: payload }),
             use_res(d.res, Demand::DiskWrite { offset: start * self.bs(), bytes: payload }),
         ];
         if ack {
-            chain.push(self.msg(owner, client, self.cfg.ack_bytes));
+            chain.push(self.msg(owner, client, ACK_BYTES));
         }
         seq(chain)
     }
@@ -70,7 +80,7 @@ impl<'a> OpBuilder<'a> {
         let payload = nblocks * self.bs();
         let d = &self.cluster.disks[disk];
         seq(vec![
-            self.msg(client, owner, self.cfg.control_bytes),
+            self.msg(client, owner, CONTROL_BYTES),
             use_res(d.res, Demand::DiskRead { offset: start * self.bs(), bytes: payload }),
             use_res(d.bus, Demand::BusXfer { bytes: payload }),
             self.msg(owner, client, payload),
@@ -81,7 +91,7 @@ impl<'a> OpBuilder<'a> {
     pub fn xor(&self, client: usize, bytes: u64) -> Plan {
         use_res(
             self.cluster.nodes[client].cpu,
-            Demand::Busy(SimDuration::for_bytes(bytes, self.cfg.xor_rate)),
+            Demand::Busy(SimDuration::for_bytes(bytes, XOR_RATE)),
         )
     }
 
@@ -102,9 +112,9 @@ impl<'a> OpBuilder<'a> {
     pub fn lock_round(&self, client: usize, arms: &[Arc<[Plan]>]) -> Plan {
         let (spec, ends) = (&self.cluster.cfg.net, self.ends(client));
         let mut head = Vec::with_capacity(3);
-        send_half(spec, &ends, self.cfg.control_bytes, &mut head);
+        send_half(spec, &ends, CONTROL_BYTES, &mut head);
         let mut tail = Vec::with_capacity(2);
-        receive_half(spec, &ends, self.cfg.ack_bytes, &mut tail);
+        receive_half(spec, &ends, ACK_BYTES, &mut tail);
         let peers = arms.iter().enumerate().filter(|&(n, _)| n != client);
         fan(head, peers.map(|(_, arm)| Arc::clone(arm)).collect(), tail)
     }
@@ -115,8 +125,8 @@ impl<'a> OpBuilder<'a> {
     pub fn lock_arm(&self, n: usize) -> Arc<[Plan]> {
         let (spec, ends) = (&self.cluster.cfg.net, self.ends(n));
         let mut arm = Vec::with_capacity(5);
-        receive_half(spec, &ends, self.cfg.control_bytes, &mut arm);
-        send_half(spec, &ends, self.cfg.ack_bytes, &mut arm);
+        receive_half(spec, &ends, CONTROL_BYTES, &mut arm);
+        send_half(spec, &ends, ACK_BYTES, &mut arm);
         arm.into()
     }
 
@@ -143,8 +153,7 @@ mod tests {
     #[test]
     fn local_write_skips_network() {
         let (mut e, c) = setup();
-        let cfg = CddConfig::default();
-        let b = OpBuilder { cluster: &c, cfg: &cfg };
+        let b = OpBuilder { cluster: &c };
         // Disk 0 is on node 0: a node-0 client writes locally.
         e.spawn_job("local", b.write_run(0, 0, 0, 1, true));
         e.run().unwrap();
@@ -155,8 +164,7 @@ mod tests {
     #[test]
     fn remote_write_crosses_both_nics() {
         let (mut e, c) = setup();
-        let cfg = CddConfig::default();
-        let b = OpBuilder { cluster: &c, cfg: &cfg };
+        let b = OpBuilder { cluster: &c };
         // Disk 1 is on node 1: a node-0 client writes remotely.
         e.spawn_job("remote", b.write_run(0, 1, 0, 1, true));
         e.run().unwrap();
@@ -170,8 +178,7 @@ mod tests {
     #[test]
     fn read_run_moves_payload_back() {
         let (mut e, c) = setup();
-        let cfg = CddConfig::default();
-        let b = OpBuilder { cluster: &c, cfg: &cfg };
+        let b = OpBuilder { cluster: &c };
         let payload = 4 * c.cfg.block_size;
         e.spawn_job("read", b.read_run(0, 1, 0, 4));
         e.run().unwrap();
@@ -183,8 +190,7 @@ mod tests {
     #[test]
     fn longer_runs_amortize_positioning() {
         let (mut e, c) = setup();
-        let cfg = CddConfig::default();
-        let b = OpBuilder { cluster: &c, cfg: &cfg };
+        let b = OpBuilder { cluster: &c };
         // One 8-block run vs eight scattered 1-block reads on another disk.
         e.spawn_job("run", b.read_run(0, 1, 0, 8));
         e.spawn_job("scattered", seq((0..8).map(|i| b.read_run(0, 2, i * 50, 1)).collect()));
@@ -200,8 +206,7 @@ mod tests {
     #[test]
     fn lock_round_contacts_every_peer() {
         let (mut e, c) = setup();
-        let cfg = CddConfig::default();
-        let b = OpBuilder { cluster: &c, cfg: &cfg };
+        let b = OpBuilder { cluster: &c };
         let arms: Vec<_> = (0..4).map(|n| b.lock_arm(n)).collect();
         e.spawn_job("locks", b.lock_round(0, &arms));
         e.run().unwrap();
@@ -214,8 +219,7 @@ mod tests {
     #[test]
     fn xor_cost_scales_with_bytes() {
         let (mut e, c) = setup();
-        let cfg = CddConfig::default();
-        let b = OpBuilder { cluster: &c, cfg: &cfg };
+        let b = OpBuilder { cluster: &c };
         e.spawn_job("xor", b.xor(0, 400_000_000));
         let rep = e.run().unwrap();
         assert!((rep.end.as_secs_f64() - 1.0).abs() < 1e-6);

@@ -12,8 +12,8 @@
 //! 2. **Consistency module** (`locks`) — the replicated
 //!    lock-group table; a write holds its group for the duration of the
 //!    (logically instantaneous) functional update.
-//! 3. **Scheme drivers** (`scheme`) — one driver per
-//!    [`raidx_core::WriteScheme`] executes the admitted write.
+//! 3. **Write schemes** (`scheme`, `parity`) — one `IoSystem` method per
+//!    [`raidx_core::WriteScheme`] arm executes the admitted write.
 //! 4. **Data plane** (`image_queue`) — the OSM write-behind
 //!    queue buffering deferred mirror images, bounded by
 //!    [`CddConfig::max_image_backlog`].
@@ -42,7 +42,7 @@ use crate::config::CddConfig;
 use crate::frontend::ReadBalancer;
 use crate::image_queue::ImageQueue;
 use crate::locks::LockGroupTable;
-use crate::ops::OpBuilder;
+use crate::ops::{OpBuilder, ACK_BYTES, CONTROL_BYTES};
 use crate::placer::Placer;
 
 pub use crate::error::IoError;
@@ -110,9 +110,8 @@ pub struct IoSystem {
     pub(crate) cache: Option<crate::cache::CacheSet>,
     /// Per client, its lock round ([`OpBuilder::lock_round`]), built on
     /// the client's first write and kept for the life of the system:
-    /// nothing it depends on (node set, network spec, control and ack
-    /// sizes) changes after construction — `add_disk` adds disks, not
-    /// nodes.
+    /// nothing it depends on (node set, network spec) changes after
+    /// construction — `add_disk` adds disks, not nodes.
     lock_rounds: Vec<Option<Plan>>,
     /// Per node, the arm every client's lock round shares for it
     /// ([`OpBuilder::lock_arm`]); empty until the first round is built,
@@ -142,10 +141,9 @@ impl IoSystem {
         );
         let segment = cluster_cfg.net.segment_bytes;
         assert!(
-            cfg.control_bytes <= segment && cfg.ack_bytes <= segment,
-            "a control message ({} B) and an ack ({} B) must each fit one {segment}-byte segment",
-            cfg.control_bytes,
-            cfg.ack_bytes,
+            CONTROL_BYTES.max(ACK_BYTES) <= segment,
+            "a control message ({CONTROL_BYTES} B) and an ack ({ACK_BYTES} B) must each fit one \
+             {segment}-byte segment",
         );
         let total_disks = cluster_cfg.total_disks();
         let nodes = cluster_cfg.nodes;
@@ -225,7 +223,7 @@ impl IoSystem {
         self.placer.epoch()
     }
 
-    /// The epoch-versioned cluster map (roster states, past bindings).
+    /// The cluster map: the disk roster and the current slot binding.
     pub fn cluster_map(&self) -> &ClusterMap {
         self.placer.map()
     }
@@ -375,7 +373,7 @@ impl IoSystem {
     }
 
     pub(crate) fn ops(&self) -> OpBuilder<'_> {
-        OpBuilder { cluster: &self.cluster, cfg: &self.cfg }
+        OpBuilder { cluster: &self.cluster }
     }
 
     /// A handle to `client`'s lock round, which every write of that client
@@ -383,7 +381,7 @@ impl IoSystem {
     pub(crate) fn lock_round(&mut self, client: usize) -> Plan {
         // Not `self.ops()`: the builder must borrow only the fields it
         // reads while the caches are borrowed mutably.
-        let ops = OpBuilder { cluster: &self.cluster, cfg: &self.cfg };
+        let ops = OpBuilder { cluster: &self.cluster };
         if self.lock_arms.is_empty() {
             self.lock_arms = (0..self.cluster.cfg.nodes).map(|n| ops.lock_arm(n)).collect();
         }

@@ -7,8 +7,8 @@
 //! lock table and releases its grant before it returns, so no sequence of
 //! calls can make an acquisition conflict.
 
-use cdd::testkit::shape_with;
-use cdd::{BlockStore, CddConfig, FaultEvent, FaultInjector, IoError, IoSystem};
+use cdd::testkit::shape;
+use cdd::{BlockStore, FaultEvent, FaultInjector, IoError, IoSystem};
 use raidx_core::Arch;
 use sim_core::{Engine, FaultPlan};
 
@@ -26,10 +26,10 @@ fn variant(e: &IoError) -> &'static str {
     }
 }
 
-/// A 4-node RAID-x array under `cfg` holding one written block whose
-/// data copy is on disk 3; returns that block too.
-fn seeded(cfg: CddConfig) -> (Engine, IoSystem, u64) {
-    let (engine, mut sys) = shape_with(4, 1, 8 << 20, Arch::RaidX, cfg);
+/// A 4-node RAID-x array (one disk per node) holding one written block
+/// whose data copy is on disk 3; returns that block too.
+fn seeded() -> (Engine, IoSystem, u64) {
+    let (engine, mut sys) = shape(4, 1, 8 << 20, Arch::RaidX);
     let lb = (0..64).find(|&lb| sys.layout().locate_data(lb).disk == 3).expect("a block on disk 3");
     let block = vec![7; sys.block_size() as usize];
     BlockStore::write(&mut sys, 0, lb, &block).expect("healthy write");
@@ -54,34 +54,38 @@ type Produce = fn() -> Option<IoError>;
 const ROWS: [(&str, Produce); 6] = [
     // A read of the first block past the end.
     ("OutOfRange", || {
-        let (_engine, mut sys, _) = seeded(CddConfig::default());
+        let (_engine, mut sys, _) = seeded();
         let cap = sys.capacity_blocks();
         BlockStore::read(&mut sys, 0, cap, 1).err()
     }),
     // A write of less than one block.
     ("BadLength", || {
-        let (_engine, mut sys, _) = seeded(CddConfig::default());
+        let (_engine, mut sys, _) = seeded();
         BlockStore::write(&mut sys, 0, 0, &[0; 3]).err()
     }),
     // Both copies of the block fail permanently.
     ("DataLoss", || {
-        let (mut engine, mut sys, lb) = seeded(CddConfig::default());
+        let (mut engine, mut sys, lb) = seeded();
         let mut disks = vec![sys.layout().locate_data(lb).disk];
         disks.extend(sys.layout().locate_images(lb).iter().map(|a| a.disk));
         let events = disks.into_iter().map(|disk| FaultEvent::DiskFail { disk }).collect();
         inject(&mut engine, &mut sys, events);
         BlockStore::read(&mut sys, 0, lb, 1).err()
     }),
-    // The primary's node is cut off and retries are disabled.
+    // Every node holding a copy is cut off, and a node holding none
+    // reads the block.
     ("Unreachable", || {
-        let (mut engine, mut sys, lb) =
-            seeded(CddConfig { max_retries: 0, ..CddConfig::default() });
-        inject(&mut engine, &mut sys, vec![FaultEvent::NicPartition { node: 3 }]);
-        BlockStore::read(&mut sys, 0, lb, 1).err()
+        let (mut engine, mut sys, lb) = seeded();
+        let mut nodes = vec![3];
+        nodes.extend(sys.layout().locate_images(lb).iter().map(|a| a.disk));
+        let client = (0..4).find(|n| !nodes.contains(n)).expect("a node holding no copy");
+        let events = nodes.into_iter().map(|node| FaultEvent::NicPartition { node }).collect();
+        inject(&mut engine, &mut sys, events);
+        BlockStore::read(&mut sys, client, lb, 1).err()
     }),
     // A disk replacement moves the epoch between admission and execution.
     ("StaleEpoch", || {
-        let (mut engine, mut sys, lb) = seeded(CddConfig::default());
+        let (mut engine, mut sys, lb) = seeded();
         let block = vec![8; sys.block_size() as usize];
         let adm = sys.admit_write(lb, block.len()).expect("admit");
         inject(&mut engine, &mut sys, vec![FaultEvent::DiskReplace { disk: 1, client: 0 }]);
@@ -91,7 +95,7 @@ const ROWS: [(&str, Produce); 6] = [
     // Only `IoSystem::plane_mut`, the plane handed out for tests, can
     // make the two disagree: every fault event updates both.
     ("Disk", || {
-        let (_engine, mut sys, lb) = seeded(CddConfig::default());
+        let (_engine, mut sys, lb) = seeded();
         sys.plane_mut().fail(3);
         BlockStore::read(&mut sys, 0, lb, 1).err()
     }),

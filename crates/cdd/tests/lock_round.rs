@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use cdd::ops::{ACK_BYTES, CONTROL_BYTES};
 use cdd::{testkit, CddConfig, IoSystem, OpBuilder};
 use raidx_core::Arch;
 use sim_core::plan::{par, seq};
@@ -60,12 +61,7 @@ fn a_clients_writes_share_one_lock_round_and_every_client_shares_the_arms() {
 fn reference_round(ops: &OpBuilder<'_>, client: usize) -> Plan {
     par((0..ops.cluster.cfg.nodes)
         .filter(|&n| n != client)
-        .map(|n| {
-            seq(vec![
-                ops.msg(client, n, ops.cfg.control_bytes),
-                ops.msg(n, client, ops.cfg.ack_bytes),
-            ])
-        })
+        .map(|n| seq(vec![ops.msg(client, n, CONTROL_BYTES), ops.msg(n, client, ACK_BYTES)]))
         .collect())
 }
 
@@ -88,7 +84,7 @@ fn traced_writes(
         let round = round_mut(&mut write);
         assert_eq!(round.is_some(), cfg.lock_broadcast, "lock_broadcast is the only switch");
         if let (true, Some(round)) = (reference, round) {
-            *round = reference_round(&OpBuilder { cluster: sys.cluster(), cfg }, client);
+            *round = reference_round(&OpBuilder { cluster: sys.cluster() }, client);
         }
         e.validate(&write).expect("a Strict-valid plan");
         e.spawn_job(format!("w{i}"), write);
@@ -158,16 +154,16 @@ fn a_single_node_array_has_no_lock_round() {
 
 #[test]
 fn a_lock_message_must_fit_one_segment() {
-    // The round's halves are those of a one-segment message, so a larger
-    // control message or ack is refused at construction, not mis-timed.
-    let cc = cluster::ClusterConfig::trojans();
-    let segment = cc.net.segment_bytes;
-    let build = |control_bytes, ack_bytes| {
-        let cfg = CddConfig { control_bytes, ack_bytes, ..CddConfig::default() };
-        let cc = cc.clone();
+    // The round's halves are those of a one-segment message, so a network
+    // whose segment cannot hold a control message, or even an ack, is
+    // refused at construction, not mis-timed.
+    let build = |segment_bytes| {
+        let mut cc = cluster::ClusterConfig::trojans();
+        cc.net.segment_bytes = segment_bytes;
+        let cfg = CddConfig::default();
         std::panic::catch_unwind(move || testkit::build_with(cc, Arch::RaidX, cfg)).is_ok()
     };
-    assert!(build(segment, segment), "one full segment each is a one-segment message");
-    assert!(!build(segment + 1, 32), "a two-segment control message was accepted");
-    assert!(!build(64, segment + 1), "a two-segment ack was accepted");
+    assert!(build(CONTROL_BYTES), "a control message of one full segment was refused");
+    assert!(!build(CONTROL_BYTES - 1), "a two-segment control message was accepted");
+    assert!(!build(ACK_BYTES - 1), "a two-segment ack was accepted");
 }

@@ -1,40 +1,44 @@
 //! Partition and failover behaviour of the request paths (moved from
 //! `src/datapath.rs` unit tests when the client cache landed there).
 
-use cdd::testkit::{shape, shape_with};
-use cdd::{CddConfig, IoError};
+use cdd::datapath::REQUEST_TIMEOUT;
+use cdd::testkit::shape;
+use cdd::IoError;
 use raidx_core::Arch;
 use sim_core::SimDuration;
 
-/// Satellite: a partitioned peer must surface a *distinct* error —
-/// not a hang, not `DataLoss` — when retries are disabled.
+/// A block every copy of which sits behind a partition must surface a
+/// *distinct* error — not a hang, not `DataLoss` — to a client that
+/// holds no copy, for reads and writes alike, while the bytes stay
+/// intact on the media.
 #[test]
-fn partition_with_retries_disabled_surfaces_unreachable() {
-    let cfg = CddConfig { max_retries: 0, ..CddConfig::default() };
-    let (_engine, mut sys) = shape_with(4, 1, 8 << 20, Arch::RaidX, cfg);
+fn a_partition_of_every_copy_surfaces_unreachable() {
+    let (_engine, mut sys) = shape(4, 1, 8 << 20, Arch::RaidX);
     let bs = sys.block_size() as usize;
     let lb = (0..64).find(|&lb| sys.layout().locate_data(lb).disk == 3).expect("lb on disk 3");
     sys.write(0, lb, &vec![9u8; bs]).expect("healthy write");
+    // One disk per node, so disk d is on node d.
+    let image = sys.layout().locate_images(lb)[0].disk;
+    let client = (0..4).find(|&n| n != 3 && n != image).expect("a node holding no copy");
     sys.partition_node(3);
-    match sys.read(0, lb, 1) {
-        Err(IoError::Unreachable { node, attempts }) => {
-            assert_eq!(node, 3);
-            assert_eq!(attempts, 1, "no retries configured, one attempt only");
-        }
-        other => panic!("expected Unreachable, got {other:?}"),
+    sys.partition_node(image);
+    match sys.read(client, lb, 1) {
+        Err(IoError::Unreachable { node }) => assert_eq!(node, 3, "the primary's node"),
+        other => panic!("read: expected Unreachable, got {other:?}"),
     }
-    match sys.write(0, lb, &vec![8u8; bs]) {
-        Err(IoError::Unreachable { node, .. }) => assert_eq!(node, 3),
-        other => panic!("expected Unreachable, got {other:?}"),
+    match sys.write(client, lb, &vec![8u8; bs]) {
+        Err(IoError::Unreachable { node }) => assert_eq!(node, 3, "the primary's node"),
+        other => panic!("write: expected Unreachable, got {other:?}"),
     }
-    // The partitioned node itself still reaches its local disk.
+    // The partitioned node itself still reaches its local disk, which the
+    // refused write left as it was.
     let (got, _) = sys.read(3, lb, 1).expect("local read survives partition");
     assert_eq!(got, vec![9u8; bs]);
 }
 
-/// Satellite: with retries enabled the client fails over to the
-/// mirror replica, paying exactly one bounded request timeout —
-/// never an unbounded wait.
+/// With one copy cut off the client fails over to the mirror replica,
+/// paying exactly one bounded request timeout — never an unbounded
+/// wait.
 #[test]
 fn partition_failover_is_bounded_by_the_request_timeout() {
     let (mut engine, mut sys) = shape(4, 1, 8 << 20, Arch::RaidX);
@@ -51,7 +55,7 @@ fn partition_failover_is_bounded_by_the_request_timeout() {
     engine.spawn_job("failover-read", plan);
     engine.run().expect("failover read run");
     let elapsed = engine.now().since(t0);
-    let timeout = CddConfig::default().request_timeout;
+    let timeout = REQUEST_TIMEOUT;
     assert!(elapsed >= timeout, "failover must pay the timed-out attempt");
     assert!(
         elapsed < SimDuration(timeout.0 * 2),

@@ -12,7 +12,7 @@
 //! * a **permanent** failure (node/disk loss) restores from the striped
 //!   data blocks on the surviving disks, read by any other node.
 
-use cdd::{merge_runs, CddConfig, IoError, IoSystem, OpBuilder};
+use cdd::{merge_runs, IoError, IoSystem, OpBuilder};
 use sim_core::plan::par;
 use sim_core::{Engine, Plan};
 
@@ -84,7 +84,7 @@ pub fn run_two_level(
         sys.cluster().nodes.iter().map(|n| engine.resource_stats(n.tx).bytes).sum();
     let images: Vec<(u64, raidx_core::BlockAddr)> =
         lbs.iter().map(|&lb| (lb, sys.layout().locate_images(lb)[0])).collect();
-    let ops = OpBuilder { cluster: sys.cluster(), cfg: &CddConfig::default() };
+    let ops = OpBuilder { cluster: sys.cluster() };
     let reads: Vec<Plan> = merge_runs(images)
         .into_iter()
         .map(|run| ops.read_run(node, run.disk, run.start, run.len()))

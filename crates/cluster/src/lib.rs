@@ -28,5 +28,5 @@ pub mod vdisk;
 
 pub use build::{Cluster, DiskRef, Node};
 pub use config::ClusterConfig;
-pub use map::{ClusterMap, DiskState};
+pub use map::ClusterMap;
 pub use vdisk::{xor_into, xor_of, Block, DataPlane, DiskError};

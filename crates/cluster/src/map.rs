@@ -1,11 +1,11 @@
-//! Epoch-versioned cluster map: the single source of placement truth.
+//! Cluster map: the single source of placement truth.
 //!
 //! The paper's CDD replicates its lock-group table on every node, and the
 //! same replicated-table machinery carries membership changes: the array
 //! is a fixed set of logical *slots* (the `n` disks every OSM placement
-//! formula is written against), and each **epoch** binds every slot to
-//! one *physical* disk of the growing hardware roster. Epoch 0 is the
-//! identity binding produced by `cluster::build`, so a run that never
+//! formula is written against), and the map binds every slot to one
+//! *physical* disk of the growing hardware roster. The boot binding is
+//! the identity produced by `cluster::build`, so a run that never
 //! reconfigures is byte-identical to the pre-epoch code paths.
 //!
 //! Roster state machine (one physical disk's lifetime):
@@ -19,14 +19,14 @@
 //!                                                Retired
 //! ```
 //!
-//! Every transition appends a new epoch; mappings of past epochs stay
-//! readable forever (`phys_at`), which is what lets in-flight reads
-//! legally resolve against the epoch they were admitted under while a
-//! migration drains.
+//! Every transition bumps the epoch; the map keeps only the current
+//! binding. What lets a read admitted under the previous epoch stay
+//! correct while a migration drains is the cdd placer's migration record,
+//! which serves still-pending blocks from their old physical home.
 
 /// Lifetime state of one physical disk in the roster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskState {
+enum DiskState {
     /// Currently bound to a logical slot; serves live placement.
     Active {
         /// The logical slot this disk serves.
@@ -39,10 +39,10 @@ pub enum DiskState {
     Retired,
 }
 
-/// The epoch-versioned slot→physical binding plus the disk roster.
+/// The current slot→physical binding plus the disk roster.
 ///
 /// All mutation goes through [`ClusterMap::add_spare`] and
-/// [`ClusterMap::promote`]; each appends exactly one epoch, so the epoch
+/// [`ClusterMap::promote`]; each bumps the epoch by one, so the epoch
 /// counter doubles as the version number of the replicated placement
 /// table (the CDD serialises transitions through its lock-group table
 /// before committing one here).
@@ -50,8 +50,10 @@ pub enum DiskState {
 pub struct ClusterMap {
     /// Per-physical-disk lifetime state, indexed by physical id.
     states: Vec<DiskState>,
-    /// One slot→physical binding per epoch; index = epoch number.
-    epochs: Vec<Vec<usize>>,
+    /// The slot→physical binding of the current epoch, indexed by slot.
+    binding: Vec<usize>,
+    /// Transitions so far.
+    epoch: u64,
 }
 
 impl ClusterMap {
@@ -61,44 +63,30 @@ impl ClusterMap {
         assert!(slots > 0, "a cluster map needs at least one slot");
         ClusterMap {
             states: (0..slots).map(|s| DiskState::Active { slot: s }).collect(),
-            epochs: vec![(0..slots).collect()],
+            binding: (0..slots).collect(),
+            epoch: 0,
         }
     }
 
     /// Number of logical slots (fixed for the array's lifetime).
     pub fn nslots(&self) -> usize {
-        self.epochs[0].len()
-    }
-
-    /// Number of physical disks ever registered (Active + Spare + Retired).
-    pub fn nphys(&self) -> usize {
-        self.states.len()
+        self.binding.len()
     }
 
     /// The current epoch number (0 at boot, +1 per transition).
     pub fn epoch(&self) -> u64 {
-        (self.epochs.len() - 1) as u64
+        self.epoch
     }
 
     /// True while no reconfiguration has ever happened — the fast path
     /// every placement translation takes on a static array.
     pub fn is_identity(&self) -> bool {
-        self.epochs.len() == 1
+        self.epoch == 0
     }
 
     /// Physical disk bound to `slot` in the current epoch.
     pub fn phys(&self, slot: usize) -> usize {
-        self.epochs[self.epochs.len() - 1][slot]
-    }
-
-    /// Physical disk bound to `slot` in a specific (possibly past) epoch.
-    pub fn phys_at(&self, epoch: u64, slot: usize) -> usize {
-        self.epochs[epoch as usize][slot]
-    }
-
-    /// Roster state of physical disk `phys`.
-    pub fn state(&self, phys: usize) -> DiskState {
-        self.states[phys]
+        self.binding[slot]
     }
 
     /// The slot `phys` currently serves, if it is Active.
@@ -109,39 +97,29 @@ impl ClusterMap {
         }
     }
 
-    /// Register a new physical disk as a Spare. Appends an epoch whose
-    /// slot binding is unchanged (the roster itself is versioned), and
+    /// Register a new physical disk as a Spare. Bumps the epoch with the
+    /// slot binding unchanged (the roster itself is versioned), and
     /// returns the new disk's physical id. The caller must have grown
     /// the data plane and the engine's resource set to match.
     pub fn add_spare(&mut self) -> usize {
         let phys = self.states.len();
         self.states.push(DiskState::Spare);
-        let cur = self.epochs[self.epochs.len() - 1].clone();
-        self.epochs.push(cur);
+        self.epoch += 1;
         phys
     }
 
     /// Bind `spare` to `slot`, retiring the disk previously bound there.
-    /// Appends an epoch and returns its number. Panics if `spare` is not
+    /// Bumps the epoch and returns its number. Panics if `spare` is not
     /// a Spare — physical ids are never reused, so an Active or Retired
     /// disk can't be promoted.
     pub fn promote(&mut self, slot: usize, spare: usize) -> u64 {
         assert!(slot < self.nslots(), "slot {slot} out of range");
         assert_eq!(self.states[spare], DiskState::Spare, "disk {spare} is not a spare");
-        let mut next = self.epochs[self.epochs.len() - 1].clone();
-        let old = next[slot];
-        next[slot] = spare;
+        let old = std::mem::replace(&mut self.binding[slot], spare);
         self.states[old] = DiskState::Retired;
         self.states[spare] = DiskState::Active { slot };
-        self.epochs.push(next);
-        self.epoch()
-    }
-
-    /// Slots whose physical binding differs between two epochs — the
-    /// migration set of a transition (sorted, deterministic).
-    pub fn changed_slots(&self, from: u64, to: u64) -> Vec<usize> {
-        let (a, b) = (&self.epochs[from as usize], &self.epochs[to as usize]);
-        (0..self.nslots()).filter(|&s| a[s] != b[s]).collect()
+        self.epoch += 1;
+        self.epoch
     }
 
     /// First spare in physical-id order, if any.
@@ -159,13 +137,12 @@ mod tests {
         let m = ClusterMap::identity(4);
         assert_eq!(m.epoch(), 0);
         assert!(m.is_identity());
-        assert_eq!((m.nslots(), m.nphys()), (4, 4));
+        assert_eq!(m.nslots(), 4);
         for s in 0..4 {
             assert_eq!(m.phys(s), s);
             assert_eq!(m.slot_of(s), Some(s));
-            assert_eq!(m.state(s), DiskState::Active { slot: s });
+            assert_eq!(m.states[s], DiskState::Active { slot: s });
         }
-        assert!(m.changed_slots(0, 0).is_empty());
         assert_eq!(m.first_spare(), None);
     }
 
@@ -176,23 +153,20 @@ mod tests {
         assert_eq!(spare, 4);
         assert_eq!(m.epoch(), 1);
         assert!(!m.is_identity());
-        assert_eq!(m.state(4), DiskState::Spare);
+        assert_eq!(m.states[4], DiskState::Spare);
         assert_eq!(m.first_spare(), Some(4));
         // Adding a spare does not move any slot.
-        assert!(m.changed_slots(0, 1).is_empty());
+        assert!((0..4).all(|s| m.phys(s) == s));
 
         let e = m.promote(2, spare);
         assert_eq!(e, 2);
         assert_eq!(m.phys(2), 4);
-        assert_eq!(m.state(2), DiskState::Retired);
-        assert_eq!(m.state(4), DiskState::Active { slot: 2 });
+        assert_eq!(m.states[2], DiskState::Retired);
+        assert_eq!(m.states[4], DiskState::Active { slot: 2 });
         assert_eq!(m.slot_of(2), None);
         assert_eq!(m.slot_of(4), Some(2));
-        assert_eq!(m.changed_slots(0, 2), vec![2]);
         assert_eq!(m.first_spare(), None);
-        // The old epoch's view survives for stale readers.
-        assert_eq!(m.phys_at(0, 2), 2);
-        assert_eq!(m.phys_at(2, 2), 4);
+        assert_eq!([0, 1, 3].map(|s| m.phys(s)), [0, 1, 3], "no other slot moved");
     }
 
     #[test]
@@ -213,8 +187,7 @@ mod tests {
         m.promote(0, b);
         assert_eq!(m.epoch(), 4);
         assert_eq!(m.phys(0), b);
-        assert_eq!(m.state(a), DiskState::Retired);
-        assert_eq!(m.changed_slots(0, 4), vec![0]);
-        assert_eq!(m.changed_slots(2, 4), vec![0]);
+        assert_eq!(m.states[a], DiskState::Retired);
+        assert_eq!([1, 2].map(|s| m.phys(s)), [1, 2]);
     }
 }

@@ -26,17 +26,11 @@ pub struct NfsConfig {
     pub rpc_bytes: u64,
     /// Server-side nfsd processing per RPC (lookup, VFS, scheduling).
     pub nfsd_overhead: SimDuration,
-    /// Synchronous (write-through) writes, as NFSv2 mandated.
-    pub sync_writes: bool,
 }
 
 impl Default for NfsConfig {
     fn default() -> Self {
-        NfsConfig {
-            rpc_bytes: 128,
-            nfsd_overhead: SimDuration::from_micros(150),
-            sync_writes: true,
-        }
+        NfsConfig { rpc_bytes: 128, nfsd_overhead: SimDuration::from_micros(150) }
     }
 }
 
@@ -109,19 +103,14 @@ impl NfsSystem {
             let g = self.global_disk(a.disk);
             self.plane.write(g, a.block, &data[i * bs..(i + 1) * bs])?;
             let d = &self.cluster.disks[g];
-            let mut chain = vec![
+            // Synchronous: the block is on disk before the reply.
+            rpcs.push(seq(vec![
                 self.rpc(client, self.server, bs as u64),
                 self.nfsd(),
                 use_res(d.bus, Demand::BusXfer { bytes: bs as u64 }),
-            ];
-            if self.cfg.sync_writes {
-                chain.push(use_res(
-                    d.res,
-                    Demand::DiskWrite { offset: a.block * bs as u64, bytes: bs as u64 },
-                ));
-            }
-            chain.push(self.rpc(self.server, client, 0));
-            rpcs.push(seq(chain));
+                use_res(d.res, Demand::DiskWrite { offset: a.block * bs as u64, bytes: bs as u64 }),
+                self.rpc(self.server, client, 0),
+            ]));
         }
         Ok(par(rpcs))
     }

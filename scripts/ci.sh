@@ -21,10 +21,12 @@ echo "==> cargo clippy (all targets, warnings are errors)"
 # rustc's missing_docs.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (rustdoc warnings are errors)"
+echo "==> cargo doc (rustdoc warnings are errors, private items included)"
 # A dangling intra-doc link, or a public doc linking a crate-private item,
 # fails here; neither the compiler, clippy nor the tests report it.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+# Private items are documented too, so the links inside crate-private
+# modules are checked as well.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
 
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
