@@ -96,8 +96,8 @@ pub struct TraceRun {
     /// The engine the run used; [`smoke_check`] holds the derivation
     /// against the engine's own counters.
     pub engine: Engine,
-    /// CDD lock grants / conflicts (`None` for NFS).
-    pub locks: Option<(u64, u64)>,
+    /// CDD lock grants (`None` for NFS).
+    pub lock_grants: Option<u64>,
     /// Whether the emitted Chrome trace parsed as valid JSON.
     pub trace_json_valid: bool,
     /// Paths written, in `trace/series/metrics` order.
@@ -128,14 +128,14 @@ pub fn run_arch(kind: SystemKind, cfg: &TraceConfig) -> std::io::Result<TraceRun
     };
     // RAID kinds keep the concrete `IoSystem` in hand for the counters
     // the CDD keeps itself; NFS goes through the generic builder.
-    let (bw, locks, image_backlog) = match kind {
+    let (bw, lock_grants, image_backlog) = match kind {
         SystemKind::Raid(arch) => {
             let mut sys = IoSystem::new(&mut engine, cfg.cc.clone(), arch, CddConfig::default());
             sys.enable_lock_metrics();
             engine.set_tracer(Box::new(log.clone()));
             let bw = run_parallel_io(&mut engine, &mut sys, &io_cfg).expect("traced run failed");
             let backlog = sys.take_backlog_samples();
-            (bw, Some((sys.lock_grants(), sys.lock_conflicts())), Some(backlog))
+            (bw, Some(sys.lock_grants()), Some(backlog))
         }
         SystemKind::Nfs => {
             let mut store = build_store(&mut engine, cfg.cc.clone(), kind);
@@ -147,9 +147,8 @@ pub fn run_arch(kind: SystemKind, cfg: &TraceConfig) -> std::io::Result<TraceRun
     let events = log.take();
     let names = engine.resources().map(|(_, n, _)| n.to_string()).collect();
     let mut metrics = RunMetrics::derive(&events, names, cfg.tick);
-    if let Some((grants, conflicts)) = locks {
-        metrics.store_counters =
-            vec![("cdd.lock_conflicts", conflicts), ("cdd.lock_grants", grants)];
+    if let Some(grants) = lock_grants {
+        metrics.store_counters = vec![("cdd.lock_grants", grants)];
     }
     if let Some(samples) = image_backlog {
         // Post-op buffered image blocks: the series the backlog bound
@@ -171,7 +170,7 @@ pub fn run_arch(kind: SystemKind, cfg: &TraceConfig) -> std::io::Result<TraceRun
     std::fs::write(&paths[0], &trace)?;
     std::fs::write(&paths[1], metrics.series_csv())?;
     std::fs::write(&paths[2], metrics.metrics_json())?;
-    Ok(TraceRun { kind, slug: s, bw, metrics, engine, locks, trace_json_valid, paths })
+    Ok(TraceRun { kind, slug: s, bw, metrics, engine, lock_grants, trace_json_valid, paths })
 }
 
 /// Trace all four measured architectures.
@@ -208,7 +207,7 @@ pub fn render_summary(runs: &[TraceRun]) -> String {
         "backlog @fg-end KB",
         "backlog final KB",
         "p50/p95/p99 us",
-        "lock grants/conflicts",
+        "lock grants",
         "events",
     ];
     let rows: Vec<Vec<String>> = runs
@@ -225,7 +224,7 @@ pub fn render_summary(runs: &[TraceRun]) -> String {
                 r.metrics.latency_percentiles().map_or("-".to_string(), |[p50, p95, p99]| {
                     format!("{}/{}/{}", p50 / 1000, p95 / 1000, p99 / 1000)
                 }),
-                r.locks.map_or("-".to_string(), |(g, c)| format!("{g}/{c}")),
+                r.lock_grants.map_or("-".to_string(), |g| g.to_string()),
                 r.metrics.events.to_string(),
             ]
         })
@@ -380,7 +379,7 @@ mod tests {
     fn raid_runs_record_lock_metrics() {
         let cfg = TraceConfig { out_dir: test_out_dir("locks"), ..TraceConfig::smoke() };
         let r = run_arch(SystemKind::MEASURED[3], &cfg).expect("raidx trace failed");
-        let (grants, _) = r.locks.expect("raid run must report lock counters");
+        let grants = r.lock_grants.expect("raid run must report lock grants");
         assert!(grants > 0, "no lock grants recorded");
         // The per-op image-backlog samples reach the exported series.
         let series = std::fs::read_to_string(&r.paths[1]).expect("series csv missing");

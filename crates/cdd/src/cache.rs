@@ -12,20 +12,19 @@
 //!
 //! * a membership epoch bump (`add_disk`/`remove_disk`/`replace_disk`)
 //!   — cached fills predate the new [`cluster::ClusterMap`] binding, so
-//!   they are dropped exactly like a stale-epoch admission
-//!   ([`crate::IoError::StaleEpoch`] semantics);
+//!   no cached extent may straddle the transition;
 //! * a NIC partition or node crash — a client cut off from the
 //!   replicated table can no longer receive invalidations, so its cache
 //!   is dropped the moment connectivity is lost;
 //! * an explicit [`crate::IoSystem`] flush (tests, recovery drivers).
 //!
-//! **Invalidation epochs.** The shared [`CacheSet`] carries a monotone
-//! invalidation epoch, bumped on every invalidation or flush. A fill is
-//! two-phase: [`CacheSet::begin_fill`] snapshots the epoch before the
-//! array read, [`CacheSet::commit_fill`] inserts only those blocks not
-//! invalidated since the snapshot — a fill racing an invalidation loses,
-//! never the other way around. Eviction is deterministic LRU by logical
-//! time (a per-[`CacheSet`] monotone use counter, not wall or sim time).
+//! **Fills are one call.** A read that misses fills the cache with
+//! [`CacheSet::fill`] in the same `IoSystem` call that read the array.
+//! Every `IoSystem` call runs to completion under `&mut self`, so no
+//! write can invalidate the range between the array read and the fill:
+//! there is no fill in flight for an invalidation to race. Eviction is
+//! deterministic LRU by logical time (a per-[`CacheSet`] monotone use
+//! counter, not wall or sim time).
 
 use std::collections::BTreeMap;
 
@@ -61,15 +60,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Whole-cache flushes (membership epoch bumps, partitions, crashes).
     pub flushes: u64,
-    /// Fill blocks dropped because the range was invalidated between
-    /// [`CacheSet::begin_fill`] and [`CacheSet::commit_fill`].
-    pub fill_aborts: u64,
-}
-
-/// Epoch snapshot taken before an array read whose result may be cached.
-#[derive(Debug, Clone, Copy)]
-pub struct FillTicket {
-    epoch: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -87,22 +77,13 @@ struct ClientCache {
     entries: BTreeMap<u64, Entry>,
 }
 
-/// The per-client caches plus the shared coherence state (invalidation
-/// epoch, per-block invalidation stamps, counters).
+/// The per-client caches plus their shared LRU clock and counters.
 #[derive(Debug, Clone)]
 pub struct CacheSet {
     cfg: CacheConfig,
     clients: Vec<ClientCache>,
     /// Logical LRU clock: bumped on every lookup touch and fill.
     clock: u64,
-    /// Monotone invalidation epoch, bumped per invalidation event.
-    inv_epoch: u64,
-    /// Per-block epoch of the last invalidation touching it. Bounded by
-    /// the written region (entries are overwritten, never duplicated).
-    last_inv: BTreeMap<u64, u64>,
-    /// Epoch at the most recent whole-cache flush (flushes invalidate
-    /// everything, including in-flight fills of any block).
-    last_flush: u64,
     stats: CacheStats,
 }
 
@@ -113,9 +94,6 @@ impl CacheSet {
             cfg,
             clients: vec![ClientCache::default(); clients],
             clock: 0,
-            inv_epoch: 0,
-            last_inv: BTreeMap::new(),
-            last_flush: 0,
             stats: CacheStats::default(),
         }
     }
@@ -147,28 +125,14 @@ impl CacheSet {
         Some(out)
     }
 
-    /// Snapshot the invalidation epoch before an array read whose bytes
-    /// will be offered to [`CacheSet::commit_fill`].
-    pub fn begin_fill(&self) -> FillTicket {
-        FillTicket { epoch: self.inv_epoch }
-    }
-
     /// Insert the blocks of a completed array read (`blocks[i]` is logical
-    /// block `lb0 + i`) into `client`'s cache, skipping any block
-    /// invalidated (or flushed away) since the ticket was taken — the
-    /// invalidate-while-fill-pending race always resolves toward
-    /// invalidation.
-    pub fn commit_fill(&mut self, client: usize, t: FillTicket, lb0: u64, blocks: Vec<Block>) {
+    /// block `lb0 + i`) into `client`'s cache, evicting LRU entries to
+    /// stay within capacity.
+    pub fn fill(&mut self, client: usize, lb0: u64, blocks: Vec<Block>) {
         if self.cfg.capacity_blocks == 0 {
             return;
         }
         for (lb, data) in (lb0..).zip(blocks) {
-            let stale =
-                self.last_flush > t.epoch || self.last_inv.get(&lb).is_some_and(|&e| e > t.epoch);
-            if stale {
-                self.stats.fill_aborts += 1;
-                continue;
-            }
             self.clock += 1;
             let clock = self.clock;
             let cache = &mut self.clients[client];
@@ -188,14 +152,8 @@ impl CacheSet {
     }
 
     /// Invalidate `[lb0, lb0+nblocks)` in **every** client's cache — the
-    /// write-grant broadcast through the replicated table. Bumps the
-    /// invalidation epoch and stamps each block so in-flight fills of the
-    /// range abort at commit.
+    /// write-grant broadcast through the replicated table.
     pub fn invalidate(&mut self, lb0: u64, nblocks: u64) {
-        self.inv_epoch += 1;
-        for lb in lb0..lb0 + nblocks {
-            self.last_inv.insert(lb, self.inv_epoch);
-        }
         for cache in &mut self.clients {
             for lb in lb0..lb0 + nblocks {
                 if cache.entries.remove(&lb).is_some() {
@@ -206,11 +164,8 @@ impl CacheSet {
     }
 
     /// Drop every client's cache (membership epoch bump — the cached
-    /// fills predate the new cluster map, so `StaleEpoch` semantics
-    /// demand they go). Also aborts every in-flight fill.
+    /// fills predate the new cluster map).
     pub fn flush_all(&mut self) {
-        self.inv_epoch += 1;
-        self.last_flush = self.inv_epoch;
         for cache in &mut self.clients {
             cache.entries.clear();
         }
@@ -223,8 +178,6 @@ impl CacheSet {
         if let Some(cache) = self.clients.get_mut(client) {
             cache.entries.clear();
         }
-        self.inv_epoch += 1;
-        self.last_flush = self.inv_epoch;
         self.stats.flushes += 1;
     }
 
@@ -235,11 +188,6 @@ impl CacheSet {
 }
 
 impl IoSystem {
-    /// Whether the client-side cache is configured on.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Deterministic cache counters (`None` when caching is disabled).
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| *c.stats())
@@ -282,21 +230,10 @@ impl IoSystem {
         self.cache.as_mut().and_then(|c| c.lookup(client, lb0, n, bs))
     }
 
-    /// Snapshot the invalidation epoch before a cache-missing array read.
-    pub(crate) fn cache_begin_fill(&self) -> Option<FillTicket> {
-        self.cache.as_ref().map(CacheSet::begin_fill)
-    }
-
     /// Offer a completed array read's blocks to `client`'s cache.
-    pub(crate) fn cache_commit_fill(
-        &mut self,
-        client: usize,
-        t: FillTicket,
-        lb0: u64,
-        blocks: Vec<Block>,
-    ) {
+    pub(crate) fn cache_fill(&mut self, client: usize, lb0: u64, blocks: Vec<Block>) {
         if let Some(c) = self.cache.as_mut() {
-            c.commit_fill(client, t, lb0, blocks);
+            c.fill(client, lb0, blocks);
         }
     }
 }
@@ -312,8 +249,7 @@ mod tests {
     }
 
     fn fill(c: &mut CacheSet, client: usize, lb0: u64, blocks: &[u8]) {
-        let t = c.begin_fill();
-        c.commit_fill(client, t, lb0, blocks.iter().map(|&b| [b; BS].into()).collect());
+        c.fill(client, lb0, blocks.iter().map(|&b| [b; BS].into()).collect());
     }
 
     #[test]
@@ -338,22 +274,6 @@ mod tests {
         assert_eq!(c.stats().evictions, 1);
         assert!(c.lookup(0, 1, 1, BS).is_none(), "block 1 was evicted");
         assert!(c.lookup(0, 0, 1, BS).is_some() && c.lookup(0, 2, 1, BS).is_some());
-    }
-
-    #[test]
-    fn invalidation_between_begin_and_commit_aborts_the_fill() {
-        let mut c = set(8, 1);
-        let t = c.begin_fill();
-        c.invalidate(0, 1);
-        c.commit_fill(0, t, 0, vec![[9u8; BS].into(); 2]);
-        assert!(c.lookup(0, 0, 1, BS).is_none(), "invalidated block must not be filled");
-        assert_eq!(c.lookup(0, 1, 1, BS), Some(vec![9; BS]), "untouched block fills fine");
-        assert_eq!(c.stats().fill_aborts, 1);
-        // A flush aborts in-flight fills of *every* block.
-        let t = c.begin_fill();
-        c.flush_all();
-        c.commit_fill(0, t, 4, vec![[7u8; BS].into()]);
-        assert!(c.lookup(0, 4, 1, BS).is_none());
     }
 
     #[test]

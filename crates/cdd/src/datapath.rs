@@ -1,12 +1,11 @@
-//! The request paths of the [`IoSystem`]: epoch-stamped admission,
-//! locked writes through the write schemes, and replica-balanced reads.
+//! The request paths of the [`IoSystem`]: validated, locked writes
+//! through the write schemes, and replica-balanced reads.
 //!
-//! Every request is admitted first ([`crate::frontend::Admission`]),
-//! stamping the placement epoch the client saw. Writes must execute
-//! under the same epoch; reads may trail by one while that epoch's
-//! migration drains — the placer serves still-pending blocks from their
-//! old physical home, which *is* the stale epoch's view, so such reads
-//! stay byte-correct without blocking on the rebalance.
+//! Every request is validated ([`crate::frontend`]) and executed in the
+//! same call, so it always runs against the current placement epoch.
+//! While an epoch's migration drains, the placer serves still-pending
+//! blocks from their old physical home, so reads stay byte-correct
+//! without blocking on the rebalance.
 //!
 //! All placement decisions (layout addresses, fault routing, replica
 //! selection) happen in logical *slot* space; the translation to
@@ -21,7 +20,7 @@ use sim_core::trace::AccessKind;
 use sim_core::{Plan, SimDuration};
 
 use crate::error::IoError;
-use crate::frontend::{self, Admission};
+use crate::frontend;
 use crate::runs::merge_runs;
 use crate::system::IoSystem;
 
@@ -32,46 +31,12 @@ use crate::system::IoSystem;
 pub const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 
 impl IoSystem {
-    /// Admit a write of `len` bytes at `lb0`, stamping the current epoch.
-    pub fn admit_write(&self, lb0: u64, len: usize) -> Result<Admission, IoError> {
-        let bs = self.block_size() as usize;
-        let nblocks = frontend::validate_write(bs, self.capacity_blocks(), lb0, len)?;
-        Ok(Admission { lb0, nblocks, epoch: self.placer.epoch() })
-    }
-
-    /// Admit a read of `nblocks` blocks at `lb0`, stamping the current
-    /// epoch.
-    pub fn admit_read(&self, lb0: u64, nblocks: u64) -> Result<Admission, IoError> {
-        frontend::validate_range(lb0, nblocks, self.capacity_blocks())?;
-        Ok(Admission { lb0, nblocks, epoch: self.placer.epoch() })
-    }
-
     /// Write `data` (a whole number of blocks) at logical block `lb0` on
     /// behalf of node `client`. Returns the timing plan; the bytes are
     /// already durable on the functional plane when this returns.
     pub fn write(&mut self, client: usize, lb0: u64, data: &[u8]) -> Result<Plan, IoError> {
-        let adm = self.admit_write(lb0, data.len())?;
-        self.write_admitted(client, adm, data)
-    }
-
-    /// Execute a previously admitted write. Fails with
-    /// [`IoError::StaleEpoch`] if the placement epoch moved since
-    /// admission — the client must re-admit against the new map.
-    pub fn write_admitted(
-        &mut self,
-        client: usize,
-        adm: Admission,
-        data: &[u8],
-    ) -> Result<Plan, IoError> {
-        let current = self.placer.epoch();
-        if adm.epoch != current {
-            return Err(IoError::StaleEpoch { seen: adm.epoch, current });
-        }
         let bs = self.block_size() as usize;
-        let (lb0, nblocks) = (adm.lb0, adm.nblocks);
-        if data.len() != nblocks as usize * bs {
-            return Err(IoError::BadLength { expected: nblocks as usize * bs, got: data.len() });
-        }
+        let nblocks = frontend::validate_write(bs, self.capacity_blocks(), lb0, data.len())?;
 
         // Client module: plan against what this client can actually reach.
         // An alive-but-unreachable copy costs one timed-out attempt before
@@ -119,7 +84,7 @@ impl IoSystem {
         Ok(seq(chain))
     }
 
-    /// Hand the admitted, locked write to the method of the layout's
+    /// Hand the validated, locked write to the method of the layout's
     /// write scheme, planned against the requesting client's effective
     /// fault set (slot view).
     fn write_locked(
@@ -196,34 +161,14 @@ impl IoSystem {
         lb0: u64,
         nblocks: u64,
     ) -> Result<(Vec<u8>, Plan), IoError> {
-        let adm = self.admit_read(lb0, nblocks)?;
-        self.read_admitted(client, adm)
-    }
-
-    /// Execute a previously admitted read. A stamp one epoch behind is
-    /// accepted while that epoch's migration is still in flight (pending
-    /// blocks are served from their old home — the stale epoch's view);
-    /// anything older fails with [`IoError::StaleEpoch`].
-    pub fn read_admitted(
-        &mut self,
-        client: usize,
-        adm: Admission,
-    ) -> Result<(Vec<u8>, Plan), IoError> {
-        let current = self.placer.epoch();
-        let stale_ok = adm.epoch + 1 == current && self.placer.migration().is_some();
-        if adm.epoch != current && !stale_ok {
-            return Err(IoError::StaleEpoch { seen: adm.epoch, current });
-        }
-        let (lb0, nblocks) = (adm.lb0, adm.nblocks);
+        frontend::validate_range(lb0, nblocks, self.capacity_blocks())?;
 
         // Client cache: a read whose whole range is resident is served
         // locally — driver overhead only, no disk or network traffic.
-        // Misses snapshot the invalidation epoch *before* the array read
-        // so a concurrent grant's invalidation always beats the fill.
+        // A miss fills the cache at the end of this same call.
         if let Some(bytes) = self.cache_try_serve(client, lb0, nblocks) {
             return Ok((bytes, seq(vec![self.ops().driver(client)])));
         }
-        let fill = self.cache_begin_fill();
         let bs = self.block_size() as usize;
 
         // Client module: route around everything this client cannot reach.
@@ -348,9 +293,7 @@ impl IoSystem {
             // Strict-valid plan.
             chain.push(par(branches));
         }
-        if let Some(t) = fill {
-            self.cache_commit_fill(client, t, lb0, blocks);
-        }
+        self.cache_fill(client, lb0, blocks);
         Ok((out, seq(chain)))
     }
 }

@@ -37,15 +37,6 @@ pub enum IoError {
         /// An unresponsive node holding a copy of the block.
         node: usize,
     },
-    /// The request was admitted under a placement epoch the array has
-    /// since moved past (writes must target the current epoch; reads may
-    /// trail by exactly one while that epoch's migration drains).
-    StaleEpoch {
-        /// Epoch the request was admitted under.
-        seen: u64,
-        /// Current placement epoch.
-        current: u64,
-    },
     /// Functional-plane failure (invariant violation).
     Disk(DiskError),
 }
@@ -61,9 +52,6 @@ impl std::fmt::Display for IoError {
             }
             IoError::DataLoss { lb } => write!(f, "block {lb} unrecoverable"),
             IoError::Unreachable { node } => write!(f, "node {node} unreachable"),
-            IoError::StaleEpoch { seen, current } => {
-                write!(f, "admitted under epoch {seen}, array is at epoch {current}")
-            }
             IoError::Disk(e) => write!(f, "data plane: {e}"),
         }
     }

@@ -87,8 +87,8 @@ pub enum FaultEvent {
     },
     /// Retire an active disk onto the first registered spare. Placement
     /// flips immediately; the migration is deliberately left in flight so
-    /// subsequent workload ops exercise mid-rebalance reads and
-    /// stale-epoch admission. The workload (or scenario teardown) drains
+    /// subsequent workload ops exercise mid-rebalance reads and writes.
+    /// The workload (or scenario teardown) drains
     /// it via [`IoSystem::rebalance`].
     DiskRemove {
         /// Global physical disk number (must be Active).

@@ -14,26 +14,6 @@ use crate::config::ReadBalance;
 use crate::error::IoError;
 pub use crate::runs::{merge_runs, Run};
 
-/// An admitted request, stamped with the placement epoch the client saw
-/// at admission time.
-///
-/// The CDD checks the stamp when the request executes: writes must carry
-/// the *current* epoch (a transition between admission and execution
-/// fails them with [`IoError::StaleEpoch`] so the client re-admits
-/// against the new map), while reads may trail by exactly one epoch as
-/// long as that epoch's migration is still draining — the data path
-/// serves pending blocks from their old physical home, which *is* the
-/// stale epoch's view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Admission {
-    /// First logical block of the request.
-    pub lb0: u64,
-    /// Number of blocks.
-    pub nblocks: u64,
-    /// Placement epoch of the client's view at admission.
-    pub epoch: u64,
-}
-
 /// Reject a `[lb0, lb0 + nblocks)` request that reaches past `capacity`.
 ///
 /// The shared admission check of every block store: the reported

@@ -24,12 +24,12 @@
 //! |---|---|
 //! | [`frontend`] | front end / admission: range + length validation (shared with `nfs_sim`), run coalescing, read replica selection |
 //! | [`cache`] | per-client block cache in front of the read path, kept coherent by write-grant invalidations and epoch flushes |
-//! | `locks` | consistency module: the replicated lock-group table, taken only through `IoSystem::with_grant` |
+//! | `IoSystem::with_grant` (in [`system`]) | consistency module: the paper's replicated lock-group table is one grant counter and a live-grant guard, since every `IoSystem` call is atomic |
 //! | `scheme` | write schemes: one `IoSystem` method per [`raidx_core::WriteScheme`] arm (plain / mirror; parity in `parity`) |
 //! | `image_queue` | data plane write-behind: the bounded OSM `ImageQueue` |
 //! | `placer` | epoch-versioned slot→physical placement (`Placer` over [`cluster::ClusterMap`]) |
 //! | [`system`] | the [`IoSystem`] state — configuration, planes, placer, ledgers |
-//! | [`datapath`] | the request pipeline: admission stamping, locked writes, translated reads |
+//! | [`datapath`] | the request pipeline: validated, locked writes and translated reads |
 //! | [`membership`] | fault injection hooks and epoch transitions (add/remove/replace disks) |
 //! | [`restore`] | the one restore path: `RestoreStep` (XOR of inputs → destination) and its compare-then-write executor, shared by the three rows below |
 //! | [`maintenance`] | scrub and the rebuild entry point (outside the request pipeline) |
@@ -42,8 +42,8 @@
 //! [`error`] (the shared [`IoError`]), [`ops`] (plan builders and the
 //! protocol's cost constants), [`runs`] (coalescing), [`store`] (the
 //! [`BlockStore`] abstraction over CDD and NFS) and [`testkit`] (shared
-//! test/bench constructors). `locks`, `scheme`, `parity`, `image_queue`
-//! and `placer` are private to the crate: other crates reach them only
+//! test/bench constructors). `scheme`, `parity`, `image_queue` and
+//! `placer` are private to the crate: other crates reach them only
 //! through [`IoSystem`].
 
 pub mod cache;
@@ -53,7 +53,6 @@ pub mod error;
 pub mod fault;
 pub mod frontend;
 mod image_queue;
-mod locks;
 pub mod maintenance;
 pub mod membership;
 pub mod ops;
@@ -72,7 +71,6 @@ pub use cache::{CacheConfig, CacheStats};
 pub use config::{CddConfig, ReadBalance};
 pub use error::IoError;
 pub use fault::{FaultEvent, FaultInjector};
-pub use frontend::Admission;
 pub use ops::OpBuilder;
 pub use restore::RestoreOutcome;
 pub use runs::{merge_runs, Run};

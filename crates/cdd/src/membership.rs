@@ -156,8 +156,8 @@ impl IoSystem {
             let s = sys.placer.add_spare();
             debug_assert!(g == p && p == s, "disk id spaces diverged: {g}/{p}/{s}");
             // Membership epoch bump: flush every client's cache while the
-            // meta lock is held, preserving the StaleEpoch admission story —
-            // no cached extent may straddle an epoch transition.
+            // meta lock is held — no cached extent may straddle an epoch
+            // transition.
             sys.cache_flush_all();
             Ok(g)
         })

@@ -7,8 +7,8 @@
 //! draining after a transition:
 //!
 //! * **Reads** of a block still pending migration resolve to the *old*
-//!   physical home — the epoch the block was written under — which is
-//!   what makes stale-epoch reads legal while a rebalance is in flight.
+//!   physical home — the epoch the block was written under — so reads
+//!   stay byte-correct while a rebalance is in flight.
 //! * **Writes** always land on the *new* home and clear the block's
 //!   pending entry: a freshly written block never needs migrating.
 //!

@@ -2,7 +2,7 @@
 //! arm of [`raidx_core::WriteScheme`], chosen by the `match` in
 //! `IoSystem::write_locked`.
 //!
-//! The front end admits and locks a request; the scheme method then owns
+//! The front end validates and locks a request; the scheme method then owns
 //! the whole write policy — placement, fault handling, functional data
 //! movement and the timing plan:
 //!

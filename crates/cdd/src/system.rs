@@ -7,13 +7,13 @@
 //! orchestrates the layers:
 //!
 //! 1. **Front end / admission** ([`crate::frontend`]) — range and length
-//!    validation (shared with the NFS baseline), epoch stamping, run
-//!    coalescing, and replica selection for reads.
-//! 2. **Consistency module** (`locks`) — the replicated
-//!    lock-group table; a write holds its group for the duration of the
-//!    (logically instantaneous) functional update.
+//!    validation (shared with the NFS baseline), run coalescing, and
+//!    replica selection for reads.
+//! 2. **Consistency module** (`IoSystem::with_grant`) — the paper's
+//!    replicated lock-group table; a write holds its group for the
+//!    duration of the (logically instantaneous) functional update.
 //! 3. **Write schemes** (`scheme`, `parity`) — one `IoSystem` method per
-//!    [`raidx_core::WriteScheme`] arm executes the admitted write.
+//!    [`raidx_core::WriteScheme`] arm executes the validated write.
 //! 4. **Data plane** (`image_queue`) — the OSM write-behind
 //!    queue buffering deferred mirror images, bounded by
 //!    [`CddConfig::max_image_backlog`].
@@ -41,7 +41,6 @@ use sim_net::PartitionMap;
 use crate::config::CddConfig;
 use crate::frontend::ReadBalancer;
 use crate::image_queue::ImageQueue;
-use crate::locks::LockGroupTable;
 use crate::ops::{OpBuilder, ACK_BYTES, CONTROL_BYTES};
 use crate::placer::Placer;
 
@@ -70,9 +69,11 @@ pub struct IoSystem {
     /// logical blocks whose copy there was skipped and must be restored
     /// on recovery.
     pub(crate) parked: BTreeMap<usize, BTreeSet<u64>>,
-    /// The lock-group table. Private: every grant goes through
-    /// [`IoSystem::with_grant`], which cannot leak one.
-    locks: LockGroupTable,
+    /// Lock-group grants issued so far ([`IoSystem::with_grant`]).
+    grants: u64,
+    /// Whether a grant is live: the guard behind `with_grant`'s
+    /// one-live-grant assert.
+    granted: bool,
     pub(crate) high_water: u64,
     /// Data-plane write-behind buffer of the OSM image path (addresses
     /// are physical, so disk-level drains match the fault state).
@@ -160,7 +161,8 @@ impl IoSystem {
             offline: FaultSet::none(),
             partitions: PartitionMap::new(),
             parked: BTreeMap::new(),
-            locks: LockGroupTable::new(),
+            grants: 0,
+            granted: false,
             high_water: 0,
             images: ImageQueue::new(),
             balancer,
@@ -276,17 +278,15 @@ impl IoSystem {
 
     /// Lock-group grants issued so far.
     pub fn lock_grants(&self) -> u64 {
-        self.locks.grants()
+        self.grants
     }
 
-    /// Lock-group acquisitions rejected due to an overlapping grant: 0 by
-    /// construction. Every grant is taken by `IoSystem::with_grant` on an
-    /// empty table and released before that call returns, and every
-    /// `IoSystem` call runs to completion under `&mut self`, so at most one
-    /// grant is ever live and nothing can conflict with it. Kept as a
-    /// counter because the repository benchmark reports it.
+    /// Lock-group acquisitions rejected due to an overlapping grant:
+    /// always 0, since `IoSystem::with_grant` never has a second grant
+    /// to conflict with. Kept only because the repository benchmark reads
+    /// it.
     pub fn lock_conflicts(&self) -> u64 {
-        self.locks.conflicts()
+        0
     }
 
     /// Consistency module: atomically acquire write permission on
@@ -298,10 +298,10 @@ impl IoSystem {
     /// installed the grant gets one protocol tick, handed to `body` for
     /// its `Write`, with `Acquire` emitted before and `Release` after it.
     ///
-    /// Invariant: at most one grant is ever live. This is the table's one
-    /// caller, it starts on an empty table and releases before returning,
-    /// and no `IoSystem` call yields mid-way, so the acquire below cannot
-    /// conflict and [`IoSystem::lock_conflicts`] stays 0.
+    /// Invariant: at most one grant is ever live. Every `IoSystem` call
+    /// runs to completion under `&mut self`, so the grant is atomic by
+    /// construction — this counter and guard are the whole lock-group
+    /// table, and nothing can conflict with a grant.
     pub(crate) fn with_grant<R>(
         &mut self,
         client: usize,
@@ -309,13 +309,9 @@ impl IoSystem {
         len: u64,
         body: impl FnOnce(&mut Self, Option<SimTime>) -> Result<R, IoError>,
     ) -> Result<R, IoError> {
-        debug_assert!(self.locks.held().next().is_none(), "with_grant entered under a live grant");
-        #[expect(
-            clippy::expect_used,
-            reason = "the only grant path, entered on an empty table: nothing can conflict"
-        )]
-        let grant =
-            self.locks.acquire(client, start, len).expect("lock conflict on an empty table");
+        assert!(!self.granted, "with_grant entered under a live grant");
+        self.granted = true;
+        self.grants += 1;
         let tick = self.tracer.is_some().then(|| {
             self.trace_ticks += 1;
             SimTime(self.trace_ticks - 1)
@@ -328,14 +324,14 @@ impl IoSystem {
         trace(self, AccessKind::Acquire);
         let result = body(self, tick);
         trace(self, AccessKind::Release);
-        self.locks.release(grant);
+        self.granted = false;
         result
     }
 
     /// Start recording one image-backlog sample per completed write (see
     /// [`IoSystem::take_backlog_samples`]); clears any previous samples.
-    /// Lock grants and conflicts need no switch: they are always counted
-    /// ([`IoSystem::lock_grants`], [`IoSystem::lock_conflicts`]).
+    /// Lock grants need no switch: they are always counted
+    /// ([`IoSystem::lock_grants`]).
     pub fn enable_lock_metrics(&mut self) {
         self.backlog_samples = Some(Vec::new());
     }
@@ -406,7 +402,6 @@ mod tests {
     /// No grant is alive when one is taken — the fact that left a
     /// lock-order analysis of this system nothing to find.
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "with_grant entered under a live grant")]
     fn a_grant_body_cannot_take_a_second_grant() {
         let (_engine, mut sys) = crate::testkit::shape(4, 1, 8 << 20, raidx_core::Arch::RaidX);

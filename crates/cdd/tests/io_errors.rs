@@ -3,9 +3,9 @@
 //! one table row each.
 //!
 //! There is no row for a lock conflict because there is no such variant:
-//! `IoSystem::with_grant` is the only grant path, it starts on an empty
-//! lock table and releases its grant before it returns, so no sequence of
-//! calls can make an acquisition conflict.
+//! `IoSystem::with_grant` is the only grant path, it asserts that no
+//! grant is live and releases its own before it returns, so no sequence
+//! of calls can make an acquisition conflict.
 
 use cdd::testkit::shape;
 use cdd::{BlockStore, FaultEvent, FaultInjector, IoError, IoSystem};
@@ -21,7 +21,6 @@ fn variant(e: &IoError) -> &'static str {
         IoError::BadLength { .. } => "BadLength",
         IoError::DataLoss { .. } => "DataLoss",
         IoError::Unreachable { .. } => "Unreachable",
-        IoError::StaleEpoch { .. } => "StaleEpoch",
         IoError::Disk(_) => "Disk",
     }
 }
@@ -51,7 +50,7 @@ fn inject(engine: &mut Engine, sys: &mut IoSystem, events: Vec<FaultEvent>) {
 type Produce = fn() -> Option<IoError>;
 
 /// `(variant, how it is produced)`.
-const ROWS: [(&str, Produce); 6] = [
+const ROWS: [(&str, Produce); 5] = [
     // A read of the first block past the end.
     ("OutOfRange", || {
         let (_engine, mut sys, _) = seeded();
@@ -82,14 +81,6 @@ const ROWS: [(&str, Produce); 6] = [
         let events = nodes.into_iter().map(|node| FaultEvent::NicPartition { node }).collect();
         inject(&mut engine, &mut sys, events);
         BlockStore::read(&mut sys, client, lb, 1).err()
-    }),
-    // A disk replacement moves the epoch between admission and execution.
-    ("StaleEpoch", || {
-        let (mut engine, mut sys, lb) = seeded();
-        let block = vec![8; sys.block_size() as usize];
-        let adm = sys.admit_write(lb, block.len()).expect("admit");
-        inject(&mut engine, &mut sys, vec![FaultEvent::DiskReplace { disk: 1, client: 0 }]);
-        sys.write_admitted(0, adm, &block).err()
     }),
     // The functional plane fails a disk the system still counts healthy.
     // Only `IoSystem::plane_mut`, the plane handed out for tests, can

@@ -8,39 +8,8 @@
 //! transition, the bytes drain later, and reads of still-pending blocks
 //! are served from the old home.
 
-use cdd::IoError;
 use raidx_core::Arch;
 use sim_core::check::{run_cases, Gen};
-
-/// Admission stamps the epoch; a transition between admission and
-/// execution fails the write (and a too-old read) with `StaleEpoch`.
-#[test]
-fn stale_epoch_stamps_are_rejected() {
-    let (mut engine, mut sys) = cdd::testkit::shape(4, 1, 8 << 20, Arch::RaidX);
-    let bs = sys.block_size() as usize;
-    sys.write(0, 0, &vec![7u8; bs]).expect("seed");
-    let wadm = sys.admit_write(0, bs).expect("admit write");
-    let radm = sys.admit_read(0, 1).expect("admit read");
-    assert_eq!(wadm.epoch, 0);
-    // Epoch transition: register a spare and retire disk 1 onto it.
-    sys.add_disk(&mut engine, 0).expect("add spare");
-    sys.remove_disk(0, 1).expect("remove disk 1");
-    match sys.write_admitted(0, wadm, &vec![8u8; bs]) {
-        Err(IoError::StaleEpoch { seen: 0, current }) => assert!(current > 0),
-        other => panic!("expected StaleEpoch, got {other:?}"),
-    }
-    // The read stamp is two epochs behind (add + promote): rejected.
-    match sys.read_admitted(0, radm) {
-        Err(IoError::StaleEpoch { seen: 0, .. }) => {}
-        other => panic!("expected StaleEpoch, got {other:?}"),
-    }
-    // A read admitted one epoch back is legal while migration drains.
-    if sys.migration_pending() > 0 {
-        let stale = cdd::Admission { lb0: 0, nblocks: 1, epoch: sys.epoch() - 1 };
-        let (got, _) = sys.read_admitted(0, stale).expect("stale-by-one read");
-        assert_eq!(got, vec![7u8; bs]);
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Op {
