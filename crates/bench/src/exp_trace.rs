@@ -132,14 +132,14 @@ pub fn run_arch(kind: SystemKind, cfg: &TraceConfig) -> std::io::Result<TraceRun
         SystemKind::Raid(arch) => {
             let mut sys = IoSystem::new(&mut engine, cfg.cc.clone(), arch, CddConfig::default());
             sys.enable_lock_metrics();
-            engine.set_tracer(Box::new(log.clone()));
+            engine.set_tracer(log.clone());
             let bw = run_parallel_io(&mut engine, &mut sys, &io_cfg).expect("traced run failed");
             let backlog = sys.take_backlog_samples();
             (bw, Some(sys.lock_grants()), Some(backlog))
         }
         SystemKind::Nfs => {
             let mut store = build_store(&mut engine, cfg.cc.clone(), kind);
-            engine.set_tracer(Box::new(log.clone()));
+            engine.set_tracer(log.clone());
             let bw = run_parallel_io(&mut engine, &mut store, &io_cfg).expect("traced run failed");
             (bw, None, None)
         }

@@ -11,7 +11,7 @@
 //! extents wholesale:
 //!
 //! * a membership epoch bump (`add_disk`/`remove_disk`/`replace_disk`)
-//!   — cached fills predate the new [`cluster::ClusterMap`] binding, so
+//!   — cached fills predate the placer's new slot binding, so
 //!   no cached extent may straddle the transition;
 //! * a NIC partition or node crash — a client cut off from the
 //!   replicated table can no longer receive invalidations, so its cache
@@ -164,7 +164,7 @@ impl CacheSet {
     }
 
     /// Drop every client's cache (membership epoch bump — the cached
-    /// fills predate the new cluster map).
+    /// fills predate the new slot binding).
     pub fn flush_all(&mut self) {
         for cache in &mut self.clients {
             cache.entries.clear();

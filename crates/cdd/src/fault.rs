@@ -1,13 +1,14 @@
 //! Deterministic mid-workload fault injection for the CDD data plane.
 //!
-//! [`FaultInjector`] binds a [`sim_core::FaultPlan`] of [`FaultEvent`]s
-//! to a live [`IoSystem`]: timed events fire when the engine's clock is
-//! driven past their deadline (via [`sim_core::Engine::run_until`]),
-//! op events fire when the scripted workload announces the index of the
-//! op it is about to issue ([`FaultInjector::hit_op`]). Because both the
-//! schedule and the engine are deterministic, the same seed plus the same
-//! plan replays the exact same failure — the property the `fault-sweep`
-//! verify pass fingerprints.
+//! A [`FaultInjector`] is a schedule of [`FaultEvent`]s and the code that
+//! fires them at a live [`IoSystem`]: timed events fire when the engine's
+//! clock is driven past their deadline (via
+//! [`sim_core::Engine::run_until`]), op events fire when the scripted
+//! workload announces the index of the op it is about to issue
+//! ([`FaultInjector::hit_op`]). Because both the schedule and the engine
+//! are deterministic, the same seed plus the same schedule replays the
+//! exact same failure — the property the `fault-sweep` verify pass
+//! fingerprints.
 //!
 //! Events split into *damage* (disk fail, transient offline, NIC
 //! partition, node crash, disk slowdown) and *repair* (transient
@@ -17,7 +18,7 @@
 //! accounting stays honest while repair I/O competes for the same
 //! disks and links.
 
-use sim_core::{Engine, FaultPlan, SimTime};
+use sim_core::{Engine, SimTime};
 
 use crate::error::IoError;
 use crate::system::IoSystem;
@@ -106,36 +107,58 @@ pub enum FaultEvent {
     },
 }
 
-/// Executes a [`FaultPlan`] of [`FaultEvent`]s against an engine and an
-/// I/O system.
-#[derive(Debug)]
+/// A deterministic schedule of [`FaultEvent`]s, fired against an engine
+/// and an I/O system.
+///
+/// Timed events fire in `(time, insertion order)` order; op events fire,
+/// in insertion order, when the workload announces their op index. An op
+/// index the workload never reaches stays [`pending`](Self::pending).
+#[derive(Debug, Default)]
 pub struct FaultInjector {
-    plan: FaultPlan<FaultEvent>,
+    /// Time-triggered events, sorted by time; equal times keep insertion
+    /// order.
+    timed: Vec<(SimTime, FaultEvent)>,
+    /// Op-triggered events, in insertion order.
+    at_ops: Vec<(u64, FaultEvent)>,
 }
 
 impl FaultInjector {
-    /// Wrap a prepared fault plan.
-    pub fn new(plan: FaultPlan<FaultEvent>) -> Self {
-        FaultInjector { plan }
+    /// An empty schedule.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedule `ev` at simulated time `t`, after every event already
+    /// scheduled at or before `t`.
+    pub fn at(&mut self, t: SimTime, ev: FaultEvent) -> &mut Self {
+        let pos = self.timed.partition_point(|(ft, _)| *ft <= t);
+        self.timed.insert(pos, (t, ev));
+        self
+    }
+
+    /// Schedule `ev` just before op number `op` (0-based) of the scripted
+    /// workload.
+    pub fn at_op(&mut self, op: u64, ev: FaultEvent) -> &mut Self {
+        self.at_ops.push((op, ev));
+        self
     }
 
     /// Events not yet fired, timed and op-triggered alike. Non-zero after
     /// a script ends means a trigger named an op the script never reached.
     pub fn pending(&self) -> usize {
-        self.plan.pending()
+        self.timed.len() + self.at_ops.len()
     }
 
     /// Earliest unfired timed trigger, if any.
     pub fn next_time(&self) -> Option<SimTime> {
-        self.plan.next_time()
+        self.timed.first().map(|&(t, _)| t)
     }
 
     /// Fire every timed event due at or before the engine's current
     /// clock. Returns how many fired.
     pub fn poll(&mut self, engine: &mut Engine, sys: &mut IoSystem) -> Result<usize, IoError> {
-        let due = self.plan.take_due(engine.now());
-        let n = due.len();
-        for ev in due {
+        let n = self.timed.partition_point(|(t, _)| *t <= engine.now());
+        for (_, ev) in self.timed.drain(..n) {
             apply(ev, engine, sys)?;
         }
         Ok(n)
@@ -149,9 +172,11 @@ impl FaultInjector {
         engine: &mut Engine,
         sys: &mut IoSystem,
     ) -> Result<usize, IoError> {
-        let due = self.plan.hit_op(op);
+        let (due, rest): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.at_ops).into_iter().partition(|(at, _)| *at == op);
+        self.at_ops = rest;
         let n = due.len();
-        for ev in due {
+        for (_, ev) in due {
             apply(ev, engine, sys)?;
         }
         Ok(n)
@@ -162,7 +187,7 @@ impl FaultInjector {
     /// consumed (only the workload can reach those). The caller finishes
     /// the run with `engine.run()` afterwards.
     pub fn drain_timed(&mut self, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), IoError> {
-        while let Some(t) = self.plan.next_time() {
+        while let Some(t) = self.next_time() {
             engine.run_until(t);
             self.poll(engine, sys)?;
         }
@@ -220,4 +245,53 @@ fn apply(ev: FaultEvent, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), 
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::shape;
+    use raidx_core::Arch;
+
+    /// A `DiskSlow` on disk 0 with `factor`: the disk's slowdown after a
+    /// firing names the last event that fired.
+    fn slow(factor: u64) -> FaultEvent {
+        FaultEvent::DiskSlow { disk: 0, factor }
+    }
+
+    #[test]
+    fn timed_faults_fire_in_time_then_insertion_order() {
+        let (mut engine, mut sys) = shape(2, 1, 1 << 20, Arch::RaidX);
+        let disk = sys.cluster.disks[0].res;
+        let mut inj = FaultInjector::new();
+        inj.at(SimTime(50), slow(3)).at(SimTime(10), slow(2)).at(SimTime(50), slow(4));
+        assert_eq!(inj.next_time(), Some(SimTime(10)));
+        engine.run_until(SimTime(9));
+        assert_eq!(inj.poll(&mut engine, &mut sys).unwrap(), 0);
+        engine.run_until(SimTime(10));
+        assert_eq!(inj.poll(&mut engine, &mut sys).unwrap(), 1);
+        assert_eq!(engine.resource_slowdown(disk), 2);
+        engine.run_until(SimTime(100));
+        assert_eq!(inj.poll(&mut engine, &mut sys).unwrap(), 2);
+        // Both time-50 events fired, the later-inserted one last.
+        assert_eq!(engine.resource_slowdown(disk), 4);
+        assert_eq!(inj.pending(), 0);
+    }
+
+    #[test]
+    fn op_faults_fire_once_at_their_op_in_insertion_order() {
+        let (mut engine, mut sys) = shape(2, 1, 1 << 20, Arch::RaidX);
+        let disk = sys.cluster.disks[0].res;
+        let mut inj = FaultInjector::new();
+        inj.at_op(2, slow(5)).at_op(1, slow(2)).at_op(1, slow(3)).at_op(9, slow(7));
+        assert_eq!(inj.hit_op(0, &mut engine, &mut sys).unwrap(), 0);
+        assert_eq!(inj.hit_op(1, &mut engine, &mut sys).unwrap(), 2);
+        assert_eq!(engine.resource_slowdown(disk), 3, "op 1's events fire in insertion order");
+        assert_eq!(inj.hit_op(1, &mut engine, &mut sys).unwrap(), 0, "a fault fires once");
+        assert_eq!(inj.hit_op(2, &mut engine, &mut sys).unwrap(), 1);
+        assert_eq!(engine.resource_slowdown(disk), 5);
+        // The script ended before op 9: the trigger stays pending, which
+        // is what every fault-sweep cell asserts against.
+        assert_eq!(inj.pending(), 1);
+    }
 }

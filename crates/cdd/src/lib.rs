@@ -27,7 +27,7 @@
 //! | `IoSystem::with_grant` (in [`system`]) | consistency module: the paper's replicated lock-group table is one grant counter and a live-grant guard, since every `IoSystem` call is atomic |
 //! | `scheme` | write schemes: one `IoSystem` method per [`raidx_core::WriteScheme`] arm (plain / mirror; parity in `parity`) |
 //! | `image_queue` | data plane write-behind: the bounded OSM `ImageQueue` |
-//! | `placer` | epoch-versioned slot→physical placement (`Placer` over [`cluster::ClusterMap`]) |
+//! | `placer` | epoch-versioned slot→physical placement: the `Placer` owns the disk roster, the slot binding and the in-flight migration |
 //! | [`system`] | the [`IoSystem`] state — configuration, planes, placer, ledgers |
 //! | [`datapath`] | the request pipeline: validated, locked writes and translated reads |
 //! | [`membership`] | fault injection hooks and epoch transitions (add/remove/replace disks) |

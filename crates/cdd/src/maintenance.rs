@@ -124,7 +124,7 @@ impl IoSystem {
             clippy::expect_used,
             reason = "operator-error invariant — callers rebuild active disks only"
         )]
-        let slot = self.placer.map().slot_of(disk).expect("rebuilding a disk that serves no slot");
+        let slot = self.placer.slot_of(disk).expect("rebuilding a disk that serves no slot");
         let (steps, lost) = self.plan_slot(slot, |_| true);
         if let Some(l) = lost.first() {
             return Err(IoError::DataLoss { lb: l.lbs(self.layout.as_ref())[0] });

@@ -3,8 +3,7 @@
 //! while the array serves I/O.
 //!
 //! An epoch transition is a metadata operation: it binds a logical slot
-//! to a new physical disk in the [`cluster::ClusterMap`] (serialised
-//! through the replicated lock-group table via the reserved
+//! to a new physical disk in the placer (under a grant on the reserved
 //! `EPOCH_META_LB` range) and records which physical blocks of the
 //! vacated disk still await migration. The bytes then move
 //! *incrementally* — [`IoSystem::rebalance`] drains the pending set in
@@ -24,10 +23,11 @@ use crate::system::IoSystem;
 /// First logical block of the lock range reserved for epoch transitions.
 ///
 /// Data requests lock `[lb0, lb0+nblocks)` below the array capacity;
-/// membership operations lock this far-away range instead, so a
-/// transition excludes concurrent transitions without colliding with any
-/// data lock. Kept below `1 << 56` — the protocol cell namespace bound —
-/// so the range stays representable everywhere a lock range can flow.
+/// membership operations take their grant on this range instead, which
+/// lies beyond every data block. That places a membership grant on the
+/// lock record where [`crate::testkit::grants_of`] counts it in
+/// `meta_pairs`. The value itself is arbitrary but pinned: the `Access`
+/// events the determinism and fault-sweep digests hash contain it.
 pub(crate) const EPOCH_META_LB: u64 = (1 << 56) - 64;
 /// Length of the reserved epoch-transition lock range.
 pub(crate) const EPOCH_META_SPAN: u64 = 64;
@@ -164,7 +164,7 @@ impl IoSystem {
     }
 
     /// Remove (retire) active physical disk `phys` from the array,
-    /// promoting the first registered spare into its slot. Returns the
+    /// promoting the oldest registered spare into its slot. Returns the
     /// spare's physical id.
     ///
     /// This is the epoch transition: placement flips to the new home
@@ -181,10 +181,9 @@ impl IoSystem {
     /// are operator errors, not runtime conditions.
     pub fn remove_disk(&mut self, client: usize, phys: usize) -> Result<usize, IoError> {
         #[expect(clippy::expect_used, reason = "operator-error invariant documented on the method")]
-        let slot = self.placer.map().slot_of(phys).expect("can only remove an active disk");
+        let slot = self.placer.slot_of(phys).expect("can only remove an active disk");
         #[expect(clippy::expect_used, reason = "operator-error invariant documented on the method")]
-        let spare =
-            self.placer.map().first_spare().expect("removing a disk requires a registered spare");
+        let spare = self.placer.first_spare().expect("removing a disk requires a registered spare");
         self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys, _| {
             sys.promote_spare(slot, phys, spare);
             Ok(spare)

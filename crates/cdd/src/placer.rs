@@ -2,8 +2,8 @@
 //!
 //! All OSM placement arithmetic ([`crate::scheme`], [`raidx_core::Layout`])
 //! is written against a fixed array of logical *slots*. The [`Placer`]
-//! binds those slots to physical disks through an epoch-versioned
-//! [`ClusterMap`] and tracks the (at most one) migration currently
+//! binds those slots to the physical disks of a growing roster, versions
+//! that binding by epoch, and tracks the (at most one) migration currently
 //! draining after a transition:
 //!
 //! * **Reads** of a block still pending migration resolve to the *old*
@@ -12,13 +12,19 @@
 //! * **Writes** always land on the *new* home and clear the block's
 //!   pending entry: a freshly written block never needs migrating.
 //!
-//! On a never-reconfigured array the map is the identity and every
-//! translation is a no-op, so epoch-0 runs stay byte-identical to the
-//! pre-epoch code paths.
+//! Roster (one physical disk's lifetime): [`Placer::add_spare`] registers
+//! a disk as a spare; [`Placer::begin_promote`] binds the oldest spare to
+//! a slot and retires the disk bound there before. Spares are promoted in
+//! the order they were added and physical ids are never reused, so the
+//! spares are exactly `next_spare..nphys` and a retired disk can never
+//! serve again. Each add and each promotion is one epoch.
+//!
+//! The boot binding is the identity produced by `cluster::build`; on a
+//! never-reconfigured array every translation is a no-op, so epoch-0 runs
+//! stay byte-identical to the pre-epoch code paths.
 
 use std::collections::BTreeSet;
 
-use cluster::ClusterMap;
 use raidx_core::{BlockAddr, FaultSet};
 
 /// The one migration allowed in flight after an epoch transition.
@@ -39,27 +45,58 @@ pub struct Migration {
 }
 
 /// Epoch-aware placement view handed to every layer that used to assume
-/// static membership.
+/// static membership: the slot binding, the disk roster and the
+/// in-flight migration.
 #[derive(Debug, Clone)]
 pub struct Placer {
-    map: ClusterMap,
+    /// The slot→physical binding of the current epoch, indexed by slot.
+    binding: Vec<usize>,
+    /// Physical disks registered so far (ids `0..nphys`).
+    nphys: usize,
+    /// The oldest unpromoted spare; `nphys` when there is none.
+    next_spare: usize,
     migration: Option<Migration>,
 }
 
 impl Placer {
-    /// The boot-time placer: identity map over `nslots`, no migration.
+    /// The boot-time placer: `nslots` disks, each bound to the
+    /// identically-numbered slot, no spares and no migration (epoch 0).
     pub fn identity(nslots: usize) -> Self {
-        Placer { map: ClusterMap::identity(nslots), migration: None }
+        Placer {
+            binding: (0..nslots).collect(),
+            nphys: nslots,
+            next_spare: nslots,
+            migration: None,
+        }
     }
 
-    /// The underlying epoch-versioned map.
-    pub fn map(&self) -> &ClusterMap {
-        &self.map
+    fn nslots(&self) -> usize {
+        self.binding.len()
     }
 
-    /// Current placement epoch.
+    /// Current placement epoch: 0 at boot, +1 per added spare and +1 per
+    /// promotion.
     pub fn epoch(&self) -> u64 {
-        self.map.epoch()
+        let (adds, promotions) = (self.nphys - self.nslots(), self.next_spare - self.nslots());
+        (adds + promotions) as u64
+    }
+
+    /// True while no disk was ever added — the fast path every placement
+    /// translation takes on a static array.
+    fn is_identity(&self) -> bool {
+        self.nphys == self.nslots()
+    }
+
+    /// The slot `phys` currently serves; `None` for a spare or a retired
+    /// disk.
+    pub fn slot_of(&self, phys: usize) -> Option<usize> {
+        self.binding.iter().position(|&p| p == phys)
+    }
+
+    /// The oldest registered spare, if any: the disk the next promotion
+    /// binds.
+    pub fn first_spare(&self) -> Option<usize> {
+        (self.next_spare < self.nphys).then_some(self.next_spare)
     }
 
     /// The in-flight migration, if one is still draining.
@@ -75,21 +112,24 @@ impl Placer {
     /// Physical disk currently serving `slot`.
     #[inline]
     pub fn phys(&self, slot: usize) -> usize {
-        if self.map.is_identity() {
+        if self.is_identity() {
             return slot;
         }
-        self.map.phys(slot)
+        self.binding[slot]
     }
 
-    /// Register a fresh physical disk as a spare (appends an epoch).
+    /// Register a fresh physical disk as a spare (one epoch) and return
+    /// its physical id. The caller must have grown the data plane and the
+    /// engine's resource set to match.
     pub fn add_spare(&mut self) -> usize {
-        self.map.add_spare()
+        self.nphys += 1;
+        self.nphys - 1
     }
 
     /// Commit a transition: bind `spare` to `slot`, retire the old disk
-    /// and start draining `pending`. Returns the new epoch. Panics if a
-    /// migration is already in flight — the CDD serialises transitions
-    /// through the replicated lock-group table, one at a time.
+    /// and start draining `pending`. Returns the new epoch. Panics if
+    /// `spare` is not the oldest spare, or if a migration is already in
+    /// flight — the CDD runs transitions one at a time.
     pub fn begin_promote(
         &mut self,
         slot: usize,
@@ -98,13 +138,13 @@ impl Placer {
         pending: BTreeSet<u64>,
     ) -> u64 {
         assert!(self.migration.is_none(), "a previous migration is still draining");
-        let old_phys = self.map.phys(slot);
-        let epoch = self.map.promote(slot, spare);
-        let new_phys = self.map.phys(slot);
+        assert_eq!(self.first_spare(), Some(spare), "disk {spare} is not the next spare");
+        let old_phys = std::mem::replace(&mut self.binding[slot], spare);
+        self.next_spare += 1;
         if !pending.is_empty() {
-            self.migration = Some(Migration { slot, old_phys, new_phys, old_dead, pending });
+            self.migration = Some(Migration { slot, old_phys, new_phys: spare, old_dead, pending });
         }
-        epoch
+        self.epoch()
     }
 
     /// Where a *read* of `a` (slot space) is served right now: the old
@@ -152,10 +192,10 @@ impl Placer {
     /// Translate a physical fault set into the slot view *writes* use:
     /// slot `s` is unavailable iff its current home is.
     pub fn slot_write_faults(&self, phys: &FaultSet) -> FaultSet {
-        if self.map.is_identity() {
+        if self.is_identity() {
             return phys.clone();
         }
-        (0..self.map.nslots()).filter(|&s| phys.contains(self.map.phys(s))).collect()
+        (0..self.nslots()).filter(|&s| phys.contains(self.binding[s])).collect()
     }
 
     /// Translate a physical fault set into the slot view *reads* use.
@@ -184,6 +224,18 @@ mod tests {
     }
 
     #[test]
+    fn identity_placer_is_epoch_zero_with_every_disk_in_its_own_slot() {
+        let p = Placer::identity(4);
+        assert_eq!(p.epoch(), 0);
+        assert!(p.is_identity());
+        for s in 0..4 {
+            assert_eq!(p.phys(s), s);
+            assert_eq!(p.slot_of(s), Some(s));
+        }
+        assert_eq!(p.first_spare(), None);
+    }
+
+    #[test]
     fn identity_placer_is_transparent() {
         let p = Placer::identity(4);
         assert_eq!(p.epoch(), 0);
@@ -192,6 +244,49 @@ mod tests {
         let f = FaultSet::of(&[1]);
         assert_eq!(p.slot_write_faults(&f), f);
         assert_eq!(p.slot_read_faults(&f), f);
+    }
+
+    #[test]
+    fn add_then_promote_walks_the_roster() {
+        let mut p = Placer::identity(4);
+        let spare = p.add_spare();
+        assert_eq!(spare, 4);
+        assert_eq!(p.epoch(), 1);
+        assert!(!p.is_identity());
+        assert_eq!(p.slot_of(4), None, "a spare serves no slot");
+        assert_eq!(p.first_spare(), Some(4));
+        // Adding a spare does not move any slot.
+        assert!((0..4).all(|s| p.phys(s) == s));
+
+        let e = p.begin_promote(2, spare, false, BTreeSet::new());
+        assert_eq!(e, 2);
+        assert_eq!(p.phys(2), 4);
+        assert_eq!(p.slot_of(2), None, "the vacated disk is retired");
+        assert_eq!(p.slot_of(4), Some(2));
+        assert_eq!(p.first_spare(), None);
+        assert_eq!([0, 1, 3].map(|s| p.phys(s)), [0, 1, 3], "no other slot moved");
+    }
+
+    #[test]
+    #[should_panic(expected = "not the next spare")]
+    fn retired_disks_cannot_be_promoted() {
+        let mut p = Placer::identity(2);
+        let spare = p.add_spare();
+        p.begin_promote(0, spare, false, BTreeSet::new());
+        p.begin_promote(1, 0, false, BTreeSet::new()); // 0 is retired now
+    }
+
+    #[test]
+    fn successive_transitions_accumulate_epochs() {
+        let mut p = Placer::identity(3);
+        let a = p.add_spare();
+        p.begin_promote(0, a, false, BTreeSet::new());
+        let b = p.add_spare();
+        assert_eq!(p.begin_promote(0, b, false, BTreeSet::new()), 4);
+        assert_eq!(p.epoch(), 4);
+        assert_eq!(p.phys(0), b);
+        assert_eq!(p.slot_of(a), None, "a promoted-then-vacated disk is retired");
+        assert_eq!([1, 2].map(|s| p.phys(s)), [1, 2]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl IoSystem {
             clippy::expect_used,
             reason = "operator-error invariant — parked ledgers only exist for active disks"
         )]
-        let slot = self.placer.map().slot_of(disk).expect("resyncing a disk that serves no slot");
+        let slot = self.placer.slot_of(disk).expect("resyncing a disk that serves no slot");
         let layout = self.layout.as_ref();
         let (steps, lost) =
             self.plan_slot(slot, |s| s.lbs(layout).iter().any(|lb| parked.contains(lb)));

@@ -32,9 +32,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use cluster::{Cluster, ClusterConfig, ClusterMap, DataPlane};
+use cluster::{Cluster, ClusterConfig, DataPlane};
 use raidx_core::{Arch, FaultSet, Layout};
-use sim_core::trace::{AccessKind, TraceEvent, Tracer};
+use sim_core::trace::{AccessKind, EventLog, TraceEvent};
 use sim_core::{Engine, Plan, SimTime};
 use sim_net::PartitionMap;
 
@@ -94,12 +94,12 @@ pub struct IoSystem {
     pub(crate) timeouts: u64,
     /// Requests that failed over to a replica after a timeout.
     pub(crate) failovers: u64,
-    /// Optional observer of the lock record: the [`TraceEvent::Access`]
+    /// Optional recorder of the lock record: the [`TraceEvent::Access`]
     /// events of [`IoSystem::with_grant`] (every grant's `Acquire` and
     /// `Release`, and a data write's one `Write` between them). `None`
     /// keeps every emission site a single branch — the same
     /// zero-cost-when-disabled guarantee the engine's tracer gives.
-    tracer: Option<Box<dyn Tracer>>,
+    tracer: Option<EventLog>,
     /// Synthetic protocol clock: one tick per traced grant. Access
     /// events are stamped with it (not engine time — the functional
     /// update is logically instantaneous), so a grant's events share a
@@ -178,24 +178,24 @@ impl IoSystem {
         }
     }
 
-    /// Install a [`Tracer`] observing the lock record from now on
-    /// (replacing any previous one). Install a clone of the same
-    /// [`sim_core::EventLog`] here and in the engine to get one merged
-    /// stream; [`crate::testkit::grants_of`] walks its grants.
-    pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
+    /// Install an [`EventLog`] recording the lock record from now on
+    /// (replacing any previous one). Install a clone of the same log
+    /// here and in the engine to get one merged stream;
+    /// [`crate::testkit::grants_of`] walks its grants.
+    pub fn set_tracer(&mut self, tracer: EventLog) {
         self.tracer = Some(tracer);
     }
 
     /// Emit one `Access` event on protocol tick `at`.
     pub(crate) fn trace_access(
-        &mut self,
+        &self,
         at: SimTime,
         client: usize,
         lb: u64,
         len: u64,
         kind: AccessKind,
     ) {
-        if let Some(tr) = self.tracer.as_mut() {
+        if let Some(tr) = &self.tracer {
             tr.record(at, TraceEvent::Access { client, lb, len, kind });
         }
     }
@@ -225,9 +225,10 @@ impl IoSystem {
         self.placer.epoch()
     }
 
-    /// The cluster map: the disk roster and the current slot binding.
-    pub fn cluster_map(&self) -> &ClusterMap {
-        self.placer.map()
+    /// The slot physical disk `phys` currently serves, if it serves one
+    /// (spares and retired disks serve none).
+    pub fn slot_of(&self, phys: usize) -> Option<usize> {
+        self.placer.slot_of(phys)
     }
 
     /// Blocks still awaiting migration after an epoch transition (0 when

@@ -150,7 +150,7 @@ mod tests {
     fn walk_rejects_a_stream_with_a_dropped_grant() {
         let (_e, mut s) = shape(4, 1, 4 << 20, Arch::RaidX);
         let log = sim_core::EventLog::new();
-        s.set_tracer(Box::new(log.clone()));
+        s.set_tracer(log.clone());
         let bs = s.block_size() as usize;
         for (client, lb) in [(0, 0), (1, 2), (2, 8)] {
             s.write(client, lb, &vec![7u8; 2 * bs]).unwrap();

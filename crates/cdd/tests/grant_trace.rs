@@ -1,6 +1,6 @@
 //! The trace stream is the lock record. Every grant `IoSystem` takes —
 //! a data write's block range and the membership operations' reserved
-//! meta range alike — appears on the one `Tracer` stream as an
+//! meta range alike — appears on the one `EventLog` stream as an
 //! `Acquire`/`Release` pair on the grant's protocol tick, with a data
 //! write's `Write` between them; `cdd::testkit::grants_of` checks exactly
 //! these pairs.
@@ -27,8 +27,8 @@ fn every_grant_is_one_acquire_release_pair_on_the_shared_stream() {
     for arch in Arch::ALL {
         let (mut engine, mut sys) = shape(4, 1, 8 << 20, arch);
         let log = EventLog::new();
-        engine.set_tracer(Box::new(log.clone()));
-        sys.set_tracer(Box::new(log.clone()));
+        engine.set_tracer(log.clone());
+        sys.set_tracer(log.clone());
 
         // Two clients overlap on blocks 2..4: a release → acquire edge.
         write(&mut engine, &mut sys, 0, 0, 4);
@@ -64,7 +64,7 @@ fn a_failed_write_releases_its_grant() {
     for arch in [Arch::RaidX, Arch::Raid10, Arch::Raid5] {
         let (mut engine, mut sys) = shape(4, 1, 8 << 20, arch);
         let log = EventLog::new();
-        sys.set_tracer(Box::new(log.clone()));
+        sys.set_tracer(log.clone());
         write(&mut engine, &mut sys, 0, 0, 1);
 
         // Every disk holding a copy of block 0, or its parity, fails.

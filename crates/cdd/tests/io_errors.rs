@@ -10,7 +10,7 @@
 use cdd::testkit::shape;
 use cdd::{BlockStore, FaultEvent, FaultInjector, IoError, IoSystem};
 use raidx_core::Arch;
-use sim_core::{Engine, FaultPlan};
+use sim_core::Engine;
 
 /// Which variant `e` is. The match is exhaustive, so a new variant does
 /// not compile until it is named here; name it together with a row of
@@ -38,11 +38,11 @@ fn seeded() -> (Engine, IoSystem, u64) {
 /// Fire `events` as the faults scheduled for op 0.
 fn inject(engine: &mut Engine, sys: &mut IoSystem, events: Vec<FaultEvent>) {
     let n = events.len();
-    let mut plan = FaultPlan::new();
+    let mut inj = FaultInjector::new();
     for ev in events {
-        plan.at_op(0, ev);
+        inj.at_op(0, ev);
     }
-    let fired = FaultInjector::new(plan).hit_op(0, engine, sys).expect("faults apply");
+    let fired = inj.hit_op(0, engine, sys).expect("faults apply");
     assert_eq!(fired, n);
 }
 

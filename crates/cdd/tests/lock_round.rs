@@ -77,7 +77,7 @@ fn traced_writes(
     let (mut e, mut sys): (Engine, IoSystem) =
         testkit::shape_with(shape.0, shape.1, 16 << 20, arch, cfg.clone());
     let log = EventLog::new();
-    e.set_tracer(Box::new(log.clone()));
+    e.set_tracer(log.clone());
     for i in 0..6 {
         let client = i % 3;
         let mut write = one_block_write(&mut sys, client, 7 * i as u64);

@@ -15,18 +15,11 @@
 //! to node `g mod nodes`, so `n` consecutive disks form a stripe group that
 //! touches every node exactly once, and the `k` disks of one node share its
 //! SCSI bus (consecutive stripe groups pipeline on those buses).
-//!
-//! Membership is not frozen at boot: [`map::ClusterMap`] versions the
-//! binding from logical slots (what placement formulas see) to physical
-//! disks (what the engine and data plane hold) in epochs, so disks can
-//! be added, removed and replaced while the array is live.
 
 pub mod build;
 pub mod config;
-pub mod map;
 pub mod vdisk;
 
 pub use build::{Cluster, DiskRef, Node};
 pub use config::ClusterConfig;
-pub use map::ClusterMap;
 pub use vdisk::{xor_into, xor_of, Block, DataPlane, DiskError};

@@ -223,11 +223,6 @@ impl DataPlane {
         self.disks[disk].failed
     }
 
-    /// Indices of currently failed disks.
-    pub fn failed_disks(&self) -> Vec<usize> {
-        self.disks.iter().enumerate().filter_map(|(i, d)| d.failed.then_some(i)).collect()
-    }
-
     /// Hot-add a blank healthy disk (same block size and capacity as the
     /// rest of the plane) and return its index. Supports epoch-versioned
     /// membership changes: the new disk joins as a spare and holds no

@@ -30,11 +30,11 @@ fn failure_loses_data_and_rejects_io() {
     p.fail(1);
     assert_eq!(p.read(1, 3, &mut block(0)).unwrap_err(), DiskError::Failed { disk: 1 });
     assert_eq!(p.write(1, 3, &block(9)).unwrap_err(), DiskError::Failed { disk: 1 });
-    assert_eq!(p.failed_disks(), vec![1]);
+    assert_eq!((0..4).map(|d| p.is_failed(d)).collect::<Vec<_>>(), [false, true, false, false]);
     // After replacement the disk is healthy but blank.
     p.replace(1);
     assert_eq!(p.get(1, 3).unwrap()[..], block(0)[..]);
-    assert!(p.failed_disks().is_empty());
+    assert!(!p.is_failed(1));
 }
 
 #[test]

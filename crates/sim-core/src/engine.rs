@@ -18,7 +18,7 @@ use crate::plan::{BarrierId, Plan};
 use crate::prof::EngineStats;
 use crate::resource::{ResourceId, ResourceStats, ServiceModel};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{EventLog, TraceEvent};
 use crate::validate::{lint_plan, PlanContext, PlanError, Strictness};
 
 /// Opaque handle to a spawned foreground job.
@@ -124,9 +124,9 @@ pub struct Engine {
     live_foreground: usize,
     live_total: usize,
     foreground_end: SimTime,
-    /// Optional observer of engine events; `None` keeps every emission
+    /// Optional recorder of engine events; `None` keeps every emission
     /// site a single branch (the zero-cost-when-disabled guarantee).
-    tracer: Option<Box<dyn Tracer>>,
+    tracer: Option<EventLog>,
     /// Deterministic lifetime work counters (always on — plain integer
     /// bumps on paths that already touch the counted structures).
     stats: EngineStats,
@@ -157,16 +157,11 @@ impl Engine {
         }
     }
 
-    /// Install a [`Tracer`] that observes every engine event from now on
-    /// (replacing any previous one). See [`crate::trace`] for the event
-    /// model; [`crate::trace::EventLog`] is the stock recorder.
-    pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
+    /// Install an [`EventLog`] that records every engine event from now
+    /// on (replacing any previous one). See [`crate::trace`] for the
+    /// event model.
+    pub fn set_tracer(&mut self, tracer: EventLog) {
         self.tracer = Some(tracer);
-    }
-
-    /// Remove and return the installed tracer, restoring no-op tracing.
-    pub fn clear_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
     }
 
     /// Deterministic lifetime work counters: events dispatched,
@@ -207,7 +202,7 @@ impl Engine {
 
     /// The validation context implied by this engine's registered
     /// resources and barriers.
-    pub fn plan_context(&self) -> PlanContext {
+    pub(crate) fn plan_context(&self) -> PlanContext {
         PlanContext {
             resources: self.resources.len(),
             #[expect(
@@ -245,15 +240,14 @@ impl Engine {
     /// full strict lint.
     pub fn spawn_job_at(&mut self, label: impl Into<String>, start: SimTime, plan: Plan) -> JobId {
         assert!(start >= self.now, "cannot start a job in the past");
-        #[cfg(debug_assertions)]
-        {
+        if cfg!(debug_assertions) {
             let errs = lint_plan(&plan, &self.plan_context(), Strictness::Structural);
             assert!(errs.is_empty(), "structurally invalid plan: {errs:?}");
         }
         #[expect(clippy::expect_used, reason = "u32 job-id space is a sim capacity invariant")]
         let job = JobId(u32::try_from(self.jobs.len()).expect("too many jobs"));
         self.jobs.push(JobRecord { label: label.into(), start, end: None });
-        if let Some(tr) = self.tracer.as_mut() {
+        if let Some(tr) = &self.tracer {
             let label = self.jobs[job.index()].label.clone();
             tr.record(start, TraceEvent::JobSpawned { job: job.0, label });
             self.stats.on_tracer_records(1);
@@ -283,7 +277,7 @@ impl Engine {
     /// fault, spawns recovery jobs) and then resumes with `run_until` or a
     /// final [`Engine::run`]. This is the engine hook the fault-injection
     /// layer uses to pause a simulation mid-workload at a scheduled
-    /// instant; [`crate::fault::FaultPlan`] supplies the instants.
+    /// instant; the CDD's fault injector supplies the instants.
     pub fn run_until(&mut self, t: SimTime) -> SimTime {
         assert!(t >= self.now, "cannot run into the past");
         while let Some((time, kind)) = self.events.pop_due(t) {

@@ -73,7 +73,7 @@ impl Engine {
         let depth = fg.len() + bg.len() + usize::from(slot.current.is_some()) + 1;
         slot.stats.max_queue = slot.stats.max_queue.max(depth);
         let detached = task.detached;
-        if let Some(tr) = self.tracer.as_mut() {
+        if let Some(tr) = &self.tracer {
             let (kind, bytes) = ((&demand).into(), demand.bytes());
             tr.record(
                 now,
@@ -114,7 +114,7 @@ impl Engine {
             slot.stats.bg_queue_wait += waited;
         }
         let done_at = now + st;
-        if let Some(tr) = self.tracer.as_mut() {
+        if let Some(tr) = &self.tracer {
             tr.record(
                 now,
                 TraceEvent::ServiceStarted {
@@ -144,7 +144,7 @@ impl Engine {
             reason = "resource-done events are only queued for busy slots"
         )]
         let done = slot.current.take().expect("resource-done with idle resource");
-        if let Some(tr) = self.tracer.as_mut() {
+        if let Some(tr) = &self.tracer {
             tr.record(
                 self.now,
                 TraceEvent::ServiceFinished {

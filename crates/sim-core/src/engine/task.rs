@@ -117,7 +117,7 @@ impl Engine {
             self.tasks.push(task);
             TaskId(idx)
         };
-        if let Some(tr) = self.tracer.as_mut() {
+        if let Some(tr) = &self.tracer {
             let parent = parent.map(|p| p.0);
             tr.record(self.now, TraceEvent::TaskSpawned { task: tid.0, parent, detached });
             self.stats.on_tracer_records(1);
@@ -212,7 +212,7 @@ impl Engine {
                         b.waiting.push(tid);
                         None
                     };
-                    if let Some(tr) = self.tracer.as_mut() {
+                    if let Some(tr) = &self.tracer {
                         let (barrier, task) = (id.0, tid.0);
                         let event = match opened {
                             Some((cycle, released)) => {
@@ -238,13 +238,13 @@ impl Engine {
         let (detached, job, parent) = (task.detached, task.job, task.parent);
         self.live_total -= 1;
         self.free_tasks.push(tid.0);
-        if let Some(tr) = self.tracer.as_mut() {
+        if let Some(tr) = &self.tracer {
             tr.record(self.now, TraceEvent::TaskFinished { task: tid.0, detached });
             self.stats.on_tracer_records(1);
         }
         if let Some(job) = job {
             self.jobs[job.index()].end = Some(self.now);
-            if let Some(tr) = self.tracer.as_mut() {
+            if let Some(tr) = &self.tracer {
                 tr.record(self.now, TraceEvent::JobFinished { job: job.0 });
                 self.stats.on_tracer_records(1);
             }

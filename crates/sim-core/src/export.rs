@@ -295,7 +295,7 @@ mod tests {
         let mut e = Engine::new();
         let d = e.add_resource("disk0@node0", Box::new(FixedRate::rate(10 << 20)));
         let log = EventLog::new();
-        e.set_tracer(Box::new(log.clone()));
+        e.set_tracer(log.clone());
         e.spawn_job(
             "client0/write",
             seq(vec![

@@ -33,7 +33,7 @@
 //!   plus 127 arms it shares with every other client). It runs exactly
 //!   like the [`Plan::Par`] of its chains; only who owns the steps
 //!   differs.
-//! * **Observed from one stream** — an optional [`Tracer`] receives every
+//! * **Observed from one stream** — an optional [`EventLog`] records every
 //!   job, queue, service and barrier event as a [`TraceEvent`];
 //!   [`RunMetrics::derive`] turns a recorded stream into one typed record
 //!   (queue depths, windowed utilization, the OSM flush backlog, job spans
@@ -58,7 +58,6 @@ pub mod check;
 pub mod demand;
 pub mod engine;
 pub mod export;
-pub mod fault;
 pub mod metrics;
 pub mod plan;
 pub mod prof;
@@ -71,12 +70,11 @@ pub mod validate;
 pub use demand::Demand;
 pub use engine::{DeadlockError, Engine, JobId, JobRecord, RunReport, TaskId};
 pub use export::{chrome_trace_json, json_is_valid};
-pub use fault::FaultPlan;
 pub use metrics::{percentile, JobSpan, ResourceSeries, RunMetrics};
 pub use plan::{BarrierId, Fan, Plan};
 pub use prof::EngineStats;
 pub use resource::{FixedRate, ResourceId, ResourceStats, ServiceModel};
 pub use rng::{fnv1a, SplitMix64};
 pub use time::{SimDuration, SimTime};
-pub use trace::{AccessKind, DemandKind, EventLog, NoopTracer, TimedEvent, TraceEvent, Tracer};
-pub use validate::{PlanContext, PlanError, Strictness};
+pub use trace::{AccessKind, DemandKind, EventLog, TimedEvent, TraceEvent};
+pub use validate::PlanError;

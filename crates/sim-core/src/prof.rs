@@ -30,7 +30,7 @@ pub struct EngineStats {
     /// Pending demands inspected by a non-FIFO pick
     /// ([`crate::ServiceModel::select_next`]); FIFO resources add nothing.
     pub queue_scan_iters: u64,
-    /// Individual `Tracer::record` calls dispatched.
+    /// Individual `EventLog::record` calls dispatched.
     pub tracer_records: u64,
 }
 

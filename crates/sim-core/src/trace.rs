@@ -1,26 +1,21 @@
 //! Deterministic tracing: one owned event type behind a zero-cost hook.
 //!
-//! [`TraceEvent`] is the only event type and [`Tracer::record`] the only
-//! way one is reported. The engine owns an optional boxed [`Tracer`] (see
-//! [`Engine::set_tracer`](crate::Engine::set_tracer)) and so does the CDD
-//! I/O system, for its protocol-level [`TraceEvent::Access`] events; a
-//! clone of one [`EventLog`] installed in both yields one merged stream,
+//! [`TraceEvent`] is the only event type and [`EventLog::record`] the
+//! only way one is reported. The engine holds an optional [`EventLog`]
+//! (see [`Engine::set_tracer`](crate::Engine::set_tracer)) and so does
+//! the CDD I/O system, for its protocol-level [`TraceEvent::Access`]
+//! events; clones of one log installed in both yield one merged stream,
 //! which is also the only record of lock-group grants and releases.
 //! Every emission site builds its event inside the `if let Some(tracer)`
-//! branch, so with no tracer installed a site costs that one branch and
-//! constructs nothing. With a tracer installed the engine reports every
+//! branch, so with no log installed a site costs that one branch and
+//! constructs nothing. With a log installed the engine reports every
 //! job/task transition, resource acquire→service→release step and barrier
 //! wait **at simulated time** — wall clocks never appear in trace
 //! records, which is what makes traces reproducible bit-for-bit across
 //! same-seed runs (the `determinism` verify pass enforces exactly that).
-//!
-//! Two implementations ship here:
-//!
-//! * [`NoopTracer`] — discards everything (the explicit form of the
-//!   default behaviour).
-//! * [`EventLog`] — keeps the [`TimedEvent`] stream behind a cloneable
-//!   handle, so callers keep a handle, install a clone in the engine,
-//!   run, and read the events back afterwards.
+//! The log keeps the [`TimedEvent`] stream behind a cloneable handle, so
+//! callers keep a handle, install a clone in the engine, run, and read
+//! the events back afterwards.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -201,24 +196,6 @@ pub enum TraceEvent {
     },
 }
 
-/// Observer of engine events. Implementations must not consult wall
-/// clocks or other nondeterminism sources: a tracer runs *inside* the
-/// simulation loop and its outputs are covered by the determinism
-/// audits.
-pub trait Tracer: Send {
-    /// Record one event stamped with the simulated time `at`.
-    fn record(&mut self, at: SimTime, event: TraceEvent);
-}
-
-/// A tracer that discards every event (the explicit form of the engine's
-/// default behaviour; useful for measuring tracer overhead).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn record(&mut self, _at: SimTime, _event: TraceEvent) {}
-}
-
 /// A [`TraceEvent`] stamped with the simulated time it occurred.
 /// Events recorded at the same instant keep emission order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,19 +242,14 @@ impl EventLog {
         std::mem::take(&mut *self.buf())
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.buf().len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Tracer for EventLog {
-    fn record(&mut self, at: SimTime, event: TraceEvent) {
+    /// Record one event stamped with the simulated time `at`.
+    ///
+    /// Out of line on purpose: the engine calls this from a dozen sites
+    /// in its hot step functions, and inlining the lock-and-push into
+    /// each of them grows those functions enough to slow untraced runs,
+    /// which only ever take the `None` branch in front of the call.
+    #[inline(never)]
+    pub fn record(&self, at: SimTime, event: TraceEvent) {
         self.buf().push(TimedEvent { at, event });
     }
 }
@@ -307,7 +279,7 @@ mod tests {
         let mut e = Engine::new();
         let r = e.add_resource("disk0", Box::new(FixedRate::per_op(SimDuration::ZERO)));
         let log = EventLog::new();
-        e.set_tracer(Box::new(log.clone()));
+        e.set_tracer(log.clone());
         e.spawn_job("w", seq(vec![use_res(r, busy(10)), use_res(r, busy(20))]));
         e.run().unwrap();
         let evs = log.events();
@@ -331,7 +303,7 @@ mod tests {
         let mut e = Engine::new();
         let r = e.add_resource("d", Box::new(FixedRate::per_op(SimDuration::ZERO)));
         let log = EventLog::new();
-        e.set_tracer(Box::new(log.clone()));
+        e.set_tracer(log.clone());
         e.spawn_job("j", par(vec![use_res(r, busy(10)), use_res(r, busy(10))]));
         e.run().unwrap();
         let depths: Vec<usize> = log
@@ -350,7 +322,7 @@ mod tests {
         let mut e = Engine::new();
         let r = e.add_resource("d", Box::new(FixedRate::per_op(SimDuration::ZERO)));
         let log = EventLog::new();
-        e.set_tracer(Box::new(log.clone()));
+        e.set_tracer(log.clone());
         e.spawn_job(
             "j",
             seq(vec![
@@ -378,7 +350,7 @@ mod tests {
         let bid = BarrierId(3);
         e.register_barrier(bid, 2);
         let log = EventLog::new();
-        e.set_tracer(Box::new(log.clone()));
+        e.set_tracer(log.clone());
         for _ in 0..2 {
             e.spawn_job("c", barrier(bid));
         }
@@ -395,22 +367,6 @@ mod tests {
             .collect();
         assert_eq!(waited, 1);
         assert_eq!(opened, vec![(1, 2)]);
-    }
-
-    #[test]
-    fn clear_tracer_returns_and_stops_recording() {
-        let mut e = Engine::new();
-        let r = e.add_resource("d", Box::new(FixedRate::per_op(SimDuration::ZERO)));
-        let log = EventLog::new();
-        e.set_tracer(Box::new(log.clone()));
-        e.spawn_job("j", use_res(r, busy(1)));
-        e.run().unwrap();
-        let n = log.len();
-        assert!(n > 0);
-        assert!(e.clear_tracer().is_some());
-        e.spawn_job("j2", use_res(r, busy(1)));
-        e.run().unwrap();
-        assert_eq!(log.len(), n, "no events after the tracer was removed");
     }
 
     #[test]

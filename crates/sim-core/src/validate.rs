@@ -74,17 +74,17 @@ impl std::error::Error for PlanError {}
 /// What a plan is validated against: the registered resources and barriers
 /// of the engine that will execute it.
 #[derive(Debug, Clone, Default)]
-pub struct PlanContext {
+pub(crate) struct PlanContext {
     /// Number of registered resources (ids are dense, so a bound suffices).
-    pub resources: usize,
+    pub(crate) resources: usize,
     /// Registered barriers.
-    pub barriers: HashSet<BarrierId>,
+    pub(crate) barriers: HashSet<BarrierId>,
 }
 
 /// Severity classes of [`PlanError`], used to pick which checks gate
 /// spawning (debug assertions) versus full linting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strictness {
+pub(crate) enum Strictness {
     /// Only defects that panic or deadlock the engine outright: unknown
     /// resources, unregistered barriers, barriers in background subtrees.
     Structural,
@@ -98,7 +98,7 @@ fn demand_is_empty_transfer(d: &Demand) -> bool {
 }
 
 /// Walk `plan`, collecting every defect (not just the first).
-pub fn lint_plan(plan: &Plan, ctx: &PlanContext, strictness: Strictness) -> Vec<PlanError> {
+pub(crate) fn lint_plan(plan: &Plan, ctx: &PlanContext, strictness: Strictness) -> Vec<PlanError> {
     let mut errs = Vec::new();
     walk(plan, ctx, strictness, false, &mut errs);
     errs

@@ -119,7 +119,7 @@ fn foreground_waits_only_for_the_background_demand_in_service() {
 fn each_class_is_served_in_arrival_order() {
     let log = EventLog::new();
     let mut e = Engine::new();
-    e.set_tracer(Box::new(log.clone()));
+    e.set_tracer(log.clone());
     let r = e.add_resource("port", Box::new(FixedRate::rate(1_000_000)));
     let xfer = |bytes| use_res(r, Demand::NetXfer { bytes });
     // Arrivals alternate between the classes while 10 is in service (10 µs):
@@ -402,7 +402,7 @@ fn a_job_spawned_after_a_pause_runs_as_if_spawned_up_front() {
     let run = |pause: bool| {
         let log = EventLog::new();
         let mut e = Engine::new();
-        e.set_tracer(Box::new(log.clone()));
+        e.set_tracer(log.clone());
         let r = e.add_resource("d", Box::new(FixedRate::per_op(SimDuration::ZERO)));
         // Three jobs whose first steps are silent delays ending at 5, 6
         // and 7 us, past the pause at t = 0.

@@ -43,7 +43,7 @@ struct Outcome {
 fn run_forest(build: Build) -> (Outcome, Plan, Arc<[Plan]>) {
     let log = EventLog::new();
     let mut e = Engine::new();
-    e.set_tracer(Box::new(log.clone()));
+    e.set_tracer(log.clone());
     let cpu = e.add_resource("cpu", Box::new(FixedRate::per_op(SimDuration::from_micros(3))));
     let port = e.add_resource("port", Box::new(FixedRate::rate(1_000_000)));
     let disk = e.add_resource("disk", Box::new(FixedRate::rate(4_000_000)));

@@ -76,7 +76,7 @@ fn run_forest(tape: &[u64], log: Option<&EventLog>) -> Outcome {
     let mut g = Gen::from_tape(tape);
     let mut e = Engine::new();
     if let Some(log) = log {
-        e.set_tracer(Box::new(log.clone()));
+        e.set_tracer(log.clone());
     }
     let mut models: Vec<FixedRate> = (0..g.usize_in(1..4))
         .map(|_| {

@@ -68,7 +68,7 @@ fn tracer_does_not_perturb_results() {
             let r = e.add_resource("d", Box::new(FixedRate::rate(8 << 20)));
             let log = EventLog::new();
             if traced {
-                e.set_tracer(Box::new(log.clone()));
+                e.set_tracer(log.clone());
             }
             for j in 0..gg.usize_in(1..5) {
                 e.spawn_job(format!("j{j}"), use_res(r, random_demand(&mut gg)));

@@ -45,7 +45,7 @@ fn service_order(policy: SchedPolicy) -> Vec<u32> {
     let mut e = Engine::new();
     let d = e.add_resource("disk", Box::new(DiskModel::new(spec, 7)));
     let log = EventLog::new();
-    e.set_tracer(Box::new(log.clone()));
+    e.set_tracer(log.clone());
     e.spawn_job("batch", par(batch().into_iter().map(|dm| use_res(d, dm)).collect()));
     e.run().expect("no barriers, cannot deadlock");
     // The root is task 0 and the `Par` children are tasks 1..=n in order.

@@ -115,8 +115,8 @@ fn one_run(arch: Arch, traced: bool) -> (Vec<TimedEvent>, Engine) {
     let (mut engine, mut sys) = cdd::testkit::shape(4, 2, 8 << 20, arch);
     let log = EventLog::new();
     if traced {
-        engine.set_tracer(Box::new(log.clone()));
-        sys.set_tracer(Box::new(log.clone()));
+        engine.set_tracer(log.clone());
+        sys.set_tracer(log.clone());
     }
     let cfg = ParallelIoConfig {
         clients: 4,

@@ -16,7 +16,7 @@
 //! * **Determinism under faults** — each scenario runs twice with one
 //!   [`EventLog`] installed in the engine and the I/O system; the full
 //!   event streams must fingerprint identically. Same seed + same
-//!   [`FaultPlan`] ⇒ the same execution, which is what makes an injected
+//!   [`FaultInjector`] schedule ⇒ the same execution, which is what makes an injected
 //!   failure debuggable. One FNV-1a digest over each architecture's
 //!   `name fingerprint` lines is pinned, so a change that moves any event
 //!   of any cell fails too.
@@ -34,7 +34,7 @@ use cdd::{FaultEvent, FaultInjector, IoSystem};
 use raidx_core::Arch;
 use sim_core::check::Gen;
 use sim_core::trace::EventLog;
-use sim_core::{FaultPlan, SimTime};
+use sim_core::SimTime;
 use workloads::op_script::{check_against_model, gen_script, run_script, with_rereads, ScriptOp};
 
 use crate::determinism::stream_fingerprint;
@@ -156,10 +156,10 @@ pub fn scenarios() -> Vec<SweepScenario> {
     out
 }
 
-fn build_plan(kind: FaultKind, inject_at: usize) -> FaultPlan<FaultEvent> {
+fn build_plan(kind: FaultKind, inject_at: usize) -> FaultInjector {
     let inject = inject_at as u64;
     let repair = inject + REPAIR_GAP;
-    let mut plan = FaultPlan::new();
+    let mut plan = FaultInjector::new();
     match kind {
         FaultKind::Permanent => {
             plan.at_op(inject, FaultEvent::DiskFail { disk: TARGET_DISK });
@@ -212,7 +212,7 @@ fn post_recovery_problems(sys: &mut IoSystem, kind: FaultKind) -> Vec<String> {
         if sys.migration_pending() != 0 {
             problems.push(format!("{} blocks still pending migration", sys.migration_pending()));
         }
-        if sys.cluster_map().slot_of(TARGET_DISK).is_some() {
+        if sys.slot_of(TARGET_DISK).is_some() {
             problems.push("retired disk still serves a slot".into());
         }
         if sys.epoch() < 2 {
@@ -236,9 +236,9 @@ pub fn run_scenario(sc: &SweepScenario, ops: &[ScriptOp], cache: bool) -> SweepO
     };
     let (mut engine, mut sys) = cdd::testkit::shape_with(4, 1, 8 << 20, sc.arch, cdd_cfg);
     let log = EventLog::new();
-    engine.set_tracer(Box::new(log.clone()));
-    sys.set_tracer(Box::new(log.clone()));
-    let mut inj = FaultInjector::new(build_plan(sc.kind, sc.inject_at));
+    engine.set_tracer(log.clone());
+    sys.set_tracer(log.clone());
+    let mut inj = build_plan(sc.kind, sc.inject_at);
 
     let mut problems = Vec::new();
     match run_script(&mut engine, &mut sys, ops, Some(&mut inj)) {
@@ -416,7 +416,7 @@ mod tests {
 
                 // Faulted run.
                 let (mut engine, mut sys) = cdd::testkit::shape(4, 1, 8 << 20, arch);
-                let mut inj = FaultInjector::new(build_plan(kind, inject_at));
+                let mut inj = build_plan(kind, inject_at);
                 let out = run_script(&mut engine, &mut sys, &ops, Some(&mut inj))
                     .expect("faulted script run");
                 assert_eq!(inj.pending(), 0, "a trigger was never reached");

@@ -17,7 +17,7 @@
 #[cfg(test)]
 mod tests {
     use raidx_core::Arch;
-    use sim_core::trace::NoopTracer;
+    use sim_core::EventLog;
     use workloads::parallel_io::{run_parallel_io, IoPattern, ParallelIoConfig};
 
     /// Baseline of [`smoke_work`].
@@ -36,7 +36,7 @@ mod tests {
     /// `tracer_records` is exercised too).
     fn smoke_work() -> Vec<(&'static str, u64)> {
         let (mut engine, mut sys) = cdd::testkit::shape(4, 1, 8 << 20, Arch::RaidX);
-        engine.set_tracer(Box::new(NoopTracer));
+        engine.set_tracer(EventLog::new());
         let cfg = ParallelIoConfig {
             clients: 4,
             pattern: IoPattern::LargeWrite,
