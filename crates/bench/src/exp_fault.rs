@@ -68,30 +68,44 @@ pub fn single_failure(arch: Arch) -> FaultPoint {
     }
 }
 
-/// Foreground cost of rebuilding while clients keep issuing I/O.
-#[derive(Debug, Clone)]
-pub struct RebuildLoadPoint {
-    /// Foreground load duration on the healthy array (seconds).
-    pub fg_healthy_secs: f64,
-    /// Foreground load duration while the rebuild runs in the
-    /// background (degraded routing + rebuild contention).
-    pub fg_rebuild_secs: f64,
-    /// Time until the background rebuild itself drained (seconds).
-    pub rebuild_drain_secs: f64,
-    /// Blocks the rebuild restored.
-    pub rebuilt_blocks: usize,
+/// The background job an [`under_load`] measurement runs beside the
+/// foreground clients.
+#[derive(Debug, Clone, Copy)]
+pub enum Disturbance {
+    /// Fail disk 3, then rebuild it: degraded routing plus the rebuild's
+    /// reconstruction traffic.
+    Rebuild,
+    /// Hot-add a spare and retire the healthy disk 3 onto it, then drain
+    /// the epoch map's incremental migration — the cost of reshaping a
+    /// *healthy* array.
+    Rebalance,
 }
 
-impl RebuildLoadPoint {
-    /// Foreground slowdown factor under the rebuild.
+/// Foreground cost of a background rebuild or rebalance while clients
+/// keep issuing I/O.
+#[derive(Debug, Clone)]
+pub struct LoadPoint {
+    /// Foreground load duration on the undisturbed array (seconds).
+    pub fg_healthy_secs: f64,
+    /// Foreground load duration while the background job runs (seconds).
+    pub fg_disturbed_secs: f64,
+    /// Time until the background job itself drained (seconds).
+    pub drain_secs: f64,
+    /// Blocks the background job restored or moved.
+    pub blocks: usize,
+}
+
+impl LoadPoint {
+    /// Foreground slowdown factor under the background job.
     pub fn slowdown(&self) -> f64 {
-        self.fg_rebuild_secs / self.fg_healthy_secs
+        self.fg_disturbed_secs / self.fg_healthy_secs
     }
 }
 
 /// Spawn the foreground load: four clients each reading the whole seeded
 /// dataset in 32-block chunks. Plans are built against the array's
-/// *current* fault state, so the degraded run routes around the dead disk.
+/// *current* fault state and epoch, so a disturbed run routes around the
+/// dead disk or to the old home of a still-pending block.
 fn spawn_foreground(engine: &mut Engine, sys: &mut IoSystem, nblocks: u64) {
     for client in 0..4usize {
         for chunk in (0..nblocks).step_by(32) {
@@ -101,119 +115,82 @@ fn spawn_foreground(engine: &mut Engine, sys: &mut IoSystem, nblocks: u64) {
     }
 }
 
-/// Measure rebuild-under-load for one architecture: foreground read load
-/// on the healthy array vs the same load issued degraded while the
-/// rebuild of the failed disk runs as a *background* job on the same
-/// disks and links, served only when no foreground demand waits there.
-pub fn rebuild_under_load(arch: Arch) -> RebuildLoadPoint {
+/// Measure one architecture under load: the foreground read load on the
+/// healthy array vs the same load issued while `disturb` runs as a
+/// *background* job on the same disks and links, served only when no
+/// foreground demand waits there.
+pub fn under_load(arch: Arch, disturb: Disturbance) -> LoadPoint {
     let nblocks = 256u64;
     let mut cc = ClusterConfig::trojans();
     cc.disk.capacity = 512 << 20;
-    let seed = |engine: &mut Engine, sys: &mut IoSystem| {
-        let bs = sys.block_size() as usize;
-        let data = dataset(nblocks, bs);
+    let seeded = || {
+        let mut engine = Engine::new();
+        let mut sys = IoSystem::new(&mut engine, cc.clone(), arch, CddConfig::default());
+        let data = dataset(nblocks, sys.block_size() as usize);
         let wp = sys.write(0, 0, &data).expect("seed write");
         engine.spawn_job("seed", wp);
         engine.run().expect("seed run");
+        (engine, sys)
     };
 
     // Healthy baseline.
-    let mut engine = Engine::new();
-    let mut sys = IoSystem::new(&mut engine, cc.clone(), arch, CddConfig::default());
-    seed(&mut engine, &mut sys);
+    let (mut engine, mut sys) = seeded();
     let t0 = engine.now();
     spawn_foreground(&mut engine, &mut sys, nblocks);
     let report = engine.run().expect("healthy fg run");
     let fg_healthy_secs = report.foreground_end.since(t0).as_secs_f64();
 
-    // Degraded foreground + background rebuild, same seeded state.
-    let mut engine = Engine::new();
-    let mut sys = IoSystem::new(&mut engine, cc, arch, CddConfig::default());
-    seed(&mut engine, &mut sys);
-    sys.fail_disk(3);
+    // Same seeded state, disturbed. The foreground is planned after the
+    // array changes and before the background job, so the clients run
+    // exactly as they would mid-recovery or mid-migration.
+    let (mut engine, mut sys) = seeded();
+    match disturb {
+        Disturbance::Rebuild => sys.fail_disk(3),
+        Disturbance::Rebalance => {
+            sys.add_disk(&mut engine, 0).expect("hot-add spare");
+            sys.remove_disk(0, 3).expect("retire disk 3");
+        }
+    }
     let t0 = engine.now();
-    // Plan the foreground first (degraded routing), then the rebuild, so
-    // the clients run exactly as they would mid-recovery.
     spawn_foreground(&mut engine, &mut sys, nblocks);
-    let (rebuild_plan, rebuilt_blocks) = sys.rebuild_disk(3, 3).expect("rebuild plan");
-    engine.spawn_job("rebuild", background(rebuild_plan));
-    let report = engine.run().expect("rebuild-under-load run");
-    RebuildLoadPoint {
-        fg_healthy_secs,
-        fg_rebuild_secs: report.foreground_end.since(t0).as_secs_f64(),
-        rebuild_drain_secs: report.end.since(t0).as_secs_f64(),
-        rebuilt_blocks,
-    }
-}
-
-/// Foreground cost of an epoch-map rebalance: retiring a healthy disk
-/// onto a hot-added spare while clients keep reading.
-#[derive(Debug, Clone)]
-pub struct RebalanceLoadPoint {
-    /// Foreground load duration on the static array (seconds).
-    pub fg_healthy_secs: f64,
-    /// Foreground load duration while the migration drains in the
-    /// background (old-home routing + copy contention).
-    pub fg_rebalance_secs: f64,
-    /// Time until the background migration itself drained (seconds).
-    pub rebalance_drain_secs: f64,
-    /// Blocks the migration moved.
-    pub moved_blocks: usize,
-}
-
-impl RebalanceLoadPoint {
-    /// Foreground slowdown factor under the migration.
-    pub fn slowdown(&self) -> f64 {
-        self.fg_rebalance_secs / self.fg_healthy_secs
-    }
-}
-
-/// Measure rebalance-under-load for one architecture: the same foreground
-/// read load as [`rebuild_under_load`], but the background job is the
-/// incremental migration draining a disk-retirement epoch transition
-/// instead of a post-failure rebuild — the cost the epoch-versioned map
-/// pays to reshape a *healthy* array.
-pub fn rebalance_under_load(arch: Arch) -> RebalanceLoadPoint {
-    let nblocks = 256u64;
-    let mut cc = ClusterConfig::trojans();
-    cc.disk.capacity = 512 << 20;
-    let seed = |engine: &mut Engine, sys: &mut IoSystem| {
-        let bs = sys.block_size() as usize;
-        let data = dataset(nblocks, bs);
-        let wp = sys.write(0, 0, &data).expect("seed write");
-        engine.spawn_job("seed", wp);
-        engine.run().expect("seed run");
+    let (name, plan, blocks) = match disturb {
+        Disturbance::Rebuild => {
+            let (plan, blocks) = sys.rebuild_disk(3, 3).expect("rebuild plan");
+            ("rebuild", plan, blocks)
+        }
+        Disturbance::Rebalance => {
+            let out = sys.rebalance(3, None).expect("rebalance plan");
+            assert!(out.finished, "unbounded rebalance must drain the migration");
+            ("rebalance", out.plan, out.restored)
+        }
     };
-
-    // Static (epoch-0) baseline.
-    let mut engine = Engine::new();
-    let mut sys = IoSystem::new(&mut engine, cc.clone(), arch, CddConfig::default());
-    seed(&mut engine, &mut sys);
-    let t0 = engine.now();
-    spawn_foreground(&mut engine, &mut sys, nblocks);
-    let report = engine.run().expect("healthy fg run");
-    let fg_healthy_secs = report.foreground_end.since(t0).as_secs_f64();
-
-    // Epoch transition + foreground load + background migration drain.
-    let mut engine = Engine::new();
-    let mut sys = IoSystem::new(&mut engine, cc, arch, CddConfig::default());
-    seed(&mut engine, &mut sys);
-    sys.add_disk(&mut engine, 0).expect("hot-add spare");
-    sys.remove_disk(0, 3).expect("retire disk 3");
-    let t0 = engine.now();
-    // Plan the foreground first: mid-migration reads of still-pending
-    // blocks route to the old home, exactly as clients would see them.
-    spawn_foreground(&mut engine, &mut sys, nblocks);
-    let out = sys.rebalance(3, None).expect("rebalance plan");
-    assert!(out.finished, "unbounded rebalance must drain the migration");
-    engine.spawn_job("rebalance", background(out.plan));
-    let report = engine.run().expect("rebalance-under-load run");
-    RebalanceLoadPoint {
+    engine.spawn_job(name, background(plan));
+    let report = engine.run().expect("under-load run");
+    LoadPoint {
         fg_healthy_secs,
-        fg_rebalance_secs: report.foreground_end.since(t0).as_secs_f64(),
-        rebalance_drain_secs: report.end.since(t0).as_secs_f64(),
-        moved_blocks: out.restored,
+        fg_disturbed_secs: report.foreground_end.since(t0).as_secs_f64(),
+        drain_secs: report.end.since(t0).as_secs_f64(),
+        blocks,
     }
+}
+
+/// One [`under_load`] table over every architecture, under `headers`.
+fn load_table(disturb: Disturbance, headers: &[&str]) -> String {
+    let rows: Vec<Vec<String>> = [Arch::Raid5, Arch::Chained, Arch::Raid10, Arch::RaidX]
+        .into_iter()
+        .map(|arch| {
+            let p = under_load(arch, disturb);
+            vec![
+                arch.name().to_string(),
+                format!("{:.4}", p.fg_healthy_secs),
+                format!("{:.4}", p.fg_disturbed_secs),
+                format!("{:.2}x", p.slowdown()),
+                format!("{:.4}", p.drain_secs),
+                p.blocks.to_string(),
+            ]
+        })
+        .collect();
+    md_table(headers, &rows)
 }
 
 /// The paper's 4×3 claim: three simultaneous failures, one per row,
@@ -268,29 +245,17 @@ pub fn render() -> String {
          (paper: up to 3 failures tolerated, one per row).\n",
     ));
     out.push_str("\n### Rebuild under continuing foreground load\n\n");
-    let headers = [
-        "Architecture",
-        "fg healthy (s)",
-        "fg during rebuild (s)",
-        "slowdown",
-        "rebuild drain (s)",
-        "Blocks rebuilt",
-    ];
-    let rows: Vec<Vec<String>> = [Arch::Raid5, Arch::Chained, Arch::Raid10, Arch::RaidX]
-        .into_iter()
-        .map(|arch| {
-            let p = rebuild_under_load(arch);
-            vec![
-                arch.name().to_string(),
-                format!("{:.4}", p.fg_healthy_secs),
-                format!("{:.4}", p.fg_rebuild_secs),
-                format!("{:.2}x", p.slowdown()),
-                format!("{:.4}", p.rebuild_drain_secs),
-                p.rebuilt_blocks.to_string(),
-            ]
-        })
-        .collect();
-    out.push_str(&md_table(&headers, &rows));
+    out.push_str(&load_table(
+        Disturbance::Rebuild,
+        &[
+            "Architecture",
+            "fg healthy (s)",
+            "fg during rebuild (s)",
+            "slowdown",
+            "rebuild drain (s)",
+            "Blocks rebuilt",
+        ],
+    ));
     out.push_str(
         "\nThe rebuild runs as a background job beside four clients \
          re-reading the dataset degraded. Its reads and writes are \
@@ -306,29 +271,17 @@ pub fn render() -> String {
          `max_image_backlog`).\n",
     );
     out.push_str("\n### Rebalance under continuing foreground load\n\n");
-    let headers = [
-        "Architecture",
-        "fg static (s)",
-        "fg during rebalance (s)",
-        "slowdown",
-        "migration drain (s)",
-        "Blocks moved",
-    ];
-    let rows: Vec<Vec<String>> = [Arch::Raid5, Arch::Chained, Arch::Raid10, Arch::RaidX]
-        .into_iter()
-        .map(|arch| {
-            let p = rebalance_under_load(arch);
-            vec![
-                arch.name().to_string(),
-                format!("{:.4}", p.fg_healthy_secs),
-                format!("{:.4}", p.fg_rebalance_secs),
-                format!("{:.2}x", p.slowdown()),
-                format!("{:.4}", p.rebalance_drain_secs),
-                p.moved_blocks.to_string(),
-            ]
-        })
-        .collect();
-    out.push_str(&md_table(&headers, &rows));
+    out.push_str(&load_table(
+        Disturbance::Rebalance,
+        &[
+            "Architecture",
+            "fg static (s)",
+            "fg during rebalance (s)",
+            "slowdown",
+            "migration drain (s)",
+            "Blocks moved",
+        ],
+    ));
     out.push_str(
         "\nHere the array is healthy: a hot-added spare absorbs a retired \
          disk via the epoch map's incremental migration, so only that \
@@ -363,33 +316,30 @@ mod tests {
 
     #[test]
     fn rebalance_under_load_moves_only_the_retired_disk() {
-        let p = rebalance_under_load(Arch::RaidX);
-        assert!(p.moved_blocks > 0, "migration moved nothing");
+        let p = under_load(Arch::RaidX, Disturbance::Rebalance);
+        assert!(p.blocks > 0, "migration moved nothing");
         assert!(p.fg_healthy_secs > 0.0);
-        assert!(p.rebalance_drain_secs >= p.fg_healthy_secs * 0.1);
-        let r = rebuild_under_load(Arch::RaidX);
+        assert!(p.drain_secs >= p.fg_healthy_secs * 0.1);
+        let r = under_load(Arch::RaidX, Disturbance::Rebuild);
         assert!(
-            p.moved_blocks <= r.rebuilt_blocks,
+            p.blocks <= r.blocks,
             "migration ({}) moved more blocks than a full rebuild restored ({})",
-            p.moved_blocks,
-            r.rebuilt_blocks
+            p.blocks,
+            r.blocks
         );
     }
 
     #[test]
     fn rebuild_under_load_costs_foreground_time() {
-        let p = rebuild_under_load(Arch::RaidX);
-        assert!(p.rebuilt_blocks > 0);
+        let p = under_load(Arch::RaidX, Disturbance::Rebuild);
+        assert!(p.blocks > 0);
         assert!(p.fg_healthy_secs > 0.0);
         assert!(
-            p.fg_rebuild_secs >= p.fg_healthy_secs,
+            p.fg_disturbed_secs >= p.fg_healthy_secs,
             "degraded+rebuild foreground {:.4}s beat healthy {:.4}s",
-            p.fg_rebuild_secs,
+            p.fg_disturbed_secs,
             p.fg_healthy_secs
         );
-        assert!(
-            p.rebuild_drain_secs >= p.fg_rebuild_secs * 0.5,
-            "rebuild drained implausibly fast"
-        );
+        assert!(p.drain_secs >= p.fg_disturbed_secs * 0.5, "rebuild drained implausibly fast");
     }
 }

@@ -6,8 +6,9 @@
 /// balancing" the paper names as the Trojans project's next phase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadBalance {
-    /// Follow the layout's static preference (alternate copies by row —
-    /// the behaviour of the original prototype).
+    /// Follow the layout's static preference, `Layout::prefers_image`
+    /// (alternate copies by row — the behaviour of the original
+    /// prototype).
     #[default]
     LayoutPreference,
     /// Always read the primary copy (mirrors serve only failures).

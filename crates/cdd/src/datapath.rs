@@ -76,7 +76,6 @@ impl IoSystem {
             chain.push(self.lock_round(client));
         }
         if blocked {
-            self.timeouts += 1;
             self.failovers += 1;
             chain.push(delay(REQUEST_TIMEOUT));
         }
@@ -96,7 +95,6 @@ impl IoSystem {
         data: &[u8],
     ) -> Result<Plan, IoError> {
         match self.layout.write_scheme() {
-            WriteScheme::None => self.write_plain(faults, client, lb0, nblocks, data),
             WriteScheme::ForegroundMirror => {
                 self.write_mirrored(faults, client, lb0, nblocks, data, false)
             }
@@ -206,7 +204,6 @@ impl IoSystem {
             }
         }
         if blocked {
-            self.timeouts += 1;
             self.failovers += 1;
         }
 

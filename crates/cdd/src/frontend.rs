@@ -8,7 +8,7 @@
 //! coalescing of adjacent blocks (re-exported from [`crate::runs`]), and
 //! replica selection for reads ([`ReadBalancer`]).
 
-use raidx_core::{FaultSet, Layout, ReadSource};
+use raidx_core::{FaultSet, Layout};
 
 use crate::config::ReadBalance;
 use crate::error::IoError;
@@ -103,7 +103,7 @@ impl ReadBalancer {
         let choice = match self.policy {
             ReadBalance::PrimaryOnly => None,
             ReadBalance::LayoutPreference => {
-                if matches!(layout.read_source(run.lbs[0], faults), ReadSource::Image(_)) {
+                if layout.prefers_image(run.lbs[0]) {
                     Self::image_run_of(layout, faults, run)
                 } else {
                     None

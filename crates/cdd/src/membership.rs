@@ -10,7 +10,7 @@
 //! bounded, crash-idempotent steps while reads keep resolving pending
 //! blocks against the old home. A full-disk replace is just
 //! `add_disk` + `remove_disk`; the cost difference against a full
-//! rebuild is what the `rebalance_under_load` bench table quantifies.
+//! rebuild is what the bench's rebalance-under-load table quantifies.
 
 use std::collections::BTreeSet;
 

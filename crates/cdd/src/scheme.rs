@@ -6,7 +6,6 @@
 //! the whole write policy — placement, fault handling, functional data
 //! movement and the timing plan:
 //!
-//! * [`IoSystem::write_plain`] (`None`) — plain striping.
 //! * [`IoSystem::write_mirrored`] (`ForegroundMirror` / `BackgroundMirror`)
 //!   — both copies foreground (RAID-10, chained declustering), or RAID-x
 //!   OSM write-behind: the ack follows the data writes and images buffer
@@ -72,31 +71,6 @@ impl IoSystem {
     pub(crate) fn get_block(&mut self, a: BlockAddr) -> Result<Block, IoError> {
         let h = self.placer.read_home(a);
         Ok(self.plane.get(h.disk, h.block)?)
-    }
-
-    /// Plain striping: every block to its data disk, acked in parallel.
-    /// `faults` is the client's slot fault set.
-    pub(crate) fn write_plain(
-        &mut self,
-        faults: &FaultSet,
-        client: usize,
-        lb0: u64,
-        nblocks: u64,
-        data: &[u8],
-    ) -> Result<Plan, IoError> {
-        let bs = self.block_size() as usize;
-        let mut placements = Vec::with_capacity(nblocks as usize);
-        for lb in lb0..lb0 + nblocks {
-            let a = self.layout.locate_data(lb);
-            if faults.contains(a.disk) {
-                return Err(IoError::DataLoss { lb });
-            }
-            placements.push((lb, a));
-        }
-        for &(lb, a) in &placements {
-            self.put_block(a, block_at(data, bs, lb0, lb).into())?;
-        }
-        Ok(par(self.acked_writes(client, placements)))
     }
 
     /// Mirrored writes: foreground both-copies (RAID-10, chained), or
@@ -190,13 +164,13 @@ impl IoSystem {
 mod tests {
     use super::*;
     use crate::testkit::shape;
-    use raidx_core::{Arch, Raid0, WriteScheme};
+    use raidx_core::{Arch, WriteScheme};
 
-    const SCHEMES: [WriteScheme; 4] = [
-        WriteScheme::None,
-        WriteScheme::ForegroundMirror,
-        WriteScheme::BackgroundMirror,
-        WriteScheme::Parity,
+    /// Each write scheme and the architecture that uses it.
+    const SCHEMES: [(WriteScheme, Arch); 3] = [
+        (WriteScheme::ForegroundMirror, Arch::Raid10),
+        (WriteScheme::BackgroundMirror, Arch::RaidX),
+        (WriteScheme::Parity, Arch::Raid5),
     ];
 
     /// A refused write is a no-op under every scheme: whichever block of
@@ -204,17 +178,8 @@ mod tests {
     /// image queue, the plane and what scrub sees are as before the call.
     #[test]
     fn a_refused_write_changes_nothing() {
-        for scheme in SCHEMES {
-            let arch = match scheme {
-                WriteScheme::ForegroundMirror => Arch::Raid10,
-                WriteScheme::Parity => Arch::Raid5,
-                WriteScheme::None | WriteScheme::BackgroundMirror => Arch::RaidX,
-            };
+        for (scheme, arch) in SCHEMES {
             let (_engine, mut sys) = shape(4, 1, 4 << 20, arch);
-            if scheme == WriteScheme::None {
-                // No `Arch` stripes without redundancy; the layout does.
-                sys.layout = Box::new(Raid0::new(4, sys.cluster.cfg.blocks_per_disk()));
-            }
             assert_eq!(sys.layout.write_scheme(), scheme);
             let bs = sys.block_size() as usize;
             sys.write(0, 0, &vec![0x42; 12 * bs]).expect("healthy seed");

@@ -90,9 +90,10 @@ pub struct IoSystem {
     pub(crate) backlog_samples: Option<Vec<(u64, usize)>>,
     /// Completed writes so far: the backlog sampler's sequence counter.
     pub(crate) op_seq: u64,
-    /// Request attempts that timed out against an unresponsive node.
-    pub(crate) timeouts: u64,
-    /// Requests that failed over to a replica after a timeout.
+    /// Requests that timed out once against an unresponsive node and
+    /// failed over to another copy: every timeout fails over exactly once,
+    /// so this one count is both [`IoSystem::timeouts`] and
+    /// [`IoSystem::failovers`].
     pub(crate) failovers: u64,
     /// Optional recorder of the lock record: the [`TraceEvent::Access`]
     /// events of [`IoSystem::with_grant`] (every grant's `Acquire` and
@@ -168,7 +169,6 @@ impl IoSystem {
             balancer,
             backlog_samples: None,
             op_seq: 0,
-            timeouts: 0,
             failovers: 0,
             tracer: None,
             trace_ticks: 0,
@@ -262,9 +262,10 @@ impl IoSystem {
         self.parked.values().map(BTreeSet::len).sum()
     }
 
-    /// Request attempts that timed out against an unresponsive node.
+    /// Request attempts that timed out against an unresponsive node. Each
+    /// fails over exactly once, so this equals [`IoSystem::failovers`].
     pub fn timeouts(&self) -> u64 {
-        self.timeouts
+        self.failovers
     }
 
     /// Requests that failed over to a surviving replica after a timeout.

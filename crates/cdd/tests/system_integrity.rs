@@ -43,7 +43,7 @@ fn roundtrip_every_architecture() {
 }
 
 #[test]
-fn roundtrip_raid0() {
+fn roundtrip_unaligned_multi_stripe() {
     let (_e, mut s) = sys(Arch::RaidX);
     let bs = s.block_size() as usize;
     // Unaligned multi-stripe write then partial reads.

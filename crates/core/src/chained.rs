@@ -6,7 +6,7 @@
 //! in the foreground on writes — the factor-of-two RAID-x recovers by
 //! deferring its clustered images.
 
-use crate::layout::{Layout, ReadSource, WriteScheme};
+use crate::layout::{Layout, WriteScheme};
 use crate::types::{BlockAddr, FaultSet};
 
 /// Chained-declustering array: primary of block `b` on disk `b mod N`
@@ -64,20 +64,10 @@ impl Layout for ChainedDecluster {
         vec![BlockAddr::new(disk, self.half() + lb / n)]
     }
 
-    fn read_source(&self, lb: u64, failed: &FaultSet) -> ReadSource {
+    /// Balance reads over the chain: alternate by row+column parity.
+    fn prefers_image(&self, lb: u64) -> bool {
         let d = self.locate_data(lb);
-        let img = self.locate_images(lb)[0];
-        let d_ok = !failed.contains(d.disk);
-        let i_ok = !failed.contains(img.disk);
-        // Balance reads over the chain: alternate by row+column parity.
-        let prefer_primary = (d.block + d.disk as u64).is_multiple_of(2);
-        match (d_ok, i_ok) {
-            (true, true) if prefer_primary => ReadSource::Primary(d),
-            (true, true) => ReadSource::Image(img),
-            (true, false) => ReadSource::Primary(d),
-            (false, true) => ReadSource::Image(img),
-            (false, false) => ReadSource::Lost,
-        }
+        !(d.block + d.disk as u64).is_multiple_of(2)
     }
 
     fn tolerates(&self, failed: &FaultSet) -> bool {
@@ -94,7 +84,7 @@ impl Layout for ChainedDecluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::check_layout_invariants;
+    use crate::layout::{check_layout_invariants, ReadSource};
 
     #[test]
     fn image_is_skewed_one_disk() {
@@ -127,11 +117,8 @@ mod tests {
     #[test]
     fn reads_balance_across_copies() {
         let l = ChainedDecluster::new(4, 40);
-        let none = FaultSet::none();
-        let primaries = (0..80)
-            .filter(|&lb| matches!(l.read_source(lb, &none), ReadSource::Primary(_)))
-            .count();
-        assert_eq!(primaries, 40);
+        let images = (0..80).filter(|&lb| l.prefers_image(lb)).count();
+        assert_eq!(images, 40);
     }
 
     #[test]

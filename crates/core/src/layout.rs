@@ -2,13 +2,14 @@
 //!
 //! A layout is pure address arithmetic: it maps logical blocks of the single
 //! I/O space to physical `(disk, block)` addresses for data, mirror images
-//! and parity, and answers redundancy questions (where to read from under
-//! failures, which fault sets are survivable). The I/O engines in the `cdd`
-//! crate turn these answers into network/disk traffic.
+//! and parity, and says which fault sets are survivable. Read routing under
+//! failures ([`Layout::read_source`]) is derived from those placement
+//! answers once, for every layout. The I/O engines in the `cdd` crate turn
+//! these answers into network/disk traffic.
 
 use crate::types::{BlockAddr, FaultSet};
 
-/// Where a degraded-mode read gets its bytes.
+/// Where a read of one logical block gets its bytes, given the failed set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadSource {
     /// The primary copy is available.
@@ -30,8 +31,6 @@ pub enum ReadSource {
 /// How a layout protects writes; drives the I/O engine's write path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WriteScheme {
-    /// No redundancy (RAID-0).
-    None,
     /// Write a mirror copy in the foreground (RAID-10, chained
     /// declustering).
     ForegroundMirror,
@@ -65,7 +64,7 @@ pub trait Layout: Send + Sync {
     /// Physical location of the primary copy of logical block `lb`.
     fn locate_data(&self, lb: u64) -> BlockAddr;
 
-    /// Locations of all mirror images of `lb` (empty for RAID-0/RAID-5).
+    /// Locations of all mirror images of `lb` (empty for RAID-5).
     fn locate_images(&self, lb: u64) -> Vec<BlockAddr>;
 
     /// Location of the parity block protecting `lb` (RAID-5 only).
@@ -86,9 +85,43 @@ pub trait Layout: Send + Sync {
         (s * n..(s + 1) * n).filter(|&lb| lb < self.capacity_blocks()).collect()
     }
 
-    /// Where to read `lb` from, given the failed set. Layouts that balance
-    /// reads across copies may return an image even with no failures.
-    fn read_source(&self, lb: u64, failed: &FaultSet) -> ReadSource;
+    /// Where to read `lb` from, given the failed set: the primary if it
+    /// survives, else the first surviving image, else a parity
+    /// reconstruction when the parity and every other member of the
+    /// stripe survive, else [`ReadSource::Lost`]. Derived from the
+    /// placement answers above; no layout overrides it.
+    fn read_source(&self, lb: u64, failed: &FaultSet) -> ReadSource {
+        let d = self.locate_data(lb);
+        if !failed.contains(d.disk) {
+            return ReadSource::Primary(d);
+        }
+        if let Some(img) = self.locate_images(lb).into_iter().find(|a| !failed.contains(a.disk)) {
+            return ReadSource::Image(img);
+        }
+        let Some(parity) = self.locate_parity(lb).filter(|p| !failed.contains(p.disk)) else {
+            return ReadSource::Lost;
+        };
+        let mut siblings = Vec::new();
+        for sib in self.stripe_blocks(self.stripe_of(lb).0) {
+            if sib == lb {
+                continue;
+            }
+            let addr = self.locate_data(sib);
+            if failed.contains(addr.disk) {
+                return ReadSource::Lost;
+            }
+            siblings.push((sib, addr));
+        }
+        ReadSource::Reconstruct { siblings, parity }
+    }
+
+    /// Whether a healthy read of `lb` should prefer its image over its
+    /// primary, to spread read load over both copies. A read policy, not
+    /// routing: [`Layout::read_source`] never consults it.
+    fn prefers_image(&self, lb: u64) -> bool {
+        let _ = lb;
+        false
+    }
 
     /// For `BackgroundMirror` layouts: the identity of the mirroring group
     /// `lb`'s image belongs to and the group's size. The I/O engine's
@@ -99,22 +132,13 @@ pub trait Layout: Send + Sync {
         None
     }
 
-    /// True if no data is lost under `failed`.
+    /// True if no data is lost under `failed`: exactly when no block reads
+    /// as [`ReadSource::Lost`].
     fn tolerates(&self, failed: &FaultSet) -> bool;
 
-    /// Upper bound on simultaneous failures that are *always* survivable
-    /// regardless of which disks fail (Table 2's "max fault coverage" row
-    /// reports the best case; this is the guaranteed one).
-    fn guaranteed_fault_tolerance(&self) -> usize {
-        if matches!(self.write_scheme(), WriteScheme::None) {
-            0
-        } else {
-            1
-        }
-    }
-
     /// Best-case simultaneous failures survivable when placed favourably
-    /// (e.g. one per mirror pair for RAID-10, one per row for RAID-x).
+    /// (e.g. one per mirror pair for RAID-10, one per row for RAID-x):
+    /// Table 2's "max fault coverage" row.
     fn max_fault_coverage(&self) -> usize;
 }
 

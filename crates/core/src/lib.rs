@@ -10,9 +10,11 @@
 //! ([`fault::plan_rebuild`]).
 //!
 //! Nothing in this crate touches the simulator: layouts answer *where*
-//! blocks and their redundancy live and *what* to do on failure. The `cdd`
-//! crate turns those answers into cluster traffic, and the `cluster` crate's
-//! data plane stores the actual bytes.
+//! blocks and their redundancy live and which fault sets they survive.
+//! *What* to do on failure — read routing ([`Layout::read_source`]) and
+//! rebuild planning — is derived from that placement, once for every
+//! layout. The `cdd` crate turns those answers into cluster traffic, and
+//! the `cluster` crate's data plane stores the actual bytes.
 //!
 //! ```
 //! use raidx_core::{Layout, RaidX};
@@ -28,7 +30,6 @@ pub mod chained;
 pub mod fault;
 pub mod layout;
 pub mod model;
-pub mod raid0;
 pub mod raid10;
 pub mod raid5;
 pub mod raidx;
@@ -38,7 +39,6 @@ pub mod types;
 pub use chained::ChainedDecluster;
 pub use layout::{Layout, ReadSource, WriteScheme};
 pub use model::{Arch, PeakModel};
-pub use raid0::Raid0;
 pub use raid10::Raid10;
 pub use raid5::Raid5;
 pub use raidx::RaidX;

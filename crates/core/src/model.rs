@@ -9,6 +9,10 @@
 //! declustering on large writes, and RAID-x matching RAID-0's full-stripe
 //! bandwidth).
 //!
+//! The table's bottom row, max fault coverage, is a placement fact rather
+//! than a cost: it is read off the layouts
+//! ([`crate::Layout::max_fault_coverage`]), not restated here.
+//!
 //! Conventions: bandwidths are *foreground* (what a client observes —
 //! RAID-x's deferred image traffic is excluded there, exactly as the paper
 //! counts it) and the `sustained_*` variants include it.
@@ -150,17 +154,6 @@ impl PeakModel {
             Arch::Chained | Arch::Raid10 | Arch::RaidX => self.write_time,
         }
     }
-
-    /// Best-case fault coverage (Table 2's bottom row).
-    pub fn max_fault_coverage(&self, a: Arch) -> u64 {
-        match a {
-            Arch::Raid5 => 1,
-            Arch::Chained | Arch::Raid10 => self.n / 2,
-            // For a 1-D RAID-x (k = 1) a single failure; the n×k variant
-            // tolerates one per row, reported by the layout itself.
-            Arch::RaidX => 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -223,15 +216,6 @@ mod tests {
     fn sustained_raidx_small_write_still_wins() {
         let m = m();
         assert!(m.sustained_small_write_bw(Arch::RaidX) > m.max_small_write_bw(Arch::Raid10));
-    }
-
-    #[test]
-    fn fault_coverage_row() {
-        let m = m();
-        assert_eq!(m.max_fault_coverage(Arch::Raid5), 1);
-        assert_eq!(m.max_fault_coverage(Arch::Chained), 4);
-        assert_eq!(m.max_fault_coverage(Arch::Raid10), 4);
-        assert_eq!(m.max_fault_coverage(Arch::RaidX), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! its mirror in the foreground; reads alternate between the two copies for
 //! load balance.
 
-use crate::layout::{Layout, ReadSource, WriteScheme};
+use crate::layout::{Layout, WriteScheme};
 use crate::types::{BlockAddr, FaultSet};
 
 /// Mirrored-pair array: disks `2i`/`2i+1` form pair `i`; data is striped
@@ -65,19 +65,10 @@ impl Layout for Raid10 {
         vec![BlockAddr::new(mirror, row)]
     }
 
-    fn read_source(&self, lb: u64, failed: &FaultSet) -> ReadSource {
-        let (primary, mirror, row) = self.place(lb);
-        let p_ok = !failed.contains(primary);
-        let m_ok = !failed.contains(mirror);
-        // Alternate copies by row to spread read load over both spindles.
-        let prefer_primary = row % 2 == 0;
-        match (p_ok, m_ok) {
-            (true, true) if prefer_primary => ReadSource::Primary(BlockAddr::new(primary, row)),
-            (true, true) => ReadSource::Image(BlockAddr::new(mirror, row)),
-            (true, false) => ReadSource::Primary(BlockAddr::new(primary, row)),
-            (false, true) => ReadSource::Image(BlockAddr::new(mirror, row)),
-            (false, false) => ReadSource::Lost,
-        }
+    /// Alternate copies by row to spread read load over both spindles.
+    fn prefers_image(&self, lb: u64) -> bool {
+        let (_, _, row) = self.place(lb);
+        row % 2 == 1
     }
 
     fn tolerates(&self, failed: &FaultSet) -> bool {
@@ -92,7 +83,7 @@ impl Layout for Raid10 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::check_layout_invariants;
+    use crate::layout::{check_layout_invariants, ReadSource};
 
     #[test]
     fn mirrors_are_pairwise() {
@@ -121,18 +112,11 @@ mod tests {
     #[test]
     fn reads_alternate_between_copies() {
         let l = Raid10::new(4, 100);
-        let none = FaultSet::none();
-        let mut primaries = 0;
-        let mut images = 0;
-        for lb in 0..40 {
-            match l.read_source(lb, &none) {
-                ReadSource::Primary(_) => primaries += 1,
-                ReadSource::Image(_) => images += 1,
-                other @ (ReadSource::Reconstruct { .. } | ReadSource::Lost) => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(primaries, 20);
+        let images = (0..40).filter(|&lb| l.prefers_image(lb)).count();
         assert_eq!(images, 20);
+        // Rows alternate: row 0 (lbs 0, 1) reads the primary, row 1 the image.
+        assert!(!l.prefers_image(0) && !l.prefers_image(1));
+        assert!(l.prefers_image(2) && l.prefers_image(3));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (four disk operations, two of them serialized before the writes) — the
 //! classic *small-write problem* that RAID-x eliminates.
 
-use crate::layout::{Layout, ReadSource, WriteScheme};
+use crate::layout::{Layout, WriteScheme};
 use crate::types::{BlockAddr, FaultSet};
 
 /// Left-rotating parity array over `ndisks` disks.
@@ -32,12 +32,6 @@ impl Raid5 {
     /// Physical address of stripe `s`'s parity block.
     pub fn parity_addr(&self, s: u64) -> BlockAddr {
         BlockAddr::new(self.parity_disk(s), s)
-    }
-
-    /// The `ndisks - 1` data blocks of stripe `s`, as logical numbers.
-    pub fn stripe_members(&self, s: u64) -> Vec<u64> {
-        let w = self.ndisks as u64 - 1;
-        (s * w..(s + 1) * w).filter(|&lb| lb < self.capacity_blocks()).collect()
     }
 }
 
@@ -80,30 +74,6 @@ impl Layout for Raid5 {
         Some(self.parity_addr(s))
     }
 
-    fn read_source(&self, lb: u64, failed: &FaultSet) -> ReadSource {
-        let d = self.locate_data(lb);
-        if !failed.contains(d.disk) {
-            return ReadSource::Primary(d);
-        }
-        let (s, _) = self.stripe_of(lb);
-        let parity = self.parity_addr(s);
-        if failed.contains(parity.disk) {
-            return ReadSource::Lost;
-        }
-        let mut siblings = Vec::with_capacity(self.ndisks - 2);
-        for sib in self.stripe_members(s) {
-            if sib == lb {
-                continue;
-            }
-            let addr = self.locate_data(sib);
-            if failed.contains(addr.disk) {
-                return ReadSource::Lost;
-            }
-            siblings.push((sib, addr));
-        }
-        ReadSource::Reconstruct { siblings, parity }
-    }
-
     fn tolerates(&self, failed: &FaultSet) -> bool {
         failed.len() <= 1
     }
@@ -116,7 +86,7 @@ impl Layout for Raid5 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::check_layout_invariants;
+    use crate::layout::{check_layout_invariants, ReadSource};
 
     #[test]
     fn parity_rotates_over_all_disks() {

@@ -33,7 +33,7 @@
 //! consecutive blocks spans exactly two consecutive groups (because
 //! `n > n-1`), hence exactly two image disks.
 
-use crate::layout::{Layout, ReadSource, WriteScheme};
+use crate::layout::{Layout, WriteScheme};
 use crate::types::{BlockAddr, FaultSet};
 
 /// The RAID-x orthogonal striping and mirroring layout over an n×k array.
@@ -158,19 +158,6 @@ impl Layout for RaidX {
         vec![self.image_addr(lb)]
     }
 
-    fn read_source(&self, lb: u64, failed: &FaultSet) -> ReadSource {
-        let d = self.locate_data(lb);
-        if !failed.contains(d.disk) {
-            return ReadSource::Primary(d);
-        }
-        let img = self.image_addr(lb);
-        if !failed.contains(img.disk) {
-            ReadSource::Image(img)
-        } else {
-            ReadSource::Lost
-        }
-    }
-
     fn image_group_key(&self, lb: u64) -> Option<(u64, usize)> {
         let (row, g) = self.image_group(lb);
         // Encode (row, group) into one id; groups within a row are dense.
@@ -204,7 +191,7 @@ impl Layout for RaidX {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::check_layout_invariants;
+    use crate::layout::{check_layout_invariants, ReadSource};
     use std::collections::HashSet;
 
     /// Figure 1a, reproduced exactly: 4 disks, blocks B0..B11 on top,

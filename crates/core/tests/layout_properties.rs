@@ -1,11 +1,16 @@
 //! Property-based tests of the layout invariants across randomly drawn
 //! array shapes, capacities and block ranges (driven by the deterministic
-//! in-tree harness in `sim_core::check`), and of each layout's placement
+//! in-tree harness in `sim_core::check`), of each layout's placement
 //! rule — OSM rows and image groups, RAID-5 rotation, RAID-10 pairing,
-//! chained declustering's right-neighbour image — on fixed shapes too.
+//! chained declustering's right-neighbour image — on fixed shapes too,
+//! and of the closed-form fault facts (`tolerates`, `max_fault_coverage`)
+//! against what the derived read routing and exhaustive enumeration say.
 
 use raidx_core::layout::{check_layout_invariants, Layout, ReadSource};
-use raidx_core::{BlockAddr, ChainedDecluster, FaultSet, Raid0, Raid10, Raid5, RaidX};
+use raidx_core::{
+    layout_for, survival_probability, Arch, BlockAddr, ChainedDecluster, FaultSet, Raid10, Raid5,
+    RaidX,
+};
 use sim_core::check::{run_cases, Gen};
 use std::collections::{BTreeMap, HashSet};
 
@@ -112,14 +117,13 @@ fn raidx_tolerates_iff_rows_distinct() {
     });
 }
 
-/// Generic invariants hold for all five layouts on random shapes.
+/// Generic invariants hold for all four layouts on random shapes.
 #[test]
 fn all_layouts_invariants() {
     run_cases("all_layouts_invariants", 64, |g| {
         let (n, k, bpd) = shape(g);
         let nd = n * k;
         let limit = 2048;
-        check_layout_invariants(&Raid0::new(nd, bpd), bpd, limit);
         check_layout_invariants(&RaidX::new(n, k, bpd), bpd, limit);
         if nd >= 3 {
             check_layout_invariants(&Raid5::new(nd, bpd), bpd, limit);
@@ -294,4 +298,63 @@ fn chained_image_is_the_right_neighbour_in_the_bottom_half() {
             assert!(m.block >= bpd / 2, "{} disks, lb {lb}: image in the data half", n * k);
         }
     });
+}
+
+/// Every layout that fits the n×k shape `(n, k)` at 240 blocks per disk
+/// (RAID-10 needs an even disk count), as `layout_for` builds it.
+fn sweep_layouts(n: usize, k: usize) -> Vec<Box<dyn Layout>> {
+    Arch::ALL
+        .into_iter()
+        .filter(|&a| a != Arch::Raid10 || (n * k).is_multiple_of(2))
+        .map(|a| layout_for(a, n, k, 240))
+        .collect()
+}
+
+/// `tolerates(F)` is exactly "no block reads `Lost`" under the derived
+/// routing, for every fault set of at most three disks: an over-strict
+/// predicate fails here as surely as an over-lax one.
+#[test]
+fn tolerates_agrees_with_derived_routing() {
+    for (n, k) in SWEEP_SHAPES {
+        for l in sweep_layouts(n, k) {
+            let nd = l.ndisks();
+            let mut sets = vec![vec![]];
+            for a in 0..nd {
+                sets.push(vec![a]);
+                for b in a + 1..nd {
+                    sets.push(vec![a, b]);
+                    sets.extend((b + 1..nd).map(|c| vec![a, b, c]));
+                }
+            }
+            for set in sets {
+                let failed = FaultSet::of(&set);
+                let readable = (0..l.capacity_blocks())
+                    .all(|lb| l.read_source(lb, &failed) != ReadSource::Lost);
+                assert_eq!(l.tolerates(&failed), readable, "{} {n}x{k}, failed {set:?}", l.name());
+            }
+        }
+    }
+}
+
+/// `max_fault_coverage()` is the largest failure count some placement
+/// survives, by exhaustive enumeration; any single failure is survived.
+#[test]
+fn max_fault_coverage_is_the_largest_survivable_count() {
+    for (n, k) in SWEEP_SHAPES {
+        for l in sweep_layouts(n, k) {
+            assert_eq!(survival_probability(l.as_ref(), 1), 1.0, "{} {n}x{k}", l.name());
+            let largest =
+                (1..=l.ndisks()).rev().find(|&f| survival_probability(l.as_ref(), f) > 0.0);
+            assert_eq!(Some(l.max_fault_coverage()), largest, "{} {n}x{k}", l.name());
+        }
+    }
+}
+
+/// Table 2's fault-coverage row at n = 8 disks (one row for RAID-x).
+#[test]
+fn fault_coverage_row_at_eight_disks() {
+    let coverage: Vec<usize> =
+        Arch::ALL.into_iter().map(|a| layout_for(a, 8, 1, 240).max_fault_coverage()).collect();
+    // RAID-5, chained declustering, RAID-10, RAID-x.
+    assert_eq!(coverage, [1, 4, 4, 1]);
 }

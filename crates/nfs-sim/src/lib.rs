@@ -14,7 +14,6 @@
 
 use cdd::{frontend, IoError};
 use cluster::{Cluster, ClusterConfig, DataPlane};
-use raidx_core::{Layout, Raid0};
 use sim_core::plan::{par, seq, use_res};
 use sim_core::{Demand, Engine, Plan, SimDuration};
 use sim_net::transfer_plan;
@@ -39,7 +38,6 @@ pub struct NfsSystem {
     /// Cluster resource handles.
     pub cluster: Cluster,
     plane: DataPlane,
-    layout: Raid0,
     cfg: NfsConfig,
     /// The node acting as the server.
     pub server: usize,
@@ -50,15 +48,13 @@ impl NfsSystem {
     pub fn new(engine: &mut Engine, cluster_cfg: ClusterConfig, cfg: NfsConfig) -> Self {
         let blocks_per_disk = cluster_cfg.blocks_per_disk();
         let server = 0;
-        // The server's local disks: global disks g with g % nodes == server.
-        let layout = Raid0::new(cluster_cfg.disks_per_node, blocks_per_disk);
         let plane = DataPlane::new(
             cluster_cfg.total_disks(),
             cluster_cfg.block_size as usize,
             blocks_per_disk,
         );
         let cluster = Cluster::build(cluster_cfg, engine);
-        NfsSystem { cluster, plane, layout, cfg, server }
+        NfsSystem { cluster, plane, cfg, server }
     }
 
     /// Logical block size.
@@ -69,12 +65,16 @@ impl NfsSystem {
     /// Exported capacity in blocks (the server's disks only — the
     /// fundamental scalability limit of the central-server design).
     pub fn capacity_blocks(&self) -> u64 {
-        self.layout.capacity_blocks()
+        self.cluster.cfg.disks_per_node as u64 * self.cluster.cfg.blocks_per_disk()
     }
 
-    /// Map the export's local disk index to the global disk number.
-    fn global_disk(&self, local: usize) -> usize {
-        local * self.cluster.cfg.nodes + self.server
+    /// `(global disk, block)` holding logical block `lb`: the export
+    /// stripes block by block over the server's local disks, which are
+    /// the global disks `g` with `g % nodes == server`.
+    fn home(&self, lb: u64) -> (usize, u64) {
+        let dpn = self.cluster.cfg.disks_per_node as u64;
+        let local = (lb % dpn) as usize;
+        (local * self.cluster.cfg.nodes + self.server, lb / dpn)
     }
 
     fn rpc(&self, src: usize, dst: usize, payload: u64) -> Plan {
@@ -99,16 +99,15 @@ impl NfsSystem {
         let nblocks = frontend::validate_write(bs, self.capacity_blocks(), lb0, data.len())?;
         let mut rpcs = Vec::with_capacity(nblocks as usize);
         for (i, lb) in (lb0..lb0 + nblocks).enumerate() {
-            let a = self.layout.locate_data(lb);
-            let g = self.global_disk(a.disk);
-            self.plane.write(g, a.block, &data[i * bs..(i + 1) * bs])?;
+            let (g, block) = self.home(lb);
+            self.plane.write(g, block, &data[i * bs..(i + 1) * bs])?;
             let d = &self.cluster.disks[g];
             // Synchronous: the block is on disk before the reply.
             rpcs.push(seq(vec![
                 self.rpc(client, self.server, bs as u64),
                 self.nfsd(),
                 use_res(d.bus, Demand::BusXfer { bytes: bs as u64 }),
-                use_res(d.res, Demand::DiskWrite { offset: a.block * bs as u64, bytes: bs as u64 }),
+                use_res(d.res, Demand::DiskWrite { offset: block * bs as u64, bytes: bs as u64 }),
                 self.rpc(self.server, client, 0),
             ]));
         }
@@ -127,14 +126,13 @@ impl NfsSystem {
         let mut out = Vec::with_capacity(nblocks as usize * bs);
         let mut rpcs = Vec::with_capacity(nblocks as usize);
         for lb in lb0..lb0 + nblocks {
-            let a = self.layout.locate_data(lb);
-            let g = self.global_disk(a.disk);
-            out.extend_from_slice(&self.plane.get(g, a.block)?);
+            let (g, block) = self.home(lb);
+            out.extend_from_slice(&self.plane.get(g, block)?);
             let d = &self.cluster.disks[g];
             rpcs.push(seq(vec![
                 self.rpc(client, self.server, 0),
                 self.nfsd(),
-                use_res(d.res, Demand::DiskRead { offset: a.block * bs as u64, bytes: bs as u64 }),
+                use_res(d.res, Demand::DiskRead { offset: block * bs as u64, bytes: bs as u64 }),
                 use_res(d.bus, Demand::BusXfer { bytes: bs as u64 }),
                 self.rpc(self.server, client, bs as u64),
             ]));
@@ -243,6 +241,23 @@ mod tests {
         let s = NfsSystem::new(&mut e, cfg(), NfsConfig::default());
         // 1 disk per node -> only node 0's single disk is exported.
         assert_eq!(s.capacity_blocks(), cfg().blocks_per_disk());
+    }
+
+    /// The export stripes block by block over node 0's disks, which sit
+    /// at global disks `0, nodes, 2·nodes, …`.
+    #[test]
+    fn home_stripes_over_the_server_disks() {
+        for (dpn, want) in [
+            (2, [(0, 0), (4, 0), (0, 1), (4, 1), (0, 2), (4, 2)]),
+            (3, [(0, 0), (4, 0), (8, 0), (0, 1), (4, 1), (8, 1)]),
+        ] {
+            let mut c = ClusterConfig::shape(4, dpn);
+            c.disk.capacity = 8 << 20;
+            let s = NfsSystem::new(&mut Engine::new(), c.clone(), NfsConfig::default());
+            let homes: Vec<(usize, u64)> = (0..6).map(|lb| s.home(lb)).collect();
+            assert_eq!(homes, want, "{dpn} disks per node");
+            assert_eq!(s.capacity_blocks(), dpn as u64 * c.blocks_per_disk());
+        }
     }
 
     #[test]

@@ -17,8 +17,7 @@ pub enum SchedPolicy {
 /// Physical parameters of one disk.
 ///
 /// Defaults mirror a late-1990s 7200 rpm SCSI drive of the class installed in
-/// the Trojans cluster nodes; [`DiskSpec::modern`] is provided for
-/// sensitivity studies.
+/// the Trojans cluster nodes ([`DiskSpec::classic_scsi`]).
 #[derive(Debug, Clone)]
 pub struct DiskSpec {
     /// Usable capacity in bytes.
@@ -54,21 +53,6 @@ impl DiskSpec {
             command_overhead: SimDuration::from_micros(300),
             sequential_detection: true,
             scheduler: SchedPolicy::Fcfs,
-        }
-    }
-
-    /// A modern 7200 rpm SATA disk for sensitivity studies: 200 MB/s media
-    /// rate, 0.1 ms overhead, 4 TB.
-    pub fn modern() -> Self {
-        DiskSpec {
-            capacity: 4 << 40,
-            rpm: 7200,
-            seek_min: SimDuration::from_micros(500),
-            seek_max: SimDuration::from_micros(12_000),
-            media_rate: 200_000_000,
-            command_overhead: SimDuration::from_micros(100),
-            sequential_detection: true,
-            scheduler: SchedPolicy::Elevator,
         }
     }
 

@@ -83,15 +83,13 @@ mod tests {
                 let stripe = sys.layout().stripe_width();
                 lint.store(&engine, &mut sys, &name, stripe, nodes);
 
-                // Degraded read + rebuild (skip RAID-0, which has no redundancy).
-                if sys.layout().guaranteed_fault_tolerance() > 0 {
-                    let hw = sys.high_water();
-                    sys.fail_disk(0);
-                    let read = sys.read(1 % nodes, 0, hw).map(|(_, p)| p);
-                    lint.check(&engine, format!("{name} degraded read"), read);
-                    let rebuild = sys.rebuild_disk(1 % nodes, 0).map(|(p, _)| p);
-                    lint.check(&engine, format!("{name} rebuild"), rebuild);
-                }
+                // Degraded read + rebuild: every architecture survives one failure.
+                let hw = sys.high_water();
+                sys.fail_disk(0);
+                let read = sys.read(1 % nodes, 0, hw).map(|(_, p)| p);
+                lint.check(&engine, format!("{name} degraded read"), read);
+                let rebuild = sys.rebuild_disk(1 % nodes, 0).map(|(p, _)| p);
+                lint.check(&engine, format!("{name} rebuild"), rebuild);
             }
         }
         let mut engine = Engine::new();

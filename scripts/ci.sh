@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Full local CI gate: formatting, lints, rustdoc, the whole workspace test suite
 # (the raidx-verify checks included), the trace-export self-check, the
-# golden simulated results and the benchmark package. Each check runs
-# once: a failing test names itself in `cargo test` output, so no test
-# file has a stage of its own. Run from the repository root. Fails fast on
+# golden simulated results, the examples and the benchmark package. Each
+# check runs once: a failing test names itself in `cargo test` output, so
+# no test file has a stage of its own. Run from the repository root. Fails fast on
 # the first broken stage.
 set -eu
 
@@ -40,6 +40,16 @@ echo "==> golden (simulated results byte-identical to the committed files)"
 # three (EXPERIMENTS.md) in the same PR.
 cargo run --release -p bench -- exp all | cmp - results/all_experiments.md
 git diff --exit-code -- results/fig5.csv results/fig6.csv
+
+echo "==> examples (each must run to a zero exit)"
+# clippy compiles the examples but nothing else runs them: a panic at
+# run time surfaces only here.
+cargo build --release --examples
+for src in examples/*.rs; do
+    name=$(basename "$src" .rs)
+    echo "--> $name"
+    cargo run --release --quiet --example "$name" > /dev/null
+done
 
 echo "==> benchmark (own workspace: build, smoke run, parity + manifest tests)"
 # benchmark/ is invisible to `cargo test --workspace`; without this stage
