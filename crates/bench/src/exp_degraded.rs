@@ -1,6 +1,7 @@
-//! Degraded-mode and rebuild-under-load performance — the operational
-//! side of Section 6: what does a failure cost while the cluster keeps
-//! serving clients?
+//! Degraded-mode performance — the operational side of Section 6: what
+//! does a failure cost while the cluster keeps serving clients? (The
+//! rebuild's cost to foreground load is `exp_fault`'s "Rebuild under
+//! continuing foreground load" table.)
 
 use cdd::{CddConfig, IoSystem};
 use cluster::ClusterConfig;
@@ -10,8 +11,7 @@ use workloads::{run_parallel_io, IoPattern, ParallelIoConfig};
 
 use crate::harness::{md_table, par_map};
 
-/// Bandwidth of `arch` under three conditions: healthy, one disk failed
-/// (degraded), and during an active rebuild of that disk.
+/// Bandwidth of `arch` healthy and with one disk failed (degraded).
 #[derive(Debug, Clone)]
 pub struct DegradedPoint {
     /// Architecture.
@@ -20,8 +20,6 @@ pub struct DegradedPoint {
     pub healthy: f64,
     /// Degraded aggregate MB/s (disk 3 failed).
     pub degraded: f64,
-    /// Aggregate MB/s while the rebuild of disk 3 runs concurrently.
-    pub rebuilding: f64,
 }
 
 fn bandwidth(sys: &mut IoSystem, engine: &mut Engine, clients: usize, precreate: bool) -> f64 {
@@ -66,22 +64,12 @@ pub fn run_point(arch: Arch) -> DegradedPoint {
     // measurements do not share queues; the files are seeded while the
     // array is still healthy.
     let mut engine = Engine::new();
-    let mut sys = IoSystem::new(&mut engine, cc.clone(), arch, CddConfig::default());
+    let mut sys = IoSystem::new(&mut engine, cc, arch, CddConfig::default());
     seed_files(&mut sys, clients);
     sys.fail_disk(3);
     let degraded = bandwidth(&mut sys, &mut engine, clients, false);
 
-    // Rebuilding: seed, fail, start the rebuild concurrently with the
-    // measured workload.
-    let mut engine = Engine::new();
-    let mut sys = IoSystem::new(&mut engine, cc, arch, CddConfig::default());
-    seed_files(&mut sys, clients);
-    sys.fail_disk(3);
-    let (rebuild_plan, _) = sys.rebuild_disk(3, 3).expect("rebuild plan");
-    engine.spawn_job("rebuild", rebuild_plan);
-    let rebuilding = bandwidth(&mut sys, &mut engine, clients, false);
-
-    DegradedPoint { arch, healthy, degraded, rebuilding }
+    DegradedPoint { arch, healthy, degraded }
 }
 
 /// Run all architectures.
@@ -91,16 +79,8 @@ pub fn run_all() -> Vec<DegradedPoint> {
 
 /// Render as markdown.
 pub fn render(points: &[DegradedPoint]) -> String {
-    let mut out = String::from(
-        "\n### Degraded-mode and rebuild-under-load bandwidth (16 clients, 2 MB reads)\n\n",
-    );
-    let headers = [
-        "Architecture",
-        "healthy (MB/s)",
-        "degraded (MB/s)",
-        "during rebuild (MB/s)",
-        "degraded/healthy",
-    ];
+    let mut out = String::from("\n### Degraded-mode bandwidth (16 clients, 2 MB reads)\n\n");
+    let headers = ["Architecture", "healthy (MB/s)", "degraded (MB/s)", "degraded/healthy"];
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -108,7 +88,6 @@ pub fn render(points: &[DegradedPoint]) -> String {
                 p.arch.name().to_string(),
                 format!("{:.2}", p.healthy),
                 format!("{:.2}", p.degraded),
-                format!("{:.2}", p.rebuilding),
                 format!("{:.0}%", p.degraded / p.healthy * 100.0),
             ]
         })
@@ -140,7 +119,5 @@ mod tests {
             r5_ratio < rx_ratio,
             "RAID-5 degraded ratio {r5_ratio:.2} not worse than RAID-x {rx_ratio:.2}"
         );
-        // Rebuild traffic costs something.
-        assert!(rx.rebuilding <= rx.degraded * 1.05);
     }
 }

@@ -26,13 +26,7 @@ fn run_shape(nodes: usize, k: usize, stagger_width: usize, processes: usize) -> 
     cc.disk.capacity = 1 << 30;
     let mut engine = Engine::new();
     let mut store = IoSystem::new(&mut engine, cc, Arch::RaidX, CddConfig::default());
-    let cfg = CheckpointConfig {
-        processes,
-        stagger_width,
-        ckpt_bytes: 4 << 20,
-        rounds: 2,
-        ..Default::default()
-    };
+    let cfg = CheckpointConfig { processes, stagger_width, ckpt_bytes: 4 << 20, rounds: 2 };
     let r = run_striped_checkpoint(&mut engine, &mut store, &cfg).expect("checkpoint failed");
     // Integrity: every image must verify after the run.
     for p in 0..processes {
@@ -108,13 +102,7 @@ pub fn render_staircase() -> String {
     cc.disk.capacity = 1 << 30;
     let mut engine = Engine::new();
     let mut store = IoSystem::new(&mut engine, cc, Arch::RaidX, CddConfig::default());
-    let cfg = CheckpointConfig {
-        processes: 12,
-        stagger_width: 4,
-        ckpt_bytes: 4 << 20,
-        rounds: 1,
-        ..Default::default()
-    };
+    let cfg = CheckpointConfig { processes: 12, stagger_width: 4, ckpt_bytes: 4 << 20, rounds: 1 };
     run_striped_checkpoint(&mut engine, &mut store, &cfg).expect("staircase run failed");
     let jobs = engine.jobs();
     let latencies: Vec<f64> = jobs

@@ -24,7 +24,7 @@ pub struct Point {
 pub fn run_point(kind: SystemKind, write_fraction: f64) -> MixedResult {
     let mut engine = Engine::new();
     let mut store = build_store(&mut engine, ClusterConfig::trojans(), kind);
-    let cfg = MixedConfig { clients: 16, ops_per_client: 32, write_fraction, ..Default::default() };
+    let cfg = MixedConfig { write_fraction, ..Default::default() };
     run_mixed(&mut engine, &mut store, &cfg).expect("mixed run failed")
 }
 

@@ -4,7 +4,7 @@
 //! off the layouts themselves.
 
 use raidx_core::{layout_for, Arch, PeakModel};
-use sim_disk::DiskSpec;
+use sim_disk::spec::{avg_random_access, effective_bandwidth};
 
 use crate::harness::md_table;
 
@@ -12,13 +12,12 @@ use crate::harness::md_table;
 pub fn render(n: u64) -> String {
     let unit = PeakModel::unit(n);
     // Calibrated: per-disk effective bandwidth for 32 KB random blocks.
-    let spec = DiskSpec::classic_scsi();
     let bs = 32u64 << 10;
     let cal = PeakModel {
         n,
-        disk_bw: spec.effective_bandwidth(bs) / 1e6,
-        read_time: spec.avg_random_access(bs).as_secs_f64(),
-        write_time: spec.avg_random_access(bs).as_secs_f64(),
+        disk_bw: effective_bandwidth(bs) / 1e6,
+        read_time: avg_random_access(bs).as_secs_f64(),
+        write_time: avg_random_access(bs).as_secs_f64(),
     };
     let m = 1024; // blocks per file for the parallel-time rows
 

@@ -49,7 +49,7 @@ const EXPERIMENTS: [Experiment; 14] = [
         exp_latency::render(&exp_latency::run_sweep())
     }),
     ("mixed_workload", "Mixed transaction workload", || exp_mixed::render(&exp_mixed::run_sweep())),
-    ("degraded_perf", "Degraded-mode and rebuild-under-load performance", || {
+    ("degraded_perf", "Degraded-mode performance", || {
         exp_degraded::render(&exp_degraded::run_all())
     }),
     ("utilization", "Resource utilization (serverless vs central)", exp_utilization::render),

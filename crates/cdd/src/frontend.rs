@@ -1,18 +1,18 @@
 //! Front-end / admission layer of the CDD pipeline (the paper's *client
 //! module*).
 //!
-//! Everything that happens before a request is handed to a write scheme
-//! lives here: admission (range and length validation, shared verbatim by
-//! [`crate::IoSystem`] and the `nfs_sim::NfsSystem` baseline so both
-//! stores reject malformed I/O with the same [`IoError`] variants), run
-//! coalescing of adjacent blocks (re-exported from [`crate::runs`]), and
-//! replica selection for reads ([`ReadBalancer`]).
+//! What happens before a request is handed to a write scheme lives here,
+//! except run coalescing of adjacent blocks ([`crate::runs`]): admission
+//! (range and length validation, shared verbatim by [`crate::IoSystem`]
+//! and the `nfs_sim::NfsSystem` baseline so both stores reject malformed
+//! I/O with the same [`IoError`] variants) and replica selection for
+//! reads ([`ReadBalancer`]).
 
 use raidx_core::{FaultSet, Layout};
 
 use crate::config::ReadBalance;
 use crate::error::IoError;
-pub use crate::runs::{merge_runs, Run};
+use crate::runs::Run;
 
 /// Reject a `[lb0, lb0 + nblocks)` request that reaches past `capacity`.
 ///
@@ -62,11 +62,6 @@ impl ReadBalancer {
     /// A balancer over `ndisks` disks following `policy`.
     pub fn new(policy: ReadBalance, ndisks: usize) -> Self {
         ReadBalancer { policy, read_load: vec![0; ndisks] }
-    }
-
-    /// The policy this balancer follows.
-    pub fn policy(&self) -> ReadBalance {
-        self.policy
     }
 
     /// The image addresses of a primary run, if they form one healthy

@@ -114,7 +114,7 @@ impl<'a> OpBuilder<'a> {
         let mut head = Vec::with_capacity(3);
         send_half(spec, &ends, CONTROL_BYTES, &mut head);
         let mut tail = Vec::with_capacity(2);
-        receive_half(spec, &ends, ACK_BYTES, &mut tail);
+        receive_half(&ends, ACK_BYTES, &mut tail);
         let peers = arms.iter().enumerate().filter(|&(n, _)| n != client);
         fan(head, peers.map(|(_, arm)| Arc::clone(arm)).collect(), tail)
     }
@@ -125,7 +125,7 @@ impl<'a> OpBuilder<'a> {
     pub fn lock_arm(&self, n: usize) -> Arc<[Plan]> {
         let (spec, ends) = (&self.cluster.cfg.net, self.ends(n));
         let mut arm = Vec::with_capacity(5);
-        receive_half(spec, &ends, CONTROL_BYTES, &mut arm);
+        receive_half(&ends, CONTROL_BYTES, &mut arm);
         send_half(spec, &ends, ACK_BYTES, &mut arm);
         arm.into()
     }

@@ -29,6 +29,10 @@ use cdd::{BlockStore, IoError};
 use sim_core::plan::{barrier, delay, seq};
 use sim_core::{BarrierId, Engine, Plan, SimDuration};
 
+/// Coordination (synchronization) overhead per process per round — the
+/// paper's `S`.
+const SYNC_OVERHEAD: SimDuration = SimDuration::from_millis(2);
+
 /// Parameters of a striped, staggered checkpoint run.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
@@ -40,22 +44,13 @@ pub struct CheckpointConfig {
     pub stagger_width: usize,
     /// Checkpoint image bytes per process.
     pub ckpt_bytes: u64,
-    /// Coordination (synchronization) overhead per process per round —
-    /// the paper's `S`.
-    pub sync_overhead: SimDuration,
     /// Checkpoint rounds to run.
     pub rounds: usize,
 }
 
 impl Default for CheckpointConfig {
     fn default() -> Self {
-        CheckpointConfig {
-            processes: 12,
-            stagger_width: 4,
-            ckpt_bytes: 1 << 20,
-            sync_overhead: SimDuration::from_millis(2),
-            rounds: 2,
-        }
+        CheckpointConfig { processes: 12, stagger_width: 4, ckpt_bytes: 1 << 20, rounds: 2 }
     }
 }
 
@@ -129,7 +124,7 @@ pub fn run_striped_checkpoint<S: BlockStore>(
                 v
             };
             let write = store.write(node, lb0, &payload)?;
-            let mut steps: Vec<Plan> = vec![barrier(sync), delay(cfg.sync_overhead)];
+            let mut steps: Vec<Plan> = vec![barrier(sync), delay(SYNC_OVERHEAD)];
             if g > 0 {
                 steps.push(barrier(BarrierId(0xC100 + (g - 1) as u32)));
             }

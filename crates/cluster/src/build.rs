@@ -6,6 +6,10 @@ use sim_net::NetPath;
 
 use crate::config::ClusterConfig;
 
+/// Root of every disk's rotational-phase stream: disk `g` draws from
+/// substream `g`, so a cluster's timings are a function of its shape.
+const SEED: u64 = 0x5EED_0001;
+
 /// Resource handles for one node.
 #[derive(Debug, Clone, Copy)]
 pub struct Node {
@@ -47,7 +51,6 @@ impl Cluster {
     /// Register all resources for `cfg` in `engine`.
     pub fn build(cfg: ClusterConfig, engine: &mut Engine) -> Self {
         cfg.validate();
-        let root_rng = SplitMix64::new(cfg.seed);
         let mut nodes = Vec::with_capacity(cfg.nodes);
         for n in 0..cfg.nodes {
             let cpu = engine.add_resource(
@@ -61,21 +64,14 @@ impl Cluster {
                 .add_resource(format!("node{n}/tx"), Box::new(FixedRate::rate(cfg.net.link_rate)));
             let rx = engine
                 .add_resource(format!("node{n}/rx"), Box::new(FixedRate::rate(cfg.net.link_rate)));
-            let bus = engine
-                .add_resource(format!("node{n}/scsi"), Box::new(ScsiBus::new(cfg.bus.clone())));
+            let bus = engine.add_resource(format!("node{n}/scsi"), Box::<ScsiBus>::default());
             nodes.push(Node { cpu, tx, rx, bus });
         }
-        let total = cfg.total_disks();
-        let mut disks = Vec::with_capacity(total);
-        for g in 0..total {
-            let node = g % cfg.nodes;
-            let res = engine.add_resource(
-                format!("disk{g}@node{node}"),
-                Box::new(DiskModel::new(cfg.disk.clone(), root_rng.substream(g as u64).next_u64())),
-            );
-            disks.push(DiskRef { res, bus: nodes[node].bus, node });
+        let mut cluster = Cluster { nodes, disks: Vec::with_capacity(cfg.total_disks()), cfg };
+        for _ in 0..cluster.cfg.total_disks() {
+            cluster.add_disk(engine);
         }
-        Cluster { cfg, nodes, disks }
+        cluster
     }
 
     /// Hot-add one disk to the single I/O space and return its global
@@ -86,13 +82,10 @@ impl Cluster {
     pub fn add_disk(&mut self, engine: &mut Engine) -> usize {
         let g = self.disks.len();
         let node = g % self.cfg.nodes;
-        let root_rng = SplitMix64::new(self.cfg.seed);
+        let seed = SplitMix64::new(SEED).substream(g as u64).next_u64();
         let res = engine.add_resource(
             format!("disk{g}@node{node}"),
-            Box::new(DiskModel::new(
-                self.cfg.disk.clone(),
-                root_rng.substream(g as u64).next_u64(),
-            )),
+            Box::new(DiskModel::new(self.cfg.disk.clone(), seed)),
         );
         self.disks.push(DiskRef { res, bus: self.nodes[node].bus, node });
         g
@@ -127,6 +120,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::check::Gen;
     use sim_core::plan::use_res;
     use sim_core::Demand;
 
@@ -174,6 +168,42 @@ mod tests {
         let a = e.resource_stats(c.disks[0].res).busy;
         let b = e.resource_stats(c.disks[1].res).busy;
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn hot_added_disks_match_disks_built_at_boot() {
+        // Disks 4..7 of a 4x2 cluster, against a 4x1 cluster grown by four
+        // `add_disk` calls: the same random read tape must time the same.
+        let run = |c: &Cluster, e: &mut Engine| {
+            let mut g = Gen::new(0xADD);
+            for i in 0..64 {
+                let disk = c.disks[g.usize_in(4..8)].res;
+                let offset = g.u64_in(0..(1 << 30)) & !4095;
+                e.spawn_job(
+                    format!("r{i}"),
+                    use_res(disk, Demand::DiskRead { offset, bytes: 4096 }),
+                );
+            }
+            e.run().unwrap();
+        };
+        let mut booted_engine = Engine::new();
+        let booted = Cluster::build(ClusterConfig::shape(4, 2), &mut booted_engine);
+        run(&booted, &mut booted_engine);
+        let mut grown_engine = Engine::new();
+        let mut grown = Cluster::build(ClusterConfig::shape(4, 1), &mut grown_engine);
+        for g in 4..8 {
+            assert_eq!(grown.add_disk(&mut grown_engine), g);
+        }
+        run(&grown, &mut grown_engine);
+        for g in 4..8 {
+            let (b, h) = (booted.disks[g], grown.disks[g]);
+            assert_eq!((b.node, b.bus), (h.node, h.bus), "disk {g} attachment");
+            assert_eq!(
+                booted_engine.resource_stats(b.res),
+                grown_engine.resource_stats(h.res),
+                "disk {g} timing"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cluster configuration.
 
-use sim_disk::{BusSpec, DiskSpec};
+use sim_disk::DiskSpec;
 use sim_net::NetSpec;
 
 /// Full description of a simulated cluster.
@@ -11,17 +11,14 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Disks attached to each node (the `k` of the paper's n×k arrays).
     pub disks_per_node: usize,
-    /// Disk hardware parameters.
+    /// Disk hardware parameters (each node's disks share one SCSI bus,
+    /// [`sim_disk::ScsiBus`]).
     pub disk: DiskSpec,
-    /// SCSI bus parameters (one bus per node, shared by its disks).
-    pub bus: BusSpec,
     /// Interconnect parameters.
     pub net: NetSpec,
     /// Logical block size of the single I/O space (the paper's stripe
     /// unit; its small accesses are one 32 KB block).
     pub block_size: u64,
-    /// Seed for all stochastic components.
-    pub seed: u64,
 }
 
 impl ClusterConfig {
@@ -32,10 +29,8 @@ impl ClusterConfig {
             nodes: 16,
             disks_per_node: 1,
             disk: DiskSpec::classic_scsi(),
-            bus: BusSpec::ultra_scsi(),
             net: NetSpec::fast_ethernet(),
             block_size: 32 << 10,
-            seed: 0x5EED_0001,
         }
     }
 

@@ -69,11 +69,6 @@ impl RaidX {
         RaidX { n, k, blocks_per_disk, data_half, data_rows }
     }
 
-    /// `(n, k)`: stripe width and pipeline depth.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.n, self.k)
-    }
-
     /// Raw blocks per physical disk.
     pub fn blocks_per_disk(&self) -> u64 {
         self.blocks_per_disk

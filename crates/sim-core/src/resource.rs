@@ -89,7 +89,7 @@ impl ServiceModel for FixedRate {
 }
 
 /// Aggregate statistics for one resource over a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResourceStats {
     /// Total simulated time the resource spent serving demands.
     pub busy: SimDuration,

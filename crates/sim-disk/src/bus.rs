@@ -2,26 +2,25 @@
 
 use sim_core::{Demand, ServiceModel, SimDuration, SimTime};
 
-use crate::spec::BusSpec;
+/// Bus bandwidth (UltraWide-SCSI class, the Trojans nodes' bus),
+/// bytes/second.
+pub const BUS_RATE: u64 = 40_000_000;
+/// Arbitration + command phase overhead charged per transfer.
+pub const BUS_PER_COMMAND: SimDuration = SimDuration::from_micros(50);
 
 /// A shared SCSI-style bus.
 ///
 /// Every transfer to or from a disk on the bus holds it for
-/// `per_command + bytes / rate`. Because the engine gives each resource a
-/// FIFO queue, the k disks of one node contend here — producing exactly the
-/// pipelined (rather than parallel) access the paper describes for
-/// consecutive stripe groups on the same SCSI bus.
+/// `BUS_PER_COMMAND + bytes / BUS_RATE`. Because the engine gives each
+/// resource a FIFO queue, the k disks of one node contend here — producing
+/// exactly the pipelined (rather than parallel) access the paper describes
+/// for consecutive stripe groups on the same SCSI bus.
+#[derive(Default)]
 pub struct ScsiBus {
-    spec: BusSpec,
     transfers: u64,
 }
 
 impl ScsiBus {
-    /// A bus following `spec`.
-    pub fn new(spec: BusSpec) -> Self {
-        ScsiBus { spec, transfers: 0 }
-    }
-
     /// Number of transfers arbitrated so far.
     pub fn transfers(&self) -> u64 {
         self.transfers
@@ -34,7 +33,7 @@ impl ServiceModel for ScsiBus {
             Demand::Busy(d) => d,
             Demand::BusXfer { bytes } => {
                 self.transfers += 1;
-                self.spec.per_command + SimDuration::for_bytes(bytes, self.spec.rate)
+                BUS_PER_COMMAND + SimDuration::for_bytes(bytes, BUS_RATE)
             }
             ref other => panic!("bus received non-bus demand {other:?}"),
         }
@@ -49,7 +48,7 @@ mod tests {
 
     #[test]
     fn charges_arbitration_plus_bytes() {
-        let mut bus = ScsiBus::new(BusSpec::ultra_scsi());
+        let mut bus = ScsiBus::default();
         let t = bus.service_time(&Demand::BusXfer { bytes: 40_000_000 }, SimTime::ZERO);
         assert_eq!(t, SimDuration::from_micros(50) + SimDuration::from_secs(1));
         assert_eq!(bus.transfers(), 1);
@@ -58,7 +57,7 @@ mod tests {
     #[test]
     fn serializes_concurrent_disk_transfers() {
         let mut e = Engine::new();
-        let bus = e.add_resource("scsi0", Box::new(ScsiBus::new(BusSpec::fast_scsi())));
+        let bus = e.add_resource("scsi0", Box::new(ScsiBus::default()));
         // Three disks on one bus push 1 MB each: the bus is the bottleneck.
         e.spawn_job(
             "xfer",
@@ -66,14 +65,14 @@ mod tests {
         );
         let rep = e.run().unwrap();
         let expect =
-            (SimDuration::from_micros(50) + SimDuration::for_bytes(1 << 20, 20_000_000)) * 3;
+            (SimDuration::from_micros(50) + SimDuration::for_bytes(1 << 20, 40_000_000)) * 3;
         assert_eq!(rep.end.since(SimTime::ZERO), expect);
     }
 
     #[test]
     #[should_panic(expected = "non-bus demand")]
     fn rejects_disk_demand() {
-        let mut bus = ScsiBus::new(BusSpec::ultra_scsi());
+        let mut bus = ScsiBus::default();
         bus.service_time(&Demand::DiskRead { offset: 0, bytes: 1 }, SimTime::ZERO);
     }
 }

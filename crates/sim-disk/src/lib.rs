@@ -15,6 +15,10 @@
 //!   serializes transfers, which is what makes consecutive stripe groups on
 //!   an n×k array *pipeline* rather than run fully parallel.
 //!
+//! The drive and bus figures of the Trojans nodes are constants in
+//! [`spec`] and [`bus`]; a [`DiskSpec`] carries only what an experiment
+//! varies (capacity and queue discipline).
+//!
 //! All randomness (rotational phase) is drawn from a per-disk
 //! [`SplitMix64`](sim_core::SplitMix64) stream, keeping runs reproducible.
 
@@ -24,4 +28,4 @@ pub mod spec;
 
 pub use bus::ScsiBus;
 pub use model::DiskModel;
-pub use spec::{BusSpec, DiskSpec};
+pub use spec::DiskSpec;

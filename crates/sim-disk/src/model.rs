@@ -2,7 +2,9 @@
 
 use sim_core::{Demand, ServiceModel, SimDuration, SimTime, SplitMix64};
 
-use crate::spec::{DiskSpec, SchedPolicy};
+use crate::spec::{
+    rotation_time, seek_at_fraction, DiskSpec, SchedPolicy, COMMAND_OVERHEAD, MEDIA_RATE,
+};
 
 /// Mechanical disk service model.
 ///
@@ -15,8 +17,6 @@ pub struct DiskModel {
     rng: SplitMix64,
     /// Byte offset just past the last transferred byte (head position).
     head: u64,
-    /// Cumulative positioning time (seek + rotation), for diagnostics.
-    positioning: SimDuration,
     /// Number of sequential hits (requests that skipped positioning).
     sequential_hits: u64,
     ops: u64,
@@ -31,16 +31,10 @@ impl DiskModel {
             spec,
             rng: SplitMix64::new(seed),
             head: 0,
-            positioning: SimDuration::ZERO,
             sequential_hits: 0,
             ops: 0,
             sweep_up: true,
         }
-    }
-
-    /// The parameters this model was built from.
-    pub fn spec(&self) -> &DiskSpec {
-        &self.spec
     }
 
     /// Fraction of requests served without repositioning.
@@ -54,8 +48,8 @@ impl DiskModel {
 
     fn access(&mut self, offset: u64, bytes: u64) -> SimDuration {
         self.ops += 1;
-        let transfer = SimDuration::for_bytes(bytes, self.spec.media_rate);
-        let positioning = if self.spec.sequential_detection && offset == self.head {
+        let transfer = SimDuration::for_bytes(bytes, MEDIA_RATE);
+        let positioning = if offset == self.head {
             self.sequential_hits += 1;
             SimDuration::ZERO
         } else {
@@ -65,15 +59,13 @@ impl DiskModel {
             } else {
                 distance as f64 / self.spec.capacity as f64
             };
-            let seek = self.spec.seek_at_fraction(fraction);
-            let rotation = SimDuration::from_nanos(
-                self.rng.next_below(self.spec.rotation_time().as_nanos().max(1)),
-            );
+            let seek = seek_at_fraction(fraction);
+            let rotation =
+                SimDuration::from_nanos(self.rng.next_below(rotation_time().as_nanos().max(1)));
             seek + rotation
         };
-        self.positioning += positioning;
         self.head = offset + bytes;
-        self.spec.command_overhead + positioning + transfer
+        COMMAND_OVERHEAD + positioning + transfer
     }
 }
 
@@ -135,6 +127,7 @@ impl ServiceModel for DiskModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{sequential_access, SEEK_MAX};
 
     fn model() -> DiskModel {
         DiskModel::new(DiskSpec::classic_scsi(), 42)
@@ -149,12 +142,12 @@ mod tests {
         let mut m = model();
         let first = read(&mut m, 0, 64 << 10);
         // Head starts at 0, so the very first read at offset 0 is sequential.
-        assert_eq!(first, m.spec().sequential_access(64 << 10));
+        assert_eq!(first, sequential_access(64 << 10));
         let mut total = SimDuration::ZERO;
         for i in 1..=15u64 {
             total += read(&mut m, i * (64 << 10), 64 << 10);
         }
-        assert_eq!(total, m.spec().sequential_access(64 << 10) * 15);
+        assert_eq!(total, sequential_access(64 << 10) * 15);
         assert!((m.sequential_fraction() - 1.0).abs() < 1e-12);
     }
 
@@ -163,7 +156,7 @@ mod tests {
         let mut m = model();
         read(&mut m, 0, 4096);
         let jump = read(&mut m, 2 << 30, 4096);
-        let seq = m.spec().sequential_access(4096);
+        let seq = sequential_access(4096);
         assert!(jump.as_nanos() > seq.as_nanos() + 1_000_000, "jump={jump}");
     }
 
@@ -188,16 +181,15 @@ mod tests {
     #[test]
     fn rotational_latency_bounded_by_one_revolution() {
         let mut m = model();
-        let spec = m.spec().clone();
-        let worst = spec.command_overhead
-            + spec.seek_max
-            + spec.rotation_time()
-            + SimDuration::for_bytes(4096, spec.media_rate);
+        let worst = COMMAND_OVERHEAD
+            + SEEK_MAX
+            + rotation_time()
+            + SimDuration::for_bytes(4096, MEDIA_RATE);
         for i in 0..500u64 {
-            let off = (i * 997) % (spec.capacity / 2) * 2; // scattered
+            let off = (i * 997) % (m.spec.capacity / 2) * 2; // scattered
             let t = read(&mut m, off, 4096);
             assert!(t <= worst, "t={t} worst={worst}");
-            assert!(t >= spec.command_overhead);
+            assert!(t >= COMMAND_OVERHEAD);
         }
     }
 

@@ -3,7 +3,7 @@
 use sim_core::plan::{delay, par, seq, use_res};
 use sim_core::{Demand, Plan, ResourceId};
 
-use crate::spec::NetSpec;
+use crate::spec::{NetSpec, HEADER_BYTES};
 
 /// The resources a message crosses from one node to another.
 ///
@@ -82,7 +82,7 @@ pub fn transfer_plan(spec: &NetSpec, path: &NetPath, bytes: u64) -> Plan {
 fn segment_plan(spec: &NetSpec, path: &NetPath, payload: u64) -> Plan {
     let mut chain = Vec::with_capacity(5);
     send_half(spec, path, payload, &mut chain);
-    receive_half(spec, path, payload, &mut chain);
+    receive_half(path, payload, &mut chain);
     seq(chain)
 }
 
@@ -94,16 +94,16 @@ pub fn send_half(spec: &NetSpec, path: &NetPath, payload: u64, out: &mut Vec<Pla
         out.push(use_res(cpu, Demand::CpuMsg { bytes: payload }));
     }
     if let Some(tx) = path.src_tx {
-        out.push(use_res(tx, Demand::NetXfer { bytes: payload + spec.header_bytes }));
+        out.push(use_res(tx, Demand::NetXfer { bytes: payload + HEADER_BYTES }));
     }
     out.push(delay(spec.switch_latency));
 }
 
 /// Append the receiver half of a one-segment message of `payload` bytes
 /// along `path` to `out`: destination rx port, then destination CPU.
-pub fn receive_half(spec: &NetSpec, path: &NetPath, payload: u64, out: &mut Vec<Plan>) {
+pub fn receive_half(path: &NetPath, payload: u64, out: &mut Vec<Plan>) {
     if let Some(rx) = path.dst_rx {
-        out.push(use_res(rx, Demand::NetXfer { bytes: payload + spec.header_bytes }));
+        out.push(use_res(rx, Demand::NetXfer { bytes: payload + HEADER_BYTES }));
     }
     if let Some(cpu) = path.dst_cpu {
         out.push(use_res(cpu, Demand::CpuMsg { bytes: payload }));

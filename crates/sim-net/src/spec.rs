@@ -2,6 +2,10 @@
 
 use sim_core::SimDuration;
 
+/// Per-frame/segment protocol header bytes added on the wire (Ethernet +
+/// IP + TCP), the same on both interconnects.
+pub const HEADER_BYTES: u64 = 58;
+
 /// Parameters of the cluster interconnect and of the per-message software
 /// path (syscalls, TCP/IP stack, copies) on the hosts.
 #[derive(Debug, Clone)]
@@ -9,8 +13,6 @@ pub struct NetSpec {
     /// Link bandwidth per NIC port, bytes/second (full duplex: tx and rx
     /// each run at this rate).
     pub link_rate: u64,
-    /// Per-frame/segment protocol header bytes added on the wire.
-    pub header_bytes: u64,
     /// Store-and-forward switch + propagation latency per segment.
     pub switch_latency: SimDuration,
     /// Fixed host software cost per message or segment (syscall + stack).
@@ -27,7 +29,6 @@ impl NetSpec {
     pub fn fast_ethernet() -> Self {
         NetSpec {
             link_rate: 12_500_000,
-            header_bytes: 58, // Ethernet + IP + TCP per segment
             switch_latency: SimDuration::from_micros(20),
             sw_per_message: SimDuration::from_micros(80),
             sw_copy_rate: 120_000_000,
@@ -40,7 +41,6 @@ impl NetSpec {
     pub fn gigabit() -> Self {
         NetSpec {
             link_rate: 125_000_000,
-            header_bytes: 58,
             switch_latency: SimDuration::from_micros(5),
             sw_per_message: SimDuration::from_micros(15),
             sw_copy_rate: 2_000_000_000,
@@ -52,7 +52,7 @@ impl NetSpec {
     /// per-segment segmentation accounted).
     pub fn wire_time(&self, bytes: u64) -> SimDuration {
         let segments = self.segments(bytes).max(1);
-        SimDuration::for_bytes(bytes + segments * self.header_bytes, self.link_rate)
+        SimDuration::for_bytes(bytes + segments * HEADER_BYTES, self.link_rate)
     }
 
     /// Number of segments a payload of `bytes` is split into.
@@ -68,7 +68,7 @@ impl NetSpec {
     /// nodes: software out + wire + switch + software in.
     pub fn base_latency(&self) -> SimDuration {
         self.sw_per_message * 2
-            + SimDuration::for_bytes(self.header_bytes, self.link_rate) * 2
+            + SimDuration::for_bytes(HEADER_BYTES, self.link_rate) * 2
             + self.switch_latency
     }
 }

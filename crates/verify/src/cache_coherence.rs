@@ -34,19 +34,13 @@ pub const ZIPF_CAPACITY: usize = 64;
 /// Workload seed of the gated Zipf scenario.
 pub const ZIPF_SEED: u64 = 0x0ca_c4ed;
 
-/// The gated Zipf scenario's shape: 4 clients reading 256 blocks with
-/// Zipf(1.0) skew, one invalidating write per 16 reads.
-pub fn zipf_scenario_config() -> ZipfConfig {
-    ZipfConfig { clients: 4, region_blocks: 256, reads: 4000, write_every: 16, skew_x100: 100 }
-}
-
 /// Run the shared Zipf scenario once, cached or uncached, returning the
 /// workload outcome and (for cached runs) the cache counters.
 pub fn zipf_cache_run(cached: bool) -> (ZipfOutcome, Option<CacheStats>) {
     let cache = cached.then_some(CacheConfig { capacity_blocks: ZIPF_CAPACITY });
     let cfg = CddConfig { cache, ..CddConfig::default() };
     let (mut engine, mut sys) = cdd::testkit::shape_with(4, 1, 32 << 20, Arch::RaidX, cfg);
-    let out = run_zipf(&mut engine, &mut sys, &zipf_scenario_config(), ZIPF_SEED)
+    let out = run_zipf(&mut engine, &mut sys, &ZipfConfig::default(), ZIPF_SEED)
         .expect("zipf scenario must run fault-free");
     let stats = sys.cache_stats();
     (out, stats)

@@ -10,6 +10,17 @@ use sim_core::plan::seq;
 use sim_core::rng::SplitMix64;
 use sim_core::{Engine, Plan};
 
+/// Fraction of accesses hitting the hot region (80/20-style skew).
+const HOT_FRACTION: f64 = 0.8;
+/// The hot region's share of the used address space.
+const HOT_REGION: f64 = 0.1;
+/// Blocks touched by the largest request (sizes draw from 1..=this).
+const MAX_BLOCKS: u64 = 4;
+/// Blocks of usable address space to spread load over.
+const WORKING_SET_BLOCKS: u64 = 4096;
+/// Seed for the access pattern.
+const SEED: u64 = 0x0DD5_EED5;
+
 /// Parameters of the mixed workload.
 #[derive(Debug, Clone)]
 pub struct MixedConfig {
@@ -19,30 +30,11 @@ pub struct MixedConfig {
     pub ops_per_client: usize,
     /// Fraction of operations that are writes (0..=1).
     pub write_fraction: f64,
-    /// Fraction of accesses hitting the hot region (80/20-style skew).
-    pub hot_fraction: f64,
-    /// The hot region's share of the used address space.
-    pub hot_region: f64,
-    /// Blocks touched by the largest request (sizes draw from 1..=this).
-    pub max_blocks: u64,
-    /// Blocks of usable address space to spread load over.
-    pub working_set_blocks: u64,
-    /// Seed for the access pattern.
-    pub seed: u64,
 }
 
 impl Default for MixedConfig {
     fn default() -> Self {
-        MixedConfig {
-            clients: 16,
-            ops_per_client: 32,
-            write_fraction: 0.3,
-            hot_fraction: 0.8,
-            hot_region: 0.1,
-            max_blocks: 4,
-            working_set_blocks: 4096,
-            seed: 0x0DD5_EED5,
-        }
+        MixedConfig { clients: 16, ops_per_client: 32, write_fraction: 0.3 }
     }
 }
 
@@ -68,9 +60,9 @@ pub fn run_mixed<S: BlockStore>(
     cfg: &MixedConfig,
 ) -> Result<MixedResult, IoError> {
     let bs = store.block_size();
-    let ws = cfg.working_set_blocks.min(store.capacity_blocks());
-    let hot_blocks = ((ws as f64 * cfg.hot_region) as u64).max(cfg.max_blocks + 1);
-    let mut rng = SplitMix64::new(cfg.seed);
+    let ws = WORKING_SET_BLOCKS.min(store.capacity_blocks());
+    let hot_blocks = ((ws as f64 * HOT_REGION) as u64).max(MAX_BLOCKS + 1);
+    let mut rng = SplitMix64::new(SEED);
     let nodes = store.nodes();
 
     // Pre-seed the working set (functional only, outside the window).
@@ -83,13 +75,13 @@ pub fn run_mixed<S: BlockStore>(
         let node = (c + 1) % nodes;
         let mut steps: Vec<Plan> = Vec::with_capacity(cfg.ops_per_client);
         for _ in 0..cfg.ops_per_client {
-            let nblocks = 1 + rng.next_below(cfg.max_blocks);
-            let hot = rng.next_f64() < cfg.hot_fraction;
+            let nblocks = 1 + rng.next_below(MAX_BLOCKS);
+            let hot = rng.next_f64() < HOT_FRACTION;
             let is_write = rng.next_f64() < cfg.write_fraction;
             let lb0 = if is_write {
                 // Private per-client write slice within the chosen region.
                 let slice = (if hot { hot_blocks } else { ws - hot_blocks }) / cfg.clients as u64;
-                let slice = slice.max(cfg.max_blocks + 1);
+                let slice = slice.max(MAX_BLOCKS + 1);
                 let base = if hot { 0 } else { hot_blocks };
                 let within = rng.next_below(slice - nblocks);
                 (base + c as u64 * slice + within).min(ws - nblocks)

@@ -4,8 +4,8 @@
 //! is skewed: a Zipf(s) stream concentrates most accesses on a few hot
 //! blocks, so a small per-client cache absorbs them after one cold miss
 //! each. [`run_zipf`] seeds a region, then drives a deterministic
-//! Zipf-distributed single-block read stream (with optional interleaved
-//! writes that exercise the write-grant invalidation path), verifying
+//! Zipf-distributed single-block read stream (with interleaved writes
+//! that exercise the write-grant invalidation path), verifying
 //! every read byte-for-byte against a shadow model and timing the read
 //! phase in simulated time. The same seed produces the same access
 //! sequence whether or not the cache is enabled — which is what lets the
@@ -16,27 +16,27 @@ use cdd::{IoError, IoSystem};
 use sim_core::check::Gen;
 use sim_core::{Engine, SimDuration};
 
+/// Issuing nodes (reads and interleaved writes pick one per draw).
+const CLIENTS: usize = 4;
+/// One write is interleaved per this many reads. Writes sample the same
+/// Zipf distribution, so they hit hot — cached — blocks and exercise
+/// invalidation where it matters.
+const WRITE_EVERY: usize = 16;
+/// The Zipf exponent: the classic s = 1.0.
+const SKEW: f64 = 1.0;
+
 /// Shape of a Zipf read workload.
 #[derive(Debug, Clone)]
 pub struct ZipfConfig {
-    /// Issuing nodes (reads and interleaved writes round-robin by draw).
-    pub clients: usize,
     /// Size of the accessed region in logical blocks.
     pub region_blocks: u64,
     /// Reads in the measured phase.
     pub reads: usize,
-    /// Interleave one write per this many reads (`0` = read-only phase).
-    /// Writes sample the same Zipf distribution, so they hit hot —
-    /// cached — blocks and exercise invalidation where it matters.
-    pub write_every: usize,
-    /// Zipf exponent ×100 (`100` = the classic s = 1.0). An integer so
-    /// the config stays `Eq`-comparable and trivially deterministic.
-    pub skew_x100: u32,
 }
 
 impl Default for ZipfConfig {
     fn default() -> Self {
-        ZipfConfig { clients: 4, region_blocks: 256, reads: 4000, write_every: 16, skew_x100: 100 }
+        ZipfConfig { region_blocks: 256, reads: 4000 }
     }
 }
 
@@ -54,22 +54,21 @@ pub struct ZipfOutcome {
     pub read_time: SimDuration,
 }
 
-/// Deterministic Zipf(s) rank sampler over `0..n` via inverse-CDF binary
-/// search on the cumulative weights `1/(k+1)^s`.
+/// Deterministic Zipf(1.0) rank sampler over `0..n` via inverse-CDF
+/// binary search on the cumulative weights `1/(k+1)^s`.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cum: Vec<f64>,
 }
 
 impl ZipfSampler {
-    /// Build the sampler for `n` ranks with exponent `skew_x100 / 100`.
-    pub fn new(n: u64, skew_x100: u32) -> Self {
+    /// Build the sampler for `n` ranks.
+    pub fn new(n: u64) -> Self {
         assert!(n > 0, "empty rank space");
-        let s = f64::from(skew_x100) / 100.0;
         let mut cum = Vec::with_capacity(n as usize);
         let mut acc = 0.0_f64;
         for k in 0..n {
-            acc += 1.0 / ((k + 1) as f64).powf(s);
+            acc += 1.0 / ((k + 1) as f64).powf(SKEW);
             cum.push(acc);
         }
         ZipfSampler { cum }
@@ -110,10 +109,10 @@ pub fn run_zipf(
     cfg: &ZipfConfig,
     seed: u64,
 ) -> Result<ZipfOutcome, IoError> {
-    assert!(cfg.clients > 0 && cfg.region_blocks > 0, "degenerate workload shape");
+    assert!(cfg.region_blocks > 0, "degenerate workload shape");
     let bs = sys.block_size() as usize;
     let mut g = Gen::new(seed);
-    let sampler = ZipfSampler::new(cfg.region_blocks, cfg.skew_x100);
+    let sampler = ZipfSampler::new(cfg.region_blocks);
     let perm = rank_permutation(&mut g, cfg.region_blocks);
 
     // Seed phase: every block written once so reads have known bytes.
@@ -128,16 +127,16 @@ pub fn run_zipf(
     let mut out = ZipfOutcome { reads: 0, writes: 0, stale_reads: 0, read_time: SimDuration(0) };
     let mut tag: u8 = 1;
     for i in 0..cfg.reads {
-        if cfg.write_every > 0 && i % cfg.write_every == cfg.write_every - 1 {
+        if i % WRITE_EVERY == WRITE_EVERY - 1 {
             let lb = perm[sampler.sample(&mut g) as usize];
-            let client = g.usize_in(0..cfg.clients);
+            let client = g.usize_in(0..CLIENTS);
             tag = tag.wrapping_add(2); // stays odd: never collides with the 0-fill of unwritten blocks
             let plan = sys.write(client, lb, &vec![fill_byte(tag, lb); bs])?;
             model[lb as usize] = fill_byte(tag, lb);
             engine.spawn_job(format!("zipf-w/{i}"), plan);
             out.writes += 1;
         }
-        let client = g.usize_in(0..cfg.clients);
+        let client = g.usize_in(0..CLIENTS);
         let lb = perm[sampler.sample(&mut g) as usize];
         let (data, plan) = sys.read(client, lb, 1)?;
         engine.spawn_job(format!("zipf-r/{i}"), plan);
@@ -159,7 +158,7 @@ mod tests {
 
     #[test]
     fn sampler_is_deterministic_and_skewed() {
-        let s = ZipfSampler::new(256, 100);
+        let s = ZipfSampler::new(256);
         let draw = |seed| {
             let mut g = Gen::new(seed);
             (0..2000).map(|_| s.sample(&mut g)).collect::<Vec<u64>>()
@@ -174,7 +173,7 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_runs_agree_and_the_cache_pays() {
-        let cfg = ZipfConfig { region_blocks: 64, reads: 400, ..ZipfConfig::default() };
+        let cfg = ZipfConfig { region_blocks: 64, reads: 400 };
         let run = |cache: Option<CacheConfig>| {
             let cdd_cfg = CddConfig { cache, ..CddConfig::default() };
             let (mut engine, mut sys) =

@@ -7,13 +7,11 @@
 //!
 //! Run with: `cargo run --release --example checkpoint_restart`
 
-use raidx_cluster::ckpt::{
-    ckpt_pattern, run_striped_checkpoint, verify_checkpoint, CheckpointConfig,
-};
-use raidx_cluster::drivers::{CddConfig, IoSystem};
-use raidx_cluster::hw::ClusterConfig;
-use raidx_cluster::layouts::Arch;
-use raidx_cluster::sim::Engine;
+use cdd::{CddConfig, IoSystem};
+use checkpoint::{ckpt_pattern, run_striped_checkpoint, verify_checkpoint, CheckpointConfig};
+use cluster::ClusterConfig;
+use raidx_core::Arch;
+use sim_core::Engine;
 
 fn main() {
     let mut cc = ClusterConfig::trojans_4x3();
@@ -21,13 +19,7 @@ fn main() {
     let mut engine = Engine::new();
     let mut array = IoSystem::new(&mut engine, cc, Arch::RaidX, CddConfig::default());
 
-    let cfg = CheckpointConfig {
-        processes: 12,
-        stagger_width: 4,
-        ckpt_bytes: 4 << 20,
-        rounds: 3,
-        ..Default::default()
-    };
+    let cfg = CheckpointConfig { processes: 12, stagger_width: 4, ckpt_bytes: 4 << 20, rounds: 3 };
     println!(
         "checkpointing {} processes x {} MB, stagger groups of {}, 4x3 RAID-x array",
         cfg.processes,

@@ -7,11 +7,11 @@
 //!
 //! Run with: `cargo run --example cluster_fs_demo`
 
-use raidx_cluster::drivers::{CddConfig, IoSystem};
-use raidx_cluster::fs::Fs;
-use raidx_cluster::hw::ClusterConfig;
-use raidx_cluster::layouts::Arch;
-use raidx_cluster::sim::Engine;
+use cdd::{CddConfig, IoSystem};
+use cfs::Fs;
+use cluster::ClusterConfig;
+use raidx_core::Arch;
+use sim_core::Engine;
 
 fn main() {
     let mut engine = Engine::new();

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example layout_explorer -- [n] [k]`
 //! (defaults to the paper's 4x3 array of Figure 3).
 
-use raidx_cluster::layouts::{FaultSet, Layout, RaidX};
+use raidx_core::{FaultSet, Layout, RaidX};
 
 fn main() {
     let mut args = std::env::args().skip(1);

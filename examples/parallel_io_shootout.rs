@@ -7,11 +7,12 @@
 //!
 //! Run with: `cargo run --release --example parallel_io_shootout [clients]`
 
-use raidx_cluster::bench_workloads::{run_parallel_io, IoPattern, ParallelIoConfig};
-use raidx_cluster::drivers::{BlockStore, CddConfig, IoSystem, NfsConfig, NfsSystem};
-use raidx_cluster::hw::ClusterConfig;
-use raidx_cluster::layouts::Arch;
-use raidx_cluster::sim::Engine;
+use cdd::{BlockStore, CddConfig, IoSystem};
+use cluster::ClusterConfig;
+use nfs_sim::{NfsConfig, NfsSystem};
+use raidx_core::Arch;
+use sim_core::Engine;
+use workloads::{run_parallel_io, IoPattern, ParallelIoConfig};
 
 type StoreBuilder = Box<dyn Fn(&mut Engine) -> Box<dyn BlockStore>>;
 

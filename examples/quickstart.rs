@@ -4,10 +4,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use raidx_cluster::drivers::{CddConfig, IoSystem};
-use raidx_cluster::hw::ClusterConfig;
-use raidx_cluster::layouts::Arch;
-use raidx_cluster::sim::Engine;
+use cdd::{CddConfig, IoSystem};
+use cluster::ClusterConfig;
+use raidx_core::Arch;
+use sim_core::Engine;
 
 fn main() {
     // 16 Linux PCs, switched Fast Ethernet, one SCSI disk each — the

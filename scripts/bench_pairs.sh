@@ -26,6 +26,11 @@
 # range, and `resolved` when one side won at least nine tenths of all
 # pairs and the gap exceeds that range (`resolved worse` when that side
 # is the base) — otherwise `unresolved`, whatever the medians say.
+#
+# On a 2-core box one table is not a verdict: the same binaries and seeds
+# have read `resolved worse` in one 10-pair table and `unresolved` in the
+# next, from machine load alone. There a claim or a refusal rests on two
+# back-to-back tables that agree; when they disagree, neither stands.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 5 ]; then

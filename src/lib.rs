@@ -5,19 +5,21 @@
 //! A full reproduction of *Hwang, Jin & Ho, "RAID-x: A New Distributed
 //! Disk Array for I/O-Centric Cluster Computing" (HPDC 2000)* as a Rust
 //! workspace: the orthogonal-striping-and-mirroring layout and its
-//! baselines ([`layouts`]), the cooperative disk drivers that build a
-//! single I/O space ([`drivers`]), a deterministic cluster simulator
-//! ([`sim`], [`hw`]), a minimal cluster file system ([`fs`]), the paper's
-//! benchmark workloads ([`bench_workloads`]) and striped checkpointing
-//! ([`ckpt`]).
+//! baselines ([`raidx_core`]), the cooperative disk drivers that build a
+//! single I/O space ([`cdd`]) and the centralized NFS baseline
+//! ([`nfs_sim`]), a deterministic cluster simulator ([`sim_core`],
+//! [`sim_disk`], [`sim_net`], [`cluster`]), a minimal cluster file system
+//! ([`cfs`]), the paper's benchmark workloads ([`workloads`]) and striped
+//! checkpointing ([`checkpoint`]). This package only ties them together:
+//! its examples and tests use those crates directly.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use raidx_cluster::drivers::{CddConfig, IoSystem};
-//! use raidx_cluster::hw::ClusterConfig;
-//! use raidx_cluster::layouts::Arch;
-//! use raidx_cluster::sim::Engine;
+//! use cdd::{CddConfig, IoSystem};
+//! use cluster::ClusterConfig;
+//! use raidx_core::Arch;
+//! use sim_core::Engine;
 //!
 //! // Build the 16-node Trojans cluster with a RAID-x single I/O space.
 //! let mut engine = Engine::new();
@@ -36,43 +38,3 @@
 //!
 //! See `examples/` for runnable scenarios and the `bench` crate for the
 //! binaries that regenerate every table and figure of the paper.
-
-/// The discrete-event simulation engine (re-export of `sim-core`).
-pub mod sim {
-    pub use sim_core::*;
-}
-
-/// Hardware models and cluster assembly (re-exports of `sim-disk`,
-/// `sim-net` and `cluster`).
-pub mod hw {
-    pub use cluster::{Block, Cluster, ClusterConfig, DataPlane, DiskError, DiskRef, Node};
-    pub use sim_disk::{BusSpec, DiskModel, DiskSpec, ScsiBus};
-    pub use sim_net::{transfer_plan, NetPath, NetSpec};
-}
-
-/// RAID layouts and the analytic model (re-export of `raidx-core`).
-pub mod layouts {
-    pub use raidx_core::*;
-}
-
-/// Cooperative disk drivers and the single I/O space (re-export of
-/// `cdd`), plus the centralized NFS baseline (`nfs-sim`).
-pub mod drivers {
-    pub use cdd::*;
-    pub use nfs_sim::{NfsConfig, NfsSystem};
-}
-
-/// The cluster file system (re-export of `cfs`).
-pub mod fs {
-    pub use cfs::*;
-}
-
-/// Benchmark workload generators (re-export of `workloads`).
-pub mod bench_workloads {
-    pub use workloads::*;
-}
-
-/// Striped checkpointing with staggering (re-export of `checkpoint`).
-pub mod ckpt {
-    pub use checkpoint::*;
-}

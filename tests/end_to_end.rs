@@ -1,13 +1,14 @@
 //! End-to-end integration: the full stack (engine → cluster → CDD →
 //! layout → file system → workload) exercised through the umbrella crate.
 
-use raidx_cluster::bench_workloads::{run_andrew, AndrewConfig};
-use raidx_cluster::ckpt::{run_striped_checkpoint, verify_checkpoint, CheckpointConfig};
-use raidx_cluster::drivers::{BlockStore, CddConfig, IoSystem, NfsConfig, NfsSystem};
-use raidx_cluster::fs::{Fs, InodeKind};
-use raidx_cluster::hw::ClusterConfig;
-use raidx_cluster::layouts::Arch;
-use raidx_cluster::sim::Engine;
+use cdd::{BlockStore, CddConfig, IoSystem};
+use cfs::{Fs, InodeKind};
+use checkpoint::{run_striped_checkpoint, verify_checkpoint, CheckpointConfig};
+use cluster::ClusterConfig;
+use nfs_sim::{NfsConfig, NfsSystem};
+use raidx_core::Arch;
+use sim_core::Engine;
+use workloads::{run_andrew, AndrewConfig};
 
 #[test]
 fn andrew_runs_on_every_architecture() {

@@ -1,11 +1,12 @@
 //! Integration tests asserting the paper's headline claims hold in the
 //! reproduction, end to end through the public API.
 
-use raidx_cluster::bench_workloads::{run_parallel_io, IoPattern, ParallelIoConfig};
-use raidx_cluster::drivers::{CddConfig, IoSystem, NfsConfig, NfsSystem};
-use raidx_cluster::hw::ClusterConfig;
-use raidx_cluster::layouts::{Arch, PeakModel};
-use raidx_cluster::sim::Engine;
+use cdd::{CddConfig, IoSystem};
+use cluster::ClusterConfig;
+use nfs_sim::{NfsConfig, NfsSystem};
+use raidx_core::{Arch, PeakModel};
+use sim_core::Engine;
+use workloads::{run_parallel_io, IoPattern, ParallelIoConfig};
 
 fn bandwidth(arch: Arch, pattern: IoPattern, clients: usize) -> f64 {
     let mut engine = Engine::new();
