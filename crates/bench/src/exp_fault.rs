@@ -147,8 +147,8 @@ pub fn under_load(arch: Arch, disturb: Disturbance) -> LoadPoint {
     match disturb {
         Disturbance::Rebuild => sys.fail_disk(3),
         Disturbance::Rebalance => {
-            sys.add_disk(&mut engine, 0).expect("hot-add spare");
-            sys.remove_disk(0, 3).expect("retire disk 3");
+            sys.add_disk(&mut engine).expect("hot-add spare");
+            sys.remove_disk(3).expect("retire disk 3");
         }
     }
     let t0 = engine.now();

@@ -3,11 +3,11 @@
 //! * `bench exp <name>|all` — one [`EXPERIMENTS`] entry per table/figure
 //!   of the paper, extension and ablation; `all` prints the document
 //!   `results/all_experiments.md` holds (`fig5`/`fig6` also write CSVs).
-//! * `bench trace [--smoke] [--clients N] [--repeats N] [--out DIR]` —
-//!   traces and metrics under `results/traces/`; `--smoke` runs a small
-//!   configuration and asserts what CI relies on ([`smoke_check`]).
+//! * `bench trace [--smoke]` — traces and metrics under
+//!   `results/traces/`; `--smoke` runs a small configuration and asserts
+//!   what CI relies on ([`smoke_check`]).
 //!
-//! Flags may come in any order. Exit codes: 0 clean, 1 findings, 2 usage.
+//! Exit codes: 0 clean, 1 findings, 2 usage.
 //! The verification suite is `cargo test` (crate `raidx-verify`).
 
 mod exp_ablations;
@@ -64,14 +64,15 @@ const EXPERIMENTS: [Experiment; 14] = [
 enum Command {
     /// An [`EXPERIMENTS`] name, or `all`.
     Exp(&'static str),
-    /// `--smoke` and the overrides of the base [`TraceConfig`].
-    Trace { smoke: bool, clients: Option<usize>, repeats: Option<usize>, out: Option<String> },
+    /// `trace`, with `--smoke` picking [`TraceConfig::smoke`] over the
+    /// default.
+    Trace { smoke: bool },
 }
 
 fn usage() -> String {
     format!(
         "usage: bench exp <name>|all
-       bench trace [--smoke] [--clients N] [--repeats N] [--out DIR]
+       bench trace [--smoke]
 experiments: {}, all",
         EXPERIMENTS.map(|e| e.0).join(", ")
     )
@@ -87,11 +88,6 @@ fn unexpected(arg: &str) -> String {
 
 fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
     args.next().ok_or_else(|| format!("{flag} requires a value"))
-}
-
-fn number(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
-    let n = value(args, flag)?;
-    n.parse().map_err(|e| format!("{flag}: invalid number `{n}`: {e}"))
 }
 
 /// Parse the arguments after the program name; every error is a usage
@@ -111,19 +107,12 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
                 None => Ok(Command::Exp(name)),
             }
         }
-        "trace" => {
-            let (mut smoke, mut clients, mut repeats, mut out) = (false, None, None, None);
-            while let Some(arg) = args.next() {
-                match arg.as_str() {
-                    "--smoke" => smoke = true,
-                    "--clients" => clients = Some(number(&mut args, "--clients")?),
-                    "--repeats" => repeats = Some(number(&mut args, "--repeats")?),
-                    "--out" => out = Some(value(&mut args, "--out")?),
-                    _ => return Err(unexpected(&arg)),
-                }
-            }
-            Ok(Command::Trace { smoke, clients, repeats, out })
-        }
+        "trace" => match (args.next(), args.next()) {
+            (None, _) => Ok(Command::Trace { smoke: false }),
+            (Some(flag), None) if flag == "--smoke" => Ok(Command::Trace { smoke: true }),
+            (Some(flag), None) => Err(unexpected(&flag)),
+            (Some(_), Some(extra)) => Err(unexpected(&extra)),
+        },
         _ => Err(unexpected(&sub)),
     }
 }
@@ -164,11 +153,8 @@ fn trace(cfg: &TraceConfig, smoke: bool) -> ExitCode {
 fn main() -> ExitCode {
     match parse(std::env::args().skip(1)) {
         Ok(Command::Exp(name)) => exp(name),
-        Ok(Command::Trace { smoke, clients, repeats, out }) => {
-            let mut cfg = if smoke { TraceConfig::smoke() } else { TraceConfig::default() };
-            cfg.clients = clients.unwrap_or(cfg.clients);
-            cfg.repeats = repeats.unwrap_or(cfg.repeats);
-            cfg.out_dir = out.unwrap_or(cfg.out_dir);
+        Ok(Command::Trace { smoke }) => {
+            let cfg = if smoke { TraceConfig::smoke() } else { TraceConfig::default() };
             trace(&cfg, smoke)
         }
         Err(msg) => {
@@ -187,18 +173,13 @@ mod tests {
         parse(line.split_whitespace().map(String::from))
     }
 
-    fn trace_cmd(smoke: bool, n: Option<usize>, out: Option<&str>) -> Command {
-        Command::Trace { smoke, clients: n, repeats: n, out: out.map(String::from) }
-    }
-
     #[test]
     fn parse_accepts_every_subcommand_and_flag() {
         for (line, want) in [
             ("exp all", Command::Exp("all")),
             ("exp fault_tolerance", Command::Exp("fault_tolerance")),
-            ("trace", trace_cmd(false, None, None)),
-            ("trace --smoke", trace_cmd(true, None, None)),
-            ("trace --clients 4 --smoke --repeats 4 --out d", trace_cmd(true, Some(4), Some("d"))),
+            ("trace", Command::Trace { smoke: false }),
+            ("trace --smoke", Command::Trace { smoke: true }),
         ] {
             assert_eq!(parse_str(line), Ok(want), "{line}");
         }
@@ -207,7 +188,7 @@ mod tests {
     #[test]
     fn parse_rejects_bad_command_lines() {
         let bad = ["", "experiments", "--help", "exp", "exp fig8", "exp fig5 extra", "verify"];
-        let bad_trace = ["trace --clients", "trace --repeats -1", "trace --out", "trace --pass x"];
+        let bad_trace = ["trace --clients 4", "trace --smoke --smoke", "trace --pass x"];
         for line in bad.into_iter().chain(bad_trace) {
             assert!(parse_str(line).is_err(), "`{line}` parsed");
         }

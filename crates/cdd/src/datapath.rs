@@ -16,7 +16,6 @@
 use cluster::{xor_of, Block};
 use raidx_core::{FaultSet, ReadSource, WriteScheme};
 use sim_core::plan::{delay, par, seq};
-use sim_core::trace::AccessKind;
 use sim_core::{Plan, SimDuration};
 
 use crate::error::IoError;
@@ -47,18 +46,13 @@ impl IoSystem {
 
         // Consistency module: the lock group is held for the duration of
         // the (logically instantaneous) functional update.
-        let written = self.with_grant(client, lb0, nblocks, |sys, tick| {
+        let written = self.with_grant(|sys| {
             let result = sys.write_locked(client, &eff_slots, lb0, nblocks, data);
             // Coherence: the write grant doubles as the invalidation
             // broadcast through the replicated lock-group table — every
             // client's cached copy of the range is dropped while the grant
             // is still held, even if the write itself failed partway.
             sys.cache_invalidate(lb0, nblocks);
-            // Lock record: the write, on the grant's tick and between its
-            // `Acquire` and `Release`.
-            if let (Some(at), true) = (tick, result.is_ok()) {
-                sys.trace_access(at, client, lb0, nblocks, AccessKind::Write);
-            }
             result
         });
         let body = match written {

@@ -82,10 +82,7 @@ pub enum FaultEvent {
     },
     /// Hot-add a physical disk as a spare (appends a roster epoch; the
     /// disk serves no placement until a later remove promotes it).
-    DiskAdd {
-        /// Node driving the metadata transition.
-        client: usize,
-    },
+    DiskAdd,
     /// Retire an active disk onto the first registered spare. Placement
     /// flips immediately; the migration is deliberately left in flight so
     /// subsequent workload ops exercise mid-rebalance reads and writes.
@@ -94,16 +91,12 @@ pub enum FaultEvent {
     DiskRemove {
         /// Global physical disk number (must be Active).
         disk: usize,
-        /// Node driving the transition.
-        client: usize,
     },
     /// Replace an active disk with a freshly hot-added blank one:
     /// `DiskAdd` + `DiskRemove` as a single event.
     DiskReplace {
         /// Global physical disk number to retire.
         disk: usize,
-        /// Node driving the transition.
-        client: usize,
     },
 }
 
@@ -225,14 +218,14 @@ fn apply(ev: FaultEvent, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), 
             }
         }
         FaultEvent::NodeCrash { node } => sys.crash_node(node),
-        FaultEvent::DiskAdd { client } => {
-            sys.add_disk(engine, client)?;
+        FaultEvent::DiskAdd => {
+            sys.add_disk(engine)?;
         }
-        FaultEvent::DiskRemove { disk, client } => {
-            sys.remove_disk(client, disk)?;
+        FaultEvent::DiskRemove { disk } => {
+            sys.remove_disk(disk)?;
         }
-        FaultEvent::DiskReplace { disk, client } => {
-            sys.replace_disk(engine, client, disk)?;
+        FaultEvent::DiskReplace { disk } => {
+            sys.replace_disk(engine, disk)?;
         }
         FaultEvent::NodeRestart { node, client } => {
             sys.heal_node(node);

@@ -3,14 +3,14 @@
 //! while the array serves I/O.
 //!
 //! An epoch transition is a metadata operation: it binds a logical slot
-//! to a new physical disk in the placer (under a grant on the reserved
-//! `EPOCH_META_LB` range) and records which physical blocks of the
-//! vacated disk still await migration. The bytes then move
-//! *incrementally* — [`IoSystem::rebalance`] drains the pending set in
-//! bounded, crash-idempotent steps while reads keep resolving pending
-//! blocks against the old home. A full-disk replace is just
-//! `add_disk` + `remove_disk`; the cost difference against a full
-//! rebuild is what the bench's rebalance-under-load table quantifies.
+//! to a new physical disk in the placer (under a lock-group grant) and
+//! records which physical blocks of the vacated disk still await
+//! migration. The bytes then move *incrementally* —
+//! [`IoSystem::rebalance`] drains the pending set in bounded,
+//! crash-idempotent steps while reads keep resolving pending blocks
+//! against the old home. A full-disk replace is just `add_disk` +
+//! `remove_disk`; the cost difference against a full rebuild is what the
+//! bench's rebalance-under-load table quantifies.
 
 use std::collections::BTreeSet;
 
@@ -19,18 +19,6 @@ use sim_core::Engine;
 
 use crate::error::IoError;
 use crate::system::IoSystem;
-
-/// First logical block of the lock range reserved for epoch transitions.
-///
-/// Data requests lock `[lb0, lb0+nblocks)` below the array capacity;
-/// membership operations take their grant on this range instead, which
-/// lies beyond every data block. That places a membership grant on the
-/// lock record where [`crate::testkit::grants_of`] counts it in
-/// `meta_pairs`. The value itself is arbitrary but pinned: the `Access`
-/// events the determinism and fault-sweep digests hash contain it.
-pub(crate) const EPOCH_META_LB: u64 = (1 << 56) - 64;
-/// Length of the reserved epoch-transition lock range.
-pub(crate) const EPOCH_META_SPAN: u64 = 64;
 
 impl IoSystem {
     /// Disks whose *media* is unavailable: failed or transiently offline.
@@ -144,19 +132,18 @@ impl IoSystem {
         self.images.reassign_client(node, |p| owners[p.addr.disk]);
     }
 
-    /// Hot-add a physical disk to the array as a *spare*, on behalf of
-    /// node `client`. Registers it with the engine (same numbering and
-    /// seed rules as boot), grows the functional plane, and appends a
-    /// roster epoch. The disk serves no placement until a later
+    /// Hot-add a physical disk to the array as a *spare*. Registers it
+    /// with the engine (same numbering and seed rules as boot), grows the
+    /// functional plane, and appends a roster epoch. The disk serves no placement until a later
     /// [`IoSystem::remove_disk`] promotes it.
-    pub fn add_disk(&mut self, engine: &mut Engine, client: usize) -> Result<usize, IoError> {
-        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys, _| {
+    pub fn add_disk(&mut self, engine: &mut Engine) -> Result<usize, IoError> {
+        self.with_grant(|sys| {
             let g = sys.cluster.add_disk(engine);
             let p = sys.plane.add_disk();
             let s = sys.placer.add_spare();
             debug_assert!(g == p && p == s, "disk id spaces diverged: {g}/{p}/{s}");
             // Membership epoch bump: flush every client's cache while the
-            // meta lock is held — no cached extent may straddle an epoch
+            // grant is held — no cached extent may straddle an epoch
             // transition.
             sys.cache_flush_all();
             Ok(g)
@@ -173,25 +160,27 @@ impl IoSystem {
     /// it are served from the old disk (if its media survives) or routed
     /// through redundancy (if not) — the array keeps serving I/O with
     /// zero failed ops either way. Blocks *parked* against the old disk
-    /// by degraded writes are stale there, so they transfer as ledger
-    /// entries against the new home (restored later by
-    /// [`IoSystem::resync_parked`]) instead of being migrated as bytes.
+    /// by degraded writes are stale there: if its media is readable they
+    /// transfer as ledger entries against the new home (restored later by
+    /// [`IoSystem::resync_parked`]) instead of being migrated as bytes;
+    /// if not, they join the pending set and reconstruct from redundancy
+    /// with the rest of the disk.
     ///
     /// Panics if `phys` is not Active or no spare is registered — both
     /// are operator errors, not runtime conditions.
-    pub fn remove_disk(&mut self, client: usize, phys: usize) -> Result<usize, IoError> {
+    pub fn remove_disk(&mut self, phys: usize) -> Result<usize, IoError> {
         #[expect(clippy::expect_used, reason = "operator-error invariant documented on the method")]
         let slot = self.placer.slot_of(phys).expect("can only remove an active disk");
         #[expect(clippy::expect_used, reason = "operator-error invariant documented on the method")]
         let spare = self.placer.first_spare().expect("removing a disk requires a registered spare");
-        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys, _| {
+        self.with_grant(|sys| {
             sys.promote_spare(slot, phys, spare);
             Ok(spare)
         })
     }
 
-    /// The epoch transition of [`IoSystem::remove_disk`], run under the
-    /// meta lock: rebind `slot` from `phys` to `spare` and record what
+    /// The epoch transition of [`IoSystem::remove_disk`], run under its
+    /// grant: rebind `slot` from `phys` to `spare` and record what
     /// must migrate.
     fn promote_spare(&mut self, slot: usize, phys: usize, spare: usize) {
         let old_dead = self.plane.is_failed(phys) || self.plane.is_offline(phys);
@@ -213,16 +202,23 @@ impl IoSystem {
         } else {
             self.plane.written_blocks(phys).into_iter().collect()
         };
-        // Parked copies are stale on the old disk: migrating their bytes
-        // would resurrect overwritten data. They move as ledger entries.
+        // Parked copies are stale on the old disk. A readable one would
+        // resurrect overwritten data if its bytes migrated, so they move
+        // as ledger entries; an unreadable one's pending blocks are
+        // reconstructed from redundancy, so they join them.
         for &lb in &parked_old {
             for a in self.copy_addrs(lb) {
-                if a.disk == slot {
+                if a.disk != slot {
+                    continue;
+                }
+                if old_dead {
+                    pending.insert(a.block);
+                } else {
                     pending.remove(&a.block);
                 }
             }
         }
-        if !parked_old.is_empty() {
+        if !old_dead && !parked_old.is_empty() {
             self.parked.entry(spare).or_default().extend(parked_old);
         }
 
@@ -244,14 +240,9 @@ impl IoSystem {
     /// disk, in one operation: hot-add a spare, then retire `phys` onto
     /// it. Returns the new disk's physical id. The caller drives the data
     /// movement via [`IoSystem::rebalance`].
-    pub fn replace_disk(
-        &mut self,
-        engine: &mut Engine,
-        client: usize,
-        phys: usize,
-    ) -> Result<usize, IoError> {
-        self.add_disk(engine, client)?;
-        self.remove_disk(client, phys)
+    pub fn replace_disk(&mut self, engine: &mut Engine, phys: usize) -> Result<usize, IoError> {
+        self.add_disk(engine)?;
+        self.remove_disk(phys)
     }
 }
 

@@ -13,7 +13,6 @@ use std::collections::BTreeSet;
 use raidx_core::BlockAddr;
 
 use crate::error::IoError;
-use crate::membership::{EPOCH_META_LB, EPOCH_META_SPAN};
 use crate::placer::Migration;
 use crate::restore::{RestoreOutcome, RestoreStep};
 use crate::system::IoSystem;
@@ -32,9 +31,7 @@ impl IoSystem {
         let Some(m) = self.placer.migration().cloned() else {
             return self.restore(client, &[], None);
         };
-        self.with_grant(client, EPOCH_META_LB, EPOCH_META_SPAN, |sys, _| {
-            sys.rebalance_locked(client, &m, step_limit)
-        })
+        self.with_grant(|sys| sys.rebalance_locked(client, &m, step_limit))
     }
 
     fn rebalance_locked(
@@ -92,9 +89,9 @@ mod tests {
         sys.write(0, 0, &data).expect("seed");
         let _ = sys.flush_images();
 
-        let spare = sys.add_disk(&mut engine, 0).expect("add spare");
+        let spare = sys.add_disk(&mut engine).expect("add spare");
         assert_eq!(sys.epoch(), 1);
-        let promoted = sys.remove_disk(0, 1).expect("remove disk 1");
+        let promoted = sys.remove_disk(1).expect("remove disk 1");
         assert_eq!(promoted, spare);
         assert_eq!(sys.epoch(), 2);
         assert!(sys.migration_pending() > 0, "vacated disk had content to move");
@@ -135,8 +132,8 @@ mod tests {
         let _ = sys.flush_images();
 
         sys.fail_disk(2);
-        sys.add_disk(&mut engine, 0).expect("add spare");
-        sys.remove_disk(0, 2).expect("retire the failed disk");
+        sys.add_disk(&mut engine).expect("add spare");
+        sys.remove_disk(2).expect("retire the failed disk");
         assert!(!sys.faults().contains(2), "retired disk leaves the fault set");
 
         // Degraded but correct reads while the reconstruction drains.
@@ -165,8 +162,8 @@ mod tests {
         sys.write(0, 0, &data).expect("seed");
         let _ = sys.flush_images();
 
-        sys.add_disk(&mut engine, 0).expect("add spare");
-        sys.remove_disk(0, 1).expect("remove");
+        sys.add_disk(&mut engine).expect("add spare");
+        sys.remove_disk(1).expect("remove");
         let pending = sys.migration_pending();
         let a = sys.rebalance(0, Some(3)).expect("partial rebalance");
         assert!(!a.finished);

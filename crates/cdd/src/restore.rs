@@ -173,8 +173,8 @@ mod tests {
                 match via {
                     Via::Rebuild => sys.fail_disk(1),
                     Via::Rebalance => {
-                        sys.add_disk(&mut engine, 0).expect("add spare");
-                        sys.remove_disk(0, 1).expect("retire disk 1");
+                        sys.add_disk(&mut engine).expect("add spare");
+                        sys.remove_disk(1).expect("retire disk 1");
                     }
                     Via::Resync => {
                         sys.fail_disk_transient(1);

@@ -34,8 +34,7 @@ use std::sync::Arc;
 
 use cluster::{Cluster, ClusterConfig, DataPlane};
 use raidx_core::{Arch, FaultSet, Layout};
-use sim_core::trace::{AccessKind, EventLog, TraceEvent};
-use sim_core::{Engine, Plan, SimTime};
+use sim_core::{Engine, Plan};
 use sim_net::PartitionMap;
 
 use crate::config::CddConfig;
@@ -95,17 +94,6 @@ pub struct IoSystem {
     /// so this one count is both [`IoSystem::timeouts`] and
     /// [`IoSystem::failovers`].
     pub(crate) failovers: u64,
-    /// Optional recorder of the lock record: the [`TraceEvent::Access`]
-    /// events of [`IoSystem::with_grant`] (every grant's `Acquire` and
-    /// `Release`, and a data write's one `Write` between them). `None`
-    /// keeps every emission site a single branch — the same
-    /// zero-cost-when-disabled guarantee the engine's tracer gives.
-    tracer: Option<EventLog>,
-    /// Synthetic protocol clock: one tick per traced grant. Access
-    /// events are stamped with it (not engine time — the functional
-    /// update is logically instantaneous), so a grant's events share a
-    /// timestamp distinct from every other grant's.
-    trace_ticks: u64,
     /// Per-client block caches with lock-group-grant coherence
     /// ([`crate::cache`]); `None` (the default) keeps every request path
     /// byte- and plan-identical to an uncached build.
@@ -170,33 +158,9 @@ impl IoSystem {
             backlog_samples: None,
             op_seq: 0,
             failovers: 0,
-            tracer: None,
-            trace_ticks: 0,
             cache,
             lock_rounds: vec![None; nodes],
             lock_arms: Vec::new(),
-        }
-    }
-
-    /// Install an [`EventLog`] recording the lock record from now on
-    /// (replacing any previous one). Install a clone of the same log
-    /// here and in the engine to get one merged stream;
-    /// [`crate::testkit::grants_of`] walks its grants.
-    pub fn set_tracer(&mut self, tracer: EventLog) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Emit one `Access` event on protocol tick `at`.
-    pub(crate) fn trace_access(
-        &self,
-        at: SimTime,
-        client: usize,
-        lb: u64,
-        len: u64,
-        kind: AccessKind,
-    ) {
-        if let Some(tr) = &self.tracer {
-            tr.record(at, TraceEvent::Access { client, lb, len, kind });
         }
     }
 
@@ -291,41 +255,26 @@ impl IoSystem {
         0
     }
 
-    /// Consistency module: atomically acquire write permission on
-    /// `[start, start+len)` for `client`, run `body` under the grant, and
-    /// release it whatever `body` returned. The only way cdd code takes a
-    /// lock group, so no path can hold one past the functional update —
-    /// nor, as the entry assert states, take a second one under the
-    /// first — and the only place a grant is traced: with a tracer
-    /// installed the grant gets one protocol tick, handed to `body` for
-    /// its `Write`, with `Acquire` emitted before and `Release` after it.
+    /// Consistency module: atomically take a lock-group grant, run
+    /// `body` under it, and release it whatever `body` returned. The only
+    /// way cdd code takes a lock group, so no path can hold one past the
+    /// functional update — nor, as the entry assert states, take a second
+    /// one under the first.
     ///
     /// Invariant: at most one grant is ever live. Every `IoSystem` call
     /// runs to completion under `&mut self`, so the grant is atomic by
     /// construction — this counter and guard are the whole lock-group
-    /// table, and nothing can conflict with a grant.
+    /// table, nothing can conflict with a grant, and which blocks a grant
+    /// covers changes nothing: the broadcast's cost is the
+    /// [`IoSystem::lock_round`] plan.
     pub(crate) fn with_grant<R>(
         &mut self,
-        client: usize,
-        start: u64,
-        len: u64,
-        body: impl FnOnce(&mut Self, Option<SimTime>) -> Result<R, IoError>,
+        body: impl FnOnce(&mut Self) -> Result<R, IoError>,
     ) -> Result<R, IoError> {
         assert!(!self.granted, "with_grant entered under a live grant");
         self.granted = true;
         self.grants += 1;
-        let tick = self.tracer.is_some().then(|| {
-            self.trace_ticks += 1;
-            SimTime(self.trace_ticks - 1)
-        });
-        let trace = |sys: &mut Self, kind| {
-            if let Some(at) = tick {
-                sys.trace_access(at, client, start, len, kind);
-            }
-        };
-        trace(self, AccessKind::Acquire);
-        let result = body(self, tick);
-        trace(self, AccessKind::Release);
+        let result = body(self);
         self.granted = false;
         result
     }
@@ -407,6 +356,6 @@ mod tests {
     #[should_panic(expected = "with_grant entered under a live grant")]
     fn a_grant_body_cannot_take_a_second_grant() {
         let (_engine, mut sys) = crate::testkit::shape(4, 1, 8 << 20, raidx_core::Arch::RaidX);
-        let _ = sys.with_grant(0, 0, 1, |sys, _| sys.with_grant(0, 8, 1, |_, _| Ok(())));
+        let _ = sys.with_grant(|sys| sys.with_grant(|_| Ok(())));
     }
 }

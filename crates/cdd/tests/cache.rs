@@ -123,9 +123,9 @@ fn membership_epoch_bumps_flush_the_cache_and_reads_retarget() {
     assert_eq!(sys.cached_blocks(1), SPAN as usize);
 
     // Epoch transitions: register a spare, retire disk 1 onto it.
-    sys.add_disk(&mut engine, 0).expect("add spare");
+    sys.add_disk(&mut engine).expect("add spare");
     assert_eq!(sys.cached_blocks(1), 0, "the add's epoch bump must flush");
-    sys.remove_disk(0, 1).expect("remove disk 1");
+    sys.remove_disk(1).expect("remove disk 1");
     let stats = sys.cache_stats().expect("stats");
     assert!(stats.flushes >= 2, "both membership transitions flush: {stats:?}");
 

@@ -36,9 +36,18 @@ fn draw_op(g: &mut Gen) -> Op {
     }
 }
 
+/// Assert that the call between two [`cdd::IoSystem::lock_grants`]
+/// readings took exactly `taken` grants.
+fn assert_grants(sys: &cdd::IoSystem, before: u64, taken: u64, what: &str) {
+    assert_eq!(sys.lock_grants() - before, taken, "{what} must take exactly {taken} grant(s)");
+}
+
 /// Satellite property: reads interleaved arbitrarily with an in-flight
 /// rebalance agree byte-for-byte with the trivial op model, on both the
-/// healthy-removal (copy) and failed-removal (reconstruct) paths.
+/// healthy-removal (copy) and failed-removal (reconstruct) paths. Every
+/// write, `add_disk`, `remove_disk` and rebalance step of a migration in
+/// flight takes exactly one lock-group grant; a rebalance with none in
+/// flight takes none.
 fn reconfig_agrees_with_model(name: &str, fail_before_remove: bool) {
     run_cases(name, 16, |g| {
         let (mut engine, mut sys) = cdd::testkit::shape(4, 1, 8 << 20, Arch::RaidX);
@@ -52,7 +61,9 @@ fn reconfig_agrees_with_model(name: &str, fail_before_remove: bool) {
                 let data: Vec<u8> = (0..nblocks as usize)
                     .flat_map(|i| vec![tag.wrapping_add(i as u8); bs])
                     .collect();
+                let before = sys.lock_grants();
                 sys.write(0, lb0, &data).expect("write under reconfiguration");
+                assert_grants(sys, before, 1, "a write");
                 for i in 0..nblocks {
                     model[(lb0 + i) as usize] = tag.wrapping_add(i as u8);
                 }
@@ -69,8 +80,19 @@ fn reconfig_agrees_with_model(name: &str, fail_before_remove: bool) {
         if fail_before_remove {
             sys.fail_disk(victim);
         }
-        sys.add_disk(&mut engine, 0).expect("add spare");
-        sys.remove_disk(0, victim).expect("remove disk");
+        let before = sys.lock_grants();
+        sys.add_disk(&mut engine).expect("add spare");
+        assert_grants(&sys, before, 1, "add_disk");
+        sys.remove_disk(victim).expect("remove disk");
+        assert_grants(&sys, before + 1, 1, "remove_disk");
+        let mut in_flight = true;
+        let mut rebalance = |sys: &mut cdd::IoSystem, steps| {
+            let before = sys.lock_grants();
+            let out = sys.rebalance(0, steps).expect("rebalance step");
+            assert_grants(sys, before, u64::from(in_flight), "a rebalance step");
+            in_flight = !out.finished;
+            out
+        };
 
         for op in g.vec_of(1..30, draw_op) {
             match op {
@@ -88,14 +110,14 @@ fn reconfig_agrees_with_model(name: &str, fail_before_remove: bool) {
                     }
                 }
                 Op::Drain { steps } => {
-                    let out = sys.rebalance(0, Some(steps)).expect("rebalance step");
+                    let out = rebalance(&mut sys, Some(steps));
                     engine.spawn_job("drain", out.plan);
                     engine.run().expect("drain timing");
                 }
             }
         }
         // Finish the migration and check the whole working set + scrub.
-        let out = sys.rebalance(0, None).expect("final rebalance");
+        let out = rebalance(&mut sys, None);
         assert!(out.finished);
         assert_eq!(sys.migration_pending(), 0);
         let (got, _) = sys.read(2, 0, span).expect("post-migration sweep");
@@ -106,11 +128,9 @@ fn reconfig_agrees_with_model(name: &str, fail_before_remove: bool) {
             );
         }
         sys.scrub().expect("redundancy must hold after migration");
-        // Every transition above ran under client 0's meta grant and
-        // released it: another client's transition is not refused.
-        let grants = sys.lock_grants();
-        sys.add_disk(&mut engine, 1).expect("add/remove/rebalance leaked the meta grant");
-        assert_eq!(sys.lock_grants(), grants + 1);
+        // Every transition above released its grant: another one is not
+        // refused.
+        sys.add_disk(&mut engine).expect("add/remove/rebalance leaked its grant");
     });
 }
 
@@ -122,4 +142,46 @@ fn reads_during_rebalance_agree_with_model() {
 #[test]
 fn reads_during_reconstruction_agree_with_model() {
     reconfig_agrees_with_model("reads_during_reconstruction_agree_with_model", true);
+}
+
+/// Retiring a failed or offline disk that degraded writes parked copies
+/// against: those copies must be reconstructed onto the spare with the
+/// rest of the disk, not left as ledger entries nothing resyncs.
+#[test]
+fn retiring_a_dead_disk_restores_its_parked_copies() {
+    for arch in Arch::ALL {
+        for offline in [false, true] {
+            let case = format!("{arch:?} offline={offline}");
+            let (mut engine, mut sys) = cdd::testkit::shape(4, 1, 8 << 20, arch);
+            let bs = sys.block_size() as usize;
+            let (old, new) = (vec![0x42u8; 24 * bs], vec![0x91u8; 8 * bs]);
+            sys.write(0, 0, &old).expect("seed");
+            let _ = sys.flush_images();
+            if offline {
+                sys.fail_disk_transient(1);
+            } else {
+                sys.fail_disk(1);
+            }
+            sys.write(0, 0, &new).expect("degraded overwrite");
+            assert!(sys.parked_blocks(1) > 0, "{case}: the overwrite parked no copy");
+
+            sys.add_disk(&mut engine).expect("add spare");
+            sys.remove_disk(1).expect("retire the dead disk");
+            let out = sys.rebalance(0, None).expect("rebalance");
+            assert!(out.finished, "{case}");
+            engine.spawn_job("rebalance", out.plan);
+            engine.run().expect("rebalance timing");
+
+            let (got, _) = sys.read(2, 0, 24).expect("read back");
+            for lb in 0..24 {
+                let want = if lb < 8 { 0x91 } else { 0x42 };
+                assert!(
+                    got[lb * bs..(lb + 1) * bs].iter().all(|&b| b == want),
+                    "{case}: block {lb} read back stale"
+                );
+            }
+            assert_eq!(sys.parked_total(), 0, "{case}: copies left parked after the migration");
+            sys.scrub().unwrap_or_else(|e| panic!("{case}: scrub: {e}"));
+        }
+    }
 }

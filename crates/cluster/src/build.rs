@@ -64,7 +64,7 @@ impl Cluster {
                 .add_resource(format!("node{n}/tx"), Box::new(FixedRate::rate(cfg.net.link_rate)));
             let rx = engine
                 .add_resource(format!("node{n}/rx"), Box::new(FixedRate::rate(cfg.net.link_rate)));
-            let bus = engine.add_resource(format!("node{n}/scsi"), Box::<ScsiBus>::default());
+            let bus = engine.add_resource(format!("node{n}/scsi"), Box::new(ScsiBus));
             nodes.push(Node { cpu, tx, rx, bus });
         }
         let mut cluster = Cluster { nodes, disks: Vec::with_capacity(cfg.total_disks()), cfg };

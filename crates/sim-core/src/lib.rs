@@ -76,5 +76,5 @@ pub use prof::EngineStats;
 pub use resource::{FixedRate, ResourceId, ResourceStats, ServiceModel};
 pub use rng::{fnv1a, SplitMix64};
 pub use time::{SimDuration, SimTime};
-pub use trace::{AccessKind, DemandKind, EventLog, TimedEvent, TraceEvent};
+pub use trace::{DemandKind, EventLog, TimedEvent, TraceEvent};
 pub use validate::PlanError;

@@ -2,10 +2,7 @@
 //!
 //! [`TraceEvent`] is the only event type and [`EventLog::record`] the
 //! only way one is reported. The engine holds an optional [`EventLog`]
-//! (see [`Engine::set_tracer`](crate::Engine::set_tracer)) and so does
-//! the CDD I/O system, for its protocol-level [`TraceEvent::Access`]
-//! events; clones of one log installed in both yield one merged stream,
-//! which is also the only record of lock-group grants and releases.
+//! (see [`Engine::set_tracer`](crate::Engine::set_tracer)).
 //! Every emission site builds its event inside the `if let Some(tracer)`
 //! branch, so with no log installed a site costs that one branch and
 //! constructs nothing. With a log installed the engine reports every
@@ -67,20 +64,7 @@ impl From<&Demand> for DemandKind {
     }
 }
 
-/// What a [`TraceEvent::Access`] event did to its block range: the lock
-/// record of one grant is an `Acquire`, at most one `Write` and a
-/// `Release`, in that order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AccessKind {
-    /// A lock-group grant covering the block range.
-    Acquire,
-    /// A data write of the block range, under the writer's live grant.
-    Write,
-    /// A lock-group release of the block range.
-    Release,
-}
-
-/// One engine or protocol event, owned: ids are indices, a demand is
+/// One engine event, owned: ids are indices, a demand is
 /// reduced to its ([`DemandKind`], bytes) and the job label is cloned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -178,21 +162,6 @@ pub enum TraceEvent {
         cycle: u64,
         /// Tasks released (waiters plus the arriving task).
         released: usize,
-    },
-    /// One entry of the CDD lock record, emitted outside the engine by
-    /// `IoSystem::with_grant` through a shared tracer: a grant's
-    /// `Acquire` and `Release` and the data write between them, stamped
-    /// with the grant's protocol tick rather than engine time.
-    Access {
-        /// The client node holding the grant.
-        client: usize,
-        /// First logical block of the range (past the array's capacity
-        /// for the epoch meta range of membership operations).
-        lb: u64,
-        /// Number of consecutive blocks.
-        len: u64,
-        /// What the access did.
-        kind: AccessKind,
     },
 }
 

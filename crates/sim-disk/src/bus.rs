@@ -15,26 +15,13 @@ pub const BUS_PER_COMMAND: SimDuration = SimDuration::from_micros(50);
 /// resource a FIFO queue, the k disks of one node contend here — producing
 /// exactly the pipelined (rather than parallel) access the paper describes
 /// for consecutive stripe groups on the same SCSI bus.
-#[derive(Default)]
-pub struct ScsiBus {
-    transfers: u64,
-}
-
-impl ScsiBus {
-    /// Number of transfers arbitrated so far.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-}
+pub struct ScsiBus;
 
 impl ServiceModel for ScsiBus {
     fn service_time(&mut self, demand: &Demand, _now: SimTime) -> SimDuration {
         match *demand {
             Demand::Busy(d) => d,
-            Demand::BusXfer { bytes } => {
-                self.transfers += 1;
-                BUS_PER_COMMAND + SimDuration::for_bytes(bytes, BUS_RATE)
-            }
+            Demand::BusXfer { bytes } => BUS_PER_COMMAND + SimDuration::for_bytes(bytes, BUS_RATE),
             ref other => panic!("bus received non-bus demand {other:?}"),
         }
     }
@@ -48,16 +35,14 @@ mod tests {
 
     #[test]
     fn charges_arbitration_plus_bytes() {
-        let mut bus = ScsiBus::default();
-        let t = bus.service_time(&Demand::BusXfer { bytes: 40_000_000 }, SimTime::ZERO);
+        let t = ScsiBus.service_time(&Demand::BusXfer { bytes: 40_000_000 }, SimTime::ZERO);
         assert_eq!(t, SimDuration::from_micros(50) + SimDuration::from_secs(1));
-        assert_eq!(bus.transfers(), 1);
     }
 
     #[test]
     fn serializes_concurrent_disk_transfers() {
         let mut e = Engine::new();
-        let bus = e.add_resource("scsi0", Box::new(ScsiBus::default()));
+        let bus = e.add_resource("scsi0", Box::new(ScsiBus));
         // Three disks on one bus push 1 MB each: the bus is the bottleneck.
         e.spawn_job(
             "xfer",
@@ -72,7 +57,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-bus demand")]
     fn rejects_disk_demand() {
-        let mut bus = ScsiBus::default();
-        bus.service_time(&Demand::DiskRead { offset: 0, bytes: 1 }, SimTime::ZERO);
+        ScsiBus.service_time(&Demand::DiskRead { offset: 0, bytes: 1 }, SimTime::ZERO);
     }
 }

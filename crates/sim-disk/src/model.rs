@@ -17,9 +17,6 @@ pub struct DiskModel {
     rng: SplitMix64,
     /// Byte offset just past the last transferred byte (head position).
     head: u64,
-    /// Number of sequential hits (requests that skipped positioning).
-    sequential_hits: u64,
-    ops: u64,
     /// Current elevator sweep direction (toward higher offsets).
     sweep_up: bool,
 }
@@ -27,30 +24,12 @@ pub struct DiskModel {
 impl DiskModel {
     /// A disk following `spec`, with rotational phase noise from `seed`.
     pub fn new(spec: DiskSpec, seed: u64) -> Self {
-        DiskModel {
-            spec,
-            rng: SplitMix64::new(seed),
-            head: 0,
-            sequential_hits: 0,
-            ops: 0,
-            sweep_up: true,
-        }
-    }
-
-    /// Fraction of requests served without repositioning.
-    pub fn sequential_fraction(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.sequential_hits as f64 / self.ops as f64
-        }
+        DiskModel { spec, rng: SplitMix64::new(seed), head: 0, sweep_up: true }
     }
 
     fn access(&mut self, offset: u64, bytes: u64) -> SimDuration {
-        self.ops += 1;
         let transfer = SimDuration::for_bytes(bytes, MEDIA_RATE);
         let positioning = if offset == self.head {
-            self.sequential_hits += 1;
             SimDuration::ZERO
         } else {
             let distance = offset.abs_diff(self.head);
@@ -148,7 +127,6 @@ mod tests {
             total += read(&mut m, i * (64 << 10), 64 << 10);
         }
         assert_eq!(total, sequential_access(64 << 10) * 15);
-        assert!((m.sequential_fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl PartitionMap {
         self.cut.remove(&node);
     }
 
-    /// Reconnect every node.
-    pub fn heal_all(&mut self) {
-        self.cut.clear();
-    }
-
     /// Is `node` currently cut off?
     pub fn is_partitioned(&self, node: usize) -> bool {
         self.cut.contains(&node)
@@ -101,8 +96,5 @@ mod tests {
         p.heal(0);
         assert!(p.reachable(0, 2));
         assert!(!p.reachable(0, 3));
-        p.heal_all();
-        assert!(p.is_empty());
-        assert!(p.reachable(0, 3));
     }
 }

@@ -63,14 +63,6 @@ impl NetSpec {
             bytes.div_ceil(self.segment_bytes)
         }
     }
-
-    /// One-way latency of a minimal message (no payload) between two idle
-    /// nodes: software out + wire + switch + software in.
-    pub fn base_latency(&self) -> SimDuration {
-        self.sw_per_message * 2
-            + SimDuration::for_bytes(HEADER_BYTES, self.link_rate) * 2
-            + self.switch_latency
-    }
 }
 
 #[cfg(test)]
@@ -94,13 +86,5 @@ mod tests {
         assert_eq!(s.segments(32 << 10), 1);
         assert_eq!(s.segments((32 << 10) + 1), 2);
         assert_eq!(s.segments(2 << 20), 64);
-    }
-
-    #[test]
-    fn base_latency_sub_millisecond() {
-        let s = NetSpec::fast_ethernet();
-        let l = s.base_latency();
-        assert!(l > SimDuration::from_micros(100));
-        assert!(l < SimDuration::from_millis(1));
     }
 }

@@ -14,22 +14,20 @@
 //!   may remain, and no trigger of the plan may still be pending (an op
 //!   index the script never reached is a repair that never ran).
 //! * **Determinism under faults** — each scenario runs twice with one
-//!   [`EventLog`] installed in the engine and the I/O system; the full
-//!   event streams must fingerprint identically. Same seed + same
+//!   [`EventLog`] installed in the engine; the full event streams must
+//!   fingerprint identically. Same seed + same
 //!   [`FaultInjector`] schedule ⇒ the same execution, which is what makes an injected
 //!   failure debuggable. One FNV-1a digest over each architecture's
 //!   `name fingerprint` lines is pinned, so a change that moves any event
 //!   of any cell fails too.
-//! * **Every grant on the record** — the stream's lock record passes
-//!   [`cdd::testkit::grants_of`] with exactly [`IoSystem::lock_grants`]
-//!   pairs and at least one write, and a post-script rebuild or
+//! * **Work actually ran** — the cell took at least one lock-group
+//!   grant ([`IoSystem::lock_grants`]), and a post-script rebuild or
 //!   rebalance restores at least one block.
 //!
 //! The sweep uses a 4-node × 1-disk array so every injected fault is a
 //! *single* fault to each redundancy group — the regime all four
 //! layouts are specified to survive.
 
-use cdd::testkit::{grants_of, Grants};
 use cdd::{FaultEvent, FaultInjector, IoSystem};
 use raidx_core::Arch;
 use sim_core::check::Gen;
@@ -182,11 +180,11 @@ fn build_plan(kind: FaultKind, inject_at: usize) -> FaultInjector {
             plan.at_op(repair, FaultEvent::DiskSlow { disk: TARGET_DISK, factor: 1 });
         }
         FaultKind::Reconfig => {
-            plan.at_op(inject, FaultEvent::DiskAdd { client: DRIVER });
-            plan.at_op(repair, FaultEvent::DiskRemove { disk: TARGET_DISK, client: DRIVER });
+            plan.at_op(inject, FaultEvent::DiskAdd);
+            plan.at_op(repair, FaultEvent::DiskRemove { disk: TARGET_DISK });
         }
         FaultKind::Replace => {
-            plan.at_op(inject, FaultEvent::DiskReplace { disk: TARGET_DISK, client: DRIVER });
+            plan.at_op(inject, FaultEvent::DiskReplace { disk: TARGET_DISK });
         }
     }
     plan
@@ -237,7 +235,6 @@ pub fn run_scenario(sc: &SweepScenario, ops: &[ScriptOp], cache: bool) -> SweepO
     let (mut engine, mut sys) = cdd::testkit::shape_with(4, 1, 8 << 20, sc.arch, cdd_cfg);
     let log = EventLog::new();
     engine.set_tracer(log.clone());
-    sys.set_tracer(log.clone());
     let mut inj = build_plan(sc.kind, sc.inject_at);
 
     let mut problems = Vec::new();
@@ -297,16 +294,10 @@ pub fn run_scenario(sc: &SweepScenario, ops: &[ScriptOp], cache: bool) -> SweepO
         }
         Err(e) => problems.push(format!("script aborted: {e}")),
     }
-    let events = log.events();
-    let grants = grants_of(&events, sys.capacity_blocks()).unwrap_or_else(|e| {
-        problems.push(format!("lock record: {e}"));
-        Grants::default()
-    });
-    if grants.pairs != sys.lock_grants() || grants.writes == 0 {
-        let (pairs, writes, taken) = (grants.pairs, grants.writes, sys.lock_grants());
-        problems.push(format!("{pairs} grants / {writes} writes on the record, {taken} taken"));
+    if sys.lock_grants() == 0 {
+        problems.push("the cell took no grant".into());
     }
-    SweepOutcome { fingerprint: stream_fingerprint(&events), problems }
+    SweepOutcome { fingerprint: stream_fingerprint(&log.events()), problems }
 }
 
 #[cfg(test)]
@@ -317,10 +308,10 @@ mod tests {
 
     /// FNV-1a digest of each architecture's grid lines ([`check_grid`]).
     const DIGESTS: [(Arch, u64); 4] = [
-        (Arch::Raid5, 0xe29e_5526_d165_7200),
-        (Arch::Chained, 0xb475_de92_8c3d_8094),
-        (Arch::Raid10, 0xc24d_6b82_5098_3d72),
-        (Arch::RaidX, 0x8520_4eac_7f6d_e60c),
+        (Arch::Raid5, 0xc6d2_aa7b_b3f9_6a1c),
+        (Arch::Chained, 0x34c9_c6e1_8a03_732d),
+        (Arch::Raid10, 0x4a55_5208_1cc7_de11),
+        (Arch::RaidX, 0x0482_967e_2b59_ea96),
     ];
 
     /// Run every cell of `arch`'s grid twice — both runs must be clean and

@@ -16,8 +16,7 @@
 //! * [`plan_lint`] — every real I/O path emits a plan the engine accepts.
 //! * [`determinism`] — event streams and aggregates replay byte-identically.
 //! * [`fault_sweep`] — every single-fault injection point recovers byte
-//!   for byte, replays fingerprint-identically and leaves a well-formed
-//!   lock record ([`cdd::testkit::grants_of`]).
+//!   for byte and replays fingerprint-identically.
 //! * [`static_analysis`] — the module-size cap and the wiring of the
 //!   clippy lints that own the static rules.
 //! * [`perf_smoke`] — deterministic engine work counters against an

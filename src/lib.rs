@@ -8,7 +8,7 @@
 //! baselines ([`raidx_core`]), the cooperative disk drivers that build a
 //! single I/O space ([`cdd`]) and the centralized NFS baseline
 //! ([`nfs_sim`]), a deterministic cluster simulator ([`sim_core`],
-//! [`sim_disk`], [`sim_net`], [`cluster`]), a minimal cluster file system
+//! `sim_disk`, `sim_net`, [`cluster`]), a minimal cluster file system
 //! ([`cfs`]), the paper's benchmark workloads ([`workloads`]) and striped
 //! checkpointing ([`checkpoint`]). This package only ties them together:
 //! its examples and tests use those crates directly.
@@ -37,4 +37,4 @@
 //! ```
 //!
 //! See `examples/` for runnable scenarios and the `bench` crate for the
-//! binaries that regenerate every table and figure of the paper.
+//! one binary that regenerates every table and figure of the paper.
