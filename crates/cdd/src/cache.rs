@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use cluster::Block;
+use cluster::{extend_block, Block};
 
 use crate::system::IoSystem;
 
@@ -119,7 +119,7 @@ impl CacheSet {
             self.clock += 1;
             let e = cache.entries.get_mut(&lb)?;
             e.last_use = self.clock;
-            out.extend_from_slice(&e.data);
+            extend_block(&mut out, &e.data, bs);
         }
         self.stats.hits += nblocks;
         Some(out)

@@ -13,7 +13,7 @@
 //! epoch-versioned `Placer`, and is the identity on a
 //! never-reconfigured array.
 
-use cluster::{xor_of, Block};
+use cluster::{extend_block, xor_of, Block};
 use raidx_core::{FaultSet, ReadSource, WriteScheme};
 use sim_core::plan::{delay, par, seq};
 use sim_core::{Plan, SimDuration};
@@ -245,7 +245,7 @@ impl IoSystem {
             blocks.into_iter().map(|b| b.expect("a block no read path served")).collect();
         let mut out = Vec::with_capacity(nblocks as usize * bs);
         for b in &blocks {
-            out.extend_from_slice(b);
+            extend_block(&mut out, b, bs);
         }
 
         // Timing plan (runs charged to the disk serving their first block).

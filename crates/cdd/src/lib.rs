@@ -12,7 +12,7 @@
 //! cluster-wide array with no central server.
 //!
 //! [`IoSystem`] is the entry point: it executes logical reads/writes for
-//! any client node, on any of the five layouts, producing both the real
+//! any client node, on any of the four layouts, producing both the real
 //! data movement (functional plane) and the timing [`sim_core::Plan`]
 //! (simulation plane). It also executes disk failure and rebuild.
 //!

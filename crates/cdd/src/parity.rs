@@ -6,7 +6,7 @@
 //! small-write problem); degraded stripes fall back to bare-data or
 //! reconstruct-write paths, parking whatever copy could not be written.
 
-use cluster::{xor_of, Block};
+use cluster::{block_of, xor_of, Block};
 use raidx_core::{BlockAddr, FaultSet};
 use sim_core::plan::{par, seq};
 use sim_core::Plan;
@@ -73,11 +73,13 @@ impl IoSystem {
                 // Full-stripe write: parity from the new data alone. A
                 // dead data disk's block is represented by parity only;
                 // a dead parity disk simply goes unmaintained.
-                let parity = xor_of(members.iter().map(|&m| block_at(data, bs, lb0, m)));
-                for &m in &members {
+                let blocks: Vec<Block> =
+                    members.iter().map(|&m| block_of(block_at(data, bs, lb0, m))).collect();
+                let parity = xor_of(&blocks);
+                for (&m, block) in members.iter().zip(blocks) {
                     let a = self.layout.locate_data(m);
                     if !faults.contains(a.disk) {
-                        self.put_block(a, block_at(data, bs, lb0, m).into())?;
+                        self.put_block(a, block)?;
                         full_data.push((m, a));
                     } else {
                         self.park(self.placer.phys(a.disk), m);
@@ -112,14 +114,15 @@ impl IoSystem {
                             // Healthy read-modify-write.
                             let old = self.get_block(a)?;
                             let old_parity = self.get_block(p)?;
-                            self.put_block(a, newd.into())?;
-                            self.put_block(p, xor_of([&old_parity[..], &old[..], newd]))?;
+                            let new = block_of(newd);
+                            self.put_block(a, new.clone())?;
+                            self.put_block(p, xor_of([&old_parity, &old, &new]))?;
                             rmw_plans.push((m, a, p));
                         }
                         (true, false) => {
                             // Parity disk dead: data write only; park the
                             // stale parity for recomputation on recovery.
-                            self.put_block(a, newd.into())?;
+                            self.put_block(a, block_of(newd))?;
                             self.park(self.placer.phys(p.disk), m);
                             bare_data.push((m, a));
                         }

@@ -24,7 +24,7 @@
 //! epoch-versioned placer at the plane boundary (the identity on a
 //! never-reconfigured array).
 
-use cluster::Block;
+use cluster::{block_of, Block};
 use raidx_core::{BlockAddr, FaultSet};
 use sim_core::plan::{background, par, seq};
 use sim_core::Plan;
@@ -103,7 +103,7 @@ impl IoSystem {
         for (lb, d, images) in homes {
             // The one copy out of the caller's buffer: the data home and
             // every healthy image home hold this same handle.
-            let block: Block = block_at(data, bs, lb0, lb).into();
+            let block = block_of(block_at(data, bs, lb0, lb));
             let d_ok = !faults.contains(d.disk);
             if d_ok {
                 self.put_block(d, block.clone())?;

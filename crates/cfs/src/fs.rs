@@ -41,15 +41,24 @@ impl<S: BlockStore> Fs<S> {
     }
 
     /// Mount an already formatted store: reads the superblock, and the
-    /// inode table for the inode bitmap and the allocation frontier.
+    /// inode table for the inode bitmap, the allocation frontier and the
+    /// free list — the gaps below the frontier that no live inode's
+    /// extents cover, in ascending order.
     pub fn mount(store: S, client: usize) -> Result<(Self, Plan), FsError> {
         let (meta, table, plan) = Meta::mount(store, client)?;
         let live = table.iter().filter(|inode| inode.kind != InodeKind::Free);
-        let alloc_next = live
-            .flat_map(|inode| inode.extents.iter().filter(|e| e.len > 0))
-            .fold(meta.data_start(), |next, e| next.max(e.start + e.len));
+        let mut used: Vec<Extent> =
+            live.flat_map(|inode| inode.extents.into_iter().filter(|e| e.len > 0)).collect();
+        used.sort_unstable_by_key(|e| e.start);
+        let (mut alloc_next, mut free_extents) = (meta.data_start(), Vec::new());
+        for e in used {
+            if e.start > alloc_next {
+                free_extents.push(Extent { start: alloc_next, len: e.start - alloc_next });
+            }
+            alloc_next = alloc_next.max(e.start + e.len);
+        }
         let inode_used = table.iter().map(|inode| inode.kind != InodeKind::Free).collect();
-        Ok((Fs { meta, inode_used, alloc_next, free_extents: Vec::new() }, plan))
+        Ok((Fs { meta, inode_used, alloc_next, free_extents }, plan))
     }
 
     /// The underlying store.

@@ -347,3 +347,22 @@ fn rename_refuses_clobber_and_missing() {
     assert_eq!(fs.read_file(0, "/x").unwrap().0, b"1");
     assert_eq!(fs.read_file(0, "/y").unwrap().0, b"2");
 }
+
+/// Space that `unlink` frees is found again at mount: a file written after
+/// a remount lands in the freed extent, not past the allocation frontier.
+#[test]
+fn remount_reuses_the_extent_unlink_freed() {
+    let (_e, mut fs) = make_fs();
+    let bs = fs.store().block_size() as usize;
+    for (path, tag) in [("/a", 1u8), ("/b", 2), ("/c", 3)] {
+        fs.write_file(0, path, &vec![tag; 3 * bs]).unwrap();
+    }
+    let freed = fs.stat(0, "/b").unwrap().0.extents[0];
+    fs.unlink(0, "/b").unwrap();
+    let (mut fs, _) = Fs::mount(fs.into_store(), 1).unwrap();
+    fs.write_file(1, "/d", &vec![4u8; 3 * bs]).unwrap();
+    assert_eq!(fs.stat(1, "/d").unwrap().0.extents[0], freed);
+    for (path, tag) in [("/a", 1u8), ("/c", 3), ("/d", 4)] {
+        assert_eq!(fs.read_file(1, path).unwrap().0, vec![tag; 3 * bs], "{path}");
+    }
+}

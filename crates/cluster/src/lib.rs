@@ -9,7 +9,9 @@
 //! just timing. A stored block is an immutable reference-counted [`Block`]
 //! handle, so the copies of one datum (data home, mirror images, restored
 //! copies, client-cache entries) share one buffer and none can change
-//! another.
+//! another. It holds the block's bytes only up to its last non-zero byte
+//! (the zero tail is implied), so a block padded with zeros costs the
+//! host only its payload.
 //!
 //! Disk numbering follows the paper's Figure 3: global disk `g` is attached
 //! to node `g mod nodes`, so `n` consecutive disks form a stripe group that
@@ -22,4 +24,4 @@ pub mod vdisk;
 
 pub use build::{Cluster, DiskRef, Node};
 pub use config::ClusterConfig;
-pub use vdisk::{xor_into, xor_of, Block, DataPlane, DiskError};
+pub use vdisk::{block_of, extend_block, xor_into, xor_of, Block, DataPlane, DiskError};

@@ -14,12 +14,57 @@
 //! `&mut` to a stored block — a block changes only by a new handle taking
 //! its place on one disk — so overwriting, failing or replacing one copy
 //! can never change another.
+//!
+//! A stored block is also *canonical*: it holds the block's bytes up to
+//! and including the last non-zero one, and the zero tail is implied. A
+//! never-written block and an all-zero block are both the empty block.
+//! [`block_of`] is the one constructor from caller bytes and `put`
+//! canonicalizes whatever handle it is given, so two stored blocks hold
+//! the same content exactly when their bytes are equal. Readers
+//! zero-extend while they copy ([`DataPlane::read`], [`extend_block`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One block's bytes: immutable and shared by every holder of the handle.
+/// One block's bytes up to its last non-zero byte: immutable and shared
+/// by every holder of the handle.
 pub type Block = Arc<[u8]>;
+
+/// Length of `bytes` without its zero tail. Exits at once when the last
+/// byte is non-zero; otherwise scans backward 64 bytes at a time.
+fn stored_len(bytes: &[u8]) -> usize {
+    if bytes.last().is_some_and(|&b| b != 0) {
+        return bytes.len();
+    }
+    // A fixed-size chunk lets the OR-reduction vectorize: the scan then
+    // costs about what copying the same bytes would.
+    let zero =
+        |c: &&[u8]| <&[u8; 64]>::try_from(*c).is_ok_and(|c| c.iter().fold(0, |a, b| a | b) == 0);
+    let zero_chunks = bytes.rchunks_exact(64).take_while(zero).count();
+    let end = bytes.len() - zero_chunks * 64;
+    bytes[..end].iter().rposition(|&b| b != 0).map_or(0, |i| i + 1)
+}
+
+/// A canonical block of `bytes`: a copy up to the last non-zero byte.
+pub fn block_of(bytes: &[u8]) -> Block {
+    bytes[..stored_len(bytes)].into()
+}
+
+/// `b` in canonical form: the handle itself if it has no zero tail,
+/// otherwise a copy of its stored prefix.
+fn canonical(b: Block) -> Block {
+    match stored_len(&b) {
+        n if n == b.len() => b,
+        n => block_of(&b[..n]),
+    }
+}
+
+/// Append one block of `block_size` bytes to `out`: the stored prefix,
+/// then the zero tail it implies.
+pub fn extend_block(out: &mut Vec<u8>, block: &[u8], block_size: usize) {
+    out.extend_from_slice(block);
+    out.resize(out.len() + block_size - block.len(), 0);
+}
 
 /// Error from a functional disk operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +83,8 @@ pub enum DiskError {
         /// Disk capacity in blocks.
         capacity: u64,
     },
-    /// Buffer length didn't match the block size.
+    /// Buffer length didn't match the block size (or, for a stored
+    /// handle, exceeded it).
     BadLength {
         /// Required buffer length (the block size).
         expected: usize,
@@ -87,9 +133,8 @@ pub struct DataPlane {
     block_size: usize,
     capacity_blocks: u64,
     disks: Vec<SparseDisk>,
-    /// What every never-written block reads as, made on first use so
-    /// that building a plane allocates no block.
-    zero: Option<Block>,
+    /// The empty block: what every never-written or all-zero block is.
+    empty: Block,
     bytes_written: u64,
     bytes_read: u64,
 }
@@ -105,7 +150,7 @@ impl DataPlane {
             disks: (0..ndisks)
                 .map(|_| SparseDisk { blocks: HashMap::new(), failed: false, offline: false })
                 .collect(),
-            zero: None,
+            empty: Block::from([]),
             bytes_written: 0,
             bytes_read: 0,
         }
@@ -126,13 +171,14 @@ impl DataPlane {
         self.capacity_blocks
     }
 
-    /// Total payload bytes stored so far, per copy: a handle stored on
-    /// two disks counts twice (diagnostics).
+    /// Total payload bytes stored so far, per copy and in whole blocks
+    /// whatever the stored length: a handle stored on two disks counts
+    /// twice (diagnostics).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
-    /// Total payload bytes read so far (diagnostics).
+    /// Total payload bytes read so far, in whole blocks (diagnostics).
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
@@ -152,38 +198,48 @@ impl DataPlane {
     }
 
     /// Store `data` as the content of one block, sharing the caller's
-    /// buffer.
+    /// buffer. A handle with a zero tail is stored without it (a copy of
+    /// its prefix, or the empty block); one longer than a block is
+    /// refused.
     pub fn put(&mut self, disk: usize, block: u64, data: Block) -> Result<(), DiskError> {
-        if data.len() != self.block_size {
+        if data.len() > self.block_size {
             return Err(DiskError::BadLength { expected: self.block_size, got: data.len() });
         }
         self.check(disk, block)?;
-        self.bytes_written += data.len() as u64;
+        self.bytes_written += self.block_size as u64;
+        let data = canonical(data);
+        let data = if data.is_empty() { self.empty.clone() } else { data };
         self.disks[disk].blocks.insert(block, data);
         Ok(())
     }
 
-    /// The content of one block (the shared zero block if never written).
+    /// The content of one block: its canonical handle, the empty block
+    /// if never written.
     pub fn get(&mut self, disk: usize, block: u64) -> Result<Block, DiskError> {
         self.check(disk, block)?;
         self.bytes_read += self.block_size as u64;
-        Ok(match self.disks[disk].blocks.get(&block) {
-            Some(stored) => stored.clone(),
-            None => self.zero.get_or_insert_with(|| vec![0u8; self.block_size].into()).clone(),
-        })
+        Ok(self.disks[disk].blocks.get(&block).unwrap_or(&self.empty).clone())
     }
 
-    /// Write one block: [`DataPlane::put`] of a copy of `data`.
+    /// Write one block: [`DataPlane::put`] of [`block_of`] `data`, which
+    /// must be exactly one block long.
     pub fn write(&mut self, disk: usize, block: u64, data: &[u8]) -> Result<(), DiskError> {
-        self.put(disk, block, data.into())
+        if data.len() != self.block_size {
+            return Err(DiskError::BadLength { expected: self.block_size, got: data.len() });
+        }
+        self.put(disk, block, block_of(data))
     }
 
-    /// Read one block into `out`: a copy of what [`DataPlane::get`] returns.
+    /// Read one block into `out`: a copy of what [`DataPlane::get`]
+    /// returns, zero-filled past its stored prefix.
     pub fn read(&mut self, disk: usize, block: u64, out: &mut [u8]) -> Result<(), DiskError> {
         if out.len() != self.block_size {
             return Err(DiskError::BadLength { expected: self.block_size, got: out.len() });
         }
-        out.copy_from_slice(&self.get(disk, block)?);
+        let stored = self.get(disk, block)?;
+        let (head, tail) = out.split_at_mut(stored.len());
+        head.copy_from_slice(&stored);
+        tail.fill(0);
         Ok(())
     }
 
@@ -255,17 +311,25 @@ pub fn xor_into(acc: &mut [u8], src: &[u8]) {
     }
 }
 
-/// The XOR of `parts` (one or more, equal lengths) as a fresh block: the
-/// first part is copied once and the rest are folded into that copy while
-/// it is still uniquely owned.
-pub fn xor_of<T: AsRef<[u8]>>(parts: impl IntoIterator<Item = T>) -> Block {
-    let mut parts = parts.into_iter();
-    let mut acc: Block = parts.next().expect("XOR of no blocks").as_ref().into();
+/// The XOR of `parts` (one or more, each at most a block, zero-extended
+/// to the longest) as a fresh canonical block: the longest part is copied
+/// once and the rest are folded into that copy while it is still uniquely
+/// owned. A result with a zero tail is cut to its stored prefix.
+pub fn xor_of<T: AsRef<[u8]>, I>(parts: I) -> Block
+where
+    I: IntoIterator<Item = T>,
+    I::IntoIter: Clone,
+{
+    let parts = parts.into_iter();
+    let (longest, first) =
+        parts.clone().enumerate().max_by_key(|(_, p)| p.as_ref().len()).expect("XOR of no blocks");
+    let mut acc: Block = first.as_ref().into();
     let bytes = Arc::get_mut(&mut acc).expect("a handle nobody else has seen yet");
-    for part in parts {
-        xor_into(bytes, part.as_ref());
+    for (_, part) in parts.enumerate().filter(|&(i, _)| i != longest) {
+        let part = part.as_ref();
+        xor_into(&mut bytes[..part.len()], part);
     }
-    acc
+    canonical(acc)
 }
 
 // The unit tests live in `crates/cluster/tests/vdisk.rs` (they need only the

@@ -13,7 +13,7 @@
 //! on disk before the reply).
 
 use cdd::{frontend, IoError};
-use cluster::{Cluster, ClusterConfig, DataPlane};
+use cluster::{extend_block, Cluster, ClusterConfig, DataPlane};
 use sim_core::plan::{par, seq, use_res};
 use sim_core::{Demand, Engine, Plan, SimDuration};
 use sim_net::transfer_plan;
@@ -127,7 +127,7 @@ impl NfsSystem {
         let mut rpcs = Vec::with_capacity(nblocks as usize);
         for lb in lb0..lb0 + nblocks {
             let (g, block) = self.home(lb);
-            out.extend_from_slice(&self.plane.get(g, block)?);
+            extend_block(&mut out, &self.plane.get(g, block)?, bs);
             let d = &self.cluster.disks[g];
             rpcs.push(seq(vec![
                 self.rpc(client, self.server, 0),
