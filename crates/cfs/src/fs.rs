@@ -281,9 +281,7 @@ impl<S: BlockStore> Fs<S> {
         if nblocks > 0 {
             let ext = self.alloc_blocks(nblocks)?;
             inode.extents[0] = ext;
-            let mut padded = vec![0u8; (nblocks as usize) * bs];
-            padded[..data.len()].copy_from_slice(data);
-            plans.push(self.meta.write_data(client, ext.start, &padded)?);
+            plans.push(self.meta.write_data(client, ext.start, data)?);
         }
         plans.push(self.meta.write_inode(client, ino, &inode)?);
         Ok(seq(plans))
@@ -385,9 +383,7 @@ impl<S: BlockStore> Fs<S> {
                     inode.extents.iter_mut().find(|e| e.len == 0).ok_or(FsError::TooManyExtents)?;
                 *slot = ext;
             }
-            let mut padded = vec![0u8; (nblocks as usize) * bs];
-            padded[..remaining.len()].copy_from_slice(remaining);
-            plans.push(self.meta.write_data(client, ext.start, &padded)?);
+            plans.push(self.meta.write_data(client, ext.start, remaining)?);
         }
         inode.size = (old_size + data.len()) as u64;
         plans.push(self.meta.write_inode(client, ino, &inode)?);
@@ -395,24 +391,29 @@ impl<S: BlockStore> Fs<S> {
     }
 
     /// Rename a file or directory within the tree (POSIX-style: replaces
-    /// nothing — the destination must not exist).
+    /// nothing — the destination must not exist). A directory cannot move
+    /// below itself ([`FsError::InvalidName`]).
     pub fn rename(&mut self, client: usize, from: &str, to: &str) -> Result<Plan, FsError> {
         let (_, from_parent, from_leaf, p0) = self.resolve_parent(client, from)?;
         let (found, p1) = self.meta.dir_find(client, &from_parent, from_leaf)?;
         let (inode, kind) = found.ok_or_else(|| FsError::NotFound(from.to_string()))?;
-        let (_, to_parent, to_leaf, p2) = self.resolve_parent(client, to)?;
+        if kind == InodeKind::Dir && Self::split_path(to)?.starts_with(&Self::split_path(from)?) {
+            return Err(FsError::InvalidName(to.to_string()));
+        }
+        let (to_pino, mut to_parent, to_leaf, p2) = self.resolve_parent(client, to)?;
         let (existing, p3) = self.meta.dir_find(client, &to_parent, to_leaf)?;
         if existing.is_some() {
             return Err(FsError::Exists(to.to_string()));
         }
-        // Remove the old entry, then insert the new one. The destination
-        // parent is resolved again in between in case both paths share a
-        // directory whose blocks just changed.
-        let (removed, p4) = self.meta.dir_remove(client, &from_parent, from_leaf, |_| Ok(()))?;
-        debug_assert!(removed.is_some());
-        let (to_pino, mut to_parent, _, p5) = self.resolve_parent(client, to)?;
+        // Insert the new entry, then remove the old one, so that a crash
+        // between the two leaves the file under both names, never under
+        // none. The source parent is resolved again in between: it may be
+        // the directory that just grew.
         let new_entry = DirEntry { name: to_leaf.to_string(), inode, kind };
-        let p6 = self.dir_add(client, to_pino, &mut to_parent, &new_entry)?;
+        let p4 = self.dir_add(client, to_pino, &mut to_parent, &new_entry)?;
+        let (_, from_parent, _, p5) = self.resolve_parent(client, from)?;
+        let (removed, p6) = self.meta.dir_remove(client, &from_parent, from_leaf, |_| Ok(()))?;
+        debug_assert!(removed.is_some());
         Ok(seq(vec![p0, p1, p2, p3, p4, p5, p6]))
     }
 }

@@ -13,6 +13,7 @@ mod error;
 pub mod format;
 pub mod fs;
 mod meta;
+mod pad;
 
 pub use format::{DirEntry, Extent, Inode, InodeKind, SuperBlock};
 pub use fs::{Fs, FsError, ROOT_INO};

@@ -21,7 +21,6 @@
 //! every time. The cache is unbounded, as the holder map it replaces was:
 //! metadata cut to its live part is small (DESIGN §5d).
 
-use std::borrow::Cow;
 use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::collections::{HashMap, HashSet};
 
@@ -33,6 +32,7 @@ use crate::error::FsError;
 use crate::format::{
     dir_live_len, dir_slots, DirEntry, Inode, InodeKind, SuperBlock, DIRENT_SIZE, INODE_SIZE, MAGIC,
 };
+use crate::pad::Pad;
 
 /// Simulated cost of serving a metadata block from the node's buffer
 /// cache instead of the array.
@@ -60,16 +60,6 @@ enum Fetched<'c> {
     /// From a store that caches no metadata: the whole block, for this
     /// access only.
     Uncached(Vec<u8>),
-}
-
-/// `bytes` followed by zeros up to the block size.
-fn padded(bytes: &[u8], bs: usize) -> Cow<'_, [u8]> {
-    if bytes.len() == bs {
-        return Cow::Borrowed(bytes);
-    }
-    let mut block = vec![0u8; bs];
-    block[..bytes.len()].copy_from_slice(bytes);
-    Cow::Owned(block)
 }
 
 impl BlockCache {
@@ -122,11 +112,12 @@ impl BlockCache {
     fn write_new<S: BlockStore>(
         &mut self,
         store: &mut S,
+        pad: &mut Pad,
         client: usize,
         lb: u64,
         bytes: Vec<u8>,
     ) -> Result<Plan, FsError> {
-        let plan = store.write(client, lb, &padded(&bytes, store.block_size() as usize))?;
+        let plan = store.write(client, lb, pad.whole(&bytes, store.block_size() as usize))?;
         if store.caches_metadata() {
             self.blocks.insert(lb, Cached { bytes, holders: HashSet::from([client]) });
         }
@@ -150,6 +141,7 @@ impl Fetched<'_> {
     fn rewrite<S: BlockStore>(
         self,
         store: &mut S,
+        pad: &mut Pad,
         client: usize,
         lb: u64,
         edit: impl FnOnce(&mut Vec<u8>),
@@ -158,12 +150,12 @@ impl Fetched<'_> {
         match self {
             Fetched::Uncached(mut raw) => {
                 edit(&mut raw);
-                Ok(store.write(client, lb, &padded(&raw, bs))?)
+                Ok(store.write(client, lb, pad.whole(&raw, bs))?)
             }
             Fetched::Cached(mut e) => {
                 let cached = e.get_mut();
                 edit(&mut cached.bytes);
-                let written = store.write(client, lb, &padded(&cached.bytes, bs));
+                let written = store.write(client, lb, pad.whole(&cached.bytes, bs));
                 if written.is_ok() {
                     cached.holders.clear();
                     cached.holders.insert(client);
@@ -213,6 +205,8 @@ pub(crate) struct Meta<S> {
     store: S,
     sb: SuperBlock,
     cache: BlockCache,
+    /// Pads every write short of whole blocks, data and metadata alike.
+    pad: Pad,
 }
 
 impl<S: BlockStore> Meta<S> {
@@ -270,7 +264,7 @@ impl<S: BlockStore> Meta<S> {
     }
 
     fn cold(store: S, sb: SuperBlock) -> Self {
-        Meta { store, sb, cache: BlockCache::default() }
+        Meta { store, sb, cache: BlockCache::default(), pad: Pad::default() }
     }
 
     /// First block of the data area.
@@ -311,13 +305,15 @@ impl<S: BlockStore> Meta<S> {
         Ok(self.store.read(client, lb, nblocks)?)
     }
 
+    /// Write `data` and zeros up to a whole number of blocks at `lb`.
     pub(crate) fn write_data(
         &mut self,
         client: usize,
         lb: u64,
         data: &[u8],
     ) -> Result<Plan, FsError> {
-        Ok(self.store.write(client, lb, data)?)
+        let bs = self.block_size();
+        Ok(self.store.write(client, lb, self.pad.whole(data, bs))?)
     }
 
     // ---- inodes ----
@@ -350,7 +346,7 @@ impl<S: BlockStore> Meta<S> {
     ) -> Result<Plan, FsError> {
         let (lb, off) = self.inode_pos(ino)?;
         let (block, rp) = self.cache.read(&mut self.store, client, lb, <[u8]>::len)?;
-        let wp = block.rewrite(&mut self.store, client, lb, |block| {
+        let wp = block.rewrite(&mut self.store, &mut self.pad, client, lb, |block| {
             inode.encode(&mut block[off..off + INODE_SIZE]);
         })?;
         Ok(seq(vec![rp, wp]))
@@ -405,7 +401,7 @@ impl<S: BlockStore> Meta<S> {
             plans.push(rp);
             if let Some(at) = dir_free_slot(block.bytes(), slots) {
                 let add = |block: &mut Vec<u8>| dir_set(block, at, entry);
-                plans.push(block.rewrite(&mut self.store, client, lb, add)?);
+                plans.push(block.rewrite(&mut self.store, &mut self.pad, client, lb, add)?);
                 return Ok((true, plans));
             }
         }
@@ -421,7 +417,7 @@ impl<S: BlockStore> Meta<S> {
     ) -> Result<Plan, FsError> {
         let mut block = Vec::new();
         dir_set(&mut block, 0, entry);
-        self.cache.write_new(&mut self.store, client, lb, block)
+        self.cache.write_new(&mut self.store, &mut self.pad, client, lb, block)
     }
 
     /// Remove the entry called `name`, unless `allow` refuses it.
@@ -439,7 +435,7 @@ impl<S: BlockStore> Meta<S> {
             if let Some((at, _, kind)) = dir_lookup(block.bytes(), name) {
                 allow(kind)?;
                 let take = |block: &mut Vec<u8>| removed = dir_clear(block, at);
-                plans.push(block.rewrite(&mut self.store, client, lb, take)?);
+                plans.push(block.rewrite(&mut self.store, &mut self.pad, client, lb, take)?);
                 break;
             }
         }

@@ -6,9 +6,11 @@
 //! one; service is never preempted, and within a class the order is
 //! arrival order (or the model's pick among that class).
 //!
-//! A queue entry is 16 bytes — who waits and since when. The queued
-//! [`Demand`] itself waits in its task and moves into the slot only when
-//! service starts, so a deep queue stays a short run of cache lines.
+//! A queue entry is 40 bytes — who waits, since when, and the queued
+//! [`Demand`], which moves into the slot when service starts. A
+//! completion thus reads the next demand from the queue it pops, and a
+//! non-FIFO model picks over the entries themselves; neither touches the
+//! waiting task's slot.
 //!
 //! [`Plan::Background`]: crate::plan::Plan::Background
 
@@ -20,10 +22,11 @@ use crate::resource::{ResourceId, ResourceStats, ServiceModel};
 use crate::time::SimTime;
 use crate::trace::TraceEvent;
 
-/// A task waiting for a resource; its demand is `Task::waiting`.
+/// A task waiting for a resource with the demand it presented.
 struct Waiter {
     task: TaskId,
     enqueued: SimTime,
+    demand: Demand,
 }
 
 /// The demand a resource is serving, and for whom.
@@ -67,12 +70,11 @@ impl Engine {
     /// resource, otherwise the task joins the queue.
     pub(super) fn enqueue(&mut self, rid: ResourceId, tid: TaskId, demand: Demand) {
         let now = self.now;
-        let task = &mut self.tasks[tid.index()];
+        let detached = self.tasks[tid.index()].detached;
         let slot = &mut self.resources[rid.index()];
         let [fg, bg] = &mut slot.queues;
         let depth = fg.len() + bg.len() + usize::from(slot.current.is_some()) + 1;
         slot.stats.max_queue = slot.stats.max_queue.max(depth);
-        let detached = task.detached;
         if let Some(tr) = &self.tracer {
             let (kind, bytes) = ((&demand).into(), demand.bytes());
             tr.record(
@@ -83,8 +85,7 @@ impl Engine {
         }
         if slot.current.is_some() {
             let queue = if detached { bg } else { fg };
-            queue.push_back(Waiter { task: tid, enqueued: now });
-            task.waiting = Some(demand);
+            queue.push_back(Waiter { task: tid, enqueued: now, demand });
         } else {
             self.start_service(rid, tid, demand, now, detached);
         }
@@ -163,8 +164,7 @@ impl Engine {
         let next = match queue.len() {
             n if n >= 2 && !slot.fifo => {
                 self.stats.on_queue_scan(n);
-                let tasks = &self.tasks;
-                let mut pending = queue.iter().map(|w| tasks[w.task.index()].queued_demand());
+                let mut pending = queue.iter().map(|w| &w.demand);
                 let idx = slot.model.select_next(&mut pending);
                 assert!(
                     idx < n,
@@ -175,15 +175,21 @@ impl Engine {
             }
             _ => queue.pop_front(),
         };
-        if let Some(Waiter { task: tid, enqueued }) = next {
-            #[expect(
-                clippy::expect_used,
-                reason = "enqueue stores the demand with every queue entry"
-            )]
-            let demand =
-                self.tasks[tid.index()].waiting.take().expect("queued task holds no demand");
-            self.start_service(rid, tid, demand, enqueued, detached);
+        if let Some(Waiter { task, enqueued, demand }) = next {
+            self.start_service(rid, task, demand, enqueued, detached);
         }
         self.advance(done.task);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Waiter;
+    use std::mem::size_of;
+
+    /// Deep queues are scanned entry by entry on non-FIFO resources.
+    #[test]
+    fn a_queue_entry_stays_small() {
+        assert!(size_of::<Waiter>() <= 40, "Waiter is {} bytes", size_of::<Waiter>());
     }
 }

@@ -3,18 +3,25 @@
 //!
 //! A task walks its plan through a stack of frames. The innermost frame is
 //! stored inline, so stepping a `Seq` chain touches the task and the plan
-//! buffer only; outer frames sit in a `Vec` whose capacity a freed slot
-//! keeps for its next tenant. Plan memory is released progressively: a
-//! `Seq`'s buffer is freed the moment its iterator runs dry. A `Fan` is
-//! the exception by design: each of its arm tasks holds a handle, the arm
-//! and a position, each step is cloned out as it is reached, and the
-//! buffers belong to whoever built the fan — any number of live tasks may
-//! be inside one at once.
+//! buffer only; outer frames sit behind one pointer, in a `Vec` whose
+//! capacity a freed slot keeps for its next tenant. Plan memory is
+//! released progressively: a `Seq`'s buffer is freed the moment its
+//! iterator runs dry. A `Fan` is the exception by design: each of its arm
+//! tasks holds a handle, the arm and a position, and the buffers belong
+//! to whoever built the fan — any number of live tasks may be inside one
+//! at once. A `Use` or `Delay` step of a fan is run straight from the
+//! shared step, copying only its demand or duration; any other step is
+//! cloned out as it is reached.
+//!
+//! A task slot is one 64-byte cache line (pinned by a unit test): the
+//! inline frame, the outer-stack pointer, `u32` links to the parent and
+//! the job, a `u32` join count and two flags. A queued demand waits in
+//! its resource-queue entry, not here, so a completion never touches the
+//! slot of the task it starts next.
 
 use std::sync::Arc;
 
 use super::{Engine, EventKind, JobId, TaskId};
-use crate::demand::Demand;
 use crate::plan::{Fan, Plan};
 use crate::trace::TraceEvent;
 
@@ -56,18 +63,40 @@ impl Frame {
     }
 }
 
+/// A task or job index, or none: half the size of an `Option<u32>`.
+#[derive(Clone, Copy)]
+struct Link(u32);
+
+impl Link {
+    /// No task or job; never a valid index (see [`Link::to`]).
+    const NONE: Link = Link(u32::MAX);
+
+    /// A link to index `i`, which must not be `u32::MAX`.
+    fn to(i: u32) -> Link {
+        assert_ne!(i, u32::MAX, "index reserved for no link");
+        Link(i)
+    }
+
+    fn get(self) -> Option<u32> {
+        (self.0 != u32::MAX).then_some(self.0)
+    }
+}
+
 pub(super) struct Task {
     /// Innermost frame.
     top: Frame,
-    /// Enclosing frames, outermost first.
-    outer: Vec<Frame>,
-    /// The demand this task has queued at a resource, until service starts.
-    pub(super) waiting: Option<Demand>,
-    parent: Option<TaskId>,
-    /// Outstanding `Par` children; the task resumes when this hits zero.
-    join_remaining: usize,
+    /// Enclosing frames, outermost first; allocated by the first `Seq`
+    /// nested in a chain.
+    #[expect(
+        clippy::box_collection,
+        reason = "one pointer, not a Vec's three words, keeps the slot one cache line"
+    )]
+    outer: Option<Box<Vec<Frame>>>,
+    parent: Link,
     /// Set on the root task of a foreground job.
-    job: Option<JobId>,
+    job: Link,
+    /// Outstanding `Par` children; the task resumes when this hits zero.
+    join_remaining: u32,
     /// Detached (`Background`) tasks don't gate job completion but do gate
     /// `run()` returning.
     pub(super) detached: bool,
@@ -76,10 +105,11 @@ pub(super) struct Task {
 }
 
 impl Task {
-    /// The demand of a task that sits in a resource queue.
-    pub(super) fn queued_demand(&self) -> &Demand {
-        #[expect(clippy::expect_used, reason = "enqueue stores the demand with every queue entry")]
-        self.waiting.as_ref().expect("queued task holds no demand")
+    /// Set the join count to `children` spawned at once.
+    fn join(&mut self, children: usize) {
+        #[expect(clippy::expect_used, reason = "u32 fork width is a sim capacity invariant")]
+        let n = u32::try_from(children).expect("too many children in one fork");
+        self.join_remaining = n;
     }
 }
 
@@ -94,18 +124,17 @@ impl Engine {
         self.live_total += 1;
         let mut task = Task {
             top,
-            outer: Vec::new(),
-            waiting: None,
-            parent,
+            outer: None,
+            parent: parent.map_or(Link::NONE, |p| Link::to(p.0)),
             join_remaining: 0,
-            job,
+            job: job.map_or(Link::NONE, |j| Link::to(j.0)),
             detached,
             live: true,
         };
         let tid = if let Some(idx) = self.free_tasks.pop() {
             self.stats.on_task_spawn(false);
             let slot = &mut self.tasks[idx as usize];
-            debug_assert!(!slot.live && slot.outer.is_empty());
+            debug_assert!(!slot.live && slot.outer.as_ref().is_none_or(|o| o.is_empty()));
             // The new tenant inherits the slot's frame-stack capacity.
             std::mem::swap(&mut task.outer, &mut slot.outer);
             *slot = task;
@@ -130,9 +159,27 @@ impl Engine {
         assert!(self.tasks[tid.index()].live, "advancing a dead task");
         loop {
             let task = &mut self.tasks[tid.index()];
+            // A fan's leaf steps run by reference from the shared fan.
+            if let Frame::Fan(fan, arm, at) = &mut task.top {
+                match fan.step(*arm, *at) {
+                    Some(Plan::Use { res, demand }) => {
+                        let (res, demand) = (*res, demand.clone());
+                        *at += 1;
+                        self.enqueue(res, tid, demand);
+                        return;
+                    }
+                    Some(Plan::Delay(d)) => {
+                        let d = *d;
+                        *at += 1;
+                        self.schedule(self.now + d, EventKind::Resume(tid));
+                        return;
+                    }
+                    _ => {}
+                }
+            }
             let Some(next) = task.top.next() else {
                 // The dry frame is dropped here, freeing its plan buffer.
-                match task.outer.pop() {
+                match task.outer.as_mut().and_then(|o| o.pop()) {
                     Some(frame) => task.top = frame,
                     None => {
                         task.top = Frame::One(None);
@@ -154,13 +201,13 @@ impl Engine {
                 }
                 Plan::Seq(v) => {
                     let enclosing = std::mem::replace(&mut task.top, Frame::Seq(v.into_iter()));
-                    task.outer.push(enclosing);
+                    task.outer.get_or_insert_with(Box::default).push(enclosing);
                 }
                 Plan::Par(v) => {
                     if v.is_empty() {
                         continue;
                     }
-                    task.join_remaining = v.len();
+                    task.join(v.len());
                     // Children of a detached (background) subtree are
                     // themselves background work.
                     let det = task.detached;
@@ -176,7 +223,7 @@ impl Engine {
                     if arms == 0 {
                         continue;
                     }
-                    task.join_remaining = arms;
+                    task.join(arms);
                     let det = task.detached;
                     for arm in 0..arms {
                         let top = Frame::Fan(Arc::clone(&fan), arm, 0);
@@ -235,7 +282,7 @@ impl Engine {
     fn finish_task(&mut self, tid: TaskId) {
         let task = &mut self.tasks[tid.index()];
         task.live = false;
-        let (detached, job, parent) = (task.detached, task.job, task.parent);
+        let (detached, job, parent) = (task.detached, task.job.get(), task.parent.get());
         self.live_total -= 1;
         self.free_tasks.push(tid.0);
         if let Some(tr) = &self.tracer {
@@ -243,9 +290,9 @@ impl Engine {
             self.stats.on_tracer_records(1);
         }
         if let Some(job) = job {
-            self.jobs[job.index()].end = Some(self.now);
+            self.jobs[job as usize].end = Some(self.now);
             if let Some(tr) = &self.tracer {
-                tr.record(self.now, TraceEvent::JobFinished { job: job.0 });
+                tr.record(self.now, TraceEvent::JobFinished { job });
                 self.stats.on_tracer_records(1);
             }
             self.live_foreground -= 1;
@@ -254,11 +301,11 @@ impl Engine {
             }
         }
         if let Some(parent) = parent {
-            let p = &mut self.tasks[parent.index()];
+            let p = &mut self.tasks[parent as usize];
             assert!(p.live, "parent died before child");
             p.join_remaining -= 1;
             if p.join_remaining == 0 {
-                self.advance(parent);
+                self.advance(TaskId(parent));
             }
         }
     }
@@ -271,11 +318,12 @@ mod tests {
     use std::mem::size_of;
 
     /// The engine's per-event cost tracks these (64-bit targets): a plan
-    /// node is moved or cloned per step, a task is touched per event.
+    /// node is moved or cloned per step, a task is touched per event and
+    /// must stay one cache line.
     #[test]
     fn plan_nodes_frames_and_tasks_stay_small() {
         assert!(size_of::<Plan>() <= 32, "Plan is {} bytes", size_of::<Plan>());
         assert!(size_of::<Frame>() <= 40, "Frame is {} bytes", size_of::<Frame>());
-        assert!(size_of::<Task>() <= 120, "Task is {} bytes", size_of::<Task>());
+        assert!(size_of::<Task>() <= 64, "Task is {} bytes", size_of::<Task>());
     }
 }

@@ -36,10 +36,12 @@ struct Outcome {
 
 /// Three jobs over a CPU, a port and a disk, every fan in them made by
 /// `build`: nested in a `Seq`, inside `Par`, under `Background`, with a
-/// barrier in a head, an empty arm, an empty head and tail, a non-leaf
-/// step in an arm, one arm shared by two fans, and one fan value (`round`)
-/// cloned into six places so that several live tasks are inside it at
-/// once. Returns the outcome, `round` and the shared arm.
+/// barrier in a head, an empty arm, an empty head and tail, non-leaf
+/// steps (`Seq`, `Par`, `Background`) in an arm and `Par` and
+/// `Background` in a tail beside the leaves a fan runs by reference, one
+/// arm shared by two fans, and one fan value (`round`) cloned into six
+/// places so that several live tasks are inside it at once. Returns the
+/// outcome, `round` and the shared arm.
 fn run_forest(build: Build) -> (Outcome, Plan, Arc<[Plan]>) {
     let log = EventLog::new();
     let mut e = Engine::new();
@@ -57,11 +59,23 @@ fn run_forest(build: Build) -> (Outcome, Plan, Arc<[Plan]>) {
         vec![msg(cpu, 32), msg(port, 96)],
         vec![
             shared_arm.clone(),
-            vec![Plan::Noop, msg(disk, 256)].into(),
+            vec![
+                Plan::Noop,
+                msg(disk, 256),
+                par(vec![msg(cpu, 4), msg(disk, 64)]),
+                background(msg(port, 24)),
+                delay(SimDuration::from_micros(2)),
+            ]
+            .into(),
             Vec::new().into(),
             vec![seq(vec![msg(cpu, 8), msg(disk, 512)])].into(),
         ],
-        vec![msg(port, 48), msg(cpu, 16)],
+        vec![
+            msg(port, 48),
+            par(vec![msg(disk, 40), seq(vec![msg(cpu, 6), msg(port, 20)])]),
+            background(seq(vec![msg(cpu, 2), msg(disk, 80)])),
+            msg(cpu, 16),
+        ],
     );
     let flush = build(
         vec![msg(port, 4096)],
@@ -118,7 +132,7 @@ fn a_fan_runs_exactly_as_the_par_of_its_chains() {
     // never taken apart, and the shared arm is held by `round` alone.
     let Plan::Fan(steps) = round else { panic!("`fan` built {round:?}") };
     assert_eq!(Arc::strong_count(&steps), 1);
-    assert_eq!((steps.head.len(), steps.arms.len(), steps.tail.len()), (2, 4, 2));
+    assert_eq!((steps.head.len(), steps.arms.len(), steps.tail.len()), (2, 4, 4));
     assert!(Arc::ptr_eq(&steps.arms[0], &shared_arm));
     assert_eq!(Arc::strong_count(&shared_arm), 2, "held by `round` and this handle");
 }

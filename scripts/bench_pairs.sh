@@ -3,7 +3,7 @@
 # working tree (choosing-metrics §8). A host-time claim in CHANGES.md is
 # the table this prints, not a single run against the 25% bound.
 #
-#   scripts/bench_pairs.sh <base-checkout> <workload|all> [pairs=10] [seconds=8] [moves]
+#   scripts/bench_pairs.sh <base-checkout> <workload|all> [pairs=10] [seconds=8] [moves] [seed=101]
 #
 # `all` runs every workload BENCHMARK.json names, one table each: a claim
 # on one workload needs the other four beside it.
@@ -12,7 +12,8 @@
 # under .bench_build/pairs (ignored by git; nothing under benchmark/ is
 # written), then runs `--workload W --trace 0` once per side per pair,
 # alternating which side goes first, with a fresh seed per pair shared by
-# both sides. A pair whose `correct`, `attempted`, `failed` or any
+# both sides: `seed`, `seed + 1`, … (pick ones the change was not
+# developed on). A pair whose `correct`, `attempted`, `failed` or any
 # `sim_mbs.*` differs between the sides is refused (exit 1): the two
 # programs did not do the same work, so their host times do not compare.
 # A change that is meant to move a simulated result names it in `moves`,
@@ -33,8 +34,8 @@
 # back-to-back tables that agree; when they disagree, neither stands.
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 5 ]; then
-  echo "usage: scripts/bench_pairs.sh <base-checkout> <workload|all> [pairs=10] [seconds=8] [moves]" >&2
+if [ $# -lt 2 ] || [ $# -gt 6 ]; then
+  echo "usage: scripts/bench_pairs.sh <base-checkout> <workload|all> [pairs=10] [seconds=8] [moves] [seed=101]" >&2
   exit 2
 fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -43,6 +44,7 @@ workloads="$2"
 pairs="${3:-10}"
 seconds="${4:-8}"
 moves="${5:-}"
+seed0="${6:-101}"
 work="$root/.bench_build/pairs"
 mkdir -p "$work"
 if [ "$workloads" = all ]; then
@@ -78,7 +80,7 @@ for workload in $workloads; do
   rows="$work/rows-$workload.txt"
   : >"$rows"
   for pair in $(seq 1 "$pairs"); do
-    seed=$((100 + pair))
+    seed=$((seed0 + pair - 1))
     if [ $((pair % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi
     for side in $order; do
       json="$(run "$side" "$seed")"
@@ -94,7 +96,7 @@ for workload in $workloads; do
     echo "pair $pair/$pairs seed $seed ($order): ok" >&2
   done
 
-  echo "$workload: $pairs pairs, --seconds $seconds, seeds 101..$((100 + pairs)), work identical in every pair${moves:+ but for $moves}"
+  echo "$workload: $pairs pairs, --seconds $seconds, seeds $seed0..$((seed0 + pairs - 1)), work identical in every pair${moves:+ but for $moves}"
   awk -v names="$free" '
     function quartile(v, n, p,    h, lo) {
       h = (n - 1) * p; lo = int(h)
