@@ -7,11 +7,9 @@
 //! capacity a freed slot keeps for its next tenant. Plan memory is
 //! released progressively: a `Seq`'s buffer is freed the moment its
 //! iterator runs dry. A `Fan` is the exception by design: each of its arm
-//! tasks holds a handle, the arm and a position, and the buffers belong
-//! to whoever built the fan — any number of live tasks may be inside one
-//! at once. A `Use` or `Delay` step of a fan is run straight from the
-//! shared step, copying only its demand or duration; any other step is
-//! cloned out as it is reached.
+//! tasks holds a handle, the arm and a position, each step is cloned out
+//! as it is reached, and the buffers belong to whoever built the fan —
+//! any number of live tasks may be inside one at once.
 //!
 //! A task slot is one 64-byte cache line (pinned by a unit test): the
 //! inline frame, the outer-stack pointer, `u32` links to the parent and
@@ -159,24 +157,6 @@ impl Engine {
         assert!(self.tasks[tid.index()].live, "advancing a dead task");
         loop {
             let task = &mut self.tasks[tid.index()];
-            // A fan's leaf steps run by reference from the shared fan.
-            if let Frame::Fan(fan, arm, at) = &mut task.top {
-                match fan.step(*arm, *at) {
-                    Some(Plan::Use { res, demand }) => {
-                        let (res, demand) = (*res, demand.clone());
-                        *at += 1;
-                        self.enqueue(res, tid, demand);
-                        return;
-                    }
-                    Some(Plan::Delay(d)) => {
-                        let d = *d;
-                        *at += 1;
-                        self.schedule(self.now + d, EventKind::Resume(tid));
-                        return;
-                    }
-                    _ => {}
-                }
-            }
             let Some(next) = task.top.next() else {
                 // The dry frame is dropped here, freeing its plan buffer.
                 match task.outer.as_mut().and_then(|o| o.pop()) {

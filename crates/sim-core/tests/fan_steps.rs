@@ -38,10 +38,10 @@ struct Outcome {
 /// `build`: nested in a `Seq`, inside `Par`, under `Background`, with a
 /// barrier in a head, an empty arm, an empty head and tail, non-leaf
 /// steps (`Seq`, `Par`, `Background`) in an arm and `Par` and
-/// `Background` in a tail beside the leaves a fan runs by reference, one
-/// arm shared by two fans, and one fan value (`round`) cloned into six
-/// places so that several live tasks are inside it at once. Returns the
-/// outcome, `round` and the shared arm.
+/// `Background` in a tail beside leaf steps, one arm shared by two fans,
+/// and one fan value (`round`) cloned into six places so that several
+/// live tasks are inside it at once. Returns the outcome, `round` and the
+/// shared arm.
 fn run_forest(build: Build) -> (Outcome, Plan, Arc<[Plan]>) {
     let log = EventLog::new();
     let mut e = Engine::new();
