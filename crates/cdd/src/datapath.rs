@@ -13,6 +13,8 @@
 //! epoch-versioned `Placer`, and is the identity on a
 //! never-reconfigured array.
 
+use std::borrow::Cow;
+
 use cluster::{extend_block, xor_of, Block};
 use raidx_core::{FaultSet, ReadSource, WriteScheme};
 use sim_core::plan::{delay, par, seq};
@@ -129,12 +131,13 @@ impl IoSystem {
     /// on connectivity and must say so (and must not hang).
     pub(crate) fn classify_loss(&self, client: usize, lb: u64) -> IoError {
         let storage_slots = self.placer.slot_read_faults(&self.storage_faults());
-        if matches!(self.layout.read_source(lb, &storage_slots), ReadSource::Lost) {
+        let untrusted = self.untrusted(&storage_slots, lb);
+        if matches!(self.layout.read_source(lb, &untrusted), ReadSource::Lost) {
             return IoError::DataLoss { lb };
         }
         let mut addrs = vec![self.layout.locate_data(lb)];
         addrs.extend(self.layout.locate_images(lb));
-        for a in addrs {
+        for a in addrs.into_iter().filter(|a| !untrusted.contains(a.disk)) {
             let node = self.cluster.node_of_disk(self.placer.read_home(a).disk);
             if !self.partitions.reachable(client, node) {
                 return IoError::Unreachable { node };
@@ -178,18 +181,22 @@ impl IoSystem {
         let mut blocked = false;
         for lb in lb0..lb0 + nblocks {
             let d = self.layout.locate_data(lb);
-            if !eff_slots.contains(d.disk) {
+            // A block none of whose copies is parked joins the balanced
+            // runs; one with a parked copy is routed around it alone.
+            let untrusted = self.untrusted(&eff_slots, lb);
+            if !eff_slots.contains(d.disk) && matches!(untrusted, Cow::Borrowed(_)) {
                 healthy.push((lb, d));
                 continue;
             }
             let serving = self.placer.read_home(d).disk;
-            if !storage.contains(serving)
+            if eff_slots.contains(d.disk)
+                && !storage.contains(serving)
                 && !self.plane.is_failed(serving)
                 && !self.plane.is_offline(serving)
             {
                 blocked = true;
             }
-            match self.layout.read_source(lb, &eff_slots) {
+            match self.layout.read_source(lb, &untrusted) {
                 ReadSource::Primary(a) | ReadSource::Image(a) => forced_images.push((lb, a)),
                 ReadSource::Reconstruct { siblings, parity } => {
                     reconstructs.push((lb, siblings, parity))

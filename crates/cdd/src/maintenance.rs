@@ -8,6 +8,7 @@
 //! transient failure recovers from local state in seconds while a
 //! permanent one pays a full rebuild.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cluster::{xor_of, Block};
@@ -22,9 +23,10 @@ impl IoSystem {
     /// on the functional plane — mirror images byte-identical to their
     /// data, parity blocks equal to the XOR of their stripe. Returns the
     /// number of redundancy relations audited; any inconsistency is an
-    /// error naming the offending block. Copies on failed or offline
-    /// disks are skipped, as are copies *parked* by degraded writes —
-    /// those are known-stale until resync, not corruption. (The real CDD
+    /// error naming the offending block. Only live copies are audited
+    /// (`IoSystem::untrusted`): one on a failed or offline disk, or
+    /// *parked* by a degraded write, is known-stale until resync, not
+    /// corruption. (The real CDD
     /// would run this in idle time; here it is the test suite's
     /// strongest invariant check.)
     pub fn scrub(&mut self) -> Result<u64, IoError> {
@@ -35,22 +37,17 @@ impl IoSystem {
         // via redundancy but not auditable in place until the rebalance
         // drains).
         let storage = self.placer.slot_read_faults(&self.storage_faults());
-        let parked = self.parked.clone();
-        // The parked ledger is keyed by physical disk; a slot-space copy
-        // checks the entry of its *current* home (where resync restores).
-        let is_parked = |sys: &Self, slot: usize, lb: u64| {
-            parked.get(&sys.placer.phys(slot)).is_some_and(|s| s.contains(&lb))
-        };
         for lb in 0..self.high_water {
+            let untrusted = self.untrusted(&storage, lb);
             let d = self.layout.locate_data(lb);
-            if storage.contains(d.disk) || is_parked(self, d.disk, lb) {
+            if untrusted.contains(d.disk) {
                 continue;
             }
             let dh = self.placer.read_home(d);
             let data = self.plane.get(dh.disk, dh.block)?;
             // Mirror images must match exactly.
             for img in self.layout.locate_images(lb) {
-                if storage.contains(img.disk) || is_parked(self, img.disk, lb) {
+                if untrusted.contains(img.disk) {
                     continue;
                 }
                 let ih = self.placer.read_home(img);
@@ -61,18 +58,16 @@ impl IoSystem {
                 audited += 1;
             }
             // Parity must equal the XOR of the whole stripe (checked once
-            // per stripe, at its first member).
+            // per stripe, at its first member, when the parity and every
+            // member are live).
             if let Some(p) = self.layout.locate_parity(lb) {
                 let (s, pos) = self.layout.stripe_of(lb);
-                if pos == 0 && !storage.contains(p.disk) {
+                if pos == 0 && !untrusted.contains(p.disk) {
                     let mut members: Vec<Block> = Vec::new();
                     let mut complete = true;
                     for member in self.layout.stripe_blocks(s) {
                         let a = self.layout.locate_data(member);
-                        if storage.contains(a.disk)
-                            || is_parked(self, a.disk, member)
-                            || is_parked(self, p.disk, member)
-                        {
+                        if untrusted.contains(a.disk) {
                             complete = false;
                             break;
                         }
@@ -96,7 +91,9 @@ impl IoSystem {
     /// Replace `disk` with a blank spare and restore every block it held
     /// (primaries, images and parity), driven from node `client`.
     /// Returns the timing plan and the number of blocks accounted for
-    /// (written + verified-present).
+    /// (written + verified-present), or [`IoError::DataLoss`] when some
+    /// copy had no live source (see
+    /// [`IoSystem::rebuild_disk_resumable`]).
     pub fn rebuild_disk(&mut self, client: usize, disk: usize) -> Result<(Plan, usize), IoError> {
         let outcome = self.rebuild_disk_resumable(client, disk, None)?;
         debug_assert!(outcome.finished);
@@ -109,8 +106,11 @@ impl IoSystem {
     /// The target plane is wiped only when the media is actually failed;
     /// on a restart (target already replaced, partially restored) the
     /// surviving restored blocks are detected and *skipped* by
-    /// `IoSystem::restore`. The disk rejoins the array — and its
-    /// parked-block ledger clears — only when the final step completes.
+    /// `IoSystem::restore`. The disk rejoins the array only when the
+    /// final step completes. A copy no live source can re-create is lost
+    /// the way [`IoSystem::resync_parked`] loses one: every other copy is
+    /// restored, the disk's ledger entry becomes exactly the lost copies'
+    /// blocks, and the call returns [`IoError::DataLoss`] naming the first.
     pub fn rebuild_disk_resumable(
         &mut self,
         client: usize,
@@ -126,16 +126,23 @@ impl IoSystem {
         )]
         let slot = self.placer.slot_of(disk).expect("rebuilding a disk that serves no slot");
         let (steps, lost) = self.plan_slot(slot, |_| true);
-        if let Some(l) = lost.first() {
-            return Err(IoError::DataLoss { lb: l.lbs(self.layout.as_ref())[0] });
-        }
         if self.plane.is_failed(disk) {
             self.plane.replace(disk);
         }
         let outcome = self.restore(client, &steps, step_limit)?;
-        if outcome.finished {
-            self.faults.remove(disk);
-            self.parked.remove(&disk);
+        if !outcome.finished {
+            return Ok(outcome);
+        }
+        // Every copy with a live source is back; one without stays parked
+        // against the rejoined disk, and its block reads `DataLoss` until
+        // it is written again.
+        self.faults.remove(disk);
+        let layout = self.layout.as_ref();
+        let stale: BTreeSet<u64> = lost.iter().flat_map(|l| l.lbs(layout)).collect();
+        let first_lost = stale.first().copied();
+        self.set_parked(disk, stale);
+        if let Some(lb) = first_lost {
+            return Err(IoError::DataLoss { lb });
         }
         Ok(outcome)
     }

@@ -12,6 +12,7 @@
 //! `remove_disk`; the cost difference against a full rebuild is what the
 //! bench's rebalance-under-load table quantifies.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use raidx_core::{BlockAddr, FaultSet};
@@ -48,6 +49,36 @@ impl IoSystem {
         eff
     }
 
+    /// The freshness rule: the slots whose copy a reader of `lb` must not
+    /// trust. They are `faults` (the caller's slot view of unavailable
+    /// disks), plus every slot whose current home's parked ledger holds a
+    /// block that copy is a function of — `lb` itself, or on a parity
+    /// layout any member of `lb`'s stripe, since the parity and every
+    /// sibling go into a reconstruction. A copy outside the set is live.
+    ///
+    /// Every path that reads a copy to produce bytes asks this and
+    /// nothing else: [`IoSystem::read`] and `classify_loss`, the RAID-5
+    /// write's read-modify-write and reconstruct inputs, `plan_slot`
+    /// (hence rebuild, resync and rebalance) and [`IoSystem::scrub`]. With
+    /// the ledger empty it hands `faults` back untouched.
+    pub(crate) fn untrusted<'a>(&self, faults: &'a FaultSet, lb: u64) -> Cow<'a, FaultSet> {
+        if self.parked.is_empty() {
+            return Cow::Borrowed(faults);
+        }
+        let lbs = match self.layout.locate_parity(lb) {
+            Some(_) => self.layout.stripe_blocks(self.layout.stripe_of(lb).0),
+            None => vec![lb],
+        };
+        let mut out = Cow::Borrowed(faults);
+        for (&disk, parked) in &self.parked {
+            let Some(slot) = self.placer.slot_of(disk) else { continue };
+            if !faults.contains(slot) && lbs.iter().any(|m| parked.contains(m)) {
+                out.to_mut().insert(slot);
+            }
+        }
+        out
+    }
+
     /// Every copy location of logical block `lb` (data, images, parity),
     /// in slot space.
     pub(crate) fn copy_addrs(&self, lb: u64) -> Vec<BlockAddr> {
@@ -78,6 +109,33 @@ impl IoSystem {
     /// restoration.
     pub(crate) fn park(&mut self, disk: usize, lb: u64) {
         self.parked.entry(disk).or_default().insert(lb);
+    }
+
+    /// A fresh copy landed on physical `disk`: a data or image copy of
+    /// `lb`, or — with `lbs` its whole stripe — a parity written over
+    /// every member. Drops those blocks from the disk's ledger entry.
+    pub(crate) fn unpark(&mut self, disk: usize, lbs: &[u64]) {
+        if self.parked.is_empty() {
+            return;
+        }
+        if let Some(parked) = self.parked.get_mut(&disk) {
+            for lb in lbs {
+                parked.remove(lb);
+            }
+            if parked.is_empty() {
+                self.parked.remove(&disk);
+            }
+        }
+    }
+
+    /// Replace physical `disk`'s ledger entry by `lbs`, the blocks whose
+    /// copies there a rebuild or resync could not restore.
+    pub(crate) fn set_parked(&mut self, disk: usize, lbs: BTreeSet<u64>) {
+        if lbs.is_empty() {
+            self.parked.remove(&disk);
+        } else {
+            self.parked.insert(disk, lbs);
+        }
     }
 
     /// Fail a disk *permanently*: its contents are lost on the functional
@@ -120,9 +178,12 @@ impl IoSystem {
         // dies with it (and must come back empty after a reboot).
         self.cache_flush_node(node);
         for g in 0..self.cluster.ndisks() {
+            // A failed disk that was retired has left `faults` but not
+            // the plane: it stays dead.
             if self.cluster.node_of_disk(g) == node
                 && !self.faults.contains(g)
                 && !self.offline.contains(g)
+                && !self.plane.is_failed(g)
             {
                 self.fail_disk_transient(g);
             }

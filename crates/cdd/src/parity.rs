@@ -38,7 +38,7 @@ impl IoSystem {
         // data disk is gone lives on through parity alone, so it is
         // unstorable if the parity disk is gone too, or — in a partial
         // stripe, where that parity is rebuilt from the siblings on disk —
-        // if any sibling is unreadable.
+        // if any sibling is not live.
         for lb in range.clone() {
             if !faults.contains(self.layout.locate_data(lb).disk) {
                 continue;
@@ -47,8 +47,9 @@ impl IoSystem {
             let p = self.layout.locate_parity(lb).expect("parity layout");
             let members = self.layout.stripe_blocks(lb / width);
             let lost_sibling = || {
+                let untrusted = self.untrusted(faults, lb);
                 let mut sibs = members.iter().filter(|&&m| m != lb);
-                sibs.any(|&m| faults.contains(self.layout.locate_data(m).disk))
+                sibs.any(|&m| untrusted.contains(self.layout.locate_data(m).disk))
             };
             if faults.contains(p.disk) || (!full_stripe(&members) && lost_sibling()) {
                 return Err(IoError::DataLoss { lb });
@@ -79,7 +80,7 @@ impl IoSystem {
                 for (&m, block) in members.iter().zip(blocks) {
                     let a = self.layout.locate_data(m);
                     if !faults.contains(a.disk) {
-                        self.put_block(a, block)?;
+                        self.put_block(a, &[m], block)?;
                         full_data.push((m, a));
                     } else {
                         self.park(self.placer.phys(a.disk), m);
@@ -88,14 +89,17 @@ impl IoSystem {
                 #[expect(clippy::expect_used, reason = "parity writes only run on parity layouts")]
                 let p = self.layout.locate_parity(members[0]).expect("parity");
                 if !faults.contains(p.disk) {
-                    self.put_block(p, parity)?;
+                    self.put_block(p, &members, parity)?;
                     parity_writes.push((s, p));
                 } else {
                     self.park(self.placer.phys(p.disk), members[0]);
                 }
                 xor_bytes += width * bs as u64;
             } else {
-                // Partial stripe: per touched block.
+                // Partial stripe: per touched block. The parity follows the
+                // new block by read-modify-write when the old data and the
+                // old parity are live, else it is recomputed from the new
+                // block and the live siblings, else it is parked.
                 for &m in &members {
                     if !range.contains(&m) {
                         continue;
@@ -106,47 +110,49 @@ impl IoSystem {
                         reason = "parity writes only run on parity layouts"
                     )]
                     let p = self.layout.locate_parity(m).expect("parity");
+                    let untrusted = self.untrusted(faults, m);
                     let d_ok = !faults.contains(a.disk);
                     let p_ok = !faults.contains(p.disk);
                     let newd = block_at(data, bs, lb0, m);
-                    match (d_ok, p_ok) {
-                        (true, true) => {
-                            // Healthy read-modify-write.
-                            let old = self.get_block(a)?;
-                            let old_parity = self.get_block(p)?;
-                            let new = block_of(newd);
-                            self.put_block(a, new.clone())?;
-                            self.put_block(p, xor_of([&old_parity, &old, &new]))?;
-                            rmw_plans.push((m, a, p));
+                    if !untrusted.contains(a.disk) && !untrusted.contains(p.disk) {
+                        // Healthy read-modify-write.
+                        let old = self.get_block(a)?;
+                        let old_parity = self.get_block(p)?;
+                        let new = block_of(newd);
+                        self.put_block(a, &[m], new.clone())?;
+                        self.put_block(p, &members, xor_of([&old_parity, &old, &new]))?;
+                        rmw_plans.push((m, a, p));
+                        continue;
+                    }
+                    let siblings: Vec<BlockAddr> = members
+                        .iter()
+                        .filter(|&&sib| sib != m)
+                        .map(|&sib| self.layout.locate_data(sib))
+                        .collect();
+                    let rebuildable =
+                        p_ok && siblings.iter().all(|sa| !untrusted.contains(sa.disk));
+                    if d_ok {
+                        self.put_block(a, &[m], block_of(newd))?;
+                        bare_data.push((m, a));
+                    } else {
+                        // The new block exists only through the parity.
+                        self.park(self.placer.phys(a.disk), m);
+                    }
+                    if rebuildable {
+                        // Reconstruct-write: parity = new XOR the siblings.
+                        let mut sib_blocks: Vec<Block> = Vec::new();
+                        for &sa in &siblings {
+                            sib_blocks.push(self.get_block(sa)?);
                         }
-                        (true, false) => {
-                            // Parity disk dead: data write only; park the
-                            // stale parity for recomputation on recovery.
-                            self.put_block(a, block_of(newd))?;
-                            self.park(self.placer.phys(p.disk), m);
-                            bare_data.push((m, a));
-                        }
-                        (false, true) => {
-                            // Reconstruct-write: the new block exists only
-                            // through parity = new XOR surviving siblings.
-                            self.park(self.placer.phys(a.disk), m);
-                            let mut sibs = Vec::new();
-                            let mut sib_blocks: Vec<Block> = Vec::new();
-                            for sib in self.layout.stripe_blocks(s) {
-                                if sib == m {
-                                    continue;
-                                }
-                                let sa = self.layout.locate_data(sib);
-                                sib_blocks.push(self.get_block(sa)?);
-                                sibs.push(sa);
-                            }
-                            let parity = xor_of(
-                                std::iter::once(newd).chain(sib_blocks.iter().map(|b| &b[..])),
-                            );
-                            self.put_block(p, parity)?;
-                            reconstruct_writes.push((m, sibs, p));
-                        }
-                        (false, false) => unreachable!("checked above"),
+                        let parity =
+                            xor_of(std::iter::once(newd).chain(sib_blocks.iter().map(|b| &b[..])));
+                        self.put_block(p, &members, parity)?;
+                        reconstruct_writes.push((m, siblings, p));
+                    } else {
+                        // Validated above: only a written data block gets
+                        // here. Its stale parity waits for recomputation.
+                        debug_assert!(d_ok);
+                        self.park(self.placer.phys(p.disk), m);
                     }
                 }
             }

@@ -50,21 +50,26 @@ pub struct RestoreOutcome {
 impl IoSystem {
     /// Every copy `slot` holds that `keep` selects, from the layout walk
     /// of the written region: the restorable ones as physical steps
-    /// (sources avoid media faults and the slot itself, resolved through
+    /// (sources are live copies off the slot itself — media faults and
+    /// parked copies avoided, `IoSystem::untrusted` — resolved through
     /// the placer; the destination is the slot's current home), and the
-    /// ones no surviving source can re-create.
+    /// ones no live source can re-create.
     pub(crate) fn plan_slot(
         &self,
         slot: usize,
         keep: impl Fn(&RebuildStep) -> bool,
     ) -> (Vec<RestoreStep>, Vec<RebuildStep>) {
-        let mut remaining = self.placer.slot_read_faults(&self.storage_faults());
-        remaining.remove(slot);
-        let (lost, ok): (Vec<_>, Vec<_>) =
-            plan_rebuild(self.layout.as_ref(), slot, &remaining, self.high_water)
-                .into_iter()
-                .filter(keep)
-                .partition(|s| s.inputs.is_empty());
+        let mut avoid = self.placer.slot_read_faults(&self.storage_faults());
+        avoid.insert(slot);
+        let (lost, ok): (Vec<_>, Vec<_>) = plan_rebuild(
+            self.layout.as_ref(),
+            slot,
+            |lb| self.untrusted(&avoid, lb),
+            self.high_water,
+        )
+        .into_iter()
+        .filter(keep)
+        .partition(|s| s.inputs.is_empty());
         let home = self.placer.phys(slot);
         let steps = ok
             .iter()

@@ -34,10 +34,12 @@ impl IoSystem {
     /// Returns the timing plan and the number of blocks restored.
     ///
     /// A parked block leaves the ledger only once its copies on `disk`
-    /// are restored: if a second failure took a copy's last source, the
-    /// rest are still restored, the unrestorable blocks stay parked and
-    /// the call returns [`IoError::DataLoss`] — rebuild the source, then
-    /// resync again.
+    /// are restored from live sources (`IoSystem::untrusted`): if a
+    /// second failure took a copy's last one, the rest are still
+    /// restored, the unrestorable blocks stay parked and the call returns
+    /// [`IoError::DataLoss`]. A source that was only offline makes a
+    /// later resync succeed; one that failed for good leaves the blocks
+    /// lost until they are written again.
     pub fn resync_parked(&mut self, client: usize, disk: usize) -> Result<(Plan, usize), IoError> {
         assert!(
             !self.faults.contains(disk) && !self.offline.contains(disk),
@@ -64,15 +66,11 @@ impl IoSystem {
         for s in &steps {
             self.placer.clear_pending(slot, s.dst.block);
         }
-        match stale.first().copied() {
-            None => {
-                self.parked.remove(&disk);
-                Ok((outcome.plan, outcome.restored))
-            }
-            Some(lb) => {
-                self.parked.insert(disk, stale);
-                Err(IoError::DataLoss { lb })
-            }
+        let first_lost = stale.first().copied();
+        self.set_parked(disk, stale);
+        match first_lost {
+            None => Ok((outcome.plan, outcome.restored)),
+            Some(lb) => Err(IoError::DataLoss { lb }),
         }
     }
 }
@@ -80,7 +78,7 @@ impl IoSystem {
 #[cfg(test)]
 mod tests {
     use crate::testkit::shape;
-    use crate::IoError;
+    use crate::{IoError, IoSystem};
     use raidx_core::Arch;
 
     /// A transient outage keeps the disk's contents: recovery resyncs
@@ -118,9 +116,11 @@ mod tests {
     }
 
     /// Regression: a second failure during recovery must not cost the
-    /// ledger. Resync restores what still has a source, keeps exactly the
-    /// unrestorable blocks parked and reports the loss; once the partner
-    /// is rebuilt a second resync finishes the job.
+    /// ledger, nor launder the loss. Resync restores what still has a
+    /// live source, keeps exactly the unrestorable blocks parked and
+    /// reports the loss; rebuilding the partner and resyncing again keep
+    /// those blocks lost — they read `DataLoss`, every other block its
+    /// bytes — until they are written again.
     #[test]
     fn resync_keeps_unrestored_blocks_parked_on_error() {
         let (_engine, mut sys) = shape(4, 1, 8 << 20, Arch::RaidX);
@@ -135,17 +135,48 @@ mod tests {
         sys.fail_disk(2);
         let parked = sys.parked[&1].clone();
         let sourceless = |lb: &u64| sys.copy_addrs(*lb).iter().all(|a| a.disk == 1 || a.disk == 2);
-        let unrestorable = parked.iter().filter(|lb| sourceless(lb)).count();
-        assert!(0 < unrestorable && unrestorable < parked.len(), "want a mixed ledger");
+        let lost: Vec<u64> = parked.iter().copied().filter(sourceless).collect();
+        assert!(!lost.is_empty() && lost.len() < parked.len(), "want a mixed ledger");
+        let mut want: Vec<u8> = (0..24).map(|lb| if lb < 16 { 0x91 } else { 0x42 }).collect();
+        let read_back = |sys: &mut IoSystem, want: &[u8], lost: &[u64]| {
+            for lb in 0..24u64 {
+                match sys.read(3, lb, 1) {
+                    Ok((got, _)) => {
+                        assert!(!lost.contains(&lb), "lost block {lb} read {:#04x}", got[0]);
+                        assert!(got.iter().all(|&b| b == want[lb as usize]), "block {lb}");
+                    }
+                    Err(IoError::DataLoss { lb: at }) => {
+                        assert!(at == lb && lost.contains(&lb), "block {lb} reads DataLoss")
+                    }
+                    Err(e) => panic!("block {lb}: {e}"),
+                }
+            }
+        };
 
         let err = sys.recover_disk_transient(0, 1).expect_err("a source is gone");
         assert!(matches!(err, IoError::DataLoss { .. }), "{err}");
         assert!(sys.offline_disks().is_empty(), "the disk itself is back");
-        assert_eq!(sys.parked_blocks(1), unrestorable, "only unrestored blocks stay parked");
+        assert_eq!(sys.parked_blocks(1), lost.len(), "only unrestored blocks stay parked");
+        read_back(&mut sys, &want, &lost);
 
-        sys.rebuild_disk(0, 2).expect("rebuild the partner");
-        sys.resync_parked(0, 1).expect("second resync has every source again");
-        assert_eq!(sys.parked_total(), 0);
+        // The partner's copies of the lost blocks have no live source
+        // either: the rebuild restores the rest and parks those.
+        let err = sys.rebuild_disk(0, 2).expect_err("the partner's lost copies have no source");
+        assert!(matches!(err, IoError::DataLoss { lb } if lb == lost[0]), "{err}");
+        assert!(sys.faults().is_empty(), "the partner rejoins");
+        assert_eq!(sys.parked_blocks(2), lost.len());
+        let err = sys.resync_parked(0, 1).expect_err("a second resync finds no source either");
+        assert!(matches!(err, IoError::DataLoss { lb } if lb == lost[0]), "{err}");
+        assert_eq!(sys.parked_blocks(1), lost.len());
+        read_back(&mut sys, &want, &lost);
+        assert!(sys.scrub().expect("scrub skips the parked copies") > 0);
+
+        for &lb in &lost {
+            sys.write(0, lb, &vec![0x5A; bs]).expect("rewrite a lost block");
+            want[lb as usize] = 0x5A;
+        }
+        assert_eq!(sys.parked_total(), 0, "fresh copies leave the ledger");
+        read_back(&mut sys, &want, &[]);
         assert!(sys.scrub().expect("scrub") > 0);
     }
 }

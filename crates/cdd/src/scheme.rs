@@ -56,13 +56,21 @@ impl IoSystem {
             .collect()
     }
 
-    /// Store `block` at slot-space address `a`: lands on the slot's
-    /// current home and supersedes any pending migration of the block.
-    /// Every copy of one logical block is a clone of one handle, so the
+    /// Store `block` at slot-space address `a` as a fresh copy of `lbs`
+    /// (one logical block, or every member of a parity's stripe): lands
+    /// on the slot's current home, supersedes any pending migration of
+    /// the block and drops `lbs` from that home's parked ledger. Every
+    /// copy of one logical block is a clone of one handle, so the
     /// caller's bytes are copied once however many homes they reach.
-    pub(crate) fn put_block(&mut self, a: BlockAddr, block: Block) -> Result<(), IoError> {
+    pub(crate) fn put_block(
+        &mut self,
+        a: BlockAddr,
+        lbs: &[u64],
+        block: Block,
+    ) -> Result<(), IoError> {
         let h = self.placer.write_home(a);
         self.plane.put(h.disk, h.block, block)?;
+        self.unpark(h.disk, lbs);
         Ok(())
     }
 
@@ -106,7 +114,7 @@ impl IoSystem {
             let block = block_of(block_at(data, bs, lb0, lb));
             let d_ok = !faults.contains(d.disk);
             if d_ok {
-                self.put_block(d, block.clone())?;
+                self.put_block(d, &[lb], block.clone())?;
                 fg.push((lb, d));
             } else {
                 self.park(self.placer.phys(d.disk), lb);
@@ -118,7 +126,7 @@ impl IoSystem {
                     self.park(self.placer.phys(img.disk), lb);
                     continue;
                 }
-                self.put_block(img, block.clone())?;
+                self.put_block(img, &[lb], block.clone())?;
                 // With the primary gone the image is the only durable copy,
                 // so it must be written before the ack.
                 if write_behind && d_ok {

@@ -64,9 +64,10 @@ pub struct IoSystem {
     pub(crate) offline: FaultSet,
     /// Interconnect fault state: which nodes are cut off right now.
     pub(crate) partitions: PartitionMap,
-    /// Degraded-write ledger: per unavailable *physical* disk, the
-    /// logical blocks whose copy there was skipped and must be restored
-    /// on recovery.
+    /// Degraded-write ledger: per *physical* disk, the logical blocks
+    /// whose copy there is stale — skipped by a degraded write, or left
+    /// unrestored by a repair with no live source. Outside its own
+    /// bookkeeping and counters only `IoSystem::untrusted` reads it.
     pub(crate) parked: BTreeMap<usize, BTreeSet<u64>>,
     /// Lock-group grants issued so far ([`IoSystem::with_grant`]).
     grants: u64,

@@ -1,7 +1,8 @@
 //! A crash inside `rename` never loses the file. The rename runs over a
 //! store that keeps only its first *i* writes, for every *i* the rename
 //! spans; the volume is then mounted afresh, and the file must be found
-//! under its old name or its new one with its bytes intact.
+//! under its old name or its new one with its bytes intact — and under
+//! one name only, so that unlinking it frees nothing another name reads.
 
 use cdd::{BlockStore, IoError};
 use cfs::{Fs, FsError};
@@ -92,6 +93,7 @@ impl<S: BlockStore> BlockStore for Cut<S> {
 }
 
 const PAYLOAD: &[u8] = b"the file that must survive";
+const FRESH: &[u8] = b"a file made after the unlink";
 
 /// A volume with `/a/f` and `fillers` further names in `/a` and in `/b`.
 fn volume(fillers: usize) -> Mem {
@@ -134,6 +136,21 @@ fn every_cut_keeps_the_file(fillers: usize, from: &str, to: &str) -> usize {
         if keep == writes {
             assert!(matches!(old, Err(FsError::NotFound(_))), "{from} survived the whole rename");
         }
+        // Mount left the file one name: removing it frees the inode and
+        // its extents, and the new file that reuses them is read under
+        // no other name.
+        let survivor = if old.is_ok() { from } else { to };
+        fs.unlink(0, survivor).expect("unlink the surviving name");
+        fs.write_file(0, "/fresh", FRESH).expect("a new file");
+        for name in [from, to] {
+            let got = fs.read_file(0, name).map(|(bytes, _)| bytes);
+            assert!(
+                matches!(got, Err(FsError::NotFound(_))),
+                "{from} -> {to}, {keep} of {writes} writes kept, {survivor} unlinked: \
+                 {name} reads {got:?}"
+            );
+        }
+        assert_eq!(fs.read_file(0, "/fresh").expect("the new file").0, FRESH);
     }
     writes
 }

@@ -1,10 +1,12 @@
 //! Failure analysis and rebuild planning.
 //!
-//! Pure planning: given a layout, a fault set and the high-water mark of
-//! written logical blocks, list every copy a disk holds and the surviving
-//! blocks that re-create it. The `cdd` crate filters these steps (full
+//! Pure planning: given a layout, the disks each block's sources must
+//! avoid and the high-water mark of written logical blocks, list every
+//! copy a disk holds and the surviving blocks that re-create it. The `cdd` crate filters these steps (full
 //! rebuild, parked-block resync, pending-block rebalance) and executes
 //! them against the data plane and the timing model.
+
+use std::ops::Deref;
 
 use crate::layout::{Layout, ReadSource};
 use crate::types::{BlockAddr, FaultSet};
@@ -49,19 +51,20 @@ impl RebuildStep {
 /// (data, then images, then — at a stripe's first member — its parity).
 ///
 /// Covers both roles a disk plays: primary data blocks and mirror images /
-/// parity blocks hosted for other disks' data. Sources avoid `disk` itself
-/// and `remaining_faults`; a copy with no surviving source gets a step
-/// with empty `inputs`.
-pub fn plan_rebuild(
+/// parity blocks hosted for other disks' data. The sources of a copy of
+/// `lb` — or of the parity of `lb`'s stripe — avoid every disk in
+/// `avoid(lb)`, which must contain `disk` itself; a copy with no
+/// surviving source gets a step with empty `inputs`.
+pub fn plan_rebuild<F: Deref<Target = FaultSet>>(
     layout: &dyn Layout,
     disk: usize,
-    remaining_faults: &FaultSet,
+    avoid: impl Fn(u64) -> F,
     used: u64,
 ) -> Vec<RebuildStep> {
-    let mut avoid = remaining_faults.clone();
-    avoid.insert(disk);
     let mut steps = Vec::new();
     for lb in 0..used.min(layout.capacity_blocks()) {
+        let avoid = avoid(lb);
+        debug_assert!(avoid.contains(disk), "a rebuild source on its own target");
         let copies = std::iter::once(layout.locate_data(lb)).chain(layout.locate_images(lb));
         for target in copies.filter(|a| a.disk == disk) {
             let inputs = match layout.read_source(lb, &avoid) {
@@ -100,7 +103,8 @@ mod tests {
     fn raidx_rebuild_covers_data_and_images() {
         let l = RaidX::new(4, 1, 240);
         let used = 48;
-        let steps = plan_rebuild(&l, 0, &FaultSet::none(), used);
+        let avoid = FaultSet::of(&[0]);
+        let steps = plan_rebuild(&l, 0, |_| &avoid, used);
         // Disk 0 held primary data for lbs with data disk 0 and images of
         // some groups; every such block must be restored.
         let mut targets: Vec<BlockAddr> = steps.iter().map(|s| s.target).collect();
@@ -121,7 +125,8 @@ mod tests {
     #[test]
     fn raid5_rebuild_uses_xor() {
         let l = Raid5::new(4, 100);
-        let steps = plan_rebuild(&l, 1, &FaultSet::none(), 30);
+        let avoid = FaultSet::of(&[1]);
+        let steps = plan_rebuild(&l, 1, |_| &avoid, 30);
         assert!(!steps.is_empty());
         // Data blocks restore from siblings + parity (every other disk),
         // parity blocks from the stripe's data alone.
@@ -140,7 +145,8 @@ mod tests {
     #[test]
     fn raid10_rebuild_copies_mirror() {
         let l = Raid10::new(4, 100);
-        let steps = plan_rebuild(&l, 0, &FaultSet::none(), 20);
+        let avoid = FaultSet::of(&[0]);
+        let steps = plan_rebuild(&l, 0, |_| &avoid, 20);
         assert!(steps.iter().all(|s| s.inputs.len() == 1 && s.inputs[0].disk == 1));
     }
 
@@ -149,23 +155,39 @@ mod tests {
         let l = RaidX::new(4, 1, 240);
         // Disk 0's data has images on various disks; failing all other
         // disks in the row guarantees loss.
-        let steps = plan_rebuild(&l, 0, &FaultSet::of(&[1, 2, 3]), 48);
+        let avoid = FaultSet::of(&[0, 1, 2, 3]);
+        let steps = plan_rebuild(&l, 0, |_| &avoid, 48);
         assert!(steps.iter().all(|s| s.inputs.is_empty()));
         assert_eq!(steps[0].lbs(&l), vec![0]);
         // RAID-5 parity with a dead stripe member is lost too.
         let r5 = Raid5::new(4, 100);
-        let steps = plan_rebuild(&r5, 3, &FaultSet::of(&[0]), 3);
+        let avoid = FaultSet::of(&[0, 3]);
+        let steps = plan_rebuild(&r5, 3, |_| &avoid, 3);
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].content, Content::Parity(0));
         assert!(steps[0].inputs.is_empty());
         assert_eq!(steps[0].lbs(&r5), vec![0, 1, 2]);
     }
 
+    /// The set to avoid is per block: a copy that cannot be trusted for
+    /// one block leaves every other block's source alone.
+    #[test]
+    fn each_block_avoids_its_own_set() {
+        let l = Raid10::new(4, 100);
+        let (only_target, with_mirror) = (FaultSet::of(&[0]), FaultSet::of(&[0, 1]));
+        let steps = plan_rebuild(&l, 0, |lb| if lb == 2 { &with_mirror } else { &only_target }, 8);
+        for s in &steps {
+            assert_eq!(s.inputs.is_empty(), s.content == Content::Block(2), "{s:?}");
+        }
+        assert!(steps.iter().any(|s| s.content == Content::Block(2)));
+    }
+
     #[test]
     fn rebuild_respects_high_water_mark() {
         let l = RaidX::new(4, 1, 240);
-        let few = plan_rebuild(&l, 0, &FaultSet::none(), 8);
-        let many = plan_rebuild(&l, 0, &FaultSet::none(), 80);
+        let avoid = FaultSet::of(&[0]);
+        let few = plan_rebuild(&l, 0, |_| &avoid, 8);
+        let many = plan_rebuild(&l, 0, |_| &avoid, 80);
         assert!(many.len() > few.len());
     }
 }

@@ -8,8 +8,9 @@
 //!   fault (permanent disk failure, transient outage, NIC partition,
 //!   whole-node crash, or disk slowdown) fires mid-workload and is later
 //!   repaired (transient resync, partition heal, node restart, or a full
-//!   rebuild). Afterwards the array must be byte-identical to the
-//!   script's shadow model, the scrub must find every redundancy
+//!   rebuild). No read of the run may return bytes other than the
+//!   script's shadow model's; afterwards the array must be
+//!   byte-identical to that model, the scrub must find every redundancy
 //!   relation consistent, no parked blocks, offline disks or partitions
 //!   may remain, and no trigger of the plan may still be pending (an op
 //!   index the script never reached is a repair that never ran).
@@ -93,10 +94,11 @@ pub struct SweepScenario {
     /// Script op index the fault fires before.
     pub inject_at: usize,
     /// Run with the client block cache enabled, on a script that re-reads
-    /// so the cache actually serves. Cached cells additionally assert
-    /// that no read served stale bytes at any point: the fault classes
-    /// swept here (disk loss, node crash, reconfiguration) must be
-    /// invisible through the cache's flush/invalidation hooks.
+    /// so the cache actually serves. Every cell asserts that no read
+    /// served stale bytes at any point; a cached cell additionally that
+    /// the cache served some, so the fault classes swept here (disk
+    /// loss, node crash, reconfiguration) are shown invisible through
+    /// the cache's flush/invalidation hooks.
     pub cached: bool,
 }
 
@@ -272,13 +274,14 @@ pub fn run_scenario(sc: &SweepScenario, ops: &[ScriptOp], cache: bool) -> SweepO
             if out.failed > 0 {
                 problems.push(format!("{} ops failed under a single tolerated fault", out.failed));
             }
+            // No read — before, during or after the fault, cached or
+            // not — may serve bytes other than the model's.
+            if out.stale_reads > 0 {
+                problems.push(format!("{} stale reads", out.stale_reads));
+            }
             if cache {
-                // The cached cells' extra contract: no read — before,
-                // during or after the fault — may have served stale
-                // bytes, and the cache must actually have served some.
-                if out.stale_reads > 0 {
-                    problems.push(format!("{} stale reads through the cache", out.stale_reads));
-                }
+                // The cached cells' extra contract: the cache must
+                // actually have served some reads.
                 match sys.cache_stats() {
                     Some(stats) if stats.hits > 0 => {}
                     Some(_) => problems.push("cache never served a read".into()),

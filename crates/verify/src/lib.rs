@@ -24,6 +24,10 @@
 //! * [`cache_coherence`] — cached-vs-uncached transparency and the
 //!   Zipfian payoff gate; the cache protocol itself is unit-tested in
 //!   [`cdd::cache`] and on the real `IoSystem` in `cdd/tests/cache.rs`.
+//!
+//! One family is an integration test, `tests/model_based.rs`: random op
+//! scripts checked against `workloads::op_script`'s shadow model under
+//! any fault sequence, beyond what the layout tolerates.
 
 pub mod cache_coherence;
 pub mod determinism;

@@ -6,7 +6,8 @@
 //! executes it one op per engine cycle, announcing each op's index to an
 //! optional [`cdd::FaultInjector`] before issuing it — the hook the
 //! `fault-sweep` verify pass and the recovery property tests use to fire
-//! a fault at a precise position in the workload.
+//! a fault at a precise position in the workload. [`run_op`] issues one
+//! op, for a caller that decides its fault steps as the run goes.
 //!
 //! Alongside the array, the runner maintains a **shadow model**: the
 //! bytes of every write that *succeeded* (failed ops drop out of the
@@ -83,7 +84,7 @@ pub fn with_rereads(ops: Vec<ScriptOp>) -> Vec<ScriptOp> {
 }
 
 /// What a script run observed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ScriptOutcome {
     /// Shadow model: fill byte of each logical block a *successful*
     /// write covered.
@@ -92,9 +93,11 @@ pub struct ScriptOutcome {
     pub completed: usize,
     /// Ops that surfaced an [`IoError`] (dropped from the model).
     pub failed: usize,
-    /// Successful reads whose bytes differed from the model — possible
-    /// only inside a partition window (a cut-off node serving its own
-    /// stale local copy before resync), never after recovery.
+    /// Successful reads whose bytes differed from the model. A read
+    /// trusts only live copies (never one a degraded write skipped), so
+    /// a cut-off client whose live copies are all unreachable gets
+    /// [`IoError::Unreachable`] rather than its stale local copy: any
+    /// count here is a fault.
     pub stale_reads: usize,
 }
 
@@ -110,54 +113,68 @@ pub fn run_script(
     ops: &[ScriptOp],
     mut injector: Option<&mut FaultInjector>,
 ) -> Result<ScriptOutcome, IoError> {
-    let bs = sys.block_size() as usize;
-    let mut out = ScriptOutcome { model: BTreeMap::new(), completed: 0, failed: 0, stale_reads: 0 };
+    let mut out = ScriptOutcome::default();
     for (i, op) in ops.iter().enumerate() {
         if let Some(inj) = injector.as_deref_mut() {
             inj.hit_op(i as u64, engine, sys)?;
             inj.poll(engine, sys)?;
         }
-        match *op {
-            ScriptOp::Write { client, lb, blocks, tag } => {
-                let mut data = vec![0u8; blocks as usize * bs];
-                for b in 0..blocks {
-                    let off = b as usize * bs;
-                    data[off..off + bs].fill(fill_byte(tag, lb + b));
-                }
-                match sys.write(client, lb, &data) {
-                    Ok(plan) => {
-                        engine.spawn_job(format!("op{i}/write"), plan);
-                        for b in 0..blocks {
-                            out.model.insert(lb + b, fill_byte(tag, lb + b));
-                        }
-                        out.completed += 1;
-                    }
-                    Err(_) => out.failed += 1,
-                }
-            }
-            ScriptOp::Read { client, lb, blocks } => match sys.read(client, lb, blocks) {
-                Ok((data, plan)) => {
-                    engine.spawn_job(format!("op{i}/read"), plan);
-                    for b in 0..blocks {
-                        let want = out.model.get(&(lb + b)).copied().unwrap_or(0);
-                        let off = b as usize * bs;
-                        if data[off..off + bs].iter().any(|&x| x != want) {
-                            out.stale_reads += 1;
-                            break;
-                        }
-                    }
-                    out.completed += 1;
-                }
-                Err(_) => out.failed += 1,
-            },
-        }
-        engine.run().expect("script op deadlocked");
+        // Counted in `out`; the script goes on.
+        let _ = run_op(engine, sys, i, *op, &mut out);
     }
     if let Some(inj) = injector {
         inj.drain_timed(engine, sys)?;
         engine.run().expect("fault drain deadlocked");
     }
     Ok(out)
+}
+
+/// Issue `op`, number `i` of a script, run the engine until it is done
+/// and fold what it observed into `out`: the shadow model takes a write
+/// only if it succeeded, and a read is compared against it. Returns the
+/// op's error, if it failed (already counted in `out.failed`).
+pub fn run_op(
+    engine: &mut Engine,
+    sys: &mut IoSystem,
+    i: usize,
+    op: ScriptOp,
+    out: &mut ScriptOutcome,
+) -> Result<(), IoError> {
+    let bs = sys.block_size() as usize;
+    let result = match op {
+        ScriptOp::Write { client, lb, blocks, tag } => {
+            let mut data = vec![0u8; blocks as usize * bs];
+            for b in 0..blocks {
+                let off = b as usize * bs;
+                data[off..off + bs].fill(fill_byte(tag, lb + b));
+            }
+            sys.write(client, lb, &data).map(|plan| {
+                engine.spawn_job(format!("op{i}/write"), plan);
+                for b in 0..blocks {
+                    out.model.insert(lb + b, fill_byte(tag, lb + b));
+                }
+            })
+        }
+        ScriptOp::Read { client, lb, blocks } => {
+            sys.read(client, lb, blocks).map(|(data, plan)| {
+                engine.spawn_job(format!("op{i}/read"), plan);
+                for b in 0..blocks {
+                    let want = out.model.get(&(lb + b)).copied().unwrap_or(0);
+                    let off = b as usize * bs;
+                    if data[off..off + bs].iter().any(|&x| x != want) {
+                        out.stale_reads += 1;
+                        break;
+                    }
+                }
+            })
+        }
+    };
+    match result {
+        Ok(()) => out.completed += 1,
+        Err(_) => out.failed += 1,
+    }
+    engine.run().expect("script op deadlocked");
+    result
 }
 
 /// Read the whole written region back (as `client`) and compare it

@@ -21,6 +21,14 @@ echo "==> cargo clippy (all targets, warnings are errors)"
 # rustc's missing_docs.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy (benchmark/, warnings are errors)"
+# benchmark/ is its own workspace, so the stage above never lints it.
+# Same clippy.toml, one lint allowed: disallowed_methods, which carries
+# the wall-clock ban (`Instant::now`) that the host-timing benchmark
+# exists to break. The stage only reads benchmark/.
+cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings \
+    -A clippy::disallowed_methods
+
 echo "==> cargo doc (rustdoc warnings are errors, private items included)"
 # A dangling intra-doc link, or a public doc linking a crate-private item,
 # fails here; neither the compiler, clippy nor the tests report it.
