@@ -151,7 +151,9 @@ impl FaultInjector {
     /// clock. Returns how many fired.
     pub fn poll(&mut self, engine: &mut Engine, sys: &mut IoSystem) -> Result<usize, IoError> {
         let n = self.timed.partition_point(|(t, _)| *t <= engine.now());
-        apply_all(self.timed.drain(..n).map(|(_, ev)| ev), engine, sys)?;
+        for (_, ev) in self.timed.drain(..n) {
+            apply(ev, engine, sys)?;
+        }
         Ok(n)
     }
 
@@ -167,7 +169,9 @@ impl FaultInjector {
             std::mem::take(&mut self.at_ops).into_iter().partition(|(at, _)| *at == op);
         self.at_ops = rest;
         let n = due.len();
-        apply_all(due.into_iter().map(|(_, ev)| ev), engine, sys)?;
+        for (_, ev) in due {
+            apply(ev, engine, sys)?;
+        }
         Ok(n)
     }
 
@@ -184,25 +188,7 @@ impl FaultInjector {
     }
 }
 
-/// Apply every event of `due`, in order, even past one that fails: a
-/// repair that reports a lost block still ran, and the events after it
-/// are still due. Returns the first error.
-fn apply_all(
-    due: impl IntoIterator<Item = FaultEvent>,
-    engine: &mut Engine,
-    sys: &mut IoSystem,
-) -> Result<(), IoError> {
-    let mut first = Ok(());
-    for ev in due {
-        let result = apply(ev, engine, sys);
-        first = first.and(result);
-    }
-    first
-}
-
-/// Apply one fault event to the system under test. A repair of several
-/// disks (heal, restart) repairs every one of them, then returns the
-/// first error.
+/// Apply one fault event to the system under test.
 fn apply(ev: FaultEvent, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), IoError> {
     match ev {
         FaultEvent::DiskFail { disk } => sys.fail_disk(disk),
@@ -220,22 +206,16 @@ fn apply(ev: FaultEvent, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), 
             // Copies skipped while the node was unreachable are stale;
             // resync every parked disk it hosts (the disks themselves
             // stayed healthy, so resync is legal immediately).
-            let mut first = Ok(());
             for disk in 0..sys.cluster.ndisks() {
                 if sys.cluster.node_of_disk(disk) == node
                     && sys.parked_blocks(disk) > 0
                     && !sys.faults().contains(disk)
                     && !sys.offline_disks().contains(disk)
                 {
-                    match sys.resync_parked(client, disk) {
-                        Ok((plan, _)) => {
-                            engine.spawn_job(format!("recovery/heal{node}-disk{disk}"), plan);
-                        }
-                        Err(e) => first = first.and(Err(e)),
-                    }
+                    let (plan, _) = sys.resync_parked(client, disk)?;
+                    engine.spawn_job(format!("recovery/heal{node}-disk{disk}"), plan);
                 }
             }
-            return first;
         }
         FaultEvent::NodeCrash { node } => sys.crash_node(node),
         FaultEvent::DiskAdd => {
@@ -249,19 +229,12 @@ fn apply(ev: FaultEvent, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), 
         }
         FaultEvent::NodeRestart { node, client } => {
             sys.heal_node(node);
-            let mut first = Ok(());
             for disk in 0..sys.cluster.ndisks() {
                 if sys.cluster.node_of_disk(disk) == node && sys.offline_disks().contains(disk) {
-                    match sys.recover_disk_transient(client, disk) {
-                        Ok((plan, _)) => {
-                            let label = format!("recovery/restart{node}-disk{disk}");
-                            engine.spawn_job(label, plan);
-                        }
-                        Err(e) => first = first.and(Err(e)),
-                    }
+                    let (plan, _) = sys.recover_disk_transient(client, disk)?;
+                    engine.spawn_job(format!("recovery/restart{node}-disk{disk}"), plan);
                 }
             }
-            return first;
         }
     }
     Ok(())

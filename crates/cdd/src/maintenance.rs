@@ -111,6 +111,8 @@ impl IoSystem {
     /// the way [`IoSystem::resync_parked`] loses one: every other copy is
     /// restored, the disk's ledger entry becomes exactly the lost copies'
     /// blocks, and the call returns [`IoError::DataLoss`] naming the first.
+    /// The error carries no plan: the I/O of the copies it did restore is
+    /// never charged to the engine.
     pub fn rebuild_disk_resumable(
         &mut self,
         client: usize,

@@ -39,7 +39,8 @@ impl IoSystem {
     /// restored, the unrestorable blocks stay parked and the call returns
     /// [`IoError::DataLoss`]. A source that was only offline makes a
     /// later resync succeed; one that failed for good leaves the blocks
-    /// lost until they are written again.
+    /// lost until they are written again. The error carries no plan: the
+    /// I/O of the copies it did restore is never charged to the engine.
     pub fn resync_parked(&mut self, client: usize, disk: usize) -> Result<(Plan, usize), IoError> {
         assert!(
             !self.faults.contains(disk) && !self.offline.contains(disk),

@@ -8,9 +8,15 @@
 //!
 //! * every read returns the model's bytes, `DataLoss` or `Unreachable` —
 //!   never other bytes, however many copies a fault sequence took;
+//! * while the disks out have never been more than the layout tolerates,
+//!   no op and no repair reports `DataLoss`, and `Unreachable` only while
+//!   a node is cut off;
 //! * after a full repair, scrub finds every live copy consistent, and a
 //!   run that never saw `DataLoss` leaves no parked copy and reads every
 //!   block back.
+//!
+//! Writes run up to two stripes, so RAID-5 full-stripe writes — the path
+//! that computes parity from the new blocks alone — happen under faults.
 //!
 //! Each architecture runs the same scenarios twice: uncached, and behind
 //! a four-block client cache whose entries are the plane's own block
@@ -18,15 +24,20 @@
 //! read back a stale tag.
 
 use cdd::{CacheConfig, CddConfig, FaultEvent, FaultInjector, IoError, IoSystem};
-use raidx_core::Arch;
+use raidx_core::{Arch, FaultSet};
 use sim_core::check::{run_cases, Gen};
 use sim_core::Engine;
-use workloads::op_script::{gen_script, run_op, with_rereads, ScriptOp, ScriptOutcome};
+use workloads::op_script::{run_op, with_rereads, ScriptOp, ScriptOutcome};
 
-/// One node per client: a 4 × 2 array.
+/// One node per client: a 4 × 2 array, whose RAID-5 stripe is 7 blocks.
 const NODES: usize = 4;
-/// A small region, so that ranges are re-read and overwritten.
-const REGION_BLOCKS: u64 = 16;
+/// Six RAID-5 stripes: small, so that ranges are re-read and overwritten.
+const REGION_BLOCKS: u64 = 42;
+/// Longest write, in blocks: two RAID-5 stripes.
+const MAX_WRITE: u64 = 14;
+/// Longest read, in blocks: what the four-block cache holds, so a
+/// re-read can hit.
+const MAX_READ: u64 = 4;
 
 #[derive(Debug, Clone)]
 enum Step {
@@ -49,9 +60,22 @@ enum Step {
     Restart,
 }
 
+/// A write (twice as likely) or a read, from any node, inside the region.
+fn draw_op(g: &mut Gen) -> ScriptOp {
+    let client = g.usize_in(0..NODES);
+    let write = g.weighted(&[2, 1]) == 0;
+    let blocks = g.u64_in(1..if write { MAX_WRITE } else { MAX_READ } + 1);
+    let lb = g.u64_in(0..REGION_BLOCKS - blocks + 1);
+    if write {
+        ScriptOp::Write { client, lb, blocks, tag: g.u8() | 1 }
+    } else {
+        ScriptOp::Read { client, lb, blocks }
+    }
+}
+
 fn draw_step(g: &mut Gen) -> Step {
     match g.weighted(&[16, 1, 1, 2, 2, 1, 1, 2]) {
-        0 => Step::Op(gen_script(g, NODES, REGION_BLOCKS, 1)[0]),
+        0 => Step::Op(draw_op(g)),
         1 => Step::Fail { pick: g.usize_in(0..64) },
         2 => Step::Transient { pick: g.usize_in(0..64) },
         3 => Step::Recover,
@@ -73,24 +97,61 @@ struct Run {
     at: usize,
     /// Whether any op or repair reported `DataLoss`.
     lost: bool,
+    /// Whether the disks out were ever a set the layout does not
+    /// tolerate. Until they are, `DataLoss` fails the test.
+    exceeded: bool,
+    /// Writes that covered a whole parity stripe and succeeded while a
+    /// disk was out.
+    degraded_full_stripes: usize,
 }
 
 impl Run {
     /// Note the outcome of an op or a repair: `Ok`, `DataLoss` (a block
-    /// is gone, or out of reach of the media still online) or
-    /// `Unreachable`; anything else fails the test.
+    /// is gone, or out of reach of the media still online) once the
+    /// faults have exceeded what the layout tolerates, or `Unreachable`
+    /// while a node is cut off; anything else fails the test.
     fn note<T>(&mut self, what: &dyn std::fmt::Debug, r: Result<T, IoError>) -> Option<T> {
         match r {
             Ok(v) => return Some(v),
-            Err(IoError::DataLoss { .. }) => self.lost = true,
-            Err(IoError::Unreachable { .. }) => {}
-            Err(e) => panic!("{:?}: {what:?}: {e}", self.arch),
+            Err(IoError::DataLoss { .. }) if self.exceeded => self.lost = true,
+            Err(IoError::Unreachable { .. }) if !self.sys.partitions().is_empty() => {}
+            Err(e) => panic!(
+                "{:?}: {what:?}: {e} (failed: {:?}, offline: {:?}, tolerance exceeded: {})",
+                self.arch,
+                self.sys.faults().iter().collect::<Vec<_>>(),
+                self.sys.offline_disks().iter().collect::<Vec<_>>(),
+                self.exceeded,
+            ),
         }
         None
     }
 
+    /// Fold the disks out right now into `exceeded`.
+    fn check_tolerance(&mut self) {
+        let out = self.sys.storage_faults();
+        let slots: FaultSet = out.iter().filter_map(|g| self.sys.slot_of(g)).collect();
+        self.exceeded |= !self.sys.layout().tolerates(&slots);
+    }
+
+    /// Whether a write of `blocks` blocks at `lb` covers a whole parity
+    /// stripe.
+    fn full_stripe(&self, lb: u64, blocks: u64) -> bool {
+        let layout = self.sys.layout();
+        layout.locate_parity(lb).is_some()
+            && (lb..lb + blocks).any(|x| {
+                let members = layout.stripe_blocks(layout.stripe_of(x).0);
+                members.iter().all(|m| (lb..lb + blocks).contains(m))
+            })
+    }
+
     fn op(&mut self, op: ScriptOp) {
         let result = run_op(&mut self.engine, &mut self.sys, self.at, op, &mut self.out);
+        if let ScriptOp::Write { lb, blocks, .. } = op {
+            let degraded = !self.sys.storage_faults().is_empty();
+            if result.is_ok() && degraded && self.full_stripe(lb, blocks) {
+                self.degraded_full_stripes += 1;
+            }
+        }
         self.note(&op, result);
         assert_eq!(
             self.out.stale_reads, 0,
@@ -193,38 +254,37 @@ impl Run {
             }
         }
         self.at += 1;
+        self.check_tolerance();
     }
 
-    /// Resync every online disk that still has parked copies. Returns
-    /// the first error.
-    fn resync_all(&mut self) -> Result<(), IoError> {
-        let mut first = Ok(());
+    /// Resync every online disk that still has parked copies.
+    fn resync_all(&mut self) {
         for disk in 0..self.sys.cluster().ndisks() {
             if self.sys.parked_blocks(disk) > 0 && !self.sys.storage_faults().contains(disk) {
-                match self.sys.resync_parked(0, disk) {
-                    Ok((plan, _)) => self.settle(plan),
-                    Err(e) => first = first.and(Err(e)),
+                let r = self.sys.resync_parked(0, disk);
+                if let Some((plan, _)) = self.note(&"resync", r) {
+                    self.settle(plan);
                 }
             }
         }
-        first
     }
 
     /// Repair everything, like an operator after the storm: restart the
-    /// nodes, bring the disks back and resync — a resync here may miss a
-    /// source that comes back later, so its loss is not final — then
-    /// rebuild, finish the migration and resync again. A loss the
-    /// rebuild, the rebalance or the last resync reports is final.
+    /// nodes, bring the disks back and resync — a resync whose source is
+    /// still out reports the loss, and the next resync retries — then
+    /// rebuild, finish the migration and resync again.
     fn full_repair(&mut self) {
         let crashed: Vec<usize> = (0..NODES).filter(|&n| self.crashed(n)).collect();
         for node in crashed {
-            let _ = self.fire(FaultEvent::NodeRestart { node, client: node });
+            let r = self.fire(FaultEvent::NodeRestart { node, client: node });
+            self.note(&"restart", r);
         }
         let offline: Vec<usize> = self.sys.offline_disks().iter().collect();
         for disk in offline {
-            let _ = self.fire(FaultEvent::DiskRecover { disk, client: 0 });
+            let r = self.fire(FaultEvent::DiskRecover { disk, client: 0 });
+            self.note(&"recover", r);
         }
-        let _ = self.resync_all();
+        self.resync_all();
         let failed: Vec<usize> = self.sys.faults().iter().collect();
         for disk in failed {
             let r = self.sys.rebuild_disk(0, disk);
@@ -236,19 +296,39 @@ impl Run {
         if let Some(outcome) = self.note(&"final rebalance", r) {
             self.settle(outcome.plan);
         }
-        let r = self.resync_all();
-        self.note(&"final resync", r);
+        self.resync_all();
     }
 }
 
-/// Runs `steps` and returns how many blocks the client caches served and
-/// whether the run lost a block.
-fn run_scenario(arch: Arch, cache: Option<CacheConfig>, steps: &[Step]) -> (u64, bool) {
+/// What one scenario observed.
+struct Seen {
+    /// Blocks the client caches served.
+    hits: u64,
+    /// Whether the run lost a block.
+    lost: bool,
+    /// Whether the faults ever exceeded what the layout tolerates.
+    exceeded: bool,
+    /// Full-stripe writes that succeeded while a disk was out.
+    degraded_full_stripes: usize,
+}
+
+/// Runs `steps` and reports what the run saw.
+fn run_scenario(arch: Arch, cache: Option<CacheConfig>, steps: &[Step]) -> Seen {
     // Tiny disks keep the plane small.
     let cfg = CddConfig { cache, ..CddConfig::default() };
     let (engine, sys) = cdd::testkit::shape_with(NODES, 2, 8 << 20, arch, cfg);
     let (faults, out) = (FaultInjector::new(), ScriptOutcome::default());
-    let mut run = Run { arch, engine, sys, faults, out, at: 0, lost: false };
+    let mut run = Run {
+        arch,
+        engine,
+        sys,
+        faults,
+        out,
+        at: 0,
+        lost: false,
+        exceeded: false,
+        degraded_full_stripes: 0,
+    };
     for step in steps {
         run.step(step);
     }
@@ -278,27 +358,40 @@ fn run_scenario(arch: Arch, cache: Option<CacheConfig>, steps: &[Step]) -> (u64,
         run.out.stale_reads, 0,
         "{arch:?}: a repaired block read bytes the model never held"
     );
-    (run.sys.cache_stats().map_or(0, |s| s.hits), run.lost)
+    Seen {
+        hits: run.sys.cache_stats().map_or(0, |s| s.hits),
+        lost: run.lost,
+        exceeded: run.exceeded,
+        degraded_full_stripes: run.degraded_full_stripes,
+    }
 }
 
 fn agree_with_model(name: &str, arch: Arch) {
     for cache in [None, Some(CacheConfig { capacity_blocks: 4 })] {
-        let (mut hits, mut runs_lost, mut runs) = (0, 0, 0);
+        let (mut hits, mut runs_lost, mut runs_tolerated, mut runs) = (0, 0, 0, 0);
+        let mut degraded_full_stripes = 0;
         run_cases(name, 24, |g| {
             let steps = g.vec_of(1..40, draw_step);
-            let (h, lost) = run_scenario(arch, cache, &steps);
-            hits += h;
+            let seen = run_scenario(arch, cache, &steps);
+            hits += seen.hits;
             runs += 1;
-            runs_lost += usize::from(lost);
+            runs_lost += usize::from(seen.lost);
+            runs_tolerated += usize::from(!seen.exceeded);
+            degraded_full_stripes += seen.degraded_full_stripes;
         });
         // A cached run that never hit says nothing about cached handles.
         assert_eq!(cache.is_some(), hits > 0, "{arch:?}: {hits} cache hits with {cache:?}");
-        // Both halves of the oracle ran: some run lost a block, and some
-        // lost none.
+        // Every half of the oracle ran: some run lost a block, some lost
+        // none, and some never went past what the layout tolerates.
         assert!(
             0 < runs_lost && runs_lost < runs,
             "{arch:?}: {runs_lost} of {runs} runs lost a block"
         );
+        assert!(runs_tolerated > 0, "{arch:?}: every run exceeded the layout's tolerance");
+        // RAID-5 wrote whole stripes while degraded.
+        if arch == Arch::Raid5 {
+            assert!(degraded_full_stripes > 0, "no degraded full-stripe write");
+        }
     }
 }
 
