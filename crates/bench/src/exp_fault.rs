@@ -52,8 +52,10 @@ pub fn single_failure(arch: Arch) -> FaultPoint {
     let degraded_read_secs = engine.now().since(t0).as_secs_f64();
 
     let t1 = engine.now();
-    let (plan, rebuilt_blocks) = s.rebuild_disk(3, 3).expect("experiment I/O failed");
-    engine.spawn_job("rebuild", plan);
+    let out = s.rebuild_disk(3, 3, None).expect("experiment I/O failed");
+    assert_eq!(out.lost, None, "a single failure lost a block");
+    let rebuilt_blocks = out.restored + out.skipped;
+    engine.spawn_job("rebuild", out.plan);
     engine.run().expect("experiment I/O failed");
     let rebuild_secs = engine.now().since(t1).as_secs_f64();
 
@@ -153,24 +155,18 @@ pub fn under_load(arch: Arch, disturb: Disturbance) -> LoadPoint {
     }
     let t0 = engine.now();
     spawn_foreground(&mut engine, &mut sys, nblocks);
-    let (name, plan, blocks) = match disturb {
-        Disturbance::Rebuild => {
-            let (plan, blocks) = sys.rebuild_disk(3, 3).expect("rebuild plan");
-            ("rebuild", plan, blocks)
-        }
-        Disturbance::Rebalance => {
-            let out = sys.rebalance(3, None).expect("rebalance plan");
-            assert!(out.finished, "unbounded rebalance must drain the migration");
-            ("rebalance", out.plan, out.restored)
-        }
+    let (name, out) = match disturb {
+        Disturbance::Rebuild => ("rebuild", sys.rebuild_disk(3, 3, None).expect("rebuild plan")),
+        Disturbance::Rebalance => ("rebalance", sys.rebalance(3, None).expect("rebalance plan")),
     };
-    engine.spawn_job(name, background(plan));
+    assert!(out.finished && out.lost.is_none(), "an unbounded {name} must finish losing nothing");
+    engine.spawn_job(name, background(out.plan));
     let report = engine.run().expect("under-load run");
     LoadPoint {
         fg_healthy_secs,
         fg_disturbed_secs: report.foreground_end.since(t0).as_secs_f64(),
         drain_secs: report.end.since(t0).as_secs_f64(),
-        blocks,
+        blocks: out.restored,
     }
 }
 

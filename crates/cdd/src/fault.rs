@@ -13,17 +13,19 @@
 //! Events split into *damage* (disk fail, transient offline, NIC
 //! partition, node crash, disk slowdown) and *repair* (transient
 //! recovery, partition heal, node restart). Repair events carry the
-//! node that drives the recovery traffic; their resync/rebuild plans
-//! are spawned as detached `"recovery/…"` jobs so foreground latency
-//! accounting stays honest while repair I/O competes for the same
-//! disks and links.
+//! node that drives the recovery traffic; their resync plans are
+//! spawned as detached `"recovery/…"` jobs, a loss's included, so
+//! foreground latency accounting stays honest while repair I/O competes
+//! for the same disks and links.
 
 use sim_core::{Engine, SimTime};
 
 use crate::error::IoError;
+use crate::restore::RestoreOutcome;
 use crate::system::IoSystem;
 
-/// One injectable cluster fault (or its repair).
+/// One injectable cluster fault, or its repair. A repair event that
+/// loses a block still spawns its plan, then fails with `DataLoss`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
     /// Permanent disk failure: contents lost, rebuild required.
@@ -194,8 +196,8 @@ fn apply(ev: FaultEvent, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), 
         FaultEvent::DiskFail { disk } => sys.fail_disk(disk),
         FaultEvent::DiskTransient { disk } => sys.fail_disk_transient(disk),
         FaultEvent::DiskRecover { disk, client } => {
-            let (plan, _) = sys.recover_disk_transient(client, disk)?;
-            engine.spawn_job(format!("recovery/disk{disk}"), plan);
+            let outcome = sys.recover_disk_transient(client, disk)?;
+            spawn_repair(engine, format!("recovery/disk{disk}"), outcome)?;
         }
         FaultEvent::DiskSlow { disk, factor } => {
             engine.set_resource_slowdown(sys.cluster.disks[disk].res, factor);
@@ -212,8 +214,8 @@ fn apply(ev: FaultEvent, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), 
                     && !sys.faults().contains(disk)
                     && !sys.offline_disks().contains(disk)
                 {
-                    let (plan, _) = sys.resync_parked(client, disk)?;
-                    engine.spawn_job(format!("recovery/heal{node}-disk{disk}"), plan);
+                    let outcome = sys.resync_parked(client, disk)?;
+                    spawn_repair(engine, format!("recovery/heal{node}-disk{disk}"), outcome)?;
                 }
             }
         }
@@ -231,13 +233,20 @@ fn apply(ev: FaultEvent, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), 
             sys.heal_node(node);
             for disk in 0..sys.cluster.ndisks() {
                 if sys.cluster.node_of_disk(disk) == node && sys.offline_disks().contains(disk) {
-                    let (plan, _) = sys.recover_disk_transient(client, disk)?;
-                    engine.spawn_job(format!("recovery/restart{node}-disk{disk}"), plan);
+                    let outcome = sys.recover_disk_transient(client, disk)?;
+                    spawn_repair(engine, format!("recovery/restart{node}-disk{disk}"), outcome)?;
                 }
             }
         }
     }
     Ok(())
+}
+
+/// Spawn a repair's plan as the job `name`, then report its loss, if
+/// any, as [`IoError::DataLoss`].
+fn spawn_repair(engine: &mut Engine, name: String, outcome: RestoreOutcome) -> Result<(), IoError> {
+    engine.spawn_job(name, outcome.plan);
+    outcome.lost.map_or(Ok(()), |lb| Err(IoError::DataLoss { lb }))
 }
 
 #[cfg(test)]

@@ -8,11 +8,9 @@
 //! transient failure recovers from local state in seconds while a
 //! permanent one pays a full rebuild.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cluster::{xor_of, Block};
-use sim_core::Plan;
 
 use crate::error::IoError;
 use crate::restore::RestoreOutcome;
@@ -88,36 +86,20 @@ impl IoSystem {
         Ok(audited)
     }
 
-    /// Replace `disk` with a blank spare and restore every block it held
-    /// (primaries, images and parity), driven from node `client`.
-    /// Returns the timing plan and the number of blocks accounted for
-    /// (written + verified-present), or [`IoError::DataLoss`] when some
-    /// copy had no live source (see
-    /// [`IoSystem::rebuild_disk_resumable`]).
-    pub fn rebuild_disk(&mut self, client: usize, disk: usize) -> Result<(Plan, usize), IoError> {
-        let outcome = self.rebuild_disk_resumable(client, disk, None)?;
-        debug_assert!(outcome.finished);
-        Ok((outcome.plan, outcome.restored + outcome.skipped))
-    }
-
-    /// Rebuild with an optional step budget, safe to re-run after a
-    /// power failure mid-rebuild.
-    ///
-    /// The target plane is wiped only when the media is actually failed;
-    /// on a restart (target already replaced, partially restored) the
-    /// surviving restored blocks are detected and *skipped* by
-    /// `IoSystem::restore`. The disk rejoins the array only when the
-    /// final step completes. A copy no live source can re-create is lost
-    /// the way [`IoSystem::resync_parked`] loses one: every other copy is
-    /// restored, the disk's ledger entry becomes exactly the lost copies'
-    /// blocks, and the call returns [`IoError::DataLoss`] naming the first.
-    /// The error carries no plan: the I/O of the copies it did restore is
-    /// never charged to the engine.
-    pub fn rebuild_disk_resumable(
+    /// Replace `disk` with a blank spare and restore the first `budget`
+    /// (all when `None`) of the blocks it held — primaries, images and
+    /// parity — driven from node `client`; safe to re-run after a power
+    /// failure mid-rebuild. The plane is wiped only when the media is
+    /// actually failed, so a restart *skips* what it already restored.
+    /// The disk rejoins the array only when the final step completes. A
+    /// copy with no live source is lost as by every repair
+    /// (`IoSystem::repair`): it stays parked, and reads `DataLoss` until
+    /// it is written again.
+    pub fn rebuild_disk(
         &mut self,
         client: usize,
         disk: usize,
-        step_limit: Option<usize>,
+        budget: Option<usize>,
     ) -> Result<RestoreOutcome, IoError> {
         assert!(self.faults.contains(disk), "rebuilding a healthy disk");
         // Rebuild planning runs in slot space; `disk` is the physical
@@ -127,24 +109,13 @@ impl IoSystem {
             reason = "operator-error invariant — callers rebuild active disks only"
         )]
         let slot = self.placer.slot_of(disk).expect("rebuilding a disk that serves no slot");
-        let (steps, lost) = self.plan_slot(slot, |_| true);
+        let repair = self.plan_slot(slot, |_| true);
         if self.plane.is_failed(disk) {
             self.plane.replace(disk);
         }
-        let outcome = self.restore(client, &steps, step_limit)?;
-        if !outcome.finished {
-            return Ok(outcome);
-        }
-        // Every copy with a live source is back; one without stays parked
-        // against the rejoined disk, and its block reads `DataLoss` until
-        // it is written again.
-        self.faults.remove(disk);
-        let layout = self.layout.as_ref();
-        let stale: BTreeSet<u64> = lost.iter().flat_map(|l| l.lbs(layout)).collect();
-        let first_lost = stale.first().copied();
-        self.set_parked(disk, stale);
-        if let Some(lb) = first_lost {
-            return Err(IoError::DataLoss { lb });
+        let outcome = self.repair(client, repair, budget)?;
+        if outcome.finished {
+            self.faults.remove(disk);
         }
         Ok(outcome)
     }

@@ -128,16 +128,6 @@ impl IoSystem {
         }
     }
 
-    /// Replace physical `disk`'s ledger entry by `lbs`, the blocks whose
-    /// copies there a rebuild or resync could not restore.
-    pub(crate) fn set_parked(&mut self, disk: usize, lbs: BTreeSet<u64>) {
-        if lbs.is_empty() {
-            self.parked.remove(&disk);
-        } else {
-            self.parked.insert(disk, lbs);
-        }
-    }
-
     /// Fail a disk *permanently*: its contents are lost on the functional
     /// plane and all planning routes around it. Any image blocks still
     /// buffered for it in the write-behind queue are drained (flushing
@@ -397,8 +387,9 @@ mod tests {
         sys.heal_node(2);
         for g in 0..sys.cluster.ndisks() {
             if sys.cluster.node_of_disk(g) == 2 {
-                let (plan, _) = sys.recover_disk_transient(0, g).expect("resync");
-                engine.spawn_job("restart", plan);
+                let out = sys.recover_disk_transient(0, g).expect("resync");
+                assert_eq!(out.lost, None, "disk {g} lost a block");
+                engine.spawn_job("restart", out.plan);
             }
         }
         engine.run().expect("restart");

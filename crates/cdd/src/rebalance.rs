@@ -13,61 +13,48 @@ use std::collections::BTreeSet;
 use raidx_core::BlockAddr;
 
 use crate::error::IoError;
-use crate::placer::Migration;
-use crate::restore::{RestoreOutcome, RestoreStep};
+use crate::restore::{Repair, RestoreOutcome, RestoreStep};
 use crate::system::IoSystem;
 
 impl IoSystem {
     /// Drain up to `step_limit` pending blocks of the in-flight migration
     /// (all of them when `None`), driven from node `client`. Interrupted
     /// at any point it re-runs idempotently (`IoSystem::restore`
-    /// compares before it writes). Returns a finished no-op outcome when
-    /// no migration is in flight.
+    /// compares before it writes). A copy no live source can re-create
+    /// is lost as by every repair (`IoSystem::repair`), so the migration
+    /// still closes. Returns a finished no-op outcome when none is in
+    /// flight.
     pub fn rebalance(
         &mut self,
         client: usize,
         step_limit: Option<usize>,
     ) -> Result<RestoreOutcome, IoError> {
         let Some(m) = self.placer.migration().cloned() else {
-            return self.restore(client, &[], None);
+            return Ok(RestoreOutcome::NONE);
         };
-        self.with_grant(|sys| sys.rebalance_locked(client, &m, step_limit))
-    }
-
-    fn rebalance_locked(
-        &mut self,
-        client: usize,
-        m: &Migration,
-        step_limit: Option<usize>,
-    ) -> Result<RestoreOutcome, IoError> {
         let old_ok =
             !m.old_dead && !self.plane.is_failed(m.old_phys) && !self.plane.is_offline(m.old_phys);
-        let (steps, lost) = if old_ok {
-            let moves = m.pending.iter().map(|&b| RestoreStep {
-                inputs: vec![BlockAddr::new(m.old_phys, b)],
-                dst: BlockAddr::new(m.new_phys, b),
-            });
-            (moves.collect(), Vec::new())
-        } else {
-            self.plan_slot(m.slot, |s| m.pending.contains(&s.target.block))
-        };
-        let mut outcome = self.restore(client, &steps, step_limit)?;
-        for s in &steps[..outcome.restored + outcome.skipped] {
-            self.placer.clear_pending(m.slot, s.dst.block);
-        }
-        // A pending block that is no copy location of any written block
-        // (the layout walk is the authority) has nothing to move.
-        let known: BTreeSet<u64> =
-            steps.iter().map(|s| s.dst.block).chain(lost.iter().map(|l| l.target.block)).collect();
-        for &b in m.pending.difference(&known) {
-            self.placer.clear_pending(m.slot, b);
-            outcome.skipped += 1;
-        }
-        outcome.finished = self.placer.finish_if_drained();
-        match lost.first() {
-            Some(l) => Err(IoError::DataLoss { lb: l.lbs(self.layout.as_ref())[0] }),
-            None => Ok(outcome),
-        }
+        self.with_grant(|sys| {
+            let repair = if old_ok {
+                let moves = m.pending.iter().map(|&b| RestoreStep {
+                    inputs: vec![BlockAddr::new(m.old_phys, b)],
+                    dst: BlockAddr::new(m.new_phys, b),
+                    lbs: Vec::new(),
+                });
+                Repair { slot: m.slot, steps: moves.collect(), lost: Vec::new() }
+            } else {
+                sys.plan_slot(m.slot, |s| m.pending.contains(&s.target.block))
+            };
+            // A pending block that is no copy location of any written
+            // block (the layout walk is the authority) has nothing to move.
+            let steps = repair.steps.iter().map(|s| s.dst.block);
+            let known: BTreeSet<u64> =
+                steps.chain(repair.lost.iter().map(|l| l.target.block)).collect();
+            for &b in m.pending.difference(&known) {
+                sys.placer.clear_pending(m.slot, b);
+            }
+            sys.repair(client, repair, step_limit)
+        })
     }
 }
 
@@ -104,6 +91,7 @@ mod tests {
         let mut total_moved = 0;
         loop {
             let out = sys.rebalance(0, Some(5)).expect("rebalance step");
+            assert_eq!(out.lost, None);
             total_moved += out.restored;
             engine.spawn_job("rebalance", out.plan);
             engine.run().expect("rebalance timing");
@@ -141,7 +129,7 @@ mod tests {
         assert_eq!(got, data);
 
         let out = sys.rebalance(0, None).expect("full reconstruction");
-        assert!(out.finished);
+        assert!(out.finished && out.lost.is_none());
         engine.spawn_job("reconstruct", out.plan);
         engine.run().expect("reconstruct timing");
 
@@ -166,7 +154,7 @@ mod tests {
         sys.remove_disk(1).expect("remove");
         let pending = sys.migration_pending();
         let a = sys.rebalance(0, Some(3)).expect("partial rebalance");
-        assert!(!a.finished);
+        assert!(!a.finished && a.lost.is_none());
         let lb = (0..nblocks)
             .rev()
             .find(|&lb| sys.layout().locate_data(lb).disk == 1)
@@ -176,7 +164,7 @@ mod tests {
         assert!(sys.migration_pending() < pending - 3, "the write must clear its pending entry");
 
         let b = sys.rebalance(0, None).expect("resumed rebalance");
-        assert!(b.finished);
+        assert!(b.finished && b.lost.is_none());
         assert!(a.restored + a.skipped + b.restored + b.skipped < pending);
         let (got, _) = sys.read(2, lb, 1).expect("superseded block read");
         assert_eq!(got, fresh, "in-migration write must win");

@@ -3,14 +3,16 @@
 //! XOR is associative, so a straight copy, a RAID-5 reconstruction, a
 //! parity recompute and a verbatim move from a still-readable old home are
 //! the same piece of data: a `RestoreStep` whose `inputs` XOR to the
-//! bytes `dst` must hold (one input is a copy). `IoSystem::restore` is
-//! the only executor. Rebuild ([`crate::maintenance`]), resync
-//! ([`crate::resync`]) and rebalance ([`crate::rebalance`]) choose the
-//! step list — the order they list steps and inputs in is the order the
-//! timing plan issues them — and update their own ledger afterwards; all
-//! three take "what lives on this slot" from [`plan_rebuild`] through
-//! `IoSystem::plan_slot`.
+//! bytes `dst` must hold (one input is a copy). Rebuild
+//! ([`crate::maintenance`]), resync ([`crate::resync`]) and rebalance
+//! ([`crate::rebalance`]) only choose the steps — all three take "what
+//! lives on this slot" from [`plan_rebuild`] through `IoSystem::plan_slot`,
+//! and the order they list steps and inputs in is the order the timing
+//! plan issues them — and end in `IoSystem::repair`, the one epilogue:
+//! it runs the steps through `IoSystem::restore`, the only executor, and
+//! is the only writer of a repair's ledger entry.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cluster::{xor_of, Block};
@@ -29,12 +31,25 @@ pub(crate) struct RestoreStep {
     pub inputs: Vec<BlockAddr>,
     /// Where the content belongs.
     pub dst: BlockAddr,
+    /// The logical blocks the content is a function of
+    /// ([`RebuildStep::lbs`]); none for a verbatim move.
+    pub lbs: Vec<u64>,
 }
 
-/// Outcome of one (possibly partial) rebuild or rebalance attempt.
+/// What one repair restores onto the slot's current home, the target.
+pub(crate) struct Repair {
+    /// The slot the target serves.
+    pub slot: usize,
+    /// The copies to re-create, in issue order.
+    pub steps: Vec<RestoreStep>,
+    /// The copies no live source can re-create.
+    pub lost: Vec<RebuildStep>,
+}
+
+/// Outcome of one (possibly partial) rebuild, resync or rebalance.
 #[derive(Debug)]
 pub struct RestoreOutcome {
-    /// Timing plan of the attempt's actual I/O.
+    /// Timing plan of the attempt's actual I/O — a loss included.
     pub plan: Plan,
     /// Blocks written by this attempt.
     pub restored: usize,
@@ -45,6 +60,16 @@ pub struct RestoreOutcome {
     /// Whether nothing is left to do; only then does a rebuilt disk leave
     /// the fault set, or a migration close.
     pub finished: bool,
+    /// The first block whose copy on the target no live source could
+    /// re-create — the block `IoError::DataLoss` names on a read. Set by
+    /// a finished walk only; its copy stays parked against the target.
+    pub lost: Option<u64>,
+}
+
+impl RestoreOutcome {
+    /// Nothing to repair: no I/O, nothing lost, finished.
+    pub(crate) const NONE: RestoreOutcome =
+        RestoreOutcome { plan: Plan::Noop, restored: 0, skipped: 0, finished: true, lost: None };
 }
 
 impl IoSystem {
@@ -54,31 +79,65 @@ impl IoSystem {
     /// parked copies avoided, `IoSystem::untrusted` — resolved through
     /// the placer; the destination is the slot's current home), and the
     /// ones no live source can re-create.
-    pub(crate) fn plan_slot(
-        &self,
-        slot: usize,
-        keep: impl Fn(&RebuildStep) -> bool,
-    ) -> (Vec<RestoreStep>, Vec<RebuildStep>) {
+    pub(crate) fn plan_slot(&self, slot: usize, keep: impl Fn(&RebuildStep) -> bool) -> Repair {
         let mut avoid = self.placer.slot_read_faults(&self.storage_faults());
         avoid.insert(slot);
-        let (lost, ok): (Vec<_>, Vec<_>) = plan_rebuild(
-            self.layout.as_ref(),
-            slot,
-            |lb| self.untrusted(&avoid, lb),
-            self.high_water,
-        )
-        .into_iter()
-        .filter(keep)
-        .partition(|s| s.inputs.is_empty());
+        let layout = self.layout.as_ref();
+        let (lost, ok): (Vec<_>, Vec<_>) =
+            plan_rebuild(layout, slot, |lb| self.untrusted(&avoid, lb), self.high_water)
+                .into_iter()
+                .filter(keep)
+                .partition(|s| s.inputs.is_empty());
         let home = self.placer.phys(slot);
         let steps = ok
             .iter()
             .map(|s| RestoreStep {
                 inputs: s.inputs.iter().map(|a| self.placer.read_home(*a)).collect(),
                 dst: BlockAddr::new(home, s.target.block),
+                lbs: s.lbs(layout),
             })
             .collect();
-        (steps, lost)
+        Repair { slot, steps, lost }
+    }
+
+    /// The one way a repair ends. Runs the first `budget` steps (all
+    /// when `None`) through [`IoSystem::restore`] and drops each one
+    /// completed from the migration's pending set. Once the walk is
+    /// finished it sets the target's ledger entry: what was parked there,
+    /// minus the blocks the walk restored or verified, plus the blocks of
+    /// the copies no live source can re-create — which leave the pending
+    /// set too, so a migration closes whatever it lost. The outcome names
+    /// the first lost block and keeps the plan of every copy restored;
+    /// `Err` is a data-plane error.
+    pub(crate) fn repair(
+        &mut self,
+        client: usize,
+        Repair { slot, steps, lost }: Repair,
+        budget: Option<usize>,
+    ) -> Result<RestoreOutcome, IoError> {
+        let mut outcome = self.restore(client, &steps, budget)?;
+        for s in &steps[..outcome.restored + outcome.skipped] {
+            self.placer.clear_pending(slot, s.dst.block);
+        }
+        if outcome.finished {
+            let disk = self.placer.phys(slot);
+            let mut parked = self.parked.remove(&disk).unwrap_or_default();
+            for lb in steps.iter().flat_map(|s| &s.lbs) {
+                parked.remove(lb);
+            }
+            let layout = self.layout.as_ref();
+            let stale: BTreeSet<u64> = lost.iter().flat_map(|l| l.lbs(layout)).collect();
+            outcome.lost = stale.first().copied();
+            parked.extend(stale);
+            if !parked.is_empty() {
+                self.parked.insert(disk, parked);
+            }
+            for l in &lost {
+                self.placer.clear_pending(slot, l.target.block);
+            }
+            self.placer.finish_if_drained();
+        }
+        Ok(outcome)
     }
 
     /// Execute the first `budget` of `steps` (all when `None`), driven
@@ -86,7 +145,7 @@ impl IoSystem {
     /// write only on difference — so re-running any prefix after a crash
     /// is idempotent — charging `read → write`, or `par(reads) → xor →
     /// write` for several inputs, per block actually written.
-    pub(crate) fn restore(
+    fn restore(
         &mut self,
         client: usize,
         steps: &[RestoreStep],
@@ -95,7 +154,7 @@ impl IoSystem {
         let todo = &steps[..budget.map_or(steps.len(), |b| b.min(steps.len()))];
         let bs = self.block_size();
         let mut plans = Vec::new();
-        for RestoreStep { inputs, dst } in todo {
+        for RestoreStep { inputs, dst, .. } in todo {
             debug_assert!(!inputs.is_empty(), "restore step without a source");
             let sources: Vec<Block> =
                 inputs.iter().map(|a| self.plane.get(a.disk, a.block)).collect::<Result<_, _>>()?;
@@ -129,6 +188,7 @@ impl IoSystem {
             restored,
             skipped: todo.len() - restored,
             finished: todo.len() == steps.len(),
+            lost: None,
         })
     }
 }
@@ -147,16 +207,16 @@ mod tests {
         Rebalance,
     }
 
-    /// One attempt at restoring disk 1's copies, as a uniform outcome.
+    /// One attempt at restoring disk 1's copies (resync takes no budget).
     fn attempt(sys: &mut IoSystem, via: Via, budget: Option<usize>) -> RestoreOutcome {
-        match via {
-            Via::Rebuild => sys.rebuild_disk_resumable(0, 1, budget).expect("rebuild"),
-            Via::Rebalance => sys.rebalance(0, budget).expect("rebalance"),
-            Via::Resync => {
-                let (plan, restored) = sys.resync_parked(0, 1).expect("resync");
-                RestoreOutcome { plan, restored, skipped: 0, finished: sys.parked_blocks(1) == 0 }
-            }
-        }
+        let outcome = match via {
+            Via::Rebuild => sys.rebuild_disk(0, 1, budget),
+            Via::Rebalance => sys.rebalance(0, budget),
+            Via::Resync => sys.resync_parked(0, 1),
+        };
+        let outcome = outcome.unwrap_or_else(|e| panic!("{via:?}: {e}"));
+        assert_eq!(outcome.lost, None, "{via:?}: nothing is lost with one disk out");
+        outcome
     }
 
     /// Every restore flavour, on every redundant architecture, survives

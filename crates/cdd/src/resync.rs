@@ -6,11 +6,8 @@
 //! writes skipped — recorded per physical disk in the parked ledger —
 //! from surviving replicas, instead of paying a full rebuild.
 
-use std::collections::BTreeSet;
-
-use sim_core::Plan;
-
 use crate::error::IoError;
+use crate::restore::RestoreOutcome;
 use crate::system::IoSystem;
 
 impl IoSystem {
@@ -22,7 +19,7 @@ impl IoSystem {
         &mut self,
         client: usize,
         disk: usize,
-    ) -> Result<(Plan, usize), IoError> {
+    ) -> Result<RestoreOutcome, IoError> {
         assert!(self.offline.contains(disk), "disk is not transiently offline");
         self.plane.set_offline(disk, false);
         self.offline.remove(disk);
@@ -31,24 +28,21 @@ impl IoSystem {
 
     /// Restore every copy parked against online `disk` from surviving
     /// replicas (after a transient outage or a healed partition).
-    /// Returns the timing plan and the number of blocks restored.
     ///
     /// A parked block leaves the ledger only once its copies on `disk`
     /// are restored from live sources (`IoSystem::untrusted`): if a
     /// second failure took a copy's last one, the rest are still
-    /// restored, the unrestorable blocks stay parked and the call returns
-    /// [`IoError::DataLoss`]. A source that was only offline makes a
-    /// later resync succeed; one that failed for good leaves the blocks
-    /// lost until they are written again. The error carries no plan: the
-    /// I/O of the copies it did restore is never charged to the engine.
-    pub fn resync_parked(&mut self, client: usize, disk: usize) -> Result<(Plan, usize), IoError> {
+    /// restored, the unrestorable blocks stay parked and the outcome
+    /// names the first in `lost` (`IoSystem::repair`). A source that was
+    /// only offline makes a later resync succeed; one that failed for
+    /// good leaves the blocks lost until they are written again.
+    pub fn resync_parked(&mut self, client: usize, disk: usize) -> Result<RestoreOutcome, IoError> {
         assert!(
             !self.faults.contains(disk) && !self.offline.contains(disk),
             "resync target must be online"
         );
-        let parked = match self.parked.get(&disk) {
-            Some(p) if !p.is_empty() => p.clone(),
-            _ => return Ok((Plan::Noop, 0)),
+        let Some(parked) = self.parked.get(&disk).cloned() else {
+            return Ok(RestoreOutcome::NONE);
         };
         // The ledger is keyed by physical disk; the copies to restore are
         // the ones whose *slot* this disk currently serves.
@@ -58,21 +52,8 @@ impl IoSystem {
         )]
         let slot = self.placer.slot_of(disk).expect("resyncing a disk that serves no slot");
         let layout = self.layout.as_ref();
-        let (steps, lost) =
-            self.plan_slot(slot, |s| s.lbs(layout).iter().any(|lb| parked.contains(lb)));
-        let stale: BTreeSet<u64> =
-            lost.iter().flat_map(|l| l.lbs(layout)).filter(|lb| parked.contains(lb)).collect();
-
-        let outcome = self.restore(client, &steps, None)?;
-        for s in &steps {
-            self.placer.clear_pending(slot, s.dst.block);
-        }
-        let first_lost = stale.first().copied();
-        self.set_parked(disk, stale);
-        match first_lost {
-            None => Ok((outcome.plan, outcome.restored)),
-            Some(lb) => Err(IoError::DataLoss { lb }),
-        }
+        let repair = self.plan_slot(slot, |s| s.lbs(layout).iter().any(|lb| parked.contains(lb)));
+        self.repair(client, repair, None)
     }
 }
 
@@ -103,11 +84,11 @@ mod tests {
         let (got, _) = sys.read(2, 0, 8).expect("degraded read");
         assert_eq!(got, after);
 
-        let (plan, resynced) = sys.recover_disk_transient(0, 1).expect("recovery");
-        assert_eq!(resynced, parked, "resync must cover exactly the parked blocks");
-        assert_eq!(sys.parked_blocks(1), 0);
+        let out = sys.recover_disk_transient(0, 1).expect("recovery");
+        assert_eq!(out.restored, parked, "resync must cover exactly the parked blocks");
+        assert_eq!((out.lost, sys.parked_blocks(1)), (None, 0));
         assert!(sys.offline_disks().is_empty());
-        engine.spawn_job("resync", plan);
+        engine.spawn_job("resync", out.plan);
         engine.run().expect("resync timing");
 
         let (got, _) = sys.read(2, 0, nblocks).expect("post-recovery read");
@@ -154,20 +135,21 @@ mod tests {
             }
         };
 
-        let err = sys.recover_disk_transient(0, 1).expect_err("a source is gone");
-        assert!(matches!(err, IoError::DataLoss { .. }), "{err}");
+        let out = sys.recover_disk_transient(0, 1).expect("recovery");
+        assert_eq!(out.lost, Some(lost[0]), "a source is gone");
+        assert!(out.restored > 0, "the copies with a source are restored");
         assert!(sys.offline_disks().is_empty(), "the disk itself is back");
         assert_eq!(sys.parked_blocks(1), lost.len(), "only unrestored blocks stay parked");
         read_back(&mut sys, &want, &lost);
 
         // The partner's copies of the lost blocks have no live source
         // either: the rebuild restores the rest and parks those.
-        let err = sys.rebuild_disk(0, 2).expect_err("the partner's lost copies have no source");
-        assert!(matches!(err, IoError::DataLoss { lb } if lb == lost[0]), "{err}");
+        let out = sys.rebuild_disk(0, 2, None).expect("rebuild");
+        assert_eq!(out.lost, Some(lost[0]), "the partner's lost copies have no source");
         assert!(sys.faults().is_empty(), "the partner rejoins");
         assert_eq!(sys.parked_blocks(2), lost.len());
-        let err = sys.resync_parked(0, 1).expect_err("a second resync finds no source either");
-        assert!(matches!(err, IoError::DataLoss { lb } if lb == lost[0]), "{err}");
+        let out = sys.resync_parked(0, 1).expect("resync");
+        assert_eq!(out.lost, Some(lost[0]), "a second resync finds no source either");
         assert_eq!(sys.parked_blocks(1), lost.len());
         read_back(&mut sys, &want, &lost);
         assert!(sys.scrub().expect("scrub skips the parked copies") > 0);

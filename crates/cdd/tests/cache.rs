@@ -134,7 +134,7 @@ fn membership_epoch_bumps_flush_the_cache_and_reads_retarget() {
         assert_block(&mut sys, 1, lb, model[lb as usize]);
     }
     let out = sys.rebalance(0, None).expect("drain the migration");
-    assert!(out.finished);
+    assert!(out.finished && out.lost.is_none());
     // Post-drain reads see the retargeted placement; cached copies from
     // before the drain are still byte-identical because invalidation
     // tracks logical blocks, not physical homes.

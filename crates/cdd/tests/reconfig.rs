@@ -89,6 +89,7 @@ fn reconfig_agrees_with_model(name: &str, fail_before_remove: bool) {
         let mut rebalance = |sys: &mut cdd::IoSystem, steps| {
             let before = sys.lock_grants();
             let out = sys.rebalance(0, steps).expect("rebalance step");
+            assert_eq!(out.lost, None, "one disk out loses nothing");
             assert_grants(sys, before, u64::from(in_flight), "a rebalance step");
             in_flight = !out.finished;
             out
@@ -168,7 +169,7 @@ fn retiring_a_dead_disk_restores_its_parked_copies() {
             sys.add_disk(&mut engine).expect("add spare");
             sys.remove_disk(1).expect("retire the dead disk");
             let out = sys.rebalance(0, None).expect("rebalance");
-            assert!(out.finished, "{case}");
+            assert!(out.finished && out.lost.is_none(), "{case}");
             engine.spawn_job("rebalance", out.plan);
             engine.run().expect("rebalance timing");
 
@@ -184,4 +185,80 @@ fn retiring_a_dead_disk_restores_its_parked_copies() {
             sys.scrub().unwrap_or_else(|e| panic!("{case}: scrub: {e}"));
         }
     }
+}
+
+/// Retiring a failed disk whose partner failed too loses the blocks that
+/// lived on just those two — and the migration still closes, so the next
+/// transition does not find it draining. The lost blocks read `DataLoss`
+/// until they are written again; every other block reads its bytes.
+#[test]
+fn a_rebalance_that_loses_blocks_closes_its_migration() {
+    let (mut engine, mut sys) = cdd::testkit::shape(4, 1, 8 << 20, Arch::RaidX);
+    let bs = sys.block_size() as usize;
+    let mut want: Vec<u8> = (1..=24).collect();
+    let data: Vec<u8> = want.iter().flat_map(|&b| vec![b; bs]).collect();
+    sys.write(0, 0, &data).expect("seed");
+    let _ = sys.flush_images();
+    // Blocks with every copy on disk 1 or disk 2.
+    let layout = sys.layout();
+    let on_1_and_2 = |lb: &u64| {
+        let mut disks = layout.locate_images(*lb).into_iter().map(|a| a.disk);
+        let d = layout.locate_data(*lb).disk;
+        (d == 1 || d == 2) && disks.all(|g| g == 1 || g == 2)
+    };
+    let lost: Vec<u64> = (0..24).filter(on_1_and_2).collect();
+    assert_eq!(lost.first(), Some(&5), "want a loss at block 5, as the layout puts it");
+    let read_all = |sys: &mut cdd::IoSystem, want: &[u8], lost: &[u64], when: &str| {
+        for lb in 0..24u64 {
+            match sys.read(3, lb, 1) {
+                Ok((got, _)) => {
+                    assert!(!lost.contains(&lb), "{when}: lost block {lb} read {:#04x}", got[0]);
+                    assert!(got.iter().all(|&b| b == want[lb as usize]), "{when}: block {lb}");
+                }
+                Err(cdd::IoError::DataLoss { lb: at }) => {
+                    assert!(at == lb && lost.contains(&lb), "{when}: block {lb} reads DataLoss");
+                }
+                Err(e) => panic!("{when}: block {lb}: {e}"),
+            }
+        }
+    };
+    let settle = |engine: &mut sim_core::Engine, out: cdd::RestoreOutcome| {
+        engine.spawn_job("repair", out.plan);
+        engine.run().expect("repair timing");
+    };
+
+    sys.fail_disk(1);
+    sys.fail_disk(2);
+    sys.add_disk(&mut engine).expect("add spare");
+    sys.remove_disk(1).expect("retire disk 1");
+    let out = sys.rebalance(0, None).expect("rebalance");
+    assert_eq!((out.lost, out.finished), (Some(5), true));
+    assert!(out.restored > 0, "the copies with a source are restored");
+    assert_eq!(sys.migration_pending(), 0, "the lost copies leave the pending set");
+    settle(&mut engine, out);
+    read_all(&mut sys, &want, &lost, "after the rebalance");
+
+    let out = sys.rebuild_disk(0, 2, None).expect("rebuild disk 2");
+    assert_eq!(out.lost, Some(5), "disk 2's copies of the lost blocks have no source");
+    settle(&mut engine, out);
+    let out = sys.rebalance(0, None).expect("rebalance with none in flight");
+    assert!(out.finished && out.lost.is_none() && out.restored == 0);
+    read_all(&mut sys, &want, &lost, "after the rebuild");
+
+    // The next transition finds no migration in flight.
+    sys.add_disk(&mut engine).expect("add a second spare");
+    sys.remove_disk(3).expect("retire disk 3");
+    let out = sys.rebalance(0, None).expect("drain the second migration");
+    assert!(out.finished && out.lost.is_none(), "disk 3's copies all have a source");
+    assert_eq!(sys.migration_pending(), 0);
+    settle(&mut engine, out);
+    read_all(&mut sys, &want, &lost, "after the second migration");
+
+    for &lb in &lost {
+        sys.write(1, lb, &vec![0x5A; bs]).expect("rewrite a lost block");
+        want[lb as usize] = 0x5A;
+    }
+    assert_eq!(sys.parked_total(), 0, "rewriting every lost block empties the ledger");
+    read_all(&mut sys, &want, &[], "rewritten");
+    sys.scrub().expect("scrub");
 }

@@ -4,11 +4,13 @@
 //! copy lived on disk 2 is gone. Each read, before and after the rebuild
 //! and resync that follow, returns the bytes last written or
 //! `DataLoss` — never the bytes disk 1 kept from before the overwrite —
-//! and the loss stays reported until the block is written again.
+//! and the loss stays reported until the block is written again. A repair
+//! that loses a block still charges the I/O of the copies it restored.
 
 use cdd::testkit::shape;
-use cdd::{IoError, IoSystem};
+use cdd::{FaultEvent, FaultInjector, IoError, IoSystem, RestoreOutcome};
 use raidx_core::Arch;
+use sim_core::{Engine, SimDuration};
 
 const BLOCKS: u64 = 24;
 const OVERWRITTEN: u64 = 16;
@@ -39,17 +41,17 @@ fn read_all(sys: &mut IoSystem, want: &[u8], tag: &str) -> Vec<u64> {
     lost
 }
 
-/// `Ok`, or the `DataLoss` a second failure makes legitimate.
-fn ok_or_loss<T>(r: Result<T, IoError>, tag: &str) {
-    match r {
-        Ok(_) | Err(IoError::DataLoss { .. }) => {}
-        Err(e) => panic!("{tag}: {e}"),
-    }
+/// Run a repair's plan to completion; returns the first block it lost.
+fn settle(engine: &mut Engine, outcome: RestoreOutcome) -> Option<u64> {
+    engine.spawn_job("repair", outcome.plan);
+    engine.run().expect("the repair plan runs to completion");
+    outcome.lost
 }
 
 fn second_failure_during_recovery(arch: Arch) -> Vec<u64> {
     let tag = format!("{arch:?}");
-    let (_engine, mut sys) = shape(4, 1, 8 << 20, arch);
+    let (mut engine, mut sys) = shape(4, 1, 8 << 20, arch);
+    let loses = arch != Arch::Raid10;
     let bs = sys.block_size() as usize;
     let mut want = vec![0x42u8; BLOCKS as usize];
 
@@ -61,17 +63,33 @@ fn second_failure_during_recovery(arch: Arch) -> Vec<u64> {
     sys.write(0, 0, &vec![0x91; OVERWRITTEN as usize * bs]).expect("degraded overwrite");
     want[..OVERWRITTEN as usize].fill(0x91);
     let _ = sys.flush_images();
-    // 3. Disk 2 dies before disk 1 is resynced.
+    // 3. Disk 2 dies before disk 1 is resynced. Disk 1's recovery, fired
+    //    as a fault event, spawns the plan of what it restored before it
+    //    reports the loss.
     sys.fail_disk(2);
-    ok_or_loss(sys.recover_disk_transient(0, 1), &format!("{tag}: recover disk 1"));
+    let mut recovery = FaultInjector::new();
+    recovery.at_op(0, FaultEvent::DiskRecover { disk: 1, client: 0 });
+    let fired = recovery.hit_op(0, &mut engine, &mut sys);
+    assert_eq!(matches!(fired, Err(IoError::DataLoss { .. })), loses, "{tag}: {fired:?}");
+    engine.run().expect("recovery timing");
+    let jobs = engine.jobs().iter().filter(|j| j.label == "recovery/disk1").count();
+    assert_eq!(jobs, 1, "{tag}: the recovery spawned no job");
+    // RAID-5's four-disk stripes all cross disk 2: disk 1 restores nothing.
+    let busy = engine.resource_stats(sys.cluster().disks[1].res).busy;
+    assert_eq!(busy > SimDuration::ZERO, arch != Arch::Raid5, "{tag}: disk 1 busy {busy:?}");
     // 4. Degraded reads.
     let lost_degraded = read_all(&mut sys, &want, &format!("{tag} degraded"));
     // 5. Full repair, then every block again: a lost block stays lost.
-    ok_or_loss(sys.rebuild_disk(0, 2), &format!("{tag}: rebuild disk 2"));
-    ok_or_loss(sys.resync_parked(0, 1), &format!("{tag}: resync disk 1"));
+    //    The rebuild that loses blocks restores the rest, and its plan runs.
+    let rebuild = sys.rebuild_disk(0, 2, None).expect("rebuild disk 2");
+    assert!(rebuild.restored > 0, "{tag}: the rebuild restored nothing");
+    let lost_rebuild = settle(&mut engine, rebuild);
+    let lost_resync = settle(&mut engine, sys.resync_parked(0, 1).expect("resync disk 1"));
+    assert_eq!((lost_rebuild.is_some(), lost_resync.is_some()), (loses, loses), "{tag}");
     assert!(sys.faults().is_empty() && sys.offline_disks().is_empty(), "{tag}: disks rejoin");
     let lost = read_all(&mut sys, &want, &format!("{tag} repaired"));
     assert_eq!(lost, lost_degraded, "{tag}: repair neither loses nor revives a block");
+    assert_eq!(lost_resync, lost.first().copied(), "{tag}: the resync names the first loss");
     // 6. Writing a lost block makes it whole again.
     for &lb in &lost {
         sys.write(1, lb, &vec![0x5A; bs]).expect("overwrite a lost block");

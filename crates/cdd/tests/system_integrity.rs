@@ -66,8 +66,9 @@ fn single_disk_failure_every_redundant_architecture() {
             s.fail_disk(d);
             let (got, _) = s.read(1, 0, 24).unwrap();
             assert_eq!(got, data, "{arch:?}: data wrong with disk {d} failed");
-            let (_plan, steps) = s.rebuild_disk(0, d).unwrap();
-            assert!(steps > 0, "{arch:?}: rebuild of {d} restored nothing");
+            let out = s.rebuild_disk(0, d, None).unwrap();
+            assert_eq!(out.lost, None, "{arch:?}: rebuild of {d} lost a block");
+            assert!(out.restored + out.skipped > 0, "{arch:?}: rebuild of {d} restored nothing");
             let (got, _) = s.read(2, 0, 24).unwrap();
             assert_eq!(got, data, "{arch:?}: data wrong after rebuilding {d}");
         }
@@ -156,7 +157,7 @@ fn degraded_raid5_writes_reconstruct_through_parity() {
     let p_dead = s.layout().locate_parity(9).unwrap().disk;
     if p_dead != dead {
         // Restore redundancy first so a second failure is tolerated.
-        s.rebuild_disk(0, dead).unwrap();
+        assert_eq!(s.rebuild_disk(0, dead, None).unwrap().lost, None);
         s.fail_disk(p_dead);
         let blk = vec![0x77u8; bs];
         s.write(0, 9, &blk).unwrap();
@@ -179,7 +180,7 @@ fn degraded_mirror_write_keeps_surviving_copy_durable() {
         let (got, _) = s.read(1, 3, 1).unwrap();
         assert_eq!(got, newblk, "{arch:?}: degraded write lost");
         // And after rebuilding the dead disk, both copies agree.
-        s.rebuild_disk(0, dead).unwrap();
+        assert_eq!(s.rebuild_disk(0, dead, None).unwrap().lost, None);
         let (got, _) = s.read(1, 3, 1).unwrap();
         assert_eq!(got, newblk);
     }
@@ -194,7 +195,7 @@ fn rebuild_restores_parity_too() {
     // Fail + rebuild a disk, then fail a *different* disk: reads must
     // still reconstruct, proving parity was restored on the spare.
     s.fail_disk(0);
-    s.rebuild_disk(0, 0).unwrap();
+    assert_eq!(s.rebuild_disk(0, 0, None).unwrap().lost, None);
     s.fail_disk(2);
     let (got, _) = s.read(1, 0, 12).unwrap();
     assert_eq!(got, data);
@@ -247,7 +248,7 @@ fn scrub_passes_after_arbitrary_activity() {
         let audited = s.scrub().unwrap_or_else(|e| panic!("{arch:?} scrub: {e}"));
         assert!(audited > 0, "{arch:?}: nothing audited");
         s.fail_disk(1);
-        s.rebuild_disk(0, 1).unwrap();
+        assert_eq!(s.rebuild_disk(0, 1, None).unwrap().lost, None, "{arch:?}");
         let audited = s.scrub().unwrap_or_else(|e| panic!("{arch:?} post-rebuild scrub: {e}"));
         assert!(audited > 0);
     }

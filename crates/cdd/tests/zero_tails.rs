@@ -70,7 +70,7 @@ fn zero_tailed_blocks_survive_reads_failure_and_rebuild() {
                     }
                 }
 
-                s.rebuild_disk(0, 1).unwrap();
+                assert_eq!(s.rebuild_disk(0, 1, None).unwrap().lost, None, "{tag}");
                 assert!(s.scrub().is_ok(), "{tag}: scrub after rebuild");
                 let (got, _) = s.read(3, 0, NBLOCKS).unwrap();
                 assert!(got == want, "{tag}: read after rebuild");

@@ -248,13 +248,16 @@ impl<S: BlockStore> Fs<S> {
     }
 
     /// Replace a file's contents (creating it if missing).
+    ///
+    /// The new bytes go to a fresh extent, then the inode is rewritten to
+    /// point at it, and only then are the old extents freed: a crash at
+    /// any point leaves the file holding exactly its old bytes or exactly
+    /// its new ones. So an overwrite needs room for both copies at once;
+    /// a volume without it returns [`FsError::NoSpace`] and leaves the
+    /// file as it was.
     pub fn write_file(&mut self, client: usize, path: &str, data: &[u8]) -> Result<Plan, FsError> {
         let mut plans = Vec::new();
         let (ino, old) = self.open_file(client, path, &mut plans)?;
-        // Free old extents (truncate).
-        for e in old.extents.iter().filter(|e| e.len > 0) {
-            self.free_blocks(*e);
-        }
         let bs = self.bs();
         let nblocks = (data.len() as u64).div_ceil(bs as u64);
         let mut inode = Inode::empty(InodeKind::File);
@@ -265,6 +268,9 @@ impl<S: BlockStore> Fs<S> {
             plans.push(self.meta.write_data(client, ext.start, data)?);
         }
         plans.push(self.meta.write_inode(client, ino, &inode)?);
+        for e in old.extents.iter().filter(|e| e.len > 0) {
+            self.free_blocks(*e);
+        }
         Ok(seq(plans))
     }
 

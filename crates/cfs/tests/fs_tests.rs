@@ -208,8 +208,8 @@ fn refused_metadata_write_leaves_no_stale_entry() {
         refused += usize::from(matches!(fs.create(0, "/a/new"), Err(FsError::Io(_))));
         // The first disk back may find its resync sources still out.
         let _ = fs.store_mut().recover_disk_transient(0, d1);
-        fs.store_mut().recover_disk_transient(0, d2).unwrap();
-        fs.store_mut().resync_parked(0, d1).unwrap();
+        assert_eq!(fs.store_mut().recover_disk_transient(0, d2).unwrap().lost, None);
+        assert_eq!(fs.store_mut().resync_parked(0, d1).unwrap().lost, None);
         let warm = tree(&mut fs, 0);
         let (mut cold_fs, _) = Fs::mount(fs.into_store(), 0).unwrap();
         assert_eq!(warm, tree(&mut cold_fs, 0), "disks {d1} and {d2} out");

@@ -176,3 +176,53 @@ fn a_directory_cannot_move_below_itself() {
     assert!(matches!(fs.rename(0, "/a", "/a/sub"), Err(FsError::InvalidName(_))));
     assert_eq!(fs.read_file(0, "/a/f").expect("/a/f untouched").0, PAYLOAD);
 }
+
+/// Overwrite `/a/f` with `data` on a copy of `image` that keeps `keep`
+/// writes; returns the image left behind and the writes offered.
+fn crash_overwrite(image: &Mem, keep: usize, data: &[u8]) -> (Mem, usize) {
+    let store = Cut { inner: image.clone(), left: keep, offered: 0 };
+    let (mut fs, _) = Fs::mount(store, 0).expect("mount before the overwrite");
+    fs.write_file(0, "/a/f", data).expect("overwrite");
+    let store = fs.into_store();
+    (store.inner, store.offered)
+}
+
+/// A crash inside an overwrite leaves the file exactly its old bytes or
+/// exactly its new ones — never a mix — and a file written after the
+/// remount takes none of the blocks the survivor reads.
+#[test]
+fn a_cut_anywhere_in_an_overwrite_keeps_old_or_new_bytes() {
+    let old: Vec<u8> = (0..700u32).map(|i| (i % 251) as u8 + 1).collect();
+    let new = vec![0xA5u8; 300];
+    let (mut fs, _) = Fs::format(Mem::new(256), 64, 0).expect("format");
+    fs.mkdir(0, "/a").expect("mkdir /a");
+    fs.write_file(0, "/a/f", &old).expect("write /a/f");
+    let image = fs.into_store();
+
+    let (_, writes) = crash_overwrite(&image, usize::MAX, &new);
+    assert!(writes >= 2, "the overwrite writes data and an inode");
+    for keep in 0..=writes {
+        let (after, _) = crash_overwrite(&image, keep, &new);
+        let (mut fs, _) = Fs::mount(after, 0).expect("mount after the cut");
+        let got = fs.read_file(0, "/a/f").expect("/a/f").0;
+        assert!(got == old || got == new, "{keep} of {writes} writes kept: a mix, {}B", got.len());
+        assert!(keep < writes || got == new, "the whole overwrite must land");
+        fs.write_file(0, "/fresh", FRESH).expect("a new file");
+        assert_eq!(fs.read_file(0, "/a/f").expect("/a/f").0, got, "{keep} writes kept");
+        assert_eq!(fs.read_file(0, "/fresh").expect("/fresh").0, FRESH);
+    }
+}
+
+/// An overwrite writes the new copy before it frees the old one: with no
+/// room for both, it is refused and the file keeps its bytes.
+#[test]
+fn an_overwrite_without_room_for_both_copies_is_refused() {
+    let old = vec![7u8; 140 * BS];
+    let (mut fs, _) = Fs::format(Mem::new(256), 64, 0).expect("format");
+    fs.write_file(0, "/f", &old).expect("a file over half the volume");
+    let refused = fs.write_file(0, "/f", &vec![9u8; 140 * BS]);
+    assert!(matches!(refused, Err(FsError::NoSpace)), "{refused:?}");
+    assert_eq!(fs.read_file(0, "/f").expect("/f").0, old);
+    fs.write_file(0, "/f", &[9u8; BS]).expect("an overwrite with room for both");
+    assert_eq!(fs.read_file(0, "/f").expect("/f").0, [9u8; BS]);
+}

@@ -250,22 +250,23 @@ pub fn run_scenario(sc: &SweepScenario, ops: &[ScriptOp], cache: bool) -> SweepO
             // classes drain the in-flight migration, like an operator
             // finishing a rebalance. Either must restore something.
             let repair = match sc.kind {
-                FaultKind::Permanent => Some(sys.rebuild_disk(DRIVER, TARGET_DISK)),
-                kind if kind.is_reconfig() => Some(sys.rebalance(DRIVER, None).map(|o| {
-                    if !o.finished {
-                        problems.push("rebalance did not drain the migration".into());
-                    }
-                    (o.plan, o.restored)
-                })),
+                FaultKind::Permanent => Some(sys.rebuild_disk(DRIVER, TARGET_DISK, None)),
+                kind if kind.is_reconfig() => Some(sys.rebalance(DRIVER, None)),
                 _ => None,
             };
             match repair {
-                Some(Ok((plan, n))) => {
+                Some(Ok(o)) => {
+                    if !o.finished {
+                        problems.push("repair did not finish".into());
+                    }
+                    if let Some(lb) = o.lost {
+                        problems.push(format!("repair lost block {lb}"));
+                    }
                     // `Replace @op2` swaps the disk before the script writes to it.
-                    if n == 0 && !(sc.kind == FaultKind::Replace && sc.inject_at == 2) {
+                    if o.restored == 0 && !(sc.kind == FaultKind::Replace && sc.inject_at == 2) {
                         problems.push("repair restored no block".into());
                     }
-                    engine.spawn_job("repair", plan);
+                    engine.spawn_job("repair", o.plan);
                     engine.run().expect("repair deadlocked");
                 }
                 Some(Err(e)) => problems.push(format!("repair failed: {e}")),
@@ -415,8 +416,9 @@ mod tests {
                     .expect("faulted script run");
                 assert_eq!(inj.pending(), 0, "a trigger was never reached");
                 if kind == FaultKind::Permanent {
-                    let (plan, _) = sys.rebuild_disk(DRIVER, TARGET_DISK).expect("rebuild");
-                    engine.spawn_job("rebuild", plan);
+                    let out = sys.rebuild_disk(DRIVER, TARGET_DISK, None).expect("rebuild");
+                    assert_eq!(out.lost, None, "a single fault lost a block");
+                    engine.spawn_job("rebuild", out.plan);
                     engine.run().expect("rebuild run");
                 }
                 assert_eq!(out.failed, 0, "single fault must be tolerated");

@@ -88,7 +88,10 @@ mod tests {
                 sys.fail_disk(0);
                 let read = sys.read(1 % nodes, 0, hw).map(|(_, p)| p);
                 lint.check(&engine, format!("{name} degraded read"), read);
-                let rebuild = sys.rebuild_disk(1 % nodes, 0).map(|(p, _)| p);
+                let rebuild = sys.rebuild_disk(1 % nodes, 0, None).and_then(|o| match o.lost {
+                    Some(lb) => Err(IoError::DataLoss { lb }),
+                    None => Ok(o.plan),
+                });
                 lint.check(&engine, format!("{name} rebuild"), rebuild);
             }
         }

@@ -2,18 +2,22 @@
 //! sequence. Random op scripts run against the array, and the oracle is
 //! `workloads::op_script`'s shadow model: the bytes of every write that
 //! succeeded. Between ops, disks fail, go offline and come back, are
-//! rebuilt or replaced, and nodes crash and restart — applied as
-//! [`FaultEvent`]s through a [`FaultInjector`], with no regard for what
-//! the layout tolerates. The contract:
+//! rebuilt or replaced, nodes crash and restart, and NICs are cut off and
+//! healed — applied as [`FaultEvent`]s through a [`FaultInjector`], with
+//! no regard for what the layout tolerates. About a quarter of the runs
+//! only cut and heal NICs: a partition takes no media, so such a run
+//! never loses a block. The contract:
 //!
 //! * every read returns the model's bytes, `DataLoss` or `Unreachable` —
 //!   never other bytes, however many copies a fault sequence took;
-//! * while the disks out have never been more than the layout tolerates,
-//!   no op and no repair reports `DataLoss`, and `Unreachable` only while
-//!   a node is cut off;
-//! * after a full repair, scrub finds every live copy consistent, and a
-//!   run that never saw `DataLoss` leaves no parked copy and reads every
-//!   block back.
+//! * while the disks out — failed, offline, or holding a copy a write
+//!   skipped — have never been more than the layout tolerates, no op and
+//!   no repair reports `DataLoss`, and `Unreachable` only while a node is
+//!   cut off;
+//! * a repair that loses a block still returns its plan, which runs;
+//! * after a full repair, scrub finds every live copy consistent, no
+//!   migration is left draining, and a run that never saw `DataLoss`
+//!   leaves no parked copy and reads every block back.
 //!
 //! Writes run up to two stripes, so RAID-5 full-stripe writes — the path
 //! that computes parity from the new blocks alone — happen under faults.
@@ -23,7 +27,7 @@
 //! handles — a handle that outlived the overwrite invalidating it would
 //! read back a stale tag.
 
-use cdd::{CacheConfig, CddConfig, FaultEvent, FaultInjector, IoError, IoSystem};
+use cdd::{CacheConfig, CddConfig, FaultEvent, FaultInjector, IoError, IoSystem, RestoreOutcome};
 use raidx_core::{Arch, FaultSet};
 use sim_core::check::{run_cases, Gen};
 use sim_core::Engine;
@@ -56,8 +60,12 @@ enum Step {
     Replace { pick: usize },
     /// Crash node `pick` (modulo the node count).
     Crash { pick: usize },
-    /// Restart the lowest-numbered crashed node.
+    /// Restart the lowest-numbered node cut off, crashed or partitioned.
     Restart,
+    /// Cut node `pick`'s NIC off (modulo the node count).
+    Partition { pick: usize },
+    /// Heal the lowest-numbered node cut off, and resync its disks.
+    Heal,
 }
 
 /// A write (twice as likely) or a read, from any node, inside the region.
@@ -74,7 +82,7 @@ fn draw_op(g: &mut Gen) -> ScriptOp {
 }
 
 fn draw_step(g: &mut Gen) -> Step {
-    match g.weighted(&[16, 1, 1, 2, 2, 1, 1, 2]) {
+    match g.weighted(&[16, 1, 1, 2, 2, 1, 1, 2, 1, 2]) {
         0 => Step::Op(draw_op(g)),
         1 => Step::Fail { pick: g.usize_in(0..64) },
         2 => Step::Transient { pick: g.usize_in(0..64) },
@@ -82,7 +90,18 @@ fn draw_step(g: &mut Gen) -> Step {
         4 => Step::Rebuild,
         5 => Step::Replace { pick: g.usize_in(0..64) },
         6 => Step::Crash { pick: g.usize_in(0..64) },
-        _ => Step::Restart,
+        7 => Step::Restart,
+        8 => Step::Partition { pick: g.usize_in(0..64) },
+        _ => Step::Heal,
+    }
+}
+
+/// An op, a NIC cut or a heal: the alphabet of a partition-only run.
+fn draw_partition_step(g: &mut Gen) -> Step {
+    match g.weighted(&[8, 1, 1]) {
+        0 => Step::Op(draw_op(g)),
+        1 => Step::Partition { pick: g.usize_in(0..64) },
+        _ => Step::Heal,
     }
 }
 
@@ -97,6 +116,8 @@ struct Run {
     at: usize,
     /// Whether any op or repair reported `DataLoss`.
     lost: bool,
+    /// Ops and repairs that reported `Unreachable`.
+    unreachable: usize,
     /// Whether the disks out were ever a set the layout does not
     /// tolerate. Until they are, `DataLoss` fails the test.
     exceeded: bool,
@@ -114,7 +135,9 @@ impl Run {
         match r {
             Ok(v) => return Some(v),
             Err(IoError::DataLoss { .. }) if self.exceeded => self.lost = true,
-            Err(IoError::Unreachable { .. }) if !self.sys.partitions().is_empty() => {}
+            Err(IoError::Unreachable { .. }) if !self.sys.partitions().is_empty() => {
+                self.unreachable += 1;
+            }
             Err(e) => panic!(
                 "{:?}: {what:?}: {e} (failed: {:?}, offline: {:?}, tolerance exceeded: {})",
                 self.arch,
@@ -126,10 +149,14 @@ impl Run {
         None
     }
 
-    /// Fold the disks out right now into `exceeded`.
+    /// Fold the disks out right now into `exceeded`: failed, offline, or
+    /// holding a parked copy — a copy a write skipped behind a partition
+    /// is as stale as one on a disk that was offline.
     fn check_tolerance(&mut self) {
         let out = self.sys.storage_faults();
-        let slots: FaultSet = out.iter().filter_map(|g| self.sys.slot_of(g)).collect();
+        let stale = |g: &usize| out.contains(*g) || self.sys.parked_blocks(*g) > 0;
+        let disks = 0..self.sys.cluster().ndisks();
+        let slots: FaultSet = disks.filter(stale).filter_map(|g| self.sys.slot_of(g)).collect();
         self.exceeded |= !self.sys.layout().tolerates(&slots);
     }
 
@@ -167,10 +194,16 @@ impl Run {
         self.faults.hit_op(at, &mut self.engine, &mut self.sys)
     }
 
-    /// Run a repair's plan to completion.
-    fn settle(&mut self, plan: sim_core::Plan) {
-        self.engine.spawn_job("repair", plan);
-        self.engine.run().expect("repair deadlocked");
+    /// Note a repair's outcome: its plan runs to completion, and a lost
+    /// block counts as the `DataLoss` it is.
+    fn repair(&mut self, what: &dyn std::fmt::Debug, r: Result<RestoreOutcome, IoError>) {
+        if let Some(outcome) = self.note(what, r) {
+            self.engine.spawn_job("repair", outcome.plan);
+            self.engine.run().expect("repair deadlocked");
+            if let Some(lb) = outcome.lost {
+                self.note::<()>(what, Err(IoError::DataLoss { lb }));
+            }
+        }
     }
 
     fn active_disk(&self, pick: usize) -> usize {
@@ -179,7 +212,7 @@ impl Run {
         active[pick % active.len()]
     }
 
-    fn crashed(&self, node: usize) -> bool {
+    fn cut_off(&self, node: usize) -> bool {
         self.sys.partitions().is_partitioned(node)
     }
 
@@ -211,7 +244,7 @@ impl Run {
             }
             Step::Recover => {
                 let offline =
-                    self.sys.offline_disks().iter().find(|&g| !self.crashed(self.node_of(g)));
+                    self.sys.offline_disks().iter().find(|&g| !self.cut_off(self.node_of(g)));
                 if let Some(disk) = offline {
                     let client = self.node_of(disk);
                     let r = self.fire(FaultEvent::DiskRecover { disk, client });
@@ -221,34 +254,41 @@ impl Run {
             Step::Rebuild => {
                 let failed = self.sys.faults().iter().next();
                 if let Some(disk) = failed {
-                    let r = self.sys.rebuild_disk(self.node_of(disk), disk);
-                    if let Some((plan, _)) = self.note(step, r) {
-                        self.settle(plan);
-                    }
+                    let r = self.sys.rebuild_disk(self.node_of(disk), disk, None);
+                    self.repair(step, r);
                 }
             }
             Step::Replace { pick } => {
-                if self.sys.migration_pending() == 0 {
-                    let disk = self.active_disk(pick);
-                    let client = self.node_of(disk);
-                    let r = self.fire(FaultEvent::DiskReplace { disk });
-                    self.note(step, r);
-                    let r = self.sys.rebalance(client, None);
-                    if let Some(outcome) = self.note(step, r) {
-                        self.settle(outcome.plan);
-                    }
-                }
+                let disk = self.active_disk(pick);
+                let client = self.node_of(disk);
+                let r = self.fire(FaultEvent::DiskReplace { disk });
+                self.note(step, r);
+                let r = self.sys.rebalance(client, None);
+                self.repair(step, r);
             }
             Step::Crash { pick } => {
                 let node = pick % NODES;
-                if !self.crashed(node) {
+                if !self.cut_off(node) {
                     let r = self.fire(FaultEvent::NodeCrash { node });
                     self.note(step, r);
                 }
             }
             Step::Restart => {
-                if let Some(node) = (0..NODES).find(|&n| self.crashed(n)) {
+                if let Some(node) = (0..NODES).find(|&n| self.cut_off(n)) {
                     let r = self.fire(FaultEvent::NodeRestart { node, client: node });
+                    self.note(step, r);
+                }
+            }
+            Step::Partition { pick } => {
+                let node = pick % NODES;
+                if !self.cut_off(node) {
+                    let r = self.fire(FaultEvent::NicPartition { node });
+                    self.note(step, r);
+                }
+            }
+            Step::Heal => {
+                if let Some(node) = (0..NODES).find(|&n| self.cut_off(n)) {
+                    let r = self.fire(FaultEvent::NicHeal { node, client: node });
                     self.note(step, r);
                 }
             }
@@ -262,20 +302,18 @@ impl Run {
         for disk in 0..self.sys.cluster().ndisks() {
             if self.sys.parked_blocks(disk) > 0 && !self.sys.storage_faults().contains(disk) {
                 let r = self.sys.resync_parked(0, disk);
-                if let Some((plan, _)) = self.note(&"resync", r) {
-                    self.settle(plan);
-                }
+                self.repair(&"resync", r);
             }
         }
     }
 
     /// Repair everything, like an operator after the storm: restart the
-    /// nodes, bring the disks back and resync — a resync whose source is
+    /// nodes cut off, bring the disks back and resync — a resync whose source is
     /// still out reports the loss, and the next resync retries — then
     /// rebuild, finish the migration and resync again.
     fn full_repair(&mut self) {
-        let crashed: Vec<usize> = (0..NODES).filter(|&n| self.crashed(n)).collect();
-        for node in crashed {
+        let cut_off: Vec<usize> = (0..NODES).filter(|&n| self.cut_off(n)).collect();
+        for node in cut_off {
             let r = self.fire(FaultEvent::NodeRestart { node, client: node });
             self.note(&"restart", r);
         }
@@ -287,15 +325,11 @@ impl Run {
         self.resync_all();
         let failed: Vec<usize> = self.sys.faults().iter().collect();
         for disk in failed {
-            let r = self.sys.rebuild_disk(0, disk);
-            if let Some((plan, _)) = self.note(&"final rebuild", r) {
-                self.settle(plan);
-            }
+            let r = self.sys.rebuild_disk(0, disk, None);
+            self.repair(&"final rebuild", r);
         }
         let r = self.sys.rebalance(0, None);
-        if let Some(outcome) = self.note(&"final rebalance", r) {
-            self.settle(outcome.plan);
-        }
+        self.repair(&"final rebalance", r);
         self.resync_all();
     }
 }
@@ -306,6 +340,8 @@ struct Seen {
     hits: u64,
     /// Whether the run lost a block.
     lost: bool,
+    /// Ops and repairs that reported `Unreachable`.
+    unreachable: usize,
     /// Whether the faults ever exceeded what the layout tolerates.
     exceeded: bool,
     /// Full-stripe writes that succeeded while a disk was out.
@@ -326,6 +362,7 @@ fn run_scenario(arch: Arch, cache: Option<CacheConfig>, steps: &[Step]) -> Seen 
         out,
         at: 0,
         lost: false,
+        unreachable: 0,
         exceeded: false,
         degraded_full_stripes: 0,
     };
@@ -338,9 +375,9 @@ fn run_scenario(arch: Arch, cache: Option<CacheConfig>, steps: &[Step]) -> Seen 
     assert!(sys.faults().is_empty() && sys.offline_disks().is_empty(), "{arch:?}: disks out");
     assert!(sys.partitions().is_empty(), "{arch:?}: a node is still cut off");
     sys.scrub().unwrap_or_else(|e| panic!("{arch:?}: scrub after full repair: {e}"));
+    assert_eq!(sys.migration_pending(), 0, "{arch:?}: the migration did not drain");
     if !run.lost {
         assert_eq!(sys.parked_total(), 0, "{arch:?}: parked copies outlived a loss-free repair");
-        assert_eq!(sys.migration_pending(), 0, "{arch:?}: the migration did not drain");
     }
     // Every block reads the model's bytes, or — in a run that lost some —
     // `DataLoss`.
@@ -361,6 +398,7 @@ fn run_scenario(arch: Arch, cache: Option<CacheConfig>, steps: &[Step]) -> Seen 
     Seen {
         hits: run.sys.cache_stats().map_or(0, |s| s.hits),
         lost: run.lost,
+        unreachable: run.unreachable,
         exceeded: run.exceeded,
         degraded_full_stripes: run.degraded_full_stripes,
     }
@@ -369,10 +407,16 @@ fn run_scenario(arch: Arch, cache: Option<CacheConfig>, steps: &[Step]) -> Seen 
 fn agree_with_model(name: &str, arch: Arch) {
     for cache in [None, Some(CacheConfig { capacity_blocks: 4 })] {
         let (mut hits, mut runs_lost, mut runs_tolerated, mut runs) = (0, 0, 0, 0);
-        let mut degraded_full_stripes = 0;
+        let (mut degraded_full_stripes, mut partitioned_unreachable) = (0, 0);
         run_cases(name, 24, |g| {
-            let steps = g.vec_of(1..40, draw_step);
+            let partitions_only = g.weighted(&[3, 1]) == 1;
+            let steps =
+                g.vec_of(1..40, if partitions_only { draw_partition_step } else { draw_step });
             let seen = run_scenario(arch, cache, &steps);
+            if partitions_only {
+                assert!(!seen.lost, "{arch:?}: a partition lost a block");
+                partitioned_unreachable += seen.unreachable;
+            }
             hits += seen.hits;
             runs += 1;
             runs_lost += usize::from(seen.lost);
@@ -388,6 +432,8 @@ fn agree_with_model(name: &str, arch: Arch) {
             "{arch:?}: {runs_lost} of {runs} runs lost a block"
         );
         assert!(runs_tolerated > 0, "{arch:?}: every run exceeded the layout's tolerance");
+        // A partition-only run met a copy out of reach.
+        assert!(partitioned_unreachable > 0, "{arch:?}: no partition-only run saw Unreachable");
         // RAID-5 wrote whole stripes while degraded.
         if arch == Arch::Raid5 {
             assert!(degraded_full_stripes > 0, "no degraded full-stripe write");

@@ -66,11 +66,12 @@ fn main() {
     );
 
     // Hot-swap the disk and rebuild.
-    let (plan, blocks) = fs.store_mut().rebuild_disk(7, 7).expect("demo step failed");
-    engine.spawn_job("rebuild", plan);
+    let out = fs.store_mut().rebuild_disk(7, 7, None).expect("demo step failed");
+    assert_eq!(out.lost, None, "the rebuild lost a block");
+    engine.spawn_job("rebuild", out.plan);
     let t0 = engine.now();
     engine.run().expect("demo step failed");
-    println!("rebuild restored {blocks} blocks in {}", engine.now().since(t0));
+    println!("rebuild restored {} blocks in {}", out.restored, engine.now().since(t0));
 
     // Verify a file end-to-end after the rebuild.
     let (body, _) = fs.read_file(2, "/project/src/module3.rs").expect("demo step failed");

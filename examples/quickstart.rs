@@ -60,6 +60,7 @@ fn main() {
     let (data, _) = array.read(1, 0, 32).expect("degraded read failed");
     assert_eq!(data, payload);
     println!("\ndisk 5 failed: all data still readable through OSM images");
-    let (_, restored) = array.rebuild_disk(5, 5).expect("rebuild failed");
-    println!("rebuilt disk 5 from surviving copies ({restored} blocks restored)");
+    let out = array.rebuild_disk(5, 5, None).expect("rebuild failed");
+    assert_eq!(out.lost, None, "the rebuild lost a block");
+    println!("rebuilt disk 5 from surviving copies ({} blocks restored)", out.restored);
 }

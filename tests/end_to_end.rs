@@ -87,7 +87,7 @@ fn failure_during_fs_workload_and_double_rebuild() {
         let (got, _) = fs.read_file(2, &format!("/w/f{i}")).unwrap();
         assert_eq!(&got, p, "file {i} corrupted under failure");
     }
-    fs.store_mut().rebuild_disk(4, 4).unwrap();
+    assert_eq!(fs.store_mut().rebuild_disk(4, 4, None).unwrap().lost, None);
 
     fs.store_mut().fail_disk(11);
     for (i, p) in payloads.iter().enumerate() {
@@ -113,7 +113,7 @@ fn checkpoint_failure_checkpoint_cycle() {
     for p in 0..8 {
         verify_checkpoint(&mut array, &cfg, p, 0).unwrap();
     }
-    array.rebuild_disk(2, 2).unwrap();
+    assert_eq!(array.rebuild_disk(2, 2, None).unwrap().lost, None);
 
     // Second round after recovery (round index 1 via a fresh config so
     // barrier ids do not collide with the first run's).
