@@ -7,7 +7,7 @@
 //! workload announces the index of the op it is about to issue
 //! ([`FaultInjector::hit_op`]). Because both the schedule and the engine
 //! are deterministic, the same seed plus the same schedule replays the
-//! exact same failure — the property the `fault-sweep` verify pass
+//! exact same failure — the property the `raidx-verify` model test
 //! fingerprints.
 //!
 //! Events split into *damage* (disk fail, transient offline, NIC
@@ -178,12 +178,12 @@ impl FaultInjector {
     }
 
     /// Drive the engine through every remaining *timed* trigger: run the
-    /// clock up to each deadline, fire, repeat. Op triggers are not
-    /// consumed (only the workload can reach those). The caller finishes
-    /// the run with `engine.run()` afterwards.
+    /// clock up to each deadline still ahead of it, fire, repeat. Op
+    /// triggers are not consumed (only the workload can reach those). The
+    /// caller finishes the run with `engine.run()` afterwards.
     pub fn drain_timed(&mut self, engine: &mut Engine, sys: &mut IoSystem) -> Result<(), IoError> {
         while let Some(t) = self.next_time() {
-            engine.run_until(t);
+            engine.run_until(t.max(engine.now()));
             self.poll(engine, sys)?;
         }
         Ok(())
@@ -281,6 +281,18 @@ mod tests {
     }
 
     #[test]
+    fn the_drain_fires_a_deadline_the_clock_already_passed() {
+        let (mut engine, mut sys) = shape(2, 1, 1 << 20, Arch::RaidX);
+        let disk = sys.cluster.disks[0].res;
+        let mut inj = FaultInjector::new();
+        inj.at(SimTime(10), slow(2));
+        engine.run_until(SimTime(20));
+        inj.drain_timed(&mut engine, &mut sys).unwrap();
+        assert_eq!(engine.resource_slowdown(disk), 2);
+        assert_eq!((inj.pending(), engine.now()), (0, SimTime(20)));
+    }
+
+    #[test]
     fn op_faults_fire_once_at_their_op_in_insertion_order() {
         let (mut engine, mut sys) = shape(2, 1, 1 << 20, Arch::RaidX);
         let disk = sys.cluster.disks[0].res;
@@ -293,7 +305,7 @@ mod tests {
         assert_eq!(inj.hit_op(2, &mut engine, &mut sys).unwrap(), 1);
         assert_eq!(engine.resource_slowdown(disk), 5);
         // The script ended before op 9: the trigger stays pending, which
-        // is what every fault-sweep cell asserts against.
+        // is what every model-test case asserts against.
         assert_eq!(inj.pending(), 1);
     }
 }

@@ -160,8 +160,8 @@ impl IoSystem {
     /// A node crashed: cut it off from the switch and take its disks
     /// transiently offline (the machine is down; the media survives a
     /// reboot). Image-queue entries buffered *by* the crashed node are
-    /// re-homed to each target disk's owner node, which holds the
-    /// already-written primary locally.
+    /// re-homed to each target disk's owner node, which holds neither the
+    /// primary nor the image bytes (`ImageQueue::reassign_client`).
     pub fn crash_node(&mut self, node: usize) {
         self.partitions.partition(node);
         // Same reasoning as `partition_node`: the crashed node's cache
@@ -275,8 +275,9 @@ impl IoSystem {
 
         self.placer.begin_promote(slot, spare, old_dead, pending);
         // Buffered write-behind flushes aimed at the old disk now charge
-        // the new home (their bytes are already functionally durable and
-        // migrate with the pending set; only the timing plan retargets).
+        // the new home (their bytes are on the functional plane and
+        // migrate with the pending set; only the timing plan retargets,
+        // and no plan has written them yet).
         self.images.retarget_disk(phys, spare);
         // The retired disk leaves fault bookkeeping: it is no longer part
         // of the array, and the slot's health tracks the new home now.

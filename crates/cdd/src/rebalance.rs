@@ -63,6 +63,22 @@ mod tests {
     use crate::testkit::shape;
     use raidx_core::Arch;
 
+    /// A move the spare already holds is verified in place, not written,
+    /// and leaves the pending set all the same, so the migration closes:
+    /// an all-zero block is the plane's one empty block on both disks.
+    #[test]
+    fn a_move_verified_in_place_closes_the_migration() {
+        let (mut engine, mut sys) = shape(4, 1, 8 << 20, Arch::RaidX);
+        let bs = sys.block_size() as usize;
+        sys.write(0, 0, &vec![0u8; 8 * bs]).expect("seed");
+        sys.add_disk(&mut engine).expect("add spare");
+        sys.remove_disk(1).expect("retire disk 1");
+        assert!(sys.migration_pending() > 0);
+        let out = sys.rebalance(0, None).expect("rebalance");
+        assert_eq!((out.restored, out.finished, out.lost), (0, true, None));
+        assert_eq!(sys.migration_pending(), 0, "the verified moves stayed pending");
+    }
+
     /// Removing a healthy disk keeps every byte readable before, during
     /// and after the incremental rebalance; the vacated disk's content
     /// lands verbatim on the promoted spare.

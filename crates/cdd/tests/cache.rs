@@ -1,9 +1,9 @@
 //! Edge cases of the client-side block cache against the full
 //! [`cdd::IoSystem`]: zero capacity, single-block capacity, cross-client
-//! invalidation, eviction correctness under a read-only workload, and
-//! the remove→re-add retargeting flush. The happy paths and the
-//! transparency property live in `raidx-verify::cache_coherence`; these
-//! are the corners.
+//! invalidation, eviction correctness under a read-only workload, the
+//! remove→re-add retargeting flush and the crash/partition flush. The
+//! happy paths and the transparency property live in `raidx-verify`'s
+//! model test and `workloads::zipf`; these are the corners.
 
 use cdd::{CacheConfig, CddConfig, IoSystem};
 use raidx_core::Arch;
@@ -143,4 +143,24 @@ fn membership_epoch_bumps_flush_the_cache_and_reads_retarget() {
         assert_block(&mut sys, 1, lb, model[lb as usize]);
     }
     sys.scrub().expect("redundancy must hold after the migration");
+}
+
+/// A node that crashes or is cut off heard no invalidation while away, so
+/// it loses its cache at once and comes back empty.
+#[test]
+fn a_crash_and_a_partition_empty_the_node_cache() {
+    let (_engine, mut sys) = cached_shape(32);
+    let model = seed_region(&mut sys, 4);
+    for (node, crash) in [(1, true), (2, false)] {
+        for lb in 0..4 {
+            assert_block(&mut sys, node, lb, model[lb as usize]);
+        }
+        assert_eq!(sys.cached_blocks(node), 4);
+        if crash {
+            sys.crash_node(node);
+        } else {
+            sys.partition_node(node);
+        }
+        assert_eq!(sys.cached_blocks(node), 0, "node {node}, crash: {crash}");
+    }
 }

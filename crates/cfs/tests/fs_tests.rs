@@ -217,6 +217,20 @@ fn refused_metadata_write_leaves_no_stale_entry() {
     assert!(refused > 0, "no pair of disks refused the write");
 }
 
+/// A metadata rewrite leaves its writer the only holder of the block: a
+/// client that read it before pays a miss on its next read.
+#[test]
+fn a_peer_rewrite_makes_the_next_read_a_miss() {
+    let (_e, mut fs) = make_fs();
+    fs.mkdir(0, "/shared").unwrap();
+    fs.create(0, "/shared/f").unwrap();
+    fs.stat(1, "/shared/f").unwrap();
+    fs.write_file(0, "/shared/f", b"new bytes").unwrap();
+    let (_, misses) = fs.cache_stats();
+    fs.stat(1, "/shared/f").unwrap();
+    assert!(fs.cache_stats().1 > misses, "client 1 read the rewritten inode at hit cost");
+}
+
 #[test]
 fn cache_invalidated_on_peer_write() {
     let (_e, mut fs) = make_fs();

@@ -19,7 +19,7 @@
 //! [`two_level`] times both paths. Neither writes a commit record or a
 //! journal: a checkpoint is ordinary array writes, so its crash recovery
 //! is the array's own (`cdd::IoSystem::crash_node`, transient resync and
-//! rebuild, exercised by the verify fault sweep).
+//! rebuild, exercised by the `raidx-verify` model test).
 
 pub mod two_level;
 

@@ -15,23 +15,21 @@
 //!
 //! * [`plan_lint`] — every real I/O path emits a plan the engine accepts.
 //! * [`determinism`] — event streams and aggregates replay byte-identically.
-//! * [`fault_sweep`] — every single-fault injection point recovers byte
-//!   for byte and replays fingerprint-identically.
 //! * [`static_analysis`] — the module-size cap and the wiring of the
 //!   clippy lints that own the static rules.
 //! * [`perf_smoke`] — deterministic engine work counters against an
 //!   in-code baseline; host time is `benchmark/`'s job.
-//! * [`cache_coherence`] — cached-vs-uncached transparency and the
-//!   Zipfian payoff gate; the cache protocol itself is unit-tested in
-//!   [`cdd::cache`] and on the real `IoSystem` in `cdd/tests/cache.rs`.
 //!
-//! One family is an integration test, `tests/model_based.rs`: random op
-//! scripts checked against `workloads::op_script`'s shadow model under
-//! any fault sequence, beyond what the layout tolerates.
+//! The fault harness is an integration test, `tests/model_based.rs`, and
+//! the only test that drives `cdd::FaultInjector` over scripted ops:
+//! random op scripts checked against `workloads::op_script`'s shadow
+//! model under any fault sequence, beyond what the layout tolerates —
+//! timed slowdowns and a retirement's in-flight migration included —
+//! each case replayed to an identical event stream, with one digest per
+//! architecture pinned. `tests/static_sweep.rs` reads every fault set of
+//! up to three disks back through the data path.
 
-pub mod cache_coherence;
 pub mod determinism;
-pub mod fault_sweep;
 pub mod perf_smoke;
 pub mod plan_lint;
 pub mod static_analysis;

@@ -1,13 +1,12 @@
-//! Scripted op sequences with op-indexed fault triggers — the workload
+//! Scripted op sequences checked against a shadow model — the workload
 //! half of fault injection.
 //!
 //! A script is a flat, pre-generated list of [`ScriptOp`]s (so the
 //! sequence is independent of what faults do to it); [`run_script`]
-//! executes it one op per engine cycle, announcing each op's index to an
-//! optional [`cdd::FaultInjector`] before issuing it — the hook the
-//! `fault-sweep` verify pass and the recovery property tests use to fire
-//! a fault at a precise position in the workload. [`run_op`] issues one
-//! op, for a caller that decides its fault steps as the run goes.
+//! executes it one op per engine cycle. [`run_op`] issues one op, for a
+//! caller that decides its fault steps as the run goes — the model test
+//! in `raidx-verify`, which fires `cdd::FaultInjector` events between
+//! ops.
 //!
 //! Alongside the array, the runner maintains a **shadow model**: the
 //! bytes of every write that *succeeded* (failed ops drop out of the
@@ -17,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use cdd::{FaultInjector, IoError, IoSystem};
+use cdd::{IoError, IoSystem};
 use sim_core::check::Gen;
 use sim_core::Engine;
 
@@ -101,32 +100,16 @@ pub struct ScriptOutcome {
     pub stale_reads: usize,
 }
 
-/// Execute `ops` one engine cycle at a time. Before each op its index
-/// is announced to `injector` (if any) and due timed faults fire; after
-/// the whole script, remaining timed faults are drained with the engine
-/// driven past their deadlines. Ops that fail
-/// (`DataLoss`/`Unreachable`/…) are *counted*, not propagated: a faulted
-/// run keeps going, exactly like a retrying client application.
-pub fn run_script(
-    engine: &mut Engine,
-    sys: &mut IoSystem,
-    ops: &[ScriptOp],
-    mut injector: Option<&mut FaultInjector>,
-) -> Result<ScriptOutcome, IoError> {
+/// Execute `ops` one engine cycle at a time. Ops that fail
+/// (`DataLoss`/`Unreachable`/…) are *counted*, not propagated: the
+/// script keeps going, exactly like a retrying client application.
+pub fn run_script(engine: &mut Engine, sys: &mut IoSystem, ops: &[ScriptOp]) -> ScriptOutcome {
     let mut out = ScriptOutcome::default();
     for (i, op) in ops.iter().enumerate() {
-        if let Some(inj) = injector.as_deref_mut() {
-            inj.hit_op(i as u64, engine, sys)?;
-            inj.poll(engine, sys)?;
-        }
         // Counted in `out`; the script goes on.
         let _ = run_op(engine, sys, i, *op, &mut out);
     }
-    if let Some(inj) = injector {
-        inj.drain_timed(engine, sys)?;
-        engine.run().expect("fault drain deadlocked");
-    }
-    Ok(out)
+    out
 }
 
 /// Issue `op`, number `i` of a script, run the engine until it is done
@@ -217,7 +200,7 @@ mod tests {
     fn fault_free_script_matches_model() {
         let (mut engine, mut sys) = cdd::testkit::shape(4, 2, 4 << 20, Arch::RaidX);
         let ops = gen_script(&mut Gen::new(11), 4, 64, 50);
-        let out = run_script(&mut engine, &mut sys, &ops, None).expect("clean run");
+        let out = run_script(&mut engine, &mut sys, &ops);
         assert_eq!(out.failed, 0);
         assert_eq!(out.stale_reads, 0);
         assert_eq!(

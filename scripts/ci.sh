@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full local CI gate: formatting, lints, rustdoc, the whole workspace test suite
 # (the raidx-verify checks included), the trace-export self-check, the
-# golden simulated results, the examples and the benchmark package. Each
+# golden simulated results, the examples, the benchmark package and the
+# mutation table (every tests/mutants/*.patch must fail some test). Each
 # check runs once: a failing test names itself in `cargo test` output, so
 # no test file has a stage of its own. Run from the repository root. Fails fast on
 # the first broken stage.
@@ -64,6 +65,55 @@ echo "==> benchmark (own workspace: build, smoke run, parity + manifest tests)"
 # a public-API change under crates/ can break it unnoticed.
 bash benchmark/run.sh --smoke
 cargo test --release -q --manifest-path benchmark/Cargo.toml
+
+echo "==> mutants (every tests/mutants/*.patch must fail the tier-1 tests)"
+# Each patch plants one single-hunk defect (DESIGN §7, "Mutation
+# table"). HEAD is exported once into one scratch tree (`git archive`,
+# so no worktree is registered in .git) and every mutant builds into one
+# target directory, both under target/mutants, so each mutant rebuilds
+# only what its patch touched. Per mutant: apply the patch, run the test
+# half of tier-1 (the release build kills no mutant that compiles), print
+# the tests that failed, revert. A patch that no longer applies, a mutant
+# that does not compile and a mutant no test kills all fail the stage.
+scratch=$PWD/target/mutants
+rm -rf "$scratch/tree"
+mkdir -p "$scratch/tree"
+git archive HEAD | tar -x -C "$scratch/tree"
+survivors=0
+for patch in "$PWD"/tests/mutants/*.patch; do
+    name=$(basename "$patch" .patch)
+    if ! patch -d "$scratch/tree" -p1 -F0 -s < "$patch"; then
+        echo "mutant $name: the patch no longer applies"
+        exit 1
+    fi
+    log=$scratch/$name.log
+    (cd "$scratch/tree" && CARGO_TARGET_DIR=$scratch/target \
+        cargo test --no-fail-fast > "$log" 2>&1) || true
+    patch -d "$scratch/tree" -p1 -R -s < "$patch"
+    if grep -q '^error: could not compile' "$log"; then
+        echo "mutant $name: does not compile (see $log)"
+        exit 1
+    fi
+    # `Running <target> (target/debug/deps/<name>-<hash>)` opens each
+    # test binary's output; a failed test prints `test <path> ... FAILED`.
+    killers=$(awk '
+        /^ *Running / { bin = $NF; sub(/.*\//, "", bin); sub(/-[0-9a-f]+\)$/, "", bin) }
+        /^ *Doc-tests / { bin = $2 "(doc)" }
+        / \.\.\. FAILED$/ { print "    " bin "::" $2 }' "$log")
+    if [ -n "$killers" ]; then
+        echo "mutant $name: killed by"
+        echo "$killers"
+    elif grep -q '^error: .*test failed' "$log"; then
+        echo "mutant $name: killed (a test binary aborted; see $log)"
+    else
+        echo "mutant $name: SURVIVED"
+        survivors=$((survivors + 1))
+    fi
+done
+if [ "$survivors" -ne 0 ]; then
+    echo "mutants: $survivors survived"
+    exit 1
+fi
 
 echo "==> loc (Rust lines per crate; informational, never fails)"
 sh scripts/loc.sh || true
