@@ -139,8 +139,8 @@ impl ImageQueue {
     /// would ship from a dead machine, so each entry's client becomes
     /// `reroute(entry)`. `IoSystem::crash_node` passes the owner of the
     /// image's target disk, which holds neither the primary copy nor the
-    /// image bytes: only the functional plane has them, and the re-homed
-    /// flush charges a write no node could issue (ROADMAP item 3).
+    /// image bytes: only the functional plane has them, so the re-homed
+    /// flush charges a write that node could not issue (ROADMAP item 3).
     pub fn reassign_client(
         &mut self,
         node: usize,
