@@ -69,7 +69,8 @@ pub enum FaultEvent {
         client: usize,
     },
     /// Whole-node crash: NIC partition plus every local disk transiently
-    /// offline; image-queue entries buffered by the node re-home.
+    /// offline; the mirror images the node still buffered die with it and
+    /// are parked, to be resynced from their primaries.
     NodeCrash {
         /// Crashed node.
         node: usize,

@@ -10,11 +10,20 @@
 //! shed to the *foreground* path via [`ImageQueue::drain_overflow`], so
 //! a sustained burst pays a partial clustered flush instead of growing
 //! the queue without limit (the contention regime of Figure 5).
+//!
+//! Entries hold *slot* addresses, like every other write-path placement
+//! (DESIGN §5a): a flush charges each slot's home at flush time, so an
+//! epoch transition leaves the queue alone. A buffered image is not on
+//! disk until a flush plan writes it. When its flush can no longer run —
+//! its image disk fails or goes offline, or its writer crashes with the
+//! bytes — [`ImageQueue::take`] surrenders it and the caller parks it,
+//! as it parks any copy a write could not place.
 
 use raidx_core::BlockAddr;
 use sim_core::Plan;
 
 use crate::ops::OpBuilder;
+use crate::placer::Placer;
 
 /// One buffered mirror-image block awaiting its group flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +32,8 @@ pub struct PendingImage {
     pub client: usize,
     /// Logical block the image mirrors.
     pub lb: u64,
-    /// Physical address of the image copy.
+    /// Slot-space address of the image copy: the flush charges the
+    /// slot's home at flush time, as every other placement does.
     pub addr: BlockAddr,
 }
 
@@ -91,18 +101,18 @@ impl ImageQueue {
         all
     }
 
-    /// Remove every buffered image destined for `disk`, in group key
-    /// order, emptying groups as needed. Called when a disk fails or
-    /// goes offline: flushing those entries later would write into a
-    /// dead disk, and silently keeping them enqueued both leaks
-    /// [`ImageQueue::len`] accounting and strands their groups (a group
-    /// missing a member can never fill). The caller parks the returned
-    /// blocks for rebuild/resync.
-    pub fn remove_disk(&mut self, disk: usize) -> Vec<PendingImage> {
+    /// Take every buffered image `pred` selects out of the queue, in
+    /// group key order, emptying groups as needed: the one way an image
+    /// leaves the queue other than a flush. A group that keeps an image
+    /// no flush may write could never fill, and a taken image no longer
+    /// counts in [`ImageQueue::len`]. The caller parks what it takes
+    /// (`IoSystem::park_images`), so resync restores those copies from
+    /// the primary.
+    pub fn take(&mut self, mut pred: impl FnMut(&PendingImage) -> bool) -> Vec<PendingImage> {
         let mut removed = Vec::new();
         self.groups.retain(|_, entries| {
             entries.retain(|p| {
-                if p.addr.disk == disk {
+                if pred(p) {
                     removed.push(*p);
                     false
                 } else {
@@ -113,46 +123,6 @@ impl ImageQueue {
         });
         self.total -= removed.len();
         removed
-    }
-
-    /// Retarget every buffered image aimed at physical disk `old` to the
-    /// same block on physical disk `new`. Called by an epoch transition,
-    /// so that the deferred flush charges the slot's *new* home, not a
-    /// retired disk. The image bytes sit on the functional plane from
-    /// admission and migrate with the pending set there, but no plan has
-    /// written them to any disk yet: they are not durable until the flush
-    /// runs (ROADMAP item 3). Returns the number of entries retargeted.
-    pub fn retarget_disk(&mut self, old: usize, new: usize) -> usize {
-        let mut n = 0;
-        for entries in self.groups.values_mut() {
-            for p in entries.iter_mut() {
-                if p.addr.disk == old {
-                    p.addr.disk = new;
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// Re-home every image buffered by crashed node `node`: the flush
-    /// would ship from a dead machine, so each entry's client becomes
-    /// `reroute(entry)`. `IoSystem::crash_node` passes the owner of the
-    /// image's target disk, which holds neither the primary copy nor the
-    /// image bytes: only the functional plane has them, so the re-homed
-    /// flush charges a write that node could not issue (ROADMAP item 3).
-    pub fn reassign_client(
-        &mut self,
-        node: usize,
-        mut reroute: impl FnMut(&PendingImage) -> usize,
-    ) {
-        for entries in self.groups.values_mut() {
-            for p in entries.iter_mut() {
-                if p.client == node {
-                    p.client = reroute(p);
-                }
-            }
-        }
     }
 
     /// Shed whole groups — lowest key first, partial or not — until at
@@ -174,11 +144,19 @@ impl ImageQueue {
         shed
     }
 
-    /// Build the write plans for flushed image blocks, merging physically
-    /// consecutive blocks into single long writes and shipping each run
-    /// from the node that buffered its first member. Plans carry no ack:
-    /// the foreground request was acknowledged after its data writes.
-    pub fn flush_plans(ops: &OpBuilder<'_>, mut items: Vec<PendingImage>) -> Vec<Plan> {
+    /// Build the write plans for flushed image blocks: each slot address
+    /// goes to its current physical home, then physically consecutive
+    /// blocks merge into single long writes, each run shipped from the
+    /// node that buffered its first member. Plans carry no ack: the
+    /// foreground request was acknowledged after its data writes.
+    pub fn flush_plans(
+        ops: &OpBuilder<'_>,
+        placer: &Placer,
+        mut items: Vec<PendingImage>,
+    ) -> Vec<Plan> {
+        for p in &mut items {
+            p.addr.disk = placer.phys(p.addr.disk);
+        }
         items.sort_unstable_by_key(|p| (p.addr.disk, p.addr.block));
         let mut plans = Vec::new();
         let mut i = 0;
@@ -207,7 +185,7 @@ impl ImageQueue {
         self.total == 0
     }
 
-    /// Buffered image blocks bound for `disk`: what [`ImageQueue::remove_disk`] would drain.
+    /// Buffered image blocks bound for slot `disk`.
     pub(crate) fn blocks_on_disk(&self, disk: usize) -> usize {
         self.groups.values().flatten().filter(|p| p.addr.disk == disk).count()
     }

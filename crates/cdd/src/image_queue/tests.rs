@@ -66,31 +66,20 @@ fn remove_disk_drops_only_that_disks_entries_and_fixes_len() {
     q.push(img(0, 1, 4, 11), Some((0, 8)));
     q.push(img(0, 9, 3, 12), Some((1, 8)));
     assert_eq!(q.len(), 3);
-    let removed = q.remove_disk(3);
+    let removed = q.take(|p| p.addr.disk == 3);
     assert_eq!(removed.iter().map(|p| p.lb).collect::<Vec<_>>(), vec![0, 9]);
     assert_eq!(q.len(), 1, "accounting must match the survivors");
     assert_eq!(q.drain_all(), vec![img(0, 1, 4, 11)]);
-    assert!(q.remove_disk(3).is_empty(), "idempotent on an already-drained disk");
-}
-
-#[test]
-fn reassign_client_reroutes_crashed_nodes_entries() {
-    let mut q = ImageQueue::new();
-    q.push(img(2, 0, 5, 0), Some((0, 8)));
-    q.push(img(1, 1, 6, 0), Some((0, 8)));
-    q.reassign_client(2, |p| p.addr.disk % 4);
-    let all = q.drain_all();
-    assert_eq!(all[0].client, 1, "disk 5 entry re-homed to its owner node");
-    assert_eq!(all[1].client, 1, "other clients untouched");
+    assert!(q.take(|p| p.addr.disk == 3).is_empty(), "idempotent on an already-drained disk");
 }
 
 #[test]
 fn empty_queue_edge_operations_are_noops() {
     let mut q = ImageQueue::new();
-    assert!(q.remove_disk(0).is_empty());
+    assert!(q.take(|p| p.addr.disk == 0).is_empty());
     assert_eq!(q.blocks_on_disk(0), 0);
     assert!(q.drain_overflow(0).is_empty());
-    q.reassign_client(0, |_| unreachable!("nothing to reroute"));
+    assert!(q.take(|_| true).is_empty());
     assert!(q.is_empty());
     assert!(q.drain_all().is_empty());
 }
@@ -101,7 +90,7 @@ fn removing_the_last_groups_only_disk_leaves_no_stranded_group() {
     q.push(img(0, 0, 2, 10), Some((5, 3)));
     q.push(img(0, 1, 2, 11), Some((5, 3)));
     assert_eq!(q.blocks_on_disk(2), 2);
-    let removed = q.remove_disk(2);
+    let removed = q.take(|p| p.addr.disk == 2);
     assert_eq!(removed.len(), 2);
     assert!(q.is_empty(), "emptied group must be deleted, not left as a husk");
     assert_eq!(q.blocks_on_disk(2), 0);
@@ -120,23 +109,9 @@ fn blocks_on_disk_matches_what_remove_disk_drains() {
     }
     for disk in 0..4usize {
         let predicted = q.blocks_on_disk(disk);
-        assert_eq!(q.remove_disk(disk).len(), predicted, "disk {disk}");
+        assert_eq!(q.take(|p| p.addr.disk == disk).len(), predicted, "disk {disk}");
     }
     assert!(q.is_empty());
-}
-
-#[test]
-fn reassign_chains_across_successive_crashes() {
-    // Node 2 crashes and its entries re-home to node 3; then node 3
-    // crashes (now partitioned too) and the same entries must
-    // re-home again — no entry may stay owned by a dead node.
-    let mut q = ImageQueue::new();
-    q.push(img(2, 0, 5, 0), Some((0, 8)));
-    q.push(img(2, 1, 6, 0), Some((1, 8)));
-    q.reassign_client(2, |_| 3);
-    q.reassign_client(3, |_| 1);
-    let all = q.drain_all();
-    assert!(all.iter().all(|p| p.client == 1), "{all:?}");
 }
 
 #[test]
@@ -151,7 +126,7 @@ fn remove_disk_then_overflow_keeps_backlog_accounting_consistent() {
         }
     }
     assert_eq!(q.len(), 12);
-    let dropped = q.remove_disk(1); // one block per group
+    let dropped = q.take(|p| p.addr.disk == 1); // one block per group
     assert_eq!(dropped.len(), 4);
     assert_eq!(q.len(), 8);
     let shed = q.drain_overflow(5);
@@ -176,31 +151,6 @@ fn len_tracks_push_and_drain() {
 }
 
 #[test]
-fn retarget_disk_moves_entries_without_disturbing_groups() {
-    let mut q = ImageQueue::new();
-    q.push(img(0, 0, 2, 10), Some((5, 3)));
-    q.push(img(0, 1, 3, 11), Some((5, 3)));
-    assert_eq!(q.retarget_disk(2, 7), 1);
-    assert_eq!(q.blocks_on_disk(2), 0);
-    assert_eq!(q.blocks_on_disk(7), 1);
-    assert_eq!(q.len(), 2, "retargeting must not change accounting");
-    // The group still completes on its third member and flushes with
-    // the rewritten address.
-    let ready = q.push(img(0, 2, 3, 12), Some((5, 3)));
-    assert_eq!(ready.len(), 3);
-    assert_eq!(ready[0].addr, BlockAddr::new(7, 10));
-}
-
-#[test]
-fn retarget_of_a_drained_disk_is_a_noop() {
-    let mut q = ImageQueue::new();
-    q.push(img(0, 0, 4, 9), Some((0, 8)));
-    assert_eq!(q.remove_disk(4).len(), 1);
-    assert_eq!(q.retarget_disk(4, 5), 0);
-    assert!(q.is_empty());
-}
-
-#[test]
 fn group_buffered_across_remove_and_readd_of_the_same_disk_id() {
     // A group holds entries for disks 1 and 2; disk 2 leaves the
     // array (its entries drain), then a *new* physical disk reuses
@@ -209,7 +159,7 @@ fn group_buffered_across_remove_and_readd_of_the_same_disk_id() {
     let mut q = ImageQueue::new();
     q.push(img(0, 0, 1, 10), Some((4, 3)));
     q.push(img(0, 1, 2, 11), Some((4, 3)));
-    assert_eq!(q.remove_disk(2).len(), 1);
+    assert_eq!(q.take(|p| p.addr.disk == 2).len(), 1);
     assert_eq!(q.len(), 1);
     // Fresh traffic addressed to disk id 2 again (e.g. after the
     // roster re-binds the slot) must account from zero.
@@ -223,13 +173,18 @@ fn group_buffered_across_remove_and_readd_of_the_same_disk_id() {
 }
 
 #[test]
-fn retarget_then_remove_drains_at_the_new_home_only() {
+fn take_by_writer_surrenders_only_that_writers_images() {
+    // A crashed writer's images leave the queue; another writer's share
+    // of the same group stays buffered and still completes it.
     let mut q = ImageQueue::new();
-    q.push(img(0, 0, 3, 10), Some((0, 8)));
-    q.push(img(0, 9, 3, 12), Some((1, 8)));
-    assert_eq!(q.retarget_disk(3, 6), 2);
-    assert!(q.remove_disk(3).is_empty(), "old id no longer owns the entries");
-    let drained = q.remove_disk(6);
-    assert_eq!(drained.len(), 2);
+    q.push(img(2, 0, 5, 0), Some((0, 3)));
+    q.push(img(1, 1, 6, 0), Some((0, 3)));
+    q.push(img(2, 9, 5, 1), Some((1, 3)));
+    let taken = q.take(|p| p.client == 2);
+    assert_eq!(taken.iter().map(|p| p.lb).collect::<Vec<_>>(), vec![0, 9]);
+    assert_eq!(q.len(), 1);
+    assert!(q.push(img(1, 2, 6, 1), Some((0, 3))).is_empty());
+    let ready = q.push(img(1, 3, 6, 2), Some((0, 3)));
+    assert!(ready.len() == 3 && ready.iter().all(|p| p.client == 1), "{ready:?}");
     assert!(q.is_empty());
 }

@@ -11,6 +11,11 @@
 //! against the old home. A full-disk replace is just `add_disk` +
 //! `remove_disk`; the cost difference against a full rebuild is what the
 //! bench's rebalance-under-load table quantifies.
+//!
+//! Buffered OSM images obey one rule here: a fault that stops an image's
+//! flush — its disk fails or goes offline, or its writer crashes — parks
+//! it (`IoSystem::park_images`). An epoch transition needs no rule: the
+//! queue holds slot addresses, which the flush maps to the current home.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -19,6 +24,7 @@ use raidx_core::{BlockAddr, FaultSet};
 use sim_core::Engine;
 
 use crate::error::IoError;
+use crate::image_queue::PendingImage;
 use crate::system::IoSystem;
 
 impl IoSystem {
@@ -128,40 +134,47 @@ impl IoSystem {
         }
     }
 
+    /// The one surrender rule for buffered OSM images: take every image
+    /// `pred` selects out of the write-behind queue and park it against
+    /// its image slot's current home. A buffered image is on no disk
+    /// until its flush runs, so one whose flush cannot run is a copy the
+    /// write could not place; resync restores it from the primary.
+    fn park_images(&mut self, pred: impl FnMut(&PendingImage) -> bool) {
+        for img in self.images.take(pred) {
+            self.park(self.placer.phys(img.addr.disk), img.lb);
+        }
+    }
+
     /// Fail a disk *permanently*: its contents are lost on the functional
-    /// plane and all planning routes around it. Any image blocks still
-    /// buffered for it in the write-behind queue are drained (flushing
-    /// them later would write into a dead disk and leak queue accounting)
-    /// and parked for the eventual rebuild.
+    /// plane and all planning routes around it. The images still buffered
+    /// for its slot are parked for the eventual rebuild (flushing them
+    /// later would write into a dead disk).
     pub fn fail_disk(&mut self, disk: usize) {
         self.faults.insert(disk);
         self.offline.remove(disk);
         self.plane.fail(disk);
-        for img in self.images.remove_disk(disk) {
-            self.park(disk, img.lb);
-        }
+        let slot = self.placer.slot_of(disk);
+        self.park_images(|p| Some(p.addr.disk) == slot);
     }
 
     /// Take a disk *transiently* offline: I/O is rejected but the
-    /// contents survive. Pending image-queue entries for it are drained
-    /// and parked, exactly as in [`IoSystem::fail_disk`]; recovery is the
-    /// cheap path — [`IoSystem::recover_disk_transient`] resyncs only the
-    /// parked blocks from surviving copies instead of rebuilding the
-    /// whole disk.
+    /// contents survive. The images buffered for its slot are parked,
+    /// exactly as in [`IoSystem::fail_disk`]; recovery is the cheap path —
+    /// [`IoSystem::recover_disk_transient`] resyncs only the parked
+    /// blocks from surviving copies instead of rebuilding the whole disk.
     pub fn fail_disk_transient(&mut self, disk: usize) {
         assert!(!self.faults.contains(disk), "disk already permanently failed");
         self.offline.insert(disk);
         self.plane.set_offline(disk, true);
-        for img in self.images.remove_disk(disk) {
-            self.park(disk, img.lb);
-        }
+        let slot = self.placer.slot_of(disk);
+        self.park_images(|p| Some(p.addr.disk) == slot);
     }
 
     /// A node crashed: cut it off from the switch and take its disks
     /// transiently offline (the machine is down; the media survives a
-    /// reboot). Image-queue entries buffered *by* the crashed node are
-    /// re-homed to each target disk's owner node, which holds neither the
-    /// primary nor the image bytes (`ImageQueue::reassign_client`).
+    /// reboot). The images the node buffered die with it: they are
+    /// parked, and read `DataLoss` if the primary is lost before a resync
+    /// restores them from it.
     pub fn crash_node(&mut self, node: usize) {
         self.partitions.partition(node);
         // Same reasoning as `partition_node`: the crashed node's cache
@@ -178,9 +191,7 @@ impl IoSystem {
                 self.fail_disk_transient(g);
             }
         }
-        let owners: Vec<usize> =
-            (0..self.cluster.ndisks()).map(|g| self.cluster.node_of_disk(g)).collect();
-        self.images.reassign_client(node, |p| owners[p.addr.disk]);
+        self.park_images(|p| p.client == node);
     }
 
     /// Hot-add a physical disk to the array as a *spare*. Registers it
@@ -274,11 +285,6 @@ impl IoSystem {
         }
 
         self.placer.begin_promote(slot, spare, old_dead, pending);
-        // Buffered write-behind flushes aimed at the old disk now charge
-        // the new home (their bytes are on the functional plane and
-        // migrate with the pending set; only the timing plan retargets,
-        // and no plan has written them yet).
-        self.images.retarget_disk(phys, spare);
         // The retired disk leaves fault bookkeeping: it is no longer part
         // of the array, and the slot's health tracks the new home now.
         self.faults.remove(phys);
@@ -350,10 +356,11 @@ mod tests {
     }
 
     /// Crashing a node takes its disks transiently offline, partitions
-    /// it, and re-homes its buffered image flushes: each becomes a local
-    /// write at its image disk's owner, so flushing them sends nothing over
-    /// the network. Restarting the node (as `FaultEvent::NodeRestart`
-    /// does) then resyncs what was parked, and every byte reads back.
+    /// it, and surrenders the images it buffered: they leave the queue and
+    /// are parked against their image disks, since only a flush would
+    /// have put them on disk. Restarting the node (as
+    /// `FaultEvent::NodeRestart` does) and resyncing each parked disk
+    /// restores them from the primaries, and every byte reads back.
     #[test]
     fn crash_node_combines_partition_and_transient_disks() {
         let (mut engine, mut sys) = shape(4, 2, 8 << 20, Arch::RaidX);
@@ -365,6 +372,8 @@ mod tests {
             engine.spawn_job("seed", plan);
         }
         engine.run().expect("seed writes");
+        let buffered = sys.pending_image_blocks();
+        assert!(buffered > 0, "RAID-x must buffer write-behind images");
 
         sys.crash_node(2);
         assert!(sys.partitions().is_partitioned(2));
@@ -373,24 +382,22 @@ mod tests {
                 assert!(sys.offline_disks().contains(g), "disk {g} should be offline");
             }
         }
-        assert!(sys.pending_image_blocks() > 0, "nothing left to re-home");
-        assert!(sys.parked_total() > 0, "no image aimed at the crashed node was parked");
-
-        let tx = |engine: &sim_core::Engine, sys: &crate::IoSystem| -> Vec<u64> {
-            sys.cluster.nodes.iter().map(|n| engine.resource_stats(n.tx).bytes).collect()
-        };
-        let before = tx(&engine, &sys);
-        let flush = sys.flush_images();
-        engine.spawn_job("flush", flush);
-        engine.run().expect("flush");
-        assert_eq!(tx(&engine, &sys), before, "a re-homed image flush crossed the network");
+        assert_eq!(sys.pending_image_blocks(), 0, "the crashed writer's images stayed queued");
+        assert_eq!(sys.parked_total(), buffered, "every surrendered image must be parked");
 
         sys.heal_node(2);
         for g in 0..sys.cluster.ndisks() {
             if sys.cluster.node_of_disk(g) == 2 {
-                let out = sys.recover_disk_transient(0, g).expect("resync");
+                let out = sys.recover_disk_transient(0, g).expect("recover");
                 assert_eq!(out.lost, None, "disk {g} lost a block");
                 engine.spawn_job("restart", out.plan);
+            }
+        }
+        for g in 0..sys.cluster.ndisks() {
+            if sys.parked_blocks(g) > 0 {
+                let out = sys.resync_parked(0, g).expect("resync");
+                assert_eq!(out.lost, None, "disk {g} lost a block");
+                engine.spawn_job("resync", out.plan);
             }
         }
         engine.run().expect("restart");

@@ -10,7 +10,9 @@
 //!   physical home — the epoch the block was written under — so reads
 //!   stay byte-correct while a rebalance is in flight.
 //! * **Writes** always land on the *new* home and clear the block's
-//!   pending entry: a freshly written block never needs migrating.
+//!   pending entry: a freshly written block never needs migrating. The
+//!   migration closes when its last pending entry clears, by a write or
+//!   by a rebalance step alike.
 //!
 //! Roster (one physical disk's lifetime): [`Placer::add_spare`] registers
 //! a disk as a spare; [`Placer::begin_promote`] binds the oldest spare to
@@ -165,28 +167,23 @@ impl Placer {
     /// copy that migration would have moved.
     #[inline]
     pub fn write_home(&mut self, a: BlockAddr) -> BlockAddr {
-        if let Some(m) = &mut self.migration {
-            if m.slot == a.disk {
-                m.pending.remove(&a.block);
-            }
-        }
+        self.clear_pending(a.disk, a.block);
         BlockAddr::new(self.phys(a.disk), a.block)
     }
 
-    /// Drop one block of `slot` from the pending set (a rebalance step
-    /// finished or superseded it). Returns true if it was present; a
-    /// no-op when the in-flight migration is for a different slot.
+    /// Drop one block of `slot` from the pending set (a write, or a
+    /// rebalance step, finished or superseded it), and close the
+    /// migration once nothing is left pending. Returns true if the block
+    /// was present; a no-op when the in-flight migration is for a
+    /// different slot.
+    #[inline]
     pub fn clear_pending(&mut self, slot: usize, block: u64) -> bool {
-        self.migration.as_mut().is_some_and(|m| m.slot == slot && m.pending.remove(&block))
-    }
-
-    /// Close out the migration if its pending set has drained. Returns
-    /// true if no migration remains in flight afterwards.
-    pub fn finish_if_drained(&mut self) -> bool {
-        if self.migration.as_ref().is_some_and(|m| m.pending.is_empty()) {
+        let Some(m) = &mut self.migration else { return false };
+        let cleared = m.slot == slot && m.pending.remove(&block);
+        if m.pending.is_empty() {
             self.migration = None;
         }
-        self.migration.is_none()
+        cleared
     }
 
     /// Translate a physical fault set into the slot view *writes* use:
@@ -207,7 +204,7 @@ impl Placer {
     pub fn slot_read_faults(&self, phys: &FaultSet) -> FaultSet {
         let mut slots = self.slot_write_faults(phys);
         if let Some(m) = &self.migration {
-            if !m.pending.is_empty() && (m.old_dead || phys.contains(m.old_phys)) {
+            if m.old_dead || phys.contains(m.old_phys) {
                 slots.insert(m.slot);
             }
         }
@@ -304,8 +301,7 @@ mod tests {
         // Other slots are untouched.
         assert_eq!(p.read_home(BlockAddr::new(2, 5)), BlockAddr::new(2, 5));
         assert!(p.clear_pending(1, 7));
-        assert!(p.finish_if_drained());
-        assert!(p.migration().is_none());
+        assert!(p.migration().is_none(), "the last pending block closes the migration");
     }
 
     #[test]
@@ -318,8 +314,8 @@ mod tests {
         assert!(p.slot_write_faults(&none).is_empty());
         assert!(p.slot_read_faults(&none).contains(0));
         // Once the pending set drains the slot reads clean again.
-        p.clear_pending(0, 1);
-        assert!(p.finish_if_drained());
+        assert!(p.clear_pending(0, 1));
+        assert!(p.migration().is_none());
         assert!(p.slot_read_faults(&none).is_empty());
     }
 

@@ -135,7 +135,6 @@ impl IoSystem {
             for l in &lost {
                 self.placer.clear_pending(slot, l.target.block);
             }
-            self.placer.finish_if_drained();
         }
         Ok(outcome)
     }

@@ -21,7 +21,8 @@
 //! Placement arithmetic happens in logical *slot* space, against the
 //! client's slot fault set; [`IoSystem::put_block`] and
 //! [`IoSystem::get_block`] translate to physical disks through the
-//! epoch-versioned placer at the plane boundary (the identity on a
+//! epoch-versioned placer at the plane boundary, and a plan does at the
+//! moment it is built — a buffered image at its flush (the identity on a
 //! never-reconfigured array).
 
 use cluster::{block_of, Block};
@@ -144,10 +145,7 @@ impl IoSystem {
         let mut ready: Vec<PendingImage> = Vec::new();
         for (lb, img) in bg {
             let group = self.layout.image_group_key(lb);
-            // The queue holds physical addresses, so disk-level drains and
-            // flush plans match the fault state and the current epoch.
-            let addr = BlockAddr::new(self.placer.phys(img.disk), img.block);
-            ready.extend(self.images.push(PendingImage { client, lb, addr }, group));
+            ready.extend(self.images.push(PendingImage { client, lb, addr: img }, group));
         }
         // Bounded write-behind: whatever still exceeds the backlog cap is
         // this request's debt — it flushes on the foreground path, inside
@@ -159,10 +157,10 @@ impl IoSystem {
         let mut chain = vec![par(self.acked_writes(client, fg))];
         let ops = self.ops();
         if !ready.is_empty() {
-            chain.push(background(par(ImageQueue::flush_plans(&ops, ready))));
+            chain.push(background(par(ImageQueue::flush_plans(&ops, &self.placer, ready))));
         }
         if !overflow.is_empty() {
-            chain.push(par(ImageQueue::flush_plans(&ops, overflow)));
+            chain.push(par(ImageQueue::flush_plans(&ops, &self.placer, overflow)));
         }
         Ok(seq(chain))
     }

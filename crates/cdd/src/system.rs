@@ -310,7 +310,7 @@ impl IoSystem {
             return sim_core::Plan::Noop;
         }
         let ops = self.ops();
-        sim_core::plan::par(ImageQueue::flush_plans(&ops, all))
+        sim_core::plan::par(ImageQueue::flush_plans(&ops, &self.placer, all))
     }
 
     /// Number of image blocks currently buffered for deferred flushing.

@@ -85,13 +85,13 @@ fn reconfig_agrees_with_model(name: &str, fail_before_remove: bool) {
         assert_grants(&sys, before, 1, "add_disk");
         sys.remove_disk(victim).expect("remove disk");
         assert_grants(&sys, before + 1, 1, "remove_disk");
-        let mut in_flight = true;
-        let mut rebalance = |sys: &mut cdd::IoSystem, steps| {
+        let rebalance = |sys: &mut cdd::IoSystem, steps| {
+            // A write may have closed the migration since the last step.
+            let in_flight = sys.migration_pending() > 0;
             let before = sys.lock_grants();
             let out = sys.rebalance(0, steps).expect("rebalance step");
             assert_eq!(out.lost, None, "one disk out loses nothing");
             assert_grants(sys, before, u64::from(in_flight), "a rebalance step");
-            in_flight = !out.finished;
             out
         };
 
@@ -261,4 +261,52 @@ fn a_rebalance_that_loses_blocks_closes_its_migration() {
     assert_eq!(sys.parked_total(), 0, "rewriting every lost block empties the ledger");
     read_all(&mut sys, &want, &[], "rewritten");
     sys.scrub().expect("scrub");
+}
+
+/// A migration whose pending blocks are all overwritten closes with its
+/// last one: the next retirement finds none in flight, although no
+/// rebalance ran.
+#[test]
+fn overwriting_every_pending_block_closes_the_migration() {
+    let (mut engine, mut sys) = cdd::testkit::shape(4, 1, 8 << 20, Arch::RaidX);
+    let bs = sys.block_size() as usize;
+    sys.write(0, 0, &vec![0x42; 8 * bs]).expect("seed");
+    sys.add_disk(&mut engine).expect("add spare");
+    sys.remove_disk(1).expect("retire disk 1");
+    assert_eq!(sys.migration_pending(), 4);
+    sys.write(0, 0, &vec![0x91; 8 * bs]).expect("overwrite");
+    assert_eq!(sys.migration_pending(), 0);
+
+    sys.add_disk(&mut engine).expect("add a second spare");
+    sys.remove_disk(2).expect("retire disk 2 with no migration in flight");
+    let out = sys.rebalance(0, None).expect("drain the second migration");
+    assert!(out.finished && out.lost.is_none());
+    engine.spawn_job("rebalance", out.plan);
+    engine.run().expect("rebalance timing");
+    let (got, _) = sys.read(3, 0, 8).expect("read back");
+    assert!(got.iter().all(|&b| b == 0x91), "a block read back stale");
+    sys.scrub().expect("scrub");
+}
+
+/// An image still buffered when its slot is retired flushes to the
+/// slot's new home: the queue holds slot addresses, which the flush maps
+/// through the current binding.
+#[test]
+fn a_buffered_image_flushes_to_its_slots_new_home() {
+    let (mut engine, mut sys) = cdd::testkit::shape(4, 1, 8 << 20, Arch::RaidX);
+    let bs = sys.block_size() as usize;
+    assert_eq!(sys.layout().locate_images(1)[0].disk, 3);
+    sys.write(0, 1, &vec![0x91; bs]).expect("write");
+    assert_eq!(sys.pending_image_blocks(), 1, "the image must still be buffered");
+    let spare = sys.add_disk(&mut engine).expect("add spare");
+    sys.remove_disk(3).expect("retire the image disk");
+    let busy = |engine: &sim_core::Engine, sys: &cdd::IoSystem, g: usize| {
+        engine.resource_stats(sys.cluster().disks[g].res).busy
+    };
+    let (old, new) = (busy(&engine, &sys, 3), busy(&engine, &sys, spare));
+    let flush = sys.flush_images();
+    engine.spawn_job("flush", flush);
+    engine.run().expect("flush timing");
+    assert_eq!(busy(&engine, &sys, 3), old, "the flush wrote to the retired disk");
+    assert!(busy(&engine, &sys, spare) > new, "the flush missed the new home");
 }

@@ -6,6 +6,9 @@
 //! `DataLoss` — never the bytes disk 1 kept from before the overwrite —
 //! and the loss stays reported until the block is written again. A repair
 //! that loses a block still charges the I/O of the copies it restored.
+//!
+//! A mirror image still buffered in the OSM write-behind queue is no copy
+//! either: when its writer crashes, the block's primary is the only one.
 
 use cdd::testkit::shape;
 use cdd::{FaultEvent, FaultInjector, IoError, IoSystem, RestoreOutcome};
@@ -111,4 +114,39 @@ fn a_second_failure_during_recovery_loses_blocks_and_serves_no_stale_ones() {
         // of it depends on both; every other layout loses some block.
         assert_eq!(lost.is_empty(), arch == Arch::Raid10, "{arch:?} lost {lost:?}");
     }
+}
+
+/// A crashed writer's buffered mirror images die with it. On RAID-x 4×1
+/// client 0 writes block 1 (data on disk 1, image on disk 3, its group
+/// partial so the image stays queued) and crashes; then disk 1 fails.
+/// No plan ever wrote the image, so block 1 has no copy left: it reads
+/// `DataLoss` — also after node 0 restarts — until it is written again.
+#[test]
+fn a_crashed_writers_buffered_image_is_no_copy() {
+    let (mut engine, mut sys) = shape(4, 1, 8 << 20, Arch::RaidX);
+    let bs = sys.block_size() as usize;
+    let layout = sys.layout();
+    assert_eq!(layout.locate_data(1).disk, 1);
+    assert_eq!(layout.locate_images(1).iter().map(|a| a.disk).collect::<Vec<_>>(), vec![3]);
+    let plan = sys.write(0, 1, &vec![0x91; bs]).expect("write");
+    engine.spawn_job("write", plan);
+    engine.run().expect("write timing");
+    assert_eq!(sys.pending_image_blocks(), 1, "the image must still be buffered");
+
+    sys.crash_node(0);
+    sys.fail_disk(1);
+    let block_1 = |sys: &mut IoSystem| sys.read(3, 1, 1).map(|(got, _)| got[0]);
+    let read = block_1(&mut sys);
+    assert!(matches!(read, Err(IoError::DataLoss { lb: 1 })), "block 1 read {read:?}");
+    assert_eq!(sys.parked_blocks(3), 1, "the unflushed image is parked against its disk");
+
+    let mut restart = FaultInjector::new();
+    restart.at_op(0, FaultEvent::NodeRestart { node: 0, client: 0 });
+    restart.hit_op(0, &mut engine, &mut sys).expect("restart node 0");
+    engine.run().expect("restart timing");
+    let read = block_1(&mut sys);
+    assert!(matches!(read, Err(IoError::DataLoss { lb: 1 })), "after restart: {read:?}");
+
+    sys.write(2, 1, &vec![0x5A; bs]).expect("rewrite");
+    assert_eq!(block_1(&mut sys).expect("a rewritten block reads"), 0x5A);
 }

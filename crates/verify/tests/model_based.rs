@@ -69,7 +69,7 @@ const DIGESTS: [(Arch, u64); 4] = [
     (Arch::Raid5, 0x77d1_a329_ba74_80d8),
     (Arch::Chained, 0x8780_5a5a_01f5_748a),
     (Arch::Raid10, 0xbe8c_5bf9_ced1_b766),
-    (Arch::RaidX, 0x13b1_ecb9_9eff_eeb5),
+    (Arch::RaidX, 0x1c65_377f_7145_d53d),
 ];
 
 #[derive(Debug, Clone)]

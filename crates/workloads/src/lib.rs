@@ -22,6 +22,6 @@ pub mod zipf;
 pub use andrew::{run_andrew, AndrewConfig, AndrewResult, PHASES};
 pub use latency::{measure_latency, LatencyResult};
 pub use mixed::{run_mixed, MixedConfig, MixedResult};
-pub use op_script::{check_against_model, gen_script, run_op, run_script, ScriptOp, ScriptOutcome};
+pub use op_script::{run_op, ScriptOp, ScriptOutcome};
 pub use parallel_io::{run_parallel_io, BandwidthResult, IoPattern, ParallelIoConfig};
 pub use zipf::{run_zipf, ZipfConfig, ZipfOutcome, ZipfSampler};
